@@ -17,7 +17,6 @@ from .algebra import (
     CdReal,
     NegativeRealNoCanonicalRoot,
     NilpotentNoRoot,
-    cd_abs2,
     cd_conj,
     cd_exp,
     cd_mul,
@@ -28,8 +27,8 @@ from .algebra import (
     cdc_sqrt,
     find_zero_divisor,
 )
-from .config import ConfigError, RunConfig, load_config
-from .experiments import EXPERIMENT_NAMES, run_experiments
+from .config import EXPERIMENT_CHOICES, ConfigError, RunConfig, load_config
+from .experiments import run_experiments
 from .integrals import (
     PredictableIntegrand,
     StepIntegrand,
@@ -49,7 +48,7 @@ from .linops import (
     spd_sqrt,
     vec_size,
 )
-from .paths import PathEnsemble, TimeGrid
+from .paths import PathEnsemble, TimeGrid, write_paths_csv
 from .report import make_report, render_json, strip_timing, write_outputs
 from .sde import (
     SdeProblem,
@@ -69,7 +68,6 @@ __all__ = [
     "NilpotentNoRoot",
     "cd_mul",
     "cd_conj",
-    "cd_abs2",
     "cd_sqrt",
     "cd_exp",
     "cdc_mul",
@@ -88,6 +86,7 @@ __all__ = [
     "f_functional",
     "TimeGrid",
     "PathEnsemble",
+    "write_paths_csv",
     "StepIntegrand",
     "PredictableIntegrand",
     "isometry_check",
@@ -104,7 +103,7 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "load_config",
-    "EXPERIMENT_NAMES",
+    "EXPERIMENT_CHOICES",
     "run_experiments",
     "make_report",
     "render_json",

@@ -185,19 +185,9 @@ def cd_conj(a: CdReal) -> CdReal:
     return CdReal(a.level, c)
 
 
-def cd_abs2(a: CdReal) -> float:
-    """Squared norm sum(z_l^2); equals the i_0 coefficient of z*conj(z)."""
-    return a.abs2()
-
-
 def left_mult_matrix(a: CdReal) -> np.ndarray:
     """Real matrix of x -> a*x on coefficient vectors."""
     return np.einsum("kxy,x->ky", mul_tensor(a.level), a.coeffs)
-
-
-def right_mult_matrix(a: CdReal) -> np.ndarray:
-    """Real matrix of x -> x*a on coefficient vectors."""
-    return np.einsum("kxy,y->kx", mul_tensor(a.level), a.coeffs)
 
 
 def cd_exp(z: CdReal) -> CdReal:

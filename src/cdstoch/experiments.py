@@ -20,7 +20,6 @@ import time
 import numpy as np
 
 from .algebra import (
-    AlgebraError,
     CdComplex,
     CdReal,
     NegativeRealNoCanonicalRoot,
@@ -36,7 +35,12 @@ from .algebra import (
     mul_table,
     mul_tensor,
 )
-from .config import RunConfig, build_driving, strong_order_halvings
+from .config import (
+    EXPERIMENT_CHOICES,
+    RunConfig,
+    build_driving,
+    strong_order_halvings,
+)
 from .integrals import (
     PredictableIntegrand,
     StepIntegrand,
@@ -105,6 +109,17 @@ def _check(name: str, anchor: str, passed, **fields) -> dict:
     out = {"name": name, "anchor": anchor, "passed": bool(passed)}
     out.update(fields)
     return out
+
+
+def _report(name: str, anchor: str, res: dict, *fields: str, passed=None,
+            **extra) -> dict:
+    """Report entry for a check result: its verdict plus the named fields.
+
+    ``passed`` overrides the result's own verdict; ``extra`` adds fields
+    the battery computes itself.
+    """
+    return _check(name, anchor, res["passed"] if passed is None else passed,
+                  **{f: res[f] for f in fields}, **extra)
 
 
 def _entry(name: str, checks: list, started: float) -> dict:
@@ -630,13 +645,11 @@ def _cf_case_check(cfg: RunConfig, spec: dict, threads: int) -> dict:
                        spec["coeff_scale"] * rng.normal(size=vec_size(level, n))
                        / math.sqrt(vec_size(level, n)))
     t = a0 + spec["t_fraction"] * (b0 - a0)
-    res = char_functional_check(ens, y, t, threads)
-    return _check(f"char_functional_case_{spec['index']:02d}", "Eq. 2.4(4)",
-                  res["passed"], level=level, n=n,
-                  complexified=spec["complexified"],
-                  with_drift=spec["with_drift"],
-                  gap=res["gap"], radius=res["radius"],
-                  sample_count=res["sample_count"])
+    return _report(f"char_functional_case_{spec['index']:02d}", "Eq. 2.4(4)",
+                   char_functional_check(ens, y, t, threads),
+                   "gap", "radius", "sample_count", level=level, n=n,
+                   complexified=spec["complexified"],
+                   with_drift=spec["with_drift"])
 
 
 def paths_experiment(cfg: RunConfig) -> dict:
@@ -654,41 +667,34 @@ def paths_experiment(cfg: RunConfig) -> dict:
     k4 = cfg.grids[-1] // 4
     t1 = float(grid.points[k4])
     t2 = float(grid.points[3 * k4])
-    res = mean_increment_check(ens, t1, t2, threads)
-    checks.append(_check("mean_increment", "Cor. 2.9(1)", res["passed"],
-                         max_gap=res["max_gap"],
-                         max_standard_error=res["max_standard_error"],
-                         sample_count=res["sample_count"]))
+    checks.append(_report("mean_increment", "Cor. 2.9(1)",
+                          mean_increment_check(ens, t1, t2, threads),
+                          "max_gap", "max_standard_error", "sample_count"))
 
     pairs = [(0, 0)] if ens.n == 1 else [(0, 0), (0, ens.n - 1)]
     for k, h in pairs:
-        res = increment_cov_check(ens, t1, t2, k, h, threads)
-        checks.append(_check(f"increment_covariance_{k}{h}", "Cor. 2.9(2)",
-                             res["passed"], k=k, h=h,
-                             max_gap=res["max_gap"],
-                             as_stated_gap=res["as_stated_gap"],
-                             sample_count=res["sample_count"]))
+        checks.append(_report(f"increment_covariance_{k}{h}", "Cor. 2.9(2)",
+                              increment_cov_check(ens, t1, t2, k, h, threads),
+                              "k", "h", "max_gap", "as_stated_gap",
+                              "sample_count"))
 
     # pinned multi-block fixture: a cross-block moment vanishes and an
     # i_1-valued coefficient steers the moment onto that axis
     fixture = PathEnsemble(grid, _multi_block_covariance(2), None,
                            seed=cfg.seed + 2, n_replicas=cfg.replicas)
-    res = increment_cov_check(fixture, t1, t2, 0, 2, threads)
-    checks.append(_check("increment_covariance_cross_block", "Cor. 2.9(2)",
-                         res["passed"], max_gap=res["max_gap"],
-                         sample_count=res["sample_count"]))
+    checks.append(_report("increment_covariance_cross_block", "Cor. 2.9(2)",
+                          increment_cov_check(fixture, t1, t2, 0, 2, threads),
+                          "max_gap", "sample_count"))
     directional = PathEnsemble(grid, _directional_covariance(2), None,
                                seed=cfg.seed + 3, n_replicas=cfg.replicas)
-    res = increment_cov_check(directional, t1, t2, 0, 0, threads)
-    checks.append(_check("increment_covariance_directional", "Cor. 2.9(2)",
-                         res["passed"], max_gap=res["max_gap"],
-                         sample_count=res["sample_count"]))
-
-    res = disjoint_increment_corr(ens, a0, t1, t2, b0, threads)
-    checks.append(_check("disjoint_increment_independence", "Def. 2.6",
-                         res["passed"],
-                         max_abs_correlation=res["max_abs_correlation"],
-                         bound=res["bound"]))
+    checks.append(_report("increment_covariance_directional", "Cor. 2.9(2)",
+                          increment_cov_check(directional, t1, t2, 0, 0,
+                                              threads),
+                          "max_gap", "sample_count"))
+    checks.append(_report("disjoint_increment_independence", "Def. 2.6",
+                          disjoint_increment_corr(ens, a0, t1, t2, b0,
+                                                  threads),
+                          "max_abs_correlation", "bound"))
 
     for spec in _cf_battery_specs(cfg.seed):
         checks.append(_cf_case_check(cfg, spec, threads))
@@ -699,16 +705,15 @@ def paths_experiment(cfg: RunConfig) -> dict:
                        / math.sqrt(vec_size(ens.level, ens.n)))
     res = char_semigroup_check(ens, y, span * k4 / cfg.grids[-1],
                                span * 2 * k4 / cfg.grids[-1], threads)
-    checks.append(_check("char_semigroup", "Eq. 2.4(6)", res["passed"],
-                         gap=res["gap"], tolerance=res["tolerance"]))
+    checks.append(_report("char_semigroup", "Eq. 2.4(6)", res,
+                          "gap", "tolerance"))
 
     halvings = min(5, (cfg.grids[-1] & -cfg.grids[-1]).bit_length() - 1)
     coords = ens.n * dim_of(ens.level) * (2 if ens.complexified else 1)
     eps = 2.0 * math.sqrt(2.0 * coords * span)
-    res = path_continuity_check(ens, eps, halvings, threads)
-    checks.append(_check("path_continuity", "Thm. 2.27", res["passed"],
-                         eps=res["eps"], tails=res["tails"],
-                         deltas=res["deltas"]))
+    checks.append(_report("path_continuity", "Thm. 2.27",
+                          path_continuity_check(ens, eps, halvings, threads),
+                          "eps", "tails", "deltas"))
     return _entry("paths", checks, started)
 
 
@@ -792,63 +797,57 @@ def isometry_experiment(cfg: RunConfig) -> dict:
     res = zero_mean_check(_tiled_ops(
         grid, [_random_four_block(rng, 2, 1, 1) for _ in range(3)]),
         ens_cplx, None, threads)
-    checks.append(_check("integral_zero_mean", "Lemma 2.12", res["passed"],
-                         max_abs_mean=res["max_abs_mean"],
-                         max_standard_error=res["max_standard_error"],
-                         sample_count=res["sample_count"]))
+    checks.append(_report("integral_zero_mean", "Lemma 2.12", res,
+                          "max_abs_mean", "max_standard_error",
+                          "sample_count"))
 
     # isometry battery: plain covariance, lri integrands
-    def isometry_case(name, integrand, ensemble, expect_rhs=None):
-        res = isometry_check(integrand, ensemble, None, threads)
-        fields = {
-            "lhs": res["lhs"], "rhs": res["rhs"], "gap": res["gap"],
-            "combined_standard_error": res["combined_standard_error"],
-            "sample_count": res["sample_count"],
-        }
-        passed = res["passed"]
-        if expect_rhs is not None:
-            fields["expected_rhs"] = expect_rhs
-            passed = passed and abs(res["rhs"] - expect_rhs) <= atol
-        return _check(name, "Thm. 2.14(1)", passed, **fields)
-
+    iso_fields = ("lhs", "rhs", "gap", "combined_standard_error",
+                  "sample_count")
     ens_plain = PathEnsemble(grid, _identity_cov(2, 1), None,
                              seed=cfg.seed + 202, n_replicas=cfg.replicas)
-    checks.append(isometry_case(
-        "isometry_identity_anchor",
+    res = isometry_check(
         StepIntegrand.constant(grid, RightLinearOp.identity(2, 1)),
-        ens_plain, expect_rhs=span))
+        ens_plain, None, threads)
+    checks.append(_report(
+        "isometry_identity_anchor", "Thm. 2.14(1)", res, *iso_fields,
+        passed=res["passed"] and abs(res["rhs"] - span) <= atol,
+        expected_rhs=span))
 
     ens_oct = PathEnsemble(grid, _identity_cov(3, 1), None,
                            seed=cfg.seed + 203, n_replicas=cfg.replicas)
-    checks.append(isometry_case(
-        "isometry_unit_direction",
+    res = isometry_check(
         StepIntegrand.constant(
             grid, RightLinearOp.left_mult(CdReal.unit(3, 1))),
-        ens_oct, expect_rhs=span))
+        ens_oct, None, threads)
+    checks.append(_report(
+        "isometry_unit_direction", "Thm. 2.14(1)", res, *iso_fields,
+        passed=res["passed"] and abs(res["rhs"] - span) <= atol,
+        expected_rhs=span))
 
     rng_iso = _case_rng(cfg.seed, 51)
     ens_two = PathEnsemble(grid, _random_spd_cov(rng_iso, 1, 2), None,
                            seed=cfg.seed + 204, n_replicas=cfg.replicas)
-    checks.append(isometry_case(
-        "isometry_piecewise_lri",
-        _tiled_ops(grid, [_random_lri(rng_iso, 1, 2) for _ in range(2)]),
-        ens_two))
+    checks.append(_report(
+        "isometry_piecewise_lri", "Thm. 2.14(1)", isometry_check(
+            _tiled_ops(grid, [_random_lri(rng_iso, 1, 2) for _ in range(2)]),
+            ens_two, None, threads), *iso_fields))
 
     ens_real = PathEnsemble(grid, CovarianceOperator.simple(
         CdReal.from_real(0, 2.0), np.eye(1)), None,
         seed=cfg.seed + 205, n_replicas=cfg.replicas)
-    checks.append(isometry_case(
-        "isometry_real_line",
-        StepIntegrand.constant(
-            grid, RightLinearOp.lri(0, np.array([[[0.8]]]))),
-        ens_real))
+    checks.append(_report(
+        "isometry_real_line", "Thm. 2.14(1)", isometry_check(
+            StepIntegrand.constant(
+                grid, RightLinearOp.lri(0, np.array([[[0.8]]]))),
+            ens_real, None, threads), *iso_fields))
 
     ens_oct2 = PathEnsemble(grid, _random_spd_cov(rng_iso, 3, 2), None,
                             seed=cfg.seed + 206, n_replicas=cfg.replicas)
-    checks.append(isometry_case(
-        "isometry_octonion_pair",
-        _tiled_ops(grid, [_random_lri(rng_iso, 3, 2) for _ in range(2)]),
-        ens_oct2))
+    checks.append(_report(
+        "isometry_octonion_pair", "Thm. 2.14(1)", isometry_check(
+            _tiled_ops(grid, [_random_lri(rng_iso, 3, 2) for _ in range(2)]),
+            ens_oct2, None, threads), *iso_fields))
 
     # adapted per-replica weights through the predictable interface
     base_op = _random_lri(rng_iso, 2, 1)
@@ -860,56 +859,53 @@ def isometry_experiment(cfg: RunConfig) -> dict:
     weighted = PredictableIntegrand(2, 1, 1, weighted_evaluator, 1.5)
     ens_w = PathEnsemble(grid, _identity_cov(2, 1), None,
                          seed=cfg.seed + 207, n_replicas=cfg.replicas)
-    checks.append(isometry_case(
-        "isometry_adapted_weights", weighted.as_step(grid), ens_w))
+    checks.append(_report(
+        "isometry_adapted_weights", "Thm. 2.14(1)",
+        isometry_check(weighted.as_step(grid), ens_w, None, threads),
+        *iso_fields))
 
     # bound battery: complexified covariance, four-block integrands
-    def bound_case(name, anchor, integrand, ensemble, expect_m2=None):
-        res = bound_check(integrand, ensemble, None, threads)
-        fields = {
-            "m1": res["m1"], "m2": res["m2"], "m3": res["m3"],
-            "combined_standard_error": res["combined_standard_error"],
-            "sample_count": res["sample_count"],
-        }
-        passed = res["passed"]
-        if expect_m2 is not None:
-            fields["expected_m2"] = expect_m2
-            passed = passed and (abs(res["m2"] - expect_m2) <= atol
-                                 and abs(res["m3"] - expect_m2) <= atol)
-        return _check(name, anchor, passed, **fields)
-
-    checks.append(bound_case(
-        "bound_identity_anchor", "Prop. 2.22(2)",
+    bound_fields = ("m1", "m2", "m3", "combined_standard_error",
+                    "sample_count")
+    res = bound_check(
         StepIntegrand.constant(grid, RightLinearOp.identity(2, 1)),
-        ens_cplx, expect_m2=4.0 * span))
+        ens_cplx, None, threads)
+    expect_m2 = 4.0 * span
+    checks.append(_report(
+        "bound_identity_anchor", "Prop. 2.22(2)", res, *bound_fields,
+        passed=res["passed"] and (abs(res["m2"] - expect_m2) <= atol
+                                  and abs(res["m3"] - expect_m2) <= atol),
+        expected_m2=expect_m2))
 
     rng_bd = _case_rng(cfg.seed, 52)
     u_rand = ComplexCovariance(_random_spd_cov(rng_bd, 2, 2),
                                _random_spd_cov(rng_bd, 2, 2))
     ens_b2 = PathEnsemble(grid, u_rand, None, seed=cfg.seed + 208,
                           n_replicas=cfg.replicas)
-    checks.append(bound_case(
-        "bound_random_pair", "Thm. 2.15(1)",
-        _tiled_ops(grid, [_random_four_block(rng_bd, 2, 2, 2)
-                          for _ in range(2)]), ens_b2))
+    checks.append(_report(
+        "bound_random_pair", "Thm. 2.15(1)", bound_check(
+            _tiled_ops(grid, [_random_four_block(rng_bd, 2, 2, 2)
+                              for _ in range(2)]), ens_b2, None, threads),
+        *bound_fields))
 
     u_oct = ComplexCovariance(_random_spd_cov(rng_bd, 3, 1),
                               _random_spd_cov(rng_bd, 3, 1))
     ens_b3 = PathEnsemble(grid, u_oct, None, seed=cfg.seed + 209,
                           n_replicas=cfg.replicas)
-    checks.append(bound_case(
-        "bound_octonion", "Thm. 2.15(1)",
-        StepIntegrand.constant(grid, _random_four_block(rng_bd, 3, 1, 1)),
-        ens_b3))
+    checks.append(_report(
+        "bound_octonion", "Thm. 2.15(1)", bound_check(
+            StepIntegrand.constant(grid, _random_four_block(rng_bd, 3, 1, 1)),
+            ens_b3, None, threads), *bound_fields))
 
     u_low = ComplexCovariance(_random_spd_cov(rng_bd, 1, 1),
                               _random_spd_cov(rng_bd, 1, 1))
     ens_b4 = PathEnsemble(grid, u_low, None, seed=cfg.seed + 210,
                           n_replicas=cfg.replicas)
-    checks.append(bound_case(
-        "bound_rectangular", "Thm. 2.15(1)",
-        _tiled_ops(grid, [_random_four_block(rng_bd, 1, 2, 1)
-                          for _ in range(3)]), ens_b4))
+    checks.append(_report(
+        "bound_rectangular", "Thm. 2.15(1)", bound_check(
+            _tiled_ops(grid, [_random_four_block(rng_bd, 1, 2, 1)
+                              for _ in range(3)]), ens_b4, None, threads),
+        *bound_fields))
     return _entry("isometry", checks, started)
 
 
@@ -931,11 +927,10 @@ def martingale_experiment(cfg: RunConfig) -> dict:
     rng = _case_rng(cfg.seed, 60)
     piecewise = _tiled_ops(grid, [_random_four_block(rng, 2, 1, 1)
                                   for _ in range(2)])
-    res = martingale_check(piecewise, ens, t1, t2, 8, threads)
-    checks.append(_check("martingale_piecewise", "Lemma 2.25", res["passed"],
-                         worst_bin_z=res["worst_bin_z"],
-                         max_abs_mean=res["max_abs_mean"],
-                         bins=res["bins"], sample_count=res["sample_count"]))
+    mart_fields = ("worst_bin_z", "max_abs_mean", "bins", "sample_count")
+    checks.append(_report("martingale_piecewise", "Lemma 2.25",
+                          martingale_check(piecewise, ens, t1, t2, 8, threads),
+                          *mart_fields))
 
     base_op = RightLinearOp.identity(2, 1)
 
@@ -944,18 +939,17 @@ def martingale_experiment(cfg: RunConfig) -> dict:
         return [(weights, base_op)]
 
     adapted = PredictableIntegrand(2, 1, 1, adapted_evaluator, 1.0)
-    res = martingale_check(adapted.as_step(grid), ens, t1, t2, 8, threads)
-    checks.append(_check("martingale_adapted", "Lemma 2.25", res["passed"],
-                         worst_bin_z=res["worst_bin_z"],
-                         max_abs_mean=res["max_abs_mean"],
-                         bins=res["bins"], sample_count=res["sample_count"]))
+    checks.append(_report("martingale_adapted", "Lemma 2.25",
+                          martingale_check(adapted.as_step(grid), ens, t1,
+                                           t2, 8, threads),
+                          *mart_fields))
 
     peek = lookahead_control(grid, 2, 1)
     res = martingale_check(peek, ens, t1, t2, 8, threads)
-    checks.append(_check("lookahead_control_rejected", "Lemma 2.25",
-                         (not res["passed"]) and res["worst_bin_z"] > 4.0,
-                         worst_bin_z=res["worst_bin_z"],
-                         sample_count=res["sample_count"]))
+    checks.append(_report("lookahead_control_rejected", "Lemma 2.25", res,
+                          "worst_bin_z", "sample_count",
+                          passed=(not res["passed"])
+                          and res["worst_bin_z"] > 4.0))
     return _entry("martingale", checks, started)
 
 
@@ -1011,14 +1005,12 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
         alpha = float(rng.uniform(0.4, 1.5)) * span * mean_hs
         ens = PathEnsemble(grid, u, None, seed=cfg.seed + 400 + index,
                            n_replicas=cfg.replicas)
-        res = chebyshev_check(integrand, ens, beta, alpha, threads)
-        checks.append(_check(f"chebyshev_case_{index:02d}", "Lemma 2.26(3)",
-                             res["passed"], level=level, n=n,
-                             beta=beta, alpha=alpha,
-                             empirical=res["empirical"],
-                             bound_quadrature=res["bound_quadrature"],
-                             bound_split=res["bound_split"],
-                             sample_count=res["sample_count"]))
+        checks.append(_report(f"chebyshev_case_{index:02d}", "Lemma 2.26(3)",
+                              chebyshev_check(integrand, ens, beta, alpha,
+                                              threads),
+                              "beta", "alpha", "empirical",
+                              "bound_quadrature", "bound_split",
+                              "sample_count", level=level, n=n))
 
     rng = _case_rng(cfg.seed, 85)
     ens = PathEnsemble(grid, _complexified_identity(2, 1), None,
@@ -1029,9 +1021,8 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
     eps = 2.0 * math.sqrt(mean_hs * span)
     res = continuity_check(_tiled_ops(grid, ops), ens, eps, halvings,
                            threads)
-    checks.append(_check("integral_continuity", "Thm. 2.27", res["passed"],
-                         eps=res["eps"], tails=res["tails"],
-                         finest_tail=res["tails"][-1]))
+    checks.append(_report("integral_continuity", "Thm. 2.27", res,
+                          "eps", "tails", finest_tail=res["tails"][-1]))
 
     # refinement stability: step integrands built from the running path
     # norm converge as the binding grid refines
@@ -1050,11 +1041,10 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
                            seed=cfg.seed + 421,
                            n_replicas=min(cfg.replicas, 20_000))
     halvings_ref = min(3, (steps & -steps).bit_length() - 2)
-    res = refinement_study(factory, ens_ref, max(1, halvings_ref), threads)
-    checks.append(_check("refinement_stability", "Def. 2.19(1)",
-                         res["passed"],
-                         mean_square_gaps=res["mean_square_gaps"],
-                         grid_steps=res["grid_steps"]))
+    checks.append(_report("refinement_stability", "Def. 2.19(1)",
+                          refinement_study(factory, ens_ref,
+                                           max(1, halvings_ref), threads),
+                          "mean_square_gaps", "grid_steps"))
     return _entry("chebyshev", checks, started)
 
 
@@ -1100,10 +1090,9 @@ def sde_experiment(cfg: RunConfig) -> dict:
                             _complexified_identity(level, 1))
 
     res = lipschitz_validate(linear, 4096, cfg.seed)
-    checks.append(_check("lipschitz_linear", "Thm. 2.29(i)", res["passed"],
-                         max_lipschitz_ratio=res["max_lipschitz_ratio"],
-                         max_growth_ratio=res["max_growth_ratio"],
-                         k_declared=res["k"]))
+    checks.append(_report("lipschitz_linear", "Thm. 2.29(i)", res,
+                          "max_lipschitz_ratio", "max_growth_ratio",
+                          k_declared=res["k"]))
 
     def g_quad(t, y):
         return np.sign(y) * y * y
@@ -1111,18 +1100,17 @@ def sde_experiment(cfg: RunConfig) -> dict:
     quad = SdeProblem(g_quad, lambda t, y: [h_op], _unit_zeta(level, 1),
                       1.0, grid, _complexified_identity(level, 1))
     res = lipschitz_validate(quad, 4096, cfg.seed)
-    checks.append(_check("lipschitz_quadratic_rejected", "Thm. 2.29(i)",
-                         not res["passed"],
-                         max_lipschitz_ratio=res["max_lipschitz_ratio"]))
+    checks.append(_report("lipschitz_quadratic_rejected", "Thm. 2.29(i)", res,
+                          "max_lipschitz_ratio", passed=not res["passed"]))
 
     n_picard = min(cfg.replicas, 4096)
     ens_picard = linear.ensemble(cfg.seed + 500, n_picard)
     picard = picard_solve(linear, ens_picard, threads=threads)
     distances = picard.diagnostics["distances"]
-    res = picard_decay_check(distances, 2.0 * linear.k_const + 2.0, span)
-    checks.append(_check("picard_factorial_decay", "Thm. 2.29 proof",
-                         res["passed"], iterations=len(distances),
-                         distances=distances))
+    checks.append(_report("picard_factorial_decay", "Thm. 2.29 proof",
+                          picard_decay_check(distances,
+                                             2.0 * linear.k_const + 2.0, span),
+                          "distances", iterations=len(distances)))
 
     em = euler_maruyama(linear, ens_picard, threads)
     agreement = b2inf_norm(picard.values - em.values)
@@ -1138,9 +1126,8 @@ def sde_experiment(cfg: RunConfig) -> dict:
                            linear.ensemble(cfg.seed + 501,
                                            min(cfg.replicas, 2048)),
                            max(1, uni_halvings), threads=threads)
-    checks.append(_check("uniqueness_gap_vanishes", "Thm. 2.29 proof",
-                         res["passed"], b2inf_gaps=res["b2inf_gaps"],
-                         grid_steps=res["grid_steps"]))
+    checks.append(_report("uniqueness_gap_vanishes", "Thm. 2.29 proof", res,
+                          "b2inf_gaps", "grid_steps"))
 
     # closed-form anchors: semigroup absent, then noise absent
     ens_noise = PathEnsemble(grid, _complexified_identity(level, 1), None,
@@ -1180,11 +1167,9 @@ def sde_experiment(cfg: RunConfig) -> dict:
     expected_order = 1.0
     window = [expected_order - 0.15, expected_order + 0.15]
     in_window = window[0] <= res["slope"] <= window[1]
-    checks.append(_check("strong_order_window", "Cor. 2.30(2)", in_window,
-                         slope=res["slope"],
-                         expected_order=expected_order,
-                         window=window,
-                         table=res["table"]))
+    checks.append(_report("strong_order_window", "Cor. 2.30(2)", res,
+                          "slope", "table", passed=in_window,
+                          expected_order=expected_order, window=window))
 
     # restart battery: linear, driftless, and state-dependent problems
     t_mid = float(grid.points[base_steps // 2])
@@ -1199,21 +1184,19 @@ def sde_experiment(cfg: RunConfig) -> dict:
     for name, problem in battery:
         ens = problem.ensemble(cfg.seed + 504,
                                max(2000, min(cfg.replicas, 20_000)))
-        res = restart_markov_check(problem, ens, t_mid, z, 0.01, threads)
-        checks.append(_check(name, "Thm. 2.31 proof", res["passed"],
-                             max_pathwise_deviation=res[
-                                 "max_pathwise_deviation"],
-                             ks_min_pvalue=res["ks_min_pvalue"],
-                             ks_threshold=res["ks_threshold"]))
+        checks.append(_report(name, "Thm. 2.31 proof",
+                              restart_markov_check(problem, ens, t_mid, z,
+                                                   0.01, threads),
+                              "max_pathwise_deviation", "ks_min_pvalue",
+                              "ks_threshold"))
 
     solution = euler_maruyama(
         linear, linear.ensemble(cfg.seed + 505,
                                 max(2000, min(cfg.replicas, 20_000))),
         threads)
-    res = gronwall_check(linear, solution)
-    checks.append(_check("gronwall_bound", "Thm. 2.29 proof", res["passed"],
-                         sup_mean_norm2=res["sup_mean_norm2"],
-                         bound=res["bound"]))
+    checks.append(_report("gronwall_bound", "Thm. 2.29 proof",
+                          gronwall_check(linear, solution),
+                          "sup_mean_norm2", "bound"))
 
     def g_blowup(t, y):
         return 1e8 * y
@@ -1241,12 +1224,10 @@ EXPERIMENTS = (
     ("sde", sde_experiment),
 )
 
-EXPERIMENT_NAMES = tuple(name for name, _ in EXPERIMENTS)
-
 
 def run_experiments(cfg: RunConfig) -> list[dict]:
     """Run the selected experiments in dependency order."""
-    selected = cfg.experiments or EXPERIMENT_NAMES
+    selected = cfg.experiments or EXPERIMENT_CHOICES
     out = []
     for name, fn in EXPERIMENTS:
         if name in selected:

@@ -23,7 +23,6 @@ one scalar weight per replica, or a list of such terms to be summed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .paths import (
     TimeGrid,
     _tree_sum,
     mc_mean,
-    write_path_rows,
+    mc_moments,
 )
 
 
@@ -199,33 +198,6 @@ def integral_paths(integrand: StepIntegrand, grid: TimeGrid,
     return eta.reshape(b, kk, integrand.h, 2, dim)
 
 
-@dataclass(frozen=True)
-class IntegralPath:
-    """Grid-aligned running integral for a replica batch; zero at the left end."""
-
-    level: int
-    h: int
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        kk = len(self.grid)
-        dim = dim_of(self.level)
-        if self.values.ndim != 5 or self.values.shape[1:] != (kk, self.h, 2, dim):
-            raise AlgebraError("integral values do not match the grid")
-        if self.values[:, 0].any():
-            raise AlgebraError("a running integral must vanish at the left end")
-
-    @classmethod
-    def compute(cls, integrand: StepIntegrand, grid: TimeGrid,
-                w: np.ndarray) -> "IntegralPath":
-        return cls(integrand.level, integrand.h, grid,
-                   integral_paths(integrand, grid, w))
-
-    def at(self, t: float) -> np.ndarray:
-        return self.values[:, self.grid.index_of(t)]
-
-
 def elementary_integral(s: StepIntegrand, path: CdPath, t: float):
     """Integral of a step integrand against one path, as a vector value."""
     eta = integral_paths(s, path.grid, path.coeffs[None])
@@ -321,7 +293,6 @@ def zero_mean_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     rep = mc_mean(ensemble, sampler, threads)
     zero = np.zeros_like(rep.estimate)
     return {
-        "name": "zero_mean",
         "passed": bool(np.all(rep.within(zero))),
         "max_abs_mean": float(np.max(np.abs(rep.estimate))),
         "max_standard_error": float(np.max(rep.standard_error)),
@@ -343,31 +314,22 @@ def isometry_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     idx = grid.index_of(grid.b if t is None else t)
     trace_fn = _lri_trace_fn(ensemble.u0)
 
-    def fn(batch):
+    def sampler(batch):
         eta = integral_paths(integrand, grid, batch.w)
         lhs = np.sum(eta[:, idx, :, 0, :] ** 2, axis=(1, 2))
         rhs = _second_moment_samples(integrand, grid, batch.w, idx, trace_fn)
-        return (lhs.sum(), (lhs * lhs).sum(), rhs.sum(), (rhs * rhs).sum(),
-                lhs.shape[0])
+        return lhs, rhs
 
-    parts = ensemble.map_batches(fn, threads)
-    count = int(sum(p[4] for p in parts))
-    lhs = McReport.from_sums(_tree_sum([p[0] for p in parts]),
-                             _tree_sum([p[1] for p in parts]), count,
-                             ensemble.seed)
-    rhs = McReport.from_sums(_tree_sum([p[2] for p in parts]),
-                             _tree_sum([p[3] for p in parts]), count,
-                             ensemble.seed)
+    lhs, rhs = mc_moments(ensemble, sampler, threads)
     gap = abs(float(lhs.estimate) - float(rhs.estimate))
     combined = float(np.sqrt(lhs.standard_error ** 2 + rhs.standard_error ** 2))
     return {
-        "name": "isometry",
         "passed": bool(gap <= 4.0 * combined + 1e-12),
         "lhs": float(lhs.estimate),
         "rhs": float(rhs.estimate),
         "gap": gap,
         "combined_standard_error": combined,
-        "sample_count": count,
+        "sample_count": lhs.sample_count,
     }
 
 
@@ -389,25 +351,14 @@ def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     f_fn = _f_trace_fn(ensemble.u)
     factor = max(_sqrt_hs2(ensemble.u0), _sqrt_hs2(ensemble.u1))
 
-    def fn(batch):
+    def sampler(batch):
         eta = integral_paths(integrand, grid, batch.w)
         m1 = vec_norm2(eta[:, idx].reshape(batch.count, -1))
         m2 = 2.0 * _second_moment_samples(integrand, grid, batch.w, idx, f_fn)
         m3 = _second_moment_samples(integrand, grid, batch.w, idx, _hs_inner)
-        return (m1.sum(), (m1 * m1).sum(), m2.sum(), (m2 * m2).sum(),
-                m3.sum(), (m3 * m3).sum(), m1.shape[0])
+        return m1, m2, m3
 
-    parts = ensemble.map_batches(fn, threads)
-    count = int(sum(p[6] for p in parts))
-    m1 = McReport.from_sums(_tree_sum([p[0] for p in parts]),
-                            _tree_sum([p[1] for p in parts]), count,
-                            ensemble.seed)
-    m2 = McReport.from_sums(_tree_sum([p[2] for p in parts]),
-                            _tree_sum([p[3] for p in parts]), count,
-                            ensemble.seed)
-    m3 = McReport.from_sums(_tree_sum([p[4] for p in parts]),
-                            _tree_sum([p[5] for p in parts]), count,
-                            ensemble.seed)
+    m1, m2, m3 = mc_moments(ensemble, sampler, threads)
     v1, v2 = float(m1.estimate), float(m2.estimate)
     v3 = factor * float(m3.estimate)
     se12 = float(np.sqrt(m1.standard_error ** 2 + m2.standard_error ** 2))
@@ -416,7 +367,6 @@ def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     equality = abs(v1 - v2) <= 4.0 * se12 + 1e-12
     dominated = v1 <= v3 * (1.0 + slack) + 4.0 * se13 + 1e-12
     return {
-        "name": "norm_bound",
         "passed": bool(equality and dominated),
         "equality_passed": bool(equality),
         "dominated": bool(dominated),
@@ -424,7 +374,7 @@ def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         "m2": v2,
         "m3": v3,
         "combined_standard_error": se12,
-        "sample_count": count,
+        "sample_count": m1.sample_count,
     }
 
 
@@ -474,7 +424,6 @@ def martingale_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         if np.any(z > 4.0):
             bins_ok = False
     return {
-        "name": "martingale",
         "passed": bool(uncond_ok and bins_ok),
         "unconditional_passed": uncond_ok,
         "bins_passed": bool(bins_ok),
@@ -518,23 +467,20 @@ def chebyshev_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     mstar2 = max(_sqrt_hs2(ensemble.u0), _sqrt_hs2(ensemble.u1))
     threshold2 = beta * beta * mstar2
 
-    def fn(batch):
+    def sampler(batch):
         eta = integral_paths(integrand, grid, batch.w)
         sup2 = np.max(vec_norm2(eta.reshape(batch.count, len(grid), -1)), axis=1)
-        exceed = int(np.sum(sup2 > threshold2))
         fq = _second_moment_samples(integrand, grid, batch.w, grid.steps, f_fn)
         hq = _second_moment_samples(integrand, grid, batch.w, grid.steps,
                                     _hs_inner)
-        over = int(np.sum(hq > alpha))
-        return (exceed, fq.sum(), (fq * fq).sum(), over, batch.count)
+        # 0/1 indicators: their sums are exact integers, so the means are
+        # the plain exceedance frequencies
+        return sup2 > threshold2, fq, hq > alpha
 
-    parts = ensemble.map_batches(fn, threads)
-    count = int(sum(p[4] for p in parts))
-    emp = float(sum(p[0] for p in parts)) / count
-    f_rep = McReport.from_sums(_tree_sum([p[1] for p in parts]),
-                               _tree_sum([p[2] for p in parts]), count,
-                               ensemble.seed)
-    over_prob = float(sum(p[3] for p in parts)) / count
+    exceed, f_rep, over = mc_moments(ensemble, sampler, threads)
+    count = exceed.sample_count
+    emp = float(exceed.estimate)
+    over_prob = float(over.estimate)
     se_emp = float(np.sqrt(max(emp * (1 - emp), 1e-12) / count))
     bound_f = float(f_rep.estimate) / beta ** 2
     se_f = float(f_rep.standard_error) / beta ** 2
@@ -543,7 +489,6 @@ def chebyshev_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     ok_f = emp <= bound_f + 4.0 * (se_emp + se_f)
     ok_split = emp <= bound_split + 4.0 * (se_emp + se_split)
     return {
-        "name": "chebyshev",
         "passed": bool(ok_f and ok_split),
         "empirical": emp,
         "bound_quadrature": bound_f,
@@ -594,7 +539,6 @@ def continuity_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     finest_ok = tails[-1] < 0.01
     monotone = all(tails[j + 1] <= tails[j] + 1e-15 for j in range(len(tails) - 1))
     return {
-        "name": "stochastic_continuity",
         "passed": bool(finest_ok and monotone),
         "eps": float(eps),
         "deltas": deltas,
@@ -619,57 +563,25 @@ def refinement_study(integrand_factory, ensemble: PathEnsemble,
     grids = [TimeGrid(grid.points[::f]) for f in factors]
     integrands = [integrand_factory(g) for g in grids]
 
-    def fn(batch):
+    def sampler(batch):
         finals = []
         for f, g, s in zip(factors, grids, integrands):
             eta = integral_paths(s, g, batch.w[:, ::f])
             finals.append(eta[:, -1].reshape(batch.count, -1))
-        sums = []
-        for a, b in zip(finals[:-1], finals[1:]):
-            d2 = np.sum((b - a) ** 2, axis=1)
-            sums.append((d2.sum(), (d2 * d2).sum()))
-        return sums, batch.count
+        return tuple(np.sum((b - a) ** 2, axis=1)
+                     for a, b in zip(finals[:-1], finals[1:]))
 
-    parts = ensemble.map_batches(fn, threads)
-    count = int(sum(p[1] for p in parts))
-    gaps, ses = [], []
-    for i in range(halvings):
-        rep = McReport.from_sums(_tree_sum([p[0][i][0] for p in parts]),
-                                 _tree_sum([p[0][i][1] for p in parts]),
-                                 count, ensemble.seed)
-        gaps.append(float(rep.estimate))
-        ses.append(float(rep.standard_error))
+    reps = mc_moments(ensemble, sampler, threads)
+    gaps = [float(rep.estimate) for rep in reps]
+    ses = [float(rep.standard_error) for rep in reps]
     steps = [k // f for f in factors]
     decays = all(gaps[i + 1] <= 0.8 * gaps[i] + 4.0 * (ses[i] + ses[i + 1])
                  for i in range(len(gaps) - 1))
     return {
-        "name": "refinement",
         "passed": bool(decays),
         "grid_steps": steps,
         "mean_square_gaps": gaps,
         "standard_errors": ses,
-        "sample_count": count,
+        "sample_count": reps[0].sample_count,
     }
 
-
-def export_integrals_csv(integrand: StepIntegrand, ensemble: PathEnsemble,
-                         path, max_replicas: int = 10) -> int:
-    """Write up to max_replicas integral paths in the path CSV schema."""
-    import csv as _csv
-
-    _require_match(integrand, ensemble)
-    written = 0
-    with open(path, "w", newline="") as f:
-        wtr = _csv.writer(f)
-        from .paths import CSV_HEADER
-        wtr.writerow(CSV_HEADER)
-        remaining = min(max_replicas, ensemble.n_replicas)
-        for batch in ensemble.batches():
-            if remaining <= 0:
-                break
-            take = min(remaining, batch.count)
-            eta = integral_paths(integrand, ensemble.grid, batch.w[:take])
-            write_path_rows(wtr, ensemble.grid, eta, batch.start)
-            remaining -= take
-            written += take
-    return written

@@ -41,10 +41,6 @@ class NotSPD(AlgebraError):
     """Matrix failed the symmetric positive-definite gate."""
 
 
-class PowerIterationError(AlgebraError):
-    pass
-
-
 # ---------------------------------------------------------------- vectors
 
 def vec_size(level: int, n: int) -> int:
@@ -378,30 +374,14 @@ def adjoint_full_residual(op: RightLinearOp, samples: int = 20, seed: int = 0) -
     return worst
 
 
-def op_norm(op: np.ndarray | RightLinearOp, tol: float = 1e-12, max_iter: int = 10_000) -> float:
-    """Operator norm via power iteration on M^T M.
+def op_norm(op: np.ndarray | RightLinearOp) -> float:
+    """Operator norm: the spectral norm of the realization.
 
     The ||.|| norms on both sides are sqrt(2) times Euclidean in the flat
     layout, so the ratio is the plain spectral norm of the realization.
     """
     m = op.realized if isinstance(op, RightLinearOp) else np.asarray(op)
-    a = m.T @ m
-    v = np.ones(a.shape[0]) / np.sqrt(a.shape[0])
-    lam = 0.0
-    for _ in range(max_iter):
-        w = a @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ a @ v)
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam = lam_new
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} steps; last residual "
-        f"{abs(lam_new - lam):.3e}"
-    )
+    return float(np.linalg.norm(m, 2))
 
 
 # ---------------------------------------------------------------- spd + covariance

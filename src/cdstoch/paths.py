@@ -453,18 +453,34 @@ def modulus_se(report: McReport) -> float:
     return float(np.sqrt(se[0] ** 2 + se[1] ** 2))
 
 
-def mc_mean(ensemble: PathEnsemble, sampler, threads: int = 1) -> McReport:
-    """Ensemble mean of sampler(batch), with deterministic reduction."""
+def mc_moments(ensemble: PathEnsemble, sampler,
+               threads: int = 1) -> list[McReport]:
+    """Ensemble means of each per-replica array of sampler(batch).
+
+    sampler returns a tuple of arrays whose first axis is the replica;
+    each is reduced to (sum, sum of squares) per batch, and the partial
+    sums collapse in the fixed batch order, so every report is
+    bit-identical for any worker count.
+    """
 
     def fn(batch: BatchPaths):
-        v = np.asarray(sampler(batch), dtype=float)
-        return np.sum(v, axis=0), np.sum(v * v, axis=0), v.shape[0]
+        out = []
+        for v in sampler(batch):
+            v = np.asarray(v, dtype=float)
+            out.append((np.sum(v, axis=0), np.sum(v * v, axis=0), v.shape[0]))
+        return out
 
     parts = ensemble.map_batches(fn, threads)
-    s1 = _tree_sum([p[0] for p in parts])
-    s2 = _tree_sum([p[1] for p in parts])
-    count = int(sum(p[2] for p in parts))
-    return McReport.from_sums(s1, s2, count, ensemble.seed)
+    count = int(sum(p[0][2] for p in parts))
+    return [McReport.from_sums(_tree_sum([p[i][0] for p in parts]),
+                               _tree_sum([p[i][1] for p in parts]),
+                               count, ensemble.seed)
+            for i in range(len(parts[0]))]
+
+
+def mc_mean(ensemble: PathEnsemble, sampler, threads: int = 1) -> McReport:
+    """Ensemble mean of sampler(batch), with deterministic reduction."""
+    return mc_moments(ensemble, lambda b: (sampler(b),), threads)[0]
 
 
 # -------------------------------------------------------------- moment checks
@@ -486,7 +502,6 @@ def mean_increment_check(ensemble: PathEnsemble, t1: float, t2: float,
     else:
         target = (t2 - t1) * ensemble.p.data
     return {
-        "name": "mean_increment",
         "passed": bool(np.all(rep.within(target))),
         "max_gap": rep.max_gap(target),
         "max_standard_error": float(np.max(rep.standard_error)),
@@ -546,26 +561,16 @@ def increment_cov_estimator(ensemble: PathEnsemble, t1: float, t2: float,
     dim = dim_of(ensemble.level)
     pc = ensemble.p.data if ensemble.p is not None else np.zeros((n, 2, dim))
 
-    def fn(batch: BatchPaths):
+    def sampler(batch: BatchPaths):
         w = batch.w
         xs = w[:, i2, k] - t2 * pc[k][None]
         ys = w[:, i1, h] - t1 * pc[h][None]
         stated = _scalar_products(m, xs, ys, cx)
         dx = (w[:, i2, k] - w[:, i1, k]) - (t2 - t1) * pc[k][None]
         dy = (w[:, i2, h] - w[:, i1, h]) - (t2 - t1) * pc[h][None]
-        inc = _scalar_products(m, dx, dy, cx)
-        return (np.sum(inc, axis=0), np.sum(inc * inc, axis=0),
-                np.sum(stated, axis=0), np.sum(stated * stated, axis=0),
-                inc.shape[0])
+        return _scalar_products(m, dx, dy, cx), stated
 
-    parts = ensemble.map_batches(fn, threads)
-    count = int(sum(p[4] for p in parts))
-    inc_rep = McReport.from_sums(_tree_sum([p[0] for p in parts]),
-                                 _tree_sum([p[1] for p in parts]),
-                                 count, ensemble.seed)
-    stated_rep = McReport.from_sums(_tree_sum([p[2] for p in parts]),
-                                    _tree_sum([p[3] for p in parts]),
-                                    count, ensemble.seed)
+    inc_rep, stated_rep = mc_moments(ensemble, sampler, threads)
     expected = (t2 - t1) * ensemble.u0.entries()[k, h]
     if cx:
         expected = expected - (t2 - t1) * ensemble.u1.entries()[k, h]
@@ -580,7 +585,6 @@ def increment_cov_check(ensemble: PathEnsemble, t1: float, t2: float,
     res = increment_cov_estimator(ensemble, t1, t2, k, h, threads)
     rep = res.increment_form
     return {
-        "name": "increment_covariance",
         "passed": bool(np.all(rep.within(res.expected))),
         "max_gap": rep.max_gap(res.expected),
         "max_standard_error": float(np.max(rep.standard_error)),
@@ -625,7 +629,6 @@ def disjoint_increment_corr(ensemble: PathEnsemble, t1: float, t2: float,
     bound = 4.0 / np.sqrt(count)
     top = float(np.max(np.abs(corr))) if corr.size else 0.0
     return {
-        "name": "disjoint_increment_correlation",
         "passed": bool(top <= bound),
         "max_abs_correlation": top,
         "bound": bound,
@@ -681,7 +684,6 @@ def char_functional_check(ensemble: PathEnsemble, y: RealFunctional, t: float,
     gap = abs(complex_of(rep) - oracle)
     radius = Z99 * modulus_se(rep)
     return {
-        "name": "char_functional",
         "passed": bool(gap <= radius + 1e-12),
         "gap": float(gap),
         "radius": float(radius),
@@ -704,7 +706,6 @@ def char_semigroup_check(ensemble: PathEnsemble, y: RealFunctional,
     gap = abs(complex_of(r12) - complex_of(r1) * complex_of(r2))
     tol = 5.0 * (modulus_se(r1) + modulus_se(r2))
     return {
-        "name": "char_semigroup",
         "passed": bool(gap < tol),
         "gap": float(gap),
         "tolerance": float(tol),
@@ -755,7 +756,6 @@ def path_continuity_check(ensemble: PathEnsemble, eps: float,
         if tails[j + 1] > tails[j] + 2.0 * (se + se_next):
             ok = False
     return {
-        "name": "path_continuity",
         "passed": bool(ok),
         "eps": float(eps),
         "deltas": deltas,
@@ -770,33 +770,26 @@ def path_continuity_check(ensemble: PathEnsemble, eps: float,
 CSV_HEADER = ("replica", "t", "component", "basis", "imag", "value")
 
 
-def write_path_rows(writer, grid: TimeGrid, coeffs: np.ndarray,
-                    replica_offset: int = 0) -> None:
-    """Rows (replica, t, component, basis, imag flag, value) for a block."""
-    b, kk, n, _, dim = coeffs.shape
-    for r in range(b):
-        for it in range(kk):
-            t = repr(float(grid.points[it]))
-            for comp in range(n):
-                for flag in (0, 1):
-                    vals = coeffs[r, it, comp, flag]
-                    for d in range(dim):
-                        writer.writerow([replica_offset + r, t, comp, d, flag,
-                                         repr(float(vals[d]))])
+def write_paths_csv(path, grid: TimeGrid, values: np.ndarray) -> int:
+    """Write grid-aligned values (replicas, K+1, h, 2, dim) as CSV rows.
 
-
-def export_paths_csv(ensemble: PathEnsemble, path, max_replicas: int = 10) -> int:
-    """Write up to max_replicas paths in the fixed CSV schema."""
-    written = 0
+    One row (replica, t, component, basis, imag flag, value) per
+    coefficient; serves driving paths, running integrals and SDE
+    solutions alike.  Returns the number of replicas written.
+    """
+    b, kk, h, _, dim = values.shape
+    if kk != len(grid):
+        raise GridError("values do not match the grid")
     with open(path, "w", newline="") as f:
-        wtr = csv.writer(f)
-        wtr.writerow(CSV_HEADER)
-        remaining = min(max_replicas, ensemble.n_replicas)
-        for batch in ensemble.batches():
-            if remaining <= 0:
-                break
-            take = min(remaining, batch.count)
-            write_path_rows(wtr, ensemble.grid, batch.w[:take], batch.start)
-            remaining -= take
-            written += take
-    return written
+        writer = csv.writer(f)
+        writer.writerow(CSV_HEADER)
+        for r in range(b):
+            for it in range(kk):
+                t = repr(float(grid.points[it]))
+                for comp in range(h):
+                    for flag in (0, 1):
+                        vals = values[r, it, comp, flag]
+                        for d in range(dim):
+                            writer.writerow([r, t, comp, d, flag,
+                                             repr(float(vals[d]))])
+    return b

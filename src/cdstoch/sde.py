@@ -193,6 +193,23 @@ def _dw_of(batch, grid: TimeGrid) -> np.ndarray:
     return np.diff(batch.w.reshape(batch.count, len(grid), -1), axis=1)
 
 
+def _forward_step(problem: SdeProblem, t: float, dt: float, y: np.ndarray,
+                  dw_l: np.ndarray) -> np.ndarray:
+    """Increment G(t, y) dt + sum of weights (dw_l H^T) over the terms.
+
+    The one float order shared by the forward recursion and the Picard
+    map, which is what makes their fixed points agree bitwise.
+    """
+    drift = problem.drift_at(t, y)
+    step = np.zeros_like(y) if drift is None else drift * dt
+    for weights, op in problem.diffusion_terms(t, y):
+        seg = dw_l @ op.realized.T
+        if weights is not None:
+            seg = seg * weights[:, None]
+        step = step + seg
+    return step
+
+
 def _em_values(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
                y0: np.ndarray) -> tuple[np.ndarray, int]:
     """Forward recursion; replicas crossing the size guard turn NaN."""
@@ -203,15 +220,8 @@ def _em_values(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
     pts, deltas = grid.points, grid.deltas
     aborted = np.zeros(b, dtype=bool)
     for l in range(grid.steps):
-        t, dt = float(pts[l]), float(deltas[l])
-        drift = problem.drift_at(t, y)
-        step = np.zeros_like(y) if drift is None else drift * dt
-        for weights, op in problem.diffusion_terms(t, y):
-            seg = dw[:, l] @ op.realized.T
-            if weights is not None:
-                seg = seg * weights[:, None]
-            step = step + seg
-        y = y + step
+        y = y + _forward_step(problem, float(pts[l]), float(deltas[l]), y,
+                              dw[:, l])
         with np.errstate(invalid="ignore"):
             bad = ~aborted & ~(np.max(np.abs(y), axis=1) <= DIVERGENCE_LIMIT)
         if bad.any():
@@ -287,16 +297,8 @@ def _q_apply(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
     y = zeta.copy()
     pts, deltas = grid.points, grid.deltas
     for l in range(grid.steps):
-        t, dt = float(pts[l]), float(deltas[l])
-        prev = x[:, l]
-        drift = problem.drift_at(t, prev)
-        step = np.zeros_like(y) if drift is None else drift * dt
-        for weights, op in problem.diffusion_terms(t, prev):
-            seg = dw[:, l] @ op.realized.T
-            if weights is not None:
-                seg = seg * weights[:, None]
-            step = step + seg
-        y = y + step
+        y = y + _forward_step(problem, float(pts[l]), float(deltas[l]),
+                              x[:, l], dw[:, l])
         out[:, l + 1] = y
     return out
 
@@ -343,7 +345,7 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
 def picard_decay_check(distances: list, c1: float, span: float) -> dict:
     """Dominate the recorded gaps by c * (c1 span)^m / m! anchored at m=1."""
     if len(distances) <= 1 or distances[0] == 0.0:
-        return {"name": "picard_decay", "passed": True, "fitted_c": 0.0,
+        return {"passed": True, "fitted_c": 0.0,
                 "distances": list(distances)}
 
     def shape(m):
@@ -352,7 +354,7 @@ def picard_decay_check(distances: list, c1: float, span: float) -> dict:
     c = distances[0] / shape(1)
     ok = all(d <= c * shape(m + 1) * (1 + 1e-9) + 1e-15
              for m, d in enumerate(distances))
-    return {"name": "picard_decay", "passed": bool(ok), "fitted_c": float(c),
+    return {"passed": bool(ok), "fitted_c": float(c),
             "distances": list(distances)}
 
 
@@ -454,7 +456,6 @@ def lipschitz_validate(problem: SdeProblem, sample_count: int,
     tol = 1e-9 * max(1.0, k)
     passed = max_lip <= k + tol and max_growth <= k + tol
     return {
-        "name": "lipschitz",
         "passed": bool(passed),
         "k": float(k),
         "max_lipschitz_ratio": max_lip,
@@ -515,7 +516,6 @@ def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
         min_p = min(min_p, float(res.pvalue))
     ks_ok = min_p >= level / n_coords
     return {
-        "name": "restart_markov",
         "passed": bool(max_dev < 1e-12 and ks_ok),
         "max_pathwise_deviation": max_dev,
         "ks_min_pvalue": min_p,
@@ -531,7 +531,6 @@ def gronwall_check(problem: SdeProblem, solution: SolutionEnsemble) -> dict:
     bound = (3.0 * problem.zeta.mean_norm2
              + 3.0 * problem.k_const ** 2 * span * (span + 1.0) * (1.0 + sup2))
     return {
-        "name": "gronwall",
         "passed": bool(sup2 <= bound),
         "sup_mean_norm2": sup2,
         "bound": float(bound),
@@ -581,7 +580,6 @@ def strong_order_study(g_op: RightLinearOp | None, h_op: RightLinearOp,
     dts = [float(grid.points[f] - grid.points[0]) for f in factors]
     slope, intercept = np.polyfit(np.log(dts), np.log(errors), 1)
     return {
-        "name": "strong_order",
         "slope": float(slope),
         "table": [{"dt": dt, "error": e} for dt, e in zip(dts, errors)],
         "sample_count": ensemble.n_replicas,
@@ -628,24 +626,9 @@ def uniqueness_study(problem_factory, ensemble: PathEnsemble,
     non_increasing = all(gaps[j + 1] <= gaps[j] + 1e-12
                          for j in range(len(gaps) - 1))
     return {
-        "name": "uniqueness",
         "passed": bool(non_increasing and gaps[-1] <= 1e-12),
         "grid_steps": steps,
         "b2inf_gaps": gaps,
         "sample_count": ensemble.n_replicas,
     }
 
-
-def export_solution_csv(solution: SolutionEnsemble, path,
-                        max_replicas: int = 10) -> int:
-    """Write up to max_replicas solution paths in the path CSV schema."""
-    import csv as _csv
-
-    from .paths import CSV_HEADER, write_path_rows
-
-    take = min(max_replicas, solution.n_replicas)
-    with open(path, "w", newline="") as f:
-        wtr = _csv.writer(f)
-        wtr.writerow(CSV_HEADER)
-        write_path_rows(wtr, solution.grid, solution.values[:take], 0)
-    return take

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cdstoch.config import (
+    EXPERIMENT_CHOICES,
     ConfigError,
     RunConfig,
     build_driving,
@@ -14,7 +15,8 @@ from cdstoch.config import (
     parse_config_text,
 )
 from cdstoch.cli import main
-from cdstoch.experiments import EXPERIMENT_NAMES, run_experiments
+from cdstoch import experiments
+from cdstoch.experiments import run_experiments
 from cdstoch.linops import ComplexCovariance, CovarianceOperator
 from cdstoch.report import (
     SCHEMA_VERSION,
@@ -286,9 +288,15 @@ def test_run_experiments_selection_and_order():
     cfg = tiny_cfg(experiments=("sde", "algebra"))
     names = [e["name"] for e in run_experiments(cfg)]
     assert names == ["algebra", "sde"]
-    assert set(EXPERIMENT_NAMES) == {
+    assert set(EXPERIMENT_CHOICES) == {
         "algebra", "linops", "paths", "isometry", "martingale",
         "chebyshev", "sde"}
+
+
+def test_experiment_registry_matches_choices():
+    # a tuple of (name, function) pairs, in the order of the config choices
+    assert isinstance(experiments.EXPERIMENTS, tuple)
+    assert tuple(n for n, _ in experiments.EXPERIMENTS) == EXPERIMENT_CHOICES
 
 
 def test_cli_paths_run_writes_report(tmp_path, capsys):

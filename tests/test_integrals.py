@@ -5,14 +5,12 @@ import pytest
 
 from cdstoch.algebra import AlgebraError, CdReal, LevelMismatch, dim_of
 from cdstoch.integrals import (
-    IntegralPath,
     PredictableIntegrand,
     StepIntegrand,
     bound_check,
     chebyshev_check,
     continuity_check,
     elementary_integral,
-    export_integrals_csv,
     integral_paths,
     isometry_check,
     lookahead_control,
@@ -172,19 +170,6 @@ def test_slot_operator_shape_is_checked():
     batch = next(ens.batches())
     with pytest.raises(LevelMismatch):
         integral_paths(s, grid, batch.w)
-
-
-def test_integral_path_type():
-    ens = small_ensemble(level=1, n=1, steps=8, replicas=4)
-    s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-    batch = next(ens.batches())
-    ip = IntegralPath.compute(s, ens.grid, batch.w)
-    assert not ip.at(ens.grid.a).any()
-    assert np.array_equal(ip.at(ens.grid.b), ip.values[:, -1])
-    bad = ip.values.copy()
-    bad[:, 0] = 1.0
-    with pytest.raises(AlgebraError):
-        IntegralPath(1, 1, ens.grid, bad)
 
 
 # ----------------------------------------------------------- predictability
@@ -387,13 +372,3 @@ def test_refinement_of_path_dependent_integrand():
         lambda g: StepIntegrand.constant(g, ident), ens, halvings=2)
     assert max(const["mean_square_gaps"]) < 1e-20
 
-
-def test_csv_export(tmp_path):
-    ens = small_ensemble(level=1, n=1, steps=4, replicas=7)
-    s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-    out = tmp_path / "eta.csv"
-    written = export_integrals_csv(s, ens, out, max_replicas=3)
-    assert written == 3
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "replica,t,component,basis,imag,value"
-    assert len(lines) == 1 + 3 * 5 * 1 * 2 * 2

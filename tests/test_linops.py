@@ -150,6 +150,13 @@ def test_op_norm_matches_svd_and_bounded_by_hs():
             assert pn <= np.sqrt(op.hs_norm2()) + TOL
 
 
+def test_norm_dominance_check_at_seed_16():
+    # seed 16 holds an operator on which power iteration on M^T M did not
+    # converge within its step cap; the spectral norm has no such failure
+    from cdstoch.experiments import _norm_dominance_check
+    assert _norm_dominance_check(16, 1e-12)["passed"]
+
+
 def test_op_norm_sweep_norm_le_hs():
     # Valid through the octonions; the composition-algebra property
     # |zx| = |z||x| is what keeps every left-mult block spectrally flat.

@@ -12,7 +12,9 @@ from cdstoch.linops import (
     ComplexCovariance,
     CovarianceOperator,
     RealFunctional,
+    RightLinearOp,
 )
+from cdstoch.integrals import StepIntegrand, integral_paths
 from cdstoch.paths import (
     BatchPaths,
     CSV_HEADER,
@@ -28,16 +30,19 @@ from cdstoch.paths import (
     char_semigroup_check,
     complex_of,
     disjoint_increment_corr,
-    export_paths_csv,
     increment_cov_check,
     increment_cov_estimator,
     increment_mean_estimator,
+    mc_mean,
+    mc_moments,
     mean_increment_check,
     modulus_se,
     path_continuity_check,
     u_path,
     wiener_sample,
+    write_paths_csv,
 )
+from cdstoch.sde import ZetaSpec, euler_maruyama, linear_problem
 
 
 def identity_complex_covariance(level, n):
@@ -456,28 +461,50 @@ def test_path_continuity_rejects_bad_ladder():
 
 # ----------------------------------------------------------------- CSV export
 
-def test_export_paths_csv(tmp_path):
-    level, n = 2, 2
-    u = identity_complex_covariance(level, n)
-    ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 4), u, None,
-                       seed=73, n_replicas=50, batch_size=8)
-    out = tmp_path / "paths.csv"
-    wrote = export_paths_csv(ens, out, max_replicas=10)
-    assert wrote == 10
+def _csv_values(kind):
+    """(grid, values) of one kind of grid-aligned array."""
+    if kind == "path_batch":
+        ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 4),
+                           identity_complex_covariance(2, 2), None,
+                           seed=73, n_replicas=50, batch_size=8)
+        return ens.grid, next(ens.batches()).w
+    if kind == "integral":
+        ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 4),
+                           identity_complex_covariance(1, 1), None,
+                           seed=11, n_replicas=7)
+        s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
+        return ens.grid, integral_paths(s, ens.grid,
+                                        next(ens.batches()).w[:3])
+    ident = RightLinearOp.identity(1, 1)
+    prob = linear_problem(ident.scaled(-1.0), ident,
+                          ZetaSpec.constant(CdVector.embedded_real(1, [1.0])),
+                          TimeGrid.uniform(0.0, 1.0, 4),
+                          identity_complex_covariance(1, 1))
+    sol = euler_maruyama(prob, prob.ensemble(seed=3, n_replicas=6))
+    return sol.grid, sol.values[:2]
+
+
+@pytest.mark.parametrize("kind", ["path_batch", "integral", "solution"])
+def test_write_paths_csv(tmp_path, kind):
+    grid, values = _csv_values(kind)
+    b, kk, h, _, dim = values.shape
+    out = tmp_path / f"{kind}.csv"
+    assert write_paths_csv(out, grid, values) == b
     with open(out, newline="") as f:
         rows = list(csv.reader(f))
     assert tuple(rows[0]) == CSV_HEADER
-    # 10 replicas x 5 grid points x 2 components x 2 halves x 4 basis axes
-    assert len(rows) == 1 + 10 * 5 * 2 * 2 * 4
-    replicas = {int(r[0]) for r in rows[1:]}
-    assert replicas == set(range(10))
-    # spot-check one value against the materialized batch
-    batch = next(ens.batches())
+    assert rows[0] == ["replica", "t", "component", "basis", "imag", "value"]
+    # replicas x grid points x components x 2 halves x basis axes
+    assert len(rows) == 1 + b * kk * h * 2 * dim
+    assert {int(r[0]) for r in rows[1:]} == set(range(b))
+    # spot-check one imaginary-half value of the last replica and component
     probe = [r for r in rows[1:]
-             if r[0] == "3" and float(r[1]) == 0.5 and r[2] == "1"
-             and r[3] == "0" and r[4] == "0"]
+             if r[0] == str(b - 1) and float(r[1]) == grid.points[2]
+             and r[2] == str(h - 1) and r[3] == str(dim - 1) and r[4] == "1"]
     assert len(probe) == 1
-    assert float(probe[0][5]) == batch.w[3, 2, 1, 0, 0]
+    assert float(probe[0][5]) == values[b - 1, 2, h - 1, 1, dim - 1]
+    with pytest.raises(GridError):
+        write_paths_csv(out, TimeGrid.uniform(0.0, 1.0, 8), values)
 
 
 # ------------------------------------------------------------------ McReport
@@ -494,6 +521,32 @@ def test_mc_report_from_sums_and_within():
     assert np.all(rep.within([1.0, -2.0, 0.0]))
     assert not np.all(rep.within([1.5, -2.0, 0.0]))
     assert rep.max_gap([1.0, -2.0, 0.0]) < 0.1
+
+
+def _report_bits(rep):
+    return [np.asarray(getattr(rep, f)).tobytes()
+            for f in ("estimate", "standard_error", "ci_low", "ci_high")] \
+        + [rep.sample_count, rep.seed]
+
+
+def test_mc_moments_matches_mc_mean_bitwise():
+    ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8),
+                       identity_complex_covariance(2, 1), None, seed=19,
+                       n_replicas=300, batch_size=64)
+    samplers = (
+        lambda b: b.w[:, -1].reshape(b.count, -1),
+        lambda b: np.sum(b.w[:, 4] ** 2, axis=(1, 2, 3)),
+        lambda b: b.w[:, 2, 0, 0, 0] > 0.0,
+    )
+    joint = mc_moments(ens, lambda b: tuple(f(b) for f in samplers))
+    assert len(joint) == len(samplers)
+    for rep, f in zip(joint, samplers):
+        assert rep.sample_count == 300
+        assert _report_bits(rep) == _report_bits(mc_mean(ens, f))
+    threaded = mc_moments(ens, lambda b: tuple(f(b) for f in samplers),
+                          threads=3)
+    for a, b in zip(joint, threaded):
+        assert _report_bits(a) == _report_bits(b)
 
 
 def test_mc_report_validation():

@@ -18,7 +18,6 @@ from cdstoch.sde import (
     ZetaSpec,
     b2inf_norm,
     euler_maruyama,
-    export_solution_csv,
     gronwall_check,
     linear_closed_form,
     linear_problem,
@@ -331,16 +330,6 @@ def test_multiplicative_noise_shows_half_order():
     dts = [f / 256 for f in factors]
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     assert 0.35 < slope < 0.75, slope
-
-
-def test_solution_csv_export(tmp_path):
-    prob = linear_test_problem(steps=4)
-    sol = euler_maruyama(prob, prob.ensemble(seed=3, n_replicas=6))
-    out = tmp_path / "sol.csv"
-    assert export_solution_csv(sol, out, max_replicas=2) == 2
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "replica,t,component,basis,imag,value"
-    assert len(lines) == 1 + 2 * 5 * 1 * 2 * 2
 
 
 def test_driving_validation():
