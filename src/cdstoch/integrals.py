@@ -174,27 +174,38 @@ def integral_paths(integrand: StepIntegrand, grid: TimeGrid,
                    w: np.ndarray) -> np.ndarray:
     """Running integral (batch, K+1, h, 2, dim) over the whole grid.
 
-    The cumulative sum realizes the wedge truncation: the value at grid
+    The running sum realizes the wedge truncation: the value at grid
     index m contains exactly the increments of steps below m.
     """
     dim = dim_of(integrand.level)
     b, kk = w.shape[:2]
     if w.shape[1:] != (grid.steps + 1, integrand.n, 2, dim):
         raise AlgebraError("path array does not match integrand and grid")
-    spans = _slot_spans(integrand, grid)
     w_flat = w.reshape(b, kk, -1)
-    dw = np.diff(w_flat, axis=1)
-    out_size = 2 * integrand.h * dim
-    steps = np.zeros((b, grid.steps, out_size))
+    dw = np.empty((b, w_flat.shape[2]))
+    eta = np.zeros((b, kk, 2 * integrand.h * dim))
+    spans = _slot_spans(integrand, grid)
     for j, i0, i1 in spans:
         view = w if integrand.full_view else w[:, :i0 + 1]
-        for weights, op in _slot_terms(integrand, j, view, b):
-            seg = dw[:, i0:i1] @ op.realized.T
-            if weights is not None:
-                seg = seg * weights[:, None, None]
-            steps[:, i0:i1] += seg
-    eta = np.zeros((b, kk, out_size))
-    np.cumsum(steps, axis=1, out=eta[:, 1:])
+        terms = [(weights, op.realized.T) for weights, op
+                 in _slot_terms(integrand, j, view, b)]
+        for l in range(i0, i1):
+            # one (b, in) @ (in, out) GEMM per step and term, written
+            # into the step's row; adding the previous row afterwards
+            # reproduces the sequential order of a cumulative sum
+            np.subtract(w_flat[:, l + 1], w_flat[:, l], out=dw)
+            step = eta[:, l + 1]
+            for t, (weights, s_t) in enumerate(terms):
+                if t == 0 and weights is None:
+                    np.matmul(dw, s_t, out=step)
+                    continue
+                seg = dw @ s_t
+                if weights is not None:
+                    seg *= weights[:, None]
+                step += seg
+            step += eta[:, l]
+    for l in range(spans[-1][2], grid.steps):  # grid steps past the partition
+        eta[:, l + 1] += eta[:, l]
     return eta.reshape(b, kk, integrand.h, 2, dim)
 
 
@@ -244,9 +255,21 @@ def _f_trace_fn(u: ComplexCovariance):
 
 def _second_moment_samples(integrand: StepIntegrand, grid: TimeGrid,
                            w: np.ndarray, upto: int, trace_fn) -> np.ndarray:
-    """Per-replica quadrature sum_l dt_l tr(slot_l) below grid index upto."""
+    """Per-replica quadrature sum_l dt_l tr(slot_l) below grid index upto.
+
+    trace_fn runs once per distinct operator pair of the call.  The memo
+    keeps the operators it keys alive, so no id is reused by a freed one.
+    """
     b = w.shape[0]
     out = np.zeros(b)
+    memo = {}
+
+    def trace(opi, opj):
+        key = (id(opi), id(opj))
+        if key not in memo:
+            memo[key] = (opi, opj, trace_fn(opi, opj))
+        return memo[key][2]
+
     for j, i0, i1 in _slot_spans(integrand, grid):
         lo, hi = i0, min(i1, upto)
         if lo >= hi:
@@ -257,7 +280,7 @@ def _second_moment_samples(integrand: StepIntegrand, grid: TimeGrid,
         q = np.zeros(b)
         for wi, opi in terms:
             for wj, opj in terms:
-                c = trace_fn(opi, opj)
+                c = trace(opi, opj)
                 if wi is None and wj is None:
                     q += c
                 else:

@@ -175,6 +175,26 @@ def wiener_sample(grid: TimeGrid, n: int, seed: int, replica: int,
 
 # ------------------------------------------------------------- path assembly
 
+def _inject(e: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """sum_k e[l, k, d] xi[b, t, k] as (b, t, n, dim).
+
+    For n >= 2 a multiply-add over flat (rows, n*dim) arrays, in k order
+    from zeros: at n = 2 it has the einsum's bits, signed zeros included.
+    At n = 1 the einsum is the faster route.
+    """
+    b, t, n = xi.shape
+    if n == 1:
+        return np.einsum("lkd,btk->btld", e, xi)
+    rows = xi.reshape(b * t, n)
+    cols = e.transpose(1, 0, 2).reshape(n, -1)
+    acc = np.zeros((b * t, cols.shape[1]))
+    term = np.empty_like(acc)
+    for k in range(n):
+        np.multiply(rows[:, k:k + 1], cols[k], out=term)
+        acc += term
+    return acc.reshape(b, t, n, -1)
+
+
 def assemble_paths(grid: TimeGrid, e0: np.ndarray, e1: np.ndarray | None,
                    p: CdVector | None, start: CdVector | None,
                    inc0: np.ndarray, inc1: np.ndarray | None) -> np.ndarray:
@@ -189,11 +209,11 @@ def assemble_paths(grid: TimeGrid, e0: np.ndarray, e1: np.ndarray | None,
     xi0 = np.zeros((b, k + 1, n))
     np.cumsum(inc0, axis=1, out=xi0[:, 1:])
     w = np.zeros((b, k + 1, n, 2, dim))
-    w[..., 0, :] = np.einsum("lkd,btk->btld", e0, xi0)
+    w[..., 0, :] = _inject(e0, xi0)
     if inc1 is not None:
         xi1 = np.zeros((b, k + 1, n))
         np.cumsum(inc1, axis=1, out=xi1[:, 1:])
-        w[..., 1, :] = np.einsum("lkd,btk->btld", e1, xi1)
+        w[..., 1, :] = _inject(e1, xi1)
     if p is not None:
         tau = np.asarray(grid.points) - grid.a
         w += p.data[None, None] * tau[None, :, None, None, None]
@@ -305,11 +325,6 @@ class BatchPaths:
             self._w = assemble_paths(e.grid, e.sqrt_entries0, e.sqrt_entries1,
                                      e.p, e.start, self.inc0, self.inc1)
         return self._w
-
-    @property
-    def dw(self) -> np.ndarray:
-        """Per-step path increments (count, K, n, 2, dim)."""
-        return np.diff(self.w, axis=1)
 
     def normals(self, shape: tuple, stream: int) -> np.ndarray:
         """Extra standard normals tied to this batch's replicas."""

@@ -5,7 +5,6 @@ import pytest
 from cdstoch.algebra import (
     CdComplex,
     CdReal,
-    DegenerateBranch,
     LevelMismatch,
     NegativeRealNoCanonicalRoot,
     NilpotentNoRoot,

@@ -7,6 +7,8 @@ from cdstoch.algebra import AlgebraError, CdReal, LevelMismatch, dim_of
 from cdstoch.integrals import (
     PredictableIntegrand,
     StepIntegrand,
+    _hs_inner,
+    _second_moment_samples,
     bound_check,
     chebyshev_check,
     continuity_check,
@@ -372,3 +374,120 @@ def test_refinement_of_path_dependent_integrand():
         lambda g: StepIntegrand.constant(g, ident), ens, halvings=2)
     assert max(const["mean_square_gaps"]) < 1e-20
 
+
+
+# ------------------------------------------------------------ kernel checks
+
+def _reference_terms(slot, view):
+    raw = slot(view) if callable(slot) else slot
+    raw = [raw] if isinstance(raw, (RightLinearOp, tuple)) else list(raw)
+    return [(None, t) if isinstance(t, RightLinearOp) else t for t in raw]
+
+
+def reference_integral(s, grid, w):
+    """Running integral by one einsum per replica and slot term."""
+    b, kk = w.shape[:2]
+    flat = w.reshape(b, kk, -1)
+    dw = flat[:, 1:] - flat[:, :-1]
+    steps = np.zeros((b, kk - 1, 2 * s.h * dim_of(s.level)))
+    idxs = [grid.index_of(t) for t in s.partition.points]
+    for j, slot in enumerate(s.slots):
+        i0, i1 = idxs[j], idxs[j + 1]
+        view = w if s.full_view else w[:, :i0 + 1]
+        for weights, op in _reference_terms(slot, view):
+            for r in range(b):
+                seg = np.einsum("oi,li->lo", op.realized, dw[r, i0:i1])
+                steps[r, i0:i1] += seg if weights is None else weights[r] * seg
+    eta = np.zeros((b, kk, steps.shape[2]))
+    eta[:, 1:] = np.cumsum(steps, axis=1)
+    return eta.reshape(b, kk, s.h, 2, -1)
+
+
+def kernel_cases():
+    level, n = 2, 2
+    ens = small_ensemble(level=level, n=n, steps=16, seed=23, replicas=12)
+    grid = ens.grid
+    rng = np.random.default_rng(8)
+    ops = [random_op(rng, level, n, n) for _ in range(3)]
+
+    def evaluator(idx, view):
+        # weighted first term, then a bare operator, then another weight
+        return [(np.tanh(view[:, idx, 0, 0, 1]), ops[0]), ops[1],
+                (view[:, idx, 1, 1, 2] ** 2, ops[2])]
+
+    coarse = TimeGrid(grid.points[::4])
+    tiled = StepIntegrand.from_ops(grid, [ops[l % 3] for l in range(grid.steps)])
+    return ens, {
+        "constant": StepIntegrand.constant(grid, random_op(rng, level, 3, n)),
+        "tiled": tiled,
+        # zero before the window, constant after it
+        "window": tiled.restrict(float(grid.points[4]), float(grid.points[12])),
+        "weighted": PredictableIntegrand(level, n, n, evaluator,
+                                         bound=1.0).as_step(grid),
+        "lookahead": lookahead_control(grid, level, n),
+        "coarse": StepIntegrand.from_ops(
+            coarse, [random_op(rng, level, n, n) for _ in range(4)]),
+    }
+
+
+@pytest.mark.parametrize("case", ["constant", "tiled", "window", "weighted",
+                                  "lookahead", "coarse"])
+def test_integral_paths_matches_per_replica_reference(case):
+    ens, cases = kernel_cases()
+    s = cases[case]
+    w = next(ens.batches()).w
+    eta = integral_paths(s, ens.grid, w)
+    ref = reference_integral(s, ens.grid, w)
+    np.testing.assert_allclose(eta, ref, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(ref)))
+    assert not eta[:, 0].any()
+    alone = integral_paths(s, ens.grid, w[5:6])
+    np.testing.assert_allclose(alone[0], eta[5], rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(eta[5])))
+
+
+def test_second_moment_evaluates_each_operator_pair_once():
+    ens = small_ensemble(level=1, n=2, steps=32, seed=29, replicas=6)
+    rng = np.random.default_rng(9)
+    ops = [random_op(rng, 1, 2, 2) for _ in range(2)]
+    s = StepIntegrand.from_ops(ens.grid, [ops[l % 2]
+                                          for l in range(ens.grid.steps)])
+    calls = []
+
+    def counting(op1, op2):
+        calls.append((op1, op2))
+        return _hs_inner(op1, op2)
+
+    w = next(ens.batches()).w
+    got = _second_moment_samples(s, ens.grid, w, ens.grid.steps, counting)
+    assert len(calls) <= 4
+    dt = np.diff(ens.grid.points)
+    expected = np.zeros(w.shape[0])
+    for l in range(ens.grid.steps):
+        expected += dt[l] * _hs_inner(ops[l % 2], ops[l % 2])
+    np.testing.assert_allclose(got, expected, rtol=1e-14)
+
+
+def test_second_moment_with_fresh_operators_per_slot():
+    """Evaluators that build a new operator per slot get no stale trace."""
+    ens = small_ensemble(level=1, n=1, steps=16, seed=31, replicas=5)
+    ident = RightLinearOp.identity(1, 1)
+
+    def evaluator(idx, view):
+        return [ident.scaled(float(idx + 1)),
+                (np.cos(view[:, idx, 0, 0, 0]), ident.scaled(0.5 - idx))]
+
+    s = PredictableIntegrand(1, 1, 1, evaluator, bound=1e4).as_step(ens.grid)
+    w = next(ens.batches()).w
+    got = _second_moment_samples(s, ens.grid, w, ens.grid.steps, _hs_inner)
+    expected = np.zeros(w.shape[0])
+    for l in range(ens.grid.steps):
+        dt = float(ens.grid.points[l + 1] - ens.grid.points[l])
+        terms = [(np.ones(w.shape[0]), op) if not isinstance(op, tuple)
+                 else op for op in evaluator(l, w[:, :l + 1])]
+        q = np.zeros(w.shape[0])
+        for wi, opi in terms:
+            for wj, opj in terms:
+                q += wi * wj * _hs_inner(opi, opj)
+        expected += dt * q
+    np.testing.assert_allclose(got, expected, rtol=1e-13)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cdstoch.algebra import CdReal, cd_conj, cd_mul, cd_sqrt, dim_of
+from cdstoch.algebra import CdReal, cd_conj, cd_sqrt, dim_of
 from cdstoch.linops import (
     CdVector,
     ComplexCovariance,
@@ -14,7 +14,6 @@ from cdstoch.linops import (
     compose_entries,
     cov_sqrt,
     embed_real,
-    entries_trace,
     f_functional,
     op_compose,
     op_exp_left,

@@ -1,7 +1,6 @@
 """Tests for grid-aligned Gaussian path simulation and its estimators."""
 
 import csv
-import io
 
 import numpy as np
 import pytest
@@ -16,14 +15,13 @@ from cdstoch.linops import (
 )
 from cdstoch.integrals import StepIntegrand, integral_paths
 from cdstoch.paths import (
-    BatchPaths,
     CSV_HEADER,
     GridError,
     McReport,
     NoiseRealization,
     PathEnsemble,
     TimeGrid,
-    Z99,
+    assemble_paths,
     char_functional_check,
     char_functional_closed_form,
     char_functional_estimator,
@@ -558,3 +556,38 @@ def test_mc_report_validation():
     assert scalar.within(1.0)
     with pytest.raises(AlgebraError):
         complex_of(scalar)
+
+
+def _einsum_assembly(grid, e0, e1, p, start, inc0, inc1):
+    """The contraction assemble_paths must reproduce, as a plain einsum."""
+    b, k, n = inc0.shape
+    w = np.zeros((b, k + 1, n, 2, e0.shape[-1]))
+    for half, e, inc in ((0, e0, inc0), (1, e1, inc1)):
+        xi = np.zeros((b, k + 1, n))
+        np.cumsum(inc, axis=1, out=xi[:, 1:])
+        w[..., half, :] = np.einsum("lkd,btk->btld", e, xi)
+    w += p.data[None, None] * (grid.points - grid.a)[None, :, None, None, None]
+    w += start.data[None, None]
+    return w
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_assemble_paths_is_bitwise_the_einsum(n):
+    level, dim = 3, 8
+    grid = TimeGrid.uniform(0.0, 1.0, 12)
+    rng = np.random.default_rng(12)
+    e0, e1 = rng.standard_normal((2, n, n, dim))
+    e0[0, 0, :3] = -0.0  # signed zeros must survive
+    e1[n - 1, 0, 5] = 0.0
+    inc0, inc1 = rng.standard_normal((2, 9, 12, n))
+    inc0[:, 4] = -0.0
+    p = CdVector(level, n, rng.standard_normal((n, 2, dim)))
+    start = CdVector(level, n, rng.standard_normal((n, 2, dim)))
+    args = (grid, e0, e1, p, start, inc0, inc1)
+    got = assemble_paths(*args)
+    ref = _einsum_assembly(*args)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    bare = assemble_paths(grid, e0, e1, None, None, inc0, inc1)
+    zero = CdVector(level, n, np.zeros((n, 2, dim)))
+    bare_ref = _einsum_assembly(grid, e0, e1, zero, zero, inc0, inc1)
+    assert np.array_equal(bare, bare_ref)
