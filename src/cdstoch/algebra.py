@@ -185,11 +185,6 @@ def cd_conj(a: CdReal) -> CdReal:
     return CdReal(a.level, c)
 
 
-def left_mult_matrix(a: CdReal) -> np.ndarray:
-    """Real matrix of x -> a*x on coefficient vectors."""
-    return np.einsum("kxy,x->ky", mul_tensor(a.level), a.coeffs)
-
-
 def cd_exp(z: CdReal) -> CdReal:
     """exp via the commutative plane through z: e^{z0}(cos|z'| + z'/|z'| sin|z'|)."""
     theta = float(np.linalg.norm(z.pure()))

@@ -96,8 +96,8 @@ from .sde import (
     uniqueness_study,
 )
 
-# Fixture streams live at tags >= 2^62; path noise uses small tags and the
-# underlying Wiener family sits at 2^63, so the three families never meet.
+# Fixture streams live at tags >= 2^62 and path noise at small batch tags
+# (batch_index * 8 + stream), so the two families never meet.
 _FIXTURE_BASE = 1 << 62
 
 

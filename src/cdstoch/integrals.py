@@ -34,10 +34,10 @@ from .linops import (
     compose_entries,
     f_functional,
     f_functional_cross,
+    op_terms,
     vec_norm2,
 )
 from .paths import (
-    CdPath,
     GridError,
     McReport,
     PathEnsemble,
@@ -91,12 +91,18 @@ class StepIntegrand:
         if self.full_view != other.full_view:
             raise AlgebraError("cannot mix adapted and full-view integrands")
 
-        def joined(a, b):
-            return lambda view: (_raw_terms(a, view) + _raw_terms(b, view))
+        def joined(j):
+            return lambda view: self.terms(j, view) + other.terms(j, view)
 
-        slots = tuple(joined(a, b) for a, b in zip(self.slots, other.slots))
+        slots = tuple(joined(j) for j in range(len(self.slots)))
         return StepIntegrand(self.partition, slots, self.level, self.n,
                              self.h, self.full_view)
+
+    def terms(self, j: int, view) -> list:
+        """Slot j on a (batch, ...) path view as [(weights | None, op)]."""
+        slot = self.slots[j]
+        return op_terms(slot(view) if callable(slot) else slot,
+                        view.shape[0], (self.level, self.h, self.n))
 
     def restrict(self, c: float, b: float) -> "StepIntegrand":
         """Sub-integrand on [c, b]; both ends must be partition points."""
@@ -139,30 +145,6 @@ class PredictableIntegrand:
         return StepIntegrand(grid, slots, self.level, self.n, self.h)
 
 
-def _raw_terms(slot, view):
-    raw = slot(view) if callable(slot) else slot
-    if isinstance(raw, (RightLinearOp, tuple)):
-        return [raw]
-    return list(raw)
-
-
-def _slot_terms(integrand: StepIntegrand, j: int, view, count: int):
-    """Normalize one slot to [(weights | None, op)] and validate shapes."""
-    out = []
-    for item in _raw_terms(integrand.slots[j], view):
-        if isinstance(item, RightLinearOp):
-            weights, op = None, item
-        else:
-            weights, op = item
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (count,):
-                raise AlgebraError("weights must hold one scalar per replica")
-        if (op.level, op.n, op.h) != (integrand.level, integrand.n, integrand.h):
-            raise LevelMismatch("slot operator shape does not match the integrand")
-        out.append((weights, op))
-    return out
-
-
 def _slot_spans(integrand: StepIntegrand, grid: TimeGrid):
     idxs = [grid.index_of(t) for t in integrand.partition.points]
     return [(j, idxs[j], idxs[j + 1]) for j in range(len(idxs) - 1)]
@@ -188,7 +170,7 @@ def integral_paths(integrand: StepIntegrand, grid: TimeGrid,
     for j, i0, i1 in spans:
         view = w if integrand.full_view else w[:, :i0 + 1]
         terms = [(weights, op.realized.T) for weights, op
-                 in _slot_terms(integrand, j, view, b)]
+                 in integrand.terms(j, view)]
         for l in range(i0, i1):
             # one (b, in) @ (in, out) GEMM per step and term, written
             # into the step's row; adding the previous row afterwards
@@ -207,19 +189,6 @@ def integral_paths(integrand: StepIntegrand, grid: TimeGrid,
     for l in range(spans[-1][2], grid.steps):  # grid steps past the partition
         eta[:, l + 1] += eta[:, l]
     return eta.reshape(b, kk, integrand.h, 2, dim)
-
-
-def elementary_integral(s: StepIntegrand, path: CdPath, t: float):
-    """Integral of a step integrand against one path, as a vector value."""
-    eta = integral_paths(s, path.grid, path.coeffs[None])
-    idx = path.grid.index_of(t)
-    from .linops import CdVector
-    return CdVector(s.level, s.h, eta[0, idx])
-
-
-def predictable_integral(s: PredictableIntegrand, path: CdPath, t: float):
-    """Integral of a predictable integrand via grid-step discretization."""
-    return elementary_integral(s.as_step(path.grid), path, t)
 
 
 # ------------------------------------------------------ second-moment helpers
@@ -276,7 +245,7 @@ def _second_moment_samples(integrand: StepIntegrand, grid: TimeGrid,
             continue
         span = float(grid.points[hi] - grid.points[lo])
         view = w if integrand.full_view else w[:, :i0 + 1]
-        terms = _slot_terms(integrand, j, view, b)
+        terms = integrand.terms(j, view)
         q = np.zeros(b)
         for wi, opi in terms:
             for wj, opj in terms:

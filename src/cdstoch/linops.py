@@ -31,6 +31,7 @@ from .algebra import (
     AlgebraError,
     CdComplex,
     CdReal,
+    LevelMismatch,
     cd_sqrt,
     dim_of,
     mul_tensor,
@@ -323,11 +324,29 @@ class RightLinearOp:
         )
 
 
-def op_compose(a: np.ndarray | RightLinearOp, b: np.ndarray | RightLinearOp) -> np.ndarray:
-    """Composition in realized form only (structure is not closed under it)."""
-    ma = a.realized if isinstance(a, RightLinearOp) else np.asarray(a)
-    mb = b.realized if isinstance(b, RightLinearOp) else np.asarray(b)
-    return ma @ mb
+def op_terms(raw, count: int, shape: tuple[int, int, int]) -> list:
+    """Normalize an operator callback's result to [(weights | None, op)].
+
+    raw is a ``RightLinearOp``, a ``(weights, op)`` pair with one scalar
+    weight per replica (``None`` for unweighted), or a list of those.
+    Every op must have the (level, h, n) shape.
+    """
+    if isinstance(raw, (RightLinearOp, tuple)):
+        raw = [raw]
+    out = []
+    for item in raw:
+        if isinstance(item, RightLinearOp):
+            weights, op = None, item
+        else:
+            weights, op = item
+            if weights is not None:
+                weights = np.asarray(weights, dtype=float)
+                if weights.shape != (count,):
+                    raise AlgebraError("weights must hold one scalar per replica")
+        if (op.level, op.h, op.n) != shape:
+            raise LevelMismatch("operator term shape does not match its slot")
+        out.append((weights, op))
+    return out
 
 
 def op_trace_aa_star(block: np.ndarray | RightLinearOp) -> float:
@@ -462,10 +481,6 @@ class CovarianceOperator:
     def sqrt_op(self) -> RightLinearOp:
         """U^{1/2} = direct sum of sqrt(a_j) B_j^{1/2}, an A_r-entried op."""
         return RightLinearOp.lri(self.level, self.sqrt_entries())
-
-
-def cov_sqrt(u: CovarianceOperator) -> RightLinearOp:
-    return u.sqrt_op()
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,8 @@ into the imaginary half.  Passing a plain ``CovarianceOperator`` drops
 that half and yields a path with values in the non-complexified algebra.
 
 Reproducibility contract: every draw comes from a counter-based Philox
-generator keyed by ``(seed, tag)``.  Single-path sampling tags by
-replica index inside its own key family; ensembles tag by fixed-size
-batch so a whole block of replicas is one vectorized draw.  The realized
+generator keyed by ``(seed, tag)``.  Ensembles tag by fixed-size batch
+so a whole block of replicas is one vectorized draw.  The realized
 ensemble therefore depends only on the seed and the batch size constant,
 never on thread count or completion order.  Reductions place per-batch
 partial sums by batch index and collapse them in one fixed pairwise
@@ -44,10 +43,6 @@ Z99 = 2.5758293035489004
 # changing it changes which Philox stream feeds which replica.
 DEFAULT_BATCH = 2048
 
-# Single-path draws live above 2^63 so they can never collide with
-# ensemble batch tags under the same seed.
-_SINGLE_DRAW_TAG = 1 << 63
-
 
 class GridError(AlgebraError):
     """A time value or partition does not live on the grid."""
@@ -62,7 +57,8 @@ class TimeGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        # a private copy: freezing the caller's array would make it read-only
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise GridError("a grid needs at least two points")
         if not np.all(np.isfinite(pts)):
@@ -130,49 +126,6 @@ def batch_increments(grid: TimeGrid, n: int, seed: int, batch_index: int,
     return z * np.sqrt(grid.deltas)[None, :, None]
 
 
-@dataclass(frozen=True)
-class NoiseRealization:
-    """One replica of independent N(0, dt_l) grid increments."""
-
-    grid: TimeGrid
-    increments: np.ndarray
-    seed: int
-    replica_index: int
-
-    def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=float)
-        if inc.ndim != 2 or inc.shape[0] != self.grid.steps:
-            raise GridError("increment rows must match grid steps")
-        if not np.all(np.isfinite(inc)):
-            raise GridError("increments must be finite")
-        object.__setattr__(self, "increments", inc)
-
-    @property
-    def n(self) -> int:
-        return self.increments.shape[1]
-
-    def cumulative(self) -> np.ndarray:
-        """xi(t_l) at every grid point, starting from xi(t_0) = 0."""
-        out = np.zeros((self.grid.steps + 1, self.n))
-        np.cumsum(self.increments, axis=0, out=out[1:])
-        return out
-
-
-def wiener_sample(grid: TimeGrid, n: int, seed: int, replica: int,
-                  stream: int = 0) -> NoiseRealization:
-    """Draw one replica of Wiener increments, reproducibly keyed.
-
-    The same (seed, replica, stream) triple always yields the same
-    increments; distinct streams of one replica are independent.
-    """
-    if n < 1:
-        raise AlgebraError("dimension must be at least 1")
-    g = _philox(seed, _SINGLE_DRAW_TAG + replica * 4 + stream)
-    z = g.standard_normal((grid.steps, n))
-    inc = z * np.sqrt(grid.deltas)[:, None]
-    return NoiseRealization(grid, inc, seed, replica)
-
-
 # ------------------------------------------------------------- path assembly
 
 def _inject(e: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -222,64 +175,12 @@ def assemble_paths(grid: TimeGrid, e0: np.ndarray, e1: np.ndarray | None,
     return w
 
 
-@dataclass(frozen=True)
-class CdPath:
-    """Grid-aligned algebra-valued path, one replica."""
-
-    level: int
-    grid: TimeGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        dim = dim_of(self.level)
-        if c.ndim != 4 or c.shape[0] != len(self.grid) or c.shape[2:] != (2, dim):
-            raise AlgebraError("path coefficients must be (K+1, n, 2, dim)")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[1]
-
-    def value(self, index: int) -> CdVector:
-        return CdVector(self.level, self.n, self.coeffs[index])
-
-    def at_time(self, t: float) -> CdVector:
-        return self.value(self.grid.index_of(t))
-
-
 def _split_u(u) -> tuple[CovarianceOperator, CovarianceOperator | None]:
     if isinstance(u, ComplexCovariance):
         return u.u0, u.u1
     if isinstance(u, CovarianceOperator):
         return u, None
     raise AlgebraError("covariance must be a block operator or a pair of them")
-
-
-def u_path(noise0: NoiseRealization, noise1: NoiseRealization | None, u,
-           p: CdVector | None = None, start: CdVector | None = None) -> CdPath:
-    """Path w(t_l) = J_0 xi_0 + **i** J_1 xi_1 + p (t_l - t_0) + w(t_0)."""
-    u0, u1 = _split_u(u)
-    if noise0.n != u0.n:
-        raise AlgebraError("noise dimension does not match the covariance")
-    if u1 is not None:
-        if noise1 is None:
-            raise AlgebraError("a complexified covariance needs a second noise stream")
-        if noise1.n != u0.n or not np.array_equal(noise1.grid.points,
-                                                  noise0.grid.points):
-            raise AlgebraError("the two noise streams must share grid and dimension")
-    elif noise1 is not None:
-        raise AlgebraError("a plain covariance takes a single noise stream")
-    level = u0.level
-    for vec, name in ((p, "drift"), (start, "start")):
-        if vec is not None and (vec.level != level or vec.n != u0.n):
-            raise LevelMismatch(f"{name} vector does not match the covariance")
-    e0 = u0.sqrt_entries()
-    e1 = u1.sqrt_entries() if u1 is not None else None
-    inc1 = noise1.increments[None] if noise1 is not None else None
-    w = assemble_paths(noise0.grid, e0, e1, p, start,
-                       noise0.increments[None], inc1)
-    return CdPath(level, noise0.grid, w[0])
 
 
 # ------------------------------------------------------------- path ensembles

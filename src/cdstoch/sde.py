@@ -29,10 +29,11 @@ from .linops import (
     RightLinearOp,
     op_exp_left,
     op_phi1_left,
+    op_terms,
     vec_norm2,
     vec_size,
 )
-from .paths import GridError, PathEnsemble, TimeGrid, _tree_sum
+from .paths import GridError, PathEnsemble, TimeGrid, _split_u, _tree_sum
 
 
 class SdeError(AlgebraError):
@@ -124,8 +125,7 @@ class SdeProblem:
     def __post_init__(self):
         if not (np.isfinite(self.k_const) and self.k_const > 0):
             raise AlgebraError("the declared constant K must be positive")
-        u0 = self.u.u0 if isinstance(self.u, ComplexCovariance) else self.u
-        if u0.level != self.zeta.level:
+        if _split_u(self.u)[0].level != self.zeta.level:
             raise LevelMismatch("noise and state live on different levels")
 
     @property
@@ -138,8 +138,7 @@ class SdeProblem:
 
     @property
     def n(self) -> int:
-        u0 = self.u.u0 if isinstance(self.u, ComplexCovariance) else self.u
-        return u0.n
+        return _split_u(self.u)[0].n
 
     def ensemble(self, seed: int, n_replicas: int, **kw) -> PathEnsemble:
         return PathEnsemble(self.grid, self.u, self.p, seed=seed,
@@ -154,24 +153,11 @@ class SdeProblem:
         return out
 
     def diffusion_terms(self, t: float, y: np.ndarray) -> list:
+        """H(t, y) on a (replicas, size) state as [(weights | None, op)]."""
         if self.h is None:
             return []
         raw = self.h(t, y) if callable(self.h) else self.h
-        if isinstance(raw, (RightLinearOp, tuple)):
-            raw = [raw]
-        out = []
-        for item in raw:
-            if isinstance(item, RightLinearOp):
-                weights, op = None, item
-            else:
-                weights, op = item
-                weights = np.asarray(weights, dtype=float)
-                if weights.shape != (y.shape[0],):
-                    raise AlgebraError("weights must hold one scalar per replica")
-            if (op.level, op.h, op.n) != (self.level, self.width, self.n):
-                raise LevelMismatch("diffusion operator shape is wrong")
-            out.append((weights, op))
-        return out
+        return op_terms(raw, y.shape[0], (self.level, self.width, self.n))
 
 
 def linear_problem(g_op: RightLinearOp | None, h_op: RightLinearOp | None,
@@ -189,8 +175,10 @@ def linear_problem(g_op: RightLinearOp | None, h_op: RightLinearOp | None,
 
 # ------------------------------------------------------------------ solvers
 
-def _dw_of(batch, grid: TimeGrid) -> np.ndarray:
-    return np.diff(batch.w.reshape(batch.count, len(grid), -1), axis=1)
+def _dw_of(batch, grid: TimeGrid, stride: int = 1) -> np.ndarray:
+    """Flat path increments on grid, read from every stride-th point."""
+    w = batch.w[:, ::stride]
+    return np.diff(w.reshape(batch.count, len(grid), -1), axis=1)
 
 
 def _forward_step(problem: SdeProblem, t: float, dt: float, y: np.ndarray,
@@ -561,9 +549,7 @@ def strong_order_study(g_op: RightLinearOp | None, h_op: RightLinearOp,
         z = zeta.sample(batch)
         outs = []
         for f, g, pb in zip(factors, grids, problems):
-            dw = np.diff(batch.w[:, ::f].reshape(batch.count, len(g), -1),
-                         axis=1)
-            vals, _ = _em_values(pb, g, dw, z)
+            vals, _ = _em_values(pb, g, _dw_of(batch, g, f), z)
             outs.append(vals[:, -1])
         return outs, batch.start, batch.count
 
@@ -606,8 +592,7 @@ def uniqueness_study(problem_factory, ensemble: PathEnsemble,
         sub = TimeGrid(grid.points[::f])
         problem = problem_factory(sub)
         batches = list(ensemble.batches())
-        dws = [np.diff(b.w[:, ::f].reshape(b.count, len(sub), -1), axis=1)
-               for b in batches]
+        dws = [_dw_of(b, sub, f) for b in batches]
         zetas = [problem.zeta.sample(b) for b in batches]
         per_t = np.zeros(len(sub))
         for dw, z in zip(dws, zetas):

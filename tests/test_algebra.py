@@ -18,8 +18,8 @@ from cdstoch.algebra import (
     cdc_sqrt,
     dim_of,
     find_zero_divisor,
-    left_mult_matrix,
     mul_table,
+    mul_tensor,
 )
 
 TOL = 1e-12
@@ -304,4 +304,7 @@ def test_left_mult_transpose_is_conjugate():
     rng = np.random.default_rng(23)
     for r in range(6):
         a = rand_elem(rng, r)
-        assert np.allclose(left_mult_matrix(a).T, left_mult_matrix(cd_conj(a)), atol=1e-13)
+        # real matrix of x -> a*x on coefficient vectors
+        left = np.einsum("kxy,x->ky", mul_tensor(r), a.coeffs)
+        left_conj = np.einsum("kxy,x->ky", mul_tensor(r), cd_conj(a).coeffs)
+        assert np.allclose(left.T, left_conj, atol=1e-13)

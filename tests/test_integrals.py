@@ -12,12 +12,10 @@ from cdstoch.integrals import (
     bound_check,
     chebyshev_check,
     continuity_check,
-    elementary_integral,
     integral_paths,
     isometry_check,
     lookahead_control,
     martingale_check,
-    predictable_integral,
     refinement_study,
     zero_mean_check,
 )
@@ -27,7 +25,7 @@ from cdstoch.linops import (
     RightLinearOp,
     vec_norm2,
 )
-from cdstoch.paths import CdPath, GridError, PathEnsemble, TimeGrid
+from cdstoch.paths import GridError, PathEnsemble, TimeGrid
 
 
 def one_real(level):
@@ -86,15 +84,14 @@ def test_single_step_truncation():
     op = random_op(rng, 1, 3, 2)
     part = TimeGrid(np.array([grid.points[0], grid.points[1]]))
     s = StepIntegrand.constant(part, op)
-    batch = next(ens.batches())
-    path = CdPath(1, grid, batch.w[0])
-    inc = (batch.w[0, 1] - batch.w[0, 0]).reshape(-1)
+    w = next(ens.batches()).w[:1]
+    eta = integral_paths(s, grid, w)
+    inc = (w[0, 1] - w[0, 0]).reshape(-1)
     expected = op.apply_vec(inc)
     for t in (grid.points[1], grid.points[4], grid.b):
-        got = elementary_integral(s, path, float(t))
-        assert np.allclose(got.data.reshape(-1), expected, atol=1e-14)
-    at_a = elementary_integral(s, path, grid.a)
-    assert not at_a.data.any()
+        got = eta[0, grid.index_of(float(t))]
+        assert np.allclose(got.reshape(-1), expected, atol=1e-14)
+    assert not eta[0, grid.index_of(grid.a)].any()
 
 
 def test_partition_must_lie_on_grid():
@@ -119,12 +116,11 @@ def test_additivity_over_adjacent_windows():
     part = TimeGrid(grid.points[::4])
     ops = [random_op(rng, 1, 2, 2) for _ in range(part.steps)]
     s = StepIntegrand.from_ops(part, ops)
-    batch = next(ens.batches())
-    path = CdPath(1, grid, batch.w[0])
+    w = next(ens.batches()).w[:1]
     c = float(grid.points[8])
-    whole = elementary_integral(s, path, grid.b).data
-    left = elementary_integral(s.restrict(grid.a, c), path, c).data
-    right = elementary_integral(s.restrict(c, grid.b), path, grid.b).data
+    whole = integral_paths(s, grid, w)[0, -1]
+    left = integral_paths(s.restrict(grid.a, c), grid, w)[0, grid.index_of(c)]
+    right = integral_paths(s.restrict(c, grid.b), grid, w)[0, -1]
     assert np.allclose(whole, left + right, atol=1e-12)
 
 
@@ -181,11 +177,10 @@ def test_predictable_matches_elementary_for_constant():
     op = RightLinearOp.identity(1, 2)
     pred = PredictableIntegrand(1, 2, 2, lambda idx, view: op, bound=16.0)
     step = StepIntegrand.constant(ens.grid, op)
-    batch = next(ens.batches())
-    path = CdPath(1, ens.grid, batch.w[0])
-    a = predictable_integral(pred, path, ens.grid.b)
-    b = elementary_integral(step, path, ens.grid.b)
-    assert np.array_equal(a.data, b.data)
+    w = next(ens.batches()).w[:1]
+    a = integral_paths(pred.as_step(ens.grid), ens.grid, w)
+    b = integral_paths(step, ens.grid, w)
+    assert np.array_equal(a, b)
 
 
 def test_slots_see_only_the_prefix():

@@ -12,10 +12,8 @@ from cdstoch.linops import (
     RightLinearOp,
     adjoint_full_residual,
     compose_entries,
-    cov_sqrt,
     embed_real,
     f_functional,
-    op_compose,
     op_exp_left,
     op_norm,
     op_trace_aa_star,
@@ -188,7 +186,8 @@ def test_compose_entries_matches_realized_product():
         a = rng.normal(size=(2, 3, dim_of(level)))
         b = rng.normal(size=(3, 2, dim_of(level)))
         ab = compose_entries(a, b, level)
-        m = op_compose(RightLinearOp.lri(level, a), RightLinearOp.lri(level, b))
+        m = (RightLinearOp.lri(level, a).realized
+             @ RightLinearOp.lri(level, b).realized)
         # the entry product realizes to the same action on embedded reals
         x = rng.normal(size=2)
         v1 = RightLinearOp.lri(level, ab).apply_vec(embed_real(level, x))
@@ -217,7 +216,7 @@ def test_spd_sqrt_round_trip_and_gate():
 def test_cov_sqrt_pinned_example():
     # a = 2 i_1, B = [[4]]: root entry is 2(i_0 + i_1) and squares back to U
     u = CovarianceOperator.simple(CdReal(1, [0.0, 2.0]), [[4.0]])
-    root = cov_sqrt(u)
+    root = u.sqrt_op()
     assert np.allclose(root.entries[0, 0], [2.0, 2.0], atol=TOL)
     m = root.realized
     assert np.allclose(m @ m, u.as_op().realized, atol=1e-12)
@@ -231,7 +230,7 @@ def test_cov_sqrt_round_trip_through_octonions():
             raw = rng.normal(size=(3, 3))
             b = raw @ raw.T + 3 * np.eye(3)
             u = CovarianceOperator(level, ((a, b),))
-            m = cov_sqrt(u).realized
+            m = u.sqrt_op().realized
             target = u.as_op().realized
             scale = max(1.0, np.max(np.abs(target)))
             assert np.max(np.abs(m @ m - target)) <= 1e-10 * scale
@@ -244,7 +243,7 @@ def test_cov_sqrt_multi_block_and_adjoint():
     a2 = CdReal.unit(level, 1, 2.0)
     u = CovarianceOperator(level, ((a1, np.eye(2) * 3.0), (a2, [[4.0]])))
     assert u.n == 3 and u.boundaries == [0, 2, 3]
-    root = cov_sqrt(u)
+    root = u.sqrt_op()
     adj = root.adjoint()
     # adjoint of the direct sum is conj(sqrt(a_j)) B_j^{1/2} blockwise
     expected = cd_conj(cd_sqrt(a2)).coeffs * 2.0
@@ -257,7 +256,7 @@ def test_cov_sqrt_sedenion_single_direction():
     # basis-direction coefficients keep left-multiplication alternative,
     # so the realized round trip survives even at r = 4
     u = CovarianceOperator.simple(CdReal.unit(4, 3, 1.5), np.eye(2) * 2.0)
-    m = cov_sqrt(u).realized
+    m = u.sqrt_op().realized
     assert np.allclose(m @ m, u.as_op().realized, atol=1e-10)
 
 

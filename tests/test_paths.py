@@ -18,10 +18,10 @@ from cdstoch.paths import (
     CSV_HEADER,
     GridError,
     McReport,
-    NoiseRealization,
     PathEnsemble,
     TimeGrid,
     assemble_paths,
+    batch_normals,
     char_functional_check,
     char_functional_closed_form,
     char_functional_estimator,
@@ -36,8 +36,6 @@ from cdstoch.paths import (
     mean_increment_check,
     modulus_se,
     path_continuity_check,
-    u_path,
-    wiener_sample,
     write_paths_csv,
 )
 from cdstoch.sde import ZetaSpec, euler_maruyama, linear_problem
@@ -76,110 +74,71 @@ def test_time_grid_handles_nonuniform_points():
     assert np.allclose(grid.deltas, [0.1, 0.3, 0.6])
 
 
+def test_time_grid_copies_its_points():
+    x = np.linspace(0.0, 1.0, 5)
+    grid = TimeGrid(x)
+    assert grid.points is not x
+    x[0] = 0.5  # the caller's array stays writable
+    assert grid.points[0] == 0.0
+    with pytest.raises(ValueError):
+        grid.points[0] = 0.5
+
+
 # --------------------------------------------------------------- noise draws
 
-def test_wiener_sample_reproducible_and_distinct():
-    grid = TimeGrid.uniform(0.0, 1.0, 16)
-    a = wiener_sample(grid, 2, seed=42, replica=7)
-    b = wiener_sample(grid, 2, seed=42, replica=7)
-    assert np.array_equal(a.increments, b.increments)
-    assert a.replica_index == 7 and a.seed == 42
-    c = wiener_sample(grid, 2, seed=42, replica=8)
-    d = wiener_sample(grid, 2, seed=43, replica=7)
-    e = wiener_sample(grid, 2, seed=42, replica=7, stream=1)
-    assert not np.array_equal(a.increments, c.increments)
-    assert not np.array_equal(a.increments, d.increments)
-    assert not np.array_equal(a.increments, e.increments)
-
-
-def test_wiener_sample_moments():
-    # One pass over the replicas collects the endpoint mean, the endpoint
-    # variance, and the correlation between increments over disjoint steps.
-    grid = TimeGrid.uniform(0.0, 1.0, 4)
-    n_rep = 100_000
-    end = np.empty(n_rep)
-    first = np.empty(n_rep)
-    last = np.empty(n_rep)
-    for r in range(n_rep):
-        inc = wiener_sample(grid, 1, seed=314, replica=r).increments[:, 0]
-        end[r] = inc.sum()
-        first[r] = inc[0]
-        last[r] = inc[-1]
-    se_mean = end.std() / np.sqrt(n_rep)
-    assert abs(end.mean()) < 4 * se_mean
-    # var of xi(b) is b - a = 1; the variance estimator's se is ~ sqrt(2/N)
-    assert abs(end.var() - 1.0) < 4 * np.sqrt(2.0 / n_rep)
-    corr = np.corrcoef(first, last)[0, 1]
-    assert abs(corr) < 4 / np.sqrt(n_rep)
-
-
-def test_noise_realization_validation():
-    grid = TimeGrid.uniform(0.0, 1.0, 4)
-    with pytest.raises(GridError):
-        NoiseRealization(grid, np.zeros((3, 1)), 0, 0)
-    with pytest.raises(GridError):
-        NoiseRealization(grid, np.full((4, 1), np.nan), 0, 0)
-    noise = NoiseRealization(grid, np.ones((4, 2)), 0, 0)
-    xi = noise.cumulative()
-    assert xi.shape == (5, 2)
-    assert np.array_equal(xi[:, 0], [0.0, 1.0, 2.0, 3.0, 4.0])
+def test_batch_normals_reproducible_and_distinct():
+    a = batch_normals(42, 7, 16, (4, 2), stream=0)
+    b = batch_normals(42, 7, 16, (4, 2), stream=0)
+    assert a.shape == (16, 4, 2)
+    assert np.array_equal(a, b)
+    c = batch_normals(42, 8, 16, (4, 2), stream=0)
+    d = batch_normals(43, 7, 16, (4, 2), stream=0)
+    e = batch_normals(42, 7, 16, (4, 2), stream=1)
+    assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
+    assert not np.array_equal(a, e)
 
 
 # -------------------------------------------------------------- path assembly
 
-def test_u_path_identity_covariance_embeds_noise():
+def test_identity_covariance_embeds_noise():
     """With unit covariances and no drift the path is the embedded noise."""
     level, n = 3, 2
     grid = TimeGrid.uniform(0.0, 1.0, 8)
-    n0 = wiener_sample(grid, n, seed=1, replica=0)
-    n1 = wiener_sample(grid, n, seed=1, replica=0, stream=1)
-    path = u_path(n0, n1, identity_complex_covariance(level, n))
-    assert path.coeffs.shape == (9, 2, 2, 8)
-    assert np.allclose(path.coeffs[..., 0, 0], n0.cumulative())
-    assert np.allclose(path.coeffs[..., 1, 0], n1.cumulative())
-    assert np.all(path.coeffs[..., 1:] == 0.0)
-    assert path.value(0).norm2() == 0.0
+    ens = PathEnsemble(grid, identity_complex_covariance(level, n), None,
+                       seed=1, n_replicas=4)
+    batch = next(ens.batches())
+    w = batch.w
+    assert w.shape == (4, 9, 2, 2, 8)
+    for inc, half in ((batch.inc0, 0), (batch.inc1, 1)):
+        xi = np.zeros((4, 9, n))
+        xi[:, 1:] = np.cumsum(inc, axis=1)
+        assert np.allclose(w[..., half, 0], xi)
+    assert np.all(w[..., 1:] == 0.0)
+    assert np.all(w[:, 0] == 0.0)
 
 
-def test_u_path_start_and_drift():
+def test_ensemble_start_and_drift():
     level, n = 2, 1
     grid = TimeGrid([1.0, 1.5, 2.0])
     u = CovarianceOperator.simple(CdReal.from_real(level, 1.0), np.eye(1))
-    noise = wiener_sample(grid, n, seed=5, replica=0)
     rng = np.random.default_rng(12)
     p = CdVector(level, n, rng.standard_normal((n, 2, 4)))
     start = CdVector(level, n, rng.standard_normal((n, 2, 4)))
-    path = u_path(noise, None, u, p=p, start=start)
+    w = next(PathEnsemble(grid, u, p, seed=5, n_replicas=3,
+                          start=start).batches()).w
     # the start value is exact at t_0 even though the window begins at 1
-    assert np.array_equal(path.value(0).data, start.data)
-    drift_gap = path.coeffs[2] - path.coeffs[0]
-    pure_noise = u_path(noise, None, u).coeffs[2]
+    assert np.array_equal(w[:, 0], np.broadcast_to(start.data, w[:, 0].shape))
+    drift_gap = w[:, 2] - w[:, 0]
+    pure_noise = next(PathEnsemble(grid, u, None, seed=5,
+                                   n_replicas=3).batches()).w[:, 2]
     assert np.allclose(drift_gap, pure_noise + 1.0 * p.data)
-
-
-def test_u_path_errors():
-    level, n = 2, 1
-    grid = TimeGrid.uniform(0.0, 1.0, 4)
-    u = identity_complex_covariance(level, n)
-    n0 = wiener_sample(grid, n, seed=0, replica=0)
-    with pytest.raises(AlgebraError):
-        u_path(n0, None, u)  # complexified covariance needs two streams
-    real_u = CovarianceOperator.simple(CdReal.from_real(level, 1.0), np.eye(1))
-    n1 = wiener_sample(grid, n, seed=0, replica=0, stream=1)
-    with pytest.raises(AlgebraError):
-        u_path(n0, n1, real_u)  # plain covariance takes one stream
-    bad_p = CdVector.zero(3, n)
-    with pytest.raises(LevelMismatch):
-        u_path(n0, n1, u, p=bad_p)
-    other_grid = wiener_sample(TimeGrid.uniform(0.0, 1.0, 8), n, 0, 0, stream=1)
-    with pytest.raises(AlgebraError):
-        u_path(n0, other_grid, u)
 
 
 # ------------------------------------------------------------- path ensembles
 
 def test_ensemble_rows_match_single_path_assembly():
-    """A batch row equals u_path run on that row's increments, bitwise."""
+    """A batch row equals assemble_paths run on that row alone, bitwise."""
     level, n = 3, 2
     grid = TimeGrid.uniform(0.0, 1.0, 32)
     u = identity_complex_covariance(level, n)
@@ -187,11 +146,11 @@ def test_ensemble_rows_match_single_path_assembly():
     p = CdVector(level, n, rng.standard_normal((n, 2, 8)))
     ens = PathEnsemble(grid, u, p, seed=21, n_replicas=64, batch_size=16)
     batch = next(ens.batches())
+    e0, e1 = u.u0.sqrt_entries(), u.u1.sqrt_entries()
     for j in (0, 3, 15):
-        n0 = NoiseRealization(grid, batch.inc0[j], 21, j)
-        n1 = NoiseRealization(grid, batch.inc1[j], 21, j)
-        single = u_path(n0, n1, u, p=p)
-        assert np.array_equal(single.coeffs, batch.w[j])
+        single = assemble_paths(grid, e0, e1, p, None,
+                                batch.inc0[j:j + 1], batch.inc1[j:j + 1])[0]
+        assert np.array_equal(single, batch.w[j])
 
 
 def test_ensemble_deterministic_across_threads_and_runs():
