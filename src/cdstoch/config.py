@@ -41,6 +41,7 @@ from .linops import (
     spd_sqrt,
     vec_size,
 )
+from .paths import available_cpus
 
 
 class ConfigError(ValueError):
@@ -160,7 +161,7 @@ def effective_threads(requested: int | None) -> int:
         if value < 1:
             raise ConfigError(f"{THREADS_ENV}: need at least 1")
         return value
-    return os.cpu_count() or 1
+    return available_cpus()
 
 
 # ----------------------------------------------------------- driving builder

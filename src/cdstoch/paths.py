@@ -22,9 +22,14 @@ pass, so estimates are bit-identical for any worker count.
 from __future__ import annotations
 
 import csv
+import ctypes
+import importlib
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -183,6 +188,107 @@ def _split_u(u) -> tuple[CovarianceOperator, CovarianceOperator | None]:
     raise AlgebraError("covariance must be a block operator or a pair of them")
 
 
+# ---------------------------------------------------------------- worker pool
+
+# Extension modules whose OpenBLAS a batch's BLAS calls run on: numpy's
+# (64-bit integer ABI) and scipy's.  A handle opened on a loaded extension
+# resolves the symbols of the OpenBLAS it links.
+_BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._fblas")
+# Thread-count symbol pairs, "{}" being get or set; plain names last.
+_BLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
+                 "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+_budget_lock = threading.Lock()
+_pool_workers = 0           # workers of every pool open right now
+_blas_saved: list = []      # (setter, count) found by the first pool to open
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the host."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
+
+
+@cache
+def _blas_controls() -> tuple:
+    """(get, set) thread-count functions of each distinct loaded OpenBLAS.
+
+    Looked up once, on the first pool call.  A module or symbol that is
+    missing is skipped, so with none found the budget leaves BLAS alone.
+    """
+    found, seen = [], set()
+    for module in _BLAS_MODULES:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, OSError):
+            continue
+        for symbol in _BLAS_SYMBOLS:
+            get = getattr(lib, symbol.format("get"), None)
+            set_ = getattr(lib, symbol.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                address = ctypes.cast(set_, ctypes.c_void_p).value
+                if address not in seen:
+                    seen.add(address)
+                    found.append((get, set_))
+                break
+    return tuple(found)
+
+
+def _cap_blas(controls, workers: int) -> None:
+    count = max(1, available_cpus() // workers)
+    for get, set_ in controls:
+        if get() != count:
+            set_(count)
+
+
+@contextmanager
+def _blas_budget(workers: int):
+    """Cap every loaded OpenBLAS while a pool of workers runs.
+
+    OpenBLAS's thread count is process-global, so the cap is too: it is
+    cpus // (workers of every open pool), at least one, and the count the
+    first pool found is restored when the last one closes.
+    """
+    global _pool_workers, _blas_saved
+    controls = _blas_controls()
+    with _budget_lock:
+        if _pool_workers == 0:
+            _blas_saved = [(set_, get()) for get, set_ in controls]
+        _pool_workers += workers
+        _cap_blas(controls, _pool_workers)
+    try:
+        yield
+    finally:
+        with _budget_lock:
+            _pool_workers -= workers
+            if _pool_workers:
+                _cap_blas(controls, _pool_workers)
+            else:
+                for set_, count in _blas_saved:
+                    set_(count)
+
+
+def pool_map(fn, items, threads: int) -> list:
+    """fn over items, results in item order, on one CPU budget.
+
+    Runs min(threads, len(items)) workers; one worker runs the items
+    inline and leaves BLAS alone.  Otherwise BLAS is capped (see
+    _blas_budget) until every worker has finished, so the pool and
+    OpenBLAS do not claim the same CPUs twice.
+    """
+    items = list(items)
+    workers = min(threads or 1, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with _blas_budget(workers), ThreadPoolExecutor(workers) as ex:
+        return list(ex.map(fn, items))
+
+
 # ------------------------------------------------------------- path ensembles
 
 class BatchPaths:
@@ -300,11 +406,7 @@ class PathEnsemble:
 
     def map_batches(self, fn, threads: int = 1) -> list:
         """Apply fn to every batch; results are placed by batch index."""
-        batches = list(self.batches())
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                return list(ex.map(fn, batches))
-        return [fn(b) for b in batches]
+        return pool_map(fn, self.batches(), threads)
 
 
 def _tree_sum(parts: list) -> np.ndarray:

@@ -15,7 +15,6 @@ layer uses (an operator, or per-replica weights paired with one).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,14 @@ from .linops import (
     vec_norm2,
     vec_size,
 )
-from .paths import GridError, PathEnsemble, TimeGrid, _split_u, _tree_sum
+from .paths import (
+    GridError,
+    PathEnsemble,
+    TimeGrid,
+    _split_u,
+    _tree_sum,
+    pool_map,
+)
 
 
 class SdeError(AlgebraError):
@@ -47,10 +53,7 @@ ZETA_STREAM = 2
 
 
 def _map(fn, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(i) for i in items]
+    return pool_map(fn, items, threads)
 
 
 # ------------------------------------------------------------ initial values
@@ -591,11 +594,10 @@ def uniqueness_study(problem_factory, ensemble: PathEnsemble,
     for f in factors:
         sub = TimeGrid(grid.points[::f])
         problem = problem_factory(sub)
-        batches = list(ensemble.batches())
-        dws = [_dw_of(b, sub, f) for b in batches]
-        zetas = [problem.zeta.sample(b) for b in batches]
-        per_t = np.zeros(len(sub))
-        for dw, z in zip(dws, zetas):
+
+        def batch_gap(b):
+            dw = _dw_of(b, sub, f)
+            z = problem.zeta.sample(b)
             em, _ = _em_values(problem, sub, dw, z)
             x = np.repeat(z[:, None, :], len(sub), axis=1)
             for _ in range(m_max):
@@ -605,7 +607,12 @@ def uniqueness_study(problem_factory, ensemble: PathEnsemble,
                 x = nx
             else:
                 raise SdeError("Picard iterate did not stabilize")
-            per_t += np.sum(vec_norm2(x - em, axis=-1), axis=0)
+            return np.sum(vec_norm2(x - em, axis=-1), axis=0)
+
+        # added to zeros in batch order, whatever the worker count
+        per_t = np.zeros(len(sub))
+        for part in _map(batch_gap, ensemble.batches(), threads):
+            per_t += part
         gaps.append(float(np.sqrt(np.max(per_t / ensemble.n_replicas))))
         steps.append(sub.steps)
     non_increasing = all(gaps[j + 1] <= gaps[j] + 1e-12

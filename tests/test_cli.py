@@ -1,6 +1,7 @@
 """Tests for configuration parsing, reporting, and the command line."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -229,6 +230,19 @@ def test_effective_threads_bad_env(monkeypatch):
 def test_effective_threads_default(monkeypatch):
     monkeypatch.delenv("CD_STOCHASTIC_THREADS", raising=False)
     assert effective_threads(None) >= 1
+
+
+def test_effective_threads_default_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("CD_STOCHASTIC_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9},
+                        raising=False)
+    assert effective_threads(None) == 3
+    # without an affinity call the host count is the fallback
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert effective_threads(None) == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert effective_threads(None) == 1
 
 
 # ------------------------------------------------------------------ reports

@@ -1,5 +1,6 @@
-"""Source hygiene: no unused imports, and no top-level definition in the
-package that nothing in the package uses or exports."""
+"""Source hygiene: no unused imports, no top-level definition in the
+package that nothing in the package uses or exports, and one function
+that opens a thread pool."""
 
 import ast
 from pathlib import Path
@@ -58,6 +59,31 @@ def unreferenced_defs(sources: dict[str, str], exported: set[str]) -> list[str]:
                   if name not in used and name not in exported)
 
 
+def pool_sites(sources: dict[str, str]) -> list[str]:
+    """Where ``ThreadPoolExecutor`` is named outside an import.
+
+    Each site is ``module.function`` (methods as ``module.Class.method``),
+    or ``module.<module>`` for a use outside every function.
+    """
+    sites = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = child.name if scope is None else f"{scope}.{child.name}"
+                visit(child, module, inner)
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if name == "ThreadPoolExecutor":
+                sites.add(f"{module}.{scope or '<module>'}")
+            visit(child, module, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, None)
+    return sorted(sites)
+
+
 def test_scanner_flags_an_unused_import():
     src = ("from __future__ import annotations\nimport io\nimport os\n"
            "from typing import Any\n\ndef f(x: Any):\n    return os.sep\n")
@@ -73,6 +99,31 @@ def test_scanner_flags_an_unreferenced_definition():
     }
     assert unreferenced_defs(sources, set()) == ["a.Public", "a.orphan"]
     assert unreferenced_defs(sources, {"Public"}) == ["a.orphan"]
+
+
+def test_scanner_finds_every_pool_site():
+    sources = {
+        "a": ("from concurrent.futures import ThreadPoolExecutor\n\n"
+              "def pool(fn, xs):\n"
+              "    with ThreadPoolExecutor(2) as ex:\n"
+              "        return list(ex.map(fn, xs))\n"),
+        "b": ("import concurrent.futures as cf\n\n"
+              "class Sweep:\n"
+              "    def run(self):\n"
+              "        def inner():\n"
+              "            return cf.ThreadPoolExecutor(4)\n"
+              "        return inner()\n\n"
+              "EXECUTOR = cf.ThreadPoolExecutor\n"),
+    }
+    assert pool_sites(sources) == ["a.pool", "b.<module>",
+                                   "b.Sweep.run.inner"]
+    assert pool_sites({"a": sources["a"]}) == ["a.pool"]
+
+
+def test_one_function_opens_a_thread_pool():
+    """Every sweep shares the CPU budget of paths.pool_map."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert pool_sites(sources) == ["paths.pool_map"]
 
 
 def _exported() -> set[str]:

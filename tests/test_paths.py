@@ -1,10 +1,15 @@
 """Tests for grid-aligned Gaussian path simulation and its estimators."""
 
 import csv
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import cdstoch.paths as paths_module
 from cdstoch.algebra import AlgebraError, CdReal, LevelMismatch
 from cdstoch.linops import (
     CdVector,
@@ -21,6 +26,7 @@ from cdstoch.paths import (
     PathEnsemble,
     TimeGrid,
     assemble_paths,
+    available_cpus,
     batch_normals,
     char_functional_check,
     char_functional_closed_form,
@@ -38,7 +44,7 @@ from cdstoch.paths import (
     path_continuity_check,
     write_paths_csv,
 )
-from cdstoch.sde import ZetaSpec, euler_maruyama, linear_problem
+from cdstoch.sde import ZetaSpec, euler_maruyama, linear_problem, picard_solve
 
 
 def identity_complex_covariance(level, n):
@@ -550,3 +556,177 @@ def test_assemble_paths_is_bitwise_the_einsum(n):
     zero = CdVector(level, n, np.zeros((n, 2, dim)))
     bare_ref = _einsum_assembly(grid, e0, e1, zero, zero, inc0, inc1)
     assert np.array_equal(bare, bare_ref)
+
+
+# ----------------------------------------------------------------- CPU budget
+
+@pytest.fixture
+def blas():
+    """The loaded OpenBLAS thread controls, restored after the test."""
+    controls = paths_module._blas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this build")
+    before = [get() for get, _ in controls]
+    yield controls
+    for (_, set_), count in zip(controls, before):
+        set_(count)
+
+
+def _counts(controls):
+    return [get() for get, _ in controls]
+
+
+def _budget_ensemble(n_replicas=64, batch_size=16):
+    return PathEnsemble(TimeGrid.uniform(0.0, 1.0, 4),
+                        identity_complex_covariance(1, 1), None, seed=29,
+                        n_replicas=n_replicas, batch_size=batch_size)
+
+
+def test_pool_caps_blas_inside_workers_and_restores(blas):
+    before = _counts(blas)
+    seen = _budget_ensemble().map_batches(lambda b: _counts(blas), threads=2)
+    cap = max(1, available_cpus() // 2)
+    assert seen == [[cap] * len(blas)] * 4
+    assert _counts(blas) == before
+
+
+def test_pool_restores_blas_after_fn_raises(blas):
+    before = _counts(blas)
+
+    def boom(b):
+        if b.index == 2:
+            raise RuntimeError("boom")
+        return b.index
+
+    with pytest.raises(RuntimeError, match="boom"):
+        _budget_ensemble().map_batches(boom, threads=2)
+    assert _counts(blas) == before
+
+
+def test_inline_sweeps_leave_blas_alone(monkeypatch):
+    calls = []
+    fake = ((lambda: 0, calls.append),)  # 0: never a cap
+    monkeypatch.setattr(paths_module, "_blas_controls", lambda: fake)
+    _budget_ensemble().map_batches(lambda b: b.w.sum(), threads=1)
+    _budget_ensemble(n_replicas=10).map_batches(lambda b: b.w.sum(),
+                                                threads=3)
+    paths_module.pool_map(abs, [-1.0], threads=4)
+    assert calls == []
+    # the fake is what a real pool reaches: cap, then restore
+    _budget_ensemble().map_batches(lambda b: b.w.sum(), threads=2)
+    assert calls == [max(1, available_cpus() // 2), 0]
+
+
+def test_overlapping_sweeps_restore_the_original_count(blas):
+    before = _counts(blas)
+    barrier = threading.Barrier(4, timeout=30)  # 2 sweeps x 2 workers
+    inside, errors = [], []
+
+    def fn(b):
+        barrier.wait()
+        inside.append(_counts(blas))
+        barrier.wait()
+        return b.index
+
+    def sweep():
+        try:
+            _budget_ensemble(n_replicas=32).map_batches(fn, threads=2)
+        except Exception as exc:  # reported below, on the test's thread
+            errors.append(exc)
+
+    runners = [threading.Thread(target=sweep) for _ in range(2)]
+    for t in runners:
+        t.start()
+    for t in runners:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in runners)
+    assert errors == []
+    assert inside == [[max(1, available_cpus() // 4)] * len(blas)] * 4
+    assert _counts(blas) == before
+
+
+def test_concurrent_sweeps_keep_the_budget_count(blas):
+    """Many sweeps racing from many threads lose no open or close."""
+    before = _counts(blas)
+    interval = sys.getswitchinterval()
+    errors = []
+
+    def sweeps():
+        try:
+            for threads in (2, 3, 2, 3, 2):
+                _budget_ensemble(n_replicas=48).map_batches(
+                    lambda b: b.index, threads=threads)
+        except Exception as exc:  # reported below, on the test's thread
+            errors.append(exc)
+
+    runners = [threading.Thread(target=sweeps) for _ in range(6)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in runners:
+            t.start()
+        for t in runners:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in runners)
+    assert errors == []
+    assert paths_module._pool_workers == 0
+    assert _counts(blas) == before
+
+
+def test_sweep_without_blas_controls_is_a_no_op(blas, monkeypatch):
+    before = _counts(blas)
+    monkeypatch.setattr(paths_module, "_blas_controls", lambda: ())
+    seen = _budget_ensemble().map_batches(lambda b: _counts(blas), threads=2)
+    assert seen == [before] * 4
+    assert _counts(blas) == before
+
+
+def test_blas_lookup_waits_for_the_first_pool():
+    code = ("import cdstoch.paths as p; "
+            "print(p._blas_controls.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_reports_and_pins_hold_under_the_budget(threads):
+    """mc_moments reports, batch row = assemble_paths on that row alone,
+    and Picard = Euler, bitwise, at 1, 2 and 3 threads."""
+    level, n = 3, 2
+    grid = TimeGrid.uniform(0.0, 1.0, 16)
+    u = identity_complex_covariance(level, n)
+    p = CdVector(level, n, np.random.default_rng(8).standard_normal((n, 2, 8)))
+    ens = PathEnsemble(grid, u, p, seed=41, n_replicas=5000)
+    m = np.random.default_rng(9).standard_normal((17 * n * 2 * 8, 16))
+
+    def sampler(b):  # a GEMM large enough for OpenBLAS to thread
+        flat = b.w.reshape(b.count, -1) @ m
+        return flat, np.sum(flat * flat, axis=1)
+
+    serial = mc_moments(ens, sampler, threads=1)
+    for a, b in zip(serial, mc_moments(ens, sampler, threads=threads)):
+        assert _report_bits(a) == _report_bits(b)
+
+    e0, e1 = u.u0.sqrt_entries(), u.u1.sqrt_entries()
+
+    def rows_match(b):
+        return all(np.array_equal(
+            assemble_paths(grid, e0, e1, p, None, b.inc0[j:j + 1],
+                           b.inc1[j:j + 1])[0], b.w[j])
+            for j in (0, b.count // 2, b.count - 1))
+
+    assert ens.map_batches(rows_match, threads=threads) == [True] * 3
+
+    ident = RightLinearOp.identity(1, 1)
+    prob = linear_problem(ident.scaled(-1.0), ident,
+                          ZetaSpec.gaussian(1, 1, 0.5),
+                          TimeGrid.uniform(0.0, 1.0, 32),
+                          identity_complex_covariance(1, 1))
+    sde_ens = prob.ensemble(seed=17, n_replicas=600, batch_size=128)
+    em = euler_maruyama(prob, sde_ens, threads)
+    pic = picard_solve(prob, sde_ens, tol=0.0, m_max=80, threads=threads)
+    assert np.array_equal(pic.values, em.values)
+    assert np.array_equal(em.values, euler_maruyama(prob, sde_ens).values)

@@ -11,6 +11,7 @@ from cdstoch.linops import (
     RightLinearOp,
     op_exp_left,
 )
+from cdstoch import sde
 from cdstoch.paths import GridError, PathEnsemble, TimeGrid
 from cdstoch.sde import (
     SdeError,
@@ -203,6 +204,34 @@ def test_uniqueness_study_gaps_vanish():
     assert max(rep["b2inf_gaps"]) == 0.0
     with pytest.raises(GridError):
         uniqueness_study(lambda g: linear_test_problem(), ens, halvings=9)
+
+
+def test_uniqueness_study_runs_its_batches_on_the_pool(monkeypatch):
+    grid = TimeGrid.uniform(0.0, 1.0, 32)
+    ident = RightLinearOp.identity(1, 1)
+    ens = PathEnsemble(grid, complexified_identity(1, 1), None, seed=35,
+                       n_replicas=300, batch_size=64)
+    assert ens.n_batches >= 3
+
+    def factory(g):
+        return linear_problem(ident.scaled(-1.0), ident,
+                              ZetaSpec.gaussian(1, 1, 0.5), g,
+                              complexified_identity(1, 1))
+
+    pools = []
+    pool = sde._map
+
+    def spy(fn, items, threads):
+        pools.append(threads)
+        return pool(fn, items, threads)
+
+    monkeypatch.setattr(sde, "_map", spy)
+    one = uniqueness_study(factory, ens, halvings=2, threads=1)
+    three = uniqueness_study(factory, ens, halvings=2, threads=3)
+    assert pools == [1] * 3 + [3] * 3  # one sweep per grid level
+    assert one == three
+    assert [np.float64(g).tobytes() for g in one["b2inf_gaps"]] == \
+        [np.float64(g).tobytes() for g in three["b2inf_gaps"]]
 
 
 # -------------------------------------------------------------------- norms
