@@ -214,12 +214,14 @@ def available_cpus() -> int:
 
 @cache
 def _blas_controls() -> tuple:
-    """(get, set) thread-count functions of each distinct loaded OpenBLAS.
+    """(get, set) thread-count functions of each loaded OpenBLAS.
 
     Looked up once, on the first pool call.  A module or symbol that is
     missing is skipped, so with none found the budget leaves BLAS alone.
+    A library reached through both modules appears twice, which is
+    harmless: capping and restoring are idempotent.
     """
-    found, seen = [], set()
+    found = []
     for module in _BLAS_MODULES:
         try:
             lib = ctypes.CDLL(importlib.import_module(module).__file__)
@@ -231,10 +233,7 @@ def _blas_controls() -> tuple:
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                address = ctypes.cast(set_, ctypes.c_void_p).value
-                if address not in seen:
-                    seen.add(address)
-                    found.append((get, set_))
+                found.append((get, set_))
                 break
     return tuple(found)
 
