@@ -74,11 +74,12 @@ from .paths import (
     TimeGrid,
     _philox,
     char_functional_check,
-    char_semigroup_check,
-    disjoint_increment_corr,
-    increment_cov_check,
-    mean_increment_check,
-    path_continuity_check,
+    char_semigroup,
+    disjoint_increments,
+    increment_cov,
+    mean_increment,
+    path_continuity,
+    sweep,
 )
 from .sde import (
     SdeProblem,
@@ -667,52 +668,53 @@ def paths_experiment(cfg: RunConfig) -> dict:
     k4 = cfg.grids[-1] // 4
     t1 = float(grid.points[k4])
     t2 = float(grid.points[3 * k4])
-    checks.append(_report("mean_increment", "Cor. 2.9(1)",
-                          mean_increment_check(ens, t1, t2, threads),
-                          "max_gap", "max_standard_error", "sample_count"))
-
     pairs = [(0, 0)] if ens.n == 1 else [(0, 0), (0, ens.n - 1)]
-    for k, h in pairs:
+    rng = _case_rng(cfg.seed, 41)
+    y = RealFunctional(ens.level, ens.n,
+                       rng.normal(size=vec_size(ens.level, ens.n))
+                       / math.sqrt(vec_size(ens.level, ens.n)))
+    halvings = min(5, (cfg.grids[-1] & -cfg.grids[-1]).bit_length() - 1)
+    coords = ens.n * dim_of(ens.level) * (2 if ens.complexified else 1)
+    eps = 2.0 * math.sqrt(2.0 * coords * span)
+    # every check on the main ensemble shares one pass over its batches
+    mean, *covs, disjoint, semigroup, continuity = sweep(ens, [
+        mean_increment(ens, t1, t2),
+        *(increment_cov(ens, t1, t2, k, h) for k, h in pairs),
+        disjoint_increments(ens, a0, t1, t2, b0),
+        char_semigroup(ens, y, span * k4 / cfg.grids[-1],
+                       span * 2 * k4 / cfg.grids[-1]),
+        path_continuity(ens, eps, halvings),
+    ], threads)
+
+    checks.append(_report("mean_increment", "Cor. 2.9(1)", mean,
+                          "max_gap", "max_standard_error", "sample_count"))
+    for (k, h), res in zip(pairs, covs):
         checks.append(_report(f"increment_covariance_{k}{h}", "Cor. 2.9(2)",
-                              increment_cov_check(ens, t1, t2, k, h, threads),
-                              "k", "h", "max_gap", "as_stated_gap",
+                              res, "k", "h", "max_gap", "as_stated_gap",
                               "sample_count"))
 
     # pinned multi-block fixture: a cross-block moment vanishes and an
     # i_1-valued coefficient steers the moment onto that axis
     fixture = PathEnsemble(grid, _multi_block_covariance(2), None,
                            seed=cfg.seed + 2, n_replicas=cfg.replicas)
+    res, = sweep(fixture, [increment_cov(fixture, t1, t2, 0, 2)], threads)
     checks.append(_report("increment_covariance_cross_block", "Cor. 2.9(2)",
-                          increment_cov_check(fixture, t1, t2, 0, 2, threads),
-                          "max_gap", "sample_count"))
+                          res, "max_gap", "sample_count"))
     directional = PathEnsemble(grid, _directional_covariance(2), None,
                                seed=cfg.seed + 3, n_replicas=cfg.replicas)
+    res, = sweep(directional, [increment_cov(directional, t1, t2, 0, 0)],
+                 threads)
     checks.append(_report("increment_covariance_directional", "Cor. 2.9(2)",
-                          increment_cov_check(directional, t1, t2, 0, 0,
-                                              threads),
-                          "max_gap", "sample_count"))
+                          res, "max_gap", "sample_count"))
     checks.append(_report("disjoint_increment_independence", "Def. 2.6",
-                          disjoint_increment_corr(ens, a0, t1, t2, b0,
-                                                  threads),
-                          "max_abs_correlation", "bound"))
+                          disjoint, "max_abs_correlation", "bound"))
 
     for spec in _cf_battery_specs(cfg.seed):
         checks.append(_cf_case_check(cfg, spec, threads))
 
-    rng = _case_rng(cfg.seed, 41)
-    y = RealFunctional(ens.level, ens.n,
-                       rng.normal(size=vec_size(ens.level, ens.n))
-                       / math.sqrt(vec_size(ens.level, ens.n)))
-    res = char_semigroup_check(ens, y, span * k4 / cfg.grids[-1],
-                               span * 2 * k4 / cfg.grids[-1], threads)
-    checks.append(_report("char_semigroup", "Eq. 2.4(6)", res,
+    checks.append(_report("char_semigroup", "Eq. 2.4(6)", semigroup,
                           "gap", "tolerance"))
-
-    halvings = min(5, (cfg.grids[-1] & -cfg.grids[-1]).bit_length() - 1)
-    coords = ens.n * dim_of(ens.level) * (2 if ens.complexified else 1)
-    eps = 2.0 * math.sqrt(2.0 * coords * span)
-    checks.append(_report("path_continuity", "Thm. 2.27",
-                          path_continuity_check(ens, eps, halvings, threads),
+    checks.append(_report("path_continuity", "Thm. 2.27", continuity,
                           "eps", "tails", "deltas"))
     return _entry("paths", checks, started)
 
@@ -759,25 +761,22 @@ def isometry_experiment(cfg: RunConfig) -> dict:
     atol, _ = _tolerances(cfg)
     checks = []
 
-    # structural: the identity integrand telescopes to the increment
+    # structural, in one pass: the identity integrand telescopes to the
+    # increment, and the elementary integral is additive over windows
     ens_small = PathEnsemble(grid, _complexified_identity(2, 2), None,
                              seed=cfg.seed + 200, n_replicas=64)
     identity_s = StepIntegrand.constant(grid, RightLinearOp.identity(2, 2))
-    telescopes = True
-    for batch in ens_small.batches():
-        eta = integral_paths(identity_s, grid, batch.w)
-        telescopes = telescopes and np.array_equal(
-            eta, batch.w - batch.w[:, :1])
-    checks.append(_check("elementary_telescoping", "Eq. 2.11(2)", telescopes))
-
-    # structural: window additivity of the elementary integral
     rng = _case_rng(cfg.seed, 50)
     two_ops = [_random_four_block(rng, 2, 2, 2) for _ in range(2)]
     whole = _tiled_ops(grid, two_ops)
     mid = float(grid.points[steps // 2])
     left, right = whole.restrict(a0, mid), whole.restrict(mid, b0)
+    telescopes = True
     additive_worst = 0.0
     for batch in ens_small.batches():
+        eta = integral_paths(identity_s, grid, batch.w)
+        telescopes = telescopes and np.array_equal(
+            eta, batch.w - batch.w[:, :1])
         eta = integral_paths(whole, grid, batch.w)
         eta_l = integral_paths(left, TimeGrid(grid.points[:steps // 2 + 1]),
                                batch.w[:, :steps // 2 + 1])
@@ -787,6 +786,7 @@ def isometry_experiment(cfg: RunConfig) -> dict:
         additive_worst = max(additive_worst, float(
             np.max(np.abs(eta[:, -1] - joined))
             / max(1.0, float(np.max(np.abs(eta[:, -1]))))))
+    checks.append(_check("elementary_telescoping", "Eq. 2.11(2)", telescopes))
     checks.append(_check("window_additivity", "Prop. 2.20(1)",
                          additive_worst <= atol,
                          max_rel_gap=additive_worst))

@@ -42,8 +42,6 @@ from .paths import (
     McReport,
     PathEnsemble,
     TimeGrid,
-    _tree_sum,
-    mc_mean,
     mc_moments,
 )
 
@@ -280,9 +278,9 @@ def zero_mean_check(integrand: StepIntegrand, ensemble: PathEnsemble,
 
     def sampler(batch):
         eta = integral_paths(integrand, grid, batch.w)
-        return eta[:, idx].reshape(batch.count, -1)
+        return (eta[:, idx].reshape(batch.count, -1),)
 
-    rep = mc_mean(ensemble, sampler, threads)
+    rep, = mc_moments(ensemble, sampler, threads)
     zero = np.zeros_like(rep.estimate)
     return {
         "passed": bool(np.all(rep.within(zero))),
@@ -506,21 +504,16 @@ def continuity_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         raise GridError("grid does not support that many halvings")
     top_lag = k >> 1
 
-    def fn(batch):
+    def sampler(batch):
         eta = integral_paths(integrand, grid, batch.w)
         flat = eta.reshape(batch.count, k + 1, -1)
-        outs = []
-        for lag in range(1, top_lag + 1):
-            d2 = vec_norm2(flat[:, lag:] - flat[:, :-lag])
-            outs.append(np.sum(d2 > eps * eps, axis=0))
-        return outs
+        # 0/1 indicators: their sums are exact integers
+        return tuple(vec_norm2(flat[:, lag:] - flat[:, :-lag]) > eps * eps
+                     for lag in range(1, top_lag + 1))
 
-    parts = ensemble.map_batches(fn, threads)
-    count = ensemble.n_replicas
-    per_lag_max = np.zeros(top_lag)
-    for lag_i in range(top_lag):
-        probs = _tree_sum([p[lag_i] for p in parts]) / count
-        per_lag_max[lag_i] = float(np.max(probs))
+    reps = mc_moments(ensemble, sampler, threads)
+    count = reps[0].sample_count
+    per_lag_max = np.array([np.max(rep.estimate) for rep in reps])
     running = np.maximum.accumulate(per_lag_max)
     pts = grid.points
     deltas, tails = [], []

@@ -30,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -495,37 +496,56 @@ def mc_moments(ensemble: PathEnsemble, sampler,
             for i in range(len(parts[0]))]
 
 
-def mc_mean(ensemble: PathEnsemble, sampler, threads: int = 1) -> McReport:
-    """Ensemble mean of sampler(batch), with deterministic reduction."""
-    return mc_moments(ensemble, lambda b: (sampler(b),), threads)[0]
+class Probe(NamedTuple):
+    """A check split for a shared sweep: sample(batch) returns a tuple of
+    per-replica arrays, gate(reports) turns their McReports into the
+    check's result."""
+
+    sample: Callable
+    gate: Callable
+
+
+def sweep(ensemble: PathEnsemble, probes: list[Probe],
+          threads: int = 1) -> list[dict]:
+    """Each probe's result from one mc_moments pass over the ensemble.
+
+    Each batch is assembled once for every sampler; a probe's sums, and
+    so its result, have the bits of that probe swept alone.
+    """
+    widths = []
+
+    def sampler(batch: BatchPaths):
+        outs = [tuple(probe.sample(batch)) for probe in probes]
+        # every batch stores the same widths; they are read after the pool
+        widths[:] = [len(out) for out in outs]
+        return [v for out in outs for v in out]
+
+    reports = iter(mc_moments(ensemble, sampler, threads))
+    return [probe.gate([next(reports) for _ in range(width)])
+            for probe, width in zip(probes, widths)]
 
 
 # -------------------------------------------------------------- moment checks
 
-def increment_mean_estimator(ensemble: PathEnsemble, t1: float, t2: float,
-                             threads: int = 1) -> McReport:
-    """Mean of w(t2) - w(t1), coefficientwise over (n, 2, dim)."""
+def mean_increment(ensemble: PathEnsemble, t1: float, t2: float) -> Probe:
+    """Mean of w(t2) - w(t1) against (t2 - t1) p, within 4 standard errors."""
     i1 = ensemble.grid.index_of(t1)
     i2 = ensemble.grid.index_of(t2)
-    return mc_mean(ensemble, lambda b: b.w[:, i2] - b.w[:, i1], threads)
-
-
-def mean_increment_check(ensemble: PathEnsemble, t1: float, t2: float,
-                         threads: int = 1) -> dict:
-    """Mean increment against (t2 - t1) p, within 4 standard errors."""
-    rep = increment_mean_estimator(ensemble, t1, t2, threads)
     if ensemble.p is None:
         target = np.zeros((ensemble.n, 2, dim_of(ensemble.level)))
     else:
         target = (t2 - t1) * ensemble.p.data
-    return {
-        "passed": bool(np.all(rep.within(target))),
-        "max_gap": rep.max_gap(target),
-        "max_standard_error": float(np.max(rep.standard_error)),
-        "sample_count": rep.sample_count,
-        "t1": float(t1),
-        "t2": float(t2),
-    }
+
+    def gate(reports):
+        rep, = reports
+        return {
+            "passed": bool(np.all(rep.within(target))),
+            "max_gap": rep.max_gap(target),
+            "max_standard_error": float(np.max(rep.standard_error)),
+            "sample_count": rep.sample_count,
+        }
+
+    return Probe(lambda b: (b.w[:, i2] - b.w[:, i1],), gate)
 
 
 def _scalar_products(m: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -540,31 +560,14 @@ def _scalar_products(m: np.ndarray, x: np.ndarray, y: np.ndarray,
     return np.stack([rr - ii, ri + ir], axis=1)
 
 
-@dataclass(frozen=True)
-class IncrementCovariance:
-    """Both product-moment estimates for one (t1, t2, k, h) choice."""
-
-    increment_form: McReport
-    as_stated: McReport
-    expected: np.ndarray
-    t1: float
-    t2: float
-    k: int
-    h: int
-
-    @property
-    def as_stated_gap(self) -> float:
-        return self.as_stated.max_gap(self.expected)
-
-
-def increment_cov_estimator(ensemble: PathEnsemble, t1: float, t2: float,
-                            k: int, h: int, threads: int = 1) -> IncrementCovariance:
+def increment_cov(ensemble: PathEnsemble, t1: float, t2: float,
+                  k: int, h: int) -> Probe:
     """Second-moment structure of the centered path at components k, h.
 
-    Returns the asserted increment-form estimate E[(dw_k)(dw_h)] over
-    [t1, t2] and, alongside it, the two-time product taken verbatim at
-    (t2, t1); both are compared to the same (t2 - t1)-scaled block value,
-    with only the increment form meant to match it.
+    Samples the asserted increment form (dw_k)(dw_h) over [t1, t2] and,
+    alongside it, the two-time product taken verbatim at (t2, t1); both
+    are compared to the same (t2 - t1)-scaled block value (``expected``),
+    and only the increment form is asserted to match it.
     """
     n = ensemble.n
     if not (0 <= k < n and 0 <= h < n):
@@ -577,8 +580,12 @@ def increment_cov_estimator(ensemble: PathEnsemble, t1: float, t2: float,
     cx = ensemble.complexified
     dim = dim_of(ensemble.level)
     pc = ensemble.p.data if ensemble.p is not None else np.zeros((n, 2, dim))
+    expected = (t2 - t1) * ensemble.u0.entries()[k, h]
+    if cx:
+        expected = expected - (t2 - t1) * ensemble.u1.entries()[k, h]
+        expected = np.stack([expected, np.zeros_like(expected)])
 
-    def sampler(batch: BatchPaths):
+    def sample(batch: BatchPaths):
         w = batch.w
         xs = w[:, i2, k] - t2 * pc[k][None]
         ys = w[:, i1, h] - t1 * pc[h][None]
@@ -587,35 +594,24 @@ def increment_cov_estimator(ensemble: PathEnsemble, t1: float, t2: float,
         dy = (w[:, i2, h] - w[:, i1, h]) - (t2 - t1) * pc[h][None]
         return _scalar_products(m, dx, dy, cx), stated
 
-    inc_rep, stated_rep = mc_moments(ensemble, sampler, threads)
-    expected = (t2 - t1) * ensemble.u0.entries()[k, h]
-    if cx:
-        expected = expected - (t2 - t1) * ensemble.u1.entries()[k, h]
-        expected = np.stack([expected, np.zeros_like(expected)])
-    return IncrementCovariance(inc_rep, stated_rep, expected,
-                               float(t1), float(t2), k, h)
+    def gate(reports):
+        rep, stated = reports
+        return {
+            "passed": bool(np.all(rep.within(expected))),
+            "max_gap": rep.max_gap(expected),
+            "max_standard_error": float(np.max(rep.standard_error)),
+            "as_stated_gap": stated.max_gap(expected),
+            "expected": expected,
+            "sample_count": rep.sample_count,
+            "k": k,
+            "h": h,
+        }
+
+    return Probe(sample, gate)
 
 
-def increment_cov_check(ensemble: PathEnsemble, t1: float, t2: float,
-                        k: int, h: int, threads: int = 1) -> dict:
-    """Assert the increment form; report the as-stated residual."""
-    res = increment_cov_estimator(ensemble, t1, t2, k, h, threads)
-    rep = res.increment_form
-    return {
-        "passed": bool(np.all(rep.within(res.expected))),
-        "max_gap": rep.max_gap(res.expected),
-        "max_standard_error": float(np.max(rep.standard_error)),
-        "as_stated_gap": res.as_stated_gap,
-        "sample_count": rep.sample_count,
-        "t1": float(t1),
-        "t2": float(t2),
-        "k": k,
-        "h": h,
-    }
-
-
-def disjoint_increment_corr(ensemble: PathEnsemble, t1: float, t2: float,
-                            t3: float, t4: float, threads: int = 1) -> dict:
+def disjoint_increments(ensemble: PathEnsemble, t1: float, t2: float,
+                        t3: float, t4: float) -> Probe:
     """Largest coefficientwise correlation between disjoint increments."""
     grid = ensemble.grid
     i1, i2 = grid.index_of(t1), grid.index_of(t2)
@@ -623,50 +619,57 @@ def disjoint_increment_corr(ensemble: PathEnsemble, t1: float, t2: float,
     if not (i1 < i2 <= i3 < i4):
         raise GridError("increment windows must be ordered and disjoint")
 
-    def fn(batch: BatchPaths):
+    def sample(batch: BatchPaths):
         w = batch.w
         x = (w[:, i2] - w[:, i1]).reshape(batch.count, -1)
         y = (w[:, i4] - w[:, i3]).reshape(batch.count, -1)
-        return (np.sum(x, 0), np.sum(y, 0), np.sum(x * x, 0),
-                np.sum(y * y, 0), np.sum(x * y, 0), x.shape[0])
+        return x, y, x * x, y * y, x * y
 
-    parts = ensemble.map_batches(fn, threads)
-    count = int(sum(p[5] for p in parts))
-    sx, sy, sxx, syy, sxy = (_tree_sum([p[i] for p in parts]) for i in range(5))
-    mx, my = sx / count, sy / count
-    vx = np.clip(sxx / count - mx * mx, 0.0, None)
-    vy = np.clip(syy / count - my * my, 0.0, None)
-    cov = sxy / count - mx * my
-    # Deterministic coordinates (drift only) carry pure cancellation noise
-    # in the one-pass variance, so gate relative to the coordinate scale.
-    live = (vx > 1e-12 * np.maximum(1.0, mx * mx)) \
-        & (vy > 1e-12 * np.maximum(1.0, my * my))
-    corr = np.zeros_like(cov)
-    corr[live] = cov[live] / np.sqrt(vx[live] * vy[live])
-    bound = 4.0 / np.sqrt(count)
-    top = float(np.max(np.abs(corr))) if corr.size else 0.0
-    return {
-        "passed": bool(top <= bound),
-        "max_abs_correlation": top,
-        "bound": bound,
-        "sample_count": count,
-    }
+    def gate(reports):
+        mx, my, mxx, myy, mxy = (rep.estimate for rep in reports)
+        count = reports[0].sample_count
+        vx = np.clip(mxx - mx * mx, 0.0, None)
+        vy = np.clip(myy - my * my, 0.0, None)
+        cov = mxy - mx * my
+        # Deterministic coordinates (drift only) carry pure cancellation
+        # noise in the one-pass variance, so gate relative to their scale.
+        live = (vx > 1e-12 * np.maximum(1.0, mx * mx)) \
+            & (vy > 1e-12 * np.maximum(1.0, my * my))
+        corr = np.zeros_like(cov)
+        corr[live] = cov[live] / np.sqrt(vx[live] * vy[live])
+        bound = 4.0 / np.sqrt(count)
+        top = float(np.max(np.abs(corr))) if corr.size else 0.0
+        return {
+            "passed": bool(top <= bound),
+            "max_abs_correlation": top,
+            "bound": bound,
+            "sample_count": count,
+        }
+
+    return Probe(sample, gate)
 
 
 # --------------------------------------------------- characteristic functional
 
-def char_functional_estimator(ensemble: PathEnsemble, y: RealFunctional,
-                              t: float, threads: int = 1) -> McReport:
-    """Empirical mean of exp(**i** y(w(t))) as an (re, im) report."""
+def _char_sampler(ensemble: PathEnsemble, y: RealFunctional, t: float):
+    """Per-replica (cos, sin) of y(w(t)), as an (re, im) pair of columns."""
     if y.level != ensemble.level or y.n != ensemble.n:
         raise LevelMismatch("functional does not match the ensemble")
     idx = ensemble.grid.index_of(t)
 
-    def sampler(batch: BatchPaths):
+    def sample(batch: BatchPaths):
         theta = y(batch.w[:, idx].reshape(batch.count, -1))
         return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
-    return mc_mean(ensemble, sampler, threads)
+    return sample
+
+
+def char_functional_estimator(ensemble: PathEnsemble, y: RealFunctional,
+                              t: float, threads: int = 1) -> McReport:
+    """Empirical mean of exp(**i** y(w(t))) as an (re, im) report."""
+    sample = _char_sampler(ensemble, y, t)
+    rep, = mc_moments(ensemble, lambda b: (sample(b),), threads)
+    return rep
 
 
 def char_functional_closed_form(u, p: CdVector | None, y: RealFunctional,
@@ -713,29 +716,30 @@ def char_functional_check(ensemble: PathEnsemble, y: RealFunctional, t: float,
     }
 
 
-def char_semigroup_check(ensemble: PathEnsemble, y: RealFunctional,
-                         d1: float, d2: float, threads: int = 1) -> dict:
+def char_semigroup(ensemble: PathEnsemble, y: RealFunctional,
+                   d1: float, d2: float) -> Probe:
     """Composition of durations against the product of functionals."""
     a = ensemble.grid.a
-    r1 = char_functional_estimator(ensemble, y, a + d1, threads)
-    r2 = char_functional_estimator(ensemble, y, a + d2, threads)
-    r12 = char_functional_estimator(ensemble, y, a + d1 + d2, threads)
-    gap = abs(complex_of(r12) - complex_of(r1) * complex_of(r2))
-    tol = 5.0 * (modulus_se(r1) + modulus_se(r2))
-    return {
-        "passed": bool(gap < tol),
-        "gap": float(gap),
-        "tolerance": float(tol),
-        "d1": float(d1),
-        "d2": float(d2),
-        "sample_count": r12.sample_count,
-    }
+    samplers = [_char_sampler(ensemble, y, a + d) for d in (d1, d2, d1 + d2)]
+
+    def gate(reports):
+        r1, r2, r12 = reports
+        gap = abs(complex_of(r12) - complex_of(r1) * complex_of(r2))
+        tol = 5.0 * (modulus_se(r1) + modulus_se(r2))
+        return {
+            "passed": bool(gap < tol),
+            "gap": float(gap),
+            "tolerance": float(tol),
+            "sample_count": r12.sample_count,
+        }
+
+    return Probe(lambda b: tuple(f(b) for f in samplers), gate)
 
 
 # ------------------------------------------------------- stochastic continuity
 
-def path_continuity_check(ensemble: PathEnsemble, eps: float,
-                          halvings: int = 8, threads: int = 1) -> dict:
+def path_continuity(ensemble: PathEnsemble, eps: float,
+                    halvings: int = 8) -> Probe:
     """Tail P{ ||w(t + delta) - w(t)|| > eps } over a halving ladder.
 
     For each delta the tail is the worst grid offset at that exact lag;
@@ -747,39 +751,38 @@ def path_continuity_check(ensemble: PathEnsemble, eps: float,
     if halvings < 1 or k % (2 ** halvings) != 0:
         raise GridError("grid does not support that many halvings")
     lags = [k >> j for j in range(1, halvings + 1)]
+    pts = ensemble.grid.points
+    deltas = [float(np.max(pts[lag:] - pts[:-lag])) for lag in lags]
 
-    def fn(batch: BatchPaths):
+    def sample(batch: BatchPaths):
         w = batch.w
         outs = []
         for lag in lags:
             d = w[:, lag:] - w[:, :-lag]
-            d2 = 2.0 * np.sum(d * d, axis=(2, 3, 4))
-            outs.append(np.sum(d2 > eps * eps, axis=0))
-        return tuple(outs)
+            # 0/1 indicators: their sums, and so the tails, are exact
+            outs.append(2.0 * np.sum(d * d, axis=(2, 3, 4)) > eps * eps)
+        return outs
 
-    parts = ensemble.map_batches(fn, threads)
-    count = ensemble.n_replicas
-    pts = ensemble.grid.points
-    deltas, tails, origin = [], [], []
-    for j, lag in enumerate(lags):
-        probs = _tree_sum([p[j] for p in parts]) / count
-        deltas.append(float(np.max(pts[lag:] - pts[:-lag])))
-        tails.append(float(np.max(probs)))
-        origin.append(float(probs[0]))
-    ok = True
-    for j in range(len(tails) - 1):
-        se = np.sqrt(max(tails[j] * (1 - tails[j]), 1e-12) / count)
-        se_next = np.sqrt(max(tails[j + 1] * (1 - tails[j + 1]), 1e-12) / count)
-        if tails[j + 1] > tails[j] + 2.0 * (se + se_next):
-            ok = False
-    return {
-        "passed": bool(ok),
-        "eps": float(eps),
-        "deltas": deltas,
-        "tails": tails,
-        "origin_tails": origin,
-        "sample_count": count,
-    }
+    def gate(reports):
+        count = reports[0].sample_count
+        tails = [float(np.max(rep.estimate)) for rep in reports]
+        ok = True
+        for j in range(len(tails) - 1):
+            se = np.sqrt(max(tails[j] * (1 - tails[j]), 1e-12) / count)
+            se_next = np.sqrt(max(tails[j + 1] * (1 - tails[j + 1]), 1e-12)
+                              / count)
+            if tails[j + 1] > tails[j] + 2.0 * (se + se_next):
+                ok = False
+        return {
+            "passed": bool(ok),
+            "eps": float(eps),
+            "deltas": deltas,
+            "tails": tails,
+            "origin_tails": [float(rep.estimate[0]) for rep in reports],
+            "sample_count": count,
+        }
+
+    return Probe(sample, gate)
 
 
 # ----------------------------------------------------------------- CSV export

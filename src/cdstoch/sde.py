@@ -38,6 +38,7 @@ from .paths import (
     TimeGrid,
     _split_u,
     _tree_sum,
+    mc_moments,
     pool_map,
 )
 
@@ -376,7 +377,19 @@ def linear_closed_form(g_op: RightLinearOp | None,
     grid = ensemble.grid
     problem = linear_problem(g_op, h_op, zeta, grid, ensemble.u, p=ensemble.p)
     _check_driving(problem, ensemble)
-    size = zeta.size
+    values = _closed_form_kernel(g_op, h_op, zeta.size, grid)
+
+    def fn(batch):
+        return values(_dw_of(batch, grid), zeta.sample(batch)), 0
+
+    parts = ensemble.map_batches(fn, threads)
+    return _to_solution(problem, parts, "closed_form")
+
+
+def _closed_form_kernel(g_op: RightLinearOp | None,
+                        h_op: RightLinearOp | None, size: int,
+                        grid: TimeGrid):
+    """values(dw, y): the recursion Y <- E_dt Y + phi1(G dt) H dw on grid."""
     hmat = None if h_op is None else h_op.realized.T
     cache = {}
     for dt in np.unique(grid.deltas):
@@ -388,10 +401,8 @@ def linear_closed_form(g_op: RightLinearOp | None,
                 else hmat @ op_phi1_left(g_op, dt).T
             cache[dt] = (op_exp_left(g_op, dt).T, kick)
 
-    def fn(batch):
-        dw = _dw_of(batch, grid)
-        y = zeta.sample(batch)
-        out = np.empty((batch.count, len(grid), size))
+    def values(dw: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.empty((y.shape[0], len(grid), size))
         out[:, 0] = y
         for l in range(grid.steps):
             prop, kick = cache[float(grid.deltas[l])]
@@ -399,10 +410,9 @@ def linear_closed_form(g_op: RightLinearOp | None,
             if kick is not None:
                 y = y + dw[:, l] @ kick
             out[:, l + 1] = y
-        return out, 0
+        return out
 
-    parts = ensemble.map_batches(fn, threads)
-    return _to_solution(problem, parts, "closed_form")
+    return values
 
 
 # ------------------------------------------------------------------- checks
@@ -543,29 +553,20 @@ def strong_order_study(g_op: RightLinearOp | None, h_op: RightLinearOp,
         raise GridError("a slope fit needs at least two halvings")
     if k % (2 ** halvings) != 0:
         raise GridError("grid does not support that many halvings")
-    reference = linear_closed_form(g_op, h_op, zeta, ensemble, threads)
+    reference = _closed_form_kernel(g_op, h_op, zeta.size, grid)
     factors = [2 ** j for j in range(1, halvings + 1)]
     grids = [TimeGrid(grid.points[::f]) for f in factors]
     problems = [linear_problem(g_op, h_op, zeta, g, ensemble.u) for g in grids]
 
-    def fn(batch):
+    def sampler(batch):
         z = zeta.sample(batch)
-        outs = []
-        for f, g, pb in zip(factors, grids, problems):
-            vals, _ = _em_values(pb, g, _dw_of(batch, g, f), z)
-            outs.append(vals[:, -1])
-        return outs, batch.start, batch.count
+        ref = reference(_dw_of(batch, grid), z)[:, -1]
+        finals = (_em_values(pb, g, _dw_of(batch, g, f), z)[0][:, -1]
+                  for f, g, pb in zip(factors, grids, problems))
+        return tuple(vec_norm2(final - ref) for final in finals)
 
-    parts = ensemble.map_batches(fn, threads)
-    ref_final = reference.values.reshape(reference.n_replicas,
-                                         len(grid), -1)[:, -1]
-    errors = []
-    for i in range(halvings):
-        sq = _tree_sum([
-            np.sum(vec_norm2(p[0][i] - ref_final[p[1]:p[1] + p[2]]))
-            for p in parts
-        ])
-        errors.append(float(np.sqrt(sq / ensemble.n_replicas)))
+    errors = [float(np.sqrt(rep.estimate))
+              for rep in mc_moments(ensemble, sampler, threads)]
     dts = [float(grid.points[f] - grid.points[0]) for f in factors]
     slope, intercept = np.polyfit(np.log(dts), np.log(errors), 1)
     return {
@@ -590,31 +591,29 @@ def uniqueness_study(problem_factory, ensemble: PathEnsemble,
     if halvings < 1 or k % (2 ** halvings) != 0:
         raise GridError("grid does not support that many halvings")
     factors = [2 ** (halvings - j) for j in range(halvings + 1)]
-    gaps, steps = [], []
-    for f in factors:
-        sub = TimeGrid(grid.points[::f])
-        problem = problem_factory(sub)
+    subs = [TimeGrid(grid.points[::f]) for f in factors]
+    problems = [problem_factory(sub) for sub in subs]
 
-        def batch_gap(b):
-            dw = _dw_of(b, sub, f)
-            z = problem.zeta.sample(b)
-            em, _ = _em_values(problem, sub, dw, z)
-            x = np.repeat(z[:, None, :], len(sub), axis=1)
-            for _ in range(m_max):
-                nx = _q_apply(problem, sub, dw, z, x)
-                if np.array_equal(nx, x):
-                    break
-                x = nx
-            else:
-                raise SdeError("Picard iterate did not stabilize")
-            return np.sum(vec_norm2(x - em, axis=-1), axis=0)
+    def level_gap(problem, sub, f, b):
+        dw = _dw_of(b, sub, f)
+        z = problem.zeta.sample(b)
+        em, _ = _em_values(problem, sub, dw, z)
+        x = np.repeat(z[:, None, :], len(sub), axis=1)
+        for _ in range(m_max):
+            nx = _q_apply(problem, sub, dw, z, x)
+            if np.array_equal(nx, x):
+                break
+            x = nx
+        else:
+            raise SdeError("Picard iterate did not stabilize")
+        return vec_norm2(x - em, axis=-1)
 
-        # added to zeros in batch order, whatever the worker count
-        per_t = np.zeros(len(sub))
-        for part in _map(batch_gap, ensemble.batches(), threads):
-            per_t += part
-        gaps.append(float(np.sqrt(np.max(per_t / ensemble.n_replicas))))
-        steps.append(sub.steps)
+    # every grid level runs on each batch of the one sweep
+    reps = mc_moments(ensemble, lambda b: tuple(
+        level_gap(problem, sub, f, b)
+        for problem, sub, f in zip(problems, subs, factors)), threads)
+    gaps = [float(np.sqrt(np.max(rep.estimate))) for rep in reps]
+    steps = [sub.steps for sub in subs]
     non_increasing = all(gaps[j + 1] <= gaps[j] + 1e-12
                          for j in range(len(gaps) - 1))
     return {

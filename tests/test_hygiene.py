@@ -1,6 +1,6 @@
 """Source hygiene: no unused imports, no top-level definition in the
-package that nothing in the package uses or exports, and one function
-that opens a thread pool."""
+package that nothing in the package uses or exports, one function that
+opens a thread pool, and one function that collapses batch sums."""
 
 import ast
 from pathlib import Path
@@ -59,11 +59,11 @@ def unreferenced_defs(sources: dict[str, str], exported: set[str]) -> list[str]:
                   if name not in used and name not in exported)
 
 
-def pool_sites(sources: dict[str, str]) -> list[str]:
-    """Where ``ThreadPoolExecutor`` is named outside an import.
+def _sites(sources: dict[str, str], hit) -> list[str]:
+    """Where hit(node) holds, as ``module.function``.
 
-    Each site is ``module.function`` (methods as ``module.Class.method``),
-    or ``module.<module>`` for a use outside every function.
+    Methods read ``module.Class.method`` and nested functions extend the
+    path; a node outside every function reads ``module.<module>``.
     """
     sites = set()
 
@@ -74,14 +74,30 @@ def pool_sites(sources: dict[str, str]) -> list[str]:
                 inner = child.name if scope is None else f"{scope}.{child.name}"
                 visit(child, module, inner)
                 continue
-            name = getattr(child, "id", None) or getattr(child, "attr", None)
-            if name == "ThreadPoolExecutor":
+            if hit(child):
                 sites.add(f"{module}.{scope or '<module>'}")
             visit(child, module, scope)
 
     for module, source in sources.items():
         visit(ast.parse(source), module, None)
     return sorted(sites)
+
+
+def pool_sites(sources: dict[str, str]) -> list[str]:
+    """Where ``ThreadPoolExecutor`` is named outside an import."""
+    return _sites(sources, lambda node: (getattr(node, "id", None)
+                                         or getattr(node, "attr", None))
+                  == "ThreadPoolExecutor")
+
+
+def call_sites(sources: dict[str, str], name: str) -> list[str]:
+    """Where a function ``name(`` or a method ``.name(`` is called."""
+
+    def hit(node):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    return _sites(sources, hit)
 
 
 def test_scanner_flags_an_unused_import():
@@ -124,6 +140,37 @@ def test_one_function_opens_a_thread_pool():
     """Every sweep shares the CPU budget of paths.pool_map."""
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert pool_sites(sources) == ["paths.pool_map"]
+
+
+def test_scanner_finds_every_call_site():
+    sources = {
+        "a": ("def sweep(ens, fn):\n"
+              "    return ens.map_batches(fn)\n\n"
+              "class Solver:\n"
+              "    def run(self, parts):\n"
+              "        def inner():\n"
+              "            return _tree_sum(parts)\n"
+              "        return inner()\n\n"
+              "TOTAL = _tree_sum([])\n"
+              "BOUND = Solver.map_batches\n"),
+        "b": "def map_batches(fn):\n    return fn\n",
+    }
+    assert call_sites(sources, "map_batches") == ["a.sweep"]
+    assert call_sites(sources, "_tree_sum") == ["a.<module>",
+                                                "a.Solver.run.inner"]
+
+
+def test_one_moment_reducer():
+    """Batch sums are collapsed in mc_moments, and in picard_solve, whose
+    iterates stay in memory between iterations; the other sweeps keep
+    every sample (martingale bins, solutions, the Markov probe)."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert call_sites(sources, "map_batches") == [
+        "integrals.martingale_check", "paths.mc_moments",
+        "sde.euler_maruyama", "sde.linear_closed_form",
+        "sde.restart_markov_check"]
+    assert call_sites(sources, "_tree_sum") == ["paths.mc_moments",
+                                                "sde.picard_solve"]
 
 
 def _exported() -> set[str]:

@@ -31,17 +31,15 @@ from cdstoch.paths import (
     char_functional_check,
     char_functional_closed_form,
     char_functional_estimator,
-    char_semigroup_check,
+    char_semigroup,
     complex_of,
-    disjoint_increment_corr,
-    increment_cov_check,
-    increment_cov_estimator,
-    increment_mean_estimator,
-    mc_mean,
+    disjoint_increments,
+    increment_cov,
     mc_moments,
-    mean_increment_check,
+    mean_increment,
     modulus_se,
-    path_continuity_check,
+    path_continuity,
+    sweep,
     write_paths_csv,
 )
 from cdstoch.sde import ZetaSpec, euler_maruyama, linear_problem, picard_solve
@@ -205,20 +203,25 @@ def multi_block_covariance():
     return CovarianceOperator(level, ((a1, b1), (a2, np.array([[1.5]]))))
 
 
+def run(ens, probe, threads=1):
+    """The result of one probe swept alone."""
+    return sweep(ens, [probe], threads)[0]
+
+
 def test_mean_increment_matches_drift():
     u = multi_block_covariance()
     rng = np.random.default_rng(0)
     p = CdVector(2, 3, rng.standard_normal((3, 2, 4)))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, p,
                        seed=11, n_replicas=20_000)
-    out = mean_increment_check(ens, 0.25, 0.875)
+    out = run(ens, mean_increment(ens, 0.25, 0.875))
     assert out["passed"], out
-    rep = increment_mean_estimator(ens, 0.25, 0.875)
+    rep, = mc_moments(ens, mean_increment(ens, 0.25, 0.875).sample)
     assert rep.estimate.shape == (3, 2, 4)
     # without drift the imaginary half of a plain-covariance path is empty
     plain = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, None,
                          seed=11, n_replicas=2000)
-    rep0 = increment_mean_estimator(plain, 0.25, 0.875)
+    rep0, = mc_moments(plain, mean_increment(plain, 0.25, 0.875).sample)
     assert np.all(rep0.estimate[:, 1, :] == 0.0)
 
 
@@ -226,12 +229,11 @@ def test_increment_covariance_same_block_and_cross_block():
     u = multi_block_covariance()
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, None,
                        seed=17, n_replicas=20_000)
-    same = increment_cov_check(ens, 0.25, 0.875, 0, 1)
+    same, cross = sweep(ens, [increment_cov(ens, 0.25, 0.875, 0, 1),
+                              increment_cov(ens, 0.25, 0.875, 1, 2)])
     assert same["passed"], same
-    cross = increment_cov_check(ens, 0.25, 0.875, 1, 2)
     assert cross["passed"], cross
-    res = increment_cov_estimator(ens, 0.25, 0.875, 1, 2)
-    assert np.all(res.expected == 0.0)
+    assert np.all(cross["expected"] == 0.0)
 
 
 def test_increment_covariance_unit_block_value():
@@ -241,9 +243,9 @@ def test_increment_covariance_unit_block_value():
     u = CovarianceOperator.simple(CdReal.from_real(level, 1.0), np.eye(1))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8), u, None,
                        seed=29, n_replicas=20_000)
-    res = increment_cov_estimator(ens, 0.25, 0.75, 0, 0)
-    assert np.array_equal(res.expected, [0.5, 0.0, 0.0, 0.0])
-    assert np.all(res.increment_form.within(res.expected))
+    res = run(ens, increment_cov(ens, 0.25, 0.75, 0, 0))
+    assert np.array_equal(res["expected"], [0.5, 0.0, 0.0, 0.0])
+    assert res["passed"], res
 
 
 def test_increment_covariance_directional_coefficient():
@@ -253,9 +255,9 @@ def test_increment_covariance_directional_coefficient():
     u = CovarianceOperator.simple(a, np.eye(1))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8), u, None,
                        seed=31, n_replicas=20_000)
-    res = increment_cov_estimator(ens, 0.0, 1.0, 0, 0)
-    assert np.array_equal(res.expected, [0.0, 1.0, 0.0, 0.0])
-    assert np.all(res.increment_form.within(res.expected))
+    res = run(ens, increment_cov(ens, 0.0, 1.0, 0, 0))
+    assert np.array_equal(res["expected"], [0.0, 1.0, 0.0, 0.0])
+    assert res["passed"], res
 
 
 def test_increment_covariance_scaled_block_doubles_deviation():
@@ -264,9 +266,9 @@ def test_increment_covariance_scaled_block_doubles_deviation():
     u = CovarianceOperator.simple(CdReal.from_real(level, 4.0), np.eye(2))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 4), u, None,
                        seed=37, n_replicas=20_000)
-    res = increment_cov_estimator(ens, 0.0, 1.0, 1, 1)
-    assert np.array_equal(res.expected, [4.0, 0.0])
-    assert np.all(res.increment_form.within(res.expected))
+    res = run(ens, increment_cov(ens, 0.0, 1.0, 1, 1))
+    assert np.array_equal(res["expected"], [4.0, 0.0])
+    assert res["passed"], res
 
 
 def test_increment_covariance_reports_as_stated_residual():
@@ -276,10 +278,10 @@ def test_increment_covariance_reports_as_stated_residual():
     u = CovarianceOperator.simple(CdReal.from_real(level, 1.0), np.eye(1))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8), u, None,
                        seed=41, n_replicas=20_000)
-    res = increment_cov_estimator(ens, 0.5, 0.75, 0, 0)
-    assert np.all(res.increment_form.within(res.expected))
+    res = run(ens, increment_cov(ens, 0.5, 0.75, 0, 0))
+    assert res["passed"], res
     # the verbatim product concentrates near min(t1, t2) = 0.5, far from 0.25
-    assert res.as_stated_gap > 0.15
+    assert res["as_stated_gap"] > 0.15
 
 
 def test_increment_covariance_complexified_combines_both_halves():
@@ -288,11 +290,11 @@ def test_increment_covariance_complexified_combines_both_halves():
     u1 = CovarianceOperator.simple(CdReal.from_real(level, 1.0), np.eye(n))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8), ComplexCovariance(u0, u1),
                        None, seed=43, n_replicas=20_000)
-    res = increment_cov_estimator(ens, 0.0, 1.0, 0, 0)
+    res = run(ens, increment_cov(ens, 0.0, 1.0, 0, 0))
     # re part carries U0 - U1, im part is centered
-    assert np.array_equal(res.expected[0], [2.0, 0.0, 0.0, 0.0])
-    assert np.all(res.expected[1] == 0.0)
-    assert np.all(res.increment_form.within(res.expected))
+    assert np.array_equal(res["expected"][0], [2.0, 0.0, 0.0, 0.0])
+    assert np.all(res["expected"][1] == 0.0)
+    assert res["passed"], res
 
 
 def test_increment_covariance_index_validation():
@@ -300,9 +302,9 @@ def test_increment_covariance_index_validation():
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 4), u, None,
                        seed=1, n_replicas=100)
     with pytest.raises(AlgebraError):
-        increment_cov_estimator(ens, 0.0, 1.0, 0, 3)
+        increment_cov(ens, 0.0, 1.0, 0, 3)
     with pytest.raises(GridError):
-        increment_cov_estimator(ens, 0.5, 0.25, 0, 0)
+        increment_cov(ens, 0.5, 0.25, 0, 0)
 
 
 def test_disjoint_increments_uncorrelated():
@@ -311,10 +313,10 @@ def test_disjoint_increments_uncorrelated():
     p = CdVector(2, 3, rng.standard_normal((3, 2, 4)))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, p,
                        seed=47, n_replicas=20_000)
-    out = disjoint_increment_corr(ens, 0.0, 0.25, 0.5, 1.0)
+    out = run(ens, disjoint_increments(ens, 0.0, 0.25, 0.5, 1.0))
     assert out["passed"], out
     with pytest.raises(GridError):
-        disjoint_increment_corr(ens, 0.0, 0.5, 0.25, 1.0)
+        disjoint_increments(ens, 0.0, 0.5, 0.25, 1.0)
 
 
 # --------------------------------------------------- characteristic functional
@@ -392,8 +394,10 @@ def test_char_semigroup_identity():
     y = RealFunctional(level, n, coeffs)
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, None,
                        seed=71, n_replicas=30_000)
-    out = char_semigroup_check(ens, y, 0.25, 0.5)
+    out = run(ens, char_semigroup(ens, y, 0.25, 0.5))
     assert out["passed"], out
+    with pytest.raises(LevelMismatch):
+        char_semigroup(ens, RealFunctional(1, n, np.zeros(4)), 0.25, 0.5)
 
 
 # ------------------------------------------------------- stochastic continuity
@@ -403,7 +407,7 @@ def test_path_continuity_ladder_and_wiener_oracle():
     u = identity_complex_covariance(level, n)
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 256), u, None,
                        seed=9, n_replicas=20_000)
-    out = path_continuity_check(ens, eps=1.5)
+    out = run(ens, path_continuity(ens, eps=1.5))
     assert out["passed"], out
     assert out["tails"][-1] < 0.01
     # both embedded coordinates are independent N(0, delta), so the exact
@@ -419,7 +423,7 @@ def test_path_continuity_rejects_bad_ladder():
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 12), u, None,
                        seed=1, n_replicas=100)
     with pytest.raises(GridError):
-        path_continuity_check(ens, eps=1.0, halvings=8)
+        path_continuity(ens, eps=1.0, halvings=8)
 
 
 # ----------------------------------------------------------------- CSV export
@@ -492,24 +496,47 @@ def _report_bits(rep):
         + [rep.sample_count, rep.seed]
 
 
-def test_mc_moments_matches_mc_mean_bitwise():
-    ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8),
-                       identity_complex_covariance(2, 1), None, seed=19,
+def _bits(value):
+    """A result with every float replaced by its bytes."""
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, (float, np.ndarray)):
+        return np.asarray(value, dtype=float).tobytes()
+    return value
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_matches_each_probe_swept_alone(threads, monkeypatch):
+    """Probes fused into one sweep give the bits of each probe swept alone,
+    and each batch is assembled once for all of them."""
+    rng = np.random.default_rng(23)
+    u = multi_block_covariance()
+    p = CdVector(2, 3, rng.standard_normal((3, 2, 4)))
+    ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, p, seed=19,
                        n_replicas=300, batch_size=64)
-    samplers = (
-        lambda b: b.w[:, -1].reshape(b.count, -1),
-        lambda b: np.sum(b.w[:, 4] ** 2, axis=(1, 2, 3)),
-        lambda b: b.w[:, 2, 0, 0, 0] > 0.0,
-    )
-    joint = mc_moments(ens, lambda b: tuple(f(b) for f in samplers))
-    assert len(joint) == len(samplers)
-    for rep, f in zip(joint, samplers):
-        assert rep.sample_count == 300
-        assert _report_bits(rep) == _report_bits(mc_mean(ens, f))
-    threaded = mc_moments(ens, lambda b: tuple(f(b) for f in samplers),
-                          threads=3)
-    for a, b in zip(joint, threaded):
-        assert _report_bits(a) == _report_bits(b)
+    y = RealFunctional(2, 3, rng.standard_normal(24) / 5.0)
+    probes = [
+        mean_increment(ens, 0.25, 0.75),
+        increment_cov(ens, 0.25, 0.75, 0, 2),
+        disjoint_increments(ens, 0.0, 0.25, 0.5, 1.0),
+        char_semigroup(ens, y, 0.25, 0.5),
+        path_continuity(ens, eps=3.0, halvings=3),
+    ]
+    alone = [run(ens, probe) for probe in probes]
+
+    assembled = []
+    assemble = paths_module.assemble_paths
+
+    def counting(*args):
+        assembled.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(paths_module, "assemble_paths", counting)
+    fused = sweep(ens, probes, threads)
+    assert len(assembled) == ens.n_batches == 5
+    assert _bits(fused) == _bits(alone)
 
 
 def test_mc_report_validation():

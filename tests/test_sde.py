@@ -11,7 +11,7 @@ from cdstoch.linops import (
     RightLinearOp,
     op_exp_left,
 )
-from cdstoch import sde
+from cdstoch import paths, sde
 from cdstoch.paths import GridError, PathEnsemble, TimeGrid
 from cdstoch.sde import (
     SdeError,
@@ -219,16 +219,18 @@ def test_uniqueness_study_runs_its_batches_on_the_pool(monkeypatch):
                               complexified_identity(1, 1))
 
     pools = []
-    pool = sde._map
+    pool = paths.pool_map
 
     def spy(fn, items, threads):
         pools.append(threads)
         return pool(fn, items, threads)
 
-    monkeypatch.setattr(sde, "_map", spy)
+    # every sweep, through map_batches or sde._map, reaches pool_map
+    monkeypatch.setattr(paths, "pool_map", spy)
+    monkeypatch.setattr(sde, "pool_map", spy)
     one = uniqueness_study(factory, ens, halvings=2, threads=1)
     three = uniqueness_study(factory, ens, halvings=2, threads=3)
-    assert pools == [1] * 3 + [3] * 3  # one sweep per grid level
+    assert pools == [1, 3]  # one sweep for the whole study
     assert one == three
     assert [np.float64(g).tobytes() for g in one["b2inf_gaps"]] == \
         [np.float64(g).tobytes() for g in three["b2inf_gaps"]]
