@@ -48,7 +48,7 @@ from .linops import (
     spd_sqrt,
     vec_size,
 )
-from .paths import PathEnsemble, TimeGrid, write_paths_csv
+from .paths import PathEnsemble, TimeGrid, sweep, write_paths_csv
 from .report import make_report, render_json, strip_timing, write_outputs
 from .sde import (
     SdeProblem,
@@ -86,6 +86,7 @@ __all__ = [
     "f_functional",
     "TimeGrid",
     "PathEnsemble",
+    "sweep",
     "write_paths_csv",
     "StepIntegrand",
     "PredictableIntegrand",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,6 +72,7 @@ from .linops import (
 )
 from .paths import (
     PathEnsemble,
+    Probe,
     TimeGrid,
     _philox,
     char_functional_check,
@@ -121,6 +123,41 @@ def _report(name: str, anchor: str, res: dict, *fields: str, passed=None,
     """
     return _check(name, anchor, res["passed"] if passed is None else passed,
                   **{f: res[f] for f in fields}, **extra)
+
+
+class Row(NamedTuple):
+    """One Monte Carlo check of a battery: a probe on an ensemble, and the
+    projection of the probe's result into a report entry."""
+
+    ensemble: PathEnsemble
+    probe: Probe
+    project: Callable
+
+
+def _row(ensemble: PathEnsemble, probe: Probe, name: str, anchor: str,
+         *fields: str, **extra) -> Row:
+    """Row whose entry is the probe's verdict plus the named fields."""
+    return Row(ensemble, probe,
+               lambda res: _report(name, anchor, res, *fields, **extra))
+
+
+def _run_rows(rows: list[Row], threads: int) -> list[dict]:
+    """Report entries of the rows, in row order.
+
+    Rows that share an ensemble object share one sweep, so each batch of
+    it is drawn and assembled once for all of their probes.  Ensembles
+    are swept in the order of their first row.
+    """
+    groups = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(id(row.ensemble), []).append(i)
+    entries = [None] * len(rows)
+    for members in groups.values():
+        results = sweep(rows[members[0]].ensemble,
+                        [rows[i].probe for i in members], threads)
+        for i, res in zip(members, results):
+            entries[i] = rows[i].project(res)
+    return entries
 
 
 def _entry(name: str, checks: list, started: float) -> dict:
@@ -601,69 +638,53 @@ def _multi_block_covariance(level: int) -> CovarianceOperator:
                 (CdReal(level, a2), np.array([[1.5]]))))
 
 
-def _cf_battery_specs(seed: int) -> list[dict]:
+def _cf_case_rows(cfg: RunConfig) -> list[Row]:
     """Twenty pinned characteristic-functional cases."""
-    rng = _case_rng(seed, 20)
-    specs = []
+    scales = _case_rng(cfg.seed, 20)
+    a0, b0 = cfg.window
+    grid = TimeGrid.uniform(a0, b0, cfg.grids[-1])
+    rows = []
     for index in range(20):
         level = (0, 1, 2, 3)[index % 4]
         n = 1 if index % 3 else 2
         complexified = index % 2 == 0
         with_drift = index % 5 == 0
-        specs.append({
-            "index": index,
-            "level": level,
-            "n": n,
-            "complexified": complexified,
-            "with_drift": with_drift,
-            "t_fraction": (0.5, 1.0)[index % 2],
-            "coeff_scale": float(rng.uniform(0.4, 1.4)),
-            "rng_offset": 21 + index,
-        })
-    return specs
-
-
-def _cf_case_check(cfg: RunConfig, spec: dict, threads: int) -> dict:
-    level, n = spec["level"], spec["n"]
-    rng = _case_rng(cfg.seed, spec["rng_offset"])
-    d = dim_of(level)
-    a = np.zeros(d)
-    a[0] = 1.0 + float(rng.uniform(0.0, 1.0))
-    if d > 1:
-        a[1] = 0.4 * float(rng.normal())
-    m = rng.normal(size=(n, n))
-    u0 = CovarianceOperator(
-        level, ((CdReal(level, a), m @ m.T + (n + 0.5) * np.eye(n)),))
-    u = ComplexCovariance(u0, u0) if spec["complexified"] else u0
-    p = None
-    if spec["with_drift"]:
-        p = CdVector(level, n, 0.4 * rng.normal(size=(n, 2, d)))
-    a0, b0 = cfg.window
-    grid = TimeGrid.uniform(a0, b0, cfg.grids[-1])
-    ens = PathEnsemble(grid, u, p, seed=cfg.seed + 100 + spec["index"],
-                       n_replicas=cfg.replicas)
-    y = RealFunctional(level, n,
-                       spec["coeff_scale"] * rng.normal(size=vec_size(level, n))
-                       / math.sqrt(vec_size(level, n)))
-    t = a0 + spec["t_fraction"] * (b0 - a0)
-    return _report(f"char_functional_case_{spec['index']:02d}", "Eq. 2.4(4)",
-                   char_functional_check(ens, y, t, threads),
-                   "gap", "radius", "sample_count", level=level, n=n,
-                   complexified=spec["complexified"],
-                   with_drift=spec["with_drift"])
+        coeff_scale = float(scales.uniform(0.4, 1.4))
+        rng = _case_rng(cfg.seed, 21 + index)
+        d = dim_of(level)
+        a = np.zeros(d)
+        a[0] = 1.0 + float(rng.uniform(0.0, 1.0))
+        if d > 1:
+            a[1] = 0.4 * float(rng.normal())
+        m = rng.normal(size=(n, n))
+        u0 = CovarianceOperator(
+            level, ((CdReal(level, a), m @ m.T + (n + 0.5) * np.eye(n)),))
+        u = ComplexCovariance(u0, u0) if complexified else u0
+        p = None
+        if with_drift:
+            p = CdVector(level, n, 0.4 * rng.normal(size=(n, 2, d)))
+        ens = PathEnsemble(grid, u, p, seed=cfg.seed + 100 + index,
+                           n_replicas=cfg.replicas)
+        y = RealFunctional(level, n,
+                           coeff_scale * rng.normal(size=vec_size(level, n))
+                           / math.sqrt(vec_size(level, n)))
+        t = a0 + (0.5, 1.0)[index % 2] * (b0 - a0)
+        rows.append(_row(ens, char_functional_check(ens, y, t),
+                         f"char_functional_case_{index:02d}", "Eq. 2.4(4)",
+                         "gap", "radius", "sample_count", level=level, n=n,
+                         complexified=complexified, with_drift=with_drift))
+    return rows
 
 
 def paths_experiment(cfg: RunConfig) -> dict:
     """Moments, characteristic functionals, and continuity of the paths."""
     started = time.perf_counter()
-    threads = cfg.threads
     a0, b0 = cfg.window
     span = b0 - a0
     grid = TimeGrid.uniform(a0, b0, cfg.grids[-1])
     u, p = build_driving(cfg)
     ens = PathEnsemble(grid, u, p, seed=cfg.seed + 1,
                        n_replicas=cfg.replicas)
-    checks = []
 
     k4 = cfg.grids[-1] // 4
     t1 = float(grid.points[k4])
@@ -676,47 +697,36 @@ def paths_experiment(cfg: RunConfig) -> dict:
     halvings = min(5, (cfg.grids[-1] & -cfg.grids[-1]).bit_length() - 1)
     coords = ens.n * dim_of(ens.level) * (2 if ens.complexified else 1)
     eps = 2.0 * math.sqrt(2.0 * coords * span)
-    # every check on the main ensemble shares one pass over its batches
-    mean, *covs, disjoint, semigroup, continuity = sweep(ens, [
-        mean_increment(ens, t1, t2),
-        *(increment_cov(ens, t1, t2, k, h) for k, h in pairs),
-        disjoint_increments(ens, a0, t1, t2, b0),
-        char_semigroup(ens, y, span * k4 / cfg.grids[-1],
-                       span * 2 * k4 / cfg.grids[-1]),
-        path_continuity(ens, eps, halvings),
-    ], threads)
-
-    checks.append(_report("mean_increment", "Cor. 2.9(1)", mean,
-                          "max_gap", "max_standard_error", "sample_count"))
-    for (k, h), res in zip(pairs, covs):
-        checks.append(_report(f"increment_covariance_{k}{h}", "Cor. 2.9(2)",
-                              res, "k", "h", "max_gap", "as_stated_gap",
-                              "sample_count"))
-
     # pinned multi-block fixture: a cross-block moment vanishes and an
     # i_1-valued coefficient steers the moment onto that axis
     fixture = PathEnsemble(grid, _multi_block_covariance(2), None,
                            seed=cfg.seed + 2, n_replicas=cfg.replicas)
-    res, = sweep(fixture, [increment_cov(fixture, t1, t2, 0, 2)], threads)
-    checks.append(_report("increment_covariance_cross_block", "Cor. 2.9(2)",
-                          res, "max_gap", "sample_count"))
     directional = PathEnsemble(grid, _directional_covariance(2), None,
                                seed=cfg.seed + 3, n_replicas=cfg.replicas)
-    res, = sweep(directional, [increment_cov(directional, t1, t2, 0, 0)],
-                 threads)
-    checks.append(_report("increment_covariance_directional", "Cor. 2.9(2)",
-                          res, "max_gap", "sample_count"))
-    checks.append(_report("disjoint_increment_independence", "Def. 2.6",
-                          disjoint, "max_abs_correlation", "bound"))
-
-    for spec in _cf_battery_specs(cfg.seed):
-        checks.append(_cf_case_check(cfg, spec, threads))
-
-    checks.append(_report("char_semigroup", "Eq. 2.4(6)", semigroup,
-                          "gap", "tolerance"))
-    checks.append(_report("path_continuity", "Thm. 2.27", continuity,
-                          "eps", "tails", "deltas"))
-    return _entry("paths", checks, started)
+    rows = [
+        _row(ens, mean_increment(ens, t1, t2), "mean_increment",
+             "Cor. 2.9(1)", "max_gap", "max_standard_error", "sample_count"),
+        *(_row(ens, increment_cov(ens, t1, t2, k, h),
+               f"increment_covariance_{k}{h}", "Cor. 2.9(2)", "k", "h",
+               "max_gap", "as_stated_gap", "sample_count")
+          for k, h in pairs),
+        _row(fixture, increment_cov(fixture, t1, t2, 0, 2),
+             "increment_covariance_cross_block", "Cor. 2.9(2)", "max_gap",
+             "sample_count"),
+        _row(directional, increment_cov(directional, t1, t2, 0, 0),
+             "increment_covariance_directional", "Cor. 2.9(2)", "max_gap",
+             "sample_count"),
+        _row(ens, disjoint_increments(ens, a0, t1, t2, b0),
+             "disjoint_increment_independence", "Def. 2.6",
+             "max_abs_correlation", "bound"),
+        *_cf_case_rows(cfg),
+        _row(ens, char_semigroup(ens, y, span * k4 / cfg.grids[-1],
+                                 span * 2 * k4 / cfg.grids[-1]),
+             "char_semigroup", "Eq. 2.4(6)", "gap", "tolerance"),
+        _row(ens, path_continuity(ens, eps, halvings), "path_continuity",
+             "Thm. 2.27", "eps", "tails", "deltas"),
+    ]
+    return _entry("paths", _run_rows(rows, cfg.threads), started)
 
 
 # ------------------------------------------------------------------ isometry
@@ -753,7 +763,6 @@ def _tiled_ops(grid: TimeGrid, ops: list[RightLinearOp]) -> StepIntegrand:
 def isometry_experiment(cfg: RunConfig) -> dict:
     """Second-moment identity and norm bound for the stochastic integral."""
     started = time.perf_counter()
-    threads = cfg.threads
     a0, b0 = cfg.window
     span = b0 - a0
     steps = cfg.grids[-1]
@@ -794,60 +803,54 @@ def isometry_experiment(cfg: RunConfig) -> dict:
     # zero mean of the integral at the window end
     ens_cplx = PathEnsemble(grid, _complexified_identity(2, 1), None,
                             seed=cfg.seed + 201, n_replicas=cfg.replicas)
-    res = zero_mean_check(_tiled_ops(
+    rows = [_row(ens_cplx, zero_mean_check(_tiled_ops(
         grid, [_random_four_block(rng, 2, 1, 1) for _ in range(3)]),
-        ens_cplx, None, threads)
-    checks.append(_report("integral_zero_mean", "Lemma 2.12", res,
-                          "max_abs_mean", "max_standard_error",
-                          "sample_count"))
+        ens_cplx), "integral_zero_mean", "Lemma 2.12", "max_abs_mean",
+        "max_standard_error", "sample_count")]
 
     # isometry battery: plain covariance, lri integrands
     iso_fields = ("lhs", "rhs", "gap", "combined_standard_error",
                   "sample_count")
+
+    def iso_anchor(name, ens, integrand):
+        """The isometry check, with its quadrature pinned to the span."""
+        return Row(ens, isometry_check(integrand, ens), lambda res: _report(
+            name, "Thm. 2.14(1)", res, *iso_fields,
+            passed=res["passed"] and abs(res["rhs"] - span) <= atol,
+            expected_rhs=span))
+
     ens_plain = PathEnsemble(grid, _identity_cov(2, 1), None,
                              seed=cfg.seed + 202, n_replicas=cfg.replicas)
-    res = isometry_check(
-        StepIntegrand.constant(grid, RightLinearOp.identity(2, 1)),
-        ens_plain, None, threads)
-    checks.append(_report(
-        "isometry_identity_anchor", "Thm. 2.14(1)", res, *iso_fields,
-        passed=res["passed"] and abs(res["rhs"] - span) <= atol,
-        expected_rhs=span))
-
+    rows.append(iso_anchor("isometry_identity_anchor", ens_plain,
+                           StepIntegrand.constant(
+                               grid, RightLinearOp.identity(2, 1))))
     ens_oct = PathEnsemble(grid, _identity_cov(3, 1), None,
                            seed=cfg.seed + 203, n_replicas=cfg.replicas)
-    res = isometry_check(
-        StepIntegrand.constant(
-            grid, RightLinearOp.left_mult(CdReal.unit(3, 1))),
-        ens_oct, None, threads)
-    checks.append(_report(
-        "isometry_unit_direction", "Thm. 2.14(1)", res, *iso_fields,
-        passed=res["passed"] and abs(res["rhs"] - span) <= atol,
-        expected_rhs=span))
+    rows.append(iso_anchor("isometry_unit_direction", ens_oct,
+                           StepIntegrand.constant(
+                               grid, RightLinearOp.left_mult(
+                                   CdReal.unit(3, 1)))))
 
     rng_iso = _case_rng(cfg.seed, 51)
     ens_two = PathEnsemble(grid, _random_spd_cov(rng_iso, 1, 2), None,
                            seed=cfg.seed + 204, n_replicas=cfg.replicas)
-    checks.append(_report(
-        "isometry_piecewise_lri", "Thm. 2.14(1)", isometry_check(
-            _tiled_ops(grid, [_random_lri(rng_iso, 1, 2) for _ in range(2)]),
-            ens_two, None, threads), *iso_fields))
+    rows.append(_row(ens_two, isometry_check(
+        _tiled_ops(grid, [_random_lri(rng_iso, 1, 2) for _ in range(2)]),
+        ens_two), "isometry_piecewise_lri", "Thm. 2.14(1)", *iso_fields))
 
     ens_real = PathEnsemble(grid, CovarianceOperator.simple(
         CdReal.from_real(0, 2.0), np.eye(1)), None,
         seed=cfg.seed + 205, n_replicas=cfg.replicas)
-    checks.append(_report(
-        "isometry_real_line", "Thm. 2.14(1)", isometry_check(
-            StepIntegrand.constant(
-                grid, RightLinearOp.lri(0, np.array([[[0.8]]]))),
-            ens_real, None, threads), *iso_fields))
+    rows.append(_row(ens_real, isometry_check(
+        StepIntegrand.constant(
+            grid, RightLinearOp.lri(0, np.array([[[0.8]]]))),
+        ens_real), "isometry_real_line", "Thm. 2.14(1)", *iso_fields))
 
     ens_oct2 = PathEnsemble(grid, _random_spd_cov(rng_iso, 3, 2), None,
                             seed=cfg.seed + 206, n_replicas=cfg.replicas)
-    checks.append(_report(
-        "isometry_octonion_pair", "Thm. 2.14(1)", isometry_check(
-            _tiled_ops(grid, [_random_lri(rng_iso, 3, 2) for _ in range(2)]),
-            ens_oct2, None, threads), *iso_fields))
+    rows.append(_row(ens_oct2, isometry_check(
+        _tiled_ops(grid, [_random_lri(rng_iso, 3, 2) for _ in range(2)]),
+        ens_oct2), "isometry_octonion_pair", "Thm. 2.14(1)", *iso_fields))
 
     # adapted per-replica weights through the predictable interface
     base_op = _random_lri(rng_iso, 2, 1)
@@ -859,53 +862,49 @@ def isometry_experiment(cfg: RunConfig) -> dict:
     weighted = PredictableIntegrand(2, 1, 1, weighted_evaluator, 1.5)
     ens_w = PathEnsemble(grid, _identity_cov(2, 1), None,
                          seed=cfg.seed + 207, n_replicas=cfg.replicas)
-    checks.append(_report(
-        "isometry_adapted_weights", "Thm. 2.14(1)",
-        isometry_check(weighted.as_step(grid), ens_w, None, threads),
-        *iso_fields))
+    rows.append(_row(ens_w, isometry_check(weighted.as_step(grid), ens_w),
+                     "isometry_adapted_weights", "Thm. 2.14(1)",
+                     *iso_fields))
 
     # bound battery: complexified covariance, four-block integrands
     bound_fields = ("m1", "m2", "m3", "combined_standard_error",
                     "sample_count")
-    res = bound_check(
-        StepIntegrand.constant(grid, RightLinearOp.identity(2, 1)),
-        ens_cplx, None, threads)
     expect_m2 = 4.0 * span
-    checks.append(_report(
-        "bound_identity_anchor", "Prop. 2.22(2)", res, *bound_fields,
-        passed=res["passed"] and (abs(res["m2"] - expect_m2) <= atol
-                                  and abs(res["m3"] - expect_m2) <= atol),
-        expected_m2=expect_m2))
+    rows.append(Row(ens_cplx, bound_check(
+        StepIntegrand.constant(grid, RightLinearOp.identity(2, 1)), ens_cplx),
+        lambda res: _report(
+            "bound_identity_anchor", "Prop. 2.22(2)", res, *bound_fields,
+            passed=res["passed"] and (abs(res["m2"] - expect_m2) <= atol
+                                      and abs(res["m3"] - expect_m2) <= atol),
+            expected_m2=expect_m2)))
 
     rng_bd = _case_rng(cfg.seed, 52)
     u_rand = ComplexCovariance(_random_spd_cov(rng_bd, 2, 2),
                                _random_spd_cov(rng_bd, 2, 2))
     ens_b2 = PathEnsemble(grid, u_rand, None, seed=cfg.seed + 208,
                           n_replicas=cfg.replicas)
-    checks.append(_report(
-        "bound_random_pair", "Thm. 2.15(1)", bound_check(
-            _tiled_ops(grid, [_random_four_block(rng_bd, 2, 2, 2)
-                              for _ in range(2)]), ens_b2, None, threads),
-        *bound_fields))
+    rows.append(_row(ens_b2, bound_check(
+        _tiled_ops(grid, [_random_four_block(rng_bd, 2, 2, 2)
+                          for _ in range(2)]), ens_b2),
+        "bound_random_pair", "Thm. 2.15(1)", *bound_fields))
 
     u_oct = ComplexCovariance(_random_spd_cov(rng_bd, 3, 1),
                               _random_spd_cov(rng_bd, 3, 1))
     ens_b3 = PathEnsemble(grid, u_oct, None, seed=cfg.seed + 209,
                           n_replicas=cfg.replicas)
-    checks.append(_report(
-        "bound_octonion", "Thm. 2.15(1)", bound_check(
-            StepIntegrand.constant(grid, _random_four_block(rng_bd, 3, 1, 1)),
-            ens_b3, None, threads), *bound_fields))
+    rows.append(_row(ens_b3, bound_check(
+        StepIntegrand.constant(grid, _random_four_block(rng_bd, 3, 1, 1)),
+        ens_b3), "bound_octonion", "Thm. 2.15(1)", *bound_fields))
 
     u_low = ComplexCovariance(_random_spd_cov(rng_bd, 1, 1),
                               _random_spd_cov(rng_bd, 1, 1))
     ens_b4 = PathEnsemble(grid, u_low, None, seed=cfg.seed + 210,
                           n_replicas=cfg.replicas)
-    checks.append(_report(
-        "bound_rectangular", "Thm. 2.15(1)", bound_check(
-            _tiled_ops(grid, [_random_four_block(rng_bd, 1, 2, 1)
-                              for _ in range(3)]), ens_b4, None, threads),
-        *bound_fields))
+    rows.append(_row(ens_b4, bound_check(
+        _tiled_ops(grid, [_random_four_block(rng_bd, 1, 2, 1)
+                          for _ in range(3)]), ens_b4),
+        "bound_rectangular", "Thm. 2.15(1)", *bound_fields))
+    checks += _run_rows(rows, cfg.threads)
     return _entry("isometry", checks, started)
 
 
@@ -985,12 +984,11 @@ def _scaled_complex_cov(rng, level: int, n: int) -> ComplexCovariance:
 def chebyshev_experiment(cfg: RunConfig) -> dict:
     """Tail bounds for the running supremum, plus integral continuity."""
     started = time.perf_counter()
-    threads = cfg.threads
     a0, b0 = cfg.window
     steps = cfg.grids[-1]
     grid = TimeGrid.uniform(a0, b0, steps)
     span = b0 - a0
-    checks = []
+    rows = []
 
     for index in range(10):
         rng = _case_rng(cfg.seed, 70 + index)
@@ -1005,12 +1003,10 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
         alpha = float(rng.uniform(0.4, 1.5)) * span * mean_hs
         ens = PathEnsemble(grid, u, None, seed=cfg.seed + 400 + index,
                            n_replicas=cfg.replicas)
-        checks.append(_report(f"chebyshev_case_{index:02d}", "Lemma 2.26(3)",
-                              chebyshev_check(integrand, ens, beta, alpha,
-                                              threads),
-                              "beta", "alpha", "empirical",
-                              "bound_quadrature", "bound_split",
-                              "sample_count", level=level, n=n))
+        rows.append(_row(ens, chebyshev_check(integrand, ens, beta, alpha),
+                         f"chebyshev_case_{index:02d}", "Lemma 2.26(3)",
+                         "beta", "alpha", "empirical", "bound_quadrature",
+                         "bound_split", "sample_count", level=level, n=n))
 
     rng = _case_rng(cfg.seed, 85)
     ens = PathEnsemble(grid, _complexified_identity(2, 1), None,
@@ -1019,10 +1015,11 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
     mean_hs = float(np.mean([op.hs_norm2() for op in ops]))
     halvings = min(5, (steps & -steps).bit_length() - 1)
     eps = 2.0 * math.sqrt(mean_hs * span)
-    res = continuity_check(_tiled_ops(grid, ops), ens, eps, halvings,
-                           threads)
-    checks.append(_report("integral_continuity", "Thm. 2.27", res,
-                          "eps", "tails", finest_tail=res["tails"][-1]))
+    rows.append(Row(ens, continuity_check(_tiled_ops(grid, ops), ens, eps,
+                                          halvings),
+                    lambda res: _report("integral_continuity", "Thm. 2.27",
+                                        res, "eps", "tails",
+                                        finest_tail=res["tails"][-1])))
 
     # refinement stability: step integrands built from the running path
     # norm converge as the binding grid refines
@@ -1041,11 +1038,11 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
                            seed=cfg.seed + 421,
                            n_replicas=min(cfg.replicas, 20_000))
     halvings_ref = min(3, (steps & -steps).bit_length() - 2)
-    checks.append(_report("refinement_stability", "Def. 2.19(1)",
-                          refinement_study(factory, ens_ref,
-                                           max(1, halvings_ref), threads),
-                          "mean_square_gaps", "grid_steps"))
-    return _entry("chebyshev", checks, started)
+    rows.append(_row(ens_ref, refinement_study(factory, ens_ref,
+                                               max(1, halvings_ref)),
+                     "refinement_stability", "Def. 2.19(1)",
+                     "mean_square_gaps", "grid_steps"))
+    return _entry("chebyshev", _run_rows(rows, cfg.threads), started)
 
 
 # ----------------------------------------------------------------------- sde
@@ -1122,12 +1119,12 @@ def sde_experiment(cfg: RunConfig) -> dict:
                               _complexified_identity(level, 1))
 
     uni_halvings = min(3, (base_steps & -base_steps).bit_length() - 2)
-    res = uniqueness_study(linear_factory,
-                           linear.ensemble(cfg.seed + 501,
-                                           min(cfg.replicas, 2048)),
-                           max(1, uni_halvings), threads=threads)
-    checks.append(_report("uniqueness_gap_vanishes", "Thm. 2.29 proof", res,
-                          "b2inf_gaps", "grid_steps"))
+    ens_uni = linear.ensemble(cfg.seed + 501, min(cfg.replicas, 2048))
+    checks += _run_rows([_row(
+        ens_uni, uniqueness_study(linear_factory, ens_uni,
+                                  max(1, uni_halvings)),
+        "uniqueness_gap_vanishes", "Thm. 2.29 proof", "b2inf_gaps",
+        "grid_steps")], threads)
 
     # closed-form anchors: semigroup absent, then noise absent
     ens_noise = PathEnsemble(grid, _complexified_identity(level, 1), None,
@@ -1160,16 +1157,18 @@ def sde_experiment(cfg: RunConfig) -> dict:
     ens_order = PathEnsemble(ref_grid, _complexified_identity(level, 1),
                              None, seed=cfg.seed + 503,
                              n_replicas=cfg.replicas)
-    res = strong_order_study(g_op, h_op, _unit_zeta(level, 1), ens_order,
-                             halvings, threads)
     # additive noise: the forward scheme coincides with Milstein's and
     # has strong order 1 (Kloeden & Platen 1992, 10.2-10.3)
     expected_order = 1.0
     window = [expected_order - 0.15, expected_order + 0.15]
-    in_window = window[0] <= res["slope"] <= window[1]
-    checks.append(_report("strong_order_window", "Cor. 2.30(2)", res,
-                          "slope", "table", passed=in_window,
-                          expected_order=expected_order, window=window))
+    checks += _run_rows([Row(
+        ens_order, strong_order_study(g_op, h_op, _unit_zeta(level, 1),
+                                      ens_order, halvings),
+        lambda res: _report("strong_order_window", "Cor. 2.30(2)", res,
+                            "slope", "table",
+                            passed=window[0] <= res["slope"] <= window[1],
+                            expected_order=expected_order, window=window))],
+        threads)
 
     # restart battery: linear, driftless, and state-dependent problems
     t_mid = float(grid.points[base_steps // 2])

@@ -41,8 +41,8 @@ from .paths import (
     GridError,
     McReport,
     PathEnsemble,
+    Probe,
     TimeGrid,
-    mc_moments,
 )
 
 
@@ -77,24 +77,6 @@ class StepIntegrand:
         ops = tuple(ops)
         first = ops[0]
         return cls(partition, ops, first.level, first.n, first.h)
-
-    def __add__(self, other: "StepIntegrand") -> "StepIntegrand":
-        """Slotwise sum; integration is linear in the integrand."""
-        if not isinstance(other, StepIntegrand):
-            return NotImplemented
-        if (self.level, self.n, self.h) != (other.level, other.n, other.h):
-            raise LevelMismatch("integrand shapes differ")
-        if not np.array_equal(self.partition.points, other.partition.points):
-            raise GridError("integrand partitions differ")
-        if self.full_view != other.full_view:
-            raise AlgebraError("cannot mix adapted and full-view integrands")
-
-        def joined(j):
-            return lambda view: self.terms(j, view) + other.terms(j, view)
-
-        slots = tuple(joined(j) for j in range(len(self.slots)))
-        return StepIntegrand(self.partition, slots, self.level, self.n,
-                             self.h, self.full_view)
 
     def terms(self, j: int, view) -> list:
         """Slot j on a (batch, ...) path view as [(weights | None, op)]."""
@@ -270,7 +252,7 @@ def _require_match(integrand, ensemble: PathEnsemble):
 # ----------------------------------------------------------------- the checks
 
 def zero_mean_check(integrand: StepIntegrand, ensemble: PathEnsemble,
-                    t: float | None = None, threads: int = 1) -> dict:
+                    t: float | None = None) -> Probe:
     """Ensemble mean of the integral, within 4 standard errors of zero."""
     _require_match(integrand, ensemble)
     grid = ensemble.grid
@@ -280,18 +262,21 @@ def zero_mean_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         eta = integral_paths(integrand, grid, batch.w)
         return (eta[:, idx].reshape(batch.count, -1),)
 
-    rep, = mc_moments(ensemble, sampler, threads)
-    zero = np.zeros_like(rep.estimate)
-    return {
-        "passed": bool(np.all(rep.within(zero))),
-        "max_abs_mean": float(np.max(np.abs(rep.estimate))),
-        "max_standard_error": float(np.max(rep.standard_error)),
-        "sample_count": rep.sample_count,
-    }
+    def gate(reports):
+        rep, = reports
+        zero = np.zeros_like(rep.estimate)
+        return {
+            "passed": bool(np.all(rep.within(zero))),
+            "max_abs_mean": float(np.max(np.abs(rep.estimate))),
+            "max_standard_error": float(np.max(rep.standard_error)),
+            "sample_count": rep.sample_count,
+        }
+
+    return Probe(sampler, gate)
 
 
 def isometry_check(integrand: StepIntegrand, ensemble: PathEnsemble,
-                   t: float | None = None, threads: int = 1) -> dict:
+                   t: float | None = None) -> Probe:
     """Mean squared integral against the trace quadrature, two-sided.
 
     Valid in the plain-algebra setting: the ensemble must carry a single
@@ -310,22 +295,25 @@ def isometry_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         rhs = _second_moment_samples(integrand, grid, batch.w, idx, trace_fn)
         return lhs, rhs
 
-    lhs, rhs = mc_moments(ensemble, sampler, threads)
-    gap = abs(float(lhs.estimate) - float(rhs.estimate))
-    combined = float(np.sqrt(lhs.standard_error ** 2 + rhs.standard_error ** 2))
-    return {
-        "passed": bool(gap <= 4.0 * combined + 1e-12),
-        "lhs": float(lhs.estimate),
-        "rhs": float(rhs.estimate),
-        "gap": gap,
-        "combined_standard_error": combined,
-        "sample_count": lhs.sample_count,
-    }
+    def gate(reports):
+        lhs, rhs = reports
+        gap = abs(float(lhs.estimate) - float(rhs.estimate))
+        combined = float(np.sqrt(lhs.standard_error ** 2
+                                 + rhs.standard_error ** 2))
+        return {
+            "passed": bool(gap <= 4.0 * combined + 1e-12),
+            "lhs": float(lhs.estimate),
+            "rhs": float(rhs.estimate),
+            "gap": gap,
+            "combined_standard_error": combined,
+            "sample_count": lhs.sample_count,
+        }
+
+    return Probe(sampler, gate)
 
 
 def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble,
-                t: float | None = None, threads: int = 1,
-                slack: float = 1e-9) -> dict:
+                t: float | None = None, slack: float = 1e-9) -> Probe:
     """Second-moment identity and domination for complexified paths.
 
     M1 = mean squared norm of the integral, M2 = twice the F-functional
@@ -348,24 +336,27 @@ def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         m3 = _second_moment_samples(integrand, grid, batch.w, idx, _hs_inner)
         return m1, m2, m3
 
-    m1, m2, m3 = mc_moments(ensemble, sampler, threads)
-    v1, v2 = float(m1.estimate), float(m2.estimate)
-    v3 = factor * float(m3.estimate)
-    se12 = float(np.sqrt(m1.standard_error ** 2 + m2.standard_error ** 2))
-    se13 = float(np.sqrt(m1.standard_error ** 2
-                         + (factor * float(m3.standard_error)) ** 2))
-    equality = abs(v1 - v2) <= 4.0 * se12 + 1e-12
-    dominated = v1 <= v3 * (1.0 + slack) + 4.0 * se13 + 1e-12
-    return {
-        "passed": bool(equality and dominated),
-        "equality_passed": bool(equality),
-        "dominated": bool(dominated),
-        "m1": v1,
-        "m2": v2,
-        "m3": v3,
-        "combined_standard_error": se12,
-        "sample_count": m1.sample_count,
-    }
+    def gate(reports):
+        m1, m2, m3 = reports
+        v1, v2 = float(m1.estimate), float(m2.estimate)
+        v3 = factor * float(m3.estimate)
+        se12 = float(np.sqrt(m1.standard_error ** 2 + m2.standard_error ** 2))
+        se13 = float(np.sqrt(m1.standard_error ** 2
+                             + (factor * float(m3.standard_error)) ** 2))
+        equality = abs(v1 - v2) <= 4.0 * se12 + 1e-12
+        dominated = v1 <= v3 * (1.0 + slack) + 4.0 * se13 + 1e-12
+        return {
+            "passed": bool(equality and dominated),
+            "equality_passed": bool(equality),
+            "dominated": bool(dominated),
+            "m1": v1,
+            "m2": v2,
+            "m3": v3,
+            "combined_standard_error": se12,
+            "sample_count": m1.sample_count,
+        }
+
+    return Probe(sampler, gate)
 
 
 def martingale_check(integrand: StepIntegrand, ensemble: PathEnsemble,
@@ -394,8 +385,7 @@ def martingale_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     stat = np.concatenate([p[1] for p in parts], axis=0)
     count = diffs.shape[0]
 
-    rep = McReport.from_sums(diffs.sum(0), (diffs * diffs).sum(0), count,
-                             ensemble.seed)
+    rep = McReport.from_sums(diffs.sum(0), (diffs * diffs).sum(0), count)
     uncond_ok = bool(np.all(rep.within(np.zeros_like(rep.estimate))))
 
     edges = np.quantile(stat, np.linspace(0.0, 1.0, bins + 1))
@@ -430,8 +420,7 @@ def lookahead_control(grid: TimeGrid, level: int, n: int) -> StepIntegrand:
     Exists to demonstrate the power of the martingale test; the positive
     drift it produces must make martingale_check fail.
     """
-    from .linops import RightLinearOp as Op
-    identity = Op.identity(level, n)
+    identity = RightLinearOp.identity(level, n)
 
     def bind(idx):
         def slot(full_w):
@@ -445,7 +434,7 @@ def lookahead_control(grid: TimeGrid, level: int, n: int) -> StepIntegrand:
 
 
 def chebyshev_check(integrand: StepIntegrand, ensemble: PathEnsemble,
-                    beta: float, alpha: float, threads: int = 1) -> dict:
+                    beta: float, alpha: float) -> Probe:
     """Tail of the running supremum against both quadrature bounds."""
     _require_match(integrand, ensemble)
     if not ensemble.complexified:
@@ -467,30 +456,34 @@ def chebyshev_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         # the plain exceedance frequencies
         return sup2 > threshold2, fq, hq > alpha
 
-    exceed, f_rep, over = mc_moments(ensemble, sampler, threads)
-    count = exceed.sample_count
-    emp = float(exceed.estimate)
-    over_prob = float(over.estimate)
-    se_emp = float(np.sqrt(max(emp * (1 - emp), 1e-12) / count))
-    bound_f = float(f_rep.estimate) / beta ** 2
-    se_f = float(f_rep.standard_error) / beta ** 2
-    bound_split = alpha / beta ** 2 + over_prob
-    se_split = float(np.sqrt(max(over_prob * (1 - over_prob), 1e-12) / count))
-    ok_f = emp <= bound_f + 4.0 * (se_emp + se_f)
-    ok_split = emp <= bound_split + 4.0 * (se_emp + se_split)
-    return {
-        "passed": bool(ok_f and ok_split),
-        "empirical": emp,
-        "bound_quadrature": bound_f,
-        "bound_split": bound_split,
-        "beta": float(beta),
-        "alpha": float(alpha),
-        "sample_count": count,
-    }
+    def gate(reports):
+        exceed, f_rep, over = reports
+        count = exceed.sample_count
+        emp = float(exceed.estimate)
+        over_prob = float(over.estimate)
+        se_emp = float(np.sqrt(max(emp * (1 - emp), 1e-12) / count))
+        bound_f = float(f_rep.estimate) / beta ** 2
+        se_f = float(f_rep.standard_error) / beta ** 2
+        bound_split = alpha / beta ** 2 + over_prob
+        se_split = float(np.sqrt(max(over_prob * (1 - over_prob), 1e-12)
+                                 / count))
+        ok_f = emp <= bound_f + 4.0 * (se_emp + se_f)
+        ok_split = emp <= bound_split + 4.0 * (se_emp + se_split)
+        return {
+            "passed": bool(ok_f and ok_split),
+            "empirical": emp,
+            "bound_quadrature": bound_f,
+            "bound_split": bound_split,
+            "beta": float(beta),
+            "alpha": float(alpha),
+            "sample_count": count,
+        }
+
+    return Probe(sampler, gate)
 
 
 def continuity_check(integrand: StepIntegrand, ensemble: PathEnsemble,
-                     eps: float, halvings: int = 6, threads: int = 1) -> dict:
+                     eps: float, halvings: int = 6) -> Probe:
     """Tail of integral increments over nested lag windows.
 
     tail(delta_j) takes the worst grid pair within lag delta_j; the pair
@@ -511,29 +504,31 @@ def continuity_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         return tuple(vec_norm2(flat[:, lag:] - flat[:, :-lag]) > eps * eps
                      for lag in range(1, top_lag + 1))
 
-    reps = mc_moments(ensemble, sampler, threads)
-    count = reps[0].sample_count
-    per_lag_max = np.array([np.max(rep.estimate) for rep in reps])
-    running = np.maximum.accumulate(per_lag_max)
-    pts = grid.points
-    deltas, tails = [], []
-    for j in range(1, halvings + 1):
-        lag = k >> j
-        deltas.append(float(np.max(pts[lag:] - pts[:-lag])))
-        tails.append(float(running[lag - 1]))
-    finest_ok = tails[-1] < 0.01
-    monotone = all(tails[j + 1] <= tails[j] + 1e-15 for j in range(len(tails) - 1))
-    return {
-        "passed": bool(finest_ok and monotone),
-        "eps": float(eps),
-        "deltas": deltas,
-        "tails": tails,
-        "sample_count": count,
-    }
+    def gate(reports):
+        per_lag_max = np.array([np.max(rep.estimate) for rep in reports])
+        running = np.maximum.accumulate(per_lag_max)
+        pts = grid.points
+        deltas, tails = [], []
+        for j in range(1, halvings + 1):
+            lag = k >> j
+            deltas.append(float(np.max(pts[lag:] - pts[:-lag])))
+            tails.append(float(running[lag - 1]))
+        finest_ok = tails[-1] < 0.01
+        monotone = all(tails[j + 1] <= tails[j] + 1e-15
+                       for j in range(len(tails) - 1))
+        return {
+            "passed": bool(finest_ok and monotone),
+            "eps": float(eps),
+            "deltas": deltas,
+            "tails": tails,
+            "sample_count": reports[0].sample_count,
+        }
+
+    return Probe(sampler, gate)
 
 
 def refinement_study(integrand_factory, ensemble: PathEnsemble,
-                     halvings: int = 3, threads: int = 1) -> dict:
+                     halvings: int = 3) -> Probe:
     """Mean-square gap between successive grid resolutions on shared noise.
 
     The ensemble grid is the finest level; coarser levels integrate the
@@ -556,17 +551,18 @@ def refinement_study(integrand_factory, ensemble: PathEnsemble,
         return tuple(np.sum((b - a) ** 2, axis=1)
                      for a, b in zip(finals[:-1], finals[1:]))
 
-    reps = mc_moments(ensemble, sampler, threads)
-    gaps = [float(rep.estimate) for rep in reps]
-    ses = [float(rep.standard_error) for rep in reps]
-    steps = [k // f for f in factors]
-    decays = all(gaps[i + 1] <= 0.8 * gaps[i] + 4.0 * (ses[i] + ses[i + 1])
-                 for i in range(len(gaps) - 1))
-    return {
-        "passed": bool(decays),
-        "grid_steps": steps,
-        "mean_square_gaps": gaps,
-        "standard_errors": ses,
-        "sample_count": reps[0].sample_count,
-    }
+    def gate(reports):
+        gaps = [float(rep.estimate) for rep in reports]
+        ses = [float(rep.standard_error) for rep in reports]
+        decays = all(gaps[i + 1] <= 0.8 * gaps[i] + 4.0 * (ses[i] + ses[i + 1])
+                     for i in range(len(gaps) - 1))
+        return {
+            "passed": bool(decays),
+            "grid_steps": [k // f for f in factors],
+            "mean_square_gaps": gaps,
+            "standard_errors": ses,
+            "sample_count": reports[0].sample_count,
+        }
+
+    return Probe(sampler, gate)
 

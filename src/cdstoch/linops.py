@@ -91,12 +91,6 @@ class CdVector:
         return cls(level, n, np.zeros((n, 2, dim_of(level))))
 
     @classmethod
-    def from_components(cls, comps: list[CdComplex]) -> "CdVector":
-        level = comps[0].level
-        data = np.stack([np.stack([c.re.coeffs, c.im.coeffs]) for c in comps])
-        return cls(level, len(comps), data)
-
-    @classmethod
     def from_vec(cls, level: int, n: int, flat: np.ndarray) -> "CdVector":
         return cls(level, n, np.asarray(flat, dtype=float).reshape(n, 2, dim_of(level)))
 
@@ -222,13 +216,6 @@ class RightLinearOp:
         return cls.lri(level, e)
 
     @classmethod
-    def from_real_matrix(cls, level: int, mat) -> "RightLinearOp":
-        mat = np.asarray(mat, dtype=float)
-        e = np.zeros(mat.shape + (dim_of(level),))
-        e[..., 0] = mat
-        return cls.lri(level, e)
-
-    @classmethod
     def left_mult(cls, a: CdReal, n: int = 1) -> "RightLinearOp":
         e = np.zeros((n, n, dim_of(a.level)))
         e[np.arange(n), np.arange(n), :] = a.coeffs
@@ -265,10 +252,6 @@ class RightLinearOp:
             # left-mult matrix of entry (l,k): L[p, y] = sum_a T[p, a, y] blk[l, k, a]
             m6[:, i, :, :, j, :] = np.einsum("pay,lka->lpky", T, blk)
         return m6.reshape(2 * dim * self.h, 2 * dim * self.n)
-
-    def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        """Batched application on flat layout arrays (..., 2 dim n)."""
-        return np.asarray(v) @ self.realized.T
 
     def apply(self, x: CdVector) -> CdVector:
         """Structured evaluation through the multiplication tensor."""
@@ -449,13 +432,6 @@ class CovarianceOperator:
     @property
     def n(self) -> int:
         return sum(b.shape[0] for _, b in self.blocks)
-
-    @property
-    def boundaries(self) -> list[int]:
-        out = [0]
-        for _, b in self.blocks:
-            out.append(out[-1] + b.shape[0])
-        return out
 
     def _assemble(self, pieces: list[tuple[CdReal, np.ndarray]]) -> np.ndarray:
         n = self.n

@@ -42,7 +42,7 @@ from .linops import (
     RealFunctional,
 )
 
-# Two-sided 0.99 normal quantile, used for every confidence interval.
+# Two-sided 0.99 normal quantile, the characteristic-functional radius.
 Z99 = 2.5758293035489004
 
 # Replicas per keyed batch.  Part of the reproducibility contract:
@@ -419,32 +419,26 @@ def _tree_sum(parts: list) -> np.ndarray:
 
 @dataclass(frozen=True)
 class McReport:
-    """Monte Carlo point estimate with its 0.99 normal interval."""
+    """Monte Carlo point estimate with its standard error."""
 
     estimate: np.ndarray
     standard_error: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
     sample_count: int
-    seed: int
 
     def __post_init__(self):
-        for name in ("estimate", "standard_error", "ci_low", "ci_high"):
+        for name in ("estimate", "standard_error"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
         if np.any(self.standard_error < 0):
             raise AlgebraError("standard errors must be nonnegative")
-        if np.any(self.ci_low > self.estimate) or np.any(self.estimate > self.ci_high):
-            raise AlgebraError("interval must contain the estimate")
 
     @classmethod
-    def from_sums(cls, s1: np.ndarray, s2: np.ndarray, count: int,
-                  seed: int) -> "McReport":
+    def from_sums(cls, s1: np.ndarray, s2: np.ndarray,
+                  count: int) -> "McReport":
         mean = np.asarray(s1, dtype=float) / count
         var = (np.asarray(s2, dtype=float) - count * mean * mean)
         var = np.clip(var / max(count - 1, 1), 0.0, None)
-        se = np.sqrt(var / count)
-        return cls(mean, se, mean - Z99 * se, mean + Z99 * se, count, seed)
+        return cls(mean, np.sqrt(var / count), count)
 
     def within(self, target, k: float = 4.0, atol: float = 1e-12) -> np.ndarray:
         """Componentwise |estimate - target| <= k standard errors."""
@@ -471,58 +465,40 @@ def modulus_se(report: McReport) -> float:
     return float(np.sqrt(se[0] ** 2 + se[1] ** 2))
 
 
-def mc_moments(ensemble: PathEnsemble, sampler,
-               threads: int = 1) -> list[McReport]:
-    """Ensemble means of each per-replica array of sampler(batch).
-
-    sampler returns a tuple of arrays whose first axis is the replica;
-    each is reduced to (sum, sum of squares) per batch, and the partial
-    sums collapse in the fixed batch order, so every report is
-    bit-identical for any worker count.
-    """
-
-    def fn(batch: BatchPaths):
-        out = []
-        for v in sampler(batch):
-            v = np.asarray(v, dtype=float)
-            out.append((np.sum(v, axis=0), np.sum(v * v, axis=0), v.shape[0]))
-        return out
-
-    parts = ensemble.map_batches(fn, threads)
-    count = int(sum(p[0][2] for p in parts))
-    return [McReport.from_sums(_tree_sum([p[i][0] for p in parts]),
-                               _tree_sum([p[i][1] for p in parts]),
-                               count, ensemble.seed)
-            for i in range(len(parts[0]))]
-
-
 class Probe(NamedTuple):
-    """A check split for a shared sweep: sample(batch) returns a tuple of
-    per-replica arrays, gate(reports) turns their McReports into the
-    check's result."""
+    """A Monte Carlo check split for a shared sweep: sample(batch) returns
+    a tuple of per-replica arrays, gate(reports) turns their McReports
+    into the check's result."""
 
     sample: Callable
     gate: Callable
 
 
+def _moments(v) -> tuple:
+    v = np.asarray(v, dtype=float)
+    return np.sum(v, axis=0), np.sum(v * v, axis=0)
+
+
 def sweep(ensemble: PathEnsemble, probes: list[Probe],
-          threads: int = 1) -> list[dict]:
-    """Each probe's result from one mc_moments pass over the ensemble.
+          threads: int = 1) -> list:
+    """Each probe's result from one pass over the ensemble.
 
-    Each batch is assembled once for every sampler; a probe's sums, and
-    so its result, have the bits of that probe swept alone.
+    Each batch is assembled once for every sampler.  Every per-replica
+    array is reduced to (sum, sum of squares) per batch, and the partial
+    sums collapse in the fixed batch order, so every report is
+    bit-identical for any worker count, and a probe's result has the
+    bits of that probe swept alone.
     """
-    widths = []
-
-    def sampler(batch: BatchPaths):
-        outs = [tuple(probe.sample(batch)) for probe in probes]
-        # every batch stores the same widths; they are read after the pool
-        widths[:] = [len(out) for out in outs]
-        return [v for out in outs for v in out]
-
-    reports = iter(mc_moments(ensemble, sampler, threads))
-    return [probe.gate([next(reports) for _ in range(width)])
-            for probe, width in zip(probes, widths)]
+    parts = ensemble.map_batches(
+        lambda batch: [[_moments(v) for v in probe.sample(batch)]
+                       for probe in probes], threads)
+    count = ensemble.n_replicas
+    # parts[batch][probe][array] holds that array's (sum, sum of squares)
+    return [probe.gate([
+        McReport.from_sums(_tree_sum([p[i][j][0] for p in parts]),
+                           _tree_sum([p[i][j][1] for p in parts]), count)
+        for j in range(len(parts[0][i]))])
+        for i, probe in enumerate(probes)]
 
 
 # -------------------------------------------------------------- moment checks
@@ -651,25 +627,19 @@ def disjoint_increments(ensemble: PathEnsemble, t1: float, t2: float,
 
 # --------------------------------------------------- characteristic functional
 
-def _char_sampler(ensemble: PathEnsemble, y: RealFunctional, t: float):
-    """Per-replica (cos, sin) of y(w(t)), as an (re, im) pair of columns."""
+def char_functional_estimator(ensemble: PathEnsemble, y: RealFunctional,
+                              t: float) -> Probe:
+    """Empirical mean of exp(**i** y(w(t))); the gate returns its (re, im)
+    report."""
     if y.level != ensemble.level or y.n != ensemble.n:
         raise LevelMismatch("functional does not match the ensemble")
     idx = ensemble.grid.index_of(t)
 
     def sample(batch: BatchPaths):
         theta = y(batch.w[:, idx].reshape(batch.count, -1))
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return (np.stack([np.cos(theta), np.sin(theta)], axis=1),)
 
-    return sample
-
-
-def char_functional_estimator(ensemble: PathEnsemble, y: RealFunctional,
-                              t: float, threads: int = 1) -> McReport:
-    """Empirical mean of exp(**i** y(w(t))) as an (re, im) report."""
-    sample = _char_sampler(ensemble, y, t)
-    rep, = mc_moments(ensemble, lambda b: (sample(b),), threads)
-    return rep
+    return Probe(sample, lambda reports: reports[0])
 
 
 def char_functional_closed_form(u, p: CdVector | None, y: RealFunctional,
@@ -695,32 +665,38 @@ def char_functional_closed_form(u, p: CdVector | None, y: RealFunctional,
     return complex(np.exp(1j * duration * drift_rate - duration * var_rate / 2.0))
 
 
-def char_functional_check(ensemble: PathEnsemble, y: RealFunctional, t: float,
-                          threads: int = 1) -> dict:
+def char_functional_check(ensemble: PathEnsemble, y: RealFunctional,
+                          t: float) -> Probe:
     """Empirical functional against the closed form, 0.99 modulus interval."""
-    rep = char_functional_estimator(ensemble, y, t, threads)
+    estimator = char_functional_estimator(ensemble, y, t)
     oracle = char_functional_closed_form(ensemble.u, ensemble.p, y,
                                          t - ensemble.grid.a)
-    gap = abs(complex_of(rep) - oracle)
-    radius = Z99 * modulus_se(rep)
-    return {
-        "passed": bool(gap <= radius + 1e-12),
-        "gap": float(gap),
-        "radius": float(radius),
-        "estimate_re": float(rep.estimate[0]),
-        "estimate_im": float(rep.estimate[1]),
-        "oracle_re": float(oracle.real),
-        "oracle_im": float(oracle.imag),
-        "t": float(t),
-        "sample_count": rep.sample_count,
-    }
+
+    def gate(reports):
+        rep, = reports
+        gap = abs(complex_of(rep) - oracle)
+        radius = Z99 * modulus_se(rep)
+        return {
+            "passed": bool(gap <= radius + 1e-12),
+            "gap": float(gap),
+            "radius": float(radius),
+            "estimate_re": float(rep.estimate[0]),
+            "estimate_im": float(rep.estimate[1]),
+            "oracle_re": float(oracle.real),
+            "oracle_im": float(oracle.imag),
+            "t": float(t),
+            "sample_count": rep.sample_count,
+        }
+
+    return Probe(estimator.sample, gate)
 
 
 def char_semigroup(ensemble: PathEnsemble, y: RealFunctional,
                    d1: float, d2: float) -> Probe:
     """Composition of durations against the product of functionals."""
     a = ensemble.grid.a
-    samplers = [_char_sampler(ensemble, y, a + d) for d in (d1, d2, d1 + d2)]
+    estimators = [char_functional_estimator(ensemble, y, a + d)
+                  for d in (d1, d2, d1 + d2)]
 
     def gate(reports):
         r1, r2, r12 = reports
@@ -733,7 +709,7 @@ def char_semigroup(ensemble: PathEnsemble, y: RealFunctional,
             "sample_count": r12.sample_count,
         }
 
-    return Probe(lambda b: tuple(f(b) for f in samplers), gate)
+    return Probe(lambda b: tuple(e.sample(b)[0] for e in estimators), gate)
 
 
 # ------------------------------------------------------- stochastic continuity

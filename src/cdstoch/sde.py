@@ -35,10 +35,10 @@ from .linops import (
 from .paths import (
     GridError,
     PathEnsemble,
+    Probe,
     TimeGrid,
     _split_u,
     _tree_sum,
-    mc_moments,
     pool_map,
 )
 
@@ -237,9 +237,6 @@ class SolutionEnsemble:
     @property
     def n_replicas(self) -> int:
         return self.values.shape[0]
-
-    def at(self, t: float) -> np.ndarray:
-        return self.values[:, self.grid.index_of(t)]
 
 
 def _check_driving(problem: SdeProblem, ensemble: PathEnsemble) -> None:
@@ -540,7 +537,7 @@ def gronwall_check(problem: SdeProblem, solution: SolutionEnsemble) -> dict:
 
 def strong_order_study(g_op: RightLinearOp | None, h_op: RightLinearOp,
                        zeta: ZetaSpec, ensemble: PathEnsemble,
-                       halvings: int = 4, threads: int = 1) -> dict:
+                       halvings: int = 4) -> Probe:
     """Terminal strong error of the forward scheme against the closed form.
 
     The ensemble grid is the reference resolution; each coarser level
@@ -565,20 +562,23 @@ def strong_order_study(g_op: RightLinearOp | None, h_op: RightLinearOp,
                   for f, g, pb in zip(factors, grids, problems))
         return tuple(vec_norm2(final - ref) for final in finals)
 
-    errors = [float(np.sqrt(rep.estimate))
-              for rep in mc_moments(ensemble, sampler, threads)]
     dts = [float(grid.points[f] - grid.points[0]) for f in factors]
-    slope, intercept = np.polyfit(np.log(dts), np.log(errors), 1)
-    return {
-        "slope": float(slope),
-        "table": [{"dt": dt, "error": e} for dt, e in zip(dts, errors)],
-        "sample_count": ensemble.n_replicas,
-    }
+
+    def gate(reports):
+        errors = [float(np.sqrt(rep.estimate)) for rep in reports]
+        slope, intercept = np.polyfit(np.log(dts), np.log(errors), 1)
+        return {
+            "slope": float(slope),
+            "table": [{"dt": dt, "error": e} for dt, e in zip(dts, errors)],
+            "sample_count": reports[0].sample_count,
+        }
+
+    return Probe(sampler, gate)
 
 
 def uniqueness_study(problem_factory, ensemble: PathEnsemble,
-                     halvings: int = 3, m_max: int = 2 * PICARD_M_MAX,
-                     threads: int = 1) -> dict:
+                     halvings: int = 3,
+                     m_max: int = 2 * PICARD_M_MAX) -> Probe:
     """Picard-vs-forward gap across grid resolutions on shared noise.
 
     problem_factory(grid) builds the problem at each resolution; Picard
@@ -608,18 +608,19 @@ def uniqueness_study(problem_factory, ensemble: PathEnsemble,
             raise SdeError("Picard iterate did not stabilize")
         return vec_norm2(x - em, axis=-1)
 
+    def gate(reports):
+        gaps = [float(np.sqrt(np.max(rep.estimate))) for rep in reports]
+        non_increasing = all(gaps[j + 1] <= gaps[j] + 1e-12
+                             for j in range(len(gaps) - 1))
+        return {
+            "passed": bool(non_increasing and gaps[-1] <= 1e-12),
+            "grid_steps": [sub.steps for sub in subs],
+            "b2inf_gaps": gaps,
+            "sample_count": reports[0].sample_count,
+        }
+
     # every grid level runs on each batch of the one sweep
-    reps = mc_moments(ensemble, lambda b: tuple(
+    return Probe(lambda b: tuple(
         level_gap(problem, sub, f, b)
-        for problem, sub, f in zip(problems, subs, factors)), threads)
-    gaps = [float(np.sqrt(np.max(rep.estimate))) for rep in reps]
-    steps = [sub.steps for sub in subs]
-    non_increasing = all(gaps[j + 1] <= gaps[j] + 1e-12
-                         for j in range(len(gaps) - 1))
-    return {
-        "passed": bool(non_increasing and gaps[-1] <= 1e-12),
-        "grid_steps": steps,
-        "b2inf_gaps": gaps,
-        "sample_count": ensemble.n_replicas,
-    }
+        for problem, sub, f in zip(problems, subs, factors)), gate)
 

@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports, no top-level definition in the
 package that nothing in the package uses or exports, one function that
-opens a thread pool, and one function that collapses batch sums."""
+opens a thread pool, one function that collapses batch sums, and one
+that sweeps probes."""
 
 import ast
 from pathlib import Path
@@ -161,16 +162,18 @@ def test_scanner_finds_every_call_site():
 
 
 def test_one_moment_reducer():
-    """Batch sums are collapsed in mc_moments, and in picard_solve, whose
+    """Batch sums are collapsed in sweep, and in picard_solve, whose
     iterates stay in memory between iterations; the other sweeps keep
-    every sample (martingale bins, solutions, the Markov probe)."""
+    every sample (martingale bins, solutions, the Markov probe).  Every
+    moment check is a probe, and the battery runner is what sweeps them."""
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert call_sites(sources, "map_batches") == [
-        "integrals.martingale_check", "paths.mc_moments",
+        "integrals.martingale_check", "paths.sweep",
         "sde.euler_maruyama", "sde.linear_closed_form",
         "sde.restart_markov_check"]
-    assert call_sites(sources, "_tree_sum") == ["paths.mc_moments",
+    assert call_sites(sources, "_tree_sum") == ["paths.sweep",
                                                 "sde.picard_solve"]
+    assert call_sites(sources, "sweep") == ["experiments._run_rows"]
 
 
 def _exported() -> set[str]:

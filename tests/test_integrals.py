@@ -25,7 +25,7 @@ from cdstoch.linops import (
     RightLinearOp,
     vec_norm2,
 )
-from cdstoch.paths import GridError, PathEnsemble, TimeGrid
+from cdstoch.paths import GridError, PathEnsemble, TimeGrid, sweep
 
 
 def one_real(level):
@@ -54,6 +54,11 @@ def small_ensemble(level=1, n=1, steps=16, seed=11, replicas=8,
     grid = TimeGrid.uniform(0.0, 1.0, steps)
     u = complexified_identity(level, n) if complexified else identity_cov(level, n)
     return PathEnsemble(grid, u, None, seed=seed, n_replicas=replicas)
+
+
+def run(ens, probe, threads=1):
+    """The result of one probe swept alone."""
+    return sweep(ens, [probe], threads)[0]
 
 
 def random_op(rng, level, h, n):
@@ -87,7 +92,7 @@ def test_single_step_truncation():
     w = next(ens.batches()).w[:1]
     eta = integral_paths(s, grid, w)
     inc = (w[0, 1] - w[0, 0]).reshape(-1)
-    expected = op.apply_vec(inc)
+    expected = inc @ op.realized.T
     for t in (grid.points[1], grid.points[4], grid.b):
         got = eta[0, grid.index_of(float(t))]
         assert np.allclose(got.reshape(-1), expected, atol=1e-14)
@@ -128,25 +133,17 @@ def test_linearity_in_the_integrand():
     ens = small_ensemble(level=1, n=1, steps=8, seed=9)
     grid = ens.grid
     rng = np.random.default_rng(2)
-    s1 = StepIntegrand.constant(grid, random_op(rng, 1, 1, 1))
-    s2 = StepIntegrand.constant(grid, random_op(rng, 1, 1, 1))
+    op1, op2 = random_op(rng, 1, 1, 1), random_op(rng, 1, 1, 1)
+    s1 = StepIntegrand.constant(grid, op1)
+    s2 = StepIntegrand.constant(grid, op2)
+    # a slot returning a list of operators integrates their sum
+    summed = StepIntegrand(grid, (lambda view: [op1, op2],) * grid.steps,
+                           1, 1, 1)
     batch = next(ens.batches())
-    joint = integral_paths(s1 + s2, grid, batch.w)
+    joint = integral_paths(summed, grid, batch.w)
     split = (integral_paths(s1, grid, batch.w)
              + integral_paths(s2, grid, batch.w))
     assert np.allclose(joint, split, atol=1e-12)
-
-
-def test_integrand_sum_validates_shapes():
-    grid = TimeGrid.uniform(0.0, 1.0, 4)
-    other = TimeGrid.uniform(0.0, 2.0, 4)
-    s = StepIntegrand.constant(grid, RightLinearOp.identity(1, 1))
-    with pytest.raises(GridError):
-        s + StepIntegrand.constant(other, RightLinearOp.identity(1, 1))
-    with pytest.raises(LevelMismatch):
-        s + StepIntegrand.constant(grid, RightLinearOp.identity(2, 1))
-    with pytest.raises(AlgebraError):
-        s + lookahead_control(grid, 1, 1)
 
 
 def test_weights_must_be_per_replica():
@@ -209,10 +206,10 @@ def test_predictable_bound_must_be_finite():
 def test_zero_mean_identity_and_zero():
     ens = small_ensemble(level=1, n=1, steps=16, seed=13, replicas=20000)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-    rep = zero_mean_check(s, ens, threads=2)
+    rep = run(ens, zero_mean_check(s, ens), threads=2)
     assert rep["passed"]
     zero = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1).scaled(0.0))
-    rep0 = zero_mean_check(zero, ens)
+    rep0 = run(ens, zero_mean_check(zero, ens))
     assert rep0["passed"] and rep0["max_abs_mean"] == 0.0
 
 
@@ -225,7 +222,7 @@ def test_zero_mean_path_dependent_adapted():
 
     slots = tuple(bind(l) for l in range(ens.grid.steps))
     s = StepIntegrand(ens.grid, slots, 1, 1, 1)
-    rep = zero_mean_check(s, ens, threads=2)
+    rep = run(ens, zero_mean_check(s, ens), threads=2)
     assert rep["passed"], rep
 
 
@@ -233,7 +230,7 @@ def test_isometry_identity_anchor():
     ens = small_ensemble(level=1, n=1, steps=16, seed=17, replicas=30000,
                          complexified=False)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-    rep = isometry_check(s, ens, threads=2)
+    rep = run(ens, isometry_check(s, ens), threads=2)
     assert rep["passed"]
     assert abs(rep["rhs"] - 1.0) < 1e-12
 
@@ -244,7 +241,7 @@ def test_isometry_unit_direction():
                          complexified=False)
     op = RightLinearOp.left_mult(unit_real(level, 1), 1)
     s = StepIntegrand.constant(ens.grid, op)
-    rep = isometry_check(s, ens, threads=2)
+    rep = run(ens, isometry_check(s, ens), threads=2)
     assert rep["passed"]
     assert abs(rep["rhs"] - 1.0) < 1e-12
 
@@ -254,20 +251,20 @@ def test_isometry_zero_and_errors():
                          complexified=False)
     zero = StepIntegrand.constant(ens.grid,
                                   RightLinearOp.identity(1, 1).scaled(0.0))
-    rep = isometry_check(zero, ens)
+    rep = run(ens, isometry_check(zero, ens))
     assert rep["passed"] and rep["lhs"] == 0.0 and rep["rhs"] == 0.0
     with pytest.raises(AlgebraError):
         isometry_check(zero, small_ensemble(steps=8, replicas=64))
     rng = np.random.default_rng(3)
     bad = StepIntegrand.constant(ens.grid, random_op(rng, 1, 1, 1))
-    with pytest.raises(AlgebraError):
-        isometry_check(bad, ens)
+    with pytest.raises(AlgebraError):  # slot operators are read per batch
+        run(ens, isometry_check(bad, ens))
 
 
 def test_bound_identity_anchor():
     ens = small_ensemble(level=1, n=1, steps=16, seed=29, replicas=30000)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-    rep = bound_check(s, ens, threads=2)
+    rep = run(ens, bound_check(s, ens), threads=2)
     assert rep["passed"]
     assert abs(rep["m2"] - 4.0) < 1e-12
     assert abs(rep["m3"] - 4.0) < 1e-12
@@ -277,12 +274,12 @@ def test_bound_zero_and_random_battery():
     ens = small_ensemble(level=2, n=2, steps=8, seed=31, replicas=20000)
     zero = StepIntegrand.constant(ens.grid,
                                   RightLinearOp.identity(2, 2).scaled(0.0))
-    rep0 = bound_check(zero, ens)
+    rep0 = run(ens, bound_check(zero, ens))
     assert rep0["passed"] and rep0["m1"] == 0.0 and rep0["m3"] == 0.0
     rng = np.random.default_rng(4)
     for _ in range(3):
         s = StepIntegrand.constant(ens.grid, random_op(rng, 2, 2, 2))
-        rep = bound_check(s, ens, threads=2)
+        rep = run(ens, bound_check(s, ens), threads=2)
         assert rep["passed"], rep
     with pytest.raises(AlgebraError):
         bound_check(zero, small_ensemble(level=2, n=2, steps=8,
@@ -313,16 +310,18 @@ def test_martingale_zero_integrand_is_exact():
 def test_chebyshev_bounds():
     ens = small_ensemble(level=1, n=1, steps=16, seed=41, replicas=20000)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-    rep = chebyshev_check(s, ens, beta=1.0, alpha=1.5, threads=2)
+    rep = run(ens, chebyshev_check(s, ens, beta=1.0, alpha=1.5),
+              threads=2)
     assert rep["passed"]
-    huge = chebyshev_check(s, ens, beta=50.0, alpha=1.5)
+    huge = run(ens, chebyshev_check(s, ens, beta=50.0, alpha=1.5))
     assert huge["passed"] and huge["empirical"] == 0.0
     rng = np.random.default_rng(6)
     for _ in range(2):
         sr = StepIntegrand.constant(ens.grid, random_op(rng, 1, 1, 1))
         beta = float(rng.uniform(0.5, 3.0))
         alpha = float(rng.uniform(0.5, 5.0))
-        assert chebyshev_check(sr, ens, beta, alpha, threads=2)["passed"]
+        rep = run(ens, chebyshev_check(sr, ens, beta, alpha), threads=2)
+        assert rep["passed"]
     with pytest.raises(AlgebraError):
         chebyshev_check(s, ens, beta=-1.0, alpha=1.0)
     with pytest.raises(AlgebraError):
@@ -332,14 +331,15 @@ def test_chebyshev_bounds():
 def test_continuity_ladder():
     ens = small_ensemble(level=1, n=1, steps=64, seed=43, replicas=4000)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-    rep = continuity_check(s, ens, eps=1.2, halvings=5, threads=2)
+    rep = run(ens, continuity_check(s, ens, eps=1.2, halvings=5),
+              threads=2)
     assert rep["passed"]
     tails = rep["tails"]
     assert all(tails[i + 1] <= tails[i] for i in range(len(tails) - 1))
     assert tails[-1] < 0.01
     zero = StepIntegrand.constant(ens.grid,
                                   RightLinearOp.identity(1, 1).scaled(0.0))
-    rep0 = continuity_check(zero, ens, eps=0.1, halvings=5)
+    rep0 = run(ens, continuity_check(zero, ens, eps=0.1, halvings=5))
     assert rep0["passed"] and max(rep0["tails"]) == 0.0
     with pytest.raises(GridError):
         continuity_check(s, ens, eps=1.0, halvings=9)
@@ -360,13 +360,13 @@ def test_refinement_of_path_dependent_integrand():
         slots = tuple(bind(l) for l in range(grid.steps))
         return StepIntegrand(grid, slots, 1, 1, 1)
 
-    rep = refinement_study(factory, ens, halvings=3, threads=2)
+    rep = run(ens, refinement_study(factory, ens, halvings=3), threads=2)
     assert rep["passed"], rep
     gaps = rep["mean_square_gaps"]
     assert gaps[-1] < gaps[0]
 
-    const = refinement_study(
-        lambda g: StepIntegrand.constant(g, ident), ens, halvings=2)
+    const = run(ens, refinement_study(
+        lambda g: StepIntegrand.constant(g, ident), ens, halvings=2))
     assert max(const["mean_square_gaps"]) < 1e-20
 
 

@@ -35,7 +35,7 @@ from cdstoch.paths import (
     complex_of,
     disjoint_increments,
     increment_cov,
-    mc_moments,
+    Probe,
     mean_increment,
     modulus_se,
     path_continuity,
@@ -208,6 +208,11 @@ def run(ens, probe, threads=1):
     return sweep(ens, [probe], threads)[0]
 
 
+def reports(ens, sample, threads=1):
+    """The McReports of one sampler swept alone."""
+    return run(ens, Probe(sample, list), threads)
+
+
 def test_mean_increment_matches_drift():
     u = multi_block_covariance()
     rng = np.random.default_rng(0)
@@ -216,12 +221,12 @@ def test_mean_increment_matches_drift():
                        seed=11, n_replicas=20_000)
     out = run(ens, mean_increment(ens, 0.25, 0.875))
     assert out["passed"], out
-    rep, = mc_moments(ens, mean_increment(ens, 0.25, 0.875).sample)
+    rep, = reports(ens, mean_increment(ens, 0.25, 0.875).sample)
     assert rep.estimate.shape == (3, 2, 4)
     # without drift the imaginary half of a plain-covariance path is empty
     plain = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, None,
                          seed=11, n_replicas=2000)
-    rep0, = mc_moments(plain, mean_increment(plain, 0.25, 0.875).sample)
+    rep0, = reports(plain, mean_increment(plain, 0.25, 0.875).sample)
     assert np.all(rep0.estimate[:, 1, :] == 0.0)
 
 
@@ -327,7 +332,7 @@ def test_char_functional_zero_functional_is_one():
                        identity_complex_covariance(level, n), None,
                        seed=53, n_replicas=1000)
     y = RealFunctional(level, n, np.zeros(2 * n * 4))
-    rep = char_functional_estimator(ens, y, 1.0)
+    rep = run(ens, char_functional_estimator(ens, y, 1.0))
     assert complex_of(rep) == 1.0 + 0.0j
     assert modulus_se(rep) == 0.0
 
@@ -364,7 +369,7 @@ def test_char_estimator_matches_closed_form():
     y = RealFunctional(level, n, coeffs)
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, None,
                        seed=5, n_replicas=30_000)
-    out = char_functional_check(ens, y, 1.0)
+    out = run(ens, char_functional_check(ens, y, 1.0))
     assert out["passed"], out
 
 
@@ -381,7 +386,7 @@ def test_char_estimator_battery_with_drift():
     for case in range(4):
         coeffs = 0.7 * rng.standard_normal(2 * n * 4)
         y = RealFunctional(level, n, coeffs)
-        out = char_functional_check(ens, y, 1.0)
+        out = run(ens, char_functional_check(ens, y, 1.0))
         assert out["passed"], (case, out)
 
 
@@ -480,11 +485,10 @@ def test_mc_report_from_sums_and_within():
     rng = np.random.default_rng(79)
     samples = rng.standard_normal((4000, 3)) + [1.0, -2.0, 0.0]
     rep = McReport.from_sums(samples.sum(0), (samples * samples).sum(0),
-                             samples.shape[0], seed=0)
+                             samples.shape[0])
     assert np.allclose(rep.estimate, samples.mean(0))
     assert np.allclose(rep.standard_error,
                        samples.std(0, ddof=1) / np.sqrt(4000))
-    assert np.all(rep.ci_low <= rep.estimate) and np.all(rep.estimate <= rep.ci_high)
     assert np.all(rep.within([1.0, -2.0, 0.0]))
     assert not np.all(rep.within([1.5, -2.0, 0.0]))
     assert rep.max_gap([1.0, -2.0, 0.0]) < 0.1
@@ -492,8 +496,7 @@ def test_mc_report_from_sums_and_within():
 
 def _report_bits(rep):
     return [np.asarray(getattr(rep, f)).tobytes()
-            for f in ("estimate", "standard_error", "ci_low", "ci_high")] \
-        + [rep.sample_count, rep.seed]
+            for f in ("estimate", "standard_error")] + [rep.sample_count]
 
 
 def _bits(value):
@@ -541,10 +544,8 @@ def test_sweep_matches_each_probe_swept_alone(threads, monkeypatch):
 
 def test_mc_report_validation():
     with pytest.raises(AlgebraError):
-        McReport(1.0, -0.1, 0.5, 1.5, 10, 0)
-    with pytest.raises(AlgebraError):
-        McReport(1.0, 0.1, 1.2, 1.5, 10, 0)
-    scalar = McReport(1.0, 0.0, 1.0, 1.0, 10, 0)
+        McReport(1.0, -0.1, 10)
+    scalar = McReport(1.0, 0.0, 10)
     assert scalar.within(1.0)
     with pytest.raises(AlgebraError):
         complex_of(scalar)
@@ -720,7 +721,7 @@ def test_blas_lookup_waits_for_the_first_pool():
 
 @pytest.mark.parametrize("threads", [2, 3])
 def test_reports_and_pins_hold_under_the_budget(threads):
-    """mc_moments reports, batch row = assemble_paths on that row alone,
+    """Sweep reports, batch row = assemble_paths on that row alone,
     and Picard = Euler, bitwise, at 1, 2 and 3 threads."""
     level, n = 3, 2
     grid = TimeGrid.uniform(0.0, 1.0, 16)
@@ -733,8 +734,8 @@ def test_reports_and_pins_hold_under_the_budget(threads):
         flat = b.w.reshape(b.count, -1) @ m
         return flat, np.sum(flat * flat, axis=1)
 
-    serial = mc_moments(ens, sampler, threads=1)
-    for a, b in zip(serial, mc_moments(ens, sampler, threads=threads)):
+    serial = reports(ens, sampler, threads=1)
+    for a, b in zip(serial, reports(ens, sampler, threads=threads)):
         assert _report_bits(a) == _report_bits(b)
 
     e0, e1 = u.u0.sqrt_entries(), u.u1.sqrt_entries()

@@ -12,7 +12,7 @@ from cdstoch.linops import (
     op_exp_left,
 )
 from cdstoch import paths, sde
-from cdstoch.paths import GridError, PathEnsemble, TimeGrid
+from cdstoch.paths import GridError, PathEnsemble, TimeGrid, sweep
 from cdstoch.sde import (
     SdeError,
     SdeProblem,
@@ -44,6 +44,11 @@ def complexified_identity(level, n):
 
 def unit_zeta(level=1):
     return ZetaSpec.constant(CdVector.embedded_real(level, [1.0]))
+
+
+def run(ens, probe, threads=1):
+    """The result of one probe swept alone."""
+    return sweep(ens, [probe], threads)[0]
 
 
 def linear_test_problem(steps=64, level=1):
@@ -91,7 +96,8 @@ def test_zero_problem_stays_at_start():
     sol = euler_maruyama(prob, prob.ensemble(seed=3, n_replicas=12))
     assert np.all(sol.values == sol.values[:, :1])
     assert sol.scheme == "euler"
-    assert np.array_equal(sol.at(grid.a), sol.values[:, 0])
+    assert np.array_equal(sol.values[:, grid.index_of(grid.a)],
+                          sol.values[:, 0])
 
 
 def test_euler_deterministic_ode_converges():
@@ -196,10 +202,10 @@ def test_uniqueness_study_gaps_vanish():
     ident = RightLinearOp.identity(1, 1)
     ens = PathEnsemble(grid, complexified_identity(1, 1), None, seed=33,
                        n_replicas=1000)
-    rep = uniqueness_study(
+    rep = run(ens, uniqueness_study(
         lambda g: linear_problem(ident.scaled(-1.0), ident, unit_zeta(), g,
                                  complexified_identity(1, 1)),
-        ens, halvings=3)
+        ens, halvings=3))
     assert rep["passed"]
     assert max(rep["b2inf_gaps"]) == 0.0
     with pytest.raises(GridError):
@@ -228,8 +234,8 @@ def test_uniqueness_study_runs_its_batches_on_the_pool(monkeypatch):
     # every sweep, through map_batches or sde._map, reaches pool_map
     monkeypatch.setattr(paths, "pool_map", spy)
     monkeypatch.setattr(sde, "pool_map", spy)
-    one = uniqueness_study(factory, ens, halvings=2, threads=1)
-    three = uniqueness_study(factory, ens, halvings=2, threads=3)
+    one = run(ens, uniqueness_study(factory, ens, halvings=2), threads=1)
+    three = run(ens, uniqueness_study(factory, ens, halvings=2), threads=3)
     assert pools == [1, 3]  # one sweep for the whole study
     assert one == three
     assert [np.float64(g).tobytes() for g in one["b2inf_gaps"]] == \
@@ -320,8 +326,8 @@ def test_strong_order_against_closed_form_is_near_one():
     ens = PathEnsemble(grid, complexified_identity(1, 1), None, seed=17,
                        n_replicas=2000)
     ident = RightLinearOp.identity(1, 1)
-    rep = strong_order_study(ident.scaled(-1.0), ident, unit_zeta(), ens,
-                             halvings=4, threads=2)
+    rep = run(ens, strong_order_study(ident.scaled(-1.0), ident, unit_zeta(),
+                                      ens, halvings=4), threads=2)
     errs = [row["error"] for row in rep["table"]]
     assert all(errs[i] < errs[i + 1] for i in range(len(errs) - 1))
     assert 0.7 < rep["slope"] < 1.2, rep
