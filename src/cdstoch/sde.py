@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .algebra import AlgebraError, LevelMismatch, dim_of
 from .linops import (
@@ -377,7 +376,9 @@ def linear_closed_form(g_op: RightLinearOp | None,
     values = _closed_form_kernel(g_op, h_op, zeta.size, grid)
 
     def fn(batch):
-        return values(_dw_of(batch, grid), zeta.sample(batch)), 0
+        # without noise the recursion reads no increments: assemble none
+        dw = None if h_op is None else _dw_of(batch, grid)
+        return values(dw, zeta.sample(batch)), 0
 
     parts = ensemble.map_batches(fn, threads)
     return _to_solution(problem, parts, "closed_form")
@@ -510,8 +511,7 @@ def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
     n_coords = finals.shape[1]
     min_p = 1.0
     for j in range(n_coords):
-        res = scipy.stats.ks_2samp(a[:, j], bb[:, j])
-        min_p = min(min_p, float(res.pvalue))
+        min_p = min(min_p, _ks_2samp_pvalue(a[:, j], bb[:, j]))
     ks_ok = min_p >= level / n_coords
     return {
         "passed": bool(max_dev < 1e-12 and ks_ok),
@@ -520,6 +520,44 @@ def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
         "ks_threshold": level / n_coords,
         "sample_count": finals.shape[0],
     }
+
+
+def _ks_2samp_pvalue(x: np.ndarray, y: np.ndarray) -> float:
+    """Two-sided exact two-sample Kolmogorov-Smirnov p-value, equal sizes.
+
+    The exact route of scipy.stats.ks_2samp (taken by its "auto" method
+    up to 10000 per sample), op for op, so finite samples give the same
+    bits: ECDF gaps over the pooled data, h = round(d n), then the
+    Horner sum for P(D >= h/n) in Python floats.  Where that sum leaves
+    [0, 1] (small h only, with p-values above 0.9999) scipy switches to
+    the asymptotic law and this returns 1.0.  A sample holding a
+    non-finite value gives 0.0, so it fails any level.
+    """
+    n = x.shape[0]
+    if n == 0 or y.shape[0] != n:
+        raise SdeError("the KS probe needs two nonempty samples of one size")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return 0.0
+    x, y = np.sort(x), np.sort(y)
+    pooled = np.concatenate([x, y])
+    gaps = (np.searchsorted(x, pooled, side="right") / n
+            - np.searchsorted(y, pooled, side="right") / n)
+    min_s = np.clip(-gaps[np.argmin(gaps)], 0, 1)
+    max_s = gaps[np.argmax(gaps)]
+    h = int(np.round((min_s if min_s > max_s else max_s) * n))
+    if h == 0:
+        return 1.0
+    # P = 2 A_0 (1 - A_1 (1 - A_2 (...))) with A_k = C(2n, n - (k+1) h) /
+    # C(2n, n - k h): the alternating sum of C(2n, n - k h) / C(2n, n),
+    # evaluated from the innermost term out
+    p = 0.0
+    for k in range(n // h, -1, -1):
+        a_k = 1.0
+        for j in range(h):
+            a_k = (n - k * h - j) * a_k / (n + k * h + j + 1)
+        p = a_k * (1.0 - p)
+    p *= 2
+    return p if 0.0 <= p <= 1.0 else 1.0
 
 
 def gronwall_check(problem: SdeProblem, solution: SolutionEnsemble) -> dict:

@@ -8,7 +8,12 @@ import pytest
 import cdstoch.paths as paths_module
 from cdstoch.algebra import CdReal
 from cdstoch.config import RunConfig
-from cdstoch.experiments import Row, _run_rows, isometry_experiment
+from cdstoch.experiments import (
+    Row,
+    _run_rows,
+    isometry_experiment,
+    sde_experiment,
+)
 from cdstoch.linops import (
     ComplexCovariance,
     CovarianceOperator,
@@ -85,3 +90,23 @@ def test_isometry_battery_assembles_each_batch_once(monkeypatch):
     assert assembled[(201, 0)] == assembled[(201, 1)] == 1
     # ens_small has one batch of 64; ten ensembles have two batches each
     assert len(assembled) == 21 and set(assembled.values()) == {1}
+
+
+def test_drift_only_closed_form_assembles_no_noise(monkeypatch):
+    """ens_noise (seed + 502) is read by the pure-noise closed form and by
+    its check; the drift-only closed form on it reads no increments."""
+    cfg = RunConfig(seed=5, replicas=600, grids=(16,), threads=1,
+                    experiments=("sde",))
+    assembled = Counter()
+    w = paths_module.BatchPaths.w
+
+    def counting(batch):
+        if batch._w is None:
+            assembled[(batch.ensemble.seed - cfg.seed, batch.index)] += 1
+        return w.fget(batch)
+
+    monkeypatch.setattr(paths_module.BatchPaths, "w", property(counting))
+    report = sde_experiment(cfg)
+    assert assembled[(502, 0)] == 2
+    drift = [c for c in report["checks"] if c["name"] == "closed_form_pure_drift"]
+    assert len(drift) == 1 and drift[0]["passed"]

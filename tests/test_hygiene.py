@@ -1,9 +1,12 @@
 """Source hygiene: no unused imports, no top-level definition in the
 package that nothing in the package uses or exports, one function that
-opens a thread pool, one function that collapses batch sums, and one
-that sweeps probes."""
+opens a thread pool, one function that collapses batch sums, one that
+sweeps probes, and no import of scipy.stats (a test oracle only)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -174,6 +177,51 @@ def test_one_moment_reducer():
     assert call_sites(sources, "_tree_sum") == ["paths.sweep",
                                                 "sde.picard_solve"]
     assert call_sites(sources, "sweep") == ["experiments._run_rows"]
+
+
+def scipy_stats_imports(sources: dict[str, str]) -> list[str]:
+    """Where ``scipy.stats`` (or a submodule) is imported, in any form."""
+
+    def stats(name):
+        return name == "scipy.stats" or name.startswith("scipy.stats.")
+
+    def hit(node):
+        if isinstance(node, ast.Import):
+            return any(stats(alias.name) for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return stats(node.module or "") or (node.module == "scipy" and any(
+                alias.name == "stats" for alias in node.names))
+        return False
+
+    return _sites(sources, hit)
+
+
+def test_scanner_finds_every_scipy_stats_import():
+    sources = {
+        "a": "import scipy.linalg\nfrom scipy import linalg, special\n",
+        "b": "import scipy.stats\n",
+        "c": "def f():\n    from scipy import stats\n    return stats\n",
+        "d": "from scipy.stats._stats_py import ks_2samp as k\n",
+    }
+    assert scipy_stats_imports(sources) == ["b.<module>", "c.f",
+                                            "d.<module>"]
+
+
+def test_package_does_not_import_scipy_stats():
+    """scipy.stats costs more than half of a bare import of the package."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert scipy_stats_imports(sources) == []
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    code = ("import sys, cdstoch, cdstoch.cli\n"
+            "print(cdstoch.__file__)\n"
+            "print('scipy.stats' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    origin, loaded = out.stdout.split()
+    assert Path(origin).parent == PACKAGE
+    assert loaded == "False"
 
 
 def _exported() -> set[str]:

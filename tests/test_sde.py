@@ -1,7 +1,10 @@
 """Tests for the SDE solver layer."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.stats
 
 from cdstoch.algebra import AlgebraError, CdReal, LevelMismatch
 from cdstoch.linops import (
@@ -307,6 +310,75 @@ def test_restart_flow_property_without_noise():
                                0.5)
     assert rep["passed"]
     assert rep["max_pathwise_deviation"] == 0.0
+
+
+# scipy.stats is the oracle of the KS probe; the package does not import it
+KS_SIZES = (1, 2, 7, 128, 256, 1000, 2000, 4096, 10000)
+
+
+def scipy_ks(x, y):
+    """scipy's p-value, and whether its exact route produced it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p = float(scipy.stats.ks_2samp(x, y).pvalue)
+    fell_back = any("Exact calculation unsuccessful" in str(w.message)
+                    for w in caught)
+    return p, not fell_back
+
+
+def ks_samples(n):
+    """Equal-size sample pairs: continuous, shifted, tied, identical, and
+    staggered grids whose statistic is exactly h / n for every small h."""
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=n), rng.normal(size=n)
+    yield x, y
+    yield x, y + 0.3
+    yield np.round(x, 1), np.round(y, 1)
+    yield x, x.copy()
+    ramp = np.arange(n, dtype=float)
+    for h in range(1, min(n, 30) + 1):
+        yield ramp, ramp + h - 0.5
+
+
+@pytest.mark.parametrize("n", KS_SIZES)
+def test_ks_pvalue_matches_scipy(n):
+    """Bit for bit where scipy's exact route succeeds; where it falls back
+    to the asymptotic law the p-value is near 1 and the verdict agrees."""
+    thresholds = (0.01, 0.01 / 4, 0.01 / 8, 0.01 / 16)
+    for x, y in ks_samples(n):
+        got = sde._ks_2samp_pvalue(x, y)
+        want, exact = scipy_ks(x, y)
+        assert type(got) is float and 0.0 <= got <= 1.0
+        if exact:
+            assert got.hex() == want.hex(), (n, got, want)
+        else:
+            assert abs(got - want) <= 4e-5, (n, got, want)
+            assert [got >= t for t in thresholds] == \
+                [want >= t for t in thresholds]
+
+
+def test_ks_pvalue_edges():
+    x = np.linspace(-1.0, 1.0, 64)
+    assert sde._ks_2samp_pvalue(x, x[::-1].copy()) == 1.0
+    # n = 7, h = 1: scipy's exact sum leaves [0, 1] and it falls back
+    ramp = np.arange(7, dtype=float)
+    want, exact = scipy_ks(ramp, ramp + 0.5)
+    assert not exact and 1.0 - want < 4e-5
+    assert sde._ks_2samp_pvalue(ramp, ramp + 0.5) == 1.0
+    with pytest.raises(SdeError):
+        sde._ks_2samp_pvalue(x, x[:-1])
+    with pytest.raises(SdeError):
+        sde._ks_2samp_pvalue(x[:0], x[:0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_pvalue_fails_on_non_finite_samples(bad):
+    """A diverged replica must fail the probe, not drop its coordinate."""
+    x = np.linspace(-1.0, 1.0, 64)
+    y = x[::-1].copy()
+    y[5] = bad
+    assert sde._ks_2samp_pvalue(x, y) == 0.0
+    assert sde._ks_2samp_pvalue(y, x) == 0.0
 
 
 def test_gronwall_bound_holds():
