@@ -525,7 +525,7 @@ def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
 def _ks_2samp_pvalue(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sided exact two-sample Kolmogorov-Smirnov p-value, equal sizes.
 
-    The exact route of scipy.stats.ks_2samp (taken by its "auto" method
+    The exact route of scipy's ks_2samp (taken by its "auto" method
     up to 10000 per sample), op for op, so finite samples give the same
     bits: ECDF gaps over the pooled data, h = round(d n), then the
     Horner sum for P(D >= h/n) in Python floats.  Where that sum leaves
