@@ -178,10 +178,31 @@ def linear_problem(g_op: RightLinearOp | None, h_op: RightLinearOp | None,
 
 # ------------------------------------------------------------------ solvers
 
+def _time_major(b: int, k: int, size: int) -> np.ndarray:
+    """An empty (b, k, size) array stored step by step.
+
+    Each step slice [:, l] is one contiguous block, so the forward step
+    reads and writes it without striding across the whole path array.
+    """
+    return np.empty((k, b, size)).transpose(1, 0, 2)
+
+
+def _stack_rows(arrays: list) -> np.ndarray:
+    """Concatenate along replicas into a C-ordered array.
+
+    np.concatenate and ufuncs inherit the time-major layout of their
+    inputs, and with it the summation order of any later reduction over
+    replicas; C order keeps those sums in their one order.
+    """
+    out = np.empty((sum(a.shape[0] for a in arrays),) + arrays[0].shape[1:])
+    return np.concatenate(arrays, axis=0, out=out)
+
+
 def _dw_of(batch, grid: TimeGrid, stride: int = 1) -> np.ndarray:
     """Flat path increments on grid, read from every stride-th point."""
-    w = batch.w[:, ::stride]
-    return np.diff(w.reshape(batch.count, len(grid), -1), axis=1)
+    w = batch.w[:, ::stride].reshape(batch.count, len(grid), -1)
+    out = _time_major(batch.count, grid.steps, w.shape[2])
+    return np.subtract(w[:, 1:], w[:, :-1], out=out)
 
 
 def _forward_step(problem: SdeProblem, t: float, dt: float, y: np.ndarray,
@@ -205,7 +226,7 @@ def _em_values(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
                y0: np.ndarray) -> tuple[np.ndarray, int]:
     """Forward recursion; replicas crossing the size guard turn NaN."""
     b, size = y0.shape
-    out = np.empty((b, grid.steps + 1, size))
+    out = _time_major(b, grid.steps + 1, size)
     out[:, 0] = y0
     y = y0.copy()
     pts, deltas = grid.points, grid.deltas
@@ -213,11 +234,15 @@ def _em_values(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
     for l in range(grid.steps):
         y = y + _forward_step(problem, float(pts[l]), float(deltas[l]), y,
                               dw[:, l])
-        with np.errstate(invalid="ignore"):
-            bad = ~aborted & ~(np.max(np.abs(y), axis=1) <= DIVERGENCE_LIMIT)
-        if bad.any():
-            y[bad] = np.nan
-            aborted |= bad
+        # one scalar test per step; NaN fails it, so aborted rows and
+        # rows crossing the guard take the per-row test
+        if not np.abs(y).max() <= DIVERGENCE_LIMIT:
+            with np.errstate(invalid="ignore"):
+                bad = ~aborted & ~(np.max(np.abs(y), axis=1)
+                                   <= DIVERGENCE_LIMIT)
+            if bad.any():
+                y[bad] = np.nan
+                aborted |= bad
         out[:, l + 1] = y
     return out, int(aborted.sum())
 
@@ -247,7 +272,7 @@ def _check_driving(problem: SdeProblem, ensemble: PathEnsemble) -> None:
 
 def _to_solution(problem: SdeProblem, parts: list, scheme: str,
                  extra: dict | None = None) -> SolutionEnsemble:
-    values = np.concatenate([p[0] for p in parts], axis=0)
+    values = _stack_rows([p[0] for p in parts])
     aborted = int(sum(p[1] for p in parts))
     if aborted:
         extra = dict(extra or {})
@@ -274,21 +299,45 @@ def euler_maruyama(problem: SdeProblem, ensemble: PathEnsemble,
 
 
 def _q_apply(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
-             zeta: np.ndarray, x: np.ndarray) -> np.ndarray:
+             zeta: np.ndarray, x: np.ndarray, start: int = 0) -> np.ndarray:
     """QX = zeta + left-endpoint time quadrature + stochastic sum.
 
     Accumulated in exactly the float order of the forward recursion, so
     the bitwise fixed point of Q coincides with the forward scheme.
+    (QX)[l+1] reads X only on [0, l]: when x = QX' and x agrees with X'
+    on [0, start), QX equals x on [0, start], so that prefix is copied
+    and the sum resumes from x[:, start].
     """
-    out = np.empty_like(x)
+    b, k, size = x.shape
+    out = _time_major(b, k, size)
+    out[:, :start + 1] = x[:, :start + 1]
     out[:, 0] = zeta
-    y = zeta.copy()
+    y = out[:, start].copy()
     pts, deltas = grid.points, grid.deltas
-    for l in range(grid.steps):
+    for l in range(start, grid.steps):
         y = y + _forward_step(problem, float(pts[l]), float(deltas[l]),
                               x[:, l], dw[:, l])
         out[:, l + 1] = y
     return out
+
+
+def _stationary_prefix(new: np.ndarray, old: np.ndarray, start: int) -> int:
+    """First step index at or past start where the iterates differ.
+
+    An exact != compare (NaN counts as a change); the sum of squared gaps
+    cannot stand in for it, because tiny differences square to zero.
+    Returns the number of points when the iterates are equal.
+    """
+    changed = np.any(new[:, start:] != old[:, start:], axis=(0, 2))
+    hits = np.flatnonzero(changed)
+    return start + int(hits[0]) if hits.size else new.shape[1]
+
+
+def _repeat_in_time(z: np.ndarray, k: int) -> np.ndarray:
+    """The constant Picard start: z at each of k points, time-major."""
+    x = _time_major(z.shape[0], k, z.shape[1])
+    x[:] = z[:, None, :]
+    return x
 
 
 def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
@@ -305,19 +354,21 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
     batches = list(ensemble.batches())
     dws = _map(lambda b: _dw_of(b, grid), batches, threads)
     zetas = [problem.zeta.sample(b) for b in batches]
-    xs = [np.repeat(z[:, None, :], kk, axis=1) for z in zetas]
+    xs = [_repeat_in_time(z, kk) for z in zetas]
+    starts = [0] * len(batches)
     count = ensemble.n_replicas
     distances = []
     for _ in range(m_max):
-        new_xs = _map(lambda tri: _q_apply(problem, grid, tri[0], tri[1],
-                                           tri[2]),
-                      list(zip(dws, zetas, xs)), threads)
+        new_xs = _map(lambda args: _q_apply(problem, grid, *args),
+                      list(zip(dws, zetas, xs, starts)), threads)
         per_t = _tree_sum([
-            np.sum(vec_norm2(nx - x, axis=-1), axis=0)
+            np.sum(np.ascontiguousarray(vec_norm2(nx - x, axis=-1)), axis=0)
             for nx, x in zip(new_xs, xs)
         ])
         dist = float(np.sqrt(np.max(per_t / count)))
         distances.append(dist)
+        starts = [min(_stationary_prefix(nx, x, p), grid.steps)
+                  for nx, x, p in zip(new_xs, xs, starts)]
         xs = new_xs
         # tol = 0 keeps iterating until the iterate is bitwise stationary
         if dist <= tol:
@@ -400,7 +451,7 @@ def _closed_form_kernel(g_op: RightLinearOp | None,
             cache[dt] = (op_exp_left(g_op, dt).T, kick)
 
     def values(dw: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.empty((y.shape[0], len(grid), size))
+        out = _time_major(y.shape[0], len(grid), size)
         out[:, 0] = y
         for l in range(grid.steps):
             prop, kick = cache[float(grid.deltas[l])]
@@ -475,9 +526,10 @@ def _stacked_blocks(problem: SdeProblem, t: float, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
+def restart_markov_check(problems: list[SdeProblem], ensemble: PathEnsemble,
                          t_mid: float, z: CdVector | None = None,
-                         level: float = 0.01, threads: int = 1) -> dict:
+                         level: float = 0.01,
+                         threads: int = 1) -> list[dict]:
     """Pathwise flow property plus a transition-law consistency probe.
 
     With shared noise the restarted forward recursion repeats the same
@@ -485,25 +537,37 @@ def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
     to 1e-12.  The probe restarts every replica from the fixed state z
     and compares two disjoint replica halves coordinatewise with a
     two-sample Kolmogorov-Smirnov test at the given level (Bonferroni
-    across coordinates).
+    across coordinates).  Every problem in the sequence runs on the one
+    ensemble, whose batches are assembled once; one result per problem.
     """
-    _check_driving(problem, ensemble)
-    grid = problem.grid
+    for problem in problems:
+        _check_driving(problem, ensemble)
+    grid = ensemble.grid
     mid = grid.index_of(t_mid)
     tail_grid = TimeGrid(grid.points[mid:])
-    z_vec = problem.zeta.mean_vec() if z is None else z.vec.copy()
+    z_vecs = [problem.zeta.mean_vec() if z is None else z.vec.copy()
+              for problem in problems]
 
     def fn(batch):
         dw = _dw_of(batch, grid)
-        full, _ = _em_values(problem, grid, dw, problem.zeta.sample(batch))
-        restarted, _ = _em_values(problem, tail_grid, dw[:, mid:],
-                                  full[:, mid].copy())
-        dev = float(np.max(np.abs(full[:, mid:] - restarted)))
-        fixed, _ = _em_values(problem, tail_grid, dw[:, mid:],
-                              np.tile(z_vec, (batch.count, 1)))
-        return dev, fixed[:, -1]
+        out = []
+        for problem, z_vec in zip(problems, z_vecs):
+            full, _ = _em_values(problem, grid, dw, problem.zeta.sample(batch))
+            restarted, _ = _em_values(problem, tail_grid, dw[:, mid:],
+                                      full[:, mid].copy())
+            dev = float(np.max(np.abs(full[:, mid:] - restarted)))
+            fixed, _ = _em_values(problem, tail_grid, dw[:, mid:],
+                                  np.tile(z_vec, (batch.count, 1)))
+            out.append((dev, fixed[:, -1]))
+        return out
 
     parts = ensemble.map_batches(fn, threads)
+    return [_restart_result([p[j] for p in parts], level)
+            for j in range(len(problems))]
+
+
+def _restart_result(parts: list, level: float) -> dict:
+    """One problem's verdict from its per-batch (deviation, finals)."""
     max_dev = max(p[0] for p in parts)
     finals = np.concatenate([p[1] for p in parts], axis=0)
     half = finals.shape[0] // 2
@@ -636,15 +700,18 @@ def uniqueness_study(problem_factory, ensemble: PathEnsemble,
         dw = _dw_of(b, sub, f)
         z = problem.zeta.sample(b)
         em, _ = _em_values(problem, sub, dw, z)
-        x = np.repeat(z[:, None, :], len(sub), axis=1)
+        x = _repeat_in_time(z, len(sub))
+        start = 0
         for _ in range(m_max):
-            nx = _q_apply(problem, sub, dw, z, x)
-            if np.array_equal(nx, x):
+            nx = _q_apply(problem, sub, dw, z, x, start)
+            start = _stationary_prefix(nx, x, start)
+            if start == len(sub):
                 break
             x = nx
         else:
             raise SdeError("Picard iterate did not stabilize")
-        return vec_norm2(x - em, axis=-1)
+        # sweep sums over replicas in the order of a C-ordered array
+        return np.ascontiguousarray(vec_norm2(x - em, axis=-1))
 
     def gate(reports):
         gaps = [float(np.sqrt(np.max(rep.estimate))) for rep in reports]

@@ -94,7 +94,9 @@ def test_isometry_battery_assembles_each_batch_once(monkeypatch):
 
 def test_drift_only_closed_form_assembles_no_noise(monkeypatch):
     """ens_noise (seed + 502) is read by the pure-noise closed form and by
-    its check; the drift-only closed form on it reads no increments."""
+    its check; the drift-only closed form on it reads no increments.  The
+    three restart problems share one ensemble (seed + 504), so each of
+    its batches is assembled once."""
     cfg = RunConfig(seed=5, replicas=600, grids=(16,), threads=1,
                     experiments=("sde",))
     assembled = Counter()
@@ -108,5 +110,7 @@ def test_drift_only_closed_form_assembles_no_noise(monkeypatch):
     monkeypatch.setattr(paths_module.BatchPaths, "w", property(counting))
     report = sde_experiment(cfg)
     assert assembled[(502, 0)] == 2
+    restart = {k: n for k, n in assembled.items() if k[0] == 504}
+    assert list(restart.values()) == [1]  # 2000 replicas: one batch
     drift = [c for c in report["checks"] if c["name"] == "closed_form_pure_drift"]
     assert len(drift) == 1 and drift[0]["passed"]

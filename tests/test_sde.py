@@ -125,6 +125,91 @@ def test_divergence_guard_flags_replicas():
     assert np.all(np.isnan(sol.values[:, -1]))
 
 
+def test_divergence_guard_aborts_only_the_rows_that_cross_it():
+    """Rows that blow up, and one that starts at NaN, abort; every other
+    row keeps the bits of the same recursion on a batch without them."""
+    steps = 16
+    grid = TimeGrid.uniform(0.0, 1.0, steps)
+    ident = RightLinearOp.identity(1, 1)
+    prob = SdeProblem(lambda t, y: 1e-4 * y ** 3, lambda t, y: [ident],
+                      unit_zeta(), 1.0, grid, complexified_identity(1, 1))
+    rng = np.random.default_rng(41)
+    b = 12
+    dw = rng.normal(size=(b, steps, 4)) / np.sqrt(steps)
+    y0 = rng.normal(size=(b, 4))
+    y0[1, 0] = 1e5  # crosses the guard at step 2
+    y0[4, 2] = -3e3  # at step 3
+    y0[6, 1] = np.nan
+    wild = np.array([1, 4, 6])
+    tame = np.setdiff1d(np.arange(b), wild)
+    vals, aborted = sde._em_values(prob, grid, dw, y0)
+    assert aborted == wild.size
+    assert np.all(np.isnan(vals[wild, -1]))
+    assert np.all(np.isfinite(vals[tame]))
+    alone, none = sde._em_values(prob, grid, dw[tame], y0[tame])
+    assert none == 0
+    assert vals[tame].tobytes() == alone.tobytes()
+    # a NaN row with no row crossing the guard beside it
+    rows = np.append(tame, 6)
+    vals, aborted = sde._em_values(prob, grid, dw[rows], y0[rows])
+    assert aborted == 1 and np.all(np.isnan(vals[-1, 1:]))
+    assert vals[:-1].tobytes() == alone.tobytes()
+
+
+def test_q_apply_resumes_past_its_stationary_prefix():
+    """Q from any start up to the first change between an iterate and its
+    predecessor gives the bits of Q from 0; one step later it does not."""
+    prob = linear_test_problem(steps=32)
+    grid = prob.grid
+    batch = next(prob.ensemble(seed=29, n_replicas=64).batches())
+    dw = sde._dw_of(batch, grid)
+    z = prob.zeta.sample(batch)
+    prev, x = None, sde._repeat_in_time(z, len(grid))
+    for k in range(6):
+        full = sde._q_apply(prob, grid, dw, z, x)
+        if prev is not None:
+            first = sde._stationary_prefix(x, prev, 0)
+            assert k <= first <= grid.steps
+            for p in range(first + 1):
+                resumed = sde._q_apply(prob, grid, dw, z, x, start=p)
+                assert resumed.tobytes() == full.tobytes(), (k, p)
+            late = sde._q_apply(prob, grid, dw, z, x, start=first + 1)
+            assert not np.array_equal(late, full)
+        prev, x = x, full
+
+
+def test_solver_steps_are_contiguous_and_results_c_ordered():
+    """Step slices of the solver arrays are contiguous blocks; what is
+    reduced over replicas (solution values, probe samples) is C-ordered."""
+    prob = linear_test_problem(steps=16)
+    grid = prob.grid
+    ens = prob.ensemble(seed=31, n_replicas=40)
+    batch = next(ens.batches())
+    w = batch.w.reshape(batch.count, len(grid), -1)
+    for stride in (1, 2):
+        sub = TimeGrid(grid.points[::stride])
+        dw = sde._dw_of(batch, sub, stride)
+        assert np.array_equal(dw, np.diff(w[:, ::stride], axis=1))
+        assert all(dw[:, l].flags.c_contiguous for l in range(sub.steps))
+    dw = sde._dw_of(batch, grid)
+    z = prob.zeta.sample(batch)
+    vals, _ = sde._em_values(prob, grid, dw, z)
+    ident = RightLinearOp.identity(1, 1)
+    cf = sde._closed_form_kernel(ident.scaled(-1.0), ident, 4, grid)(dw, z)
+    for arr in (vals, cf, sde._q_apply(prob, grid, dw, z, vals)):
+        assert arr.shape == (40, len(grid), 4)
+        assert all(arr[:, l].flags.c_contiguous for l in range(len(grid)))
+    for sol in (euler_maruyama(prob, ens), picard_solve(prob, ens),
+                linear_closed_form(ident.scaled(-1.0), ident, unit_zeta(),
+                                   ens)):
+        assert sol.values.flags.c_contiguous, sol.scheme
+    probe = uniqueness_study(lambda g: linear_test_problem(g.steps), ens,
+                             halvings=2)
+    samples = probe.sample(batch)
+    assert len(samples) == 3
+    assert all(s.flags.c_contiguous for s in samples)
+
+
 def test_closed_form_pure_noise_and_pure_drift():
     grid = TimeGrid.uniform(0.0, 1.0, 32)
     ident = RightLinearOp.identity(1, 1)
@@ -294,11 +379,12 @@ def test_lipschitz_falsifies_quadratic_growth():
 def test_restart_markov_exact_and_edge():
     prob = linear_test_problem(steps=32)
     ens = prob.ensemble(seed=19, n_replicas=4000)
-    rep = restart_markov_check(prob, ens, 0.5, threads=2)
+    rep, = restart_markov_check([prob], ens, 0.5, threads=2)
     assert rep["passed"], rep
     assert rep["max_pathwise_deviation"] == 0.0
-    edge = restart_markov_check(prob, prob.ensemble(seed=23, n_replicas=512),
-                                prob.grid.a)
+    edge, = restart_markov_check([prob],
+                                 prob.ensemble(seed=23, n_replicas=512),
+                                 prob.grid.a)
     assert edge["max_pathwise_deviation"] == 0.0
 
 
@@ -306,10 +392,36 @@ def test_restart_flow_property_without_noise():
     grid = TimeGrid.uniform(0.0, 1.0, 16)
     prob = linear_problem(RightLinearOp.identity(1, 1).scaled(-0.5), None,
                           unit_zeta(), grid, complexified_identity(1, 1))
-    rep = restart_markov_check(prob, prob.ensemble(seed=3, n_replicas=256),
-                               0.5)
+    rep, = restart_markov_check([prob],
+                                prob.ensemble(seed=3, n_replicas=256), 0.5)
     assert rep["passed"]
     assert rep["max_pathwise_deviation"] == 0.0
+
+
+def test_restart_check_runs_its_problems_on_one_sweep(monkeypatch):
+    """Problems sharing an ensemble get the results each gets alone, from
+    one assembly per batch."""
+    prob = linear_test_problem(steps=16)
+    noise_only = linear_problem(None, RightLinearOp.identity(1, 1),
+                                ZetaSpec.gaussian(1, 1, 0.5), prob.grid,
+                                complexified_identity(1, 1))
+    ens = prob.ensemble(seed=37, n_replicas=300, batch_size=128)
+    z = CdVector.embedded_real(1, [0.7])
+    alone = [restart_markov_check([pb], ens, 0.5, z, threads=2)[0]
+             for pb in (prob, noise_only)]
+    assembled = []
+    assemble = paths.assemble_paths
+
+    def counting(*args):
+        assembled.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(paths, "assemble_paths", counting)
+    both = restart_markov_check([prob, noise_only], ens, 0.5, z, threads=2)
+    assert len(assembled) == ens.n_batches == 3
+    assert both == alone
+    with pytest.raises(GridError):
+        restart_markov_check([prob, linear_test_problem(steps=8)], ens, 0.5)
 
 
 # scipy.stats is the oracle of the KS probe; the package does not import it
