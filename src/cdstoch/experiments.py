@@ -86,10 +86,10 @@ from .paths import (
 from .sde import (
     SdeProblem,
     ZetaSpec,
+    _closed_form_probe,
     b2inf_norm,
     euler_maruyama,
     gronwall_check,
-    linear_closed_form,
     linear_problem,
     lipschitz_validate,
     picard_decay_check,
@@ -139,6 +139,21 @@ def _row(ensemble: PathEnsemble, probe: Probe, name: str, anchor: str,
     """Row whose entry is the probe's verdict plus the named fields."""
     return Row(ensemble, probe,
                lambda res: _report(name, anchor, res, *fields, **extra))
+
+
+def _max_gap_row(ens: PathEnsemble, gap, name: str, anchor: str, tol: float,
+                 *fields: str) -> Row:
+    """Row of the largest |gap(batch)| over every replica against tol, as
+    ``max_gap``; a gather, so a NaN gap reaches np.max and fails."""
+
+    def sample(batch):
+        return (np.max(np.abs(gap(batch)).reshape(batch.count, -1), axis=1),)
+
+    def gate(joined):
+        worst = float(np.max(joined[0]))
+        return {"passed": worst <= tol, "max_gap": worst}
+
+    return _row(ens, Probe(sample, gate, gather=True), name, anchor, *fields)
 
 
 def _run_rows(rows: list[Row], threads: int) -> list[dict]:
@@ -768,7 +783,6 @@ def isometry_experiment(cfg: RunConfig) -> dict:
     steps = cfg.grids[-1]
     grid = TimeGrid.uniform(a0, b0, steps)
     atol, _ = _tolerances(cfg)
-    checks = []
 
     # structural, in one pass: the identity integrand telescopes to the
     # increment, and the elementary integral is additive over windows
@@ -776,37 +790,42 @@ def isometry_experiment(cfg: RunConfig) -> dict:
                              seed=cfg.seed + 200, n_replicas=64)
     identity_s = StepIntegrand.constant(grid, RightLinearOp.identity(2, 2))
     rng = _case_rng(cfg.seed, 50)
-    two_ops = [_random_four_block(rng, 2, 2, 2) for _ in range(2)]
-    whole = _tiled_ops(grid, two_ops)
-    mid = float(grid.points[steps // 2])
+    whole = _tiled_ops(grid, [_random_four_block(rng, 2, 2, 2)
+                              for _ in range(2)])
+    half = steps // 2
+    mid = float(grid.points[half])
     left, right = whole.restrict(a0, mid), whole.restrict(mid, b0)
-    telescopes = True
-    additive_worst = 0.0
-    for batch in ens_small.batches():
-        eta = integral_paths(identity_s, grid, batch.w)
-        telescopes = telescopes and np.array_equal(
-            eta, batch.w - batch.w[:, :1])
+
+    def additivity(batch):
         eta = integral_paths(whole, grid, batch.w)
-        eta_l = integral_paths(left, TimeGrid(grid.points[:steps // 2 + 1]),
-                               batch.w[:, :steps // 2 + 1])
-        eta_r = integral_paths(right, TimeGrid(grid.points[steps // 2:]),
-                               batch.w[:, steps // 2:])
-        joined = eta_l[:, -1] + eta_r[:, -1]
-        additive_worst = max(additive_worst, float(
-            np.max(np.abs(eta[:, -1] - joined))
-            / max(1.0, float(np.max(np.abs(eta[:, -1]))))))
-    checks.append(_check("elementary_telescoping", "Eq. 2.11(2)", telescopes))
-    checks.append(_check("window_additivity", "Prop. 2.20(1)",
-                         additive_worst <= atol,
-                         max_rel_gap=additive_worst))
+        eta_l = integral_paths(left, TimeGrid(grid.points[:half + 1]),
+                               batch.w[:, :half + 1])
+        eta_r = integral_paths(right, TimeGrid(grid.points[half:]),
+                               batch.w[:, half:])
+        return eta[:, -1], eta_l[:, -1] + eta_r[:, -1]
+
+    def additive_gate(joined):
+        end, summed = joined
+        # np.max lets a NaN through, so a NaN gap fails the check
+        worst = float(np.max(np.abs(end - summed))
+                      / np.maximum(1.0, np.max(np.abs(end))))
+        return {"passed": worst <= atol, "max_rel_gap": worst}
+
+    rows = [
+        _max_gap_row(ens_small, lambda b: integral_paths(identity_s, grid, b.w)
+                     - (b.w - b.w[:, :1]), "elementary_telescoping",
+                     "Eq. 2.11(2)", 0.0),
+        _row(ens_small, Probe(additivity, additive_gate, gather=True),
+             "window_additivity", "Prop. 2.20(1)", "max_rel_gap"),
+    ]
 
     # zero mean of the integral at the window end
     ens_cplx = PathEnsemble(grid, _complexified_identity(2, 1), None,
                             seed=cfg.seed + 201, n_replicas=cfg.replicas)
-    rows = [_row(ens_cplx, zero_mean_check(_tiled_ops(
+    rows.append(_row(ens_cplx, zero_mean_check(_tiled_ops(
         grid, [_random_four_block(rng, 2, 1, 1) for _ in range(3)]),
         ens_cplx), "integral_zero_mean", "Lemma 2.12", "max_abs_mean",
-        "max_standard_error", "sample_count")]
+        "max_standard_error", "sample_count"))
 
     # isometry battery: plain covariance, lri integrands
     iso_fields = ("lhs", "rhs", "gap", "combined_standard_error",
@@ -904,8 +923,7 @@ def isometry_experiment(cfg: RunConfig) -> dict:
         _tiled_ops(grid, [_random_four_block(rng_bd, 1, 2, 1)
                           for _ in range(3)]), ens_b4),
         "bound_rectangular", "Thm. 2.15(1)", *bound_fields))
-    checks += _run_rows(rows, cfg.threads)
-    return _entry("isometry", checks, started)
+    return _entry("isometry", _run_rows(rows, cfg.threads), started)
 
 
 # ---------------------------------------------------------------- martingale
@@ -913,13 +931,11 @@ def isometry_experiment(cfg: RunConfig) -> dict:
 def martingale_experiment(cfg: RunConfig) -> dict:
     """Conditional-mean tests plus the look-ahead power control."""
     started = time.perf_counter()
-    threads = cfg.threads
     a0, b0 = cfg.window
     steps = cfg.grids[-1]
     grid = TimeGrid.uniform(a0, b0, steps)
     t1 = float(grid.points[steps // 4])
     t2 = float(grid.points[(3 * steps) // 4])
-    checks = []
 
     ens = PathEnsemble(grid, _complexified_identity(2, 1), None,
                        seed=cfg.seed + 300, n_replicas=cfg.replicas)
@@ -927,9 +943,6 @@ def martingale_experiment(cfg: RunConfig) -> dict:
     piecewise = _tiled_ops(grid, [_random_four_block(rng, 2, 1, 1)
                                   for _ in range(2)])
     mart_fields = ("worst_bin_z", "max_abs_mean", "bins", "sample_count")
-    checks.append(_report("martingale_piecewise", "Lemma 2.25",
-                          martingale_check(piecewise, ens, t1, t2, 8, threads),
-                          *mart_fields))
 
     base_op = RightLinearOp.identity(2, 1)
 
@@ -938,18 +951,19 @@ def martingale_experiment(cfg: RunConfig) -> dict:
         return [(weights, base_op)]
 
     adapted = PredictableIntegrand(2, 1, 1, adapted_evaluator, 1.0)
-    checks.append(_report("martingale_adapted", "Lemma 2.25",
-                          martingale_check(adapted.as_step(grid), ens, t1,
-                                           t2, 8, threads),
-                          *mart_fields))
-
-    peek = lookahead_control(grid, 2, 1)
-    res = martingale_check(peek, ens, t1, t2, 8, threads)
-    checks.append(_report("lookahead_control_rejected", "Lemma 2.25", res,
-                          "worst_bin_z", "sample_count",
-                          passed=(not res["passed"])
-                          and res["worst_bin_z"] > 4.0))
-    return _entry("martingale", checks, started)
+    rows = [
+        _row(ens, martingale_check(piecewise, ens, t1, t2, 8),
+             "martingale_piecewise", "Lemma 2.25", *mart_fields),
+        _row(ens, martingale_check(adapted.as_step(grid), ens, t1, t2, 8),
+             "martingale_adapted", "Lemma 2.25", *mart_fields),
+        Row(ens, martingale_check(lookahead_control(grid, 2, 1), ens, t1,
+                                  t2, 8),
+            lambda res: _report("lookahead_control_rejected", "Lemma 2.25",
+                                res, "worst_bin_z", "sample_count",
+                                passed=(not res["passed"])
+                                and res["worst_bin_z"] > 4.0)),
+    ]
+    return _entry("martingale", _run_rows(rows, cfg.threads), started)
 
 
 # ----------------------------------------------------------------- chebyshev
@@ -1047,24 +1061,6 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
 
 # ----------------------------------------------------------------------- sde
 
-def _unit_zeta(level: int, n: int) -> ZetaSpec:
-    return ZetaSpec.constant(CdVector.embedded_real(level, [1.0] * n))
-
-
-def _nonlinear_problem(grid: TimeGrid, level: int) -> SdeProblem:
-    """Contracting drift with a bounded state-dependent diffusion gain."""
-    identity = RightLinearOp.identity(level, 1)
-
-    def g(t, y):
-        return -y
-
-    def h(t, y):
-        return [(np.tanh(y[:, 0]), identity)]
-
-    return SdeProblem(g, h, ZetaSpec.gaussian(level, 1, 0.5), 4.0,
-                      grid, _complexified_identity(level, 1))
-
-
 def sde_experiment(cfg: RunConfig) -> dict:
     """Picard iteration, scheme agreement, closed form, Markov restart."""
     started = time.perf_counter()
@@ -1083,8 +1079,13 @@ def sde_experiment(cfg: RunConfig) -> dict:
     g_op = RightLinearOp.left_mult(
         CdReal(level, [-1.0, 0.4, 0.0, 0.0]))
     h_op = RightLinearOp.identity(level, 1)
-    linear = linear_problem(g_op, h_op, _unit_zeta(level, 1), grid,
-                            _complexified_identity(level, 1))
+    unit = ZetaSpec.constant(CdVector.embedded_real(level, [1.0]))
+    u = _complexified_identity(level, 1)
+
+    def linear_on(sub_grid: TimeGrid) -> SdeProblem:
+        return linear_problem(g_op, h_op, unit, sub_grid, u)
+
+    linear = linear_on(grid)
 
     res = lipschitz_validate(linear, 4096, cfg.seed)
     checks.append(_report("lipschitz_linear", "Thm. 2.29(i)", res,
@@ -1094,8 +1095,7 @@ def sde_experiment(cfg: RunConfig) -> dict:
     def g_quad(t, y):
         return np.sign(y) * y * y
 
-    quad = SdeProblem(g_quad, lambda t, y: [h_op], _unit_zeta(level, 1),
-                      1.0, grid, _complexified_identity(level, 1))
+    quad = SdeProblem(g_quad, lambda t, y: [h_op], unit, 1.0, grid, u)
     res = lipschitz_validate(quad, 4096, cfg.seed)
     checks.append(_report("lipschitz_quadratic_rejected", "Thm. 2.29(i)", res,
                           "max_lipschitz_ratio", passed=not res["passed"]))
@@ -1114,80 +1114,69 @@ def sde_experiment(cfg: RunConfig) -> dict:
     checks.append(_check("picard_em_agreement", "Thm. 2.29 proof",
                          agreement <= 1e-6, b2inf_gap=float(agreement)))
 
-    def linear_factory(sub_grid: TimeGrid) -> SdeProblem:
-        return linear_problem(g_op, h_op, _unit_zeta(level, 1), sub_grid,
-                              _complexified_identity(level, 1))
-
     uni_halvings = min(3, (base_steps & -base_steps).bit_length() - 2)
     ens_uni = linear.ensemble(cfg.seed + 501, min(cfg.replicas, 2048))
-    checks += _run_rows([_row(
-        ens_uni, uniqueness_study(linear_factory, ens_uni,
-                                  max(1, uni_halvings)),
-        "uniqueness_gap_vanishes", "Thm. 2.29 proof", "b2inf_gaps",
-        "grid_steps")], threads)
+    rows = [_row(ens_uni, uniqueness_study(linear_on, ens_uni,
+                                           max(1, uni_halvings)),
+                 "uniqueness_gap_vanishes", "Thm. 2.29 proof", "b2inf_gaps",
+                 "grid_steps")]
 
-    # closed-form anchors: semigroup absent, then noise absent
-    ens_noise = PathEnsemble(grid, _complexified_identity(level, 1), None,
-                             seed=cfg.seed + 502,
+    # closed-form anchors on one sweep: semigroup absent, then noise absent
+    ens_noise = PathEnsemble(grid, u, None, seed=cfg.seed + 502,
                              n_replicas=min(cfg.replicas, 2048))
-    zeta_vec = CdVector.embedded_real(level, [1.0])
-    closed = linear_closed_form(None, h_op, ZetaSpec.constant(zeta_vec),
-                                ens_noise, threads)
-    worst = 0.0
-    for batch in ens_noise.batches():
+    noise = _closed_form_probe(None, h_op, unit, ens_noise)
+    drift = _closed_form_probe(g_op, None, unit, ens_noise)
+
+    def noise_gap(batch):
         w = batch.w.reshape(batch.count, len(grid), -1)
-        expect = zeta_vec.vec[None, None, :] + (w - w[:, :1])
-        got = closed.values[batch.start:batch.start + batch.count]
-        got = got.reshape(batch.count, len(grid), -1)
-        worst = max(worst, float(np.max(np.abs(got - expect))))
-    checks.append(_check("closed_form_pure_noise", "Cor. 2.30(2)",
-                         worst <= 1e-12, max_gap=worst))
+        return noise.sample(batch)[0] - (unit.value + (w - w[:, :1]))
 
-    drift_only = linear_closed_form(g_op, None, ZetaSpec.constant(zeta_vec),
-                                    ens_noise, threads)
-    worst = 0.0
-    for idx in (0, len(grid) // 2, len(grid) - 1):
-        t = float(grid.points[idx] - a0)
-        oracle = op_exp_left(g_op, t) @ zeta_vec.vec
-        got = drift_only.values[:, idx].reshape(drift_only.values.shape[0], -1)
-        worst = max(worst, float(np.max(np.abs(got - oracle[None, :]))))
-    checks.append(_check("closed_form_pure_drift", "Cor. 2.30(2)",
-                         worst <= 1e-10, max_gap=worst))
+    idxs = [0, len(grid) // 2, len(grid) - 1]
+    orbit = np.stack([op_exp_left(g_op, float(grid.points[idx] - a0))
+                      @ unit.value for idx in idxs])
+    rows += [
+        _max_gap_row(ens_noise, noise_gap, "closed_form_pure_noise",
+                     "Cor. 2.30(2)", 1e-12, "max_gap"),
+        _max_gap_row(ens_noise, lambda b: drift.sample(b)[0][:, idxs] - orbit,
+                     "closed_form_pure_drift", "Cor. 2.30(2)", 1e-10,
+                     "max_gap"),
+    ]
 
-    ens_order = PathEnsemble(ref_grid, _complexified_identity(level, 1),
-                             None, seed=cfg.seed + 503,
+    ens_order = PathEnsemble(ref_grid, u, None, seed=cfg.seed + 503,
                              n_replicas=cfg.replicas)
     # additive noise: the forward scheme coincides with Milstein's and
     # has strong order 1 (Kloeden & Platen 1992, 10.2-10.3)
     expected_order = 1.0
     window = [expected_order - 0.15, expected_order + 0.15]
-    checks += _run_rows([Row(
-        ens_order, strong_order_study(g_op, h_op, _unit_zeta(level, 1),
-                                      ens_order, halvings),
+    rows.append(Row(
+        ens_order, strong_order_study(g_op, h_op, unit, ens_order, halvings),
         lambda res: _report("strong_order_window", "Cor. 2.30(2)", res,
                             "slope", "table",
                             passed=window[0] <= res["slope"] <= window[1],
-                            expected_order=expected_order, window=window))],
-        threads)
+                            expected_order=expected_order, window=window)))
 
-    # restart battery: linear, driftless, and state-dependent problems
+    # restart battery on one ensemble: linear, driftless, and a contracting
+    # drift with a bounded state-dependent diffusion gain
+    def g_contract(t, y):
+        return -y
+
+    def h_gain(t, y):
+        return [(np.tanh(y[:, 0]), h_op)]
+
     t_mid = float(grid.points[base_steps // 2])
     z = CdVector.embedded_real(level, [0.7])
-    battery = [
-        ("restart_linear", linear),
-        ("restart_pure_noise",
-         linear_problem(None, h_op, _unit_zeta(level, 1), grid,
-                        _complexified_identity(level, 1))),
-        ("restart_nonlinear", _nonlinear_problem(grid, level)),
-    ]
-    # the three problems share one ensemble: each batch is assembled once
     ens = linear.ensemble(cfg.seed + 504, max(2000, min(cfg.replicas, 20_000)))
-    results = restart_markov_check([problem for _, problem in battery], ens,
-                                   t_mid, z, 0.01, threads)
-    for (name, _), res in zip(battery, results):
-        checks.append(_report(name, "Thm. 2.31 proof", res,
-                              "max_pathwise_deviation", "ks_min_pvalue",
-                              "ks_threshold"))
+    for name, problem in (
+            ("restart_linear", linear),
+            ("restart_pure_noise", linear_problem(None, h_op, unit, grid, u)),
+            ("restart_nonlinear",
+             SdeProblem(g_contract, h_gain, ZetaSpec.gaussian(level, 1, 0.5),
+                        4.0, grid, u))):
+        rows.append(_row(ens, restart_markov_check(problem, ens, t_mid, z,
+                                                   0.01),
+                         name, "Thm. 2.31 proof", "max_pathwise_deviation",
+                         "ks_min_pvalue", "ks_threshold"))
+    checks += _run_rows(rows, threads)
 
     solution = euler_maruyama(
         linear, linear.ensemble(cfg.seed + 505,
@@ -1200,8 +1189,7 @@ def sde_experiment(cfg: RunConfig) -> dict:
     def g_blowup(t, y):
         return 1e8 * y
 
-    blowup = SdeProblem(g_blowup, lambda t, y: [h_op], _unit_zeta(level, 1),
-                        1.0, grid, _complexified_identity(level, 1))
+    blowup = SdeProblem(g_blowup, lambda t, y: [h_op], unit, 1.0, grid, u)
     sol = euler_maruyama(blowup, blowup.ensemble(cfg.seed + 506, 8), threads)
     aborted = sol.diagnostics["aborted_replicas"]
     final_nan = bool(np.all(np.isnan(sol.values[:, -1])))

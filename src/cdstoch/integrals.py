@@ -360,13 +360,13 @@ def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble,
 
 
 def martingale_check(integrand: StepIntegrand, ensemble: PathEnsemble,
-                     t1: float, t2: float, bins: int = 8,
-                     threads: int = 1) -> dict:
+                     t1: float, t2: float, bins: int = 8) -> Probe:
     """Conditional-increment test for the running integral.
 
     Checks the unconditional mean of eta(t2) - eta(t1) and, as a stronger
     probe, the mean inside quantile bins of the first coordinate of
     eta(t1); every bin must be centered within 4 of its standard errors.
+    The bins read every sample: a gather probe.
     """
     _require_match(integrand, ensemble)
     grid = ensemble.grid
@@ -374,44 +374,42 @@ def martingale_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     if i1 >= i2:
         raise GridError("need t1 < t2 on the grid")
 
-    def fn(batch):
+    def sampler(batch):
         eta = integral_paths(integrand, grid, batch.w)
         d = (eta[:, i2] - eta[:, i1]).reshape(batch.count, -1)
-        stat = eta[:, i1, 0, 0, 0]
-        return d, stat
+        return d, eta[:, i1, 0, 0, 0]
 
-    parts = ensemble.map_batches(fn, threads)
-    diffs = np.concatenate([p[0] for p in parts], axis=0)
-    stat = np.concatenate([p[1] for p in parts], axis=0)
-    count = diffs.shape[0]
+    def gate(joined):
+        diffs, stat = joined
+        count = diffs.shape[0]
+        rep = McReport.from_sums(diffs.sum(0), (diffs * diffs).sum(0), count)
+        uncond_ok = bool(np.all(rep.within(np.zeros_like(rep.estimate))))
 
-    rep = McReport.from_sums(diffs.sum(0), (diffs * diffs).sum(0), count)
-    uncond_ok = bool(np.all(rep.within(np.zeros_like(rep.estimate))))
+        edges = np.quantile(stat, np.linspace(0.0, 1.0, bins + 1))
+        edges[0], edges[-1] = -np.inf, np.inf
+        which = np.clip(np.searchsorted(edges, stat, side="right") - 1, 0,
+                        bins - 1)
+        zs = [np.zeros(1)]
+        for b in range(bins):
+            sel = diffs[which == b]
+            if sel.shape[0] < 2:
+                continue
+            se = sel.std(0, ddof=1) / np.sqrt(sel.shape[0])
+            zs.append(np.abs(sel.mean(0)) / np.where(se > 0, se, np.inf))
+        # np.max lets a NaN through, so a NaN bin fails the check
+        worst = float(np.max(np.concatenate(zs)))
+        bins_ok = worst <= 4.0
+        return {
+            "passed": bool(uncond_ok and bins_ok),
+            "unconditional_passed": uncond_ok,
+            "bins_passed": bool(bins_ok),
+            "worst_bin_z": worst,
+            "max_abs_mean": float(np.max(np.abs(rep.estimate))),
+            "bins": bins,
+            "sample_count": count,
+        }
 
-    edges = np.quantile(stat, np.linspace(0.0, 1.0, bins + 1))
-    edges[0], edges[-1] = -np.inf, np.inf
-    which = np.clip(np.searchsorted(edges, stat, side="right") - 1, 0, bins - 1)
-    worst = 0.0
-    bins_ok = True
-    for b in range(bins):
-        sel = diffs[which == b]
-        if sel.shape[0] < 2:
-            continue
-        mean = sel.mean(0)
-        se = sel.std(0, ddof=1) / np.sqrt(sel.shape[0])
-        z = np.abs(mean) / np.where(se > 0, se, np.inf)
-        worst = max(worst, float(np.max(z)))
-        if np.any(z > 4.0):
-            bins_ok = False
-    return {
-        "passed": bool(uncond_ok and bins_ok),
-        "unconditional_passed": uncond_ok,
-        "bins_passed": bool(bins_ok),
-        "worst_bin_z": worst,
-        "max_abs_mean": float(np.max(np.abs(rep.estimate))),
-        "bins": bins,
-        "sample_count": count,
-    }
+    return Probe(sampler, gate, gather=True)
 
 
 def lookahead_control(grid: TimeGrid, level: int, n: int) -> StepIntegrand:

@@ -14,9 +14,13 @@ Reproducibility contract: every draw comes from a counter-based Philox
 generator keyed by ``(seed, tag)``.  Ensembles tag by fixed-size batch
 so a whole block of replicas is one vectorized draw.  The realized
 ensemble therefore depends only on the seed and the batch size constant,
-never on thread count or completion order.  Reductions place per-batch
-partial sums by batch index and collapse them in one fixed pairwise
-pass, so estimates are bit-identical for any worker count.
+never on thread count or completion order.
+
+Every Monte Carlo pass is a ``sweep`` of probes over one ensemble.  A
+moment probe's per-batch partial sums are placed by batch index and
+collapsed in one fixed pairwise pass; a gather probe's per-batch arrays
+are joined in batch order into one C-ordered array.  Either way every
+result is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -294,13 +298,11 @@ def pool_map(fn, items, threads: int) -> list:
 class BatchPaths:
     """Lazily materialized block of consecutive replicas."""
 
-    __slots__ = ("ensemble", "index", "start", "count", "_inc0", "_inc1", "_w")
+    __slots__ = ("ensemble", "index", "count", "_inc0", "_inc1", "_w")
 
-    def __init__(self, ensemble: "PathEnsemble", index: int, start: int,
-                 count: int):
+    def __init__(self, ensemble: "PathEnsemble", index: int, count: int):
         self.ensemble = ensemble
         self.index = index
-        self.start = start
         self.count = count
         self._inc0 = None
         self._inc1 = None
@@ -402,7 +404,7 @@ class PathEnsemble:
         for index in range(self.n_batches):
             start = index * self.batch_size
             count = min(self.batch_size, self.n_replicas - start)
-            yield BatchPaths(self, index, start, count)
+            yield BatchPaths(self, index, count)
 
     def map_batches(self, fn, threads: int = 1) -> list:
         """Apply fn to every batch; results are placed by batch index."""
@@ -467,11 +469,14 @@ def modulus_se(report: McReport) -> float:
 
 class Probe(NamedTuple):
     """A Monte Carlo check split for a shared sweep: sample(batch) returns
-    a tuple of per-replica arrays, gate(reports) turns their McReports
-    into the check's result."""
+    a tuple of per-replica arrays, gate(values) turns their McReports, or
+    for a gather probe the arrays joined over the batches, into the
+    check's result.  A gate takes a maximum with np.max over a gather:
+    exact, and a NaN reaches the verdict."""
 
     sample: Callable
     gate: Callable
+    gather: bool = False
 
 
 def _moments(v) -> tuple:
@@ -479,25 +484,39 @@ def _moments(v) -> tuple:
     return np.sum(v, axis=0), np.sum(v * v, axis=0)
 
 
+def _stack_rows(arrays: list) -> np.ndarray:
+    """Concatenate along replicas into a C-ordered array: np.concatenate
+    and ufuncs inherit the layout of their inputs (a time-major solver
+    array, say), and with it the summation order of any later reduction
+    over replicas; C order keeps that order fixed."""
+    out = np.empty((sum(a.shape[0] for a in arrays),) + arrays[0].shape[1:],
+                   dtype=np.result_type(*arrays))
+    return np.concatenate(arrays, axis=0, out=out)
+
+
 def sweep(ensemble: PathEnsemble, probes: list[Probe],
           threads: int = 1) -> list:
     """Each probe's result from one pass over the ensemble.
 
-    Each batch is assembled once for every sampler.  Every per-replica
-    array is reduced to (sum, sum of squares) per batch, and the partial
-    sums collapse in the fixed batch order, so every report is
-    bit-identical for any worker count, and a probe's result has the
-    bits of that probe swept alone.
+    Each batch is assembled once for every sampler.  A moment probe's
+    arrays are reduced to (sum, sum of squares) per batch, and the
+    partial sums collapse in the fixed batch order; a gather probe's
+    arrays are joined in batch order.  So every result is bit-identical
+    for any worker count, and a probe's result has the bits of that
+    probe swept alone.
     """
     parts = ensemble.map_batches(
-        lambda batch: [[_moments(v) for v in probe.sample(batch)]
+        lambda batch: [probe.sample(batch) if probe.gather
+                       else [_moments(v) for v in probe.sample(batch)]
                        for probe in probes], threads)
     count = ensemble.n_replicas
-    # parts[batch][probe][array] holds that array's (sum, sum of squares)
+    # parts[batch][probe] holds one part per array: the array itself for
+    # a gather, else its (sum, sum of squares); col is one array's parts
     return [probe.gate([
-        McReport.from_sums(_tree_sum([p[i][j][0] for p in parts]),
-                           _tree_sum([p[i][j][1] for p in parts]), count)
-        for j in range(len(parts[0][i]))])
+        _stack_rows(col) if probe.gather else McReport.from_sums(
+            _tree_sum([m[0] for m in col]), _tree_sum([m[1] for m in col]),
+            count)
+        for col in zip(*(p[i] for p in parts))])
         for i, probe in enumerate(probes)]
 
 

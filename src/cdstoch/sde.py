@@ -37,8 +37,10 @@ from .paths import (
     Probe,
     TimeGrid,
     _split_u,
+    _stack_rows,
     _tree_sum,
     pool_map,
+    sweep,
 )
 
 
@@ -187,17 +189,6 @@ def _time_major(b: int, k: int, size: int) -> np.ndarray:
     return np.empty((k, b, size)).transpose(1, 0, 2)
 
 
-def _stack_rows(arrays: list) -> np.ndarray:
-    """Concatenate along replicas into a C-ordered array.
-
-    np.concatenate and ufuncs inherit the time-major layout of their
-    inputs, and with it the summation order of any later reduction over
-    replicas; C order keeps those sums in their one order.
-    """
-    out = np.empty((sum(a.shape[0] for a in arrays),) + arrays[0].shape[1:])
-    return np.concatenate(arrays, axis=0, out=out)
-
-
 def _dw_of(batch, grid: TimeGrid, stride: int = 1) -> np.ndarray:
     """Flat path increments on grid, read from every stride-th point."""
     w = batch.w[:, ::stride].reshape(batch.count, len(grid), -1)
@@ -223,8 +214,9 @@ def _forward_step(problem: SdeProblem, t: float, dt: float, y: np.ndarray,
 
 
 def _em_values(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
-               y0: np.ndarray) -> tuple[np.ndarray, int]:
-    """Forward recursion; replicas crossing the size guard turn NaN."""
+               y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward recursion and its aborted rows (a boolean mask); replicas
+    crossing the size guard turn NaN."""
     b, size = y0.shape
     out = _time_major(b, grid.steps + 1, size)
     out[:, 0] = y0
@@ -244,7 +236,7 @@ def _em_values(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
                 y[bad] = np.nan
                 aborted |= bad
         out[:, l + 1] = y
-    return out, int(aborted.sum())
+    return out, aborted
 
 
 @dataclass(frozen=True)
@@ -270,18 +262,25 @@ def _check_driving(problem: SdeProblem, ensemble: PathEnsemble) -> None:
         raise LevelMismatch("ensemble noise does not match the problem")
 
 
-def _to_solution(problem: SdeProblem, parts: list, scheme: str,
-                 extra: dict | None = None) -> SolutionEnsemble:
-    values = _stack_rows([p[0] for p in parts])
-    aborted = int(sum(p[1] for p in parts))
-    if aborted:
-        extra = dict(extra or {})
-        extra["aborted_replicas"] = aborted
-    dim = dim_of(problem.level)
-    shaped = values.reshape(values.shape[0], values.shape[1],
-                            problem.width, 2, dim)
+def _to_solution(problem: SdeProblem, values: np.ndarray, scheme: str,
+                 diagnostics: dict) -> SolutionEnsemble:
+    shaped = values.reshape(values.shape[:2] + (problem.width, 2,
+                                                dim_of(problem.level)))
     return SolutionEnsemble(problem.level, problem.width, problem.grid,
-                            shaped, scheme, extra or {})
+                            shaped, scheme, diagnostics)
+
+
+def _solution_probe(problem: SdeProblem, sample, scheme: str) -> Probe:
+    """Gather probe of a solver: sample(batch) returns the batch's values
+    and its aborted rows, and the gate builds the SolutionEnsemble."""
+
+    def gate(joined):
+        values, aborted = joined
+        count = int(aborted.sum())
+        return _to_solution(problem, values, scheme,
+                            {"aborted_replicas": count} if count else {})
+
+    return Probe(sample, gate, gather=True)
 
 
 def euler_maruyama(problem: SdeProblem, ensemble: PathEnsemble,
@@ -289,13 +288,10 @@ def euler_maruyama(problem: SdeProblem, ensemble: PathEnsemble,
     """One forward pass per replica on the shared driving noise."""
     _check_driving(problem, ensemble)
     grid = problem.grid
-
-    def fn(batch):
-        return _em_values(problem, grid, _dw_of(batch, grid),
-                          problem.zeta.sample(batch))
-
-    parts = ensemble.map_batches(fn, threads)
-    return _to_solution(problem, parts, "euler")
+    probe = _solution_probe(problem, lambda batch: _em_values(
+        problem, grid, _dw_of(batch, grid), problem.zeta.sample(batch)),
+        "euler")
+    return sweep(ensemble, [probe], threads)[0]
 
 
 def _q_apply(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
@@ -350,11 +346,10 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
     """
     _check_driving(problem, ensemble)
     grid = problem.grid
-    kk = len(grid)
     batches = list(ensemble.batches())
     dws = _map(lambda b: _dw_of(b, grid), batches, threads)
     zetas = [problem.zeta.sample(b) for b in batches]
-    xs = [_repeat_in_time(z, kk) for z in zetas]
+    xs = [_repeat_in_time(z, len(grid)) for z in zetas]
     starts = [0] * len(batches)
     count = ensemble.n_replicas
     distances = []
@@ -376,8 +371,7 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
     else:
         raise SdeError(
             f"no fixed point within {m_max} iterations; distances={distances}")
-    parts = [(x.reshape(x.shape[0], kk, -1), 0) for x in xs]
-    return _to_solution(problem, parts, "picard",
+    return _to_solution(problem, _stack_rows(xs), "picard",
                         {"iterations": len(distances), "distances": distances})
 
 
@@ -421,18 +415,24 @@ def linear_closed_form(g_op: RightLinearOp | None,
     E[X(t_k) | w on the grid], with no discretization error of their
     own; pure noise (phi1 = I) and pure drift reduce to w and the orbit.
     """
+    return sweep(ensemble, [_closed_form_probe(g_op, h_op, zeta, ensemble)],
+                 threads)[0]
+
+
+def _closed_form_probe(g_op: RightLinearOp | None,
+                       h_op: RightLinearOp | None, zeta: ZetaSpec,
+                       ensemble: PathEnsemble) -> Probe:
+    """Gather probe of linear_closed_form; no row aborts."""
     grid = ensemble.grid
     problem = linear_problem(g_op, h_op, zeta, grid, ensemble.u, p=ensemble.p)
-    _check_driving(problem, ensemble)
     values = _closed_form_kernel(g_op, h_op, zeta.size, grid)
 
-    def fn(batch):
+    def sample(batch):
         # without noise the recursion reads no increments: assemble none
         dw = None if h_op is None else _dw_of(batch, grid)
-        return values(dw, zeta.sample(batch)), 0
+        return values(dw, zeta.sample(batch)), np.zeros(batch.count, bool)
 
-    parts = ensemble.map_batches(fn, threads)
-    return _to_solution(problem, parts, "closed_form")
+    return _solution_probe(problem, sample, "closed_form")
 
 
 def _closed_form_kernel(g_op: RightLinearOp | None,
@@ -480,7 +480,7 @@ def lipschitz_validate(problem: SdeProblem, sample_count: int,
     grid, size = problem.grid, problem.zeta.size
     rounds = 8
     b = -(-sample_count // rounds)
-    max_lip, max_growth = 0.0, 0.0
+    lips, growths = [], []
     for _ in range(rounds):
         t = float(rng.uniform(grid.a, grid.b))
         scale = 10.0 ** rng.uniform(-1.0, 2.0, size=(b, 1))
@@ -495,13 +495,13 @@ def lipschitz_validate(problem: SdeProblem, sample_count: int,
         hy = _stacked_blocks(problem, t, y)
         h_gap2 = np.sum((hx - hy) ** 2, axis=(1, 2, 3, 4))
         denom = np.sqrt(vec_norm2(x - y))
-        lip = (np.sqrt(gap2) + np.sqrt(h_gap2)) / np.where(denom > 0, denom,
-                                                           np.inf)
-        max_lip = max(max_lip, float(np.max(lip)))
+        lips.append((np.sqrt(gap2) + np.sqrt(h_gap2))
+                    / np.where(denom > 0, denom, np.inf))
         g2 = vec_norm2(gy) if gy is not None else np.zeros(b)
         h2 = np.sum(hy ** 2, axis=(1, 2, 3, 4))
-        growth = np.sqrt((g2 + h2) / (1.0 + vec_norm2(y)))
-        max_growth = max(max_growth, float(np.max(growth)))
+        growths.append(np.sqrt((g2 + h2) / (1.0 + vec_norm2(y))))
+    # np.max lets a NaN through, so a NaN map fails the check
+    max_lip, max_growth = float(np.max(lips)), float(np.max(growths))
     k = problem.k_const
     tol = 1e-9 * max(1.0, k)
     passed = max_lip <= k + tol and max_growth <= k + tol
@@ -526,10 +526,9 @@ def _stacked_blocks(problem: SdeProblem, t: float, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def restart_markov_check(problems: list[SdeProblem], ensemble: PathEnsemble,
+def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
                          t_mid: float, z: CdVector | None = None,
-                         level: float = 0.01,
-                         threads: int = 1) -> list[dict]:
+                         level: float = 0.01) -> Probe:
     """Pathwise flow property plus a transition-law consistency probe.
 
     With shared noise the restarted forward recursion repeats the same
@@ -537,53 +536,43 @@ def restart_markov_check(problems: list[SdeProblem], ensemble: PathEnsemble,
     to 1e-12.  The probe restarts every replica from the fixed state z
     and compares two disjoint replica halves coordinatewise with a
     two-sample Kolmogorov-Smirnov test at the given level (Bonferroni
-    across coordinates).  Every problem in the sequence runs on the one
-    ensemble, whose batches are assembled once; one result per problem.
+    across coordinates), on every sample: a gather probe.
     """
-    for problem in problems:
-        _check_driving(problem, ensemble)
+    _check_driving(problem, ensemble)
     grid = ensemble.grid
     mid = grid.index_of(t_mid)
     tail_grid = TimeGrid(grid.points[mid:])
-    z_vecs = [problem.zeta.mean_vec() if z is None else z.vec.copy()
-              for problem in problems]
+    z_vec = problem.zeta.mean_vec() if z is None else z.vec.copy()
 
-    def fn(batch):
+    def sampler(batch):
         dw = _dw_of(batch, grid)
-        out = []
-        for problem, z_vec in zip(problems, z_vecs):
-            full, _ = _em_values(problem, grid, dw, problem.zeta.sample(batch))
-            restarted, _ = _em_values(problem, tail_grid, dw[:, mid:],
-                                      full[:, mid].copy())
-            dev = float(np.max(np.abs(full[:, mid:] - restarted)))
-            fixed, _ = _em_values(problem, tail_grid, dw[:, mid:],
-                                  np.tile(z_vec, (batch.count, 1)))
-            out.append((dev, fixed[:, -1]))
-        return out
+        full, _ = _em_values(problem, grid, dw, problem.zeta.sample(batch))
+        restarted, _ = _em_values(problem, tail_grid, dw[:, mid:],
+                                  full[:, mid].copy())
+        fixed, _ = _em_values(problem, tail_grid, dw[:, mid:],
+                              np.tile(z_vec, (batch.count, 1)))
+        dev = np.max(np.abs(full[:, mid:] - restarted), axis=(1, 2))
+        return dev, fixed[:, -1]
 
-    parts = ensemble.map_batches(fn, threads)
-    return [_restart_result([p[j] for p in parts], level)
-            for j in range(len(problems))]
+    def gate(joined):
+        devs, finals = joined
+        # np.max lets a NaN through, so a NaN deviation fails the check
+        max_dev = float(np.max(devs))
+        half = finals.shape[0] // 2
+        a, bb = finals[:half], finals[half:2 * half]
+        n_coords = finals.shape[1]
+        min_p = min([1.0] + [_ks_2samp_pvalue(a[:, j], bb[:, j])
+                             for j in range(n_coords)])
+        ks_ok = min_p >= level / n_coords
+        return {
+            "passed": bool(max_dev < 1e-12 and ks_ok),
+            "max_pathwise_deviation": max_dev,
+            "ks_min_pvalue": min_p,
+            "ks_threshold": level / n_coords,
+            "sample_count": finals.shape[0],
+        }
 
-
-def _restart_result(parts: list, level: float) -> dict:
-    """One problem's verdict from its per-batch (deviation, finals)."""
-    max_dev = max(p[0] for p in parts)
-    finals = np.concatenate([p[1] for p in parts], axis=0)
-    half = finals.shape[0] // 2
-    a, bb = finals[:half], finals[half:2 * half]
-    n_coords = finals.shape[1]
-    min_p = 1.0
-    for j in range(n_coords):
-        min_p = min(min_p, _ks_2samp_pvalue(a[:, j], bb[:, j]))
-    ks_ok = min_p >= level / n_coords
-    return {
-        "passed": bool(max_dev < 1e-12 and ks_ok),
-        "max_pathwise_deviation": max_dev,
-        "ks_min_pvalue": min_p,
-        "ks_threshold": level / n_coords,
-        "sample_count": finals.shape[0],
-    }
+    return Probe(sampler, gate, gather=True)
 
 
 def _ks_2samp_pvalue(x: np.ndarray, y: np.ndarray) -> float:

@@ -5,13 +5,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import cdstoch.experiments as experiments_module
+import cdstoch.integrals as integrals_module
 import cdstoch.paths as paths_module
+import cdstoch.sde as sde_module
 from cdstoch.algebra import CdReal
 from cdstoch.config import RunConfig
 from cdstoch.experiments import (
     Row,
     _run_rows,
     isometry_experiment,
+    martingale_experiment,
     sde_experiment,
 )
 from cdstoch.linops import (
@@ -72,11 +76,8 @@ def test_runner_sweeps_each_ensemble_once_in_row_order(threads, monkeypatch):
     assert _bits(entries) == _bits(alone)
 
 
-def test_isometry_battery_assembles_each_batch_once(monkeypatch):
-    """ens_cplx (seed + 201) feeds both integral_zero_mean and
-    bound_identity_anchor, in one pass."""
-    cfg = RunConfig(seed=5, replicas=2100, grids=(8,), threads=1,
-                    experiments=("isometry",))
+def count_assemblies(monkeypatch, cfg) -> Counter:
+    """Assemblies per (seed offset, batch index), counted as they happen."""
     assembled = Counter()
     w = paths_module.BatchPaths.w
 
@@ -86,6 +87,20 @@ def test_isometry_battery_assembles_each_batch_once(monkeypatch):
         return w.fget(batch)
 
     monkeypatch.setattr(paths_module.BatchPaths, "w", property(counting))
+    return assembled
+
+
+def checks_of(entry) -> dict:
+    return {c["name"]: c for c in entry["checks"]}
+
+
+def test_isometry_battery_assembles_each_batch_once(monkeypatch):
+    """ens_cplx (seed + 201) feeds both integral_zero_mean and
+    bound_identity_anchor, in one pass; ens_small (seed + 200) feeds the
+    two structural rows."""
+    cfg = RunConfig(seed=5, replicas=2100, grids=(8,), threads=1,
+                    experiments=("isometry",))
+    assembled = count_assemblies(monkeypatch, cfg)
     isometry_experiment(cfg)
     assert assembled[(201, 0)] == assembled[(201, 1)] == 1
     # ens_small has one batch of 64; ten ensembles have two batches each
@@ -93,24 +108,113 @@ def test_isometry_battery_assembles_each_batch_once(monkeypatch):
 
 
 def test_drift_only_closed_form_assembles_no_noise(monkeypatch):
-    """ens_noise (seed + 502) is read by the pure-noise closed form and by
-    its check; the drift-only closed form on it reads no increments.  The
-    three restart problems share one ensemble (seed + 504), so each of
-    its batches is assembled once."""
+    """ens_noise (seed + 502) is read by the pure-noise check alone, in
+    the one sweep it shares with the drift-only check, which reads no
+    increments.  The three restart rows share one ensemble (seed + 504),
+    so each of its batches is assembled once."""
     cfg = RunConfig(seed=5, replicas=600, grids=(16,), threads=1,
                     experiments=("sde",))
-    assembled = Counter()
-    w = paths_module.BatchPaths.w
-
-    def counting(batch):
-        if batch._w is None:
-            assembled[(batch.ensemble.seed - cfg.seed, batch.index)] += 1
-        return w.fget(batch)
-
-    monkeypatch.setattr(paths_module.BatchPaths, "w", property(counting))
+    assembled = count_assemblies(monkeypatch, cfg)
     report = sde_experiment(cfg)
-    assert assembled[(502, 0)] == 2
+    assert assembled[(502, 0)] == 1
     restart = {k: n for k, n in assembled.items() if k[0] == 504}
     assert list(restart.values()) == [1]  # 2000 replicas: one batch
-    drift = [c for c in report["checks"] if c["name"] == "closed_form_pure_drift"]
-    assert len(drift) == 1 and drift[0]["passed"]
+    checks = checks_of(report)
+    assert checks["closed_form_pure_drift"]["passed"]
+    assert checks["closed_form_pure_noise"]["passed"]
+
+
+def test_martingale_battery_assembles_each_batch_once(monkeypatch):
+    """The three martingale rows share their ensemble (seed + 300)."""
+    cfg = RunConfig(seed=5, replicas=4500, grids=(8,), threads=1,
+                    experiments=("martingale",))
+    assembled = count_assemblies(monkeypatch, cfg)
+    entry = martingale_experiment(cfg)
+    assert assembled == {(300, 0): 1, (300, 1): 1, (300, 2): 1}
+    assert list(checks_of(entry)) == ["martingale_piecewise",
+                                      "martingale_adapted",
+                                      "lookahead_control_rejected"]
+
+
+# Planted NaNs: a maximum that drops a NaN would let each check pass.
+
+def test_martingale_rows_fail_on_a_nan_increment(monkeypatch):
+    """One replica's integral turns NaN after t1: every bin maximum reads
+    NaN, so the look-ahead control cannot pass on its worst bin either."""
+    cfg = RunConfig(seed=5, replicas=2100, grids=(8,), threads=2,
+                    experiments=("martingale",))
+    integral_paths = integrals_module.integral_paths
+
+    def poisoned(integrand, grid, w):
+        eta = integral_paths(integrand, grid, w)
+        eta[0, grid.steps // 2:] = np.nan  # past t1 = t_2, up to t2 = t_6
+        return eta
+
+    monkeypatch.setattr(integrals_module, "integral_paths", poisoned)
+    checks = checks_of(martingale_experiment(cfg))
+    assert len(checks) == 3
+    for check in checks.values():
+        assert np.isnan(check["worst_bin_z"]) and not check["passed"]
+
+
+def test_window_additivity_fails_on_a_nan_gap(monkeypatch):
+    cfg = RunConfig(seed=5, replicas=200, grids=(8,), threads=1,
+                    experiments=("isometry",))
+    integral_paths = experiments_module.integral_paths
+
+    def poisoned(integrand, grid, w):
+        eta = integral_paths(integrand, grid, w)
+        eta[0, -1] = np.nan
+        return eta
+
+    monkeypatch.setattr(experiments_module, "integral_paths", poisoned)
+    check = checks_of(isometry_experiment(cfg))["window_additivity"]
+    assert np.isnan(check["max_rel_gap"]) and not check["passed"]
+
+
+def test_closed_form_anchors_fail_on_a_nan_value(monkeypatch):
+    """The drift-only and noise-only closed forms each end NaN in one
+    replica; the strong-order reference (both terms) is left alone."""
+    cfg = RunConfig(seed=5, replicas=600, grids=(16,), threads=1,
+                    experiments=("sde",))
+    kernel = sde_module._closed_form_kernel
+
+    def poisoned(g_op, h_op, size, grid):
+        values = kernel(g_op, h_op, size, grid)
+        if g_op is not None and h_op is not None:
+            return values
+
+        def nan_end(dw, y):
+            out = values(dw, y)
+            out[0, -1] = np.nan
+            return out
+
+        return nan_end
+
+    monkeypatch.setattr(sde_module, "_closed_form_kernel", poisoned)
+    checks = checks_of(sde_experiment(cfg))
+    for name in ("closed_form_pure_noise", "closed_form_pure_drift"):
+        assert np.isnan(checks[name]["max_gap"]), name
+        assert not checks[name]["passed"], name
+    assert checks["strong_order_window"]["passed"]
+
+
+def test_restart_rows_fail_on_a_nan_in_a_later_batch(monkeypatch):
+    """The restart ensemble (seed + 504) has two batches here; a NaN
+    increment in the second one makes every restart row's pathwise
+    deviation NaN."""
+    cfg = RunConfig(seed=5, replicas=3000, grids=(16,), threads=2,
+                    experiments=("sde",))
+    dw_of = sde_module._dw_of
+
+    def poisoned(batch, grid, stride=1):
+        dw = dw_of(batch, grid, stride)
+        if batch.ensemble.seed == cfg.seed + 504 and batch.index == 1:
+            dw[0, -1] = np.nan
+        return dw
+
+    monkeypatch.setattr(sde_module, "_dw_of", poisoned)
+    checks = checks_of(sde_experiment(cfg))
+    for name in ("restart_linear", "restart_pure_noise", "restart_nonlinear"):
+        assert np.isnan(checks[name]["max_pathwise_deviation"]), name
+        assert not checks[name]["passed"], name

@@ -1,7 +1,7 @@
 """Source hygiene: no unused imports, no top-level definition in the
 package that nothing in the package uses or exports, one function that
-opens a thread pool, one function that collapses batch sums, one that
-sweeps probes, and no import of scipy.stats (a test oracle only)."""
+opens a thread pool, one sweep route for every batch pass, and no import
+of scipy.stats (a test oracle only)."""
 
 import ast
 import os
@@ -165,18 +165,20 @@ def test_scanner_finds_every_call_site():
 
 
 def test_one_moment_reducer():
-    """Batch sums are collapsed in sweep, and in picard_solve, whose
-    iterates stay in memory between iterations; the other sweeps keep
-    every sample (martingale bins, solutions, the Markov probe).  Every
-    moment check is a probe, and the battery runner is what sweeps them."""
+    """Every Monte Carlo pass is a probe swept by paths.sweep, the one
+    caller of map_batches.  Batch sums are collapsed in sweep, and in
+    picard_solve, whose stopping rule reduces over every batch once per
+    iteration.  The battery runner and the two solver views are what
+    sweep; only map_batches and picard_solve walk the batches."""
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert call_sites(sources, "map_batches") == [
-        "integrals.martingale_check", "paths.sweep",
-        "sde.euler_maruyama", "sde.linear_closed_form",
-        "sde.restart_markov_check"]
+    assert call_sites(sources, "map_batches") == ["paths.sweep"]
     assert call_sites(sources, "_tree_sum") == ["paths.sweep",
                                                 "sde.picard_solve"]
-    assert call_sites(sources, "sweep") == ["experiments._run_rows"]
+    assert call_sites(sources, "sweep") == [
+        "experiments._run_rows", "sde.euler_maruyama",
+        "sde.linear_closed_form"]
+    assert call_sites(sources, "batches") == [
+        "paths.PathEnsemble.map_batches", "sde.picard_solve"]
 
 
 def scipy_stats_imports(sources: dict[str, str]) -> list[str]:

@@ -289,22 +289,47 @@ def test_bound_zero_and_random_battery():
 def test_martingale_pass_and_lookahead_power():
     ens = small_ensemble(level=1, n=1, steps=32, seed=37, replicas=30000)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-    rep = martingale_check(s, ens, 0.5, 1.0, threads=2)
-    assert rep["passed"], rep
     control = lookahead_control(ens.grid, 1, 1)
-    rep2 = martingale_check(control, ens, 0.5, 1.0, threads=2)
+    rep, rep2 = sweep(ens, [martingale_check(s, ens, 0.5, 1.0),
+                            martingale_check(control, ens, 0.5, 1.0)],
+                      threads=2)
+    assert rep["passed"], rep
     assert not rep2["passed"]
     assert rep2["worst_bin_z"] > 10.0
+    # one sweep gives each probe the bits it has when swept alone
+    assert rep == run(ens, martingale_check(s, ens, 0.5, 1.0))
+    assert rep2 == run(ens, martingale_check(control, ens, 0.5, 1.0))
 
 
 def test_martingale_zero_integrand_is_exact():
     ens = small_ensemble(level=1, n=1, steps=8, replicas=256)
     zero = StepIntegrand.constant(ens.grid,
                                   RightLinearOp.identity(1, 1).scaled(0.0))
-    rep = martingale_check(zero, ens, 0.5, 1.0)
+    rep = run(ens, martingale_check(zero, ens, 0.5, 1.0))
     assert rep["passed"] and rep["max_abs_mean"] == 0.0
     with pytest.raises(GridError):
         martingale_check(zero, ens, 1.0, 0.5)
+
+
+def test_martingale_bin_with_a_nan_fails():
+    """A NaN increment in one replica makes its bin's z NaN: the worst
+    bin reads NaN and the bins fail, at any worker count."""
+    ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8),
+                       complexified_identity(1, 1), None, seed=5,
+                       n_replicas=600, batch_size=256)
+    ident = RightLinearOp.identity(1, 1)
+
+    def slot(view):
+        weights = np.ones(view.shape[0])
+        weights[-1] = np.nan
+        return weights, ident
+
+    # steps from t = 0.5 on carry the NaN, so eta(0.5) stays finite
+    s = StepIntegrand(ens.grid, (ident,) * 4 + (slot,) * 4, 1, 1, 1)
+    for threads in (1, 3):
+        rep = run(ens, martingale_check(s, ens, 0.5, 1.0), threads)
+        assert np.isnan(rep["worst_bin_z"])
+        assert not rep["bins_passed"] and not rep["passed"]
 
 
 def test_chebyshev_bounds():

@@ -176,8 +176,8 @@ def test_ensemble_batch_layout_covers_all_replicas():
     grid = TimeGrid.uniform(0.0, 1.0, 4)
     u = CovarianceOperator.simple(CdReal.from_real(0, 1.0), np.eye(1))
     ens = PathEnsemble(grid, u, None, seed=1, n_replicas=2500, batch_size=1024)
-    spans = [(b.start, b.count) for b in ens.batches()]
-    assert spans == [(0, 1024), (1024, 1024), (2048, 452)]
+    spans = [(b.index, b.count) for b in ens.batches()]
+    assert spans == [(0, 1024), (1, 1024), (2, 452)]
     assert ens.n_batches == 3
     assert not ens.complexified
 
@@ -540,6 +540,70 @@ def test_sweep_matches_each_probe_swept_alone(threads, monkeypatch):
     fused = sweep(ens, probes, threads)
     assert len(assembled) == ens.n_batches == 5
     assert _bits(fused) == _bits(alone)
+
+
+def _gather_samples(batch):
+    """Per-replica arrays of three layouts: C-ordered, time-major (as the
+    solvers store them) and 1-D boolean."""
+    w = batch.w
+    time_major = np.ascontiguousarray(np.moveaxis(w, 1, 0))
+    return (w[:, -1].reshape(batch.count, -1), np.moveaxis(time_major, 0, 1),
+            w[:, -1, 0, 0, 0] > 0.0)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_gather_joins_the_batches_in_order(threads):
+    """A gather probe's gate sees each array joined over the batches in
+    batch order, C-contiguous, with the bits of np.concatenate; a batch
+    size that does not divide the replica count leaves a short batch."""
+    ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8),
+                       identity_complex_covariance(1, 2), None, seed=61,
+                       n_replicas=500, batch_size=96)
+    assert [b.count for b in ens.batches()] == [96] * 5 + [20]
+    joined = run(ens, Probe(_gather_samples, list, gather=True), threads)
+    parts = [_gather_samples(b) for b in ens.batches()]
+    assert not parts[0][1].flags.c_contiguous
+    for j, got in enumerate(joined):
+        expect = np.concatenate([part[j] for part in parts], axis=0)
+        assert got.flags.c_contiguous
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+    # the layout trap a C-ordered join avoids: a concatenate of time-major
+    # parts is not C-ordered, so later sums over replicas may change order
+    assert not np.concatenate([part[1] for part in parts]).flags.c_contiguous
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_mixing_gathers_and_moments(threads, monkeypatch):
+    """Gather and moment probes in one sweep give each probe the bits it
+    has when swept alone, from one assembly per batch."""
+    ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8),
+                       identity_complex_covariance(2, 1), None, seed=67,
+                       n_replicas=300, batch_size=128)
+
+    def gathered(joined):
+        return [(a.tobytes(), a.flags.c_contiguous) for a in joined]
+
+    probes = [Probe(_gather_samples, gathered, gather=True),
+              mean_increment(ens, 0.25, 0.75),
+              Probe(lambda b: _gather_samples(b)[1:], gathered, gather=True),
+              Probe(lambda b: _gather_samples(b)[:2], list)]
+    alone = [run(ens, probe) for probe in probes]
+    assembled = []
+    assemble = paths_module.assemble_paths
+
+    def counting(*args):
+        assembled.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(paths_module, "assemble_paths", counting)
+    fused = sweep(ens, probes, threads)
+    assert len(assembled) == ens.n_batches == 3
+    assert fused[0] == alone[0] and fused[2] == alone[2]
+    assert all(c for _, c in fused[0] + fused[2])
+    assert _bits(fused[1]) == _bits(alone[1])
+    assert [_report_bits(r) for r in fused[3]] \
+        == [_report_bits(r) for r in alone[3]]
 
 
 def test_mc_report_validation():

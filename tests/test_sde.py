@@ -15,6 +15,7 @@ from cdstoch.linops import (
     op_exp_left,
 )
 from cdstoch import paths, sde
+from cdstoch.experiments import Row, _run_rows
 from cdstoch.paths import GridError, PathEnsemble, TimeGrid, sweep
 from cdstoch.sde import (
     SdeError,
@@ -143,16 +144,17 @@ def test_divergence_guard_aborts_only_the_rows_that_cross_it():
     wild = np.array([1, 4, 6])
     tame = np.setdiff1d(np.arange(b), wild)
     vals, aborted = sde._em_values(prob, grid, dw, y0)
-    assert aborted == wild.size
+    assert np.array_equal(np.flatnonzero(aborted), wild)
     assert np.all(np.isnan(vals[wild, -1]))
     assert np.all(np.isfinite(vals[tame]))
     alone, none = sde._em_values(prob, grid, dw[tame], y0[tame])
-    assert none == 0
+    assert not none.any()
     assert vals[tame].tobytes() == alone.tobytes()
     # a NaN row with no row crossing the guard beside it
     rows = np.append(tame, 6)
     vals, aborted = sde._em_values(prob, grid, dw[rows], y0[rows])
-    assert aborted == 1 and np.all(np.isnan(vals[-1, 1:]))
+    assert np.flatnonzero(aborted).tolist() == [rows.size - 1]
+    assert np.all(np.isnan(vals[-1, 1:]))
     assert vals[:-1].tobytes() == alone.tobytes()
 
 
@@ -367,6 +369,16 @@ def test_lipschitz_linear_and_constant_cases():
         lipschitz_validate(const, 0)
 
 
+def test_lipschitz_check_fails_on_a_nan_map():
+    grid = TimeGrid.uniform(0.0, 1.0, 8)
+    prob = SdeProblem(lambda t, y: np.full_like(y, np.nan), None,
+                      unit_zeta(), 1.0, grid, complexified_identity(1, 1))
+    rep = lipschitz_validate(prob, 400)
+    assert not rep["passed"]
+    assert np.isnan(rep["max_lipschitz_ratio"])
+    assert np.isnan(rep["max_growth_ratio"])
+
+
 def test_lipschitz_falsifies_quadratic_growth():
     grid = TimeGrid.uniform(0.0, 1.0, 8)
     prob = SdeProblem(lambda t, y: y * np.abs(y), None, unit_zeta(), 1.0,
@@ -379,12 +391,11 @@ def test_lipschitz_falsifies_quadratic_growth():
 def test_restart_markov_exact_and_edge():
     prob = linear_test_problem(steps=32)
     ens = prob.ensemble(seed=19, n_replicas=4000)
-    rep, = restart_markov_check([prob], ens, 0.5, threads=2)
+    rep = run(ens, restart_markov_check(prob, ens, 0.5), threads=2)
     assert rep["passed"], rep
     assert rep["max_pathwise_deviation"] == 0.0
-    edge, = restart_markov_check([prob],
-                                 prob.ensemble(seed=23, n_replicas=512),
-                                 prob.grid.a)
+    edge_ens = prob.ensemble(seed=23, n_replicas=512)
+    edge = run(edge_ens, restart_markov_check(prob, edge_ens, prob.grid.a))
     assert edge["max_pathwise_deviation"] == 0.0
 
 
@@ -392,22 +403,22 @@ def test_restart_flow_property_without_noise():
     grid = TimeGrid.uniform(0.0, 1.0, 16)
     prob = linear_problem(RightLinearOp.identity(1, 1).scaled(-0.5), None,
                           unit_zeta(), grid, complexified_identity(1, 1))
-    rep, = restart_markov_check([prob],
-                                prob.ensemble(seed=3, n_replicas=256), 0.5)
+    ens = prob.ensemble(seed=3, n_replicas=256)
+    rep = run(ens, restart_markov_check(prob, ens, 0.5))
     assert rep["passed"]
     assert rep["max_pathwise_deviation"] == 0.0
 
 
 def test_restart_check_runs_its_problems_on_one_sweep(monkeypatch):
-    """Problems sharing an ensemble get the results each gets alone, from
-    one assembly per batch."""
+    """Problems sharing an ensemble, as battery rows, get the results each
+    gets alone, from one assembly per batch."""
     prob = linear_test_problem(steps=16)
     noise_only = linear_problem(None, RightLinearOp.identity(1, 1),
                                 ZetaSpec.gaussian(1, 1, 0.5), prob.grid,
                                 complexified_identity(1, 1))
     ens = prob.ensemble(seed=37, n_replicas=300, batch_size=128)
     z = CdVector.embedded_real(1, [0.7])
-    alone = [restart_markov_check([pb], ens, 0.5, z, threads=2)[0]
+    alone = [run(ens, restart_markov_check(pb, ens, 0.5, z), threads=2)
              for pb in (prob, noise_only)]
     assembled = []
     assemble = paths.assemble_paths
@@ -417,11 +428,13 @@ def test_restart_check_runs_its_problems_on_one_sweep(monkeypatch):
         return assemble(*args)
 
     monkeypatch.setattr(paths, "assemble_paths", counting)
-    both = restart_markov_check([prob, noise_only], ens, 0.5, z, threads=2)
+    rows = [Row(ens, restart_markov_check(pb, ens, 0.5, z), lambda res: res)
+            for pb in (prob, noise_only)]
+    both = _run_rows(rows, threads=2)
     assert len(assembled) == ens.n_batches == 3
     assert both == alone
     with pytest.raises(GridError):
-        restart_markov_check([prob, linear_test_problem(steps=8)], ens, 0.5)
+        restart_markov_check(linear_test_problem(steps=8), ens, 0.5)
 
 
 # scipy.stats is the oracle of the KS probe; the package does not import it
