@@ -7,9 +7,10 @@ Each experiment function takes a RunConfig and returns a report entry::
 
 The ``anchor`` field is the audit key a reader can use to locate the
 statement a check exercises; it is part of the report wire format.
-Experiments draw their own fixtures from Philox streams keyed far away
-from the path-noise streams, so adding or reordering checks never
-perturbs the simulated noise.
+Monte Carlo checks are rows (``_run_rows``), deterministic ones cases
+(``_run_cases``).  Experiments draw their fixtures from Philox streams
+keyed far from the path-noise streams, so adding or reordering checks
+never perturbs the simulated noise.
 """
 
 from __future__ import annotations
@@ -184,9 +185,46 @@ def _entry(name: str, checks: list, started: float) -> dict:
     }
 
 
-def _tolerances(cfg: RunConfig) -> tuple[float, float]:
+def _tolerances(cfg: RunConfig) -> dict[str, float]:
     tols = dict(cfg.tolerances)
-    return float(tols.get("exact", 1e-12)), float(tols.get("sqrt", 1e-10))
+    return {"exact": float(tols.get("exact", 1e-12)),
+            "sqrt": float(tols.get("sqrt", 1e-10))}
+
+
+def _worst(gaps) -> float:
+    """Largest entry of the gaps (arrays or scalars); NaN if any is NaN."""
+    return float(np.max(np.concatenate([np.ravel(g) for g in gaps])))
+
+
+class Case(NamedTuple):
+    """One deterministic check of a battery: ``run(rng, tol)`` returns the
+    entry's fields, plus an optional ``ok`` flag for its boolean parts.
+    ``rng`` is the fixture stream (None when the case draws nothing) and
+    ``tol`` the ``exact`` or ``sqrt`` tolerance; the case passes when
+    ``ok`` holds and every ``gated`` field is at most ``tol``."""
+
+    name: str
+    anchor: str
+    fixture: int | None
+    tol: str
+    gated: tuple[str, ...]
+    run: Callable
+
+
+def _run_cases(cases, cfg: RunConfig) -> list[dict]:
+    """Report entries of the cases, in case order; a NaN gated field
+    compares False, so it fails its case."""
+    tols = _tolerances(cfg)
+    entries = []
+    for case in cases:
+        rng = (None if case.fixture is None
+               else _case_rng(cfg.seed, case.fixture))
+        tol = tols[case.tol]
+        fields = case.run(rng, tol)
+        passed = fields.pop("ok", True) and all(
+            fields[f] <= tol for f in case.gated)
+        entries.append(_check(case.name, case.anchor, passed, **fields))
+    return entries
 
 
 # ------------------------------------------------------------------- algebra
@@ -207,7 +245,7 @@ OCTONION_LINES = (
 )
 
 
-def _quaternion_table_check(atol: float) -> dict:
+def _quaternion_table_check(rng, atol: float) -> dict:
     signs, idxs = mul_table(2)
     expected_sign = np.zeros((4, 4))
     expected_idx = np.zeros((4, 4), dtype=int)
@@ -219,20 +257,20 @@ def _quaternion_table_check(atol: float) -> dict:
         expected_idx[x, y] = k
     ok = np.array_equal(idxs, expected_idx) and np.allclose(
         signs, expected_sign, rtol=0.0, atol=atol)
-    return _check("quaternion_table", "§1", ok, pairs=16)
+    return {"ok": ok, "pairs": 16}
 
 
-def _octonion_lines_check() -> dict:
+def _octonion_lines_check(rng, tol: float) -> dict:
     signs, idxs = mul_table(3)
     ok = True
     for line in OCTONION_LINES:
         for a, b, c in (line, line[1:] + line[:1], line[2:] + line[:2]):
             ok = ok and idxs[a, b] == c and signs[a, b] == 1.0
             ok = ok and idxs[b, a] == c and signs[b, a] == -1.0
-    return _check("octonion_fano_lines", "§1", ok, lines=len(OCTONION_LINES))
+    return {"ok": ok, "lines": len(OCTONION_LINES)}
 
 
-def _xor_grading_check() -> dict:
+def _xor_grading_check(rng, tol: float) -> dict:
     ok = True
     for level in range(6):
         signs, idxs = mul_table(level)
@@ -240,12 +278,11 @@ def _xor_grading_check() -> dict:
         grid = np.indices((d, d))
         ok = ok and np.array_equal(idxs, grid[0] ^ grid[1])
         ok = ok and np.all(np.abs(signs) == 1.0)
-    return _check("basis_xor_grading", "§1", ok, levels=6)
+    return {"ok": ok, "levels": 6}
 
 
-def _norm_multiplicativity_check(seed: int, atol: float) -> dict:
-    rng = _case_rng(seed, 1)
-    worst = 0.0
+def _norm_multiplicativity_check(rng, atol: float) -> dict:
+    gaps = []
     pairs = 0
     for level in range(4):
         tensor = mul_tensor(level)
@@ -256,23 +293,19 @@ def _norm_multiplicativity_check(seed: int, atol: float) -> dict:
         na = np.sqrt(np.sum(a * a, axis=1))
         nb = np.sqrt(np.sum(b * b, axis=1))
         np_ = np.sqrt(np.sum(prod * prod, axis=1))
-        gap = np.abs(np_ - na * nb) / np.maximum(1.0, na * nb)
-        worst = max(worst, float(np.max(gap)))
+        gaps.append(np.abs(np_ - na * nb) / np.maximum(1.0, na * nb))
         pairs += a.shape[0]
-    return _check("norm_multiplicativity", "Remark 2.7", worst <= atol,
-                  pairs=pairs, levels=4, max_rel_gap=worst)
+    return {"pairs": pairs, "levels": 4, "max_rel_gap": _worst(gaps)}
 
 
-def _zero_divisor_check(atol: float) -> dict:
+def _zero_divisor_check(rng, atol: float) -> dict:
     a, b = find_zero_divisor(4)
     prod = cd_mul(a, b)
-    residual = float(np.max(np.abs(prod.coeffs)))
-    ok = residual <= atol and abs(a) > 0.5 and abs(b) > 0.5
-    return _check("sedenion_zero_divisor", "§1", ok, residual=residual)
+    return {"ok": abs(a) > 0.5 and abs(b) > 0.5,
+            "residual": float(np.max(np.abs(prod.coeffs)))}
 
 
-def _identities_check(seed: int, atol: float) -> dict:
-    rng = _case_rng(seed, 2)
+def _identities_check(rng, atol: float) -> dict:
     tensor = mul_tensor(3)
 
     def mul(x, y):
@@ -291,15 +324,12 @@ def _identities_check(seed: int, atol: float) -> dict:
     left_alt = np.abs(mul(mul(a, a), b) - mul(a, mul(a, b))) / scale
     right_alt = np.abs(mul(mul(a, b), b) - mul(a, mul(b, b))) / scale
     flexible = np.abs(mul(mul(a, b), a) - mul(a, mul(b, a))) / scale
-    worst = float(max(np.max(moufang), np.max(left_alt),
-                      np.max(right_alt), np.max(flexible)))
-    return _check("moufang_and_alternativity", "§1", worst <= atol,
-                  level=3, samples=count, max_rel_gap=worst)
+    return {"level": 3, "samples": count,
+            "max_rel_gap": _worst([moufang, left_alt, right_alt, flexible])}
 
 
-def _power_associativity_check(seed: int, atol: float) -> dict:
-    rng = _case_rng(seed, 3)
-    worst = 0.0
+def _power_associativity_check(rng, atol: float) -> dict:
+    gaps = []
     for level in range(2, 6):
         tensor = mul_tensor(level)
         x = rng.normal(size=(500, dim_of(level)))
@@ -309,39 +339,31 @@ def _power_associativity_check(seed: int, atol: float) -> dict:
 
         x2 = mul(x, x)
         scale = np.maximum(1.0, np.linalg.norm(x, axis=1) ** 4)[:, None]
-        gap = np.abs(mul(x2, x2) - mul(x, mul(x, x2))) / scale
-        worst = max(worst, float(np.max(gap)))
-    return _check("power_associativity", "§1", worst <= atol,
-                  levels="2..5", max_rel_gap=worst)
+        gaps.append(np.abs(mul(x2, x2) - mul(x, mul(x, x2))) / scale)
+    return {"levels": "2..5", "max_rel_gap": _worst(gaps)}
 
 
-def _conjugation_check(seed: int, atol: float) -> dict:
-    rng = _case_rng(seed, 4)
-    worst = 0.0
+def _conjugation_check(rng, atol: float) -> dict:
+    gaps = []
     for level in range(6):
         d = dim_of(level)
         for _ in range(50):
             a = CdReal(level, rng.normal(size=d))
             b = CdReal(level, rng.normal(size=d))
             scale = max(1.0, abs(a) * abs(b))
-            gap = np.max(np.abs(
+            gaps.append(np.max(np.abs(
                 cd_conj(cd_mul(a, b)).coeffs
-                - cd_mul(cd_conj(b), cd_conj(a)).coeffs)) / scale
-            worst = max(worst, float(gap))
+                - cd_mul(cd_conj(b), cd_conj(a)).coeffs)) / scale)
             # a * conj(a) lands on the real axis with value sum(a_l^2)
             sq = cd_mul(a, cd_conj(a)).coeffs
             target = np.zeros(d)
             target[0] = np.sum(a.coeffs ** 2)
-            worst = max(worst, float(np.max(np.abs(sq - target))
-                                     / max(1.0, target[0])))
-    return _check("conjugation_antiautomorphism", "Remark 2.11(3)",
-                  worst <= atol, max_rel_gap=worst)
+            gaps.append(np.max(np.abs(sq - target)) / max(1.0, target[0]))
+    return {"max_rel_gap": _worst(gaps)}
 
 
-def _sqrt_roundtrip_check(seed: int, rtol: float) -> dict:
-    rng = _case_rng(seed, 5)
-    worst_plain = 0.0
-    plain = 0
+def _sqrt_roundtrip_check(rng, rtol: float) -> dict:
+    plain = []
     for level in range(4):
         d = dim_of(level)
         for _ in range(1250):
@@ -358,10 +380,8 @@ def _sqrt_roundtrip_check(seed: int, rtol: float) -> dict:
                 a = CdReal(level, coeffs)
                 s = cd_sqrt(a)
             gap = np.max(np.abs(cd_mul(s, s).coeffs - a.coeffs))
-            worst_plain = max(worst_plain, float(gap / max(1.0, abs(a))))
-            plain += 1
-    worst_cplx = 0.0
-    cplx = 0
+            plain.append(gap / max(1.0, abs(a)))
+    cplx = []
     for level in range(4):
         d = dim_of(level)
         for _ in range(1250):
@@ -370,18 +390,13 @@ def _sqrt_roundtrip_check(seed: int, rtol: float) -> dict:
             s = cdc_sqrt(a)
             gap_elem = cdc_mul(s, s) - a
             gap = math.sqrt(gap_elem.norm2())
-            worst_cplx = max(worst_cplx,
-                             float(gap / max(1.0, math.sqrt(a.norm2()))))
-            cplx += 1
-    ok = worst_plain <= rtol and worst_cplx <= rtol
-    return _check("sqrt_round_trip", "Thm. 2.8 proof", ok,
-                  plain_inputs=plain, complexified_inputs=cplx,
-                  max_rel_gap_plain=worst_plain,
-                  max_rel_gap_complexified=worst_cplx)
+            cplx.append(gap / max(1.0, math.sqrt(a.norm2())))
+    return {"plain_inputs": len(plain), "complexified_inputs": len(cplx),
+            "max_rel_gap_plain": _worst(plain),
+            "max_rel_gap_complexified": _worst(cplx)}
 
 
-def _sqrt_branch_check(seed: int, atol: float) -> dict:
-    rng = _case_rng(seed, 6)
+def _sqrt_branch_check(rng, atol: float) -> dict:
     four = cd_sqrt(CdReal.from_real(2, 4.0))
     ok = bool(np.max(np.abs(four.coeffs
                             - CdReal.from_real(2, 2.0).coeffs)) <= atol)
@@ -392,59 +407,66 @@ def _sqrt_branch_check(seed: int, atol: float) -> dict:
             root = cd_sqrt(CdReal.from_real(level, value))
             ok = ok and root.real > 0.0
             ok = ok and abs(root.real - math.sqrt(value)) <= atol * 10
-    return _check("sqrt_positive_branch", "Thm. 2.8 proof", ok)
+    return {"ok": ok}
 
 
-def _nilpotent_check() -> dict:
+def _nilpotent_check(rng, tol: float) -> dict:
     # (i_1 + i i_2)^2 = 0: square roots must be refused, not fabricated
     a = CdComplex(CdReal.unit(2, 1), CdReal.unit(2, 2))
-    square = cdc_mul(a, a)
-    is_nilpotent = square.norm2() == 0.0
+    is_nilpotent = cdc_mul(a, a).norm2() == 0.0
     try:
         cdc_sqrt(a)
-        rejected = False
     except NilpotentNoRoot:
-        rejected = True
-    return _check("nilpotent_root_rejected", "Thm. 2.8 proof",
-                  is_nilpotent and rejected)
+        return {"ok": is_nilpotent}
+    return {"ok": False}
 
 
-def _exp_check(seed: int, rtol: float) -> dict:
-    rng = _case_rng(seed, 7)
-    worst = 0.0
+def _exp_check(rng, rtol: float) -> dict:
+    gaps = []
     for level in range(4):
         d = dim_of(level)
         one = np.zeros(d)
         one[0] = 1.0
-        zero_gap = np.max(np.abs(cd_exp(CdReal.zero(level)).coeffs - one))
-        worst = max(worst, float(zero_gap))
+        gaps.append(np.abs(cd_exp(CdReal.zero(level)).coeffs - one))
         for _ in range(50):
             a = CdReal(level, rng.normal(size=d) * 0.7)
             prod = cd_mul(cd_exp(a), cd_exp(-a))
-            worst = max(worst, float(np.max(np.abs(prod.coeffs - one))))
-    return _check("exp_inverse_identity", "Thm. 2.14 proof", worst <= rtol,
-                  max_gap=worst)
+            gaps.append(np.abs(prod.coeffs - one))
+    return {"max_gap": _worst(gaps)}
+
+
+ALGEBRA_CASES = (
+    Case("quaternion_table", "§1", None, "exact", (),
+         _quaternion_table_check),
+    Case("octonion_fano_lines", "§1", None, "exact", (),
+         _octonion_lines_check),
+    Case("basis_xor_grading", "§1", None, "exact", (), _xor_grading_check),
+    Case("norm_multiplicativity", "Remark 2.7", 1, "exact",
+         ("max_rel_gap",), _norm_multiplicativity_check),
+    Case("sedenion_zero_divisor", "§1", None, "exact", ("residual",),
+         _zero_divisor_check),
+    Case("moufang_and_alternativity", "§1", 2, "exact", ("max_rel_gap",),
+         _identities_check),
+    Case("power_associativity", "§1", 3, "exact", ("max_rel_gap",),
+         _power_associativity_check),
+    Case("conjugation_antiautomorphism", "Remark 2.11(3)", 4, "exact",
+         ("max_rel_gap",), _conjugation_check),
+    Case("sqrt_round_trip", "Thm. 2.8 proof", 5, "sqrt",
+         ("max_rel_gap_plain", "max_rel_gap_complexified"),
+         _sqrt_roundtrip_check),
+    Case("sqrt_positive_branch", "Thm. 2.8 proof", 6, "exact", (),
+         _sqrt_branch_check),
+    Case("nilpotent_root_rejected", "Thm. 2.8 proof", None, "exact", (),
+         _nilpotent_check),
+    Case("exp_inverse_identity", "Thm. 2.14 proof", 7, "sqrt", ("max_gap",),
+         _exp_check),
+)
 
 
 def algebra_experiment(cfg: RunConfig) -> dict:
     """Multiplication tables, identity laws, square roots."""
     started = time.perf_counter()
-    atol, rtol_sqrt = _tolerances(cfg)
-    checks = [
-        _quaternion_table_check(atol),
-        _octonion_lines_check(),
-        _xor_grading_check(),
-        _norm_multiplicativity_check(cfg.seed, atol),
-        _zero_divisor_check(atol),
-        _identities_check(cfg.seed, atol),
-        _power_associativity_check(cfg.seed, atol),
-        _conjugation_check(cfg.seed, atol),
-        _sqrt_roundtrip_check(cfg.seed, rtol_sqrt),
-        _sqrt_branch_check(cfg.seed, atol),
-        _nilpotent_check(),
-        _exp_check(cfg.seed, rtol_sqrt),
-    ]
-    return _entry("algebra", checks, started)
+    return _entry("algebra", _run_cases(ALGEBRA_CASES, cfg), started)
 
 
 # -------------------------------------------------------------------- linops
@@ -454,19 +476,13 @@ def _random_block(rng, level: int, h: int, n: int) -> np.ndarray:
 
 
 def _random_four_block(rng, level: int, h: int, n: int) -> RightLinearOp:
+    """Blocks s00, s01, s10, s11, drawn in that order."""
     return RightLinearOp.from_blocks(
-        level,
-        s00=_random_block(rng, level, h, n),
-        s01=_random_block(rng, level, h, n),
-        s10=_random_block(rng, level, h, n),
-        s11=_random_block(rng, level, h, n),
-    )
+        level, *(_random_block(rng, level, h, n) for _ in range(4)))
 
 
-def _structured_vs_realized_check(seed: int, atol: float) -> dict:
-    rng = _case_rng(seed, 10)
-    worst = 0.0
-    ops = 0
+def _structured_vs_realized_check(rng, atol: float) -> dict:
+    gaps = []
     for level in range(4):
         for n, h in ((1, 1), (2, 1), (2, 3)):
             for _ in range(4):
@@ -477,19 +493,15 @@ def _structured_vs_realized_check(seed: int, atol: float) -> dict:
                     op.apply(CdVector.from_vec(level, n, row)).vec
                     for row in v])
                 scale = max(1.0, float(np.max(np.abs(via_matrix))))
-                worst = max(worst, float(
-                    np.max(np.abs(via_matrix - via_blocks)) / scale))
-                ops += 1
-    return _check("structured_vs_realized", "Eq. 2.14(3)", worst <= atol,
-                  operators=ops, vectors_per_operator=100,
-                  max_rel_gap=worst)
+                gaps.append(np.max(np.abs(via_matrix - via_blocks)) / scale)
+    return {"operators": len(gaps), "vectors_per_operator": 100,
+            "max_rel_gap": _worst(gaps)}
 
 
-def _adjoint_check(seed: int, atol: float) -> dict:
-    rng = _case_rng(seed, 11)
-    worst = 0.0
+def _adjoint_check(rng, atol: float) -> dict:
+    gaps = []
     involution_ok = True
-    full_residual = 0.0
+    residuals = []
     for level in range(4):
         for n, h in ((1, 1), (2, 2)):
             op = _random_four_block(rng, level, h, n)
@@ -501,18 +513,14 @@ def _adjoint_check(seed: int, atol: float) -> dict:
             lhs = re_inner(x @ op.realized.T, y, level, h)
             rhs = re_inner(x, y @ adj.realized.T, level, n)
             scale = max(1.0, float(np.max(np.abs(lhs))))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
-            full_residual = max(full_residual,
-                                adjoint_full_residual(op, samples=10))
-    return _check("adjoint_real_inner_identity", "Remark 2.11(4)",
-                  worst <= atol and involution_ok,
-                  max_rel_gap=worst,
-                  full_form_residual_unasserted=full_residual)
+            gaps.append(np.max(np.abs(lhs - rhs)) / scale)
+            residuals.append(adjoint_full_residual(op, samples=10))
+    return {"ok": involution_ok, "max_rel_gap": _worst(gaps),
+            "full_form_residual_unasserted": _worst(residuals)}
 
 
-def _trace_formula_check(seed: int, atol: float) -> dict:
-    rng = _case_rng(seed, 12)
-    worst = 0.0
+def _trace_formula_check(rng, atol: float) -> dict:
+    gaps = []
     count = 0
     for level in range(4):
         for n, h in ((1, 1), (2, 1), (3, 2)):
@@ -521,36 +529,26 @@ def _trace_formula_check(seed: int, atol: float) -> dict:
                 direct = op_trace_aa_star(block)
                 via_units = trace_aa_star_via_units(block, level)
                 scale = max(1.0, abs(direct))
-                worst = max(worst, abs(direct - via_units.central.real)
-                            / scale)
-                worst = max(worst, abs(via_units.central.imag) / scale)
+                gaps.append(abs(direct - via_units.central.real) / scale)
+                gaps.append(abs(via_units.central.imag) / scale)
                 count += 1
-    return _check("trace_formulas_agree", "Lemma 2.13 proof", worst <= atol,
-                  blocks=count, max_rel_gap=worst)
+    return {"blocks": count, "max_rel_gap": _worst(gaps)}
 
 
-def _norm_dominance_check(seed: int, atol: float) -> dict:
-    rng = _case_rng(seed, 13)
+def _norm_dominance_check(rng, atol: float) -> dict:
     sizes = ((1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (2, 1), (1, 2), (2, 2))
-    worst_excess = -np.inf
-    count = 0
+    excess = []
     for level in range(4):
         for index in range(2500):
             n, h = sizes[index % len(sizes)]
             op = _random_four_block(rng, level, h, n)
             hs = math.sqrt(op.hs_norm2())
-            excess = (op_norm(op) - hs) / max(1.0, hs)
-            worst_excess = max(worst_excess, excess)
-            count += 1
-    return _check("operator_norm_dominated", "Remark 2.11(5)",
-                  worst_excess <= atol, operators=count,
-                  worst_relative_excess=float(worst_excess))
+            excess.append((op_norm(op) - hs) / max(1.0, hs))
+    return {"operators": len(excess), "worst_relative_excess": _worst(excess)}
 
 
-def _cov_sqrt_check(seed: int, rtol: float) -> dict:
-    rng = _case_rng(seed, 14)
-    worst = 0.0
-    count = 0
+def _cov_sqrt_check(rng, rtol: float) -> dict:
+    gaps = []
     for level in range(4):
         d = dim_of(level)
         for _ in range(50):
@@ -569,16 +567,12 @@ def _cov_sqrt_check(seed: int, rtol: float) -> dict:
             squared = root.realized @ root.realized
             target = cov.as_op().realized
             scale = max(1.0, float(np.max(np.abs(target))))
-            worst = max(worst, float(np.max(np.abs(squared - target))
-                                     / scale))
-            count += 1
-    return _check("cov_sqrt_round_trip", "Eq. 2.14(4)", worst <= rtol,
-                  covariances=count, max_rel_gap=worst)
+            gaps.append(np.max(np.abs(squared - target)) / scale)
+    return {"covariances": len(gaps), "max_rel_gap": _worst(gaps)}
 
 
-def _op_exp_check(seed: int, rtol: float) -> dict:
-    rng = _case_rng(seed, 15)
-    worst = 0.0
+def _op_exp_check(rng, rtol: float) -> dict:
+    gaps = []
     growth_ok = True
     for level in range(3):
         for n in (1, 2):
@@ -587,23 +581,21 @@ def _op_exp_check(seed: int, rtol: float) -> dict:
             joint = op_exp_left(op, s + t)
             split = op_exp_left(op, s) @ op_exp_left(op, t)
             scale = max(1.0, float(np.max(np.abs(joint))))
-            worst = max(worst, float(np.max(np.abs(joint - split)) / scale))
+            gaps.append(np.max(np.abs(joint - split)) / scale)
             norm_bound = math.exp(op_norm(op) * t)
             growth_ok = growth_ok and (
                 op_norm(op_exp_left(op, t)) <= norm_bound * (1.0 + 1e-9))
-    return _check("exp_semigroup_and_growth", "Cor. 2.30 proof",
-                  worst <= rtol and growth_ok, max_rel_gap=worst)
+    return {"ok": growth_ok, "max_rel_gap": _worst(gaps)}
 
 
-def _f_functional_check(seed: int, atol: float) -> dict:
-    rng = _case_rng(seed, 16)
+def _f_functional_check(rng, atol: float) -> dict:
     u1 = CovarianceOperator.simple(CdReal.from_real(2, 1.0), np.eye(1))
     u = ComplexCovariance(u1, u1)
     half = RightLinearOp.from_blocks(
         2, s00=np.array([[[1.0, 0.0, 0.0, 0.0]]]))
     single = f_functional(half, u)
     identity = f_functional(RightLinearOp.identity(2, 1), u)
-    scaling_worst = 0.0
+    gaps = []
     nonneg_ok = True
     for _ in range(25):
         op = _random_four_block(rng, 2, 1, 1)
@@ -611,29 +603,35 @@ def _f_functional_check(seed: int, atol: float) -> dict:
         base = f_functional(op, u)
         nonneg_ok = nonneg_ok and base >= 0.0
         scaled = f_functional(op.scaled(c), u)
-        scaling_worst = max(scaling_worst,
-                            abs(scaled - c * c * base) / max(1.0, abs(base)))
+        gaps.append(abs(scaled - c * c * base) / max(1.0, abs(base)))
     ok = (abs(single - 1.0) <= atol and abs(identity - 2.0) <= atol
-          and scaling_worst <= atol and nonneg_ok)
-    return _check("f_functional_values", "Eq. 2.18(2)", ok,
-                  single_entry=single, identity_value=identity,
-                  max_scaling_gap=scaling_worst)
+          and nonneg_ok)
+    return {"ok": ok, "single_entry": single, "identity_value": identity,
+            "max_scaling_gap": _worst(gaps)}
+
+
+LINOPS_CASES = (
+    Case("structured_vs_realized", "Eq. 2.14(3)", 10, "exact",
+         ("max_rel_gap",), _structured_vs_realized_check),
+    Case("adjoint_real_inner_identity", "Remark 2.11(4)", 11, "exact",
+         ("max_rel_gap",), _adjoint_check),
+    Case("trace_formulas_agree", "Lemma 2.13 proof", 12, "exact",
+         ("max_rel_gap",), _trace_formula_check),
+    Case("operator_norm_dominated", "Remark 2.11(5)", 13, "exact",
+         ("worst_relative_excess",), _norm_dominance_check),
+    Case("cov_sqrt_round_trip", "Eq. 2.14(4)", 14, "sqrt", ("max_rel_gap",),
+         _cov_sqrt_check),
+    Case("exp_semigroup_and_growth", "Cor. 2.30 proof", 15, "sqrt",
+         ("max_rel_gap",), _op_exp_check),
+    Case("f_functional_values", "Eq. 2.18(2)", 16, "exact",
+         ("max_scaling_gap",), _f_functional_check),
+)
 
 
 def linops_experiment(cfg: RunConfig) -> dict:
     """Operator layer: realizations, adjoints, traces, square roots."""
     started = time.perf_counter()
-    atol, rtol_sqrt = _tolerances(cfg)
-    checks = [
-        _structured_vs_realized_check(cfg.seed, atol),
-        _adjoint_check(cfg.seed, atol),
-        _trace_formula_check(cfg.seed, atol),
-        _norm_dominance_check(cfg.seed, atol),
-        _cov_sqrt_check(cfg.seed, rtol_sqrt),
-        _op_exp_check(cfg.seed, rtol_sqrt),
-        _f_functional_check(cfg.seed, atol),
-    ]
-    return _entry("linops", checks, started)
+    return _entry("linops", _run_cases(LINOPS_CASES, cfg), started)
 
 
 # --------------------------------------------------------------------- paths
@@ -782,7 +780,7 @@ def isometry_experiment(cfg: RunConfig) -> dict:
     span = b0 - a0
     steps = cfg.grids[-1]
     grid = TimeGrid.uniform(a0, b0, steps)
-    atol, _ = _tolerances(cfg)
+    atol = _tolerances(cfg)["exact"]
 
     # structural, in one pass: the identity integrand telescopes to the
     # increment, and the elementary integral is additive over windows

@@ -356,7 +356,7 @@ def trace_aa_star_via_units(block: np.ndarray | RightLinearOp, level: int | None
 
 
 def adjoint_full_residual(op: RightLinearOp, samples: int = 20, seed: int = 0) -> float:
-    """Max norm of <Jx,y> - <x,J*y> over random probes.
+    """Max norm of <Jx,y> - <x,J*y> over random probes (NaN if any is NaN).
 
     The real part of this residual vanishes identically.  The full form
     pits a<x,y> against <x,y>a, so it already fails once multiplication
@@ -366,14 +366,14 @@ def adjoint_full_residual(op: RightLinearOp, samples: int = 20, seed: int = 0) -
 
     rng = np.random.default_rng(seed)
     adj = op.adjoint()
-    worst = 0.0
+    residuals = []
     for _ in range(samples):
         x = CdVector(op.level, op.n, rng.normal(size=(op.n, 2, dim_of(op.level))))
         y = CdVector(op.level, op.h, rng.normal(size=(op.h, 2, dim_of(op.level))))
         lhs = cdc_inner(op.apply(x).components(), y.components())
         rhs = cdc_inner(x.components(), adj.apply(y).components())
-        worst = max(worst, np.sqrt((lhs - rhs).norm2()))
-    return worst
+        residuals.append(np.sqrt((lhs - rhs).norm2()))
+    return float(np.max(residuals))
 
 
 def op_norm(op: np.ndarray | RightLinearOp) -> float:

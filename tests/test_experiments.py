@@ -1,5 +1,7 @@
-"""Tests for the battery runner: rows on one ensemble share one sweep."""
+"""Tests for the battery runners: rows on one ensemble share one sweep,
+and deterministic cases fail on a NaN in any gated field."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,10 +11,15 @@ import cdstoch.experiments as experiments_module
 import cdstoch.integrals as integrals_module
 import cdstoch.paths as paths_module
 import cdstoch.sde as sde_module
-from cdstoch.algebra import CdReal
+from cdstoch.algebra import CdComplex, CdReal
 from cdstoch.config import RunConfig
 from cdstoch.experiments import (
+    ALGEBRA_CASES,
+    LINOPS_CASES,
+    Case,
     Row,
+    _case_rng,
+    _run_cases,
     _run_rows,
     isometry_experiment,
     martingale_experiment,
@@ -218,3 +225,97 @@ def test_restart_rows_fail_on_a_nan_in_a_later_batch(monkeypatch):
     for name in ("restart_linear", "restart_pure_noise", "restart_nonlinear"):
         assert np.isnan(checks[name]["max_pathwise_deviation"]), name
         assert not checks[name]["passed"], name
+
+
+# Deterministic cases: one runner, and every gated field fails on a NaN.
+
+def _verdict(fields, gated=("gap",)):
+    cfg = RunConfig(seed=0, tolerances=(("exact", 0.5),))
+    case = Case("c", "§0", None, "exact", gated, lambda rng, tol: dict(fields))
+    return _run_cases([case], cfg)[0]["passed"]
+
+
+def test_case_runner_gates_ok_and_every_gated_field():
+    assert _verdict({"gap": 0.5})  # equal to tol passes
+    assert _verdict({"ok": True, "gap": 0.1, "other": 9.0})
+    assert not _verdict({"gap": 0.5 + 1e-12})
+    assert not _verdict({"ok": False, "gap": 0.0})
+    assert not _verdict({"gap": 0.1, "more": 0.6}, gated=("gap", "more"))
+    assert not _verdict({"gap": math.nan})
+    assert _verdict({"ok": True}, gated=())
+
+
+def test_case_runner_hands_each_case_its_stream_and_tolerance():
+    seen = []
+
+    def run(rng, tol):
+        seen.append((None if rng is None else rng.random(), tol))
+        return {"ok": True, "value": 1.0}
+
+    cfg = RunConfig(seed=3, tolerances=(("exact", 0.25), ("sqrt", 0.5)))
+    entries = _run_cases([Case("a", "x", 4, "sqrt", (), run),
+                          Case("b", "y", None, "exact", ("value",), run)],
+                         cfg)
+    assert seen == [(_case_rng(3, 4).random(), 0.5), (None, 0.25)]
+    assert entries == [
+        {"name": "a", "anchor": "x", "passed": True, "value": 1.0},
+        {"name": "b", "anchor": "y", "passed": False, "value": 1.0}]
+
+
+def nan_like(value):
+    """The value with every float replaced by NaN."""
+    if isinstance(value, CdComplex):
+        return CdComplex(nan_like(value.re), nan_like(value.im))
+    if isinstance(value, CdReal):
+        return CdReal(value.level, np.full_like(value.coeffs, np.nan))
+    if isinstance(value, np.ndarray):
+        return np.full_like(value, np.nan)
+    return math.nan
+
+
+# (case, gated field, experiments attribute, call whose result turns NaN).
+# The f_functional plant skips the two pinned values and the first base
+# value, so only the scaling gap sees it.
+NAN_PLANTS = [
+    ("norm_multiplicativity", "max_rel_gap", "mul_tensor", 1),
+    ("sedenion_zero_divisor", "residual", "cd_mul", 1),
+    ("moufang_and_alternativity", "max_rel_gap", "mul_tensor", 1),
+    ("power_associativity", "max_rel_gap", "mul_tensor", 1),
+    ("conjugation_antiautomorphism", "max_rel_gap", "cd_mul", 1),
+    ("sqrt_round_trip", "max_rel_gap_plain", "cd_mul", 1),
+    ("sqrt_round_trip", "max_rel_gap_complexified", "cdc_mul", 1),
+    ("exp_inverse_identity", "max_gap", "cd_exp", 1),
+    ("structured_vs_realized", "max_rel_gap", "_random_block", 1),
+    ("adjoint_real_inner_identity", "max_rel_gap", "re_inner", 1),
+    ("trace_formulas_agree", "max_rel_gap", "op_trace_aa_star", 1),
+    ("operator_norm_dominated", "worst_relative_excess", "op_norm", 1),
+    ("cov_sqrt_round_trip", "max_rel_gap", "CdReal", 1),
+    ("exp_semigroup_and_growth", "max_rel_gap", "op_exp_left", 1),
+    ("f_functional_values", "max_scaling_gap", "f_functional", 4),
+]
+CASES = {case.name: case for case in ALGEBRA_CASES + LINOPS_CASES}
+
+
+def test_every_gated_field_has_a_nan_plant():
+    assert sorted((c.name, f) for c in CASES.values() for f in c.gated) \
+        == sorted((name, field) for name, field, _, _ in NAN_PLANTS)
+
+
+@pytest.mark.parametrize(("name", "field", "attr", "nth"), NAN_PLANTS,
+                         ids=[f"{n}.{f}" for n, f, _, _ in NAN_PLANTS])
+def test_case_fails_on_a_nan_in_a_gated_field(name, field, attr, nth,
+                                              monkeypatch):
+    """One call's result turns NaN and the others stay finite: a maximum
+    that drops the NaN reports the finite worst and passes."""
+    orig = getattr(experiments_module, attr)
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        calls.append(1)
+        return nan_like(out) if len(calls) == nth else out
+
+    monkeypatch.setattr(experiments_module, attr, poisoned)
+    [entry] = _run_cases([CASES[name]], RunConfig(seed=5))
+    assert len(calls) >= nth
+    assert np.isnan(entry[field]) and not entry["passed"]

@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports, no top-level definition in the
 package that nothing in the package uses or exports, one function that
-opens a thread pool, one sweep route for every batch pass, and no import
-of scipy.stats (a test oracle only)."""
+opens a thread pool, one sweep route for every batch pass, no import
+of scipy.stats (a test oracle only), and no running maximum or minimum
+kept with the builtin, which drops a NaN."""
 
 import ast
 import os
@@ -224,6 +225,58 @@ def test_package_does_not_import_scipy_stats():
     origin, loaded = out.stdout.split()
     assert Path(origin).parent == PACKAGE
     assert loaded == "False"
+
+
+def builtin_accumulators(sources: dict[str, str]) -> list[str]:
+    """Where ``x = max(x, ...)`` or ``x = min(x, ...)`` calls the builtin.
+
+    ``max(worst, nan)`` keeps ``worst``, so such a running maximum drops
+    a NaN; one ``np.max`` over an array of the values keeps it.
+    """
+
+    def hit(node):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) in ("max", "min")):
+            return False
+        target = node.targets[0].id
+        return any(getattr(arg, "id", None) == target
+                   for arg in node.value.args)
+
+    return _sites(sources, hit)
+
+
+def test_scanner_finds_every_builtin_accumulator():
+    sources = {
+        "a": ("def worst(gaps):\n"
+              "    acc = 0.0\n"
+              "    for g in gaps:\n"
+              "        acc = max(acc, float(g))\n"
+              "    return acc\n\n"
+              "class Range:\n"
+              "    def low(self, xs):\n"
+              "        def inner(lo):\n"
+              "            for x in xs:\n"
+              "                lo = min(x, lo)\n"
+              "            return lo\n"
+              "        return inner(1.0)\n"),
+        "b": ("import numpy as np\n\n"
+              "def fine(a, b, acc):\n"
+              "    scale = max(1.0, a)\n"
+              "    top = max(a, b)\n"
+              "    acc = np.max([acc, a])\n"
+              "    acc = np.maximum(acc, b)\n"
+              "    return scale, top, acc\n"),
+    }
+    assert builtin_accumulators(sources) == ["a.Range.low.inner", "a.worst"]
+    assert builtin_accumulators({"b": sources["b"]}) == []
+
+
+def test_package_keeps_no_builtin_accumulator():
+    """Every maximum a check reports is one np.max, so a NaN reaches it."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert builtin_accumulators(sources) == []
 
 
 def _exported() -> set[str]:

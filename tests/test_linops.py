@@ -119,6 +119,17 @@ def test_adjoint_full_residual_reported_not_zero():
     assert residual > 1.0  # genuinely nonzero, far above float noise
 
 
+def test_adjoint_full_residual_reports_a_nan_entry():
+    # the residual is reported unasserted, but a NaN must reach the report
+    # rather than read as the largest finite residual
+    rng = np.random.default_rng(35)
+    blocks = [rng.normal(size=(2, 2, dim_of(3))) for _ in range(4)]
+    blocks[0][0, 1, 2] = np.nan
+    residual = adjoint_full_residual(RightLinearOp(3, 2, 2, *blocks),
+                                     samples=5)
+    assert np.isnan(residual)
+
+
 # ---------------------------------------------------------------- traces and norms
 
 def test_trace_formulas_agree():
@@ -154,8 +165,12 @@ def test_op_norm_matches_svd_and_bounded_by_hs():
 def test_norm_dominance_check_at_seed_16():
     # seed 16 holds an operator on which power iteration on M^T M did not
     # converge within its step cap; the spectral norm has no such failure
-    from cdstoch.experiments import _norm_dominance_check
-    assert _norm_dominance_check(16, 1e-12)["passed"]
+    from cdstoch.config import RunConfig
+    from cdstoch.experiments import LINOPS_CASES, _run_cases
+    case = next(c for c in LINOPS_CASES if c.name == "operator_norm_dominated")
+    [entry] = _run_cases([case], RunConfig(seed=16,
+                                           tolerances=(("exact", 1e-12),)))
+    assert entry["passed"]
 
 
 def test_op_norm_sweep_norm_le_hs():
