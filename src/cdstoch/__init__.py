@@ -48,8 +48,9 @@ from .linops import (
     spd_sqrt,
     vec_size,
 )
-from .paths import PathEnsemble, TimeGrid, sweep, write_paths_csv
-from .report import make_report, render_json, strip_timing, write_outputs
+from .paths import PathEnsemble, TimeGrid, sweep
+from .report import (make_report, render_json, strip_timing, write_outputs,
+                     write_paths_csv)
 from .sde import (
     SdeProblem,
     ZetaSpec,

@@ -342,18 +342,17 @@ def cdc_inner(x: list[CdComplex] | tuple[CdComplex, ...], y) -> CdComplex:
     return acc
 
 
-def find_zero_divisor(level: int = 4, max_index: int | None = None):
+def find_zero_divisor(level: int = 4):
     """Search sums of two basis units for a pair with x*y = 0, |x||y| != 0.
 
     Exists from the sedenions (r = 4) onward; returns (x, y) or None.
     """
     dim = dim_of(level)
-    top = dim if max_index is None else max_index + 1
     sgn, idx = mul_table(level)
-    for a in range(1, top):
-        for b in range(a + 1, top):
-            for c in range(1, top):
-                for d in range(c + 1, top):
+    for a in range(1, dim):
+        for b in range(a + 1, dim):
+            for c in range(1, dim):
+                for d in range(c + 1, dim):
                     # (i_a + i_b)(i_c + i_d) written through the table
                     out = np.zeros(dim)
                     out[idx[a, c]] += sgn[a, c]

@@ -44,8 +44,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="time grid steps; repeat for a refinement "
                              "ladder (each entry doubling the last)")
     parser.add_argument("--threads", type=int,
-                        help="worker threads (default: CD_STOCHASTIC_THREADS "
-                             "or the available parallelism)")
+                        help="worker threads (default: the available "
+                             "parallelism)")
     parser.add_argument("--out", help="output directory (default: .)")
     parser.add_argument("--format", choices=FORMAT_CHOICES,
                         help="report format: json (default) or csv "

@@ -26,7 +26,6 @@ raises ConfigError naming the offending key.
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass
 
@@ -52,7 +51,6 @@ EXPERIMENT_CHOICES = ("algebra", "linops", "paths", "isometry",
                       "martingale", "chebyshev", "sde")
 TOLERANCE_CHOICES = ("exact", "sqrt")
 FORMAT_CHOICES = ("json", "csv")
-THREADS_ENV = "CD_STOCHASTIC_THREADS"
 
 
 def strong_order_halvings(grids: tuple[int, ...]) -> int:
@@ -147,20 +145,12 @@ class RunConfig:
 
 
 def effective_threads(requested: int | None) -> int:
-    """Resolve the worker count: flag, then environment, then the host."""
+    """Resolve the worker count: the flag or config key, else the CPUs
+    this process may run on."""
     if requested is not None:
         if requested < 1:
             raise ConfigError("config key 'threads': need at least 1")
         return requested
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV}: not an integer") from exc
-        if value < 1:
-            raise ConfigError(f"{THREADS_ENV}: need at least 1")
-        return value
     return available_cpus()
 
 

@@ -251,12 +251,11 @@ def _require_match(integrand, ensemble: PathEnsemble):
 
 # ----------------------------------------------------------------- the checks
 
-def zero_mean_check(integrand: StepIntegrand, ensemble: PathEnsemble,
-                    t: float | None = None) -> Probe:
-    """Ensemble mean of the integral, within 4 standard errors of zero."""
+def zero_mean_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
+    """Window-end mean of the integral, within 4 standard errors of zero."""
     _require_match(integrand, ensemble)
     grid = ensemble.grid
-    idx = grid.index_of(grid.b if t is None else t)
+    idx = grid.steps
 
     def sampler(batch):
         eta = integral_paths(integrand, grid, batch.w)
@@ -275,9 +274,8 @@ def zero_mean_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     return Probe(sampler, gate)
 
 
-def isometry_check(integrand: StepIntegrand, ensemble: PathEnsemble,
-                   t: float | None = None) -> Probe:
-    """Mean squared integral against the trace quadrature, two-sided.
+def isometry_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
+    """Mean squared integral at t = b against the trace quadrature, two-sided.
 
     Valid in the plain-algebra setting: the ensemble must carry a single
     covariance and every slot operator must be lri-valued.
@@ -286,7 +284,7 @@ def isometry_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     if ensemble.complexified:
         raise AlgebraError("the isometry identity lives on plain-covariance paths")
     grid = ensemble.grid
-    idx = grid.index_of(grid.b if t is None else t)
+    idx = grid.steps
     trace_fn = _lri_trace_fn(ensemble.u0)
 
     def sampler(batch):
@@ -312,20 +310,19 @@ def isometry_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     return Probe(sampler, gate)
 
 
-def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble,
-                t: float | None = None, slack: float = 1e-9) -> Probe:
+def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
     """Second-moment identity and domination for complexified paths.
 
-    M1 = mean squared norm of the integral, M2 = twice the F-functional
-    quadrature, M3 = the covariance factor times the squared-norm
-    quadrature; asserts M1 = M2 within combined error and M1 <= M3 with
-    Monte Carlo slack.
+    At the window end, M1 = mean squared norm of the integral, M2 = twice
+    the F-functional quadrature, M3 = the covariance factor times the
+    squared-norm quadrature; asserts M1 = M2 within combined error and
+    M1 <= M3 with Monte Carlo slack.
     """
     _require_match(integrand, ensemble)
     if not ensemble.complexified:
         raise AlgebraError("the norm bound needs a complexified covariance")
     grid = ensemble.grid
-    idx = grid.index_of(grid.b if t is None else t)
+    idx = grid.steps
     f_fn = _f_trace_fn(ensemble.u)
     factor = max(_sqrt_hs2(ensemble.u0), _sqrt_hs2(ensemble.u1))
 
@@ -344,7 +341,7 @@ def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         se13 = float(np.sqrt(m1.standard_error ** 2
                              + (factor * float(m3.standard_error)) ** 2))
         equality = abs(v1 - v2) <= 4.0 * se12 + 1e-12
-        dominated = v1 <= v3 * (1.0 + slack) + 4.0 * se13 + 1e-12
+        dominated = v1 <= v3 * (1.0 + 1e-9) + 4.0 * se13 + 1e-12
         return {
             "passed": bool(equality and dominated),
             "equality_passed": bool(equality),

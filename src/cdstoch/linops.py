@@ -355,7 +355,7 @@ def trace_aa_star_via_units(block: np.ndarray | RightLinearOp, level: int | None
     return CdComplex(CdReal(op.level, acc_re), CdReal(op.level, acc_im))
 
 
-def adjoint_full_residual(op: RightLinearOp, samples: int = 20, seed: int = 0) -> float:
+def adjoint_full_residual(op: RightLinearOp, samples: int = 20) -> float:
     """Max norm of <Jx,y> - <x,J*y> over random probes (NaN if any is NaN).
 
     The real part of this residual vanishes identically.  The full form
@@ -364,7 +364,7 @@ def adjoint_full_residual(op: RightLinearOp, samples: int = 20, seed: int = 0) -
     """
     from .algebra import cdc_inner
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     adj = op.adjoint()
     residuals = []
     for _ in range(samples):
@@ -388,7 +388,7 @@ def op_norm(op: np.ndarray | RightLinearOp) -> float:
 
 # ---------------------------------------------------------------- spd + covariance
 
-def spd_sqrt(b: np.ndarray, rel_eig_floor: float = 1e-12) -> np.ndarray:
+def spd_sqrt(b: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition; gates SPD-ness."""
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -397,7 +397,7 @@ def spd_sqrt(b: np.ndarray, rel_eig_floor: float = 1e-12) -> np.ndarray:
     if np.max(np.abs(b - b.T)) > 1e-12 * scale:
         raise NotSPD("matrix is not symmetric")
     w, v = np.linalg.eigh(b)
-    if np.min(w) <= rel_eig_floor * np.max(np.abs(w)):
+    if np.min(w) <= 1e-12 * np.max(np.abs(w)):
         raise NotSPD(f"min eigenvalue {np.min(w):.3e} under the SPD floor")
     return (v * np.sqrt(w)) @ v.T
 

@@ -2,7 +2,7 @@
 
 The central object is the drifted, operator-injected path
 
-    w(t_l) = J_0 xi_0(t_l) + **i** J_1 xi_1(t_l) + p (t_l - t_0) + w(t_0),
+    w(t_l) = J_0 xi_0(t_l) + **i** J_1 xi_1(t_l) + p (t_l - t_0),
 
 where xi_0 and xi_1 are independent standard Wiener samples in R^n
 (embedded along the i_0 axis), J_k is the block square root of the
@@ -25,7 +25,6 @@ result is bit-identical for any worker count.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import importlib
 import os
@@ -159,13 +158,13 @@ def _inject(e: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 
 def assemble_paths(grid: TimeGrid, e0: np.ndarray, e1: np.ndarray | None,
-                   p: CdVector | None, start: CdVector | None,
-                   inc0: np.ndarray, inc1: np.ndarray | None) -> np.ndarray:
+                   p: CdVector | None, inc0: np.ndarray,
+                   inc1: np.ndarray | None) -> np.ndarray:
     """Coefficient array (batch, K+1, n, 2, dim) of w over the grid.
 
     e0/e1 are entry arrays of the covariance square roots; the second
     injection lands in the imaginary half.  Drift advances from the
-    first grid point, so w(t_0) equals the start value exactly.
+    first grid point, so w(t_0) is exactly zero.
     """
     b, k, n = inc0.shape
     dim = e0.shape[-1]
@@ -180,8 +179,6 @@ def assemble_paths(grid: TimeGrid, e0: np.ndarray, e1: np.ndarray | None,
     if p is not None:
         tau = np.asarray(grid.points) - grid.a
         w += p.data[None, None] * tau[None, :, None, None, None]
-    if start is not None:
-        w += start.data[None, None]
     return w
 
 
@@ -332,7 +329,7 @@ class BatchPaths:
         if self._w is None:
             e = self.ensemble
             self._w = assemble_paths(e.grid, e.sqrt_entries0, e.sqrt_entries1,
-                                     e.p, e.start, self.inc0, self.inc1)
+                                     e.p, self.inc0, self.inc1)
         return self._w
 
     def normals(self, shape: tuple, stream: int) -> np.ndarray:
@@ -356,7 +353,6 @@ class PathEnsemble:
     seed: int
     n_replicas: int
     batch_size: int = DEFAULT_BATCH
-    start: CdVector | None = None
 
     def __post_init__(self):
         u0, _ = _split_u(self.u)
@@ -364,9 +360,9 @@ class PathEnsemble:
             raise AlgebraError("replica and batch counts must be positive")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise AlgebraError("seed must fit in 64 unsigned bits")
-        for vec, name in ((self.p, "drift"), (self.start, "start")):
-            if vec is not None and (vec.level != u0.level or vec.n != u0.n):
-                raise LevelMismatch(f"{name} vector does not match the covariance")
+        if self.p is not None and (self.p.level != u0.level
+                                   or self.p.n != u0.n):
+            raise LevelMismatch("drift vector does not match the covariance")
 
     @property
     def complexified(self) -> bool:
@@ -442,10 +438,10 @@ class McReport:
         var = np.clip(var / max(count - 1, 1), 0.0, None)
         return cls(mean, np.sqrt(var / count), count)
 
-    def within(self, target, k: float = 4.0, atol: float = 1e-12) -> np.ndarray:
-        """Componentwise |estimate - target| <= k standard errors."""
+    def within(self, target) -> np.ndarray:
+        """Componentwise |estimate - target| <= 4 standard errors."""
         gap = np.abs(self.estimate - np.asarray(target, dtype=float))
-        return gap <= k * self.standard_error + atol
+        return gap <= 4.0 * self.standard_error + 1e-12
 
     def max_gap(self, target) -> float:
         return float(np.max(np.abs(self.estimate - np.asarray(target, dtype=float))))
@@ -778,33 +774,3 @@ def path_continuity(ensemble: PathEnsemble, eps: float,
         }
 
     return Probe(sample, gate)
-
-
-# ----------------------------------------------------------------- CSV export
-
-CSV_HEADER = ("replica", "t", "component", "basis", "imag", "value")
-
-
-def write_paths_csv(path, grid: TimeGrid, values: np.ndarray) -> int:
-    """Write grid-aligned values (replicas, K+1, h, 2, dim) as CSV rows.
-
-    One row (replica, t, component, basis, imag flag, value) per
-    coefficient; serves driving paths, running integrals and SDE
-    solutions alike.  Returns the number of replicas written.
-    """
-    b, kk, h, _, dim = values.shape
-    if kk != len(grid):
-        raise GridError("values do not match the grid")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_HEADER)
-        for r in range(b):
-            for it in range(kk):
-                t = repr(float(grid.points[it]))
-                for comp in range(h):
-                    for flag in (0, 1):
-                        vals = values[r, it, comp, flag]
-                        for d in range(dim):
-                            writer.writerow([r, t, comp, d, flag,
-                                             repr(float(vals[d]))])
-    return b

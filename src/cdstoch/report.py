@@ -1,4 +1,4 @@
-"""Report documents: versioned JSON plus per-experiment CSV metric tables.
+"""Report documents: versioned JSON, CSV metric tables and CSV path dumps.
 
 Reports are deterministic by construction: keys are sorted, numpy scalars
 are converted to plain Python values, and the only non-reproducible
@@ -18,9 +18,12 @@ import numpy as np
 
 from . import __version__
 from .config import EXPERIMENT_CHOICES, RunConfig
+from .paths import GridError, TimeGrid
 
 SCHEMA_VERSION = 1
 TIMING_KEY = "wall_time_s"
+METRIC_HEADER = ("experiment", "check", "anchor", "metric", "value")
+CSV_HEADER = ("replica", "t", "component", "basis", "imag", "value")
 
 
 def jsonable(obj):
@@ -112,6 +115,14 @@ def metric_rows(entry: dict):
                 yield (check["name"], anchor, path, scalar)
 
 
+def _write_csv(path, header: tuple, rows) -> None:
+    """One CSV table: the header row, then rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_outputs(doc: dict, out_dir, fmt: str) -> list[Path]:
     """Write report.json (always) and CSV metric tables (csv format)."""
     out = Path(out_dir)
@@ -123,11 +134,26 @@ def write_outputs(doc: dict, out_dir, fmt: str) -> list[Path]:
     if fmt == "csv":
         for entry in doc["experiments"]:
             path = out / f"{entry['name']}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("experiment", "check", "anchor",
-                                 "metric", "value"))
-                for row in metric_rows(entry):
-                    writer.writerow((entry["name"],) + row)
+            _write_csv(path, METRIC_HEADER, ((entry["name"],) + row
+                                             for row in metric_rows(entry)))
             written.append(path)
     return written
+
+
+def write_paths_csv(path, grid: TimeGrid, values: np.ndarray) -> int:
+    """Write grid-aligned values (replicas, K+1, h, 2, dim) as CSV rows.
+
+    One row (replica, t, component, basis, imag flag, value) per
+    coefficient; serves driving paths, running integrals and SDE
+    solutions alike.  Returns the number of replicas written.
+    """
+    b, kk, h, _, dim = values.shape
+    if kk != len(grid):
+        raise GridError("values do not match the grid")
+    times = [repr(float(t)) for t in grid.points]
+    _write_csv(path, CSV_HEADER, (
+        [r, times[it], comp, d, flag,
+         repr(float(values[r, it, comp, flag, d]))]
+        for r in range(b) for it in range(kk) for comp in range(h)
+        for flag in (0, 1) for d in range(dim)))
+    return b

@@ -167,13 +167,11 @@ class SdeProblem:
 
 def linear_problem(g_op: RightLinearOp | None, h_op: RightLinearOp | None,
                    zeta: ZetaSpec, grid: TimeGrid,
-                   u, k_const: float | None = None,
-                   p: CdVector | None = None) -> SdeProblem:
-    """Constant-coefficient problem; K defaults to a valid enclosure."""
-    if k_const is None:
-        g2 = float(np.linalg.norm(g_op.realized, 2)) ** 2 if g_op is not None else 0.0
-        h2 = h_op.hs_norm2() if h_op is not None else 0.0
-        k_const = float(np.sqrt(g2 + h2)) + 1e-9
+                   u, p: CdVector | None = None) -> SdeProblem:
+    """Constant-coefficient problem; K is a valid enclosure."""
+    g2 = float(np.linalg.norm(g_op.realized, 2)) ** 2 if g_op is not None else 0.0
+    h2 = h_op.hs_norm2() if h_op is not None else 0.0
+    k_const = float(np.sqrt(g2 + h2)) + 1e-9
     g_fn = None if g_op is None else (lambda t, y: y @ g_op.realized.T)
     return SdeProblem(g_fn, h_op, zeta, k_const, grid, u, p)
 
@@ -336,6 +334,34 @@ def _repeat_in_time(z: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
+class _PicardBatch:
+    """Picard iteration X <- QX on one batch, from the constant start.
+
+    Each step resumes Q past the prefix on which the last two iterates
+    agree bitwise.  Once they agree everywhere the iterate is a fixed
+    point of Q, and a step leaves it as it is without applying Q.
+    """
+
+    def __init__(self, problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
+                 zeta: np.ndarray):
+        self.problem, self.grid, self.dw, self.zeta = problem, grid, dw, zeta
+        self.x = _repeat_in_time(zeta, len(grid))
+        self.start = 0
+
+    @property
+    def stationary(self) -> bool:
+        return self.start == len(self.grid)
+
+    def step(self) -> np.ndarray:
+        """Map the iterate once; returns the one it replaced."""
+        old = self.x
+        if not self.stationary:
+            self.x = _q_apply(self.problem, self.grid, self.dw, self.zeta,
+                              old, self.start)
+            self.start = _stationary_prefix(self.x, old, self.start)
+        return old
+
+
 def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
                  m_max: int = PICARD_M_MAX, tol: float = PICARD_TOL,
                  threads: int = 1) -> SolutionEnsemble:
@@ -348,30 +374,27 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
     grid = problem.grid
     batches = list(ensemble.batches())
     dws = _map(lambda b: _dw_of(b, grid), batches, threads)
-    zetas = [problem.zeta.sample(b) for b in batches]
-    xs = [_repeat_in_time(z, len(grid)) for z in zetas]
-    starts = [0] * len(batches)
+    runs = [_PicardBatch(problem, grid, dw, problem.zeta.sample(b))
+            for dw, b in zip(dws, batches)]
     count = ensemble.n_replicas
     distances = []
     for _ in range(m_max):
-        new_xs = _map(lambda args: _q_apply(problem, grid, *args),
-                      list(zip(dws, zetas, xs, starts)), threads)
+        olds = _map(lambda run: run.step(), runs, threads)
         per_t = _tree_sum([
-            np.sum(np.ascontiguousarray(vec_norm2(nx - x, axis=-1)), axis=0)
-            for nx, x in zip(new_xs, xs)
+            np.sum(np.ascontiguousarray(vec_norm2(run.x - old, axis=-1)),
+                   axis=0)
+            for run, old in zip(runs, olds)
         ])
         dist = float(np.sqrt(np.max(per_t / count)))
         distances.append(dist)
-        starts = [min(_stationary_prefix(nx, x, p), grid.steps)
-                  for nx, x, p in zip(new_xs, xs, starts)]
-        xs = new_xs
         # tol = 0 keeps iterating until the iterate is bitwise stationary
         if dist <= tol:
             break
     else:
         raise SdeError(
             f"no fixed point within {m_max} iterations; distances={distances}")
-    return _to_solution(problem, _stack_rows(xs), "picard",
+    return _to_solution(problem, _stack_rows([run.x for run in runs]),
+                        "picard",
                         {"iterations": len(distances), "distances": distances})
 
 
@@ -668,8 +691,7 @@ def strong_order_study(g_op: RightLinearOp | None, h_op: RightLinearOp,
 
 
 def uniqueness_study(problem_factory, ensemble: PathEnsemble,
-                     halvings: int = 3,
-                     m_max: int = 2 * PICARD_M_MAX) -> Probe:
+                     halvings: int = 3) -> Probe:
     """Picard-vs-forward gap across grid resolutions on shared noise.
 
     problem_factory(grid) builds the problem at each resolution; Picard
@@ -689,18 +711,15 @@ def uniqueness_study(problem_factory, ensemble: PathEnsemble,
         dw = _dw_of(b, sub, f)
         z = problem.zeta.sample(b)
         em, _ = _em_values(problem, sub, dw, z)
-        x = _repeat_in_time(z, len(sub))
-        start = 0
-        for _ in range(m_max):
-            nx = _q_apply(problem, sub, dw, z, x, start)
-            start = _stationary_prefix(nx, x, start)
-            if start == len(sub):
+        run = _PicardBatch(problem, sub, dw, z)
+        for _ in range(2 * PICARD_M_MAX):
+            run.step()
+            if run.stationary:
                 break
-            x = nx
         else:
             raise SdeError("Picard iterate did not stabilize")
         # sweep sums over replicas in the order of a C-ordered array
-        return np.ascontiguousarray(vec_norm2(x - em, axis=-1))
+        return np.ascontiguousarray(vec_norm2(run.x - em, axis=-1))
 
     def gate(reports):
         gaps = [float(np.sqrt(np.max(rep.estimate))) for rep in reports]

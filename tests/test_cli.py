@@ -211,29 +211,17 @@ def test_load_config_round_trip(tmp_path):
 
 # ------------------------------------------------------------------ threads
 
-def test_effective_threads_flag_wins(monkeypatch):
-    monkeypatch.setenv("CD_STOCHASTIC_THREADS", "7")
+def test_effective_threads_flag_wins():
     assert effective_threads(3) == 3
+    with pytest.raises(ConfigError, match="threads"):
+        effective_threads(0)
 
 
-def test_effective_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("CD_STOCHASTIC_THREADS", "5")
-    assert effective_threads(None) == 5
-
-
-def test_effective_threads_bad_env(monkeypatch):
-    monkeypatch.setenv("CD_STOCHASTIC_THREADS", "lots")
-    with pytest.raises(ConfigError, match="CD_STOCHASTIC_THREADS"):
-        effective_threads(None)
-
-
-def test_effective_threads_default(monkeypatch):
-    monkeypatch.delenv("CD_STOCHASTIC_THREADS", raising=False)
+def test_effective_threads_default():
     assert effective_threads(None) >= 1
 
 
 def test_effective_threads_default_follows_the_affinity_mask(monkeypatch):
-    monkeypatch.delenv("CD_STOCHASTIC_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9},
                         raising=False)
@@ -243,6 +231,17 @@ def test_effective_threads_default_follows_the_affinity_mask(monkeypatch):
     assert effective_threads(None) == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert effective_threads(None) == 1
+
+
+def test_effective_threads_reads_no_environment_variable(monkeypatch):
+    """The worker count is the flag or config key, else the CPU count; an
+    environment variable of the old name changes nothing."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9},
+                        raising=False)
+    monkeypatch.setenv("CD_STOCHASTIC_THREADS", "5")
+    assert effective_threads(None) == 3
+    monkeypatch.setenv("CD_STOCHASTIC_THREADS", "lots")
+    assert effective_threads(None) == 3
 
 
 # ------------------------------------------------------------------ reports

@@ -1,8 +1,9 @@
 """Source hygiene: no unused imports, no top-level definition in the
 package that nothing in the package uses or exports, one function that
 opens a thread pool, one sweep route for every batch pass, no import
-of scipy.stats (a test oracle only), and no running maximum or minimum
-kept with the builtin, which drops a NaN."""
+of scipy.stats (a test oracle only), no running maximum or minimum
+kept with the builtin, which drops a NaN, one module that writes CSV,
+and no setting read from the environment."""
 
 import ast
 import os
@@ -277,6 +278,73 @@ def test_package_keeps_no_builtin_accumulator():
     """Every maximum a check reports is one np.max, so a NaN reaches it."""
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert builtin_accumulators(sources) == []
+
+
+def module_imports(sources: dict[str, str], name: str) -> list[str]:
+    """Where the top-level module ``name`` is imported, in any form."""
+
+    def hit(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == name
+                       for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and node.level == 0 \
+            and (node.module or "").split(".")[0] == name
+
+    return _sites(sources, hit)
+
+
+def environ_reads(sources: dict[str, str]) -> list[str]:
+    """Where ``os.environ`` or ``os.getenv`` is named, imports included."""
+    names = ("environ", "environb", "getenv", "getenvb")
+
+    def hit(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in names \
+                and getattr(node.value, "id", None) == "os"
+        return isinstance(node, ast.ImportFrom) and node.module == "os" \
+            and any(alias.name in names for alias in node.names)
+
+    return _sites(sources, hit)
+
+
+def test_scanner_finds_every_module_import():
+    sources = {
+        "a": "import csv\nimport json\n",
+        "b": "def f(path):\n    from csv import writer\n    return writer\n",
+        "c": "import csvkit\nfrom . import csv\nfrom .csv import rows\n",
+    }
+    assert module_imports(sources, "csv") == ["a.<module>", "b.f"]
+    assert module_imports(sources, "json") == ["a.<module>"]
+
+
+def test_scanner_finds_every_environ_read():
+    sources = {
+        "a": ("import os\n\n"
+              "def threads():\n"
+              "    return os.environ.get('THREADS')\n\n"
+              "class Cfg:\n"
+              "    def load(self):\n"
+              "        return os.getenv('SEED')\n"),
+        "b": "from os import environ\n",
+        "c": ("import os\n\n"
+              "def cpus():\n"
+              "    return os.cpu_count(), os.sched_getaffinity(0)\n"),
+    }
+    assert environ_reads(sources) == ["a.Cfg.load", "a.threads",
+                                      "b.<module>"]
+    assert environ_reads({"c": sources["c"]}) == []
+
+
+def test_one_module_writes_csv():
+    """Metric tables and path dumps share report's one csv.writer."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert module_imports(sources, "csv") == ["report.<module>"]
+
+
+def test_package_reads_no_environment_variable():
+    """A run is set by its flags and config file alone."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert environ_reads(sources) == []
 
 
 def _exported() -> set[str]:

@@ -20,7 +20,6 @@ from cdstoch.linops import (
 )
 from cdstoch.integrals import StepIntegrand, integral_paths
 from cdstoch.paths import (
-    CSV_HEADER,
     GridError,
     McReport,
     PathEnsemble,
@@ -40,8 +39,8 @@ from cdstoch.paths import (
     modulus_se,
     path_continuity,
     sweep,
-    write_paths_csv,
 )
+from cdstoch.report import CSV_HEADER, write_paths_csv
 from cdstoch.sde import ZetaSpec, euler_maruyama, linear_problem, picard_solve
 
 
@@ -128,11 +127,9 @@ def test_ensemble_start_and_drift():
     u = CovarianceOperator.simple(CdReal.from_real(level, 1.0), np.eye(1))
     rng = np.random.default_rng(12)
     p = CdVector(level, n, rng.standard_normal((n, 2, 4)))
-    start = CdVector(level, n, rng.standard_normal((n, 2, 4)))
-    w = next(PathEnsemble(grid, u, p, seed=5, n_replicas=3,
-                          start=start).batches()).w
-    # the start value is exact at t_0 even though the window begins at 1
-    assert np.array_equal(w[:, 0], np.broadcast_to(start.data, w[:, 0].shape))
+    w = next(PathEnsemble(grid, u, p, seed=5, n_replicas=3).batches()).w
+    # the path starts at zero at t_0 even though the window begins at 1
+    assert np.all(w[:, 0] == 0.0)
     drift_gap = w[:, 2] - w[:, 0]
     pure_noise = next(PathEnsemble(grid, u, None, seed=5,
                                    n_replicas=3).batches()).w[:, 2]
@@ -152,8 +149,8 @@ def test_ensemble_rows_match_single_path_assembly():
     batch = next(ens.batches())
     e0, e1 = u.u0.sqrt_entries(), u.u1.sqrt_entries()
     for j in (0, 3, 15):
-        single = assemble_paths(grid, e0, e1, p, None,
-                                batch.inc0[j:j + 1], batch.inc1[j:j + 1])[0]
+        single = assemble_paths(grid, e0, e1, p, batch.inc0[j:j + 1],
+                                batch.inc1[j:j + 1])[0]
         assert np.array_equal(single, batch.w[j])
 
 
@@ -479,6 +476,20 @@ def test_write_paths_csv(tmp_path, kind):
         write_paths_csv(out, TimeGrid.uniform(0.0, 1.0, 8), values)
 
 
+def test_write_paths_csv_bytes(tmp_path):
+    """The rows, their order, the float reprs and the CRLF line ends."""
+    values = np.array([0.1, -2.5, 1e-17, -0.0, 3.0, 0.25, 1 / 3, 7.0])
+    out = tmp_path / "pin.csv"
+    assert write_paths_csv(out, TimeGrid([0.0, 0.5]),
+                           values.reshape(1, 2, 1, 2, 2)) == 1
+    assert out.read_bytes() == (
+        b"replica,t,component,basis,imag,value\r\n"
+        b"0,0.0,0,0,0,0.1\r\n0,0.0,0,1,0,-2.5\r\n"
+        b"0,0.0,0,0,1,1e-17\r\n0,0.0,0,1,1,-0.0\r\n"
+        b"0,0.5,0,0,0,3.0\r\n0,0.5,0,1,0,0.25\r\n"
+        b"0,0.5,0,0,1,0.3333333333333333\r\n0,0.5,0,1,1,7.0\r\n")
+
+
 # ------------------------------------------------------------------ McReport
 
 def test_mc_report_from_sums_and_within():
@@ -615,7 +626,7 @@ def test_mc_report_validation():
         complex_of(scalar)
 
 
-def _einsum_assembly(grid, e0, e1, p, start, inc0, inc1):
+def _einsum_assembly(grid, e0, e1, p, inc0, inc1):
     """The contraction assemble_paths must reproduce, as a plain einsum."""
     b, k, n = inc0.shape
     w = np.zeros((b, k + 1, n, 2, e0.shape[-1]))
@@ -624,7 +635,6 @@ def _einsum_assembly(grid, e0, e1, p, start, inc0, inc1):
         np.cumsum(inc, axis=1, out=xi[:, 1:])
         w[..., half, :] = np.einsum("lkd,btk->btld", e, xi)
     w += p.data[None, None] * (grid.points - grid.a)[None, :, None, None, None]
-    w += start.data[None, None]
     return w
 
 
@@ -639,14 +649,13 @@ def test_assemble_paths_is_bitwise_the_einsum(n):
     inc0, inc1 = rng.standard_normal((2, 9, 12, n))
     inc0[:, 4] = -0.0
     p = CdVector(level, n, rng.standard_normal((n, 2, dim)))
-    start = CdVector(level, n, rng.standard_normal((n, 2, dim)))
-    args = (grid, e0, e1, p, start, inc0, inc1)
+    args = (grid, e0, e1, p, inc0, inc1)
     got = assemble_paths(*args)
     ref = _einsum_assembly(*args)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-    bare = assemble_paths(grid, e0, e1, None, None, inc0, inc1)
+    bare = assemble_paths(grid, e0, e1, None, inc0, inc1)
     zero = CdVector(level, n, np.zeros((n, 2, dim)))
-    bare_ref = _einsum_assembly(grid, e0, e1, zero, zero, inc0, inc1)
+    bare_ref = _einsum_assembly(grid, e0, e1, zero, inc0, inc1)
     assert np.array_equal(bare, bare_ref)
 
 
@@ -806,7 +815,7 @@ def test_reports_and_pins_hold_under_the_budget(threads):
 
     def rows_match(b):
         return all(np.array_equal(
-            assemble_paths(grid, e0, e1, p, None, b.inc0[j:j + 1],
+            assemble_paths(grid, e0, e1, p, b.inc0[j:j + 1],
                            b.inc1[j:j + 1])[0], b.w[j])
             for j in (0, b.count // 2, b.count - 1))
 

@@ -276,6 +276,29 @@ def test_picard_agrees_with_forward_scheme():
     assert decay["passed"], decay
 
 
+def test_picard_maps_no_stationary_batch(monkeypatch):
+    """Over several batches, Picard = Euler bitwise, and a batch whose
+    iterate is already a fixed point is not mapped again while the
+    others still move."""
+    prob = linear_test_problem(steps=16)
+    ens = prob.ensemble(seed=39, n_replicas=300, batch_size=64)
+    starts = {}
+    q_apply = sde._q_apply
+
+    def spy(problem, grid, dw, zeta, x, start=0):
+        starts.setdefault(id(dw), []).append(start)
+        return q_apply(problem, grid, dw, zeta, x, start)
+
+    monkeypatch.setattr(sde, "_q_apply", spy)
+    pic = picard_solve(prob, ens, tol=0.0, m_max=80)
+    assert np.array_equal(pic.values, euler_maruyama(prob, ens).values)
+    iterations = pic.diagnostics["iterations"]
+    assert len(starts) == ens.n_batches
+    assert all(s == sorted(s) and len(s) <= iterations
+               for s in starts.values())
+    assert min(len(s) for s in starts.values()) < iterations
+
+
 def test_picard_matches_closed_form_for_linear_problem():
     prob = linear_test_problem(steps=128)
     ens = prob.ensemble(seed=13, n_replicas=2000)
