@@ -185,9 +185,8 @@ def _build_covariance(level: int, n: int, blocks, key_prefix: str
             raise ConfigError(
                 f"config key '{key_prefix}.block{j}.b': {exc}") from exc
         pieces.append((CdReal(level, a), m))
-    cov = CovarianceOperator(level, tuple(pieces))
     try:
-        cov.sqrt_entries()
+        cov = CovarianceOperator(level, tuple(pieces))
     except AlgebraError as exc:
         raise ConfigError(f"config key '{key_prefix}': {exc}") from exc
     if cov.n != n:

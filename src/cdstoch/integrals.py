@@ -43,6 +43,7 @@ from .paths import (
     PathEnsemble,
     Probe,
     TimeGrid,
+    _time_major,
 )
 
 
@@ -137,7 +138,10 @@ def integral_paths(integrand: StepIntegrand, grid: TimeGrid,
     """Running integral (batch, K+1, h, 2, dim) over the whole grid.
 
     The running sum realizes the wedge truncation: the value at grid
-    index m contains exactly the increments of steps below m.
+    index m contains exactly the increments of steps below m.  The
+    result is stored time-major (see paths._time_major), so each step
+    row is one contiguous block; w may have any strides, and reads one
+    contiguous row per step when it is time-major as assembled.
     """
     dim = dim_of(integrand.level)
     b, kk = w.shape[:2]
@@ -145,7 +149,7 @@ def integral_paths(integrand: StepIntegrand, grid: TimeGrid,
         raise AlgebraError("path array does not match integrand and grid")
     w_flat = w.reshape(b, kk, -1)
     dw = np.empty((b, w_flat.shape[2]))
-    eta = np.zeros((b, kk, 2 * integrand.h * dim))
+    eta = _time_major(b, kk, 2 * integrand.h * dim)
     spans = _slot_spans(integrand, grid)
     for j, i0, i1 in spans:
         view = w if integrand.full_view else w[:, :i0 + 1]

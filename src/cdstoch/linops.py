@@ -21,7 +21,7 @@ product stays explicit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -407,23 +407,28 @@ class CovarianceOperator:
     """Block-diagonal covariance: blocks (a_j, B_j) with a_j in A_r, B_j SPD.
 
     Acts on A_r^n (n = sum of block sizes) as x |-> a_j * (B_j x) within
-    each block.  Only a_j != 0 and SPD B_j are enforced.
+    each block.  Only a_j != 0, SPD B_j and a canonical sqrt(a_j) are
+    enforced: the block roots (sqrt(a_j), B_j^{1/2}) are taken once, at
+    construction, which is also the gate.
     """
 
     level: int
     blocks: tuple[tuple[CdReal, np.ndarray], ...]
+    _roots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fixed = []
+        fixed, roots = [], []
         for a, b in self.blocks:
             if a.level != self.level:
                 raise AlgebraError("block coefficient level mismatch")
             if abs(a) == 0.0:
                 raise AlgebraError("block coefficient a_j must be nonzero")
             b = np.asarray(b, dtype=float)
-            spd_sqrt(b)  # validation gate
+            root_b = spd_sqrt(b)
             fixed.append((a, b))
+            roots.append((cd_sqrt(a), root_b))
         object.__setattr__(self, "blocks", tuple(fixed))
+        object.__setattr__(self, "_roots", tuple(roots))
 
     @classmethod
     def simple(cls, a: CdReal, b) -> "CovarianceOperator":
@@ -452,7 +457,8 @@ class CovarianceOperator:
         return RightLinearOp.lri(self.level, self.entries())
 
     def sqrt_entries(self) -> np.ndarray:
-        return self._assemble([(cd_sqrt(a), spd_sqrt(b)) for a, b in self.blocks])
+        """U^{1/2} as a fresh A_r-entried block, from the kept block roots."""
+        return self._assemble(list(self._roots))
 
     def sqrt_op(self) -> RightLinearOp:
         """U^{1/2} = direct sum of sqrt(a_j) B_j^{1/2}, an A_r-entried op."""

@@ -137,24 +137,35 @@ def batch_increments(grid: TimeGrid, n: int, seed: int, batch_index: int,
 
 # ------------------------------------------------------------- path assembly
 
-def _inject(e: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """sum_k e[l, k, d] xi[b, t, k] as (b, t, n, dim).
+def _time_major(b: int, k: int, *shape: int) -> np.ndarray:
+    """A zeroed (b, k, *shape) array stored step by step.
 
-    For n >= 2 a multiply-add over flat (rows, n*dim) arrays, in k order
-    from zeros: at n = 2 it has the einsum's bits, signed zeros included.
-    At n = 1 the einsum is the faster route.
+    Each step slice [:, l] is one contiguous block, so a per-step kernel
+    reads and writes it without striding across the whole path array.
     """
-    b, t, n = xi.shape
-    if n == 1:
-        return np.einsum("lkd,btk->btld", e, xi)
-    rows = xi.reshape(b * t, n)
-    cols = e.transpose(1, 0, 2).reshape(n, -1)
-    acc = np.zeros((b * t, cols.shape[1]))
-    term = np.empty_like(acc)
-    for k in range(n):
-        np.multiply(rows[:, k:k + 1], cols[k], out=term)
+    return np.zeros((k, b, *shape)).swapaxes(0, 1)
+
+
+def _inject(e: np.ndarray, inc: np.ndarray, acc: np.ndarray) -> None:
+    """Add sum_k e[l, k, d] xi[b, t, k] into the zeroed acc (n, dim, K+1, b).
+
+    xi is the running sum of inc (b, K, n) from zero at t_0, formed one
+    grid step at a time: the sequential order of np.cumsum, which strides
+    when it runs along an outer axis.  The k terms are added in k order
+    from zeros, so at n <= 2 the sum has the einsum's bits, signed zeros
+    included.  Every operand keeps the replica axis innermost, so each
+    multiply-add runs over whole time-major (K+1, b) planes.
+    """
+    b, k, n = inc.shape
+    steps = inc.transpose(2, 1, 0)
+    xi = np.zeros((n, k + 1, b))
+    xi[:, 1] = steps[:, 0]
+    for t in range(1, k):
+        np.add(xi[:, t], steps[:, t], out=xi[:, t + 1])
+    term = np.empty(acc.shape)
+    for j in range(n):
+        np.multiply(e[:, j, :, None, None], xi[j], out=term)
         acc += term
-    return acc.reshape(b, t, n, -1)
 
 
 def assemble_paths(grid: TimeGrid, e0: np.ndarray, e1: np.ndarray | None,
@@ -164,18 +175,18 @@ def assemble_paths(grid: TimeGrid, e0: np.ndarray, e1: np.ndarray | None,
 
     e0/e1 are entry arrays of the covariance square roots; the second
     injection lands in the imaginary half.  Drift advances from the
-    first grid point, so w(t_0) is exactly zero.
+    first grid point, so w(t_0) is exactly zero.  The array is stored
+    time-major (see _time_major): each grid point w[:, l] is one
+    contiguous block.
     """
     b, k, n = inc0.shape
     dim = e0.shape[-1]
-    xi0 = np.zeros((b, k + 1, n))
-    np.cumsum(inc0, axis=1, out=xi0[:, 1:])
-    w = np.zeros((b, k + 1, n, 2, dim))
-    w[..., 0, :] = _inject(e0, xi0)
+    acc = np.zeros((n, 2, dim, k + 1, b))
+    _inject(e0, inc0, acc[:, 0])
     if inc1 is not None:
-        xi1 = np.zeros((b, k + 1, n))
-        np.cumsum(inc1, axis=1, out=xi1[:, 1:])
-        w[..., 1, :] = _inject(e1, xi1)
+        _inject(e1, inc1, acc[:, 1])
+    w = _time_major(b, k + 1, n, 2, dim)
+    w[...] = acc.transpose(4, 3, 0, 1, 2)
     if p is not None:
         tau = np.asarray(grid.points) - grid.a
         w += p.data[None, None] * tau[None, :, None, None, None]
@@ -476,7 +487,10 @@ class Probe(NamedTuple):
 
 
 def _moments(v) -> tuple:
-    v = np.asarray(v, dtype=float)
+    """(sum, sum of squares) over replicas, on a C-ordered copy when v is
+    not C-ordered: the order of a sum over the first axis follows the
+    layout (see _stack_rows), and C order keeps it fixed."""
+    v = np.ascontiguousarray(v, dtype=float)
     return np.sum(v, axis=0), np.sum(v * v, axis=0)
 
 

@@ -38,6 +38,7 @@ from .paths import (
     TimeGrid,
     _split_u,
     _stack_rows,
+    _time_major,
     _tree_sum,
     pool_map,
     sweep,
@@ -177,15 +178,6 @@ def linear_problem(g_op: RightLinearOp | None, h_op: RightLinearOp | None,
 
 
 # ------------------------------------------------------------------ solvers
-
-def _time_major(b: int, k: int, size: int) -> np.ndarray:
-    """An empty (b, k, size) array stored step by step.
-
-    Each step slice [:, l] is one contiguous block, so the forward step
-    reads and writes it without striding across the whole path array.
-    """
-    return np.empty((k, b, size)).transpose(1, 0, 2)
-
 
 def _dw_of(batch, grid: TimeGrid, stride: int = 1) -> np.ndarray:
     """Flat path increments on grid, read from every stride-th point."""

@@ -3,7 +3,7 @@ package that nothing in the package uses or exports, one function that
 opens a thread pool, one sweep route for every batch pass, no import
 of scipy.stats (a test oracle only), no running maximum or minimum
 kept with the builtin, which drops a NaN, one module that writes CSV,
-and no setting read from the environment."""
+no setting read from the environment, and one time-major allocator."""
 
 import ast
 import os
@@ -181,6 +181,30 @@ def test_one_moment_reducer():
         "sde.linear_closed_form"]
     assert call_sites(sources, "batches") == [
         "paths.PathEnsemble.map_batches", "sde.picard_solve"]
+
+
+def definitions(sources: dict[str, str], name: str) -> list[str]:
+    """Modules that define a function or class ``name``, at any depth."""
+    return sorted(module for module, source in sources.items()
+                  if any(isinstance(node, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef, ast.ClassDef))
+                         and node.name == name
+                         for node in ast.walk(ast.parse(source))))
+
+
+def test_scanner_finds_every_definition():
+    sources = {
+        "a": "def _time_major(b, k):\n    return b\n",
+        "b": "class Solver:\n    def _time_major(self):\n        return 0\n",
+        "c": "from a import _time_major\nout = _time_major(1, 2)\n",
+    }
+    assert definitions(sources, "_time_major") == ["a", "b"]
+
+
+def test_one_time_major_allocator():
+    """Paths, running integrals and solver arrays share one layout."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert definitions(sources, "_time_major") == ["paths"]
 
 
 def scipy_stats_imports(sources: dict[str, str]) -> list[str]:

@@ -511,3 +511,54 @@ def test_second_moment_with_fresh_operators_per_slot():
                 q += wi * wj * _hs_inner(opi, opj)
         expected += dt * q
     np.testing.assert_allclose(got, expected, rtol=1e-13)
+
+
+def test_integral_steps_are_contiguous_and_gathers_c_ordered():
+    """Each step row of the running integral is one contiguous block (it
+    is stored time-major); what a gather hands its gate is C-ordered."""
+    level, n = 2, 2
+    ens = small_ensemble(level=level, n=n, steps=16, seed=19, replicas=20)
+    s = StepIntegrand.constant(ens.grid,
+                               random_op(np.random.default_rng(3), level, 3, n))
+    batch = next(ens.batches())
+    eta = integral_paths(s, ens.grid, batch.w)
+    assert eta.shape == (20, 17, 3, 2, dim_of(level))
+    assert all(eta[:, l].flags.c_contiguous for l in range(17))
+    seen = []
+    probe = martingale_check(s, ens, 0.25, 0.75)
+    run(ens, probe._replace(gate=seen.append))
+    joined, = seen
+    assert [a.shape for a in joined] == [(20, 3 * 2 * dim_of(level)), (20,)]
+    assert all(a.flags.c_contiguous for a in joined)
+
+
+@pytest.mark.parametrize("case", ["constant", "weighted", "lookahead"])
+def test_integral_bits_do_not_depend_on_the_path_layout(case):
+    """The time-major paths, their C-ordered copy, every other point and
+    the first half of the window give the bits of C-ordered inputs."""
+    level, n = 2, 2
+    ens = small_ensemble(level=level, n=n, steps=16, seed=37, replicas=12)
+    grid, k = ens.grid, ens.grid.steps
+    rng = np.random.default_rng(12)
+    op, op_w = random_op(rng, level, n, n), random_op(rng, level, n, n)
+
+    def evaluator(idx, view):
+        return [(np.tanh(view[:, idx, 0, 0, 1]), op_w), op]
+
+    def build(g):
+        if case == "constant":
+            return StepIntegrand.constant(g, op)
+        if case == "weighted":
+            return PredictableIntegrand(level, n, n, evaluator,
+                                        bound=1.0).as_step(g)
+        return lookahead_control(g, level, n)
+
+    w = next(ens.batches()).w
+    assert not w.flags.c_contiguous
+    for sub, g in ((w, grid), (np.ascontiguousarray(w), grid),
+                   (w[:, ::2], TimeGrid(grid.points[::2])),
+                   (w[:, :k // 2 + 1], TimeGrid(grid.points[:k // 2 + 1]))):
+        s = build(g)
+        got = integral_paths(s, g, sub)
+        ref = integral_paths(s, g, np.ascontiguousarray(sub))
+        assert got.tobytes() == ref.tobytes()

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import cdstoch.linops as linops_module
 from cdstoch.algebra import CdReal, cd_conj, cd_sqrt, dim_of
 from cdstoch.linops import (
     CdVector,
@@ -282,6 +283,32 @@ def test_cov_sqrt_sedenion_single_direction():
 def test_covariance_rejects_zero_coefficient():
     with pytest.raises(Exception):
         CovarianceOperator.simple(CdReal.zero(2), [[1.0]])
+
+
+def test_cov_block_roots_are_taken_once_at_construction(monkeypatch):
+    """Each block root is computed once, by the constructor's gate; every
+    later square root assembles a fresh array from the kept pieces."""
+    calls = []
+    for name in ("spd_sqrt", "cd_sqrt"):
+        real = getattr(linops_module, name)
+        monkeypatch.setattr(linops_module, name,
+                            lambda x, real=real, name=name:
+                            calls.append(name) or real(x))
+    level = 2
+    a1 = CdReal(level, [1.0, 0.5, 0.0, 0.2])
+    a2 = CdReal.unit(level, 1, 2.0)
+    u = CovarianceOperator(level, ((a1, np.eye(2) * 3.0), (a2, [[4.0]])))
+    assert sorted(calls) == ["cd_sqrt"] * 2 + ["spd_sqrt"] * 2
+    first = u.sqrt_entries()
+    m = u.sqrt_op().realized
+    assert len(calls) == 4
+    assert np.allclose(m @ m, u.as_op().realized, atol=1e-10)
+    second = u.sqrt_entries()
+    assert second is not first and np.array_equal(second, first)
+    first[...] = 0.0
+    assert np.array_equal(u.sqrt_entries(), second)
+    with pytest.raises(NotSPD):
+        CovarianceOperator.simple(a1, [[1.0, 2.0], [2.0, 1.0]])
 
 
 # ---------------------------------------------------------------- exp + F

@@ -154,6 +154,41 @@ def test_ensemble_rows_match_single_path_assembly():
         assert np.array_equal(single, batch.w[j])
 
 
+def test_path_steps_are_contiguous_and_gathers_c_ordered():
+    """Each grid point of a batch's paths is one contiguous block (the
+    array is stored time-major); what a gather hands its gate is
+    C-ordered."""
+    grid = TimeGrid.uniform(0.0, 1.0, 16)
+    u = identity_complex_covariance(2, 2)
+    p = CdVector(2, 2, np.random.default_rng(6).standard_normal((2, 2, 4)))
+    ens = PathEnsemble(grid, u, p, seed=3, n_replicas=40, batch_size=16)
+    batch = next(ens.batches())
+    w = batch.w
+    assert w.shape == (16, 17, 2, 2, 4)
+    assert all(w[:, l].flags.c_contiguous for l in range(len(grid)))
+    seen = []
+    probe = Probe(lambda b: (b.w, b.w[:, :, 0, 0, 0], b.w[:, -1] - b.w[:, 0]),
+                  seen.append, gather=True)
+    sweep(ens, [probe])
+    joined, = seen
+    assert [a.shape for a in joined] == [(40, 17, 2, 2, 4), (40, 17),
+                                        (40, 2, 2, 4)]
+    assert all(a.flags.c_contiguous for a in joined)
+    assert np.array_equal(joined[0][:16], w)
+
+
+def test_moment_reducer_bits_do_not_depend_on_layout():
+    """A time-major float array reaching the moment reducer gives the
+    bits of its C-ordered copy: the sum over replicas has one order."""
+    rng = np.random.default_rng(14)
+    v = rng.standard_normal((2048, 33)) * np.exp(rng.normal(size=33))
+    tm = paths_module._time_major(2048, 33)
+    tm[...] = v
+    assert not tm.flags.c_contiguous
+    for got, ref in zip(paths_module._moments(tm), paths_module._moments(v)):
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_ensemble_deterministic_across_threads_and_runs():
     grid = TimeGrid.uniform(0.0, 1.0, 16)
     u = identity_complex_covariance(2, 1)
