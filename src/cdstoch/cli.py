@@ -25,14 +25,17 @@ from .config import (
 from .experiments import run_experiments
 from .report import make_report, write_outputs
 
-SUBCOMMAND_EXPERIMENTS = {
-    "algebra": ("algebra", "linops"),
-    "paths": ("paths",),
-    "isometry": ("isometry",),
-    "martingale": ("martingale",),
-    "chebyshev": ("chebyshev",),
-    "sde": ("sde",),
-    "all": (),
+# subcommand -> (the experiments it runs, its help text); () runs them all
+SUBCOMMANDS = {
+    "algebra": (("algebra", "linops"), "algebra and operator-layer batteries"),
+    "paths": (("paths",), "path construction and distribution batteries"),
+    "isometry": (("isometry",),
+                 "integral isometry and second-moment bound batteries"),
+    "martingale": (("martingale",), "martingale property batteries"),
+    "chebyshev": (("chebyshev",), "tail bound and refinement batteries"),
+    "sde": (("sde",),
+            "solver batteries (repeat --grid for a strong-order table)"),
+    "all": ((), "every battery in dependency order"),
 }
 
 
@@ -40,7 +43,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="base seed for all streams")
     parser.add_argument("--replicas", type=int,
                         help="Monte Carlo sample count per ensemble")
-    parser.add_argument("--grid", type=int, action="append", metavar="STEPS",
+    parser.add_argument("--grid", type=int, action="append", dest="grids",
+                        metavar="STEPS",
                         help="time grid steps; repeat for a refinement "
                              "ladder (each entry doubling the last)")
     parser.add_argument("--threads", type=int,
@@ -67,15 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                      "config file")
     _add_common(run)
 
-    for name, help_text in (
-        ("algebra", "algebra and operator-layer batteries"),
-        ("paths", "path construction and distribution batteries"),
-        ("isometry", "integral isometry and second-moment bound batteries"),
-        ("martingale", "martingale property batteries"),
-        ("chebyshev", "tail bound and refinement batteries"),
-        ("sde", "solver batteries (repeat --grid for a strong-order table)"),
-        ("all", "every battery in dependency order"),
-    ):
+    for name, (_, help_text) in SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         _add_common(cmd)
 
@@ -83,22 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.replicas is not None:
-        updates["replicas"] = args.replicas
-    if args.grid:
-        updates["grids"] = tuple(args.grid)
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.format is not None:
-        updates["format"] = args.format
+    """cfg with every flag given on the command line (each flag's dest is
+    its RunConfig field) and, on a subcommand, its experiments."""
+    updates = {f.name: getattr(args, f.name)
+               for f in dataclasses.fields(RunConfig)
+               if getattr(args, f.name, None) is not None}
     if args.command != "run":
-        updates["experiments"] = SUBCOMMAND_EXPERIMENTS[args.command]
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+        updates["experiments"] = SUBCOMMANDS[args.command][0]
+    return dataclasses.replace(cfg, **updates)
 
 
 def main(argv=None) -> int:
@@ -110,6 +98,7 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(cfg, args)
         cfg = dataclasses.replace(
             cfg, threads=effective_threads(cfg.threads))
+        # the covariance gate, also for settings that a flag overrode
         build_driving(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,8 +49,10 @@ class ConfigError(ValueError):
 
 EXPERIMENT_CHOICES = ("algebra", "linops", "paths", "isometry",
                       "martingale", "chebyshev", "sde")
-TOLERANCE_CHOICES = ("exact", "sqrt")
+TOLERANCES = {"exact": 1e-12, "sqrt": 1e-10}
 FORMAT_CHOICES = ("json", "csv")
+# RunConfig fields that cannot change a result, so no report echoes them
+RUN_OPTIONS = ("threads", "out", "format")
 
 
 def strong_order_halvings(grids: tuple[int, ...]) -> int:
@@ -132,7 +134,7 @@ class RunConfig:
         if self.threads is not None and self.threads < 1:
             raise ConfigError("config key 'threads': need at least 1")
         for key, value in self.tolerances:
-            if key not in TOLERANCE_CHOICES:
+            if key not in TOLERANCES:
                 raise ConfigError(f"config key 'tol.{key}': unknown tolerance")
             if not (value > 0):
                 raise ConfigError(f"config key 'tol.{key}': need a positive value")
@@ -145,13 +147,9 @@ class RunConfig:
 
 
 def effective_threads(requested: int | None) -> int:
-    """Resolve the worker count: the flag or config key, else the CPUs
-    this process may run on."""
-    if requested is not None:
-        if requested < 1:
-            raise ConfigError("config key 'threads': need at least 1")
-        return requested
-    return available_cpus()
+    """Resolve the worker count: the flag or config key (RunConfig checks
+    it), else the CPUs this process may run on."""
+    return requested if requested is not None else available_cpus()
 
 
 # ----------------------------------------------------------- driving builder
@@ -219,10 +217,6 @@ _SCALAR_KEYS = ("seed", "replicas", "level", "n", "threads", "format", "out",
                 "grid", "window", "experiments", "drift", "u1")
 
 
-def _tokens(value: str) -> list[str]:
-    return value.split()
-
-
 def _parse_int(key: str, value: str) -> int:
     try:
         return int(value)
@@ -232,7 +226,7 @@ def _parse_int(key: str, value: str) -> int:
 
 def _parse_floats(key: str, value: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in _tokens(value))
+        return tuple(float(tok) for tok in value.split())
     except ValueError as exc:
         raise ConfigError(f"config key '{key}': not a number list") from exc
 
@@ -265,13 +259,10 @@ def parse_config_text(text: str) -> RunConfig:
             blocks[prefix].setdefault(j, {})[part] = _parse_floats(key, value)
             continue
         if key.startswith("tol."):
-            name = key[4:]
-            if name not in TOLERANCE_CHOICES:
-                raise ConfigError(f"config key '{key}': unknown tolerance")
             parts = _parse_floats(key, value)
             if len(parts) != 1:
                 raise ConfigError(f"config key '{key}': need one number")
-            fields.setdefault("tolerances", []).append((name, parts[0]))
+            fields.setdefault("tolerances", []).append((key[4:], parts[0]))
             continue
         if key not in _SCALAR_KEYS:
             raise ConfigError(f"config key '{key}': unknown key")
@@ -279,14 +270,14 @@ def parse_config_text(text: str) -> RunConfig:
             fields[key] = _parse_int(key, value)
         elif key == "grid":
             fields["grids"] = tuple(_parse_int(key, tok)
-                                    for tok in _tokens(value))
+                                    for tok in value.split())
         elif key == "window":
             parts = _parse_floats(key, value)
             if len(parts) != 2:
                 raise ConfigError("config key 'window': need exactly 'a b'")
             fields["window"] = parts
         elif key == "experiments":
-            fields["experiments"] = tuple(_tokens(value))
+            fields["experiments"] = tuple(value.split())
         elif key == "drift":
             fields["drift"] = _parse_floats(key, value)
         elif key == "format":
@@ -322,8 +313,6 @@ def parse_config_text(text: str) -> RunConfig:
         fields[f"{prefix}_blocks"] = tuple(out)
     if u1_none:
         fields["u1_blocks"] = ()
-    if "tolerances" in fields:
-        fields["tolerances"] = tuple(fields["tolerances"])
 
     cfg = RunConfig(**fields)
     # surface covariance/drift problems at parse time with their key names

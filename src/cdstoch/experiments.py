@@ -39,6 +39,7 @@ from .algebra import (
 )
 from .config import (
     EXPERIMENT_CHOICES,
+    TOLERANCES,
     RunConfig,
     build_driving,
     strong_order_halvings,
@@ -186,9 +187,8 @@ def _entry(name: str, checks: list, started: float) -> dict:
 
 
 def _tolerances(cfg: RunConfig) -> dict[str, float]:
-    tols = dict(cfg.tolerances)
-    return {"exact": float(tols.get("exact", 1e-12)),
-            "sqrt": float(tols.get("sqrt", 1e-10))}
+    """The default tolerances, with those the config sets."""
+    return {**TOLERANCES, **dict(cfg.tolerances)}
 
 
 def _worst(gaps) -> float:

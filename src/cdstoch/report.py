@@ -11,13 +11,14 @@ produce identical bytes.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import EXPERIMENT_CHOICES, RunConfig
+from .config import EXPERIMENT_CHOICES, RUN_OPTIONS, RunConfig
 from .paths import GridError, TimeGrid
 
 SCHEMA_VERSION = 1
@@ -46,20 +47,14 @@ def jsonable(obj):
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    """The reproducibility-relevant slice of the configuration."""
-    return jsonable({
-        "seed": cfg.seed,
-        "replicas": cfg.replicas,
-        "grids": list(cfg.grids),
-        "window": list(cfg.window),
-        "level": cfg.level,
-        "n": cfg.n,
-        "experiments": list(cfg.experiments or EXPERIMENT_CHOICES),
-        "u0_blocks": cfg.u0_blocks,
-        "u1_blocks": cfg.u1_blocks,
-        "drift": cfg.drift,
-        "tolerances": {k: v for k, v in cfg.tolerances},
-    })
+    """Every setting that can change a result: the RunConfig fields but
+    the run options, with the experiments that run and the tolerances
+    given."""
+    echo = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+            if f.name not in RUN_OPTIONS}
+    echo["experiments"] = cfg.experiments or EXPERIMENT_CHOICES
+    echo["tolerances"] = dict(cfg.tolerances)
+    return jsonable(echo)
 
 
 def make_report(cfg: RunConfig, experiments: list[dict]) -> dict:
@@ -89,11 +84,7 @@ def strip_timing(doc):
 
 def _flat_metrics(value, prefix: str):
     """Yield (metric_path, scalar) pairs from a check's extra fields."""
-    if isinstance(value, bool):
-        yield prefix, value
-    elif isinstance(value, (int, float)):
-        yield prefix, value
-    elif isinstance(value, str):
+    if isinstance(value, (bool, int, float, str)):
         yield prefix, value
     elif isinstance(value, list):
         for i, item in enumerate(value):

@@ -1,5 +1,6 @@
 """Tests for configuration parsing, reporting, and the command line."""
 
+import dataclasses
 import json
 import os
 
@@ -8,6 +9,7 @@ import pytest
 
 from cdstoch.config import (
     EXPERIMENT_CHOICES,
+    RUN_OPTIONS,
     ConfigError,
     RunConfig,
     build_driving,
@@ -15,12 +17,13 @@ from cdstoch.config import (
     load_config,
     parse_config_text,
 )
-from cdstoch.cli import main
+from cdstoch.cli import SUBCOMMANDS, _apply_overrides, build_parser, main
 from cdstoch import experiments
 from cdstoch.experiments import run_experiments
 from cdstoch.linops import ComplexCovariance, CovarianceOperator
 from cdstoch.report import (
     SCHEMA_VERSION,
+    config_echo,
     jsonable,
     make_report,
     metric_rows,
@@ -213,8 +216,6 @@ def test_load_config_round_trip(tmp_path):
 
 def test_effective_threads_flag_wins():
     assert effective_threads(3) == 3
-    with pytest.raises(ConfigError, match="threads"):
-        effective_threads(0)
 
 
 def test_effective_threads_default():
@@ -293,6 +294,87 @@ def test_write_outputs_csv(tmp_path):
     assert "algebra.csv" in names and "linops.csv" in names
     header = (tmp_path / "algebra.csv").read_text().splitlines()[0]
     assert header == "experiment,check,anchor,metric,value"
+
+
+# ------------------------------------------------------- derived settings
+
+EVERY_KEY_TEXT = """
+seed = 13
+replicas = 400
+level = 1
+n = 2
+grid = 16 32 64
+window = 0.25 1.5
+experiments = paths isometry
+u0.block1.a = 1.0 0.3
+u0.block1.b = 1.2
+u0.block2.a = 1.0 0.2
+u0.block2.b = 0.8
+u1.block1.a = 0.9 0.1
+u1.block1.b = 2.0 0.3 0.3 1.0
+drift = 0.5 0 0 0.1 0 0 0 0.2
+threads = 2
+out = reports
+format = csv
+tol.exact = 1e-11
+tol.sqrt = 1e-9
+"""
+
+# flag tokens and the value each puts on its field
+COMMON_FLAGS = (
+    ("seed", ["--seed", "9"], 9),
+    ("replicas", ["--replicas", "123"], 123),
+    ("grids", ["--grid", "32", "--grid", "64"], (32, 64)),
+    ("threads", ["--threads", "3"], 3),
+    ("out", ["--out", "elsewhere"], "elsewhere"),
+    ("format", ["--format", "json"], "json"),
+)
+
+
+def test_config_echo_holds_every_field_but_the_run_options():
+    cfg = parse_config_text(EVERY_KEY_TEXT)
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    # the text sets every field away from its default
+    assert all(getattr(cfg, name) != getattr(RunConfig(), name)
+               for name in names)
+    echo = config_echo(cfg)
+    assert set(echo) == set(names) - set(RUN_OPTIONS)
+    for name in echo:
+        value = getattr(cfg, name)
+        if name == "tolerances":
+            value = dict(value)
+        assert echo[name] == jsonable(value), name
+    assert echo["tolerances"] == {"exact": 1e-11, "sqrt": 1e-9}
+    assert config_echo(RunConfig())["experiments"] == list(EXPERIMENT_CHOICES)
+
+
+@pytest.mark.parametrize("command", ["paths", "run"])
+def test_every_common_flag_lands_on_its_field(command):
+    base = parse_config_text(EVERY_KEY_TEXT)
+    prefix = ["run", "--config", "run.cfg"] if command == "run" else [command]
+    argv = prefix + [tok for _, toks, _ in COMMON_FLAGS for tok in toks]
+    cfg = _apply_overrides(base, build_parser().parse_args(argv))
+    expected = {name: value for name, _, value in COMMON_FLAGS}
+    if command != "run":
+        expected["experiments"] = ("paths",)
+    assert cfg == dataclasses.replace(base, **expected)
+
+
+def test_run_keeps_the_file_value_of_a_flag_left_out():
+    base = parse_config_text(EVERY_KEY_TEXT)
+    prefix = ["run", "--config", "run.cfg"]
+    assert _apply_overrides(base, build_parser().parse_args(prefix)) == base
+    for name, toks, value in COMMON_FLAGS:
+        cfg = _apply_overrides(base, build_parser().parse_args(prefix + toks))
+        assert cfg == dataclasses.replace(base, **{name: value}), name
+
+
+def test_subcommands_name_known_experiments():
+    for name, (chosen, help_text) in SUBCOMMANDS.items():
+        assert set(chosen) <= set(EXPERIMENT_CHOICES), name
+        assert help_text
+        assert build_parser().parse_args([name]).command == name
+    assert SUBCOMMANDS["all"][0] == ()
 
 
 # ---------------------------------------------------------------- run paths

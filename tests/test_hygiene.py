@@ -3,7 +3,8 @@ package that nothing in the package uses or exports, one function that
 opens a thread pool, one sweep route for every batch pass, no import
 of scipy.stats (a test oracle only), no running maximum or minimum
 kept with the builtin, which drops a NaN, one module that writes CSV,
-no setting read from the environment, and one time-major allocator."""
+no setting read from the environment, one time-major allocator, and
+every ConfigError raised in config, each message by one raise."""
 
 import ast
 import os
@@ -369,6 +370,54 @@ def test_package_reads_no_environment_variable():
     """A run is set by its flags and config file alone."""
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert environ_reads(sources) == []
+
+
+def config_error_raises(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, message source) of every ``raise ConfigError(...)``."""
+    raises = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                    and "ConfigError" in (getattr(node.exc.func, "id", None),
+                                          getattr(node.exc.func, "attr", None)):
+                message = node.exc.args[0] if node.exc.args else None
+                raises.append((module, ast.unparse(message) if message
+                               else ""))
+    return sorted(raises)
+
+
+def shared_messages(raises: list[tuple[str, str]]) -> list[str]:
+    """Message texts that more than one raise gives."""
+    messages = [message for _, message in raises]
+    return sorted({m for m in messages if messages.count(m) > 1})
+
+
+def test_scanner_finds_every_config_error_raise():
+    sources = {
+        "config": ("def check(cfg):\n"
+                   "    if cfg.threads < 1:\n"
+                   "        raise ConfigError('need at least 1')\n"
+                   "    raise ConfigError(f'key {cfg.key!r}: unknown')\n"),
+        "cli": ("def resolve(n):\n"
+                "    if n < 1:\n"
+                "        raise config.ConfigError('need at least 1')\n"
+                "    raise ValueError('need at least 1')\n"),
+    }
+    raises = config_error_raises(sources)
+    assert raises == [("cli", "'need at least 1'"),
+                      ("config", "'need at least 1'"),
+                      ("config", "f'key {cfg.key!r}: unknown'")]
+    assert shared_messages(raises) == ["'need at least 1'"]
+    assert shared_messages(config_error_raises(
+        {"config": sources["config"]})) == []
+
+
+def test_config_errors_are_raised_once_each_in_config():
+    """Each input rule is checked in one place, the config module."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    raises = config_error_raises(sources)
+    assert {module for module, _ in raises} == {"config"}
+    assert shared_messages(raises) == []
 
 
 def _exported() -> set[str]:
