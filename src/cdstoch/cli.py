@@ -103,10 +103,16 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # an unusable output directory is refused before any battery runs
+    out_dir = Path(cfg.out) if cfg.out else Path(".")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: output directory: {exc}", file=sys.stderr)
+        return 2
 
     experiments = run_experiments(cfg)
     doc = make_report(cfg, experiments)
-    out_dir = Path(cfg.out) if cfg.out else Path(".")
     written = write_outputs(doc, out_dir, cfg.format)
 
     for entry in doc["experiments"]:

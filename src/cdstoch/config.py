@@ -40,7 +40,7 @@ from .linops import (
     spd_sqrt,
     vec_size,
 )
-from .paths import available_cpus
+from .paths import available_cpus, halving_depth
 
 
 class ConfigError(ValueError):
@@ -64,8 +64,7 @@ def strong_order_halvings(grids: tuple[int, ...]) -> int:
     """
     if len(grids) > 1:
         return len(grids) - 1
-    steps = grids[-1]
-    return min(4, (steps & -steps).bit_length() - 3)
+    return min(4, halving_depth(grids[-1]) - 2)
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,7 @@ def effective_threads(requested: int | None) -> int:
 def _build_covariance(level: int, n: int, blocks, key_prefix: str
                       ) -> CovarianceOperator:
     if blocks is None:
-        return CovarianceOperator.simple(
-            CdReal.from_real(level, 1.0), np.eye(n))
+        return CovarianceOperator.identity(level, n)
     pieces = []
     d = dim_of(level)
     for j, (a_coeffs, b_flat) in enumerate(blocks, start=1):
@@ -325,6 +323,6 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file '{path}': {exc}") from exc
     return parse_config_text(text)

@@ -8,9 +8,11 @@ Each experiment function takes a RunConfig and returns a report entry::
 The ``anchor`` field is the audit key a reader can use to locate the
 statement a check exercises; it is part of the report wire format.
 Monte Carlo checks are rows (``_run_rows``), deterministic ones cases
-(``_run_cases``).  Experiments draw their fixtures from Philox streams
-keyed far from the path-noise streams, so adding or reordering checks
-never perturbs the simulated noise.
+(``_run_cases``).  Every ensemble a Monte Carlo battery sweeps is built
+by ``Battery.paths`` on the battery's grid, its noise keyed on the run
+seed plus a fixed offset.  Experiments draw their fixtures from Philox
+streams keyed far from the path-noise streams, so adding or reordering
+checks never perturbs the simulated noise.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from .paths import (
     char_functional_check,
     char_semigroup,
     disjoint_increments,
+    halving_depth,
     increment_cov,
     mean_increment,
     path_continuity,
@@ -125,6 +128,32 @@ def _report(name: str, anchor: str, res: dict, *fields: str, passed=None,
     """
     return _check(name, anchor, res["passed"] if passed is None else passed,
                   **{f: res[f] for f in fields}, **extra)
+
+
+class Battery(NamedTuple):
+    """A Monte Carlo battery's run settings and the grid it sweeps on."""
+
+    cfg: RunConfig
+    grid: TimeGrid
+
+    @classmethod
+    def on(cls, cfg: RunConfig, steps: int) -> "Battery":
+        """The battery on the run window cut into ``steps`` steps."""
+        return cls(cfg, TimeGrid.uniform(*cfg.window, steps))
+
+    @property
+    def span(self) -> float:
+        return self.grid.b - self.grid.a
+
+    def paths(self, u, p: CdVector | None, offset: int,
+              replicas: int) -> PathEnsemble:
+        """The one route to a battery's ensembles: ``replicas`` paths of
+        law (u, p) on the battery's grid, their noise keyed on the run
+        seed plus ``offset``.  An offset names one ensemble's noise, so
+        changing it moves every entry read from that ensemble.
+        """
+        return PathEnsemble(self.grid, u, p, seed=self.cfg.seed + offset,
+                            n_replicas=replicas)
 
 
 class Row(NamedTuple):
@@ -589,8 +618,7 @@ def _op_exp_check(rng, rtol: float) -> dict:
 
 
 def _f_functional_check(rng, atol: float) -> dict:
-    u1 = CovarianceOperator.simple(CdReal.from_real(2, 1.0), np.eye(1))
-    u = ComplexCovariance(u1, u1)
+    u = _complexified_identity(2, 1)
     half = RightLinearOp.from_blocks(
         2, s00=np.array([[[1.0, 0.0, 0.0, 0.0]]]))
     single = f_functional(half, u)
@@ -636,10 +664,6 @@ def linops_experiment(cfg: RunConfig) -> dict:
 
 # --------------------------------------------------------------------- paths
 
-def _directional_covariance(level: int) -> CovarianceOperator:
-    return CovarianceOperator.simple(CdReal.unit(level, 1), np.eye(1))
-
-
 def _multi_block_covariance(level: int) -> CovarianceOperator:
     a1 = np.zeros(dim_of(level))
     a1[0], a1[1] = 1.0, 0.5
@@ -651,11 +675,10 @@ def _multi_block_covariance(level: int) -> CovarianceOperator:
                 (CdReal(level, a2), np.array([[1.5]]))))
 
 
-def _cf_case_rows(cfg: RunConfig) -> list[Row]:
+def _cf_case_rows(bat: Battery) -> list[Row]:
     """Twenty pinned characteristic-functional cases."""
+    cfg = bat.cfg
     scales = _case_rng(cfg.seed, 20)
-    a0, b0 = cfg.window
-    grid = TimeGrid.uniform(a0, b0, cfg.grids[-1])
     rows = []
     for index in range(20):
         level = (0, 1, 2, 3)[index % 4]
@@ -676,12 +699,11 @@ def _cf_case_rows(cfg: RunConfig) -> list[Row]:
         p = None
         if with_drift:
             p = CdVector(level, n, 0.4 * rng.normal(size=(n, 2, d)))
-        ens = PathEnsemble(grid, u, p, seed=cfg.seed + 100 + index,
-                           n_replicas=cfg.replicas)
+        ens = bat.paths(u, p, 100 + index, cfg.replicas)
         y = RealFunctional(level, n,
                            coeff_scale * rng.normal(size=vec_size(level, n))
                            / math.sqrt(vec_size(level, n)))
-        t = a0 + (0.5, 1.0)[index % 2] * (b0 - a0)
+        t = bat.grid.a + (0.5, 1.0)[index % 2] * bat.span
         rows.append(_row(ens, char_functional_check(ens, y, t),
                          f"char_functional_case_{index:02d}", "Eq. 2.4(4)",
                          "gap", "radius", "sample_count", level=level, n=n,
@@ -692,14 +714,11 @@ def _cf_case_rows(cfg: RunConfig) -> list[Row]:
 def paths_experiment(cfg: RunConfig) -> dict:
     """Moments, characteristic functionals, and continuity of the paths."""
     started = time.perf_counter()
-    a0, b0 = cfg.window
-    span = b0 - a0
-    grid = TimeGrid.uniform(a0, b0, cfg.grids[-1])
-    u, p = build_driving(cfg)
-    ens = PathEnsemble(grid, u, p, seed=cfg.seed + 1,
-                       n_replicas=cfg.replicas)
+    bat = Battery.on(cfg, cfg.grids[-1])
+    grid, span = bat.grid, bat.span
+    ens = bat.paths(*build_driving(cfg), 1, cfg.replicas)
 
-    k4 = cfg.grids[-1] // 4
+    k4 = grid.steps // 4
     t1 = float(grid.points[k4])
     t2 = float(grid.points[3 * k4])
     pairs = [(0, 0)] if ens.n == 1 else [(0, 0), (0, ens.n - 1)]
@@ -707,15 +726,14 @@ def paths_experiment(cfg: RunConfig) -> dict:
     y = RealFunctional(ens.level, ens.n,
                        rng.normal(size=vec_size(ens.level, ens.n))
                        / math.sqrt(vec_size(ens.level, ens.n)))
-    halvings = min(5, (cfg.grids[-1] & -cfg.grids[-1]).bit_length() - 1)
+    halvings = min(5, halving_depth(grid.steps))
     coords = ens.n * dim_of(ens.level) * (2 if ens.complexified else 1)
     eps = 2.0 * math.sqrt(2.0 * coords * span)
     # pinned multi-block fixture: a cross-block moment vanishes and an
     # i_1-valued coefficient steers the moment onto that axis
-    fixture = PathEnsemble(grid, _multi_block_covariance(2), None,
-                           seed=cfg.seed + 2, n_replicas=cfg.replicas)
-    directional = PathEnsemble(grid, _directional_covariance(2), None,
-                               seed=cfg.seed + 3, n_replicas=cfg.replicas)
+    fixture = bat.paths(_multi_block_covariance(2), None, 2, cfg.replicas)
+    directional = bat.paths(CovarianceOperator.simple(
+        CdReal.unit(2, 1), np.eye(1)), None, 3, cfg.replicas)
     rows = [
         _row(ens, mean_increment(ens, t1, t2), "mean_increment",
              "Cor. 2.9(1)", "max_gap", "max_standard_error", "sample_count"),
@@ -729,12 +747,12 @@ def paths_experiment(cfg: RunConfig) -> dict:
         _row(directional, increment_cov(directional, t1, t2, 0, 0),
              "increment_covariance_directional", "Cor. 2.9(2)", "max_gap",
              "sample_count"),
-        _row(ens, disjoint_increments(ens, a0, t1, t2, b0),
+        _row(ens, disjoint_increments(ens, grid.a, t1, t2, grid.b),
              "disjoint_increment_independence", "Def. 2.6",
              "max_abs_correlation", "bound"),
-        *_cf_case_rows(cfg),
-        _row(ens, char_semigroup(ens, y, span * k4 / cfg.grids[-1],
-                                 span * 2 * k4 / cfg.grids[-1]),
+        *_cf_case_rows(bat),
+        _row(ens, char_semigroup(ens, y, span * k4 / grid.steps,
+                                 span * 2 * k4 / grid.steps),
              "char_semigroup", "Eq. 2.4(6)", "gap", "tolerance"),
         _row(ens, path_continuity(ens, eps, halvings), "path_continuity",
              "Thm. 2.27", "eps", "tails", "deltas"),
@@ -744,12 +762,8 @@ def paths_experiment(cfg: RunConfig) -> dict:
 
 # ------------------------------------------------------------------ isometry
 
-def _identity_cov(level: int, n: int) -> CovarianceOperator:
-    return CovarianceOperator.simple(CdReal.from_real(level, 1.0), np.eye(n))
-
-
 def _complexified_identity(level: int, n: int) -> ComplexCovariance:
-    u = _identity_cov(level, n)
+    u = CovarianceOperator.identity(level, n)
     return ComplexCovariance(u, u)
 
 
@@ -776,23 +790,20 @@ def _tiled_ops(grid: TimeGrid, ops: list[RightLinearOp]) -> StepIntegrand:
 def isometry_experiment(cfg: RunConfig) -> dict:
     """Second-moment identity and norm bound for the stochastic integral."""
     started = time.perf_counter()
-    a0, b0 = cfg.window
-    span = b0 - a0
-    steps = cfg.grids[-1]
-    grid = TimeGrid.uniform(a0, b0, steps)
+    bat = Battery.on(cfg, cfg.grids[-1])
+    grid, span, steps = bat.grid, bat.span, bat.grid.steps
     atol = _tolerances(cfg)["exact"]
 
     # structural, in one pass: the identity integrand telescopes to the
     # increment, and the elementary integral is additive over windows
-    ens_small = PathEnsemble(grid, _complexified_identity(2, 2), None,
-                             seed=cfg.seed + 200, n_replicas=64)
+    ens_small = bat.paths(_complexified_identity(2, 2), None, 200, 64)
     identity_s = StepIntegrand.constant(grid, RightLinearOp.identity(2, 2))
     rng = _case_rng(cfg.seed, 50)
     whole = _tiled_ops(grid, [_random_four_block(rng, 2, 2, 2)
                               for _ in range(2)])
     half = steps // 2
     mid = float(grid.points[half])
-    left, right = whole.restrict(a0, mid), whole.restrict(mid, b0)
+    left, right = whole.restrict(grid.a, mid), whole.restrict(mid, grid.b)
 
     def additivity(batch):
         eta = integral_paths(whole, grid, batch.w)
@@ -818,56 +829,46 @@ def isometry_experiment(cfg: RunConfig) -> dict:
     ]
 
     # zero mean of the integral at the window end
-    ens_cplx = PathEnsemble(grid, _complexified_identity(2, 1), None,
-                            seed=cfg.seed + 201, n_replicas=cfg.replicas)
+    ens_cplx = bat.paths(_complexified_identity(2, 1), None, 201,
+                         cfg.replicas)
     rows.append(_row(ens_cplx, zero_mean_check(_tiled_ops(
         grid, [_random_four_block(rng, 2, 1, 1) for _ in range(3)]),
         ens_cplx), "integral_zero_mean", "Lemma 2.12", "max_abs_mean",
         "max_standard_error", "sample_count"))
 
-    # isometry battery: plain covariance, lri integrands
+    # isometry battery: plain covariance, lri integrands, each on its own
+    # ensemble; an anchor also pins the quadrature to the span
     iso_fields = ("lhs", "rhs", "gap", "combined_standard_error",
                   "sample_count")
 
-    def iso_anchor(name, ens, integrand):
-        """The isometry check, with its quadrature pinned to the span."""
+    def iso_row(name, offset, u, integrand, anchored):
+        ens = bat.paths(u, None, offset, cfg.replicas)
+        if not anchored:
+            return _row(ens, isometry_check(integrand, ens), name,
+                        "Thm. 2.14(1)", *iso_fields)
         return Row(ens, isometry_check(integrand, ens), lambda res: _report(
             name, "Thm. 2.14(1)", res, *iso_fields,
             passed=res["passed"] and abs(res["rhs"] - span) <= atol,
             expected_rhs=span))
 
-    ens_plain = PathEnsemble(grid, _identity_cov(2, 1), None,
-                             seed=cfg.seed + 202, n_replicas=cfg.replicas)
-    rows.append(iso_anchor("isometry_identity_anchor", ens_plain,
-                           StepIntegrand.constant(
-                               grid, RightLinearOp.identity(2, 1))))
-    ens_oct = PathEnsemble(grid, _identity_cov(3, 1), None,
-                           seed=cfg.seed + 203, n_replicas=cfg.replicas)
-    rows.append(iso_anchor("isometry_unit_direction", ens_oct,
-                           StepIntegrand.constant(
-                               grid, RightLinearOp.left_mult(
-                                   CdReal.unit(3, 1)))))
-
     rng_iso = _case_rng(cfg.seed, 51)
-    ens_two = PathEnsemble(grid, _random_spd_cov(rng_iso, 1, 2), None,
-                           seed=cfg.seed + 204, n_replicas=cfg.replicas)
-    rows.append(_row(ens_two, isometry_check(
-        _tiled_ops(grid, [_random_lri(rng_iso, 1, 2) for _ in range(2)]),
-        ens_two), "isometry_piecewise_lri", "Thm. 2.14(1)", *iso_fields))
-
-    ens_real = PathEnsemble(grid, CovarianceOperator.simple(
-        CdReal.from_real(0, 2.0), np.eye(1)), None,
-        seed=cfg.seed + 205, n_replicas=cfg.replicas)
-    rows.append(_row(ens_real, isometry_check(
-        StepIntegrand.constant(
-            grid, RightLinearOp.lri(0, np.array([[[0.8]]]))),
-        ens_real), "isometry_real_line", "Thm. 2.14(1)", *iso_fields))
-
-    ens_oct2 = PathEnsemble(grid, _random_spd_cov(rng_iso, 3, 2), None,
-                            seed=cfg.seed + 206, n_replicas=cfg.replicas)
-    rows.append(_row(ens_oct2, isometry_check(
-        _tiled_ops(grid, [_random_lri(rng_iso, 3, 2) for _ in range(2)]),
-        ens_oct2), "isometry_octonion_pair", "Thm. 2.14(1)", *iso_fields))
+    rows += [
+        iso_row("isometry_identity_anchor", 202,
+                CovarianceOperator.identity(2, 1), StepIntegrand.constant(
+                    grid, RightLinearOp.identity(2, 1)), True),
+        iso_row("isometry_unit_direction", 203,
+                CovarianceOperator.identity(3, 1), StepIntegrand.constant(
+                    grid, RightLinearOp.left_mult(CdReal.unit(3, 1))), True),
+        iso_row("isometry_piecewise_lri", 204, _random_spd_cov(rng_iso, 1, 2),
+                _tiled_ops(grid, [_random_lri(rng_iso, 1, 2)
+                                  for _ in range(2)]), False),
+        iso_row("isometry_real_line", 205, CovarianceOperator.simple(
+            CdReal.from_real(0, 2.0), np.eye(1)), StepIntegrand.constant(
+                grid, RightLinearOp.lri(0, np.array([[[0.8]]]))), False),
+        iso_row("isometry_octonion_pair", 206, _random_spd_cov(rng_iso, 3, 2),
+                _tiled_ops(grid, [_random_lri(rng_iso, 3, 2)
+                                  for _ in range(2)]), False),
+    ]
 
     # adapted per-replica weights through the predictable interface
     base_op = _random_lri(rng_iso, 2, 1)
@@ -877,11 +878,9 @@ def isometry_experiment(cfg: RunConfig) -> dict:
         return [(weights, base_op)]
 
     weighted = PredictableIntegrand(2, 1, 1, weighted_evaluator, 1.5)
-    ens_w = PathEnsemble(grid, _identity_cov(2, 1), None,
-                         seed=cfg.seed + 207, n_replicas=cfg.replicas)
-    rows.append(_row(ens_w, isometry_check(weighted.as_step(grid), ens_w),
-                     "isometry_adapted_weights", "Thm. 2.14(1)",
-                     *iso_fields))
+    rows.append(iso_row("isometry_adapted_weights", 207,
+                        CovarianceOperator.identity(2, 1),
+                        weighted.as_step(grid), False))
 
     # bound battery: complexified covariance, four-block integrands
     bound_fields = ("m1", "m2", "m3", "combined_standard_error",
@@ -896,31 +895,21 @@ def isometry_experiment(cfg: RunConfig) -> dict:
             expected_m2=expect_m2)))
 
     rng_bd = _case_rng(cfg.seed, 52)
-    u_rand = ComplexCovariance(_random_spd_cov(rng_bd, 2, 2),
-                               _random_spd_cov(rng_bd, 2, 2))
-    ens_b2 = PathEnsemble(grid, u_rand, None, seed=cfg.seed + 208,
-                          n_replicas=cfg.replicas)
-    rows.append(_row(ens_b2, bound_check(
-        _tiled_ops(grid, [_random_four_block(rng_bd, 2, 2, 2)
-                          for _ in range(2)]), ens_b2),
-        "bound_random_pair", "Thm. 2.15(1)", *bound_fields))
 
-    u_oct = ComplexCovariance(_random_spd_cov(rng_bd, 3, 1),
-                              _random_spd_cov(rng_bd, 3, 1))
-    ens_b3 = PathEnsemble(grid, u_oct, None, seed=cfg.seed + 209,
-                          n_replicas=cfg.replicas)
-    rows.append(_row(ens_b3, bound_check(
-        StepIntegrand.constant(grid, _random_four_block(rng_bd, 3, 1, 1)),
-        ens_b3), "bound_octonion", "Thm. 2.15(1)", *bound_fields))
+    def bound_row(name, offset, level, n, h, tiles):
+        """bound_check of a random complexified covariance at (level, n)
+        for ``tiles`` random four-block (h, n) operators tiled over the
+        grid."""
+        u = ComplexCovariance(_random_spd_cov(rng_bd, level, n),
+                              _random_spd_cov(rng_bd, level, n))
+        ens = bat.paths(u, None, offset, cfg.replicas)
+        ops = [_random_four_block(rng_bd, level, h, n) for _ in range(tiles)]
+        return _row(ens, bound_check(_tiled_ops(grid, ops), ens), name,
+                    "Thm. 2.15(1)", *bound_fields)
 
-    u_low = ComplexCovariance(_random_spd_cov(rng_bd, 1, 1),
-                              _random_spd_cov(rng_bd, 1, 1))
-    ens_b4 = PathEnsemble(grid, u_low, None, seed=cfg.seed + 210,
-                          n_replicas=cfg.replicas)
-    rows.append(_row(ens_b4, bound_check(
-        _tiled_ops(grid, [_random_four_block(rng_bd, 1, 2, 1)
-                          for _ in range(3)]), ens_b4),
-        "bound_rectangular", "Thm. 2.15(1)", *bound_fields))
+    rows += [bound_row("bound_random_pair", 208, 2, 2, 2, 2),
+             bound_row("bound_octonion", 209, 3, 1, 1, 1),
+             bound_row("bound_rectangular", 210, 1, 1, 2, 3)]
     return _entry("isometry", _run_rows(rows, cfg.threads), started)
 
 
@@ -929,14 +918,12 @@ def isometry_experiment(cfg: RunConfig) -> dict:
 def martingale_experiment(cfg: RunConfig) -> dict:
     """Conditional-mean tests plus the look-ahead power control."""
     started = time.perf_counter()
-    a0, b0 = cfg.window
-    steps = cfg.grids[-1]
-    grid = TimeGrid.uniform(a0, b0, steps)
+    bat = Battery.on(cfg, cfg.grids[-1])
+    grid, steps = bat.grid, bat.grid.steps
     t1 = float(grid.points[steps // 4])
     t2 = float(grid.points[(3 * steps) // 4])
 
-    ens = PathEnsemble(grid, _complexified_identity(2, 1), None,
-                       seed=cfg.seed + 300, n_replicas=cfg.replicas)
+    ens = bat.paths(_complexified_identity(2, 1), None, 300, cfg.replicas)
     rng = _case_rng(cfg.seed, 60)
     piecewise = _tiled_ops(grid, [_random_four_block(rng, 2, 1, 1)
                                   for _ in range(2)])
@@ -996,10 +983,8 @@ def _scaled_complex_cov(rng, level: int, n: int) -> ComplexCovariance:
 def chebyshev_experiment(cfg: RunConfig) -> dict:
     """Tail bounds for the running supremum, plus integral continuity."""
     started = time.perf_counter()
-    a0, b0 = cfg.window
-    steps = cfg.grids[-1]
-    grid = TimeGrid.uniform(a0, b0, steps)
-    span = b0 - a0
+    bat = Battery.on(cfg, cfg.grids[-1])
+    grid, span, steps = bat.grid, bat.span, bat.grid.steps
     rows = []
 
     for index in range(10):
@@ -1013,19 +998,17 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
         mean_hs = float(np.mean([op.hs_norm2() for op in ops]))
         beta = float(rng.uniform(0.9, 2.5))
         alpha = float(rng.uniform(0.4, 1.5)) * span * mean_hs
-        ens = PathEnsemble(grid, u, None, seed=cfg.seed + 400 + index,
-                           n_replicas=cfg.replicas)
+        ens = bat.paths(u, None, 400 + index, cfg.replicas)
         rows.append(_row(ens, chebyshev_check(integrand, ens, beta, alpha),
                          f"chebyshev_case_{index:02d}", "Lemma 2.26(3)",
                          "beta", "alpha", "empirical", "bound_quadrature",
                          "bound_split", "sample_count", level=level, n=n))
 
     rng = _case_rng(cfg.seed, 85)
-    ens = PathEnsemble(grid, _complexified_identity(2, 1), None,
-                       seed=cfg.seed + 420, n_replicas=cfg.replicas)
+    ens = bat.paths(_complexified_identity(2, 1), None, 420, cfg.replicas)
     ops = [_random_four_block(rng, 2, 1, 1) for _ in range(2)]
     mean_hs = float(np.mean([op.hs_norm2() for op in ops]))
-    halvings = min(5, (steps & -steps).bit_length() - 1)
+    halvings = min(5, halving_depth(steps))
     eps = 2.0 * math.sqrt(mean_hs * span)
     rows.append(Row(ens, continuity_check(_tiled_ops(grid, ops), ens, eps,
                                           halvings),
@@ -1046,12 +1029,10 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
         return PredictableIntegrand(level, n, n, evaluator,
                                     1.0).as_step(sub_grid)
 
-    ens_ref = PathEnsemble(grid, _complexified_identity(level, n), None,
-                           seed=cfg.seed + 421,
-                           n_replicas=min(cfg.replicas, 20_000))
-    halvings_ref = min(3, (steps & -steps).bit_length() - 2)
-    rows.append(_row(ens_ref, refinement_study(factory, ens_ref,
-                                               max(1, halvings_ref)),
+    ens_ref = bat.paths(_complexified_identity(level, n), None, 421,
+                        min(cfg.replicas, 20_000))
+    rows.append(_row(ens_ref, refinement_study(
+        factory, ens_ref, min(3, halving_depth(steps) - 1)),
                      "refinement_stability", "Def. 2.19(1)",
                      "mean_square_gaps", "grid_steps"))
     return _entry("chebyshev", _run_rows(rows, cfg.threads), started)
@@ -1063,16 +1044,14 @@ def sde_experiment(cfg: RunConfig) -> dict:
     """Picard iteration, scheme agreement, closed form, Markov restart."""
     started = time.perf_counter()
     threads = cfg.threads
-    a0, b0 = cfg.window
-    span = b0 - a0
     level = 2
     checks = []
 
-    ref_steps = cfg.grids[-1]
-    halvings = strong_order_halvings(cfg.grids)
-    ref_grid = TimeGrid.uniform(a0, b0, ref_steps)
-    base_steps = min(ref_steps, 64)
-    grid = TimeGrid.uniform(a0, b0, base_steps)
+    # the strong-order ladder runs on the finest grid, the rest on a base
+    # grid of at most 64 steps
+    ref = Battery.on(cfg, cfg.grids[-1])
+    bat = Battery.on(cfg, min(cfg.grids[-1], 64))
+    grid, span = bat.grid, bat.span
 
     g_op = RightLinearOp.left_mult(
         CdReal(level, [-1.0, 0.4, 0.0, 0.0]))
@@ -1098,8 +1077,7 @@ def sde_experiment(cfg: RunConfig) -> dict:
     checks.append(_report("lipschitz_quadratic_rejected", "Thm. 2.29(i)", res,
                           "max_lipschitz_ratio", passed=not res["passed"]))
 
-    n_picard = min(cfg.replicas, 4096)
-    ens_picard = linear.ensemble(cfg.seed + 500, n_picard)
+    ens_picard = bat.paths(u, None, 500, min(cfg.replicas, 4096))
     picard = picard_solve(linear, ens_picard, threads=threads)
     distances = picard.diagnostics["distances"]
     checks.append(_report("picard_factorial_decay", "Thm. 2.29 proof",
@@ -1112,16 +1090,14 @@ def sde_experiment(cfg: RunConfig) -> dict:
     checks.append(_check("picard_em_agreement", "Thm. 2.29 proof",
                          agreement <= 1e-6, b2inf_gap=float(agreement)))
 
-    uni_halvings = min(3, (base_steps & -base_steps).bit_length() - 2)
-    ens_uni = linear.ensemble(cfg.seed + 501, min(cfg.replicas, 2048))
-    rows = [_row(ens_uni, uniqueness_study(linear_on, ens_uni,
-                                           max(1, uni_halvings)),
+    ens_uni = bat.paths(u, None, 501, min(cfg.replicas, 2048))
+    uni_halvings = min(3, halving_depth(grid.steps) - 1)
+    rows = [_row(ens_uni, uniqueness_study(linear_on, ens_uni, uni_halvings),
                  "uniqueness_gap_vanishes", "Thm. 2.29 proof", "b2inf_gaps",
                  "grid_steps")]
 
     # closed-form anchors on one sweep: semigroup absent, then noise absent
-    ens_noise = PathEnsemble(grid, u, None, seed=cfg.seed + 502,
-                             n_replicas=min(cfg.replicas, 2048))
+    ens_noise = bat.paths(u, None, 502, min(cfg.replicas, 2048))
     noise = _closed_form_probe(None, h_op, unit, ens_noise)
     drift = _closed_form_probe(g_op, None, unit, ens_noise)
 
@@ -1130,7 +1106,7 @@ def sde_experiment(cfg: RunConfig) -> dict:
         return noise.sample(batch)[0] - (unit.value + (w - w[:, :1]))
 
     idxs = [0, len(grid) // 2, len(grid) - 1]
-    orbit = np.stack([op_exp_left(g_op, float(grid.points[idx] - a0))
+    orbit = np.stack([op_exp_left(g_op, float(grid.points[idx] - grid.a))
                       @ unit.value for idx in idxs])
     rows += [
         _max_gap_row(ens_noise, noise_gap, "closed_form_pure_noise",
@@ -1140,14 +1116,14 @@ def sde_experiment(cfg: RunConfig) -> dict:
                      "max_gap"),
     ]
 
-    ens_order = PathEnsemble(ref_grid, u, None, seed=cfg.seed + 503,
-                             n_replicas=cfg.replicas)
+    ens_order = ref.paths(u, None, 503, cfg.replicas)
     # additive noise: the forward scheme coincides with Milstein's and
     # has strong order 1 (Kloeden & Platen 1992, 10.2-10.3)
     expected_order = 1.0
     window = [expected_order - 0.15, expected_order + 0.15]
     rows.append(Row(
-        ens_order, strong_order_study(g_op, h_op, unit, ens_order, halvings),
+        ens_order, strong_order_study(g_op, h_op, unit, ens_order,
+                                      strong_order_halvings(cfg.grids)),
         lambda res: _report("strong_order_window", "Cor. 2.30(2)", res,
                             "slope", "table",
                             passed=window[0] <= res["slope"] <= window[1],
@@ -1161,9 +1137,10 @@ def sde_experiment(cfg: RunConfig) -> dict:
     def h_gain(t, y):
         return [(np.tanh(y[:, 0]), h_op)]
 
-    t_mid = float(grid.points[base_steps // 2])
+    t_mid = float(grid.points[grid.steps // 2])
     z = CdVector.embedded_real(level, [0.7])
-    ens = linear.ensemble(cfg.seed + 504, max(2000, min(cfg.replicas, 20_000)))
+    n_long = max(2000, min(cfg.replicas, 20_000))
+    ens = bat.paths(u, None, 504, n_long)
     for name, problem in (
             ("restart_linear", linear),
             ("restart_pure_noise", linear_problem(None, h_op, unit, grid, u)),
@@ -1176,10 +1153,7 @@ def sde_experiment(cfg: RunConfig) -> dict:
                          "ks_min_pvalue", "ks_threshold"))
     checks += _run_rows(rows, threads)
 
-    solution = euler_maruyama(
-        linear, linear.ensemble(cfg.seed + 505,
-                                max(2000, min(cfg.replicas, 20_000))),
-        threads)
+    solution = euler_maruyama(linear, bat.paths(u, None, 505, n_long), threads)
     checks.append(_report("gronwall_bound", "Thm. 2.29 proof",
                           gronwall_check(linear, solution),
                           "sup_mean_norm2", "bound"))
@@ -1188,7 +1162,7 @@ def sde_experiment(cfg: RunConfig) -> dict:
         return 1e8 * y
 
     blowup = SdeProblem(g_blowup, lambda t, y: [h_op], unit, 1.0, grid, u)
-    sol = euler_maruyama(blowup, blowup.ensemble(cfg.seed + 506, 8), threads)
+    sol = euler_maruyama(blowup, bat.paths(u, None, 506, 8), threads)
     aborted = sol.diagnostics["aborted_replicas"]
     final_nan = bool(np.all(np.isnan(sol.values[:, -1])))
     checks.append(_check("divergence_guard", "Def. 2.28(5)",

@@ -44,6 +44,7 @@ from .paths import (
     Probe,
     TimeGrid,
     _time_major,
+    halving_factors,
 )
 
 
@@ -482,7 +483,7 @@ def chebyshev_check(integrand: StepIntegrand, ensemble: PathEnsemble,
 
 
 def continuity_check(integrand: StepIntegrand, ensemble: PathEnsemble,
-                     eps: float, halvings: int = 6) -> Probe:
+                     eps: float, halvings: int) -> Probe:
     """Tail of integral increments over nested lag windows.
 
     tail(delta_j) takes the worst grid pair within lag delta_j; the pair
@@ -492,26 +493,21 @@ def continuity_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     _require_match(integrand, ensemble)
     grid = ensemble.grid
     k = grid.steps
-    if halvings < 1 or k % (2 ** halvings) != 0:
-        raise GridError("grid does not support that many halvings")
-    top_lag = k >> 1
+    lags = [k // f for f in halving_factors(grid, halvings)[1:]]
 
     def sampler(batch):
         eta = integral_paths(integrand, grid, batch.w)
         flat = eta.reshape(batch.count, k + 1, -1)
         # 0/1 indicators: their sums are exact integers
         return tuple(vec_norm2(flat[:, lag:] - flat[:, :-lag]) > eps * eps
-                     for lag in range(1, top_lag + 1))
+                     for lag in range(1, lags[0] + 1))
 
     def gate(reports):
         per_lag_max = np.array([np.max(rep.estimate) for rep in reports])
         running = np.maximum.accumulate(per_lag_max)
         pts = grid.points
-        deltas, tails = [], []
-        for j in range(1, halvings + 1):
-            lag = k >> j
-            deltas.append(float(np.max(pts[lag:] - pts[:-lag])))
-            tails.append(float(running[lag - 1]))
+        deltas = [float(np.max(pts[lag:] - pts[:-lag])) for lag in lags]
+        tails = [float(running[lag - 1]) for lag in lags]
         finest_ok = tails[-1] < 0.01
         monotone = all(tails[j + 1] <= tails[j] + 1e-15
                        for j in range(len(tails) - 1))
@@ -527,7 +523,7 @@ def continuity_check(integrand: StepIntegrand, ensemble: PathEnsemble,
 
 
 def refinement_study(integrand_factory, ensemble: PathEnsemble,
-                     halvings: int = 3) -> Probe:
+                     halvings: int) -> Probe:
     """Mean-square gap between successive grid resolutions on shared noise.
 
     The ensemble grid is the finest level; coarser levels integrate the
@@ -536,9 +532,7 @@ def refinement_study(integrand_factory, ensemble: PathEnsemble,
     """
     grid = ensemble.grid
     k = grid.steps
-    if halvings < 1 or k % (2 ** halvings) != 0:
-        raise GridError("grid does not support that many halvings")
-    factors = [2 ** (halvings - j) for j in range(halvings + 1)]
+    factors = halving_factors(grid, halvings)[::-1]
     grids = [TimeGrid(grid.points[::f]) for f in factors]
     integrands = [integrand_factory(g) for g in grids]
 

@@ -434,6 +434,11 @@ class CovarianceOperator:
     def simple(cls, a: CdReal, b) -> "CovarianceOperator":
         return cls(a.level, ((a, np.asarray(b, dtype=float)),))
 
+    @classmethod
+    def identity(cls, level: int, n: int) -> "CovarianceOperator":
+        """The identity on A_r^n: one block (1, I_n)."""
+        return cls.simple(CdReal.from_real(level, 1.0), np.eye(n))
+
     @property
     def n(self) -> int:
         return sum(b.shape[0] for _, b in self.blocks)

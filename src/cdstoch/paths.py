@@ -21,6 +21,12 @@ moment probe's per-batch partial sums are placed by batch index and
 collapsed in one fixed pairwise pass; a gather probe's per-batch arrays
 are joined in batch order into one C-ordered array.  Either way every
 result is bit-identical for any worker count.
+
+Multi-resolution checks run on a halving ladder: level j keeps every
+2**j-th grid point of one ensemble, so every level sees the same noise.
+``halving_factors`` gives the levels' subsampling factors and refuses a
+grid that does not halve that often; ``halving_depth`` counts how often
+a size halves evenly.
 """
 
 from __future__ import annotations
@@ -110,6 +116,22 @@ class TimeGrid:
 
     def __len__(self) -> int:
         return self.points.size
+
+
+def halving_depth(steps: int) -> int:
+    """How many times steps halves evenly (its two-adic order)."""
+    return (steps & -steps).bit_length() - 1
+
+
+def halving_factors(grid: TimeGrid, halvings: int) -> list[int]:
+    """Subsampling factors 1, 2, 4, ..., 2**halvings of a halving ladder.
+
+    Level j of the ladder keeps every 2**j-th point of grid; every level
+    needs whole steps, so halvings must lie in 1..halving_depth(steps).
+    """
+    if halvings < 1 or grid.steps % (2 ** halvings) != 0:
+        raise GridError("grid does not support that many halvings")
+    return [2 ** j for j in range(halvings + 1)]
 
 
 # ---------------------------------------------------------------- noise draws
@@ -744,7 +766,7 @@ def char_semigroup(ensemble: PathEnsemble, y: RealFunctional,
 # ------------------------------------------------------- stochastic continuity
 
 def path_continuity(ensemble: PathEnsemble, eps: float,
-                    halvings: int = 8) -> Probe:
+                    halvings: int) -> Probe:
     """Tail P{ ||w(t + delta) - w(t)|| > eps } over a halving ladder.
 
     For each delta the tail is the worst grid offset at that exact lag;
@@ -753,9 +775,7 @@ def path_continuity(ensemble: PathEnsemble, eps: float,
     since they are plain binomial proportions suitable for oracles.
     """
     k = ensemble.grid.steps
-    if halvings < 1 or k % (2 ** halvings) != 0:
-        raise GridError("grid does not support that many halvings")
-    lags = [k >> j for j in range(1, halvings + 1)]
+    lags = [k // f for f in halving_factors(ensemble.grid, halvings)[1:]]
     pts = ensemble.grid.points
     deltas = [float(np.max(pts[lag:] - pts[:-lag])) for lag in lags]
 

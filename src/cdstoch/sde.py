@@ -40,6 +40,7 @@ from .paths import (
     _stack_rows,
     _time_major,
     _tree_sum,
+    halving_factors,
     pool_map,
     sweep,
 )
@@ -643,7 +644,7 @@ def gronwall_check(problem: SdeProblem, solution: SolutionEnsemble) -> dict:
 
 def strong_order_study(g_op: RightLinearOp | None, h_op: RightLinearOp,
                        zeta: ZetaSpec, ensemble: PathEnsemble,
-                       halvings: int = 4) -> Probe:
+                       halvings: int) -> Probe:
     """Terminal strong error of the forward scheme against the closed form.
 
     The ensemble grid is the reference resolution; each coarser level
@@ -651,13 +652,10 @@ def strong_order_study(g_op: RightLinearOp | None, h_op: RightLinearOp,
     (step, error) table and the fitted log-log slope.
     """
     grid = ensemble.grid
-    k = grid.steps
     if halvings < 2:
         raise GridError("a slope fit needs at least two halvings")
-    if k % (2 ** halvings) != 0:
-        raise GridError("grid does not support that many halvings")
+    factors = halving_factors(grid, halvings)[1:]
     reference = _closed_form_kernel(g_op, h_op, zeta.size, grid)
-    factors = [2 ** j for j in range(1, halvings + 1)]
     grids = [TimeGrid(grid.points[::f]) for f in factors]
     problems = [linear_problem(g_op, h_op, zeta, g, ensemble.u) for g in grids]
 
@@ -683,7 +681,7 @@ def strong_order_study(g_op: RightLinearOp | None, h_op: RightLinearOp,
 
 
 def uniqueness_study(problem_factory, ensemble: PathEnsemble,
-                     halvings: int = 3) -> Probe:
+                     halvings: int) -> Probe:
     """Picard-vs-forward gap across grid resolutions on shared noise.
 
     problem_factory(grid) builds the problem at each resolution; Picard
@@ -692,10 +690,7 @@ def uniqueness_study(problem_factory, ensemble: PathEnsemble,
     uniqueness failure and is required to vanish.
     """
     grid = ensemble.grid
-    k = grid.steps
-    if halvings < 1 or k % (2 ** halvings) != 0:
-        raise GridError("grid does not support that many halvings")
-    factors = [2 ** (halvings - j) for j in range(halvings + 1)]
+    factors = halving_factors(grid, halvings)[::-1]
     subs = [TimeGrid(grid.points[::f]) for f in factors]
     problems = [problem_factory(sub) for sub in subs]
 

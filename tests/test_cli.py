@@ -18,7 +18,7 @@ from cdstoch.config import (
     parse_config_text,
 )
 from cdstoch.cli import SUBCOMMANDS, _apply_overrides, build_parser, main
-from cdstoch import experiments
+from cdstoch import cli, experiments
 from cdstoch.experiments import run_experiments
 from cdstoch.linops import ComplexCovariance, CovarianceOperator
 from cdstoch.report import (
@@ -204,6 +204,17 @@ def test_parse_u1_mirrors_u0_by_default():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="config file"):
         load_config(tmp_path / "absent.cfg")
+
+
+def test_load_config_not_utf8(tmp_path, capsys):
+    """A file that does not decode is a config error (exit 2), not a
+    failed check (exit 1)."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed = 1\n\xff\xfe\n")
+    with pytest.raises(ConfigError, match="config file .*bad.cfg.*utf-8"):
+        load_config(bad)
+    assert main(["run", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: config file")
 
 
 def test_load_config_round_trip(tmp_path):
@@ -447,6 +458,22 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "u0.block1.b" in err
+
+
+def test_cli_unusable_out_exits_before_any_battery(tmp_path, capsys,
+                                                  monkeypatch):
+    """An --out below a regular file is refused with exit 2 before a
+    battery runs, not after every battery with a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    ran = []
+    monkeypatch.setattr(cli, "run_experiments",
+                        lambda cfg: ran.append(cfg) or [])
+    rc = main(["algebra", "--threads", "1", "--out", str(blocker / "sub")])
+    captured = capsys.readouterr()
+    assert rc == 2 and ran == [] and captured.out == ""
+    assert captured.err.startswith("error: output directory: ")
+    assert "Not a directory" in captured.err
 
 
 def test_cli_usage_error_exit_code():

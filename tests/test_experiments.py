@@ -15,6 +15,7 @@ from cdstoch.algebra import CdComplex, CdReal
 from cdstoch.config import RunConfig
 from cdstoch.experiments import (
     ALGEBRA_CASES,
+    EXPERIMENTS,
     LINOPS_CASES,
     Case,
     Row,
@@ -83,18 +84,121 @@ def test_runner_sweeps_each_ensemble_once_in_row_order(threads, monkeypatch):
     assert _bits(entries) == _bits(alone)
 
 
+def watch_assemblies(monkeypatch, seen) -> None:
+    """Call seen(batch) on each batch as it is assembled."""
+    w = paths_module.BatchPaths.w
+
+    def watched(batch):
+        if batch._w is None:
+            seen(batch)
+        return w.fget(batch)
+
+    monkeypatch.setattr(paths_module.BatchPaths, "w", property(watched))
+
+
 def count_assemblies(monkeypatch, cfg) -> Counter:
     """Assemblies per (seed offset, batch index), counted as they happen."""
     assembled = Counter()
-    w = paths_module.BatchPaths.w
-
-    def counting(batch):
-        if batch._w is None:
-            assembled[(batch.ensemble.seed - cfg.seed, batch.index)] += 1
-        return w.fget(batch)
-
-    monkeypatch.setattr(paths_module.BatchPaths, "w", property(counting))
+    watch_assemblies(monkeypatch, lambda batch: assembled.update(
+        [(batch.ensemble.seed - cfg.seed, batch.index)]))
     return assembled
+
+
+def ensemble_manifest(monkeypatch, cfg) -> list[tuple]:
+    """(seed offset, replicas, grid steps, level, n, complexified, drift)
+    of each ensemble swept, in the order of its first assembly."""
+    manifest = []
+
+    def seen(batch):
+        e = batch.ensemble
+        entry = (e.seed - cfg.seed, e.n_replicas, e.grid.steps, e.level, e.n,
+                 e.complexified, e.p is not None)
+        if entry not in manifest:
+            manifest.append(entry)
+
+    watch_assemblies(monkeypatch, seen)
+    return manifest
+
+
+T, F = True, False
+# Every Monte Carlo battery's ensembles at seed 5, 2100 replicas and grid
+# 16.  The offsets key the noise, so a slipped offset, replica rule or
+# law moves a report; this table names the slip in seconds.
+MANIFESTS = {
+    "paths": [
+        (1, 2100, 16, 2, 1, T, F), (2, 2100, 16, 2, 3, F, F),
+        (3, 2100, 16, 2, 1, F, F), (100, 2100, 16, 0, 2, T, T),
+        (101, 2100, 16, 1, 1, F, F), (102, 2100, 16, 2, 1, T, F),
+        (103, 2100, 16, 3, 2, F, F), (104, 2100, 16, 0, 1, T, F),
+        (105, 2100, 16, 1, 1, F, T), (106, 2100, 16, 2, 2, T, F),
+        (107, 2100, 16, 3, 1, F, F), (108, 2100, 16, 0, 1, T, F),
+        (109, 2100, 16, 1, 2, F, F), (110, 2100, 16, 2, 1, T, T),
+        (111, 2100, 16, 3, 1, F, F), (112, 2100, 16, 0, 2, T, F),
+        (113, 2100, 16, 1, 1, F, F), (114, 2100, 16, 2, 1, T, F),
+        (115, 2100, 16, 3, 2, F, T), (116, 2100, 16, 0, 1, T, F),
+        (117, 2100, 16, 1, 1, F, F), (118, 2100, 16, 2, 2, T, F),
+        (119, 2100, 16, 3, 1, F, F),
+    ],
+    "isometry": [
+        (200, 64, 16, 2, 2, T, F), (201, 2100, 16, 2, 1, T, F),
+        (202, 2100, 16, 2, 1, F, F), (203, 2100, 16, 3, 1, F, F),
+        (204, 2100, 16, 1, 2, F, F), (205, 2100, 16, 0, 1, F, F),
+        (206, 2100, 16, 3, 2, F, F), (207, 2100, 16, 2, 1, F, F),
+        (208, 2100, 16, 2, 2, T, F), (209, 2100, 16, 3, 1, T, F),
+        (210, 2100, 16, 1, 1, T, F),
+    ],
+    "martingale": [(300, 2100, 16, 2, 1, T, F)],
+    "chebyshev": [
+        (400, 2100, 16, 1, 2, T, F), (401, 2100, 16, 2, 1, T, F),
+        (402, 2100, 16, 3, 2, T, F), (403, 2100, 16, 1, 1, T, F),
+        (404, 2100, 16, 2, 2, T, F), (405, 2100, 16, 3, 1, T, F),
+        (406, 2100, 16, 1, 2, T, F), (407, 2100, 16, 2, 1, T, F),
+        (408, 2100, 16, 3, 2, T, F), (409, 2100, 16, 1, 1, T, F),
+        (420, 2100, 16, 2, 1, T, F), (421, 2100, 16, 2, 1, T, F),
+    ],
+    "sde": [
+        (500, 2100, 16, 2, 1, T, F), (501, 2048, 16, 2, 1, T, F),
+        (502, 2048, 16, 2, 1, T, F), (503, 2100, 16, 2, 1, T, F),
+        (504, 2100, 16, 2, 1, T, F), (505, 2100, 16, 2, 1, T, F),
+        (506, 8, 16, 2, 1, T, F),
+    ],
+}
+# The sde battery's other replica rules and its two grids: the
+# strong-order ensemble (+503) on the finest grid, the rest on at most
+# 64 steps.
+SDE_MANIFESTS = {
+    (1500, 128): [
+        (500, 1500, 64, 2, 1, T, F), (501, 1500, 64, 2, 1, T, F),
+        (502, 1500, 64, 2, 1, T, F), (503, 1500, 128, 2, 1, T, F),
+        (504, 2000, 64, 2, 1, T, F), (505, 2000, 64, 2, 1, T, F),
+        (506, 8, 64, 2, 1, T, F),
+    ],
+    (4200, 16): [
+        (500, 4096, 16, 2, 1, T, F), (501, 2048, 16, 2, 1, T, F),
+        (502, 2048, 16, 2, 1, T, F), (503, 4200, 16, 2, 1, T, F),
+        (504, 4200, 16, 2, 1, T, F), (505, 4200, 16, 2, 1, T, F),
+        (506, 8, 16, 2, 1, T, F),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(MANIFESTS))
+def test_battery_sweeps_its_pinned_ensembles(name, monkeypatch):
+    cfg = RunConfig(seed=5, replicas=2100, grids=(16,), threads=1,
+                    experiments=(name,))
+    manifest = ensemble_manifest(monkeypatch, cfg)
+    dict(EXPERIMENTS)[name](cfg)
+    assert manifest == MANIFESTS[name]
+
+
+@pytest.mark.parametrize(("replicas", "steps"), list(SDE_MANIFESTS))
+def test_sde_battery_sweeps_its_pinned_ensembles(replicas, steps,
+                                                 monkeypatch):
+    cfg = RunConfig(seed=5, replicas=replicas, grids=(steps,), threads=1,
+                    experiments=("sde",))
+    manifest = ensemble_manifest(monkeypatch, cfg)
+    sde_experiment(cfg)
+    assert manifest == SDE_MANIFESTS[(replicas, steps)]
 
 
 def checks_of(entry) -> dict:

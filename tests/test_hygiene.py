@@ -3,8 +3,10 @@ package that nothing in the package uses or exports, one function that
 opens a thread pool, one sweep route for every batch pass, no import
 of scipy.stats (a test oracle only), no running maximum or minimum
 kept with the builtin, which drops a NaN, one module that writes CSV,
-no setting read from the environment, one time-major allocator, and
-every ConfigError raised in config, each message by one raise."""
+no setting read from the environment, one time-major allocator,
+every ConfigError raised in config, each message by one raise, one
+ensemble build route in experiments, one halving-ladder guard and one
+two-adic count."""
 
 import ast
 import os
@@ -66,13 +68,13 @@ def unreferenced_defs(sources: dict[str, str], exported: set[str]) -> list[str]:
                   if name not in used and name not in exported)
 
 
-def _sites(sources: dict[str, str], hit) -> list[str]:
-    """Where hit(node) holds, as ``module.function``.
+def _hits(sources: dict[str, str], hit) -> list[str]:
+    """Where hit(node) holds, as ``module.function``, once per node.
 
     Methods read ``module.Class.method`` and nested functions extend the
     path; a node outside every function reads ``module.<module>``.
     """
-    sites = set()
+    sites = []
 
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
@@ -82,12 +84,17 @@ def _sites(sources: dict[str, str], hit) -> list[str]:
                 visit(child, module, inner)
                 continue
             if hit(child):
-                sites.add(f"{module}.{scope or '<module>'}")
+                sites.append(f"{module}.{scope or '<module>'}")
             visit(child, module, scope)
 
     for module, source in sources.items():
         visit(ast.parse(source), module, None)
     return sorted(sites)
+
+
+def _sites(sources: dict[str, str], hit) -> list[str]:
+    """Where hit(node) holds, as ``module.function``, once per site."""
+    return sorted(set(_hits(sources, hit)))
 
 
 def pool_sites(sources: dict[str, str]) -> list[str]:
@@ -97,14 +104,39 @@ def pool_sites(sources: dict[str, str]) -> list[str]:
                   == "ThreadPoolExecutor")
 
 
-def call_sites(sources: dict[str, str], name: str) -> list[str]:
-    """Where a function ``name(`` or a method ``.name(`` is called."""
-
+def _calls_name(name: str):
     def hit(node):
         return isinstance(node, ast.Call) and name in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None))
 
-    return _sites(sources, hit)
+    return hit
+
+
+def call_sites(sources: dict[str, str], name: str) -> list[str]:
+    """Where a function ``name(`` or a method ``.name(`` is called."""
+    return _sites(sources, _calls_name(name))
+
+
+def calls(sources: dict[str, str], name: str) -> list[str]:
+    """Each call of a function ``name(`` or a method ``.name(``."""
+    return _hits(sources, _calls_name(name))
+
+
+def name_uses(sources: dict[str, str], name: str) -> list[str]:
+    """Each read of ``name`` as a name or an attribute."""
+    return _hits(sources, lambda node: name in (getattr(node, "id", None),
+                                                getattr(node, "attr", None)))
+
+
+def message_raises(sources: dict[str, str], message: str) -> list[str]:
+    """Each ``raise E("message")`` of that literal message."""
+
+    def hit(node):
+        return isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+            and bool(node.exc.args) \
+            and getattr(node.exc.args[0], "value", None) == message
+
+    return _hits(sources, hit)
 
 
 def test_scanner_flags_an_unused_import():
@@ -182,6 +214,49 @@ def test_one_moment_reducer():
         "sde.linear_closed_form"]
     assert call_sites(sources, "batches") == [
         "paths.PathEnsemble.map_batches", "sde.picard_solve"]
+
+
+def test_scanners_count_every_call_use_and_raise():
+    sources = {
+        "a": ("class Battery:\n"
+              "    def paths(self, u):\n"
+              "        x = PathEnsemble(u)\n"
+              "        return x, PathEnsemble(u, 1)\n\n"
+              "def run(problem):\n"
+              "    n = (8).bit_length()\n"
+              "    return problem.ensemble(n), bit_length\n"),
+        "b": ("def guard(k):\n"
+              "    if k:\n"
+              "        raise GridError('too many')\n"
+              "    raise ValueError('too many', k)\n\n"
+              "def other():\n"
+              "    raise GridError(f'too many {1}')\n"
+              "    raise GridError('too few')\n"),
+    }
+    assert calls(sources, "PathEnsemble") == ["a.Battery.paths"] * 2
+    assert calls(sources, "ensemble") == ["a.run"]
+    assert name_uses(sources, "bit_length") == ["a.run"] * 2
+    assert message_raises(sources, "too many") == ["b.guard"] * 2
+    assert message_raises(sources, "too few") == ["b.other"]
+
+
+def test_experiments_builds_every_ensemble_by_one_route():
+    """Each battery ensemble comes from Battery.paths, on the battery's
+    grid with its own seed offset; no solver view builds one."""
+    source = (PACKAGE / "experiments.py").read_text()
+    assert calls({"experiments": source}, "PathEnsemble") == [
+        "experiments.Battery.paths"]
+    assert calls({"experiments": source}, "ensemble") == []
+
+
+def test_one_halving_guard_and_one_two_adic_count():
+    """Every halving ladder takes its factors from paths.halving_factors,
+    and every halving count from paths.halving_depth."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert message_raises(
+        sources, "grid does not support that many halvings") == [
+        "paths.halving_factors"]
+    assert name_uses(sources, "bit_length") == ["paths.halving_depth"]
 
 
 def definitions(sources: dict[str, str], name: str) -> list[str]:

@@ -444,7 +444,7 @@ def test_path_continuity_ladder_and_wiener_oracle():
     u = identity_complex_covariance(level, n)
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 256), u, None,
                        seed=9, n_replicas=20_000)
-    out = run(ens, path_continuity(ens, eps=1.5))
+    out = run(ens, path_continuity(ens, eps=1.5, halvings=8))
     assert out["passed"], out
     assert out["tails"][-1] < 0.01
     # both embedded coordinates are independent N(0, delta), so the exact
