@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_LEVEL = 5
+ZERO_DIVISOR_LEVEL = 4
 
 
 class AlgebraError(ValueError):
@@ -342,11 +343,13 @@ def cdc_inner(x: list[CdComplex] | tuple[CdComplex, ...], y) -> CdComplex:
     return acc
 
 
-def find_zero_divisor(level: int = 4):
+def find_zero_divisor():
     """Search sums of two basis units for a pair with x*y = 0, |x||y| != 0.
 
-    Exists from the sedenions (r = 4) onward; returns (x, y) or None.
+    Searches the sedenions (ZERO_DIVISOR_LEVEL = 4), the first level with
+    zero divisors; returns (x, y).
     """
+    level = ZERO_DIVISOR_LEVEL
     dim = dim_of(level)
     sgn, idx = mul_table(level)
     for a in range(1, dim):
@@ -363,7 +366,6 @@ def find_zero_divisor(level: int = 4):
                         x = CdReal(level, _two_unit(dim, a, b))
                         y = CdReal(level, _two_unit(dim, c, d))
                         return x, y
-    return None
 
 
 def _two_unit(dim: int, a: int, b: int) -> np.ndarray:

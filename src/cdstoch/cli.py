@@ -113,7 +113,11 @@ def main(argv=None) -> int:
 
     experiments = run_experiments(cfg)
     doc = make_report(cfg, experiments)
-    written = write_outputs(doc, out_dir, cfg.format)
+    try:
+        written = write_outputs(doc, out_dir, cfg.format)
+    except OSError as exc:
+        print(f"error: writing the report: {exc}", file=sys.stderr)
+        return 2
 
     for entry in doc["experiments"]:
         if entry["passed"]:

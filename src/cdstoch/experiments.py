@@ -328,7 +328,7 @@ def _norm_multiplicativity_check(rng, atol: float) -> dict:
 
 
 def _zero_divisor_check(rng, atol: float) -> dict:
-    a, b = find_zero_divisor(4)
+    a, b = find_zero_divisor()
     prod = cd_mul(a, b)
     return {"ok": abs(a) > 0.5 and abs(b) > 0.5,
             "residual": float(np.max(np.abs(prod.coeffs)))}
@@ -937,12 +937,11 @@ def martingale_experiment(cfg: RunConfig) -> dict:
 
     adapted = PredictableIntegrand(2, 1, 1, adapted_evaluator, 1.0)
     rows = [
-        _row(ens, martingale_check(piecewise, ens, t1, t2, 8),
+        _row(ens, martingale_check(piecewise, ens, t1, t2),
              "martingale_piecewise", "Lemma 2.25", *mart_fields),
-        _row(ens, martingale_check(adapted.as_step(grid), ens, t1, t2, 8),
+        _row(ens, martingale_check(adapted.as_step(grid), ens, t1, t2),
              "martingale_adapted", "Lemma 2.25", *mart_fields),
-        Row(ens, martingale_check(lookahead_control(grid, 2, 1), ens, t1,
-                                  t2, 8),
+        Row(ens, martingale_check(lookahead_control(grid, 2, 1), ens, t1, t2),
             lambda res: _report("lookahead_control_rejected", "Lemma 2.25",
                                 res, "worst_bin_z", "sample_count",
                                 passed=(not res["passed"])
@@ -964,11 +963,7 @@ def _scaled_complex_cov(rng, level: int, n: int) -> ComplexCovariance:
     """
     u0 = _random_spd_cov(rng, level, n)
     u1 = _random_spd_cov(rng, level, n)
-
-    def sqrt_hs2(cov):
-        return 2.0 * float(np.sum(cov.sqrt_entries() ** 2))
-
-    top = max(sqrt_hs2(u0), sqrt_hs2(u1))
+    top = ComplexCovariance(u0, u1).max_sqrt_hs2()
     if top < 2.2:
         factor = 2.2 / top
 
@@ -1059,12 +1054,9 @@ def sde_experiment(cfg: RunConfig) -> dict:
     unit = ZetaSpec.constant(CdVector.embedded_real(level, [1.0]))
     u = _complexified_identity(level, 1)
 
-    def linear_on(sub_grid: TimeGrid) -> SdeProblem:
-        return linear_problem(g_op, h_op, unit, sub_grid, u)
+    linear = linear_problem(g_op, h_op, unit, 1)
 
-    linear = linear_on(grid)
-
-    res = lipschitz_validate(linear, 4096, cfg.seed)
+    res = lipschitz_validate(linear, grid, 4096, cfg.seed)
     checks.append(_report("lipschitz_linear", "Thm. 2.29(i)", res,
                           "max_lipschitz_ratio", "max_growth_ratio",
                           k_declared=res["k"]))
@@ -1072,8 +1064,8 @@ def sde_experiment(cfg: RunConfig) -> dict:
     def g_quad(t, y):
         return np.sign(y) * y * y
 
-    quad = SdeProblem(g_quad, lambda t, y: [h_op], unit, 1.0, grid, u)
-    res = lipschitz_validate(quad, 4096, cfg.seed)
+    quad = SdeProblem(g_quad, lambda t, y: [h_op], unit, 1.0, 1)
+    res = lipschitz_validate(quad, grid, 4096, cfg.seed)
     checks.append(_report("lipschitz_quadratic_rejected", "Thm. 2.29(i)", res,
                           "max_lipschitz_ratio", passed=not res["passed"]))
 
@@ -1092,7 +1084,7 @@ def sde_experiment(cfg: RunConfig) -> dict:
 
     ens_uni = bat.paths(u, None, 501, min(cfg.replicas, 2048))
     uni_halvings = min(3, halving_depth(grid.steps) - 1)
-    rows = [_row(ens_uni, uniqueness_study(linear_on, ens_uni, uni_halvings),
+    rows = [_row(ens_uni, uniqueness_study(linear, ens_uni, uni_halvings),
                  "uniqueness_gap_vanishes", "Thm. 2.29 proof", "b2inf_gaps",
                  "grid_steps")]
 
@@ -1143,12 +1135,11 @@ def sde_experiment(cfg: RunConfig) -> dict:
     ens = bat.paths(u, None, 504, n_long)
     for name, problem in (
             ("restart_linear", linear),
-            ("restart_pure_noise", linear_problem(None, h_op, unit, grid, u)),
+            ("restart_pure_noise", linear_problem(None, h_op, unit, 1)),
             ("restart_nonlinear",
              SdeProblem(g_contract, h_gain, ZetaSpec.gaussian(level, 1, 0.5),
-                        4.0, grid, u))):
-        rows.append(_row(ens, restart_markov_check(problem, ens, t_mid, z,
-                                                   0.01),
+                        4.0, 1))):
+        rows.append(_row(ens, restart_markov_check(problem, ens, t_mid, z),
                          name, "Thm. 2.31 proof", "max_pathwise_deviation",
                          "ks_min_pvalue", "ks_threshold"))
     checks += _run_rows(rows, threads)
@@ -1161,7 +1152,7 @@ def sde_experiment(cfg: RunConfig) -> dict:
     def g_blowup(t, y):
         return 1e8 * y
 
-    blowup = SdeProblem(g_blowup, lambda t, y: [h_op], unit, 1.0, grid, u)
+    blowup = SdeProblem(g_blowup, lambda t, y: [h_op], unit, 1.0, 1)
     sol = euler_maruyama(blowup, bat.paths(u, None, 506, 8), threads)
     aborted = sol.diagnostics["aborted_replicas"]
     final_nan = bool(np.all(np.isnan(sol.values[:, -1])))

@@ -47,6 +47,8 @@ from .paths import (
     halving_factors,
 )
 
+MARTINGALE_BINS = 8
+
 
 # ------------------------------------------------------------------ integrands
 
@@ -245,10 +247,6 @@ def _second_moment_samples(integrand: StepIntegrand, grid: TimeGrid,
     return out
 
 
-def _sqrt_hs2(u: CovarianceOperator) -> float:
-    return u.sqrt_op().hs_norm2()
-
-
 def _require_match(integrand, ensemble: PathEnsemble):
     if integrand.level != ensemble.level or integrand.n != ensemble.n:
         raise LevelMismatch("integrand does not match the ensemble")
@@ -329,7 +327,7 @@ def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
     grid = ensemble.grid
     idx = grid.steps
     f_fn = _f_trace_fn(ensemble.u)
-    factor = max(_sqrt_hs2(ensemble.u0), _sqrt_hs2(ensemble.u1))
+    factor = ensemble.u.max_sqrt_hs2()
 
     def sampler(batch):
         eta = integral_paths(integrand, grid, batch.w)
@@ -362,12 +360,13 @@ def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
 
 
 def martingale_check(integrand: StepIntegrand, ensemble: PathEnsemble,
-                     t1: float, t2: float, bins: int = 8) -> Probe:
+                     t1: float, t2: float) -> Probe:
     """Conditional-increment test for the running integral.
 
     Checks the unconditional mean of eta(t2) - eta(t1) and, as a stronger
-    probe, the mean inside quantile bins of the first coordinate of
-    eta(t1); every bin must be centered within 4 of its standard errors.
+    probe, the mean inside MARTINGALE_BINS quantile bins of the first
+    coordinate of eta(t1); every bin must be centered within 4 of its
+    standard errors.
     The bins read every sample: a gather probe.
     """
     _require_match(integrand, ensemble)
@@ -387,12 +386,12 @@ def martingale_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         rep = McReport.from_sums(diffs.sum(0), (diffs * diffs).sum(0), count)
         uncond_ok = bool(np.all(rep.within(np.zeros_like(rep.estimate))))
 
-        edges = np.quantile(stat, np.linspace(0.0, 1.0, bins + 1))
+        edges = np.quantile(stat, np.linspace(0.0, 1.0, MARTINGALE_BINS + 1))
         edges[0], edges[-1] = -np.inf, np.inf
         which = np.clip(np.searchsorted(edges, stat, side="right") - 1, 0,
-                        bins - 1)
+                        MARTINGALE_BINS - 1)
         zs = [np.zeros(1)]
-        for b in range(bins):
+        for b in range(MARTINGALE_BINS):
             sel = diffs[which == b]
             if sel.shape[0] < 2:
                 continue
@@ -407,7 +406,7 @@ def martingale_check(integrand: StepIntegrand, ensemble: PathEnsemble,
             "bins_passed": bool(bins_ok),
             "worst_bin_z": worst,
             "max_abs_mean": float(np.max(np.abs(rep.estimate))),
-            "bins": bins,
+            "bins": MARTINGALE_BINS,
             "sample_count": count,
         }
 
@@ -443,7 +442,7 @@ def chebyshev_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         raise AlgebraError("need positive beta and alpha")
     grid = ensemble.grid
     f_fn = _f_trace_fn(ensemble.u)
-    mstar2 = max(_sqrt_hs2(ensemble.u0), _sqrt_hs2(ensemble.u1))
+    mstar2 = ensemble.u.max_sqrt_hs2()
     threshold2 = beta * beta * mstar2
 
     def sampler(batch):

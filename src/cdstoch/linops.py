@@ -489,6 +489,10 @@ class ComplexCovariance:
     def n(self) -> int:
         return self.u0.n
 
+    def max_sqrt_hs2(self) -> float:
+        """max(||U_0^(1/2)||_2^2, ||U_1^(1/2)||_2^2)."""
+        return max(self.u0.sqrt_op().hs_norm2(), self.u1.sqrt_op().hs_norm2())
+
 
 def op_exp_left(g: np.ndarray | RightLinearOp, t: float) -> np.ndarray:
     """exp_l(G t) on the realization, by scaling-and-squaring."""

@@ -1,11 +1,15 @@
 """Strong solutions of grid-discretized stochastic Cauchy problems.
 
-A problem couples a drift map G(t, y), a diffusion map H(t, y) producing
-right-linear operators, an initial-condition sampler, and a declared
-Lipschitz/growth constant.  Two schemes are implemented against shared
-noise: forward Euler recursion and Picard iteration of the integral
-operator Q.  On a fixed grid the Picard fixed point satisfies exactly
-the forward recursion, so the two schemes double as a uniqueness probe.
+A problem is the equation dY = G(t, Y) dt + H(t, Y) dw alone: a drift
+map G(t, y), a diffusion map H(t, y) producing right-linear operators,
+an initial-condition sampler, a declared Lipschitz/growth constant and
+the number n of noise components.  The time grid and the law of the
+driving noise w belong to the PathEnsemble a solver is given, so one
+problem runs on any grid and any law of its level and n.  Two schemes
+are implemented against shared noise: forward Euler recursion and
+Picard iteration of the integral operator Q.  On a fixed grid the
+Picard fixed point satisfies exactly the forward recursion, so the two
+schemes double as a uniqueness probe.
 
 Maps receive batched flat-layout states (replicas, 2 n dim) and a scalar
 time; diffusion maps return operator terms in the same form the integral
@@ -22,8 +26,6 @@ import numpy as np
 from .algebra import AlgebraError, LevelMismatch, dim_of
 from .linops import (
     CdVector,
-    ComplexCovariance,
-    CovarianceOperator,
     RightLinearOp,
     op_exp_left,
     op_phi1_left,
@@ -36,7 +38,6 @@ from .paths import (
     PathEnsemble,
     Probe,
     TimeGrid,
-    _split_u,
     _stack_rows,
     _time_major,
     _tree_sum,
@@ -54,6 +55,7 @@ DIVERGENCE_LIMIT = 1e12
 PICARD_M_MAX = 40
 PICARD_TOL = 1e-8
 ZETA_STREAM = 2
+RESTART_KS_LEVEL = 0.01
 
 
 def _map(fn, items, threads: int):
@@ -119,21 +121,18 @@ class ZetaSpec:
 
 @dataclass(frozen=True)
 class SdeProblem:
-    """dY = G(t, Y) dt + H(t, Y) dw on a window, with declared constant K."""
+    """dY = G(t, Y) dt + H(t, Y) dw with declared constant K, driven by
+    noise of n components; its grid and law are the ensemble's."""
 
     g: object
     h: object
     zeta: ZetaSpec
     k_const: float
-    grid: TimeGrid
-    u: ComplexCovariance | CovarianceOperator
-    p: CdVector | None = None
+    n: int
 
     def __post_init__(self):
         if not (np.isfinite(self.k_const) and self.k_const > 0):
             raise AlgebraError("the declared constant K must be positive")
-        if _split_u(self.u)[0].level != self.zeta.level:
-            raise LevelMismatch("noise and state live on different levels")
 
     @property
     def level(self) -> int:
@@ -142,14 +141,6 @@ class SdeProblem:
     @property
     def width(self) -> int:
         return self.zeta.h
-
-    @property
-    def n(self) -> int:
-        return _split_u(self.u)[0].n
-
-    def ensemble(self, seed: int, n_replicas: int, **kw) -> PathEnsemble:
-        return PathEnsemble(self.grid, self.u, self.p, seed=seed,
-                            n_replicas=n_replicas, **kw)
 
     def drift_at(self, t: float, y: np.ndarray) -> np.ndarray | None:
         if self.g is None:
@@ -168,14 +159,13 @@ class SdeProblem:
 
 
 def linear_problem(g_op: RightLinearOp | None, h_op: RightLinearOp | None,
-                   zeta: ZetaSpec, grid: TimeGrid,
-                   u, p: CdVector | None = None) -> SdeProblem:
+                   zeta: ZetaSpec, n: int) -> SdeProblem:
     """Constant-coefficient problem; K is a valid enclosure."""
     g2 = float(np.linalg.norm(g_op.realized, 2)) ** 2 if g_op is not None else 0.0
     h2 = h_op.hs_norm2() if h_op is not None else 0.0
     k_const = float(np.sqrt(g2 + h2)) + 1e-9
     g_fn = None if g_op is None else (lambda t, y: y @ g_op.realized.T)
-    return SdeProblem(g_fn, h_op, zeta, k_const, grid, u, p)
+    return SdeProblem(g_fn, h_op, zeta, k_const, n)
 
 
 # ------------------------------------------------------------------ solvers
@@ -247,28 +237,27 @@ class SolutionEnsemble:
 
 
 def _check_driving(problem: SdeProblem, ensemble: PathEnsemble) -> None:
-    if not np.array_equal(ensemble.grid.points, problem.grid.points):
-        raise GridError("ensemble grid does not match the problem window")
     if ensemble.level != problem.level or ensemble.n != problem.n:
         raise LevelMismatch("ensemble noise does not match the problem")
 
 
-def _to_solution(problem: SdeProblem, values: np.ndarray, scheme: str,
-                 diagnostics: dict) -> SolutionEnsemble:
-    shaped = values.reshape(values.shape[:2] + (problem.width, 2,
-                                                dim_of(problem.level)))
-    return SolutionEnsemble(problem.level, problem.width, problem.grid,
-                            shaped, scheme, diagnostics)
+def _to_solution(zeta: ZetaSpec, grid: TimeGrid, values: np.ndarray,
+                 scheme: str, diagnostics: dict) -> SolutionEnsemble:
+    shaped = values.reshape(values.shape[:2] + (zeta.h, 2,
+                                                dim_of(zeta.level)))
+    return SolutionEnsemble(zeta.level, zeta.h, grid, shaped, scheme,
+                            diagnostics)
 
 
-def _solution_probe(problem: SdeProblem, sample, scheme: str) -> Probe:
+def _solution_probe(zeta: ZetaSpec, grid: TimeGrid, sample,
+                    scheme: str) -> Probe:
     """Gather probe of a solver: sample(batch) returns the batch's values
     and its aborted rows, and the gate builds the SolutionEnsemble."""
 
     def gate(joined):
         values, aborted = joined
         count = int(aborted.sum())
-        return _to_solution(problem, values, scheme,
+        return _to_solution(zeta, grid, values, scheme,
                             {"aborted_replicas": count} if count else {})
 
     return Probe(sample, gate, gather=True)
@@ -278,8 +267,8 @@ def euler_maruyama(problem: SdeProblem, ensemble: PathEnsemble,
                    threads: int = 1) -> SolutionEnsemble:
     """One forward pass per replica on the shared driving noise."""
     _check_driving(problem, ensemble)
-    grid = problem.grid
-    probe = _solution_probe(problem, lambda batch: _em_values(
+    grid = ensemble.grid
+    probe = _solution_probe(problem.zeta, grid, lambda batch: _em_values(
         problem, grid, _dw_of(batch, grid), problem.zeta.sample(batch)),
         "euler")
     return sweep(ensemble, [probe], threads)[0]
@@ -364,7 +353,7 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
     root-mean-square gap between successive iterates.
     """
     _check_driving(problem, ensemble)
-    grid = problem.grid
+    grid = ensemble.grid
     batches = list(ensemble.batches())
     dws = _map(lambda b: _dw_of(b, grid), batches, threads)
     runs = [_PicardBatch(problem, grid, dw, problem.zeta.sample(b))
@@ -386,8 +375,8 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
     else:
         raise SdeError(
             f"no fixed point within {m_max} iterations; distances={distances}")
-    return _to_solution(problem, _stack_rows([run.x for run in runs]),
-                        "picard",
+    return _to_solution(problem.zeta, grid,
+                        _stack_rows([run.x for run in runs]), "picard",
                         {"iterations": len(distances), "distances": distances})
 
 
@@ -439,8 +428,9 @@ def _closed_form_probe(g_op: RightLinearOp | None,
                        h_op: RightLinearOp | None, zeta: ZetaSpec,
                        ensemble: PathEnsemble) -> Probe:
     """Gather probe of linear_closed_form; no row aborts."""
+    if zeta.level != ensemble.level:
+        raise LevelMismatch("noise and state live on different levels")
     grid = ensemble.grid
-    problem = linear_problem(g_op, h_op, zeta, grid, ensemble.u, p=ensemble.p)
     values = _closed_form_kernel(g_op, h_op, zeta.size, grid)
 
     def sample(batch):
@@ -448,7 +438,7 @@ def _closed_form_probe(g_op: RightLinearOp | None,
         dw = None if h_op is None else _dw_of(batch, grid)
         return values(dw, zeta.sample(batch)), np.zeros(batch.count, bool)
 
-    return _solution_probe(problem, sample, "closed_form")
+    return _solution_probe(zeta, grid, sample, "closed_form")
 
 
 def _closed_form_kernel(g_op: RightLinearOp | None,
@@ -482,18 +472,19 @@ def _closed_form_kernel(g_op: RightLinearOp | None,
 
 # ------------------------------------------------------------------- checks
 
-def lipschitz_validate(problem: SdeProblem, sample_count: int,
-                       seed: int = 0) -> dict:
+def lipschitz_validate(problem: SdeProblem, grid: TimeGrid,
+                       sample_count: int, seed: int = 0) -> dict:
     """Random-probe falsification of the declared constant.
 
-    Samples state pairs across magnitudes, measures the Lipschitz ratio
-    of (G, H) and the growth ratio, and reports the maxima against K.
-    A pass is non-falsification, not proof.
+    Samples times in the grid's window and state pairs across
+    magnitudes, measures the Lipschitz ratio of (G, H) and the growth
+    ratio, and reports the maxima against K.  A pass is
+    non-falsification, not proof.
     """
     if sample_count < 1:
         raise AlgebraError("need at least one probe")
     rng = np.random.default_rng(seed)
-    grid, size = problem.grid, problem.zeta.size
+    size = problem.zeta.size
     rounds = 8
     b = -(-sample_count // rounds)
     lips, growths = [], []
@@ -543,15 +534,14 @@ def _stacked_blocks(problem: SdeProblem, t: float, y: np.ndarray) -> np.ndarray:
 
 
 def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
-                         t_mid: float, z: CdVector | None = None,
-                         level: float = 0.01) -> Probe:
+                         t_mid: float, z: CdVector | None = None) -> Probe:
     """Pathwise flow property plus a transition-law consistency probe.
 
     With shared noise the restarted forward recursion repeats the same
     float operations, so agreement on [t_mid, b] is required to be exact
     to 1e-12.  The probe restarts every replica from the fixed state z
     and compares two disjoint replica halves coordinatewise with a
-    two-sample Kolmogorov-Smirnov test at the given level (Bonferroni
+    two-sample Kolmogorov-Smirnov test at RESTART_KS_LEVEL (Bonferroni
     across coordinates), on every sample: a gather probe.
     """
     _check_driving(problem, ensemble)
@@ -579,12 +569,12 @@ def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
         n_coords = finals.shape[1]
         min_p = min([1.0] + [_ks_2samp_pvalue(a[:, j], bb[:, j])
                              for j in range(n_coords)])
-        ks_ok = min_p >= level / n_coords
+        ks_ok = min_p >= RESTART_KS_LEVEL / n_coords
         return {
             "passed": bool(max_dev < 1e-12 and ks_ok),
             "max_pathwise_deviation": max_dev,
             "ks_min_pvalue": min_p,
-            "ks_threshold": level / n_coords,
+            "ks_threshold": RESTART_KS_LEVEL / n_coords,
             "sample_count": finals.shape[0],
         }
 
@@ -631,7 +621,7 @@ def _ks_2samp_pvalue(x: np.ndarray, y: np.ndarray) -> float:
 
 def gronwall_check(problem: SdeProblem, solution: SolutionEnsemble) -> dict:
     """A-priori second-moment bound with the implementation's constants."""
-    span = problem.grid.b - problem.grid.a
+    span = solution.grid.b - solution.grid.a
     sup2 = b2inf_norm(solution) ** 2
     bound = (3.0 * problem.zeta.mean_norm2
              + 3.0 * problem.k_const ** 2 * span * (span + 1.0) * (1.0 + sup2))
@@ -657,13 +647,13 @@ def strong_order_study(g_op: RightLinearOp | None, h_op: RightLinearOp,
     factors = halving_factors(grid, halvings)[1:]
     reference = _closed_form_kernel(g_op, h_op, zeta.size, grid)
     grids = [TimeGrid(grid.points[::f]) for f in factors]
-    problems = [linear_problem(g_op, h_op, zeta, g, ensemble.u) for g in grids]
+    problem = linear_problem(g_op, h_op, zeta, ensemble.n)
 
     def sampler(batch):
         z = zeta.sample(batch)
         ref = reference(_dw_of(batch, grid), z)[:, -1]
-        finals = (_em_values(pb, g, _dw_of(batch, g, f), z)[0][:, -1]
-                  for f, g, pb in zip(factors, grids, problems))
+        finals = (_em_values(problem, g, _dw_of(batch, g, f), z)[0][:, -1]
+                  for f, g in zip(factors, grids))
         return tuple(vec_norm2(final - ref) for final in finals)
 
     dts = [float(grid.points[f] - grid.points[0]) for f in factors]
@@ -680,21 +670,21 @@ def strong_order_study(g_op: RightLinearOp | None, h_op: RightLinearOp,
     return Probe(sampler, gate)
 
 
-def uniqueness_study(problem_factory, ensemble: PathEnsemble,
+def uniqueness_study(problem: SdeProblem, ensemble: PathEnsemble,
                      halvings: int) -> Probe:
     """Picard-vs-forward gap across grid resolutions on shared noise.
 
-    problem_factory(grid) builds the problem at each resolution; Picard
-    runs to a bitwise-stationary iterate (tol = 0), where its fixed point
+    The one problem runs on every grid of the ladder; Picard runs to a
+    bitwise-stationary iterate (tol = 0), where its fixed point
     satisfies the forward recursion exactly, so the gap measures pure
     uniqueness failure and is required to vanish.
     """
+    _check_driving(problem, ensemble)
     grid = ensemble.grid
     factors = halving_factors(grid, halvings)[::-1]
     subs = [TimeGrid(grid.points[::f]) for f in factors]
-    problems = [problem_factory(sub) for sub in subs]
 
-    def level_gap(problem, sub, f, b):
+    def level_gap(sub, f, b):
         dw = _dw_of(b, sub, f)
         z = problem.zeta.sample(b)
         em, _ = _em_values(problem, sub, dw, z)
@@ -720,7 +710,6 @@ def uniqueness_study(problem_factory, ensemble: PathEnsemble,
         }
 
     # every grid level runs on each batch of the one sweep
-    return Probe(lambda b: tuple(
-        level_gap(problem, sub, f, b)
-        for problem, sub, f in zip(problems, subs, factors)), gate)
+    return Probe(lambda b: tuple(level_gap(sub, f, b)
+                                 for sub, f in zip(subs, factors)), gate)
 

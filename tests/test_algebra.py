@@ -134,7 +134,7 @@ def test_norm_multiplicative_through_octonions():
 
 
 def test_sedenions_break_norm_multiplicativity():
-    pair = find_zero_divisor(4)
+    pair = find_zero_divisor()
     assert pair is not None
     x, y = pair
     assert abs(x) > 1 and abs(y) > 1

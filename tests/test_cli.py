@@ -1,6 +1,7 @@
 """Tests for configuration parsing, reporting, and the command line."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -476,6 +477,20 @@ def test_cli_unusable_out_exits_before_any_battery(tmp_path, capsys,
     assert "Not a directory" in captured.err
 
 
+def test_cli_unwritable_report_exits_2(tmp_path, capsys, monkeypatch):
+    """A report.json that cannot be written (here a directory of that
+    name) is reported with exit 2, not a traceback and exit 1."""
+    (tmp_path / "report.json").mkdir()
+    ran = []
+    monkeypatch.setattr(cli, "run_experiments",
+                        lambda cfg: ran.append(cfg) or [])
+    rc = main(["algebra", "--threads", "1", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and len(ran) == 1 and captured.out == ""
+    assert captured.err.startswith("error: writing the report: ")
+    assert "Is a directory" in captured.err
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["paths", "--format", "xml"])
@@ -504,6 +519,23 @@ def test_reports_identical_across_thread_counts():
         doc = make_report(cfg, run_experiments(cfg))
         texts.append(render_json(strip_timing(doc)))
     assert texts[0] == texts[1]
+
+
+# sha256 of the stripped report of `cdstoch sde --seed 5 --replicas 2100
+# --grid 16`, recorded before SdeProblem dropped its grid and noise law
+SDE_REPORT_SHA256 = \
+    "c4a4d5abd0c412b12a04f80d6178bc62f1e1c5460f24ae1069719a50e48c409a"
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_sde_report_bytes_are_pinned(tmp_path, threads):
+    """A slipped bit anywhere in the sde battery fails here in seconds."""
+    rc = main(["sde", "--seed", "5", "--replicas", "2100", "--grid", "16",
+               "--threads", threads, "--out", str(tmp_path)])
+    doc = json.loads((tmp_path / "report.json").read_text())
+    text = render_json(strip_timing(doc))
+    assert rc == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == SDE_REPORT_SHA256
 
 
 def test_reports_differ_across_seeds():

@@ -482,9 +482,10 @@ def _csv_values(kind):
     ident = RightLinearOp.identity(1, 1)
     prob = linear_problem(ident.scaled(-1.0), ident,
                           ZetaSpec.constant(CdVector.embedded_real(1, [1.0])),
-                          TimeGrid.uniform(0.0, 1.0, 4),
-                          identity_complex_covariance(1, 1))
-    sol = euler_maruyama(prob, prob.ensemble(seed=3, n_replicas=6))
+                          1)
+    sol = euler_maruyama(prob, PathEnsemble(
+        TimeGrid.uniform(0.0, 1.0, 4), identity_complex_covariance(1, 1),
+        None, seed=3, n_replicas=6))
     return sol.grid, sol.values[:2]
 
 
@@ -858,10 +859,10 @@ def test_reports_and_pins_hold_under_the_budget(threads):
 
     ident = RightLinearOp.identity(1, 1)
     prob = linear_problem(ident.scaled(-1.0), ident,
-                          ZetaSpec.gaussian(1, 1, 0.5),
-                          TimeGrid.uniform(0.0, 1.0, 32),
-                          identity_complex_covariance(1, 1))
-    sde_ens = prob.ensemble(seed=17, n_replicas=600, batch_size=128)
+                          ZetaSpec.gaussian(1, 1, 0.5), 1)
+    sde_ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 32),
+                           identity_complex_covariance(1, 1), None, seed=17,
+                           n_replicas=600, batch_size=128)
     em = euler_maruyama(prob, sde_ens, threads)
     pic = picard_solve(prob, sde_ens, tol=0.0, m_max=80, threads=threads)
     assert np.array_equal(pic.values, em.values)

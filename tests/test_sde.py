@@ -1,5 +1,6 @@
 """Tests for the SDE solver layer."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -55,11 +56,16 @@ def run(ens, probe, threads=1):
     return sweep(ens, [probe], threads)[0]
 
 
-def linear_test_problem(steps=64, level=1):
-    grid = TimeGrid.uniform(0.0, 1.0, steps)
+def linear_test_problem(level=1):
     ident = RightLinearOp.identity(level, 1)
-    return linear_problem(ident.scaled(-1.0), ident, unit_zeta(level), grid,
-                          complexified_identity(level, 1))
+    return linear_problem(ident.scaled(-1.0), ident, unit_zeta(level), 1)
+
+
+def unit_ensemble(steps, seed, n_replicas, level=1, n=1, **kw):
+    """Complexified-identity noise on [0, 1] with the given steps."""
+    return PathEnsemble(TimeGrid.uniform(0.0, 1.0, steps),
+                        complexified_identity(level, n), None, seed=seed,
+                        n_replicas=n_replicas, **kw)
 
 
 # ------------------------------------------------------------ initial values
@@ -69,9 +75,7 @@ def test_zeta_constant_and_gaussian_moments():
     assert z.mean_norm2 == 2.0
     g = ZetaSpec.gaussian(1, 3, scale=0.5)
     assert g.mean_norm2 == pytest.approx(2 * 3 * 0.25)
-    prob = SdeProblem(None, None, g, 1.0, TimeGrid.uniform(0, 1, 4),
-                      complexified_identity(1, 3))
-    ens = prob.ensemble(seed=3, n_replicas=40000)
+    ens = unit_ensemble(4, seed=3, n_replicas=40000, n=3)
     samples = np.concatenate([g.sample(b) for b in ens.batches()])
     second = 2.0 * np.mean(np.sum(samples ** 2, axis=1))
     assert abs(second - g.mean_norm2) < 0.02
@@ -82,13 +86,45 @@ def test_zeta_constant_and_gaussian_moments():
 
 
 def test_problem_validation():
-    grid = TimeGrid.uniform(0.0, 1.0, 4)
     with pytest.raises(AlgebraError):
-        SdeProblem(None, None, unit_zeta(1), 0.0, grid,
-                   complexified_identity(1, 1))
+        SdeProblem(None, None, unit_zeta(1), 0.0, 1)
+    # the state's level meets the noise's when a solver is given both
+    prob = SdeProblem(None, None, unit_zeta(2), 1.0, 1)
     with pytest.raises(LevelMismatch):
-        SdeProblem(None, None, unit_zeta(2), 1.0, grid,
-                   complexified_identity(1, 1))
+        euler_maruyama(prob, unit_ensemble(4, seed=3, n_replicas=4))
+
+
+def test_problem_is_its_equation():
+    """A problem holds G, H, zeta, K and the noise width, and no grid or
+    law: those are the ensemble's."""
+    assert [f.name for f in dataclasses.fields(SdeProblem)] == \
+        ["g", "h", "zeta", "k_const", "n"]
+    assert not hasattr(SdeProblem, "ensemble")
+
+
+def test_one_problem_solves_on_any_grid_of_its_window():
+    """One problem, driven on two grids of one window, gives each grid's
+    forward recursion bit for bit, by both schemes."""
+    ident = RightLinearOp.identity(1, 1)
+    g_mat, h_mat = ident.scaled(-1.0).realized, ident.realized
+    prob = linear_test_problem()
+    for steps in (8, 32):
+        ens = unit_ensemble(steps, seed=43, n_replicas=20)
+        grid = ens.grid
+        batch = next(ens.batches())
+        dw = np.diff(batch.w.reshape(batch.count, len(grid), -1), axis=1)
+        y = prob.zeta.sample(batch)
+        expect = [y]
+        for l in range(steps):
+            y = y + ((y @ g_mat.T) * float(grid.deltas[l])
+                     + dw[:, l] @ h_mat.T)
+            expect.append(y)
+        expect = np.stack(expect, axis=1).reshape(batch.count, len(grid), 1,
+                                                  2, 2)
+        em = euler_maruyama(prob, ens)
+        assert em.grid is grid and em.values.tobytes() == expect.tobytes()
+        pic = picard_solve(prob, ens, tol=0.0, m_max=80)
+        assert pic.grid is grid and pic.values.tobytes() == expect.tobytes()
 
 
 # ------------------------------------------------------------------ schemes
@@ -96,8 +132,8 @@ def test_problem_validation():
 def test_zero_problem_stays_at_start():
     grid = TimeGrid.uniform(0.0, 1.0, 16)
     z = ZetaSpec.constant(CdVector.from_vec(1, 1, [1.5, 0.5, 0.0, 0.25]))
-    prob = SdeProblem(None, None, z, 1.0, grid, complexified_identity(1, 1))
-    sol = euler_maruyama(prob, prob.ensemble(seed=3, n_replicas=12))
+    prob = SdeProblem(None, None, z, 1.0, 1)
+    sol = euler_maruyama(prob, unit_ensemble(16, seed=3, n_replicas=12))
     assert np.all(sol.values == sol.values[:, :1])
     assert sol.scheme == "euler"
     assert np.array_equal(sol.values[:, grid.index_of(grid.a)],
@@ -106,22 +142,18 @@ def test_zero_problem_stays_at_start():
 
 def test_euler_deterministic_ode_converges():
     errs = []
+    prob = linear_problem(RightLinearOp.identity(1, 1).scaled(-1.0), None,
+                          unit_zeta(), 1)
     for steps in (32, 64):
-        grid = TimeGrid.uniform(0.0, 1.0, steps)
-        prob = linear_problem(RightLinearOp.identity(1, 1).scaled(-1.0),
-                              None, unit_zeta(), grid,
-                              complexified_identity(1, 1))
-        sol = euler_maruyama(prob, prob.ensemble(seed=5, n_replicas=2))
+        sol = euler_maruyama(prob, unit_ensemble(steps, seed=5, n_replicas=2))
         errs.append(abs(sol.values[0, -1, 0, 0, 0] - np.exp(-1.0)))
     assert errs[1] < 0.6 * errs[0]
     assert errs[0] < 0.02
 
 
 def test_divergence_guard_flags_replicas():
-    grid = TimeGrid.uniform(0.0, 1.0, 8)
-    prob = SdeProblem(lambda t, y: y * 1e8, None, unit_zeta(), 1.0, grid,
-                      complexified_identity(1, 1))
-    sol = euler_maruyama(prob, prob.ensemble(seed=7, n_replicas=6))
+    prob = SdeProblem(lambda t, y: y * 1e8, None, unit_zeta(), 1.0, 1)
+    sol = euler_maruyama(prob, unit_ensemble(8, seed=7, n_replicas=6))
     assert sol.diagnostics["aborted_replicas"] == 6
     assert np.all(np.isnan(sol.values[:, -1]))
 
@@ -133,7 +165,7 @@ def test_divergence_guard_aborts_only_the_rows_that_cross_it():
     grid = TimeGrid.uniform(0.0, 1.0, steps)
     ident = RightLinearOp.identity(1, 1)
     prob = SdeProblem(lambda t, y: 1e-4 * y ** 3, lambda t, y: [ident],
-                      unit_zeta(), 1.0, grid, complexified_identity(1, 1))
+                      unit_zeta(), 1.0, 1)
     rng = np.random.default_rng(41)
     b = 12
     dw = rng.normal(size=(b, steps, 4)) / np.sqrt(steps)
@@ -161,9 +193,10 @@ def test_divergence_guard_aborts_only_the_rows_that_cross_it():
 def test_q_apply_resumes_past_its_stationary_prefix():
     """Q from any start up to the first change between an iterate and its
     predecessor gives the bits of Q from 0; one step later it does not."""
-    prob = linear_test_problem(steps=32)
-    grid = prob.grid
-    batch = next(prob.ensemble(seed=29, n_replicas=64).batches())
+    prob = linear_test_problem()
+    ens = unit_ensemble(32, seed=29, n_replicas=64)
+    grid = ens.grid
+    batch = next(ens.batches())
     dw = sde._dw_of(batch, grid)
     z = prob.zeta.sample(batch)
     prev, x = None, sde._repeat_in_time(z, len(grid))
@@ -183,9 +216,9 @@ def test_q_apply_resumes_past_its_stationary_prefix():
 def test_solver_steps_are_contiguous_and_results_c_ordered():
     """Step slices of the solver arrays are contiguous blocks; what is
     reduced over replicas (solution values, probe samples) is C-ordered."""
-    prob = linear_test_problem(steps=16)
-    grid = prob.grid
-    ens = prob.ensemble(seed=31, n_replicas=40)
+    prob = linear_test_problem()
+    ens = unit_ensemble(16, seed=31, n_replicas=40)
+    grid = ens.grid
     batch = next(ens.batches())
     w = batch.w.reshape(batch.count, len(grid), -1)
     for stride in (1, 2):
@@ -205,8 +238,7 @@ def test_solver_steps_are_contiguous_and_results_c_ordered():
                 linear_closed_form(ident.scaled(-1.0), ident, unit_zeta(),
                                    ens)):
         assert sol.values.flags.c_contiguous, sol.scheme
-    probe = uniqueness_study(lambda g: linear_test_problem(g.steps), ens,
-                             halvings=2)
+    probe = uniqueness_study(prob, ens, halvings=2)
     samples = probe.sample(batch)
     assert len(samples) == 3
     assert all(s.flags.c_contiguous for s in samples)
@@ -251,21 +283,19 @@ def test_closed_form_step_is_conditional_mean_for_scalar_drift():
 
 
 def test_picard_trivial_and_nonconvergence():
-    grid = TimeGrid.uniform(0.0, 1.0, 8)
-    prob = SdeProblem(None, None, unit_zeta(), 1.0, grid,
-                      complexified_identity(1, 1))
-    sol = picard_solve(prob, prob.ensemble(seed=3, n_replicas=4))
+    prob = SdeProblem(None, None, unit_zeta(), 1.0, 1)
+    sol = picard_solve(prob, unit_ensemble(8, seed=3, n_replicas=4))
     assert sol.diagnostics["iterations"] == 1
     assert sol.diagnostics["distances"] == [0.0]
 
-    hard = linear_test_problem(steps=16)
+    hard = linear_test_problem()
     with pytest.raises(SdeError):
-        picard_solve(hard, hard.ensemble(seed=5, n_replicas=8), m_max=1)
+        picard_solve(hard, unit_ensemble(16, seed=5, n_replicas=8), m_max=1)
 
 
 def test_picard_agrees_with_forward_scheme():
-    prob = linear_test_problem(steps=64)
-    ens = prob.ensemble(seed=11, n_replicas=512)
+    prob = linear_test_problem()
+    ens = unit_ensemble(64, seed=11, n_replicas=512)
     pic = picard_solve(prob, ens)
     em = euler_maruyama(prob, ens)
     assert b2inf_norm(pic.values - em.values) < 1e-7
@@ -280,8 +310,8 @@ def test_picard_maps_no_stationary_batch(monkeypatch):
     """Over several batches, Picard = Euler bitwise, and a batch whose
     iterate is already a fixed point is not mapped again while the
     others still move."""
-    prob = linear_test_problem(steps=16)
-    ens = prob.ensemble(seed=39, n_replicas=300, batch_size=64)
+    prob = linear_test_problem()
+    ens = unit_ensemble(16, seed=39, n_replicas=300, batch_size=64)
     starts = {}
     q_apply = sde._q_apply
 
@@ -300,8 +330,8 @@ def test_picard_maps_no_stationary_batch(monkeypatch):
 
 
 def test_picard_matches_closed_form_for_linear_problem():
-    prob = linear_test_problem(steps=128)
-    ens = prob.ensemble(seed=13, n_replicas=2000)
+    prob = linear_test_problem()
+    ens = unit_ensemble(128, seed=13, n_replicas=2000)
     pic = picard_solve(prob, ens, threads=2)
     ident = RightLinearOp.identity(1, 1)
     cf = linear_closed_form(ident.scaled(-1.0), ident, unit_zeta(), ens,
@@ -316,13 +346,12 @@ def test_uniqueness_study_gaps_vanish():
     ens = PathEnsemble(grid, complexified_identity(1, 1), None, seed=33,
                        n_replicas=1000)
     rep = run(ens, uniqueness_study(
-        lambda g: linear_problem(ident.scaled(-1.0), ident, unit_zeta(), g,
-                                 complexified_identity(1, 1)),
-        ens, halvings=3))
+        linear_problem(ident.scaled(-1.0), ident, unit_zeta(), 1), ens,
+        halvings=3))
     assert rep["passed"]
     assert max(rep["b2inf_gaps"]) == 0.0
     with pytest.raises(GridError):
-        uniqueness_study(lambda g: linear_test_problem(), ens, halvings=9)
+        uniqueness_study(linear_test_problem(), ens, halvings=9)
 
 
 def test_uniqueness_study_runs_its_batches_on_the_pool(monkeypatch):
@@ -332,10 +361,8 @@ def test_uniqueness_study_runs_its_batches_on_the_pool(monkeypatch):
                        n_replicas=300, batch_size=64)
     assert ens.n_batches >= 3
 
-    def factory(g):
-        return linear_problem(ident.scaled(-1.0), ident,
-                              ZetaSpec.gaussian(1, 1, 0.5), g,
-                              complexified_identity(1, 1))
+    problem = linear_problem(ident.scaled(-1.0), ident,
+                             ZetaSpec.gaussian(1, 1, 0.5), 1)
 
     pools = []
     pool = paths.pool_map
@@ -347,8 +374,8 @@ def test_uniqueness_study_runs_its_batches_on_the_pool(monkeypatch):
     # every sweep, through map_batches or sde._map, reaches pool_map
     monkeypatch.setattr(paths, "pool_map", spy)
     monkeypatch.setattr(sde, "pool_map", spy)
-    one = run(ens, uniqueness_study(factory, ens, halvings=2), threads=1)
-    three = run(ens, uniqueness_study(factory, ens, halvings=2), threads=3)
+    one = run(ens, uniqueness_study(problem, ens, halvings=2), threads=1)
+    three = run(ens, uniqueness_study(problem, ens, halvings=2), threads=3)
     assert pools == [1, 3]  # one sweep for the whole study
     assert one == three
     assert [np.float64(g).tobytes() for g in one["b2inf_gaps"]] == \
@@ -375,28 +402,27 @@ def test_b2inf_norm_properties():
 
 def test_lipschitz_linear_and_constant_cases():
     grid = TimeGrid.uniform(0.0, 1.0, 8)
-    u = complexified_identity(1, 1)
-    neg = SdeProblem(lambda t, y: -y, None, unit_zeta(), 1.0, grid, u)
-    rep = lipschitz_validate(neg, 4000)
+    neg = SdeProblem(lambda t, y: -y, None, unit_zeta(), 1.0, 1)
+    rep = lipschitz_validate(neg, grid, 4000)
     assert rep["passed"]
     assert rep["max_lipschitz_ratio"] == pytest.approx(1.0)
 
     const = SdeProblem(None, RightLinearOp.identity(1, 1), unit_zeta(),
-                       1.5, grid, u)
-    rep2 = lipschitz_validate(const, 4000)
+                       1.5, 1)
+    rep2 = lipschitz_validate(const, grid, 4000)
     assert rep2["passed"]
     assert rep2["max_lipschitz_ratio"] == 0.0
     assert rep2["max_growth_ratio"] <= np.sqrt(2.0) + 1e-9
 
     with pytest.raises(AlgebraError):
-        lipschitz_validate(const, 0)
+        lipschitz_validate(const, grid, 0)
 
 
 def test_lipschitz_check_fails_on_a_nan_map():
     grid = TimeGrid.uniform(0.0, 1.0, 8)
     prob = SdeProblem(lambda t, y: np.full_like(y, np.nan), None,
-                      unit_zeta(), 1.0, grid, complexified_identity(1, 1))
-    rep = lipschitz_validate(prob, 400)
+                      unit_zeta(), 1.0, 1)
+    rep = lipschitz_validate(prob, grid, 400)
     assert not rep["passed"]
     assert np.isnan(rep["max_lipschitz_ratio"])
     assert np.isnan(rep["max_growth_ratio"])
@@ -404,29 +430,28 @@ def test_lipschitz_check_fails_on_a_nan_map():
 
 def test_lipschitz_falsifies_quadratic_growth():
     grid = TimeGrid.uniform(0.0, 1.0, 8)
-    prob = SdeProblem(lambda t, y: y * np.abs(y), None, unit_zeta(), 1.0,
-                      grid, complexified_identity(1, 1))
-    rep = lipschitz_validate(prob, 4000)
+    prob = SdeProblem(lambda t, y: y * np.abs(y), None, unit_zeta(), 1.0, 1)
+    rep = lipschitz_validate(prob, grid, 4000)
     assert not rep["passed"]
     assert rep["max_lipschitz_ratio"] > 10.0
 
 
 def test_restart_markov_exact_and_edge():
-    prob = linear_test_problem(steps=32)
-    ens = prob.ensemble(seed=19, n_replicas=4000)
+    prob = linear_test_problem()
+    ens = unit_ensemble(32, seed=19, n_replicas=4000)
     rep = run(ens, restart_markov_check(prob, ens, 0.5), threads=2)
     assert rep["passed"], rep
     assert rep["max_pathwise_deviation"] == 0.0
-    edge_ens = prob.ensemble(seed=23, n_replicas=512)
-    edge = run(edge_ens, restart_markov_check(prob, edge_ens, prob.grid.a))
+    edge_ens = unit_ensemble(32, seed=23, n_replicas=512)
+    edge = run(edge_ens, restart_markov_check(prob, edge_ens,
+                                              edge_ens.grid.a))
     assert edge["max_pathwise_deviation"] == 0.0
 
 
 def test_restart_flow_property_without_noise():
-    grid = TimeGrid.uniform(0.0, 1.0, 16)
     prob = linear_problem(RightLinearOp.identity(1, 1).scaled(-0.5), None,
-                          unit_zeta(), grid, complexified_identity(1, 1))
-    ens = prob.ensemble(seed=3, n_replicas=256)
+                          unit_zeta(), 1)
+    ens = unit_ensemble(16, seed=3, n_replicas=256)
     rep = run(ens, restart_markov_check(prob, ens, 0.5))
     assert rep["passed"]
     assert rep["max_pathwise_deviation"] == 0.0
@@ -435,11 +460,10 @@ def test_restart_flow_property_without_noise():
 def test_restart_check_runs_its_problems_on_one_sweep(monkeypatch):
     """Problems sharing an ensemble, as battery rows, get the results each
     gets alone, from one assembly per batch."""
-    prob = linear_test_problem(steps=16)
+    prob = linear_test_problem()
     noise_only = linear_problem(None, RightLinearOp.identity(1, 1),
-                                ZetaSpec.gaussian(1, 1, 0.5), prob.grid,
-                                complexified_identity(1, 1))
-    ens = prob.ensemble(seed=37, n_replicas=300, batch_size=128)
+                                ZetaSpec.gaussian(1, 1, 0.5), 1)
+    ens = unit_ensemble(16, seed=37, n_replicas=300, batch_size=128)
     z = CdVector.embedded_real(1, [0.7])
     alone = [run(ens, restart_markov_check(pb, ens, 0.5, z), threads=2)
              for pb in (prob, noise_only)]
@@ -456,8 +480,6 @@ def test_restart_check_runs_its_problems_on_one_sweep(monkeypatch):
     both = _run_rows(rows, threads=2)
     assert len(assembled) == ens.n_batches == 3
     assert both == alone
-    with pytest.raises(GridError):
-        restart_markov_check(linear_test_problem(steps=8), ens, 0.5)
 
 
 # scipy.stats is the oracle of the KS probe; the package does not import it
@@ -530,8 +552,8 @@ def test_ks_pvalue_fails_on_non_finite_samples(bad):
 
 
 def test_gronwall_bound_holds():
-    prob = linear_test_problem(steps=32)
-    sol = euler_maruyama(prob, prob.ensemble(seed=29, n_replicas=4000))
+    prob = linear_test_problem()
+    sol = euler_maruyama(prob, unit_ensemble(32, seed=29, n_replicas=4000))
     rep = gronwall_check(prob, sol)
     assert rep["passed"]
     assert rep["sup_mean_norm2"] <= rep["bound"]
@@ -570,18 +592,17 @@ def test_multiplicative_noise_shows_half_order():
     from cdstoch.sde import _em_values
 
     factors = [2, 4, 8, 16]
-    fine = SdeProblem(None, hmul, unit_zeta(), 2.0, grid, u)
+    prob = SdeProblem(None, hmul, unit_zeta(), 2.0, 1)
     sq = np.zeros(len(factors))
     for batch in ens.batches():
         dw = np.diff(batch.w.reshape(batch.count, len(grid), -1), axis=1)
         z = unit_zeta().sample(batch)
-        ref, _ = _em_values(fine, grid, dw, z)
+        ref, _ = _em_values(prob, grid, dw, z)
         for i, f in enumerate(factors):
             sub = TimeGrid(grid.points[::f])
-            coarse = SdeProblem(None, hmul, unit_zeta(), 2.0, sub, u)
             dws = np.diff(batch.w[:, ::f].reshape(batch.count, len(sub), -1),
                           axis=1)
-            vals, _ = _em_values(coarse, sub, dws, z)
+            vals, _ = _em_values(prob, sub, dws, z)
             sq[i] += np.sum((vals[:, -1] - ref[:, -1]) ** 2)
     errs = np.sqrt(sq / ens.n_replicas)
     dts = [f / 256 for f in factors]
@@ -590,26 +611,27 @@ def test_multiplicative_noise_shows_half_order():
 
 
 def test_driving_validation():
-    prob = linear_test_problem(steps=8)
-    other = PathEnsemble(TimeGrid.uniform(0.0, 2.0, 8),
-                         complexified_identity(1, 1), None, seed=3,
-                         n_replicas=4)
-    with pytest.raises(GridError):
-        euler_maruyama(prob, other)
-    wrong_n = PathEnsemble(prob.grid, complexified_identity(1, 2), None,
-                           seed=3, n_replicas=4)
+    prob = linear_test_problem()
+    wrong_n = unit_ensemble(8, seed=3, n_replicas=4, n=2)
     with pytest.raises(LevelMismatch):
         euler_maruyama(prob, wrong_n)
+    with pytest.raises(LevelMismatch):
+        picard_solve(prob, wrong_n)
+    with pytest.raises(LevelMismatch):
+        uniqueness_study(prob, wrong_n, halvings=2)
+    wrong_level = unit_ensemble(8, seed=3, n_replicas=4, level=2)
+    with pytest.raises(LevelMismatch):
+        linear_closed_form(None, RightLinearOp.identity(1, 1), unit_zeta(),
+                           wrong_level)
 
 
 def test_diffusion_term_validation():
-    grid = TimeGrid.uniform(0.0, 1.0, 4)
-    u = complexified_identity(1, 1)
+    ens = unit_ensemble(4, seed=3, n_replicas=6)
     bad_w = SdeProblem(None, lambda t, y: (np.ones(3), RightLinearOp.identity(1, 1)),
-                       unit_zeta(), 1.0, grid, u)
+                       unit_zeta(), 1.0, 1)
     with pytest.raises(AlgebraError):
-        euler_maruyama(bad_w, bad_w.ensemble(seed=3, n_replicas=6))
+        euler_maruyama(bad_w, ens)
     bad_op = SdeProblem(None, RightLinearOp.identity(2, 1), unit_zeta(),
-                        1.0, grid, u)
+                        1.0, 1)
     with pytest.raises(LevelMismatch):
-        euler_maruyama(bad_op, bad_op.ensemble(seed=3, n_replicas=6))
+        euler_maruyama(bad_op, ens)
