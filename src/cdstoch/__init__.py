@@ -30,7 +30,6 @@ from .algebra import (
 from .config import EXPERIMENT_CHOICES, ConfigError, RunConfig, load_config
 from .experiments import run_experiments
 from .integrals import (
-    PredictableIntegrand,
     StepIntegrand,
     bound_check,
     chebyshev_check,
@@ -90,7 +89,6 @@ __all__ = [
     "sweep",
     "write_paths_csv",
     "StepIntegrand",
-    "PredictableIntegrand",
     "isometry_check",
     "bound_check",
     "martingale_check",

@@ -82,6 +82,20 @@ class StepIntegrand:
         first = ops[0]
         return cls(partition, ops, first.level, first.n, first.h)
 
+    @classmethod
+    def predictable(cls, grid: TimeGrid, level: int, n: int, h: int,
+                    evaluator) -> "StepIntegrand":
+        """Grid-step discretization of a prefix-measurable callback: the
+        grid is the approximant.  ``evaluator(t_index, view)`` must produce
+        the operator terms for the grid step starting at ``t_index`` from
+        the path prefix alone."""
+
+        def bind(idx):
+            return lambda view: evaluator(idx, view)
+
+        slots = tuple(bind(l) for l in range(grid.steps))
+        return cls(grid, slots, level, n, h)
+
     def terms(self, j: int, view) -> list:
         """Slot j on a (batch, ...) path view as [(weights | None, op)]."""
         slot = self.slots[j]
@@ -97,36 +111,6 @@ class StepIntegrand:
         sub = TimeGrid(self.partition.points[i:j + 1])
         return StepIntegrand(sub, self.slots[i:j], self.level, self.n,
                              self.h, self.full_view)
-
-
-@dataclass(frozen=True)
-class PredictableIntegrand:
-    """Prefix-measurable operator callback with a second-moment certificate.
-
-    ``evaluator(t_index, view)`` must produce the operator terms for the
-    grid step starting at ``t_index`` from the path prefix alone; ``bound``
-    is the declared finite constant dominating the expected quadrature of
-    the squared operator norm.
-    """
-
-    level: int
-    n: int
-    h: int
-    evaluator: object
-    bound: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.bound) and self.bound >= 0):
-            raise AlgebraError("the second-moment certificate must be finite")
-
-    def as_step(self, grid: TimeGrid) -> StepIntegrand:
-        """Grid-step discretization: the grid is the approximant."""
-
-        def bind(idx):
-            return lambda view: self.evaluator(idx, view)
-
-        slots = tuple(bind(l) for l in range(grid.steps))
-        return StepIntegrand(grid, slots, self.level, self.n, self.h)
 
 
 def _slot_spans(integrand: StepIntegrand, grid: TimeGrid):

@@ -43,7 +43,6 @@ from .paths import (
     _tree_sum,
     halving_factors,
     pool_map,
-    sweep,
 )
 
 
@@ -103,11 +102,6 @@ class ZetaSpec:
         if self.kind == "constant":
             return float(vec_norm2(self.value))
         return 2.0 * self.h * self.scale ** 2
-
-    def mean_vec(self) -> np.ndarray:
-        if self.kind == "constant":
-            return self.value.copy()
-        return np.zeros(self.size)
 
     def sample(self, batch) -> np.ndarray:
         if self.kind == "constant":
@@ -263,15 +257,14 @@ def _solution_probe(zeta: ZetaSpec, grid: TimeGrid, sample,
     return Probe(sample, gate, gather=True)
 
 
-def euler_maruyama(problem: SdeProblem, ensemble: PathEnsemble,
-                   threads: int = 1) -> SolutionEnsemble:
-    """One forward pass per replica on the shared driving noise."""
+def euler_maruyama(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
+    """One forward pass per replica on the shared driving noise: a gather
+    probe whose result is the SolutionEnsemble."""
     _check_driving(problem, ensemble)
     grid = ensemble.grid
-    probe = _solution_probe(problem.zeta, grid, lambda batch: _em_values(
+    return _solution_probe(problem.zeta, grid, lambda batch: _em_values(
         problem, grid, _dw_of(batch, grid), problem.zeta.sample(batch)),
         "euler")
-    return sweep(ensemble, [probe], threads)[0]
 
 
 def _q_apply(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
@@ -396,9 +389,8 @@ def picard_decay_check(distances: list, c1: float, span: float) -> dict:
             "distances": list(distances)}
 
 
-def b2inf_norm(x) -> float:
+def b2inf_norm(values: np.ndarray) -> float:
     """sup over grid points of the ensemble mean squared norm, rooted."""
-    values = x.values if hasattr(x, "values") else np.asarray(x)
     if values.size == 0:
         raise AlgebraError("empty ensemble has no norm")
     flat = values.reshape(values.shape[0], values.shape[1], -1)
@@ -408,8 +400,7 @@ def b2inf_norm(x) -> float:
 
 def linear_closed_form(g_op: RightLinearOp | None,
                        h_op: RightLinearOp | None, zeta: ZetaSpec,
-                       ensemble: PathEnsemble,
-                       threads: int = 1) -> SolutionEnsemble:
+                       ensemble: PathEnsemble) -> Probe:
     """Exact solution's conditional mean given the noise on the grid.
 
     Semigroup orbit plus the stochastic convolution, evaluated by the
@@ -419,15 +410,8 @@ def linear_closed_form(g_op: RightLinearOp | None,
     e^{G (t_{l+1} - s)} over the step gives phi1.  The values are
     E[X(t_k) | w on the grid], with no discretization error of their
     own; pure noise (phi1 = I) and pure drift reduce to w and the orbit.
+    A gather probe whose result is the SolutionEnsemble; no row aborts.
     """
-    return sweep(ensemble, [_closed_form_probe(g_op, h_op, zeta, ensemble)],
-                 threads)[0]
-
-
-def _closed_form_probe(g_op: RightLinearOp | None,
-                       h_op: RightLinearOp | None, zeta: ZetaSpec,
-                       ensemble: PathEnsemble) -> Probe:
-    """Gather probe of linear_closed_form; no row aborts."""
     if zeta.level != ensemble.level:
         raise LevelMismatch("noise and state live on different levels")
     grid = ensemble.grid
@@ -473,7 +457,7 @@ def _closed_form_kernel(g_op: RightLinearOp | None,
 # ------------------------------------------------------------------- checks
 
 def lipschitz_validate(problem: SdeProblem, grid: TimeGrid,
-                       sample_count: int, seed: int = 0) -> dict:
+                       sample_count: int, seed: int) -> dict:
     """Random-probe falsification of the declared constant.
 
     Samples times in the grid's window and state pairs across
@@ -534,7 +518,7 @@ def _stacked_blocks(problem: SdeProblem, t: float, y: np.ndarray) -> np.ndarray:
 
 
 def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
-                         t_mid: float, z: CdVector | None = None) -> Probe:
+                         t_mid: float, z: CdVector) -> Probe:
     """Pathwise flow property plus a transition-law consistency probe.
 
     With shared noise the restarted forward recursion repeats the same
@@ -548,7 +532,6 @@ def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
     grid = ensemble.grid
     mid = grid.index_of(t_mid)
     tail_grid = TimeGrid(grid.points[mid:])
-    z_vec = problem.zeta.mean_vec() if z is None else z.vec.copy()
 
     def sampler(batch):
         dw = _dw_of(batch, grid)
@@ -556,7 +539,7 @@ def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
         restarted, _ = _em_values(problem, tail_grid, dw[:, mid:],
                                   full[:, mid].copy())
         fixed, _ = _em_values(problem, tail_grid, dw[:, mid:],
-                              np.tile(z_vec, (batch.count, 1)))
+                              np.tile(z.vec, (batch.count, 1)))
         dev = np.max(np.abs(full[:, mid:] - restarted), axis=(1, 2))
         return dev, fixed[:, -1]
 
@@ -622,7 +605,7 @@ def _ks_2samp_pvalue(x: np.ndarray, y: np.ndarray) -> float:
 def gronwall_check(problem: SdeProblem, solution: SolutionEnsemble) -> dict:
     """A-priori second-moment bound with the implementation's constants."""
     span = solution.grid.b - solution.grid.a
-    sup2 = b2inf_norm(solution) ** 2
+    sup2 = b2inf_norm(solution.values) ** 2
     bound = (3.0 * problem.zeta.mean_norm2
              + 3.0 * problem.k_const ** 2 * span * (span + 1.0) * (1.0 + sup2))
     return {

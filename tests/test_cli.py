@@ -491,6 +491,23 @@ def test_cli_unwritable_report_exits_2(tmp_path, capsys, monkeypatch):
     assert "Is a directory" in captured.err
 
 
+def test_cli_divergence_guard_fires_on_a_short_window(tmp_path):
+    """The blow-up control's rate scales with 1 / span, so it crosses the
+    divergence limit on a window of length 1e-8 too; the run writes its
+    report instead of stopping on a missing abort count."""
+    cfg_file = tmp_path / "short.cfg"
+    cfg_file.write_text("seed = 1\nreplicas = 500\ngrid = 16\n"
+                        "window = 0 1e-8\nexperiments = sde\n",
+                        encoding="utf-8")
+    rc = main(["run", "--config", str(cfg_file), "--threads", "1",
+               "--out", str(tmp_path)])
+    doc = json.loads((tmp_path / "report.json").read_text())
+    checks = {c["name"]: c for c in doc["experiments"][0]["checks"]}
+    assert rc == 0
+    assert checks["divergence_guard"]["passed"]
+    assert checks["divergence_guard"]["aborted_replicas"] == 8
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["paths", "--format", "xml"])

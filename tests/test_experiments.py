@@ -22,6 +22,7 @@ from cdstoch.experiments import (
     _case_rng,
     _run_cases,
     _run_rows,
+    _scaled_complex_cov,
     isometry_experiment,
     martingale_experiment,
     sde_experiment,
@@ -308,6 +309,30 @@ def test_closed_form_anchors_fail_on_a_nan_value(monkeypatch):
         assert np.isnan(checks[name]["max_gap"]), name
         assert not checks[name]["passed"], name
     assert checks["strong_order_window"]["passed"]
+
+
+def test_divergence_guard_that_never_fires_fails(monkeypatch):
+    """A blow-up control that crosses no limit fails its check with an
+    abort count of 0, instead of stopping the battery."""
+    monkeypatch.setattr(sde_module, "DIVERGENCE_LIMIT", np.inf)
+    cfg = RunConfig(seed=5, replicas=200, grids=(16,), threads=1,
+                    experiments=("sde",))
+    guard = checks_of(sde_experiment(cfg))["divergence_guard"]
+    assert not guard["passed"] and guard["aborted_replicas"] == 0
+
+
+def test_chebyshev_covariances_clear_the_tail_bound_floor():
+    """Each random block has a[0] >= 1 and B >= (n + 1/2) I, so every
+    chebyshev case's max ||U_k^(1/2)||_2^2 is at least 3, above the 2.2
+    the tail bound's regime needs, with no rescale; checked on every
+    case stream for every level and width the battery draws."""
+    for seed in range(50):
+        for index in range(10):
+            for level in (1, 2, 3):
+                for n in (1, 2):
+                    u = _scaled_complex_cov(_case_rng(seed, 70 + index),
+                                            level, n)
+                    assert u.max_sqrt_hs2() >= 2.2, (seed, index, level, n)
 
 
 def test_restart_rows_fail_on_a_nan_in_a_later_batch(monkeypatch):

@@ -5,8 +5,8 @@ of scipy.stats (a test oracle only), no running maximum or minimum
 kept with the builtin, which drops a NaN, one module that writes CSV,
 no setting read from the environment, one time-major allocator,
 every ConfigError raised in config, each message by one raise, one
-ensemble build route in experiments, one halving-ladder guard and one
-two-adic count."""
+ensemble build route in experiments, one halving-ladder guard, one
+two-adic count and a pinned count of settable options."""
 
 import ast
 import os
@@ -203,15 +203,14 @@ def test_one_moment_reducer():
     """Every Monte Carlo pass is a probe swept by paths.sweep, the one
     caller of map_batches.  Batch sums are collapsed in sweep, and in
     picard_solve, whose stopping rule reduces over every batch once per
-    iteration.  The battery runner and the two solver views are what
-    sweep; only map_batches and picard_solve walk the batches."""
+    iteration.  The solvers are probes like every check, so the battery
+    runner alone sweeps; only map_batches and picard_solve walk the
+    batches."""
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert call_sites(sources, "map_batches") == ["paths.sweep"]
     assert call_sites(sources, "_tree_sum") == ["paths.sweep",
                                                 "sde.picard_solve"]
-    assert call_sites(sources, "sweep") == [
-        "experiments._run_rows", "sde.euler_maruyama",
-        "sde.linear_closed_form"]
+    assert call_sites(sources, "sweep") == ["experiments._run_rows"]
     assert call_sites(sources, "batches") == [
         "paths.PathEnsemble.map_batches", "sde.picard_solve"]
 
@@ -242,7 +241,8 @@ def test_scanners_count_every_call_use_and_raise():
 
 def test_experiments_builds_every_ensemble_by_one_route():
     """Each battery ensemble comes from Battery.paths, on the battery's
-    grid with its own seed offset; no solver view builds one."""
+    grid with its own seed offset, and is swept as a row of the battery
+    runner; no solver builds one."""
     source = (PACKAGE / "experiments.py").read_text()
     assert calls({"experiments": source}, "PathEnsemble") == [
         "experiments.Battery.paths"]
@@ -393,18 +393,17 @@ def module_imports(sources: dict[str, str], name: str) -> list[str]:
     return _sites(sources, hit)
 
 
+def _reads_environ(node) -> bool:
+    names = ("environ", "environb", "getenv", "getenvb")
+    if isinstance(node, ast.Attribute):
+        return node.attr in names and getattr(node.value, "id", None) == "os"
+    return isinstance(node, ast.ImportFrom) and node.module == "os" \
+        and any(alias.name in names for alias in node.names)
+
+
 def environ_reads(sources: dict[str, str]) -> list[str]:
     """Where ``os.environ`` or ``os.getenv`` is named, imports included."""
-    names = ("environ", "environb", "getenv", "getenvb")
-
-    def hit(node):
-        if isinstance(node, ast.Attribute):
-            return node.attr in names \
-                and getattr(node.value, "id", None) == "os"
-        return isinstance(node, ast.ImportFrom) and node.module == "os" \
-            and any(alias.name in names for alias in node.names)
-
-    return _sites(sources, hit)
+    return _sites(sources, _reads_environ)
 
 
 def test_scanner_finds_every_module_import():
@@ -512,3 +511,73 @@ def test_every_definition_is_used_or_exported():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(ast.unparse(d).split("(")[0].split(".")[-1] == "dataclass"
+               for d in node.decorator_list)
+
+
+def _settable(value) -> bool:
+    """False for ``field(init=False, ...)``, which no caller can set."""
+    return not (isinstance(value, ast.Call) and any(
+        k.arg == "init" and getattr(k.value, "value", True) is False
+        for k in value.keywords))
+
+
+def settable_options(sources: dict[str, str]) -> list[str]:
+    """Each value a caller may leave unset: a defaulted parameter (of a
+    function, method or lambda), a defaulted field of a dataclass, and
+    each read of the environment."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+                owner = getattr(node, "name", "<lambda>")
+                found += [f"{module}.{owner}.{a.arg}" for a in named]
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                found += [f"{module}.{node.name}.{stmt.target.id}"
+                          for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)
+                          and stmt.value is not None
+                          and _settable(stmt.value)]
+    found += [f"{site}.<environ>" for site in _hits(sources, _reads_environ)]
+    return sorted(found)
+
+
+def test_scanner_counts_every_settable_option():
+    sources = {
+        "a": ("import os\n"
+              "from dataclasses import dataclass, field\n\n"
+              "@dataclass(frozen=True)\n"
+              "class Cfg:\n"
+              "    seed: int\n"
+              "    threads: int = 1\n"
+              "    _cache: dict = field(init=False, repr=False)\n"
+              "    out: str = field(default='.')\n\n"
+              "class Plain:\n"
+              "    limit: int = 3\n\n"
+              "def solve(x, m_max=40, *, tol=1e-8, trace):\n"
+              "    key = lambda v, scale=2: v * scale\n"
+              "    return os.environ.get('SOLVER'), key\n"),
+    }
+    assert settable_options(sources) == [
+        "a.<lambda>.scale", "a.Cfg.out", "a.Cfg.threads",
+        "a.solve.<environ>", "a.solve.m_max", "a.solve.tol"]
+
+
+# Each added option doubles the configurations tests must cover; a change
+# that adds one updates this pin and says which caller needs it.
+SETTABLE_OPTIONS = 42
+
+
+def test_settable_options_are_pinned():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    options = settable_options(sources)
+    assert len(options) == SETTABLE_OPTIONS, options

@@ -5,7 +5,6 @@ import pytest
 
 from cdstoch.algebra import AlgebraError, CdReal, LevelMismatch, dim_of
 from cdstoch.integrals import (
-    PredictableIntegrand,
     StepIntegrand,
     _hs_inner,
     _second_moment_samples,
@@ -172,10 +171,10 @@ def test_slot_operator_shape_is_checked():
 def test_predictable_matches_elementary_for_constant():
     ens = small_ensemble(level=1, n=2, steps=8, seed=5)
     op = RightLinearOp.identity(1, 2)
-    pred = PredictableIntegrand(1, 2, 2, lambda idx, view: op, bound=16.0)
+    pred = StepIntegrand.predictable(ens.grid, 1, 2, 2, lambda idx, view: op)
     step = StepIntegrand.constant(ens.grid, op)
     w = next(ens.batches()).w[:1]
-    a = integral_paths(pred.as_step(ens.grid), ens.grid, w)
+    a = integral_paths(pred, ens.grid, w)
     b = integral_paths(step, ens.grid, w)
     assert np.array_equal(a, b)
 
@@ -188,17 +187,10 @@ def test_slots_see_only_the_prefix():
         seen.append((idx, view.shape[1]))
         return RightLinearOp.identity(1, 1)
 
-    pred = PredictableIntegrand(1, 1, 1, evaluator, bound=8.0)
+    pred = StepIntegrand.predictable(ens.grid, 1, 1, 1, evaluator)
     batch = next(ens.batches())
-    integral_paths(pred.as_step(ens.grid), ens.grid, batch.w)
+    integral_paths(pred, ens.grid, batch.w)
     assert seen == [(idx, idx + 1) for idx in range(8)]
-
-
-def test_predictable_bound_must_be_finite():
-    with pytest.raises(AlgebraError):
-        PredictableIntegrand(1, 1, 1, lambda i, v: None, bound=np.inf)
-    with pytest.raises(AlgebraError):
-        PredictableIntegrand(1, 1, 1, lambda i, v: None, bound=-1.0)
 
 
 # ------------------------------------------------------------- moment checks
@@ -442,8 +434,7 @@ def kernel_cases():
         "tiled": tiled,
         # zero before the window, constant after it
         "window": tiled.restrict(float(grid.points[4]), float(grid.points[12])),
-        "weighted": PredictableIntegrand(level, n, n, evaluator,
-                                         bound=1.0).as_step(grid),
+        "weighted": StepIntegrand.predictable(grid, level, n, n, evaluator),
         "lookahead": lookahead_control(grid, level, n),
         "coarse": StepIntegrand.from_ops(
             coarse, [random_op(rng, level, n, n) for _ in range(4)]),
@@ -497,7 +488,7 @@ def test_second_moment_with_fresh_operators_per_slot():
         return [ident.scaled(float(idx + 1)),
                 (np.cos(view[:, idx, 0, 0, 0]), ident.scaled(0.5 - idx))]
 
-    s = PredictableIntegrand(1, 1, 1, evaluator, bound=1e4).as_step(ens.grid)
+    s = StepIntegrand.predictable(ens.grid, 1, 1, 1, evaluator)
     w = next(ens.batches()).w
     got = _second_moment_samples(s, ens.grid, w, ens.grid.steps, _hs_inner)
     expected = np.zeros(w.shape[0])
@@ -549,8 +540,7 @@ def test_integral_bits_do_not_depend_on_the_path_layout(case):
         if case == "constant":
             return StepIntegrand.constant(g, op)
         if case == "weighted":
-            return PredictableIntegrand(level, n, n, evaluator,
-                                        bound=1.0).as_step(g)
+            return StepIntegrand.predictable(g, level, n, n, evaluator)
         return lookahead_control(g, level, n)
 
     w = next(ens.batches()).w

@@ -483,9 +483,10 @@ def _csv_values(kind):
     prob = linear_problem(ident.scaled(-1.0), ident,
                           ZetaSpec.constant(CdVector.embedded_real(1, [1.0])),
                           1)
-    sol = euler_maruyama(prob, PathEnsemble(
-        TimeGrid.uniform(0.0, 1.0, 4), identity_complex_covariance(1, 1),
-        None, seed=3, n_replicas=6))
+    ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 4),
+                       identity_complex_covariance(1, 1), None, seed=3,
+                       n_replicas=6)
+    sol = sweep(ens, [euler_maruyama(prob, ens)])[0]
     return sol.grid, sol.values[:2]
 
 
@@ -863,7 +864,8 @@ def test_reports_and_pins_hold_under_the_budget(threads):
     sde_ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 32),
                            identity_complex_covariance(1, 1), None, seed=17,
                            n_replicas=600, batch_size=128)
-    em = euler_maruyama(prob, sde_ens, threads)
+    forward = euler_maruyama(prob, sde_ens)
+    em = sweep(sde_ens, [forward], threads)[0]
     pic = picard_solve(prob, sde_ens, tol=0.0, m_max=80, threads=threads)
     assert np.array_equal(pic.values, em.values)
-    assert np.array_equal(em.values, euler_maruyama(prob, sde_ens).values)
+    assert np.array_equal(em.values, sweep(sde_ens, [forward])[0].values)
