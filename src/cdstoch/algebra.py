@@ -94,6 +94,12 @@ def mul_tensor(level: int) -> np.ndarray:
     return M
 
 
+def mul_coeffs(level: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Products x * y of A_r coefficient arrays, pointwise over leading
+    axes; ``cd_mul`` is its one-element view, with the same bits."""
+    return np.einsum("kxy,...x,...y->...k", mul_tensor(level), x, y)
+
+
 def _as_coeffs(level: int, values) -> np.ndarray:
     a = np.asarray(values, dtype=float)
     if a.shape != (dim_of(level),):
@@ -176,8 +182,7 @@ class CdReal:
 
 def cd_mul(a: CdReal, b: CdReal) -> CdReal:
     a._check(b)
-    M = mul_tensor(a.level)
-    return CdReal(a.level, np.einsum("kxy,x,y->k", M, a.coeffs, b.coeffs))
+    return CdReal(a.level, mul_coeffs(a.level, a.coeffs, b.coeffs))
 
 
 def cd_conj(a: CdReal) -> CdReal:

@@ -55,6 +55,23 @@ FORMAT_CHOICES = ("json", "csv")
 RUN_OPTIONS = ("threads", "out", "format")
 
 
+# The sde battery's drift is left multiplication by a = -1 + 0.4 i_1, whose
+# eigenvalues a_0 +- i|a'| keep the forward step stable up to
+# dt = -2 a_0 / |a|^2 = 2 / 1.16.
+SDE_DRIFT = (-1.0, 0.4, 0.0, 0.0)
+SDE_MAX_STEP = -2.0 * SDE_DRIFT[0] / sum(c * c for c in SDE_DRIFT)
+
+
+def sde_base_steps(grids: tuple[int, ...]) -> int:
+    """Steps of the sde base grid: the finest size, at most 64."""
+    return min(grids[-1], 64)
+
+
+def uniqueness_halvings(grids: tuple[int, ...]) -> int:
+    """Halvings of the sde uniqueness ladder on the base grid."""
+    return min(3, halving_depth(sde_base_steps(grids)) - 1)
+
+
 def strong_order_halvings(grids: tuple[int, ...]) -> int:
     """Halvings of the sde strong-order ladder that a grid list gives.
 
@@ -120,6 +137,15 @@ class RunConfig:
         a, b = self.window
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ConfigError("config key 'window': need finite a < b")
+        # the coarsest step of the sde uniqueness and strong-order ladders
+        step = (b - a) / min(
+            sde_base_steps(self.grids) >> uniqueness_halvings(self.grids),
+            self.grids[-1] >> strong_order_halvings(self.grids))
+        if "sde" in (self.experiments or EXPERIMENT_CHOICES) \
+                and step > SDE_MAX_STEP:
+            raise ConfigError(
+                f"config key 'window': the sde forward step {step:.6g} "
+                f"exceeds its stable limit {SDE_MAX_STEP:.6g}")
         if not (0 <= self.level <= 5):
             raise ConfigError("config key 'level': need 0 <= level <= 5")
         if self.n < 1:

@@ -17,6 +17,7 @@ checks never perturbs the simulated noise.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from typing import Callable, NamedTuple
@@ -36,15 +37,18 @@ from .algebra import (
     cdc_sqrt,
     dim_of,
     find_zero_divisor,
+    mul_coeffs,
     mul_table,
-    mul_tensor,
 )
 from .config import (
     EXPERIMENT_CHOICES,
+    SDE_DRIFT,
     TOLERANCES,
     RunConfig,
     build_driving,
+    sde_base_steps,
     strong_order_halvings,
+    uniqueness_halvings,
 )
 from .integrals import (
     StepIntegrand,
@@ -313,11 +317,10 @@ def _norm_multiplicativity_check(rng, atol: float) -> dict:
     gaps = []
     pairs = 0
     for level in range(4):
-        tensor = mul_tensor(level)
         d = dim_of(level)
         a = rng.normal(size=(2500, d))
         b = rng.normal(size=(2500, d))
-        prod = np.einsum("pxy,bx,by->bp", tensor, a, b, optimize=True)
+        prod = mul_coeffs(level, a, b)
         na = np.sqrt(np.sum(a * a, axis=1))
         nb = np.sqrt(np.sum(b * b, axis=1))
         np_ = np.sqrt(np.sum(prod * prod, axis=1))
@@ -334,11 +337,7 @@ def _zero_divisor_check(rng, atol: float) -> dict:
 
 
 def _identities_check(rng, atol: float) -> dict:
-    tensor = mul_tensor(3)
-
-    def mul(x, y):
-        return np.einsum("pxy,bx,by->bp", tensor, x, y, optimize=True)
-
+    mul = functools.partial(mul_coeffs, 3)
     count = 2000
     a = rng.normal(size=(count, 8))
     b = rng.normal(size=(count, 8))
@@ -359,15 +358,12 @@ def _identities_check(rng, atol: float) -> dict:
 def _power_associativity_check(rng, atol: float) -> dict:
     gaps = []
     for level in range(2, 6):
-        tensor = mul_tensor(level)
         x = rng.normal(size=(500, dim_of(level)))
-
-        def mul(u, v):
-            return np.einsum("pxy,bx,by->bp", tensor, u, v, optimize=True)
-
-        x2 = mul(x, x)
+        x2 = mul_coeffs(level, x, x)
         scale = np.maximum(1.0, np.linalg.norm(x, axis=1) ** 4)[:, None]
-        gaps.append(np.abs(mul(x2, x2) - mul(x, mul(x, x2))) / scale)
+        gaps.append(np.abs(mul_coeffs(level, x2, x2)
+                           - mul_coeffs(level, x, mul_coeffs(level, x, x2)))
+                    / scale)
     return {"levels": "2..5", "max_rel_gap": _worst(gaps)}
 
 
@@ -781,6 +777,21 @@ def _random_lri(rng, level: int, n: int) -> RightLinearOp:
     return RightLinearOp.lri(level, rng.normal(size=(n, n, dim_of(level))))
 
 
+def _random_complex_cov(rng, level: int, n: int) -> ComplexCovariance:
+    """Random complexified covariance with max ||U_k^(1/2)||_2^2 >= 3.
+
+    The asserted tail bound beta^(-2) E int F compares the exceedance of
+    beta * max ||U_k^(1/2)||_2 against an expectation that scales with the
+    covariance; below ||U^(1/2)||_2^2 = 2 (the identity's value at n = 1)
+    the threshold shrinks faster than the tail and the stated constant
+    fails.  Each _random_spd_cov has a[0] >= 1 and B >= (n + 1/2) I, so
+    ||U^(1/2)||_2^2 = 2 |a| tr B >= 3 and the chebyshev battery stays in
+    the regime the bound covers.
+    """
+    return ComplexCovariance(_random_spd_cov(rng, level, n),
+                             _random_spd_cov(rng, level, n))
+
+
 def _tiled_ops(grid: TimeGrid, ops: list[RightLinearOp]) -> StepIntegrand:
     return StepIntegrand.from_ops(
         grid, [ops[i % len(ops)] for i in range(grid.steps)])
@@ -805,11 +816,9 @@ def isometry_experiment(cfg: RunConfig) -> dict:
     left, right = whole.restrict(grid.a, mid), whole.restrict(mid, grid.b)
 
     def additivity(batch):
-        eta = integral_paths(whole, grid, batch.w)
-        eta_l = integral_paths(left, TimeGrid(grid.points[:half + 1]),
-                               batch.w[:, :half + 1])
-        eta_r = integral_paths(right, TimeGrid(grid.points[half:]),
-                               batch.w[:, half:])
+        eta = integral_paths(whole, batch.w)
+        eta_l = integral_paths(left, batch.w[:, :half + 1])
+        eta_r = integral_paths(right, batch.w[:, half:])
         return eta[:, -1], eta_l[:, -1] + eta_r[:, -1]
 
     def additive_gate(joined):
@@ -820,7 +829,7 @@ def isometry_experiment(cfg: RunConfig) -> dict:
         return {"passed": worst <= atol, "max_rel_gap": worst}
 
     rows = [
-        _max_gap_row(ens_small, lambda b: integral_paths(identity_s, grid, b.w)
+        _max_gap_row(ens_small, lambda b: integral_paths(identity_s, b.w)
                      - (b.w - b.w[:, :1]), "elementary_telescoping",
                      "Eq. 2.11(2)", 0.0),
         _row(ens_small, Probe(additivity, additive_gate, gather=True),
@@ -899,9 +908,8 @@ def isometry_experiment(cfg: RunConfig) -> dict:
         """bound_check of a random complexified covariance at (level, n)
         for ``tiles`` random four-block (h, n) operators tiled over the
         grid."""
-        u = ComplexCovariance(_random_spd_cov(rng_bd, level, n),
-                              _random_spd_cov(rng_bd, level, n))
-        ens = bat.paths(u, None, offset, cfg.replicas)
+        ens = bat.paths(_random_complex_cov(rng_bd, level, n), None, offset,
+                        cfg.replicas)
         ops = [_random_four_block(rng_bd, level, h, n) for _ in range(tiles)]
         return _row(ens, bound_check(_tiled_ops(grid, ops), ens), name,
                     "Thm. 2.15(1)", *bound_fields)
@@ -951,21 +959,6 @@ def martingale_experiment(cfg: RunConfig) -> dict:
 
 # ----------------------------------------------------------------- chebyshev
 
-def _scaled_complex_cov(rng, level: int, n: int) -> ComplexCovariance:
-    """Random complexified covariance with max ||U_k^(1/2)||_2^2 >= 3.
-
-    The asserted tail bound beta^(-2) E int F compares the exceedance of
-    beta * max ||U_k^(1/2)||_2 against an expectation that scales with the
-    covariance; below ||U^(1/2)||_2^2 = 2 (the identity's value at n = 1)
-    the threshold shrinks faster than the tail and the stated constant
-    fails.  Each _random_spd_cov has a[0] >= 1 and B >= (n + 1/2) I, so
-    ||U^(1/2)||_2^2 = 2 |a| tr B >= 3 and the battery stays in the regime
-    the bound covers.
-    """
-    return ComplexCovariance(_random_spd_cov(rng, level, n),
-                             _random_spd_cov(rng, level, n))
-
-
 def chebyshev_experiment(cfg: RunConfig) -> dict:
     """Tail bounds for the running supremum, plus integral continuity."""
     started = time.perf_counter()
@@ -977,7 +970,7 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
         rng = _case_rng(cfg.seed, 70 + index)
         level = (1, 2, 3)[index % 3]
         n = 1 if index % 2 else 2
-        u = _scaled_complex_cov(rng, level, n)
+        u = _random_complex_cov(rng, level, n)
         ops = [_random_four_block(rng, level, n, n)
                for _ in range(1 + index % 3)]
         integrand = _tiled_ops(grid, ops)
@@ -1035,11 +1028,10 @@ def sde_experiment(cfg: RunConfig) -> dict:
     # the strong-order ladder runs on the finest grid, the rest on a base
     # grid of at most 64 steps
     ref = Battery.on(cfg, cfg.grids[-1])
-    bat = Battery.on(cfg, min(cfg.grids[-1], 64))
+    bat = Battery.on(cfg, sde_base_steps(cfg.grids))
     grid, span = bat.grid, bat.span
 
-    g_op = RightLinearOp.left_mult(
-        CdReal(level, [-1.0, 0.4, 0.0, 0.0]))
+    g_op = RightLinearOp.left_mult(CdReal(level, SDE_DRIFT))
     h_op = RightLinearOp.identity(level, 1)
     unit = ZetaSpec.constant(CdVector.embedded_real(level, [1.0]))
     u = _complexified_identity(level, 1)
@@ -1073,10 +1065,10 @@ def sde_experiment(cfg: RunConfig) -> dict:
                       b2inf_gap=gap)
 
     ens_uni = bat.paths(u, None, 501, min(cfg.replicas, 2048))
-    uni_halvings = min(3, halving_depth(grid.steps) - 1)
     rows = [
         Row(ens_picard, euler_maruyama(linear, ens_picard), agreement),
-        _row(ens_uni, uniqueness_study(linear, ens_uni, uni_halvings),
+        _row(ens_uni, uniqueness_study(linear, ens_uni,
+                                       uniqueness_halvings(cfg.grids)),
              "uniqueness_gap_vanishes", "Thm. 2.29 proof", "b2inf_gaps",
              "grid_steps"),
     ]

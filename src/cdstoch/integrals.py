@@ -1,15 +1,20 @@
 """Stochastic integration of operator-valued step functions.
 
 An integrand is a piecewise-constant family of right-linear operators on
-a partition of the path window.  Its integral against a path w is the
-finite sum
+a time grid, one slot per grid step.  Its integral against a path w
+sampled on that grid is the finite sum
 
-    eta(t) = sum_l S_l (w(tau_{l+1} ^ t) - w(tau_l ^ t)),
+    eta(t_m) = sum_{l < m} S_l (w(t_{l+1}) - w(t_l)),
 
-accumulated here as a running path over the full grid, so eta(t_0) = 0
-and every grid point carries the truncated value.  Predictable
-integrands (prefix-measurable callbacks) are discretized onto the grid
-steps, with refinement studies standing in for the mean-square limit.
+accumulated as a running path, so eta(t_0) = 0 and every grid point
+carries the truncated value.  An integrand runs on its own grid: the
+checks refuse one whose grid is not the ensemble's, and a step function
+on a coarser partition is written on the grid with its operators
+repeated (``StepIntegrand.from_ops``).  Predictable integrands
+(prefix-measurable callbacks) are discretized onto the grid steps, with
+refinement studies standing in for the mean-square limit.  A check
+evaluates each slot once per batch for every second-moment quadrature
+it takes.
 
 Adaptedness is enforced by the interface: slot callbacks receive only
 the path prefix up to their step's left endpoint.  A ``full_view``
@@ -54,7 +59,7 @@ MARTINGALE_BINS = 8
 
 @dataclass(frozen=True)
 class StepIntegrand:
-    """Piecewise-constant operator family on a partition.
+    """Piecewise-constant operator family on a time grid, one slot per step.
 
     Each slot is either a fixed ``RightLinearOp`` or a callable taking the
     replica-batch path view (prefix up to the slot's left endpoint unless
@@ -113,52 +118,41 @@ class StepIntegrand:
                              self.h, self.full_view)
 
 
-def _slot_spans(integrand: StepIntegrand, grid: TimeGrid):
-    idxs = [grid.index_of(t) for t in integrand.partition.points]
-    return [(j, idxs[j], idxs[j + 1]) for j in range(len(idxs) - 1)]
-
-
 # ----------------------------------------------------------------- the engine
 
-def integral_paths(integrand: StepIntegrand, grid: TimeGrid,
-                   w: np.ndarray) -> np.ndarray:
-    """Running integral (batch, K+1, h, 2, dim) over the whole grid.
+def integral_paths(integrand: StepIntegrand, w: np.ndarray) -> np.ndarray:
+    """Running integral (batch, K+1, h, 2, dim) on the integrand's grid.
 
-    The running sum realizes the wedge truncation: the value at grid
-    index m contains exactly the increments of steps below m.  The
-    result is stored time-major (see paths._time_major), so each step
-    row is one contiguous block; w may have any strides, and reads one
-    contiguous row per step when it is time-major as assembled.
+    Slot l acts on grid step l.  The running sum realizes the wedge
+    truncation: the value at grid index m contains exactly the
+    increments of steps below m.  The result is stored time-major (see
+    paths._time_major), so each step row is one contiguous block; w may
+    have any strides, and reads one contiguous row per step when it is
+    time-major as assembled.
     """
     dim = dim_of(integrand.level)
     b, kk = w.shape[:2]
-    if w.shape[1:] != (grid.steps + 1, integrand.n, 2, dim):
-        raise AlgebraError("path array does not match integrand and grid")
+    if w.shape[1:] != (len(integrand.partition), integrand.n, 2, dim):
+        raise AlgebraError("path array does not match the integrand")
     w_flat = w.reshape(b, kk, -1)
     dw = np.empty((b, w_flat.shape[2]))
     eta = _time_major(b, kk, 2 * integrand.h * dim)
-    spans = _slot_spans(integrand, grid)
-    for j, i0, i1 in spans:
-        view = w if integrand.full_view else w[:, :i0 + 1]
-        terms = [(weights, op.realized.T) for weights, op
-                 in integrand.terms(j, view)]
-        for l in range(i0, i1):
-            # one (b, in) @ (in, out) GEMM per step and term, written
-            # into the step's row; adding the previous row afterwards
-            # reproduces the sequential order of a cumulative sum
-            np.subtract(w_flat[:, l + 1], w_flat[:, l], out=dw)
-            step = eta[:, l + 1]
-            for t, (weights, s_t) in enumerate(terms):
-                if t == 0 and weights is None:
-                    np.matmul(dw, s_t, out=step)
-                    continue
-                seg = dw @ s_t
-                if weights is not None:
-                    seg *= weights[:, None]
-                step += seg
-            step += eta[:, l]
-    for l in range(spans[-1][2], grid.steps):  # grid steps past the partition
-        eta[:, l + 1] += eta[:, l]
+    for l in range(kk - 1):
+        view = w if integrand.full_view else w[:, :l + 1]
+        # one (b, in) @ (in, out) GEMM per term, written into the step's
+        # row; adding the previous row afterwards reproduces the
+        # sequential order of a cumulative sum
+        np.subtract(w_flat[:, l + 1], w_flat[:, l], out=dw)
+        step = eta[:, l + 1]
+        for t, (weights, op) in enumerate(integrand.terms(l, view)):
+            if t == 0 and weights is None:
+                np.matmul(dw, op.realized.T, out=step)
+                continue
+            seg = dw @ op.realized.T
+            if weights is not None:
+                seg *= weights[:, None]
+            step += seg
+        step += eta[:, l]
     return eta.reshape(b, kk, integrand.h, 2, dim)
 
 
@@ -193,47 +187,45 @@ def _f_trace_fn(u: ComplexCovariance):
     return fn
 
 
-def _second_moment_samples(integrand: StepIntegrand, grid: TimeGrid,
-                           w: np.ndarray, upto: int, trace_fn) -> np.ndarray:
-    """Per-replica quadrature sum_l dt_l tr(slot_l) below grid index upto.
+def _second_moment_samples(integrand: StepIntegrand, w: np.ndarray,
+                           *trace_fns) -> list[np.ndarray]:
+    """Per-replica quadratures sum_l dt_l tr(slot_l), one per trace form.
 
-    trace_fn runs once per distinct operator pair of the call.  The memo
-    keeps the operators it keys alive, so no id is reused by a freed one.
+    One pass over the slots serves every form.  Each form runs once per
+    distinct operator pair of the call.  The memo keeps the operators it
+    keys alive, so no id is reused by a freed one.
     """
     b = w.shape[0]
-    out = np.zeros(b)
+    outs = [np.zeros(b) for _ in trace_fns]
     memo = {}
 
-    def trace(opi, opj):
+    def traces(opi, opj):
         key = (id(opi), id(opj))
         if key not in memo:
-            memo[key] = (opi, opj, trace_fn(opi, opj))
+            memo[key] = (opi, opj, [fn(opi, opj) for fn in trace_fns])
         return memo[key][2]
 
-    for j, i0, i1 in _slot_spans(integrand, grid):
-        lo, hi = i0, min(i1, upto)
-        if lo >= hi:
-            continue
-        span = float(grid.points[hi] - grid.points[lo])
-        view = w if integrand.full_view else w[:, :i0 + 1]
-        terms = integrand.terms(j, view)
-        q = np.zeros(b)
+    for l, dt in enumerate(integrand.partition.deltas):
+        view = w if integrand.full_view else w[:, :l + 1]
+        terms = integrand.terms(l, view)
+        qs = [np.zeros(b) for _ in trace_fns]
         for wi, opi in terms:
             for wj, opj in terms:
-                c = trace(opi, opj)
-                if wi is None and wj is None:
-                    q += c
-                else:
-                    ww = (wi if wi is not None else 1.0) * \
-                         (wj if wj is not None else 1.0)
+                # an unweighted pair's factor 1.0 leaves c's bits alone
+                ww = (wi if wi is not None else 1.0) * \
+                     (wj if wj is not None else 1.0)
+                for q, c in zip(qs, traces(opi, opj)):
                     q += ww * c
-        out += span * q
-    return out
+        for out, q in zip(outs, qs):
+            out += float(dt) * q
+    return outs
 
 
 def _require_match(integrand, ensemble: PathEnsemble):
     if integrand.level != ensemble.level or integrand.n != ensemble.n:
         raise LevelMismatch("integrand does not match the ensemble")
+    if not np.array_equal(integrand.partition.points, ensemble.grid.points):
+        raise GridError("integrand is not on the ensemble's grid")
 
 
 # ----------------------------------------------------------------- the checks
@@ -241,12 +233,10 @@ def _require_match(integrand, ensemble: PathEnsemble):
 def zero_mean_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
     """Window-end mean of the integral, within 4 standard errors of zero."""
     _require_match(integrand, ensemble)
-    grid = ensemble.grid
-    idx = grid.steps
 
     def sampler(batch):
-        eta = integral_paths(integrand, grid, batch.w)
-        return (eta[:, idx].reshape(batch.count, -1),)
+        eta = integral_paths(integrand, batch.w)
+        return (eta[:, -1].reshape(batch.count, -1),)
 
     def gate(reports):
         rep, = reports
@@ -270,14 +260,12 @@ def isometry_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
     _require_match(integrand, ensemble)
     if ensemble.complexified:
         raise AlgebraError("the isometry identity lives on plain-covariance paths")
-    grid = ensemble.grid
-    idx = grid.steps
     trace_fn = _lri_trace_fn(ensemble.u0)
 
     def sampler(batch):
-        eta = integral_paths(integrand, grid, batch.w)
-        lhs = np.sum(eta[:, idx, :, 0, :] ** 2, axis=(1, 2))
-        rhs = _second_moment_samples(integrand, grid, batch.w, idx, trace_fn)
+        eta = integral_paths(integrand, batch.w)
+        lhs = np.sum(eta[:, -1, :, 0, :] ** 2, axis=(1, 2))
+        rhs, = _second_moment_samples(integrand, batch.w, trace_fn)
         return lhs, rhs
 
     def gate(reports):
@@ -308,17 +296,14 @@ def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
     _require_match(integrand, ensemble)
     if not ensemble.complexified:
         raise AlgebraError("the norm bound needs a complexified covariance")
-    grid = ensemble.grid
-    idx = grid.steps
     f_fn = _f_trace_fn(ensemble.u)
     factor = ensemble.u.max_sqrt_hs2()
 
     def sampler(batch):
-        eta = integral_paths(integrand, grid, batch.w)
-        m1 = vec_norm2(eta[:, idx].reshape(batch.count, -1))
-        m2 = 2.0 * _second_moment_samples(integrand, grid, batch.w, idx, f_fn)
-        m3 = _second_moment_samples(integrand, grid, batch.w, idx, _hs_inner)
-        return m1, m2, m3
+        eta = integral_paths(integrand, batch.w)
+        m1 = vec_norm2(eta[:, -1].reshape(batch.count, -1))
+        fq, m3 = _second_moment_samples(integrand, batch.w, f_fn, _hs_inner)
+        return m1, 2.0 * fq, m3
 
     def gate(reports):
         m1, m2, m3 = reports
@@ -360,7 +345,7 @@ def martingale_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         raise GridError("need t1 < t2 on the grid")
 
     def sampler(batch):
-        eta = integral_paths(integrand, grid, batch.w)
+        eta = integral_paths(integrand, batch.w)
         d = (eta[:, i2] - eta[:, i1]).reshape(batch.count, -1)
         return d, eta[:, i1, 0, 0, 0]
 
@@ -424,17 +409,14 @@ def chebyshev_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         raise AlgebraError("the tail bounds need a complexified covariance")
     if beta <= 0 or alpha <= 0:
         raise AlgebraError("need positive beta and alpha")
-    grid = ensemble.grid
     f_fn = _f_trace_fn(ensemble.u)
     mstar2 = ensemble.u.max_sqrt_hs2()
     threshold2 = beta * beta * mstar2
 
     def sampler(batch):
-        eta = integral_paths(integrand, grid, batch.w)
-        sup2 = np.max(vec_norm2(eta.reshape(batch.count, len(grid), -1)), axis=1)
-        fq = _second_moment_samples(integrand, grid, batch.w, grid.steps, f_fn)
-        hq = _second_moment_samples(integrand, grid, batch.w, grid.steps,
-                                    _hs_inner)
+        eta = integral_paths(integrand, batch.w)
+        sup2 = np.max(vec_norm2(eta.reshape(*eta.shape[:2], -1)), axis=1)
+        fq, hq = _second_moment_samples(integrand, batch.w, f_fn, _hs_inner)
         # 0/1 indicators: their sums are exact integers, so the means are
         # the plain exceedance frequencies
         return sup2 > threshold2, fq, hq > alpha
@@ -479,7 +461,7 @@ def continuity_check(integrand: StepIntegrand, ensemble: PathEnsemble,
     lags = [k // f for f in halving_factors(grid, halvings)[1:]]
 
     def sampler(batch):
-        eta = integral_paths(integrand, grid, batch.w)
+        eta = integral_paths(integrand, batch.w)
         flat = eta.reshape(batch.count, k + 1, -1)
         # 0/1 indicators: their sums are exact integers
         return tuple(vec_norm2(flat[:, lag:] - flat[:, :-lag]) > eps * eps
@@ -516,13 +498,13 @@ def refinement_study(integrand_factory, ensemble: PathEnsemble,
     grid = ensemble.grid
     k = grid.steps
     factors = halving_factors(grid, halvings)[::-1]
-    grids = [TimeGrid(grid.points[::f]) for f in factors]
-    integrands = [integrand_factory(g) for g in grids]
+    integrands = [integrand_factory(TimeGrid(grid.points[::f]))
+                  for f in factors]
 
     def sampler(batch):
         finals = []
-        for f, g, s in zip(factors, grids, integrands):
-            eta = integral_paths(s, g, batch.w[:, ::f])
+        for f, s in zip(factors, integrands):
+            eta = integral_paths(s, batch.w[:, ::f])
             finals.append(eta[:, -1].reshape(batch.count, -1))
         return tuple(np.sum((b - a) ** 2, axis=1)
                      for a, b in zip(finals[:-1], finals[1:]))

@@ -332,27 +332,23 @@ def op_terms(raw, count: int, shape: tuple[int, int, int]) -> list:
     return out
 
 
-def op_trace_aa_star(block: np.ndarray | RightLinearOp) -> float:
+def op_trace_aa_star(block: np.ndarray) -> float:
     """Tr(AA*) for an A_r-entried block, by the entry-norm formula."""
-    entries = block.entries if isinstance(block, RightLinearOp) else np.asarray(block)
-    return entries_trace(entries)
+    return entries_trace(np.asarray(block))
 
 
-def trace_aa_star_via_units(block: np.ndarray | RightLinearOp, level: int | None = None) -> CdComplex:
+def trace_aa_star_via_units(block: np.ndarray, level: int) -> CdComplex:
     """Cross-check route: sum_l <A A* e_l, e_l> on realized products."""
-    if isinstance(block, RightLinearOp):
-        op, level = block, block.level
-    else:
-        op = RightLinearOp.lri(level, block)
+    op = RightLinearOp.lri(level, block)
     m = op.realized @ op.adjoint().realized
-    dim = dim_of(op.level)
+    dim = dim_of(level)
     acc_re = np.zeros(dim)
     acc_im = np.zeros(dim)
     for l in range(op.h):
         col = m[:, l * 2 * dim].reshape(op.h, 2, dim)
         acc_re += col[l, 0]
         acc_im += col[l, 1]
-    return CdComplex(CdReal(op.level, acc_re), CdReal(op.level, acc_im))
+    return CdComplex(CdReal(level, acc_re), CdReal(level, acc_im))
 
 
 def adjoint_full_residual(op: RightLinearOp, samples: int = 20) -> float:

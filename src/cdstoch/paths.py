@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraError, LevelMismatch, dim_of, mul_tensor
+from .algebra import AlgebraError, LevelMismatch, dim_of, mul_coeffs
 from .linops import (
     CdVector,
     ComplexCovariance,
@@ -575,15 +575,15 @@ def mean_increment(ensemble: PathEnsemble, t1: float, t2: float) -> Probe:
     return Probe(lambda b: (b.w[:, i2] - b.w[:, i1],), gate)
 
 
-def _scalar_products(m: np.ndarray, x: np.ndarray, y: np.ndarray,
+def _scalar_products(level: int, x: np.ndarray, y: np.ndarray,
                      complexified: bool) -> np.ndarray:
     """Pointwise algebra products of two batches of scalar values."""
-    rr = np.einsum("kxy,bx,by->bk", m, x[:, 0], y[:, 0])
+    rr = mul_coeffs(level, x[:, 0], y[:, 0])
     if not complexified:
         return rr
-    ii = np.einsum("kxy,bx,by->bk", m, x[:, 1], y[:, 1])
-    ri = np.einsum("kxy,bx,by->bk", m, x[:, 0], y[:, 1])
-    ir = np.einsum("kxy,bx,by->bk", m, x[:, 1], y[:, 0])
+    ii = mul_coeffs(level, x[:, 1], y[:, 1])
+    ri = mul_coeffs(level, x[:, 0], y[:, 1])
+    ir = mul_coeffs(level, x[:, 1], y[:, 0])
     return np.stack([rr - ii, ri + ir], axis=1)
 
 
@@ -603,9 +603,9 @@ def increment_cov(ensemble: PathEnsemble, t1: float, t2: float,
     i1, i2 = grid.index_of(t1), grid.index_of(t2)
     if i1 >= i2:
         raise GridError("need t1 < t2 on the grid")
-    m = mul_tensor(ensemble.level)
+    level = ensemble.level
     cx = ensemble.complexified
-    dim = dim_of(ensemble.level)
+    dim = dim_of(level)
     pc = ensemble.p.data if ensemble.p is not None else np.zeros((n, 2, dim))
     expected = (t2 - t1) * ensemble.u0.entries()[k, h]
     if cx:
@@ -616,10 +616,10 @@ def increment_cov(ensemble: PathEnsemble, t1: float, t2: float,
         w = batch.w
         xs = w[:, i2, k] - t2 * pc[k][None]
         ys = w[:, i1, h] - t1 * pc[h][None]
-        stated = _scalar_products(m, xs, ys, cx)
+        stated = _scalar_products(level, xs, ys, cx)
         dx = (w[:, i2, k] - w[:, i1, k]) - (t2 - t1) * pc[k][None]
         dy = (w[:, i2, h] - w[:, i1, h]) - (t2 - t1) * pc[h][None]
-        return _scalar_products(m, dx, dy, cx), stated
+        return _scalar_products(level, dx, dy, cx), stated
 
     def gate(reports):
         rep, stated = reports

@@ -225,10 +225,6 @@ class SolutionEnsemble:
     scheme: str
     diagnostics: dict
 
-    @property
-    def n_replicas(self) -> int:
-        return self.values.shape[0]
-
 
 def _check_driving(problem: SdeProblem, ensemble: PathEnsemble) -> None:
     if ensemble.level != problem.level or ensemble.n != problem.n:

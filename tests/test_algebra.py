@@ -18,6 +18,7 @@ from cdstoch.algebra import (
     cdc_sqrt,
     dim_of,
     find_zero_divisor,
+    mul_coeffs,
     mul_table,
     mul_tensor,
 )
@@ -297,6 +298,22 @@ def test_cd_exp_pure_imaginary_is_rotation():
     e = cd_exp(z)
     assert e.isclose(CdReal(2, [np.cos(np.pi / 2), 1.0, 0.0, 0.0]), 1e-15)
     assert abs(abs(e) - 1.0) <= 1e-15
+
+
+def test_mul_coeffs_rows_equal_cd_mul():
+    """The batched product is cd_mul row by row, bit for bit, on plain
+    and strided rows at every level."""
+    rng = np.random.default_rng(29)
+    for r in range(6):
+        d = dim_of(r)
+        x = rng.normal(size=(40, 2, d))
+        y = rng.normal(size=(40, 2, d))
+        for a, b in ((x[:, 0], y[:, 0]), (x[:, 1], y[:, 0])):
+            rows = mul_coeffs(r, a, b)
+            assert rows.shape == (40, d)
+            for i in range(40):
+                one = cd_mul(CdReal(r, a[i]), CdReal(r, b[i])).coeffs
+                assert rows[i].tobytes() == one.tobytes()
 
 
 def test_left_mult_transpose_is_conjugate():

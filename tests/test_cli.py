@@ -542,17 +542,96 @@ def test_reports_identical_across_thread_counts():
 # --grid 16`, recorded before SdeProblem dropped its grid and noise law
 SDE_REPORT_SHA256 = \
     "c4a4d5abd0c412b12a04f80d6178bc62f1e1c5460f24ae1069719a50e48c409a"
+SDE_ARGV = ["sde", "--seed", "5", "--replicas", "2100", "--grid", "16"]
+
+# (argv, sha256 of the stripped report); the sde pin runs at 1 and 3
+# workers under those ids, the others were recorded before the step
+# integral ran on its integrand's own grid and the algebra product had
+# one implementation
+REPORT_PINS = [
+    pytest.param(SDE_ARGV + ["--threads", "1"], SDE_REPORT_SHA256, id="1"),
+    pytest.param(SDE_ARGV + ["--threads", "3"], SDE_REPORT_SHA256, id="3"),
+    pytest.param(
+        ["algebra", "--seed", "16", "--threads", "2"],
+        "23e4bf203d7cc7d8cc1a724227a1ee065b6522848fe7fc83bfd03e43b61b6c9d",
+        id="algebra"),
+    pytest.param(
+        ["chebyshev", "--seed", "4", "--grid", "8", "--replicas", "2500",
+         "--threads", "2"],
+        "a96c41dd679742ac19f9b72b88693a5a5b64141dcd35c05c0486c00f5c5781e5",
+        id="chebyshev"),
+    pytest.param(
+        ["isometry", "--seed", "2", "--grid", "16", "--replicas", "2100",
+         "--threads", "2"],
+        "b399a4ba1fa6c6c0d89124eae9af5add7634afb318d6371d98faab0c9854114c",
+        id="isometry"),
+    pytest.param(
+        ["paths", "--seed", "2", "--grid", "16", "--replicas", "2100",
+         "--threads", "2"],
+        "142cf3b4211fff76e0dd72601e220bca7bc015eb924c7b1f01561aabadc80082",
+        id="paths"),
+]
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_sde_report_bytes_are_pinned(tmp_path, threads):
-    """A slipped bit anywhere in the sde battery fails here in seconds."""
-    rc = main(["sde", "--seed", "5", "--replicas", "2100", "--grid", "16",
-               "--threads", threads, "--out", str(tmp_path)])
-    doc = json.loads((tmp_path / "report.json").read_text())
-    text = render_json(strip_timing(doc))
+def _stripped_sha256(out) -> str:
+    doc = json.loads((out / "report.json").read_text())
+    return hashlib.sha256(render_json(strip_timing(doc)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(("argv", "sha256"), REPORT_PINS)
+def test_sde_report_bytes_are_pinned(tmp_path, argv, sha256):
+    """A slipped bit anywhere in a pinned battery fails here in seconds."""
+    rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 0
-    assert hashlib.sha256(text.encode()).hexdigest() == SDE_REPORT_SHA256
+    assert _stripped_sha256(tmp_path) == sha256
+
+
+SDE_WINDOW_TEXT = ("seed = 1\nreplicas = 500\ngrid = 16\nwindow = {}\n"
+                   "experiments = sde\n")
+
+
+def test_sde_refuses_a_window_its_forward_scheme_cannot_step(tmp_path,
+                                                            capsys):
+    """Forward Euler on the battery drift, left multiplication by
+    -1 + 0.4 i_1, is stable for steps up to 2 / 1.16.  At grid 16 the
+    uniqueness ladder's coarsest level has 2 steps, so window 0 1000
+    (step 500) is refused with exit 2 before any battery runs, where
+    it used to report NaN verdicts."""
+    cfg_file = tmp_path / "long.cfg"
+    cfg_file.write_text(SDE_WINDOW_TEXT.format("0 1000"), encoding="utf-8")
+    rc = main(["run", "--config", str(cfg_file), "--threads", "1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config key 'window'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    assert RunConfig(grids=(16,), window=(0.0, 3.4),
+                     experiments=("sde",)).window == (0.0, 3.4)
+    with pytest.raises(ConfigError, match="'window'"):
+        RunConfig(grids=(16,), window=(0.0, 3.5), experiments=("sde",))
+    # at grid 64 the strong-order ladder's coarsest level (4 steps) binds,
+    # not the uniqueness ladder's (8 steps)
+    with pytest.raises(ConfigError, match="'window'"):
+        RunConfig(grids=(64,), window=(0.0, 7.0), experiments=("sde",))
+    assert RunConfig(grids=(16,), window=(0.0, 1000.0),
+                     experiments=("paths",)).window == (0.0, 1000.0)
+
+
+@pytest.mark.parametrize(("window", "code", "sha256"), [
+    ("0 2", 1,
+     "9d52e31431304f6e791753df975868cc0609b2fce431a23215e3d0673c56bef7"),
+    ("-5 -4", 0,
+     "90ae6fdae91292baf9471ac899a4a095609ac262cd79a91e77aa5fb7ad1ac6eb"),
+])
+def test_sde_windows_within_the_step_bound_keep_their_bytes(tmp_path, window,
+                                                            code, sha256):
+    """Stable windows run as before the refusal; at window 0 2 the
+    strong-order slope of 500 replicas misses its window (exit 1)."""
+    cfg_file = tmp_path / "window.cfg"
+    cfg_file.write_text(SDE_WINDOW_TEXT.format(window), encoding="utf-8")
+    rc = main(["run", "--config", str(cfg_file), "--threads", "2",
+               "--out", str(tmp_path)])
+    assert rc == code
+    assert _stripped_sha256(tmp_path) == sha256
 
 
 def test_reports_differ_across_seeds():

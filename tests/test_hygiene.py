@@ -6,7 +6,8 @@ kept with the builtin, which drops a NaN, one module that writes CSV,
 no setting read from the environment, one time-major allocator,
 every ConfigError raised in config, each message by one raise, one
 ensemble build route in experiments, one halving-ladder guard, one
-two-adic count and a pinned count of settable options."""
+two-adic count, one contraction of the product tensor with coefficients
+and a pinned count of settable options."""
 
 import ast
 import os
@@ -257,6 +258,19 @@ def test_one_halving_guard_and_one_two_adic_count():
         sources, "grid does not support that many halvings") == [
         "paths.halving_factors"]
     assert name_uses(sources, "bit_length") == ["paths.halving_depth"]
+
+
+def test_one_product_contraction():
+    """Products of algebra elements go through algebra.mul_coeffs; besides
+    algebra, only linops reads the product tensor, for operator entries
+    and their action."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    modules = {site.split(".")[0]
+               for site in name_uses(sources, "mul_tensor")}
+    assert modules == {"algebra", "linops"}
+    assert call_sites(sources, "mul_tensor") == [
+        "algebra.mul_coeffs", "linops.RightLinearOp.apply",
+        "linops.RightLinearOp.realized", "linops.compose_entries"]
 
 
 def definitions(sources: dict[str, str], name: str) -> list[str]:
@@ -574,7 +588,7 @@ def test_scanner_counts_every_settable_option():
 
 # Each added option doubles the configurations tests must cover; a change
 # that adds one updates this pin and says which caller needs it.
-SETTABLE_OPTIONS = 42
+SETTABLE_OPTIONS = 41
 
 
 def test_settable_options_are_pinned():

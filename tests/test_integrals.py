@@ -6,6 +6,7 @@ import pytest
 from cdstoch.algebra import AlgebraError, CdReal, LevelMismatch, dim_of
 from cdstoch.integrals import (
     StepIntegrand,
+    _f_trace_fn,
     _hs_inner,
     _second_moment_samples,
     bound_check,
@@ -77,7 +78,7 @@ def test_identity_integrand_telescopes():
     ens = small_ensemble(level=2, n=2, replicas=6)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(2, 2))
     for batch in ens.batches():
-        eta = integral_paths(s, ens.grid, batch.w)
+        eta = integral_paths(s, batch.w)
         assert np.array_equal(eta, batch.w - batch.w[:, :1])
 
 
@@ -86,10 +87,10 @@ def test_single_step_truncation():
     grid = ens.grid
     rng = np.random.default_rng(0)
     op = random_op(rng, 1, 3, 2)
-    part = TimeGrid(np.array([grid.points[0], grid.points[1]]))
-    s = StepIntegrand.constant(part, op)
+    # the first step carries op, every later one the zero operator
+    s = StepIntegrand.from_ops(grid, [op] + [op.scaled(0.0)] * (grid.steps - 1))
     w = next(ens.batches()).w[:1]
-    eta = integral_paths(s, grid, w)
+    eta = integral_paths(s, w)
     inc = (w[0, 1] - w[0, 0]).reshape(-1)
     expected = inc @ op.realized.T
     for t in (grid.points[1], grid.points[4], grid.b):
@@ -99,12 +100,27 @@ def test_single_step_truncation():
 
 
 def test_partition_must_lie_on_grid():
+    """Every check refuses an integrand whose grid is not the ensemble's:
+    a foreign partition, and a coarse or windowed one on its points; the
+    engine refuses a path of another length."""
     ens = small_ensemble(steps=8)
-    part = TimeGrid(np.array([0.0, 0.3, 1.0]))
-    s = StepIntegrand.constant(part, RightLinearOp.identity(1, 1))
-    batch = next(ens.batches())
-    with pytest.raises(GridError):
-        integral_paths(s, ens.grid, batch.w)
+    plain = small_ensemble(steps=8, complexified=False)
+    grid = ens.grid
+    ident = RightLinearOp.identity(1, 1)
+    checks = (lambda s: zero_mean_check(s, ens),
+              lambda s: isometry_check(s, plain),
+              lambda s: bound_check(s, ens),
+              lambda s: martingale_check(s, ens, 0.5, 1.0),
+              lambda s: chebyshev_check(s, ens, 1.0, 1.0),
+              lambda s: continuity_check(s, ens, 1.0, 1))
+    for part in (TimeGrid(np.array([0.0, 0.3, 1.0])),
+                 TimeGrid(grid.points[::2]), TimeGrid(grid.points[:5])):
+        s = StepIntegrand.constant(part, ident)
+        for check in checks:
+            with pytest.raises(GridError):
+                check(s)
+        with pytest.raises(AlgebraError):
+            integral_paths(s, next(ens.batches()).w)
 
 
 def test_slot_count_must_match_partition():
@@ -117,14 +133,15 @@ def test_additivity_over_adjacent_windows():
     ens = small_ensemble(level=1, n=2, steps=16, seed=7)
     grid = ens.grid
     rng = np.random.default_rng(1)
-    part = TimeGrid(grid.points[::4])
-    ops = [random_op(rng, 1, 2, 2) for _ in range(part.steps)]
-    s = StepIntegrand.from_ops(part, ops)
+    # a step function on every 4th point, written on the grid
+    ops = [random_op(rng, 1, 2, 2) for _ in range(4)]
+    s = StepIntegrand.from_ops(grid, [ops[l // 4] for l in range(16)])
     w = next(ens.batches()).w[:1]
     c = float(grid.points[8])
-    whole = integral_paths(s, grid, w)[0, -1]
-    left = integral_paths(s.restrict(grid.a, c), grid, w)[0, grid.index_of(c)]
-    right = integral_paths(s.restrict(c, grid.b), grid, w)[0, -1]
+    whole = integral_paths(s, w)[0, -1]
+    # each half integrates on its own sub-grid
+    left = integral_paths(s.restrict(grid.a, c), w[:, :9])[0, -1]
+    right = integral_paths(s.restrict(c, grid.b), w[:, 8:])[0, -1]
     assert np.allclose(whole, left + right, atol=1e-12)
 
 
@@ -139,9 +156,9 @@ def test_linearity_in_the_integrand():
     summed = StepIntegrand(grid, (lambda view: [op1, op2],) * grid.steps,
                            1, 1, 1)
     batch = next(ens.batches())
-    joint = integral_paths(summed, grid, batch.w)
-    split = (integral_paths(s1, grid, batch.w)
-             + integral_paths(s2, grid, batch.w))
+    joint = integral_paths(summed, batch.w)
+    split = (integral_paths(s1, batch.w)
+             + integral_paths(s2, batch.w))
     assert np.allclose(joint, split, atol=1e-12)
 
 
@@ -154,7 +171,7 @@ def test_weights_must_be_per_replica():
     ), 1, 1, 1)
     batch = next(ens.batches())
     with pytest.raises(AlgebraError):
-        integral_paths(s, grid, batch.w)
+        integral_paths(s, batch.w)
 
 
 def test_slot_operator_shape_is_checked():
@@ -163,7 +180,7 @@ def test_slot_operator_shape_is_checked():
     ens = small_ensemble(steps=4)
     batch = next(ens.batches())
     with pytest.raises(LevelMismatch):
-        integral_paths(s, grid, batch.w)
+        integral_paths(s, batch.w)
 
 
 # ----------------------------------------------------------- predictability
@@ -174,8 +191,8 @@ def test_predictable_matches_elementary_for_constant():
     pred = StepIntegrand.predictable(ens.grid, 1, 2, 2, lambda idx, view: op)
     step = StepIntegrand.constant(ens.grid, op)
     w = next(ens.batches()).w[:1]
-    a = integral_paths(pred, ens.grid, w)
-    b = integral_paths(step, ens.grid, w)
+    a = integral_paths(pred, w)
+    b = integral_paths(step, w)
     assert np.array_equal(a, b)
 
 
@@ -189,7 +206,7 @@ def test_slots_see_only_the_prefix():
 
     pred = StepIntegrand.predictable(ens.grid, 1, 1, 1, evaluator)
     batch = next(ens.batches())
-    integral_paths(pred, ens.grid, batch.w)
+    integral_paths(pred, batch.w)
     assert seen == [(idx, idx + 1) for idx in range(8)]
 
 
@@ -396,20 +413,18 @@ def _reference_terms(slot, view):
     return [(None, t) if isinstance(t, RightLinearOp) else t for t in raw]
 
 
-def reference_integral(s, grid, w):
-    """Running integral by one einsum per replica and slot term."""
+def reference_integral(s, w):
+    """Running integral by one einsum per replica, slot and term."""
     b, kk = w.shape[:2]
     flat = w.reshape(b, kk, -1)
     dw = flat[:, 1:] - flat[:, :-1]
     steps = np.zeros((b, kk - 1, 2 * s.h * dim_of(s.level)))
-    idxs = [grid.index_of(t) for t in s.partition.points]
-    for j, slot in enumerate(s.slots):
-        i0, i1 = idxs[j], idxs[j + 1]
-        view = w if s.full_view else w[:, :i0 + 1]
+    for l, slot in enumerate(s.slots):
+        view = w if s.full_view else w[:, :l + 1]
         for weights, op in _reference_terms(slot, view):
             for r in range(b):
-                seg = np.einsum("oi,li->lo", op.realized, dw[r, i0:i1])
-                steps[r, i0:i1] += seg if weights is None else weights[r] * seg
+                seg = np.einsum("oi,i->o", op.realized, dw[r, l])
+                steps[r, l] += seg if weights is None else weights[r] * seg
     eta = np.zeros((b, kk, steps.shape[2]))
     eta[:, 1:] = np.cumsum(steps, axis=1)
     return eta.reshape(b, kk, s.h, 2, -1)
@@ -427,17 +442,18 @@ def kernel_cases():
         return [(np.tanh(view[:, idx, 0, 0, 1]), ops[0]), ops[1],
                 (view[:, idx, 1, 1, 2] ** 2, ops[2])]
 
-    coarse = TimeGrid(grid.points[::4])
     tiled = StepIntegrand.from_ops(grid, [ops[l % 3] for l in range(grid.steps)])
+    coarse = [random_op(rng, level, n, n) for _ in range(4)]
     return ens, {
         "constant": StepIntegrand.constant(grid, random_op(rng, level, 3, n)),
         "tiled": tiled,
-        # zero before the window, constant after it
+        # a sub-integrand on its own sub-grid, fed the path on that window
         "window": tiled.restrict(float(grid.points[4]), float(grid.points[12])),
         "weighted": StepIntegrand.predictable(grid, level, n, n, evaluator),
         "lookahead": lookahead_control(grid, level, n),
+        # a step function on every 4th point, its operators repeated
         "coarse": StepIntegrand.from_ops(
-            coarse, [random_op(rng, level, n, n) for _ in range(4)]),
+            grid, [coarse[l // 4] for l in range(grid.steps)]),
     }
 
 
@@ -446,13 +462,14 @@ def kernel_cases():
 def test_integral_paths_matches_per_replica_reference(case):
     ens, cases = kernel_cases()
     s = cases[case]
-    w = next(ens.batches()).w
-    eta = integral_paths(s, ens.grid, w)
-    ref = reference_integral(s, ens.grid, w)
+    i0, i1 = (ens.grid.index_of(t) for t in (s.partition.a, s.partition.b))
+    w = next(ens.batches()).w[:, i0:i1 + 1]
+    eta = integral_paths(s, w)
+    ref = reference_integral(s, w)
     np.testing.assert_allclose(eta, ref, rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(ref)))
     assert not eta[:, 0].any()
-    alone = integral_paths(s, ens.grid, w[5:6])
+    alone = integral_paths(s, w[5:6])
     np.testing.assert_allclose(alone[0], eta[5], rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(eta[5])))
 
@@ -470,7 +487,7 @@ def test_second_moment_evaluates_each_operator_pair_once():
         return _hs_inner(op1, op2)
 
     w = next(ens.batches()).w
-    got = _second_moment_samples(s, ens.grid, w, ens.grid.steps, counting)
+    got, = _second_moment_samples(s, w, counting)
     assert len(calls) <= 4
     dt = np.diff(ens.grid.points)
     expected = np.zeros(w.shape[0])
@@ -490,7 +507,7 @@ def test_second_moment_with_fresh_operators_per_slot():
 
     s = StepIntegrand.predictable(ens.grid, 1, 1, 1, evaluator)
     w = next(ens.batches()).w
-    got = _second_moment_samples(s, ens.grid, w, ens.grid.steps, _hs_inner)
+    got, = _second_moment_samples(s, w, _hs_inner)
     expected = np.zeros(w.shape[0])
     for l in range(ens.grid.steps):
         dt = float(ens.grid.points[l + 1] - ens.grid.points[l])
@@ -504,6 +521,29 @@ def test_second_moment_with_fresh_operators_per_slot():
     np.testing.assert_allclose(got, expected, rtol=1e-13)
 
 
+def test_second_moment_forms_share_one_slot_pass():
+    """One call takes every trace form from one evaluation per slot, and
+    each form keeps the bits it has when taken alone."""
+    ens = small_ensemble(level=2, n=1, steps=8, seed=33, replicas=7)
+    rng = np.random.default_rng(13)
+    ops = [random_op(rng, 2, 1, 1) for _ in range(2)]
+    seen = []
+
+    def evaluator(idx, view):
+        seen.append(idx)
+        return [ops[idx % 2], (np.sin(view[:, idx, 0, 0, 1]), ops[0])]
+
+    s = StepIntegrand.predictable(ens.grid, 2, 1, 1, evaluator)
+    w = next(ens.batches()).w
+    f_fn = _f_trace_fn(ens.u)
+    fq, hq = _second_moment_samples(s, w, f_fn, _hs_inner)
+    assert seen == list(range(8))
+    alone_f, = _second_moment_samples(s, w, f_fn)
+    alone_h, = _second_moment_samples(s, w, _hs_inner)
+    assert fq.tobytes() == alone_f.tobytes()
+    assert hq.tobytes() == alone_h.tobytes()
+
+
 def test_integral_steps_are_contiguous_and_gathers_c_ordered():
     """Each step row of the running integral is one contiguous block (it
     is stored time-major); what a gather hands its gate is C-ordered."""
@@ -512,7 +552,7 @@ def test_integral_steps_are_contiguous_and_gathers_c_ordered():
     s = StepIntegrand.constant(ens.grid,
                                random_op(np.random.default_rng(3), level, 3, n))
     batch = next(ens.batches())
-    eta = integral_paths(s, ens.grid, batch.w)
+    eta = integral_paths(s, batch.w)
     assert eta.shape == (20, 17, 3, 2, dim_of(level))
     assert all(eta[:, l].flags.c_contiguous for l in range(17))
     seen = []
@@ -549,6 +589,6 @@ def test_integral_bits_do_not_depend_on_the_path_layout(case):
                    (w[:, ::2], TimeGrid(grid.points[::2])),
                    (w[:, :k // 2 + 1], TimeGrid(grid.points[:k // 2 + 1]))):
         s = build(g)
-        got = integral_paths(s, g, sub)
-        ref = integral_paths(s, g, np.ascontiguousarray(sub))
+        got = integral_paths(s, sub)
+        ref = integral_paths(s, np.ascontiguousarray(sub))
         assert got.tobytes() == ref.tobytes()

@@ -477,8 +477,7 @@ def _csv_values(kind):
                            identity_complex_covariance(1, 1), None,
                            seed=11, n_replicas=7)
         s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-        return ens.grid, integral_paths(s, ens.grid,
-                                        next(ens.batches()).w[:3])
+        return ens.grid, integral_paths(s, next(ens.batches()).w[:3])
     ident = RightLinearOp.identity(1, 1)
     prob = linear_problem(ident.scaled(-1.0), ident,
                           ZetaSpec.constant(CdVector.embedded_real(1, [1.0])),
