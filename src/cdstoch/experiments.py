@@ -69,10 +69,10 @@ from .linops import (
     RealFunctional,
     RightLinearOp,
     adjoint_full_residual,
+    entries_trace,
     f_functional,
     op_exp_left,
     op_norm,
-    op_trace_aa_star,
     re_inner,
     trace_aa_star_via_units,
     vec_size,
@@ -550,7 +550,7 @@ def _trace_formula_check(rng, atol: float) -> dict:
         for n, h in ((1, 1), (2, 1), (3, 2)):
             for _ in range(20):
                 block = _random_block(rng, level, h, n)
-                direct = op_trace_aa_star(block)
+                direct = entries_trace(block)
                 via_units = trace_aa_star_via_units(block, level)
                 scale = max(1.0, abs(direct))
                 gaps.append(abs(direct - via_units.central.real) / scale)
@@ -1037,6 +1037,7 @@ def sde_experiment(cfg: RunConfig) -> dict:
     u = _complexified_identity(level, 1)
 
     linear = linear_problem(g_op, h_op, unit, 1)
+    pure_noise = linear_problem(None, h_op, unit, 1)
 
     res = lipschitz_validate(linear, grid, 4096, cfg.seed)
     checks.append(_report("lipschitz_linear", "Thm. 2.29(i)", res,
@@ -1046,7 +1047,7 @@ def sde_experiment(cfg: RunConfig) -> dict:
     def g_quad(t, y):
         return np.sign(y) * y * y
 
-    quad = SdeProblem(g_quad, lambda t, y: [h_op], unit, 1.0, 1)
+    quad = SdeProblem(g_quad, h_op, unit, 1.0, 1)
     res = lipschitz_validate(quad, grid, 4096, cfg.seed)
     checks.append(_report("lipschitz_quadratic_rejected", "Thm. 2.29(i)", res,
                           "max_lipschitz_ratio", passed=not res["passed"]))
@@ -1075,8 +1076,8 @@ def sde_experiment(cfg: RunConfig) -> dict:
 
     # closed-form anchors on one sweep: semigroup absent, then noise absent
     ens_noise = bat.paths(u, None, 502, min(cfg.replicas, 2048))
-    noise = linear_closed_form(None, h_op, unit, ens_noise)
-    drift = linear_closed_form(g_op, None, unit, ens_noise)
+    noise = linear_closed_form(pure_noise, ens_noise)
+    drift = linear_closed_form(linear_problem(g_op, None, unit, 1), ens_noise)
 
     def noise_gap(batch):
         w = batch.w.reshape(batch.count, len(grid), -1)
@@ -1099,7 +1100,7 @@ def sde_experiment(cfg: RunConfig) -> dict:
     expected_order = 1.0
     window = [expected_order - 0.15, expected_order + 0.15]
     rows.append(Row(
-        ens_order, strong_order_study(g_op, h_op, unit, ens_order,
+        ens_order, strong_order_study(linear, ens_order,
                                       strong_order_halvings(cfg.grids)),
         lambda res: _report("strong_order_window", "Cor. 2.30(2)", res,
                             "slope", "table",
@@ -1120,7 +1121,7 @@ def sde_experiment(cfg: RunConfig) -> dict:
     ens = bat.paths(u, None, 504, n_long)
     for name, problem in (
             ("restart_linear", linear),
-            ("restart_pure_noise", linear_problem(None, h_op, unit, 1)),
+            ("restart_pure_noise", pure_noise),
             ("restart_nonlinear",
              SdeProblem(g_contract, h_gain, ZetaSpec.gaussian(level, 1, 0.5),
                         4.0, 1))):
@@ -1145,7 +1146,7 @@ def sde_experiment(cfg: RunConfig) -> dict:
         return _check("divergence_guard", "Def. 2.28(5)",
                       aborted == 8 and final_nan, aborted_replicas=aborted)
 
-    blowup = SdeProblem(g_blowup, lambda t, y: [h_op], unit, 1.0, 1)
+    blowup = SdeProblem(g_blowup, h_op, unit, 1.0, 1)
     ens_blowup = bat.paths(u, None, 506, 8)
     rows.append(Row(ens_blowup, euler_maruyama(blowup, ens_blowup), guard))
     checks += _run_rows(rows, threads)

@@ -57,9 +57,9 @@ def embed_real(level: int, x) -> np.ndarray:
     return out.reshape(x.shape[:-1] + (vec_size(level, n),))
 
 
-def vec_norm2(v: np.ndarray, axis: int = -1) -> np.ndarray | float:
+def vec_norm2(v: np.ndarray) -> np.ndarray | float:
     """||z||^2 = sum_j 2|re z_j|^2 + 2|im z_j|^2 on flat layout vectors."""
-    return 2.0 * np.sum(np.asarray(v) ** 2, axis=axis)
+    return 2.0 * np.sum(np.asarray(v) ** 2, axis=-1)
 
 
 def re_inner(u: np.ndarray, v: np.ndarray, level: int, n: int) -> np.ndarray | float:
@@ -332,11 +332,6 @@ def op_terms(raw, count: int, shape: tuple[int, int, int]) -> list:
     return out
 
 
-def op_trace_aa_star(block: np.ndarray) -> float:
-    """Tr(AA*) for an A_r-entried block, by the entry-norm formula."""
-    return entries_trace(np.asarray(block))
-
-
 def trace_aa_star_via_units(block: np.ndarray, level: int) -> CdComplex:
     """Cross-check route: sum_l <A A* e_l, e_l> on realized products."""
     op = RightLinearOp.lri(level, block)
@@ -351,7 +346,7 @@ def trace_aa_star_via_units(block: np.ndarray, level: int) -> CdComplex:
     return CdComplex(CdReal(level, acc_re), CdReal(level, acc_im))
 
 
-def adjoint_full_residual(op: RightLinearOp, samples: int = 20) -> float:
+def adjoint_full_residual(op: RightLinearOp, samples: int) -> float:
     """Max norm of <Jx,y> - <x,J*y> over random probes (NaN if any is NaN).
 
     The real part of this residual vanishes identically.  The full form

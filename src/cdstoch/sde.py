@@ -1,19 +1,22 @@
 """Strong solutions of grid-discretized stochastic Cauchy problems.
 
 A problem is the equation dY = G(t, Y) dt + H(t, Y) dw alone: a drift
-map G(t, y), a diffusion map H(t, y) producing right-linear operators,
+G and a diffusion H, each absent, a constant right-linear operator
+(its shape checked when the problem is built) or a callback of (t, y),
 an initial-condition sampler, a declared Lipschitz/growth constant and
 the number n of noise components.  The time grid and the law of the
 driving noise w belong to the PathEnsemble a solver is given, so one
-problem runs on any grid and any law of its level and n.  Two schemes
-are implemented against shared noise: forward Euler recursion and
-Picard iteration of the integral operator Q.  On a fixed grid the
-Picard fixed point satisfies exactly the forward recursion, so the two
-schemes double as a uniqueness probe.
+problem runs on any grid and any law of its level and n; every route
+that draws noise takes (problem, ensemble).  Two schemes are
+implemented against shared noise: forward Euler recursion and Picard
+iteration of the integral operator Q.  On a fixed grid the Picard fixed
+point satisfies exactly the forward recursion, so the two schemes
+double as a uniqueness probe.
 
-Maps receive batched flat-layout states (replicas, 2 n dim) and a scalar
-time; diffusion maps return operator terms in the same form the integral
-layer uses (an operator, or per-replica weights paired with one).
+Callbacks receive batched flat-layout states (replicas, 2 n dim) and a
+scalar time; diffusion callbacks return operator terms in the same form
+the integral layer uses (an operator, or per-replica weights paired
+with one).
 """
 
 from __future__ import annotations
@@ -65,32 +68,27 @@ def _map(fn, items, threads: int):
 
 @dataclass(frozen=True)
 class ZetaSpec:
-    """Initial condition with a closed-form second moment.
-
-    Either a fixed vector, or centered Gaussian coordinates along the
-    real embedding with a configurable scale.
-    """
+    """Initial condition with a closed-form second moment: a fixed vector
+    plus scale times centered unit Gaussians along the real embedding."""
 
     level: int
     h: int
-    kind: str
-    value: np.ndarray | None = None
-    scale: float = 0.0
+    value: np.ndarray
+    scale: float
 
     def __post_init__(self):
-        if self.kind not in ("constant", "gaussian"):
-            raise AlgebraError("unknown initial-condition kind")
-        if self.kind == "gaussian" and not (np.isfinite(self.scale)
-                                            and self.scale >= 0):
-            raise AlgebraError("gaussian initial scale must be finite")
+        if np.shape(self.value) != (self.size,):
+            raise LevelMismatch("the initial value does not match (level, h)")
+        if not (np.isfinite(self.scale) and self.scale >= 0):
+            raise AlgebraError("the initial scale must be finite and >= 0")
 
     @classmethod
     def constant(cls, v: CdVector) -> "ZetaSpec":
-        return cls(v.level, v.n, "constant", value=v.vec.copy())
+        return cls(v.level, v.n, v.vec.copy(), 0.0)
 
     @classmethod
     def gaussian(cls, level: int, h: int, scale: float) -> "ZetaSpec":
-        return cls(level, h, "gaussian", scale=float(scale))
+        return cls(level, h, np.zeros(vec_size(level, h)), float(scale))
 
     @property
     def size(self) -> int:
@@ -99,16 +97,15 @@ class ZetaSpec:
     @property
     def mean_norm2(self) -> float:
         """E ||zeta||^2 in closed form."""
-        if self.kind == "constant":
-            return float(vec_norm2(self.value))
-        return 2.0 * self.h * self.scale ** 2
+        return float(vec_norm2(self.value) + 2.0 * self.h * self.scale ** 2)
 
     def sample(self, batch) -> np.ndarray:
-        if self.kind == "constant":
-            return np.tile(self.value, (batch.count, 1))
-        out = np.zeros((batch.count, self.h, 2, dim_of(self.level)))
-        out[:, :, 0, 0] = self.scale * batch.normals((self.h,), ZETA_STREAM)
-        return out.reshape(batch.count, self.size)
+        out = np.tile(self.value, (batch.count, 1))
+        if self.scale:
+            real = out.reshape(batch.count, self.h, 2, dim_of(self.level))
+            real[:, :, 0, 0] += self.scale * batch.normals((self.h,),
+                                                           ZETA_STREAM)
+        return out
 
 
 # ------------------------------------------------------------------ problems
@@ -127,6 +124,10 @@ class SdeProblem:
     def __post_init__(self):
         if not (np.isfinite(self.k_const) and self.k_const > 0):
             raise AlgebraError("the declared constant K must be positive")
+        for op, n in ((self.g, self.width), (self.h, self.n)):
+            if isinstance(op, RightLinearOp) and (op.level, op.h, op.n) != (
+                    self.level, self.width, n):
+                raise LevelMismatch("operator coefficient of the wrong shape")
 
     @property
     def level(self) -> int:
@@ -139,6 +140,8 @@ class SdeProblem:
     def drift_at(self, t: float, y: np.ndarray) -> np.ndarray | None:
         if self.g is None:
             return None
+        if isinstance(self.g, RightLinearOp):
+            return y @ self.g.realized.T
         out = np.asarray(self.g(t, y), dtype=float)
         if out.shape != y.shape:
             raise AlgebraError("drift output shape must match the state")
@@ -158,8 +161,7 @@ def linear_problem(g_op: RightLinearOp | None, h_op: RightLinearOp | None,
     g2 = float(np.linalg.norm(g_op.realized, 2)) ** 2 if g_op is not None else 0.0
     h2 = h_op.hs_norm2() if h_op is not None else 0.0
     k_const = float(np.sqrt(g2 + h2)) + 1e-9
-    g_fn = None if g_op is None else (lambda t, y: y @ g_op.realized.T)
-    return SdeProblem(g_fn, h_op, zeta, k_const, n)
+    return SdeProblem(g_op, h_op, zeta, k_const, n)
 
 
 # ------------------------------------------------------------------ solvers
@@ -352,7 +354,7 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
     for _ in range(m_max):
         olds = _map(lambda run: run.step(), runs, threads)
         per_t = _tree_sum([
-            np.sum(np.ascontiguousarray(vec_norm2(run.x - old, axis=-1)),
+            np.sum(np.ascontiguousarray(vec_norm2(run.x - old)),
                    axis=0)
             for run, old in zip(runs, olds)
         ])
@@ -394,37 +396,36 @@ def b2inf_norm(values: np.ndarray) -> float:
     return float(np.sqrt(np.max(per_t)))
 
 
-def linear_closed_form(g_op: RightLinearOp | None,
-                       h_op: RightLinearOp | None, zeta: ZetaSpec,
-                       ensemble: PathEnsemble) -> Probe:
+def linear_closed_form(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
     """Exact solution's conditional mean given the noise on the grid.
 
-    Semigroup orbit plus the stochastic convolution, evaluated by the
-    stepwise recursion Y <- E_dt Y + phi1(G dt) H dw with
-    phi1(z) = (e^z - 1)/z: given its endpoints, the noise inside a step
-    is a bridge whose mean grows linearly, so averaging the kernel
-    e^{G (t_{l+1} - s)} over the step gives phi1.  The values are
-    E[X(t_k) | w on the grid], with no discretization error of their
-    own; pure noise (phi1 = I) and pure drift reduce to w and the orbit.
-    A gather probe whose result is the SolutionEnsemble; no row aborts.
+    For a problem with constant operator coefficients: the semigroup
+    orbit plus the stochastic convolution, evaluated by the stepwise
+    recursion Y <- E_dt Y + phi1(G dt) H dw with phi1(z) = (e^z - 1)/z:
+    given its endpoints, the noise inside a step is a bridge whose mean
+    grows linearly, so averaging the kernel e^{G (t_{l+1} - s)} over the
+    step gives phi1.  The values are E[X(t_k) | w on the grid], with no
+    discretization error of their own; pure noise (phi1 = I) and pure
+    drift reduce to w and the orbit.  A gather probe whose result is the
+    SolutionEnsemble; no row aborts.
     """
-    if zeta.level != ensemble.level:
-        raise LevelMismatch("noise and state live on different levels")
-    grid = ensemble.grid
-    values = _closed_form_kernel(g_op, h_op, zeta.size, grid)
+    _check_driving(problem, ensemble)
+    grid, zeta = ensemble.grid, problem.zeta
+    values = _closed_form_kernel(problem, grid)
 
     def sample(batch):
         # without noise the recursion reads no increments: assemble none
-        dw = None if h_op is None else _dw_of(batch, grid)
+        dw = None if problem.h is None else _dw_of(batch, grid)
         return values(dw, zeta.sample(batch)), np.zeros(batch.count, bool)
 
     return _solution_probe(zeta, grid, sample, "closed_form")
 
 
-def _closed_form_kernel(g_op: RightLinearOp | None,
-                        h_op: RightLinearOp | None, size: int,
-                        grid: TimeGrid):
+def _closed_form_kernel(problem: SdeProblem, grid: TimeGrid):
     """values(dw, y): the recursion Y <- E_dt Y + phi1(G dt) H dw on grid."""
+    g_op, h_op, size = problem.g, problem.h, problem.zeta.size
+    if callable(g_op) or callable(h_op):
+        raise SdeError("the closed form needs constant operator coefficients")
     hmat = None if h_op is None else h_op.realized.T
     cache = {}
     for dt in np.unique(grid.deltas):
@@ -525,6 +526,8 @@ def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
     across coordinates), on every sample: a gather probe.
     """
     _check_driving(problem, ensemble)
+    if (z.level, z.n) != (problem.level, problem.width):
+        raise LevelMismatch("the restart state does not match the problem")
     grid = ensemble.grid
     mid = grid.index_of(t_mid)
     tail_grid = TimeGrid(grid.points[mid:])
@@ -611,8 +614,7 @@ def gronwall_check(problem: SdeProblem, solution: SolutionEnsemble) -> dict:
     }
 
 
-def strong_order_study(g_op: RightLinearOp | None, h_op: RightLinearOp,
-                       zeta: ZetaSpec, ensemble: PathEnsemble,
+def strong_order_study(problem: SdeProblem, ensemble: PathEnsemble,
                        halvings: int) -> Probe:
     """Terminal strong error of the forward scheme against the closed form.
 
@@ -620,16 +622,16 @@ def strong_order_study(g_op: RightLinearOp | None, h_op: RightLinearOp,
     reuses the same noise by subsampling the paths.  Reports the
     (step, error) table and the fitted log-log slope.
     """
+    _check_driving(problem, ensemble)
     grid = ensemble.grid
     if halvings < 2:
         raise GridError("a slope fit needs at least two halvings")
     factors = halving_factors(grid, halvings)[1:]
-    reference = _closed_form_kernel(g_op, h_op, zeta.size, grid)
+    reference = _closed_form_kernel(problem, grid)
     grids = [TimeGrid(grid.points[::f]) for f in factors]
-    problem = linear_problem(g_op, h_op, zeta, ensemble.n)
 
     def sampler(batch):
-        z = zeta.sample(batch)
+        z = problem.zeta.sample(batch)
         ref = reference(_dw_of(batch, grid), z)[:, -1]
         finals = (_em_values(problem, g, _dw_of(batch, g, f), z)[0][:, -1]
                   for f, g in zip(factors, grids))
@@ -675,7 +677,7 @@ def uniqueness_study(problem: SdeProblem, ensemble: PathEnsemble,
         else:
             raise SdeError("Picard iterate did not stabilize")
         # sweep sums over replicas in the order of a C-ordered array
-        return np.ascontiguousarray(vec_norm2(run.x - em, axis=-1))
+        return np.ascontiguousarray(vec_norm2(run.x - em))
 
     def gate(reports):
         gaps = [float(np.sqrt(np.max(rep.estimate))) for rep in reports]

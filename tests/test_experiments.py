@@ -291,9 +291,9 @@ def test_closed_form_anchors_fail_on_a_nan_value(monkeypatch):
                     experiments=("sde",))
     kernel = sde_module._closed_form_kernel
 
-    def poisoned(g_op, h_op, size, grid):
-        values = kernel(g_op, h_op, size, grid)
-        if g_op is not None and h_op is not None:
+    def poisoned(problem, grid):
+        values = kernel(problem, grid)
+        if problem.g is not None and problem.h is not None:
             return values
 
         def nan_end(dw, y):
@@ -416,7 +416,7 @@ NAN_PLANTS = [
     ("exp_inverse_identity", "max_gap", "cd_exp", 1),
     ("structured_vs_realized", "max_rel_gap", "_random_block", 1),
     ("adjoint_real_inner_identity", "max_rel_gap", "re_inner", 1),
-    ("trace_formulas_agree", "max_rel_gap", "op_trace_aa_star", 1),
+    ("trace_formulas_agree", "max_rel_gap", "entries_trace", 1),
     ("operator_norm_dominated", "worst_relative_excess", "op_norm", 1),
     ("cov_sqrt_round_trip", "max_rel_gap", "CdReal", 1),
     ("exp_semigroup_and_growth", "max_rel_gap", "op_exp_left", 1),

@@ -6,8 +6,9 @@ kept with the builtin, which drops a NaN, one module that writes CSV,
 no setting read from the environment, one time-major allocator,
 every ConfigError raised in config, each message by one raise, one
 ensemble build route in experiments, one halving-ladder guard, one
-two-adic count, one contraction of the product tensor with coefficients
-and a pinned count of settable options."""
+two-adic count, one contraction of the product tensor with coefficients,
+sde noise routes that take (problem, ensemble) and a pinned count of
+settable options."""
 
 import ast
 import os
@@ -295,6 +296,41 @@ def test_one_time_major_allocator():
     """Paths, running integrals and solver arrays share one layout."""
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert definitions(sources, "_time_major") == ["paths"]
+
+
+def leading_parameters(sources: dict[str, str], name: str,
+                       count: int) -> list[tuple[str, ...]]:
+    """The first count parameter names of each definition of ``name``."""
+    return [tuple(a.arg for a in (node.args.posonlyargs
+                                  + node.args.args)[:count])
+            for source in sources.values()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == name]
+
+
+def test_scanner_reads_leading_parameters():
+    sources = {
+        "a": "def solve(problem, ensemble, halvings=2):\n    return 0\n",
+        "b": ("class Runner:\n"
+              "    def solve(self, g_op, h_op):\n"
+              "        return 0\n"),
+    }
+    assert leading_parameters(sources, "solve", 2) == [
+        ("problem", "ensemble"), ("self", "g_op")]
+
+
+# Every sde route that draws noise solves the problem it is given, on the
+# ensemble it is given: no route takes loose coefficients.
+NOISE_ROUTES = ("euler_maruyama", "picard_solve", "linear_closed_form",
+                "strong_order_study", "uniqueness_study",
+                "restart_markov_check")
+
+
+@pytest.mark.parametrize("name", NOISE_ROUTES)
+def test_noise_routes_take_a_problem_and_an_ensemble(name):
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert leading_parameters(sources, name, 2) == [("problem", "ensemble")]
 
 
 def scipy_stats_imports(sources: dict[str, str]) -> list[str]:
@@ -588,7 +624,7 @@ def test_scanner_counts_every_settable_option():
 
 # Each added option doubles the configurations tests must cover; a change
 # that adds one updates this pin and says which caller needs it.
-SETTABLE_OPTIONS = 41
+SETTABLE_OPTIONS = 37
 
 
 def test_settable_options_are_pinned():

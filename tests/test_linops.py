@@ -14,10 +14,10 @@ from cdstoch.linops import (
     adjoint_full_residual,
     compose_entries,
     embed_real,
+    entries_trace,
     f_functional,
     op_exp_left,
     op_norm,
-    op_trace_aa_star,
     re_inner,
     spd_sqrt,
     trace_aa_star_via_units,
@@ -137,7 +137,7 @@ def test_trace_formulas_agree():
     rng = np.random.default_rng(36)
     for level in range(6):
         entries = rng.normal(size=(3, 2, dim_of(level)))
-        t_entry = op_trace_aa_star(entries)
+        t_entry = entries_trace(entries)
         t_units = trace_aa_star_via_units(entries, level)
         assert t_entry >= 0.0
         assert abs(t_entry - t_units.re.real) <= 1e-11 * max(1.0, t_entry)

@@ -61,9 +61,9 @@ def forward(prob, ens, threads=1):
     return run(ens, euler_maruyama(prob, ens), threads)
 
 
-def closed_form(g_op, h_op, zeta, ens, threads=1):
-    """The linear closed form's solution on ens."""
-    return run(ens, linear_closed_form(g_op, h_op, zeta, ens), threads)
+def closed_form(prob, ens, threads=1):
+    """The linear closed form's solution of prob on ens."""
+    return run(ens, linear_closed_form(prob, ens), threads)
 
 
 def linear_test_problem(level=1):
@@ -91,8 +91,8 @@ def test_zeta_constant_and_gaussian_moments():
     assert abs(second - g.mean_norm2) < 0.02
     with pytest.raises(AlgebraError):
         ZetaSpec.gaussian(1, 1, np.inf)
-    with pytest.raises(AlgebraError):
-        ZetaSpec(1, 1, "other")
+    with pytest.raises(LevelMismatch):  # a level-2 value on level 1
+        ZetaSpec(1, 1, np.ones(8), 0.0)
 
 
 def test_problem_validation():
@@ -102,6 +102,40 @@ def test_problem_validation():
     prob = SdeProblem(None, None, unit_zeta(2), 1.0, 1)
     with pytest.raises(LevelMismatch):
         euler_maruyama(prob, unit_ensemble(4, seed=3, n_replicas=4))
+
+
+def test_problem_refuses_operator_coefficients_of_the_wrong_shape():
+    """G must be (level, width, width) and H (level, width, n), checked
+    when the problem is built, not at the first sweep."""
+    ident = RightLinearOp.identity(1, 1)
+    zeta2 = unit_zeta(2)
+    with pytest.raises(LevelMismatch):  # a level-3 drift on a level-2 state
+        linear_problem(RightLinearOp.identity(3, 1), None, zeta2, 1)
+    with pytest.raises(LevelMismatch):
+        linear_problem(None, RightLinearOp.identity(3, 1), zeta2, 1)
+    with pytest.raises(LevelMismatch):  # a drift of width 2 on width 1
+        SdeProblem(RightLinearOp.identity(1, 2), None, unit_zeta(), 1.0, 1)
+    with pytest.raises(LevelMismatch):  # H reads one component, n is 2
+        linear_problem(None, ident, unit_zeta(), 2)
+    ok = linear_problem(ident.scaled(-1.0), ident, unit_zeta(), 1)
+    assert ok.g is not None and ok.h is ident
+
+
+def test_operator_drift_gives_the_bits_of_its_callback():
+    """A constant G steps as y @ G^T, the callback a linear problem
+    used to wrap around it, bit for bit."""
+    ident = RightLinearOp.identity(2, 1)
+    g_op = RightLinearOp.left_mult(CdReal(2, [-0.5, 0.3, -0.2, 0.1]))
+    zeta = ZetaSpec.gaussian(2, 1, 0.5)
+    prob = linear_problem(g_op, ident, zeta, 1)
+    assert prob.g is g_op
+    as_callback = SdeProblem(lambda t, y: y @ g_op.realized.T, ident, zeta,
+                             prob.k_const, 1)
+    ens = unit_ensemble(16, seed=47, n_replicas=50, level=2)
+    assert forward(prob, ens).values.tobytes() == \
+        forward(as_callback, ens).values.tobytes()
+    pic = picard_solve(prob, ens, tol=0.0, m_max=80)
+    assert pic.values.tobytes() == forward(as_callback, ens).values.tobytes()
 
 
 def test_problem_is_its_equation():
@@ -239,13 +273,12 @@ def test_solver_steps_are_contiguous_and_results_c_ordered():
     dw = sde._dw_of(batch, grid)
     z = prob.zeta.sample(batch)
     vals, _ = sde._em_values(prob, grid, dw, z)
-    ident = RightLinearOp.identity(1, 1)
-    cf = sde._closed_form_kernel(ident.scaled(-1.0), ident, 4, grid)(dw, z)
+    cf = sde._closed_form_kernel(prob, grid)(dw, z)
     for arr in (vals, cf, sde._q_apply(prob, grid, dw, z, vals)):
         assert arr.shape == (40, len(grid), 4)
         assert all(arr[:, l].flags.c_contiguous for l in range(len(grid)))
     for sol in (forward(prob, ens), picard_solve(prob, ens),
-                closed_form(ident.scaled(-1.0), ident, unit_zeta(), ens)):
+                closed_form(prob, ens)):
         assert sol.values.flags.c_contiguous, sol.scheme
     probe = uniqueness_study(prob, ens, halvings=2)
     samples = probe.sample(batch)
@@ -258,14 +291,14 @@ def test_closed_form_pure_noise_and_pure_drift():
     ident = RightLinearOp.identity(1, 1)
     u = complexified_identity(1, 1)
     ens = PathEnsemble(grid, u, None, seed=9, n_replicas=5)
-    cf = closed_form(None, ident, unit_zeta(), ens)
+    cf = closed_form(linear_problem(None, ident, unit_zeta(), 1), ens)
     batch = next(ens.batches())
     expect = (batch.w - batch.w[:, :1]).copy()
     expect[:, :, 0, 0, 0] += 1.0
     assert np.allclose(cf.values, expect, atol=1e-13)
 
     g = ident.scaled(-0.7)
-    cf2 = closed_form(g, None, unit_zeta(), ens)
+    cf2 = closed_form(linear_problem(g, None, unit_zeta(), 1), ens)
     for idx in (0, 7, 32):
         t = float(grid.points[idx])
         orbit = op_exp_left(g, t) @ unit_zeta().value
@@ -279,7 +312,8 @@ def test_closed_form_step_is_conditional_mean_for_scalar_drift():
     ident = RightLinearOp.identity(1, 1)
     ens = PathEnsemble(grid, complexified_identity(1, 1), None, seed=4,
                        n_replicas=6)
-    cf = closed_form(ident.scaled(-c), ident, unit_zeta(), ens)
+    cf = closed_form(linear_problem(ident.scaled(-c), ident, unit_zeta(), 1),
+                     ens)
     batch = next(ens.batches())
     w = batch.w.reshape(batch.count, len(grid), -1)
     y = cf.values.reshape(batch.count, len(grid), -1)
@@ -342,8 +376,7 @@ def test_picard_matches_closed_form_for_linear_problem():
     prob = linear_test_problem()
     ens = unit_ensemble(128, seed=13, n_replicas=2000)
     pic = picard_solve(prob, ens, threads=2)
-    ident = RightLinearOp.identity(1, 1)
-    cf = closed_form(ident.scaled(-1.0), ident, unit_zeta(), ens, threads=2)
+    cf = closed_form(prob, ens, threads=2)
     gap = b2inf_norm(pic.values - cf.values)
     assert gap < 5e-2, gap
 
@@ -577,15 +610,13 @@ def test_strong_order_against_closed_form_is_near_one():
     grid = TimeGrid.uniform(0.0, 1.0, 256)
     ens = PathEnsemble(grid, complexified_identity(1, 1), None, seed=17,
                        n_replicas=2000)
-    ident = RightLinearOp.identity(1, 1)
-    rep = run(ens, strong_order_study(ident.scaled(-1.0), ident, unit_zeta(),
-                                      ens, halvings=4), threads=2)
+    prob = linear_test_problem()
+    rep = run(ens, strong_order_study(prob, ens, halvings=4), threads=2)
     errs = [row["error"] for row in rep["table"]]
     assert all(errs[i] < errs[i + 1] for i in range(len(errs) - 1))
     assert 0.7 < rep["slope"] < 1.2, rep
     with pytest.raises(GridError, match="two halvings"):
-        strong_order_study(ident.scaled(-1.0), ident, unit_zeta(), ens,
-                           halvings=1)
+        strong_order_study(prob, ens, halvings=1)
 
 
 def test_multiplicative_noise_shows_half_order():
@@ -631,8 +662,39 @@ def test_driving_validation():
         uniqueness_study(prob, wrong_n, halvings=2)
     wrong_level = unit_ensemble(8, seed=3, n_replicas=4, level=2)
     with pytest.raises(LevelMismatch):
-        linear_closed_form(None, RightLinearOp.identity(1, 1), unit_zeta(),
-                           wrong_level)
+        linear_closed_form(prob, wrong_level)
+
+
+def test_closed_form_and_strong_order_refuse_a_foreign_noise_width():
+    """Every noise-drawing route checks its driving when it is built."""
+    prob = linear_test_problem()
+    wrong_n = unit_ensemble(16, seed=3, n_replicas=4, n=2)
+    with pytest.raises(LevelMismatch):
+        linear_closed_form(prob, wrong_n)
+    with pytest.raises(LevelMismatch):
+        strong_order_study(prob, wrong_n, halvings=2)
+
+
+def test_closed_form_refuses_callback_coefficients():
+    ens = unit_ensemble(16, seed=3, n_replicas=4)
+    ident = RightLinearOp.identity(1, 1)
+    drift_fn = SdeProblem(lambda t, y: -y, ident, unit_zeta(), 1.0, 1)
+    noise_fn = SdeProblem(None, lambda t, y: [ident], unit_zeta(), 1.0, 1)
+    for prob in (drift_fn, noise_fn):
+        with pytest.raises(SdeError):
+            linear_closed_form(prob, ens)
+        with pytest.raises(SdeError):
+            strong_order_study(prob, ens, halvings=2)
+
+
+def test_restart_check_refuses_a_start_of_the_wrong_shape():
+    prob = linear_test_problem()
+    ens = unit_ensemble(16, seed=3, n_replicas=20)
+    with pytest.raises(LevelMismatch):
+        restart_markov_check(prob, ens, 0.5,
+                             CdVector.embedded_real(1, [0.7, 0.7]))
+    with pytest.raises(LevelMismatch):
+        restart_markov_check(prob, ens, 0.5, CdVector.embedded_real(2, [0.7]))
 
 
 def test_diffusion_term_validation():
@@ -641,7 +703,6 @@ def test_diffusion_term_validation():
                        unit_zeta(), 1.0, 1)
     with pytest.raises(AlgebraError):
         forward(bad_w, ens)
-    bad_op = SdeProblem(None, RightLinearOp.identity(2, 1), unit_zeta(),
-                        1.0, 1)
+    # a constant H of the wrong level is refused when the problem is built
     with pytest.raises(LevelMismatch):
-        forward(bad_op, ens)
+        SdeProblem(None, RightLinearOp.identity(2, 1), unit_zeta(), 1.0, 1)
