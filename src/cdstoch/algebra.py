@@ -100,6 +100,16 @@ def mul_coeffs(level: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("kxy,...x,...y->...k", mul_tensor(level), x, y)
 
 
+def cdc_mul_coeffs(level: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(b + i*c)(d + i*e) = (bd - ce) + i*(be + cd) on (..., 2, dim) arrays,
+    pointwise; ``cdc_mul`` is its one-element view, with the same bits."""
+    b, c = x[..., 0, :], x[..., 1, :]
+    d, e = y[..., 0, :], y[..., 1, :]
+    return np.stack([mul_coeffs(level, b, d) - mul_coeffs(level, c, e),
+                     mul_coeffs(level, b, e) + mul_coeffs(level, c, d)],
+                    axis=-2)
+
+
 def _as_coeffs(level: int, values) -> np.ndarray:
     a = np.asarray(values, dtype=float)
     if a.shape != (dim_of(level),):
@@ -124,7 +134,7 @@ class CdReal:
         return cls(level, np.zeros(dim_of(level)))
 
     @classmethod
-    def unit(cls, level: int, k: int = 0, scale: float = 1.0) -> "CdReal":
+    def unit(cls, level: int, k: int, scale: float = 1.0) -> "CdReal":
         c = np.zeros(dim_of(level))
         c[k] = scale
         return cls(level, c)
@@ -148,14 +158,6 @@ class CdReal:
     def __neg__(self) -> "CdReal":
         return CdReal(self.level, -self.coeffs)
 
-    def __mul__(self, other):
-        if isinstance(other, CdReal):
-            return cd_mul(self, other)
-        return CdReal(self.level, self.coeffs * float(other))
-
-    def __rmul__(self, scalar) -> "CdReal":
-        return CdReal(self.level, self.coeffs * float(scalar))
-
     def conj(self) -> "CdReal":
         return cd_conj(self)
 
@@ -174,10 +176,6 @@ class CdReal:
         p = self.coeffs.copy()
         p[0] = 0.0
         return p
-
-    def isclose(self, other: "CdReal", tol: float = 1e-12) -> bool:
-        self._check(other)
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
 
 
 def cd_mul(a: CdReal, b: CdReal) -> CdReal:
@@ -240,10 +238,6 @@ class CdComplex:
         return cls(CdReal.zero(level), CdReal.zero(level))
 
     @classmethod
-    def from_real_part(cls, b: CdReal) -> "CdComplex":
-        return cls(b, CdReal.zero(b.level))
-
-    @classmethod
     def from_complex(cls, level: int, z: complex) -> "CdComplex":
         return cls(CdReal.from_real(level, z.real), CdReal.from_real(level, z.imag))
 
@@ -252,19 +246,6 @@ class CdComplex:
 
     def __sub__(self, other: "CdComplex") -> "CdComplex":
         return CdComplex(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "CdComplex":
-        return CdComplex(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, CdComplex):
-            return cdc_mul(self, other)
-        if isinstance(other, CdReal):
-            return cdc_mul(self, CdComplex.from_real_part(other))
-        return CdComplex(self.re * other, self.im * other)
-
-    def __rmul__(self, scalar) -> "CdComplex":
-        return CdComplex(self.re * scalar, self.im * scalar)
 
     def conj(self) -> "CdComplex":
         """Componentwise A_r conjugation; the central i is left untouched."""
@@ -278,14 +259,13 @@ class CdComplex:
         """The C-part z_0 = Re(re) + i*Re(im)."""
         return complex(self.re.real, self.im.real)
 
-    def isclose(self, other: "CdComplex", tol: float = 1e-12) -> bool:
-        return self.re.isclose(other.re, tol) and self.im.isclose(other.im, tol)
-
 
 def cdc_mul(x: CdComplex, y: CdComplex) -> CdComplex:
     """(b + i*c)(d + i*e) = (bd - ce) + i*(be + cd)."""
-    b, c, d, e = x.re, x.im, y.re, y.im
-    return CdComplex(cd_mul(b, d) - cd_mul(c, e), cd_mul(b, e) + cd_mul(c, d))
+    x.re._check(y.re)
+    re, im = cdc_mul_coeffs(x.level, np.stack([x.re.coeffs, x.im.coeffs]),
+                            np.stack([y.re.coeffs, y.im.coeffs]))
+    return CdComplex(CdReal(x.level, re), CdReal(x.level, im))
 
 
 def cdc_norm2(x: CdComplex) -> float:

@@ -154,6 +154,9 @@ class RunConfig:
             if name not in EXPERIMENT_CHOICES:
                 raise ConfigError(
                     f"config key 'experiments': unknown experiment '{name}'")
+        if len(set(self.experiments)) != len(self.experiments):
+            raise ConfigError(
+                "config key 'experiments': each experiment may be named once")
         if self.format not in FORMAT_CHOICES:
             raise ConfigError("config key 'format': choose json or csv")
         if self.threads is not None and self.threads < 1:

@@ -682,18 +682,12 @@ def _cf_case_rows(bat: Battery) -> list[Row]:
         with_drift = index % 5 == 0
         coeff_scale = float(scales.uniform(0.4, 1.4))
         rng = _case_rng(cfg.seed, 21 + index)
-        d = dim_of(level)
-        a = np.zeros(d)
-        a[0] = 1.0 + float(rng.uniform(0.0, 1.0))
-        if d > 1:
-            a[1] = 0.4 * float(rng.normal())
-        m = rng.normal(size=(n, n))
-        u0 = CovarianceOperator(
-            level, ((CdReal(level, a), m @ m.T + (n + 0.5) * np.eye(n)),))
+        u0 = _random_spd_cov(rng, level, n, 1.0, 0.4)
         u = ComplexCovariance(u0, u0) if complexified else u0
         p = None
         if with_drift:
-            p = CdVector(level, n, 0.4 * rng.normal(size=(n, 2, d)))
+            p = CdVector(level, n,
+                         0.4 * rng.normal(size=(n, 2, dim_of(level))))
         ens = bat.paths(u, p, 100 + index, cfg.replicas)
         y = RealFunctional(level, n,
                            coeff_scale * rng.normal(size=vec_size(level, n))
@@ -762,12 +756,14 @@ def _complexified_identity(level: int, n: int) -> ComplexCovariance:
     return ComplexCovariance(u, u)
 
 
-def _random_spd_cov(rng, level: int, n: int) -> CovarianceOperator:
+def _random_spd_cov(rng, level: int, n: int, spread: float,
+                    tilt: float) -> CovarianceOperator:
+    """One block (1 + U(0, spread) + tilt N(0, 1) i_1, M M^T + (n + 1/2) I)."""
     d = dim_of(level)
     a = np.zeros(d)
-    a[0] = 1.0 + float(rng.uniform(0.0, 1.5))
+    a[0] = 1.0 + float(rng.uniform(0.0, spread))
     if d > 1:
-        a[1] = 0.3 * float(rng.normal())
+        a[1] = tilt * float(rng.normal())
     m = rng.normal(size=(n, n))
     return CovarianceOperator(
         level, ((CdReal(level, a), m @ m.T + (n + 0.5) * np.eye(n)),))
@@ -788,8 +784,8 @@ def _random_complex_cov(rng, level: int, n: int) -> ComplexCovariance:
     ||U^(1/2)||_2^2 = 2 |a| tr B >= 3 and the chebyshev battery stays in
     the regime the bound covers.
     """
-    return ComplexCovariance(_random_spd_cov(rng, level, n),
-                             _random_spd_cov(rng, level, n))
+    return ComplexCovariance(_random_spd_cov(rng, level, n, 1.5, 0.3),
+                             _random_spd_cov(rng, level, n, 1.5, 0.3))
 
 
 def _tiled_ops(grid: TimeGrid, ops: list[RightLinearOp]) -> StepIntegrand:
@@ -867,13 +863,15 @@ def isometry_experiment(cfg: RunConfig) -> dict:
         iso_row("isometry_unit_direction", 203,
                 CovarianceOperator.identity(3, 1), StepIntegrand.constant(
                     grid, RightLinearOp.left_mult(CdReal.unit(3, 1))), True),
-        iso_row("isometry_piecewise_lri", 204, _random_spd_cov(rng_iso, 1, 2),
+        iso_row("isometry_piecewise_lri", 204,
+                _random_spd_cov(rng_iso, 1, 2, 1.5, 0.3),
                 _tiled_ops(grid, [_random_lri(rng_iso, 1, 2)
                                   for _ in range(2)]), False),
         iso_row("isometry_real_line", 205, CovarianceOperator.simple(
             CdReal.from_real(0, 2.0), np.eye(1)), StepIntegrand.constant(
                 grid, RightLinearOp.lri(0, np.array([[[0.8]]]))), False),
-        iso_row("isometry_octonion_pair", 206, _random_spd_cov(rng_iso, 3, 2),
+        iso_row("isometry_octonion_pair", 206,
+                _random_spd_cov(rng_iso, 3, 2, 1.5, 0.3),
                 _tiled_ops(grid, [_random_lri(rng_iso, 3, 2)
                                   for _ in range(2)]), False),
     ]

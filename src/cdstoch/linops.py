@@ -87,10 +87,6 @@ class CdVector:
         object.__setattr__(self, "data", d)
 
     @classmethod
-    def zero(cls, level: int, n: int) -> "CdVector":
-        return cls(level, n, np.zeros((n, 2, dim_of(level))))
-
-    @classmethod
     def from_vec(cls, level: int, n: int, flat: np.ndarray) -> "CdVector":
         return cls(level, n, np.asarray(flat, dtype=float).reshape(n, 2, dim_of(level)))
 
@@ -108,21 +104,6 @@ class CdVector:
 
     def components(self) -> list[CdComplex]:
         return [self.component(k) for k in range(self.n)]
-
-    def norm2(self) -> float:
-        return float(vec_norm2(self.vec))
-
-    def __add__(self, other: "CdVector") -> "CdVector":
-        return CdVector(self.level, self.n, self.data + other.data)
-
-    def __sub__(self, other: "CdVector") -> "CdVector":
-        return CdVector(self.level, self.n, self.data - other.data)
-
-    def __rmul__(self, scalar) -> "CdVector":
-        return CdVector(self.level, self.n, self.data * float(scalar))
-
-    def isclose(self, other: "CdVector", tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.data - other.data)) <= tol)
 
 
 @dataclass(frozen=True)
@@ -193,15 +174,9 @@ class RightLinearOp:
     # -------- constructors
 
     @classmethod
-    def from_blocks(cls, level, s00=None, s01=None, s10=None, s11=None, h=None, n=None):
-        for blk in (s00, s01, s10, s11):
-            if blk is not None:
-                h = h if h is not None else np.asarray(blk).shape[0]
-                n = n if n is not None else np.asarray(blk).shape[1]
-                break
-        if h is None or n is None:
-            raise AlgebraError("shape underdetermined: give a block or h and n")
-        return cls(level, h, n, s00, s01, s10, s11)
+    def from_blocks(cls, level, s00, s01=None, s10=None, s11=None):
+        """The operator of these blocks; h and n are read from s00."""
+        return cls(level, *np.shape(s00)[:2], s00, s01, s10, s11)
 
     @classmethod
     def lri(cls, level: int, entries) -> "RightLinearOp":
@@ -291,19 +266,6 @@ class RightLinearOp:
     def scaled(self, c: float) -> "RightLinearOp":
         return RightLinearOp(
             self.level, self.h, self.n, self.s00 * c, self.s01 * c, self.s10 * c, self.s11 * c
-        )
-
-    def __add__(self, other: "RightLinearOp") -> "RightLinearOp":
-        if (self.level, self.h, self.n) != (other.level, other.h, other.n):
-            raise AlgebraError("operator shape mismatch")
-        return RightLinearOp(
-            self.level,
-            self.h,
-            self.n,
-            self.s00 + other.s00,
-            self.s01 + other.s01,
-            self.s10 + other.s10,
-            self.s11 + other.s11,
         )
 
 

@@ -43,7 +43,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraError, LevelMismatch, dim_of, mul_coeffs
+from .algebra import (AlgebraError, LevelMismatch, cdc_mul_coeffs, dim_of,
+                      mul_coeffs)
 from .linops import (
     CdVector,
     ComplexCovariance,
@@ -435,7 +436,7 @@ class PathEnsemble:
             count = min(self.batch_size, self.n_replicas - start)
             yield BatchPaths(self, index, count)
 
-    def map_batches(self, fn, threads: int = 1) -> list:
+    def map_batches(self, fn, threads: int) -> list:
         """Apply fn to every batch; results are placed by batch index."""
         return pool_map(fn, self.batches(), threads)
 
@@ -526,8 +527,7 @@ def _stack_rows(arrays: list) -> np.ndarray:
     return np.concatenate(arrays, axis=0, out=out)
 
 
-def sweep(ensemble: PathEnsemble, probes: list[Probe],
-          threads: int = 1) -> list:
+def sweep(ensemble: PathEnsemble, probes: list[Probe], threads: int) -> list:
     """Each probe's result from one pass over the ensemble.
 
     Each batch is assembled once for every sampler.  A moment probe's
@@ -575,18 +575,6 @@ def mean_increment(ensemble: PathEnsemble, t1: float, t2: float) -> Probe:
     return Probe(lambda b: (b.w[:, i2] - b.w[:, i1],), gate)
 
 
-def _scalar_products(level: int, x: np.ndarray, y: np.ndarray,
-                     complexified: bool) -> np.ndarray:
-    """Pointwise algebra products of two batches of scalar values."""
-    rr = mul_coeffs(level, x[:, 0], y[:, 0])
-    if not complexified:
-        return rr
-    ii = mul_coeffs(level, x[:, 1], y[:, 1])
-    ri = mul_coeffs(level, x[:, 0], y[:, 1])
-    ir = mul_coeffs(level, x[:, 1], y[:, 0])
-    return np.stack([rr - ii, ri + ir], axis=1)
-
-
 def increment_cov(ensemble: PathEnsemble, t1: float, t2: float,
                   k: int, h: int) -> Probe:
     """Second-moment structure of the centered path at components k, h.
@@ -612,14 +600,18 @@ def increment_cov(ensemble: PathEnsemble, t1: float, t2: float,
         expected = expected - (t2 - t1) * ensemble.u1.entries()[k, h]
         expected = np.stack([expected, np.zeros_like(expected)])
 
+    def product(x, y):  # a real-part path has a zero i-half
+        return cdc_mul_coeffs(level, x, y) if cx \
+            else mul_coeffs(level, x[:, 0], y[:, 0])
+
     def sample(batch: BatchPaths):
         w = batch.w
         xs = w[:, i2, k] - t2 * pc[k][None]
         ys = w[:, i1, h] - t1 * pc[h][None]
-        stated = _scalar_products(level, xs, ys, cx)
+        stated = product(xs, ys)
         dx = (w[:, i2, k] - w[:, i1, k]) - (t2 - t1) * pc[k][None]
         dy = (w[:, i2, h] - w[:, i1, h]) - (t2 - t1) * pc[h][None]
-        return _scalar_products(level, dx, dy, cx), stated
+        return product(dx, dy), stated
 
     def gate(reports):
         rep, stated = reports

@@ -220,11 +220,8 @@ def _em_values(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
 class SolutionEnsemble:
     """Grid-aligned solution values per replica, with scheme diagnostics."""
 
-    level: int
-    h: int
     grid: TimeGrid
     values: np.ndarray
-    scheme: str
     diagnostics: dict
 
 
@@ -234,22 +231,19 @@ def _check_driving(problem: SdeProblem, ensemble: PathEnsemble) -> None:
 
 
 def _to_solution(zeta: ZetaSpec, grid: TimeGrid, values: np.ndarray,
-                 scheme: str, diagnostics: dict) -> SolutionEnsemble:
-    shaped = values.reshape(values.shape[:2] + (zeta.h, 2,
-                                                dim_of(zeta.level)))
-    return SolutionEnsemble(zeta.level, zeta.h, grid, shaped, scheme,
-                            diagnostics)
+                 diagnostics: dict) -> SolutionEnsemble:
+    shape = values.shape[:2] + (zeta.h, 2, dim_of(zeta.level))
+    return SolutionEnsemble(grid, values.reshape(shape), diagnostics)
 
 
-def _solution_probe(zeta: ZetaSpec, grid: TimeGrid, sample,
-                    scheme: str) -> Probe:
+def _solution_probe(zeta: ZetaSpec, grid: TimeGrid, sample) -> Probe:
     """Gather probe of a solver: sample(batch) returns the batch's values
     and its aborted rows, and the gate builds the SolutionEnsemble."""
 
     def gate(joined):
         values, aborted = joined
         count = int(aborted.sum())
-        return _to_solution(zeta, grid, values, scheme,
+        return _to_solution(zeta, grid, values,
                             {"aborted_replicas": count} if count else {})
 
     return Probe(sample, gate, gather=True)
@@ -261,12 +255,11 @@ def euler_maruyama(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
     _check_driving(problem, ensemble)
     grid = ensemble.grid
     return _solution_probe(problem.zeta, grid, lambda batch: _em_values(
-        problem, grid, _dw_of(batch, grid), problem.zeta.sample(batch)),
-        "euler")
+        problem, grid, _dw_of(batch, grid), problem.zeta.sample(batch)))
 
 
 def _q_apply(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
-             zeta: np.ndarray, x: np.ndarray, start: int = 0) -> np.ndarray:
+             zeta: np.ndarray, x: np.ndarray, start: int) -> np.ndarray:
     """QX = zeta + left-endpoint time quadrature + stochastic sum.
 
     Accumulated in exactly the float order of the forward recursion, so
@@ -336,9 +329,9 @@ class _PicardBatch:
 
 
 def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
-                 m_max: int = PICARD_M_MAX, tol: float = PICARD_TOL,
-                 threads: int = 1) -> SolutionEnsemble:
-    """Iterate X <- QX from the constant start until the gap closes.
+                 threads: int) -> SolutionEnsemble:
+    """Iterate X <- QX from the constant start until the gap reaches
+    PICARD_TOL, within PICARD_M_MAX iterations.
 
     The recorded distance sequence is the empirical sup-in-time
     root-mean-square gap between successive iterates.
@@ -351,7 +344,7 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
             for dw, b in zip(dws, batches)]
     count = ensemble.n_replicas
     distances = []
-    for _ in range(m_max):
+    for _ in range(PICARD_M_MAX):
         olds = _map(lambda run: run.step(), runs, threads)
         per_t = _tree_sum([
             np.sum(np.ascontiguousarray(vec_norm2(run.x - old)),
@@ -360,14 +353,14 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
         ])
         dist = float(np.sqrt(np.max(per_t / count)))
         distances.append(dist)
-        # tol = 0 keeps iterating until the iterate is bitwise stationary
-        if dist <= tol:
+        # PICARD_TOL = 0 keeps iterating until the iterate is bitwise stationary
+        if dist <= PICARD_TOL:
             break
     else:
-        raise SdeError(
-            f"no fixed point within {m_max} iterations; distances={distances}")
+        raise SdeError(f"no fixed point within {PICARD_M_MAX} iterations; "
+                       f"distances={distances}")
     return _to_solution(problem.zeta, grid,
-                        _stack_rows([run.x for run in runs]), "picard",
+                        _stack_rows([run.x for run in runs]),
                         {"iterations": len(distances), "distances": distances})
 
 
@@ -418,7 +411,7 @@ def linear_closed_form(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
         dw = None if problem.h is None else _dw_of(batch, grid)
         return values(dw, zeta.sample(batch)), np.zeros(batch.count, bool)
 
-    return _solution_probe(zeta, grid, sample, "closed_form")
+    return _solution_probe(zeta, grid, sample)
 
 
 def _closed_form_kernel(problem: SdeProblem, grid: TimeGrid):

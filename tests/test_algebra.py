@@ -14,6 +14,7 @@ from cdstoch.algebra import (
     cd_sqrt,
     cdc_inner,
     cdc_mul,
+    cdc_mul_coeffs,
     cdc_norm2,
     cdc_sqrt,
     dim_of,
@@ -65,7 +66,7 @@ OCTONION_FANO_LINES = [
 def test_quaternion_table_matches_published():
     for (a, b), (sign, c) in QUATERNION_TABLE.items():
         got = cd_mul(CdReal.unit(2, a), CdReal.unit(2, b))
-        assert got.isclose(CdReal.unit(2, c, sign), TOL)
+        np.testing.assert_array_equal(got.coeffs, CdReal.unit(2, c, sign).coeffs)
 
 
 def test_octonion_fano_lines():
@@ -97,7 +98,8 @@ def test_every_basis_product_is_signed_basis_element():
 def test_identity_and_level_mismatch():
     one = CdReal.unit(3, 0)
     x = CdReal(3, np.arange(8, dtype=float))
-    assert cd_mul(one, x).isclose(x) and cd_mul(x, one).isclose(x)
+    np.testing.assert_array_equal(cd_mul(one, x).coeffs, x.coeffs)
+    np.testing.assert_array_equal(cd_mul(x, one).coeffs, x.coeffs)
     with pytest.raises(LevelMismatch):
         cd_mul(x, CdReal.unit(2, 0))
 
@@ -109,10 +111,11 @@ def test_conj_is_involutive_anti_automorphism():
     for r in range(6):
         for _ in range(20):
             x, y = rand_elem(rng, r), rand_elem(rng, r)
-            assert cd_conj(cd_conj(x)).isclose(x, TOL)
+            np.testing.assert_array_equal(cd_conj(cd_conj(x)).coeffs, x.coeffs)
             lhs = cd_conj(cd_mul(x, y))
             rhs = cd_mul(cd_conj(y), cd_conj(x))
-            assert lhs.isclose(rhs, TOL * max(1.0, abs(x) * abs(y)))
+            np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=0,
+                                       atol=TOL * max(1.0, abs(x) * abs(y)))
 
 
 def test_abs2_is_scalar_part_of_z_zbar():
@@ -148,15 +151,18 @@ def test_octonions_alternative_and_moufang():
         a, b, c = (rand_elem(rng, 3) for _ in range(3))
         aab = cd_mul(cd_mul(a, a), b)
         a_ab = cd_mul(a, cd_mul(a, b))
-        assert aab.isclose(a_ab, TOL * max(1.0, abs(a) ** 2 * abs(b)))
+        np.testing.assert_allclose(aab.coeffs, a_ab.coeffs, rtol=0,
+                                   atol=TOL * max(1.0, abs(a) ** 2 * abs(b)))
         abb = cd_mul(cd_mul(a, b), b)
         a_bb = cd_mul(a, cd_mul(b, b))
-        assert abb.isclose(a_bb, TOL * max(1.0, abs(a) * abs(b) ** 2))
+        np.testing.assert_allclose(abb.coeffs, a_bb.coeffs, rtol=0,
+                                   atol=TOL * max(1.0, abs(a) * abs(b) ** 2))
         # Moufang: (ab)(ca) = a((bc)a)
         lhs = cd_mul(cd_mul(a, b), cd_mul(c, a))
         rhs = cd_mul(a, cd_mul(cd_mul(b, c), a))
         scale = max(1.0, abs(a) ** 2 * abs(b) * abs(c))
-        assert lhs.isclose(rhs, TOL * scale)
+        np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=0,
+                                   atol=TOL * scale)
 
 
 def test_power_associativity_all_levels():
@@ -170,8 +176,10 @@ def test_power_associativity_all_levels():
             z4a = cd_mul(z3a, z)
             z4b = cd_mul(z2, z2)
             scale = max(1.0, abs(z) ** 4)
-            assert z3a.isclose(z3b, TOL * scale)
-            assert z4a.isclose(z4b, TOL * scale)
+            np.testing.assert_allclose(z3a.coeffs, z3b.coeffs, rtol=0,
+                                       atol=TOL * scale)
+            np.testing.assert_allclose(z4a.coeffs, z4b.coeffs, rtol=0,
+                                       atol=TOL * scale)
 
 
 # ---------------------------------------------------------------- complexification
@@ -181,15 +189,21 @@ def test_central_unit_commutes():
     i_unit = CdComplex(CdReal.zero(3), CdReal.unit(3, 0))
     for _ in range(50):
         z = rand_celem(rng, 3)
-        assert cdc_mul(i_unit, z).isclose(cdc_mul(z, i_unit), TOL * max(1.0, np.sqrt(z.norm2())))
+        left, right = cdc_mul(i_unit, z), cdc_mul(z, i_unit)
+        atol = TOL * max(1.0, np.sqrt(z.norm2()))
+        np.testing.assert_allclose(left.re.coeffs, right.re.coeffs, rtol=0,
+                                   atol=atol)
+        np.testing.assert_allclose(left.im.coeffs, right.im.coeffs, rtol=0,
+                                   atol=atol)
     # i^2 = -1
     sq = cdc_mul(i_unit, i_unit)
-    assert sq.isclose(CdComplex.from_real_part(CdReal.unit(3, 0, -1.0)), TOL)
+    np.testing.assert_array_equal(sq.re.coeffs, CdReal.unit(3, 0, -1.0).coeffs)
+    np.testing.assert_array_equal(sq.im.coeffs, CdReal.zero(3).coeffs)
 
 
 def test_cdc_norm_convention():
     # ||1||^2 = 2 under the doubled-coefficient convention
-    one = CdComplex.from_real_part(CdReal.unit(2, 0))
+    one = CdComplex.from_complex(2, 1.0)
     assert cdc_norm2(one) == pytest.approx(2.0, abs=TOL)
     rng = np.random.default_rng(17)
     z = rand_celem(rng, 2)
@@ -200,7 +214,7 @@ def test_cdc_norm_convention():
 
 def test_cdc_inner_real_case_is_sum_of_abs2():
     rng = np.random.default_rng(18)
-    xs = [CdComplex.from_real_part(rand_elem(rng, 2)) for _ in range(4)]
+    xs = [CdComplex(rand_elem(rng, 2), CdReal.zero(2)) for _ in range(4)]
     ip = cdc_inner(xs, xs)
     expected = sum(x.re.abs2() for x in xs)
     assert abs(ip.re.real - expected) <= TOL * max(1.0, expected)
@@ -212,7 +226,7 @@ def test_cdc_inner_real_case_is_sum_of_abs2():
 
 def test_cd_sqrt_pinned_example():
     s = cd_sqrt(CdReal(1, [0.0, 2.0]))
-    assert s.isclose(CdReal(1, [1.0, 1.0]), TOL)
+    np.testing.assert_allclose(s.coeffs, [1.0, 1.0], rtol=0, atol=TOL)
 
 
 def test_cd_sqrt_round_trip():
@@ -223,12 +237,14 @@ def test_cd_sqrt_round_trip():
             if r == 0:
                 a = CdReal(0, np.abs(a.coeffs))
             s = cd_sqrt(a)
-            assert cd_mul(s, s).isclose(a, 1e-10 * max(1.0, abs(a)))
+            np.testing.assert_allclose(cd_mul(s, s).coeffs, a.coeffs, rtol=0,
+                                       atol=1e-10 * max(1.0, abs(a)))
 
 
 def test_cd_sqrt_edge_cases():
-    assert cd_sqrt(CdReal.zero(2)).isclose(CdReal.zero(2))
-    assert cd_sqrt(CdReal.from_real(2, 4.0)).isclose(CdReal.from_real(2, 2.0), TOL)
+    np.testing.assert_array_equal(cd_sqrt(CdReal.zero(2)).coeffs, np.zeros(4))
+    np.testing.assert_array_equal(cd_sqrt(CdReal.from_real(2, 4.0)).coeffs,
+                                  CdReal.from_real(2, 2.0).coeffs)
     with pytest.raises(NegativeRealNoCanonicalRoot):
         cd_sqrt(CdReal.from_real(2, -1.0))
 
@@ -240,7 +256,11 @@ def test_cdc_sqrt_round_trip():
             a = rand_celem(rng, r)
             s = cdc_sqrt(a)
             scale = max(1.0, np.sqrt(a.norm2()))
-            assert cdc_mul(s, s).isclose(a, 1e-9 * scale)
+            sq = cdc_mul(s, s)
+            np.testing.assert_allclose(sq.re.coeffs, a.re.coeffs, rtol=0,
+                                       atol=1e-9 * scale)
+            np.testing.assert_allclose(sq.im.coeffs, a.im.coeffs, rtol=0,
+                                       atol=1e-9 * scale)
 
 
 def test_cdc_sqrt_branch_agrees_with_cd_sqrt():
@@ -251,18 +271,21 @@ def test_cdc_sqrt_branch_agrees_with_cd_sqrt():
             if r == 0:
                 a0 = CdReal(0, np.abs(a0.coeffs))
             s_plane = cd_sqrt(a0)
-            s_quartic = cdc_sqrt(CdComplex.from_real_part(a0))
-            assert s_quartic.re.isclose(s_plane, 1e-10 * max(1.0, abs(a0)))
+            s_quartic = cdc_sqrt(CdComplex(a0, CdReal.zero(r)))
+            np.testing.assert_allclose(s_quartic.re.coeffs, s_plane.coeffs,
+                                       rtol=0, atol=1e-10 * max(1.0, abs(a0)))
             assert abs(s_quartic.im) <= 1e-10 * max(1.0, abs(a0))
     # positive reals stay positive
-    s = cdc_sqrt(CdComplex.from_real_part(CdReal.from_real(2, 9.0)))
-    assert s.re.isclose(CdReal.from_real(2, 3.0), TOL) and abs(s.im) <= TOL
+    s = cdc_sqrt(CdComplex.from_complex(2, 9.0))
+    np.testing.assert_array_equal(s.re.coeffs, CdReal.from_real(2, 3.0).coeffs)
+    assert abs(s.im) <= TOL
 
 
 def test_cdc_sqrt_negative_real_uses_central_unit():
-    s = cdc_sqrt(CdComplex.from_real_part(CdReal.from_real(2, -4.0)))
+    s = cdc_sqrt(CdComplex.from_complex(2, -4.0))
     assert abs(s.re) <= TOL
-    assert s.im.isclose(CdReal.from_real(2, 2.0), TOL)
+    np.testing.assert_allclose(s.im.coeffs, CdReal.from_real(2, 2.0).coeffs,
+                               rtol=0, atol=TOL)
 
 
 def test_cdc_sqrt_nilpotent_raises():
@@ -275,7 +298,9 @@ def test_cdc_sqrt_nilpotent_raises():
 
 
 def test_cdc_sqrt_zero_is_zero():
-    assert cdc_sqrt(CdComplex.zero(3)).isclose(CdComplex.zero(3))
+    s = cdc_sqrt(CdComplex.zero(3))
+    np.testing.assert_array_equal(s.re.coeffs, np.zeros(8))
+    np.testing.assert_array_equal(s.im.coeffs, np.zeros(8))
 
 
 # ---------------------------------------------------------------- exp
@@ -288,15 +313,17 @@ def test_cd_exp_against_series_oracle():
             term = CdReal.unit(r, 0)
             acc = CdReal.unit(r, 0)
             for k in range(1, 80):
-                term = cd_mul(term, z) * (1.0 / k)
+                term = CdReal(r, cd_mul(term, z).coeffs * (1.0 / k))
                 acc = acc + term
-            assert cd_exp(z).isclose(acc, 1e-12 * max(1.0, np.exp(abs(z))))
+            np.testing.assert_allclose(cd_exp(z).coeffs, acc.coeffs, rtol=0,
+                                       atol=1e-12 * max(1.0, np.exp(abs(z))))
 
 
 def test_cd_exp_pure_imaginary_is_rotation():
     z = CdReal(2, [0.0, np.pi / 2, 0.0, 0.0])
     e = cd_exp(z)
-    assert e.isclose(CdReal(2, [np.cos(np.pi / 2), 1.0, 0.0, 0.0]), 1e-15)
+    np.testing.assert_allclose(e.coeffs, [np.cos(np.pi / 2), 1.0, 0.0, 0.0],
+                               rtol=0, atol=1e-15)
     assert abs(abs(e) - 1.0) <= 1e-15
 
 
@@ -314,6 +341,23 @@ def test_mul_coeffs_rows_equal_cd_mul():
             for i in range(40):
                 one = cd_mul(CdReal(r, a[i]), CdReal(r, b[i])).coeffs
                 assert rows[i].tobytes() == one.tobytes()
+
+
+def test_cdc_mul_coeffs_rows_equal_cdc_mul():
+    """The batched complexified product is cdc_mul row by row, bit for
+    bit, at every level."""
+    rng = np.random.default_rng(30)
+    for r in range(6):
+        d = dim_of(r)
+        x = rng.normal(size=(40, 2, d))
+        y = rng.normal(size=(40, 2, d))
+        rows = cdc_mul_coeffs(r, x, y)
+        assert rows.shape == (40, 2, d)
+        for i in range(40):
+            one = cdc_mul(CdComplex(CdReal(r, x[i, 0]), CdReal(r, x[i, 1])),
+                          CdComplex(CdReal(r, y[i, 0]), CdReal(r, y[i, 1])))
+            assert rows[i, 0].tobytes() == one.re.coeffs.tobytes()
+            assert rows[i, 1].tobytes() == one.im.coeffs.tobytes()
 
 
 def test_left_mult_transpose_is_conjugate():

@@ -527,6 +527,25 @@ def test_cli_run_uses_config_experiments(tmp_path):
     assert (tmp_path / "out" / "paths.csv").exists()
 
 
+def test_cli_refuses_a_repeated_experiment(tmp_path, capsys, monkeypatch):
+    """A battery named twice would run once but echo both names, so the
+    same work would write other report bytes: it is refused with exit 2
+    before any battery runs."""
+    cfg_file = tmp_path / "twice.cfg"
+    cfg_file.write_text("replicas = 200\nexperiments = martingale martingale\n",
+                        encoding="utf-8")
+    ran = []
+    monkeypatch.setattr(cli, "run_experiments",
+                        lambda cfg: ran.append(cfg) or [])
+    rc = main(["run", "--config", str(cfg_file), "--threads", "1",
+               "--out", str(tmp_path)])
+    assert rc == 2 and ran == []
+    assert "config key 'experiments'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    with pytest.raises(ConfigError, match="'experiments'"):
+        RunConfig(experiments=("paths", "sde", "paths"))
+
+
 def test_reports_identical_across_thread_counts():
     """Worker count must not leak into report bytes."""
     texts = []

@@ -7,8 +7,8 @@ no setting read from the environment, one time-major allocator,
 every ConfigError raised in config, each message by one raise, one
 ensemble build route in experiments, one halving-ladder guard, one
 two-adic count, one contraction of the product tensor with coefficients,
-sde noise routes that take (problem, ensemble) and a pinned count of
-settable options."""
+sde noise routes that take (problem, ensemble) and the settable options
+pinned by name."""
 
 import ast
 import os
@@ -264,7 +264,8 @@ def test_one_halving_guard_and_one_two_adic_count():
 def test_one_product_contraction():
     """Products of algebra elements go through algebra.mul_coeffs; besides
     algebra, only linops reads the product tensor, for operator entries
-    and their action."""
+    and their action.  The complexified product has one array route,
+    algebra.cdc_mul_coeffs, which cdc_mul and the path moments share."""
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     modules = {site.split(".")[0]
                for site in name_uses(sources, "mul_tensor")}
@@ -272,6 +273,8 @@ def test_one_product_contraction():
     assert call_sites(sources, "mul_tensor") == [
         "algebra.mul_coeffs", "linops.RightLinearOp.apply",
         "linops.RightLinearOp.realized", "linops.compose_entries"]
+    assert call_sites(sources, "cdc_mul_coeffs") == [
+        "algebra.cdc_mul", "paths.increment_cov.product"]
 
 
 def definitions(sources: dict[str, str], name: str) -> list[str]:
@@ -623,11 +626,36 @@ def test_scanner_counts_every_settable_option():
 
 
 # Each added option doubles the configurations tests must cover; a change
-# that adds one updates this pin and says which caller needs it.
-SETTABLE_OPTIONS = 37
+# that adds one updates this pin and says which caller needs it.  The pin
+# names each option, so swapping one for another shows as well.
+SETTABLE_OPTIONS = (
+    "algebra.unit.scale",
+    "cli.main.argv",
+    "config.RunConfig.drift",
+    "config.RunConfig.experiments",
+    "config.RunConfig.format",
+    "config.RunConfig.grids",
+    "config.RunConfig.level",
+    "config.RunConfig.n",
+    "config.RunConfig.out",
+    "config.RunConfig.replicas",
+    "config.RunConfig.seed",
+    "config.RunConfig.threads",
+    "config.RunConfig.tolerances",
+    "config.RunConfig.u0_blocks",
+    "config.RunConfig.u1_blocks",
+    "config.RunConfig.window",
+    "experiments._report.passed",
+    "integrals.StepIntegrand.full_view",
+    "linops.from_blocks.s01",
+    "linops.from_blocks.s10",
+    "linops.from_blocks.s11",
+    "linops.left_mult.n",
+    "paths.PathEnsemble.batch_size",
+    "sde._dw_of.stride",
+)
 
 
 def test_settable_options_are_pinned():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    options = settable_options(sources)
-    assert len(options) == SETTABLE_OPTIONS, options
+    assert tuple(settable_options(sources)) == SETTABLE_OPTIONS

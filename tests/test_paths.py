@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cdstoch.paths as paths_module
+import cdstoch.sde as sde_module
 from cdstoch.algebra import AlgebraError, CdReal, LevelMismatch
 from cdstoch.linops import (
     CdVector,
@@ -169,7 +170,7 @@ def test_path_steps_are_contiguous_and_gathers_c_ordered():
     seen = []
     probe = Probe(lambda b: (b.w, b.w[:, :, 0, 0, 0], b.w[:, -1] - b.w[:, 0]),
                   seen.append, gather=True)
-    sweep(ens, [probe])
+    sweep(ens, [probe], 1)
     joined, = seen
     assert [a.shape for a in joined] == [(40, 17, 2, 2, 4), (40, 17),
                                         (40, 2, 2, 4)]
@@ -196,11 +197,11 @@ def test_ensemble_deterministic_across_threads_and_runs():
     seq = ens.map_batches(lambda b: b.w.copy(), threads=1)
     par = ens.map_batches(lambda b: b.w.copy(), threads=4)
     again = PathEnsemble(grid, u, None, seed=99, n_replicas=5000,
-                         batch_size=1024).map_batches(lambda b: b.w.copy())
+                         batch_size=1024).map_batches(lambda b: b.w.copy(), 1)
     assert all(np.array_equal(x, y) for x, y in zip(seq, par))
     assert all(np.array_equal(x, y) for x, y in zip(seq, again))
     other = PathEnsemble(grid, u, None, seed=100, n_replicas=5000,
-                         batch_size=1024).map_batches(lambda b: b.w.copy())
+                         batch_size=1024).map_batches(lambda b: b.w.copy(), 1)
     assert not np.array_equal(seq[0], other[0])
 
 
@@ -222,7 +223,8 @@ def test_ensemble_validation():
     with pytest.raises(AlgebraError):
         PathEnsemble(grid, u, None, seed=0, n_replicas=0)
     with pytest.raises(LevelMismatch):
-        PathEnsemble(grid, u, CdVector.zero(3, 1), seed=0, n_replicas=10)
+        PathEnsemble(grid, u, CdVector(3, 1, np.zeros((1, 2, 8))), seed=0,
+                     n_replicas=10)
 
 
 # -------------------------------------------------------------- moment checks
@@ -267,7 +269,7 @@ def test_increment_covariance_same_block_and_cross_block():
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, None,
                        seed=17, n_replicas=20_000)
     same, cross = sweep(ens, [increment_cov(ens, 0.25, 0.875, 0, 1),
-                              increment_cov(ens, 0.25, 0.875, 1, 2)])
+                              increment_cov(ens, 0.25, 0.875, 1, 2)], 1)
     assert same["passed"], same
     assert cross["passed"], cross
     assert np.all(cross["expected"] == 0.0)
@@ -485,7 +487,7 @@ def _csv_values(kind):
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 4),
                        identity_complex_covariance(1, 1), None, seed=3,
                        n_replicas=6)
-    sol = sweep(ens, [euler_maruyama(prob, ens)])[0]
+    sol = sweep(ens, [euler_maruyama(prob, ens)], 1)[0]
     return sol.grid, sol.values[:2]
 
 
@@ -829,7 +831,7 @@ def test_blas_lookup_waits_for_the_first_pool():
 
 
 @pytest.mark.parametrize("threads", [2, 3])
-def test_reports_and_pins_hold_under_the_budget(threads):
+def test_reports_and_pins_hold_under_the_budget(threads, monkeypatch):
     """Sweep reports, batch row = assemble_paths on that row alone,
     and Picard = Euler, bitwise, at 1, 2 and 3 threads."""
     level, n = 3, 2
@@ -865,6 +867,8 @@ def test_reports_and_pins_hold_under_the_budget(threads):
                            n_replicas=600, batch_size=128)
     forward = euler_maruyama(prob, sde_ens)
     em = sweep(sde_ens, [forward], threads)[0]
-    pic = picard_solve(prob, sde_ens, tol=0.0, m_max=80, threads=threads)
+    monkeypatch.setattr(sde_module, "PICARD_TOL", 0.0)
+    monkeypatch.setattr(sde_module, "PICARD_M_MAX", 80)
+    pic = picard_solve(prob, sde_ens, threads)
     assert np.array_equal(pic.values, em.values)
-    assert np.array_equal(em.values, sweep(sde_ens, [forward])[0].values)
+    assert np.array_equal(em.values, sweep(sde_ens, [forward], 1)[0].values)

@@ -21,6 +21,7 @@ from cdstoch.paths import GridError, PathEnsemble, TimeGrid, sweep
 from cdstoch.sde import (
     SdeError,
     SdeProblem,
+    SolutionEnsemble,
     ZetaSpec,
     b2inf_norm,
     euler_maruyama,
@@ -121,7 +122,7 @@ def test_problem_refuses_operator_coefficients_of_the_wrong_shape():
     assert ok.g is not None and ok.h is ident
 
 
-def test_operator_drift_gives_the_bits_of_its_callback():
+def test_operator_drift_gives_the_bits_of_its_callback(monkeypatch):
     """A constant G steps as y @ G^T, the callback a linear problem
     used to wrap around it, bit for bit."""
     ident = RightLinearOp.identity(2, 1)
@@ -134,7 +135,9 @@ def test_operator_drift_gives_the_bits_of_its_callback():
     ens = unit_ensemble(16, seed=47, n_replicas=50, level=2)
     assert forward(prob, ens).values.tobytes() == \
         forward(as_callback, ens).values.tobytes()
-    pic = picard_solve(prob, ens, tol=0.0, m_max=80)
+    monkeypatch.setattr(sde, "PICARD_TOL", 0.0)
+    monkeypatch.setattr(sde, "PICARD_M_MAX", 80)
+    pic = picard_solve(prob, ens, 1)
     assert pic.values.tobytes() == forward(as_callback, ens).values.tobytes()
 
 
@@ -146,12 +149,21 @@ def test_problem_is_its_equation():
     assert not hasattr(SdeProblem, "ensemble")
 
 
-def test_one_problem_solves_on_any_grid_of_its_window():
+def test_solution_is_its_grid_values_and_diagnostics():
+    """A solution holds its grid, its values and the scheme's diagnostics;
+    level, width and scheme name are not kept beside them."""
+    assert [f.name for f in dataclasses.fields(SolutionEnsemble)] == \
+        ["grid", "values", "diagnostics"]
+
+
+def test_one_problem_solves_on_any_grid_of_its_window(monkeypatch):
     """One problem, driven on two grids of one window, gives each grid's
     forward recursion bit for bit, by both schemes."""
     ident = RightLinearOp.identity(1, 1)
     g_mat, h_mat = ident.scaled(-1.0).realized, ident.realized
     prob = linear_test_problem()
+    monkeypatch.setattr(sde, "PICARD_TOL", 0.0)
+    monkeypatch.setattr(sde, "PICARD_M_MAX", 80)
     for steps in (8, 32):
         ens = unit_ensemble(steps, seed=43, n_replicas=20)
         grid = ens.grid
@@ -167,7 +179,7 @@ def test_one_problem_solves_on_any_grid_of_its_window():
                                                   2, 2)
         em = forward(prob, ens)
         assert em.grid is grid and em.values.tobytes() == expect.tobytes()
-        pic = picard_solve(prob, ens, tol=0.0, m_max=80)
+        pic = picard_solve(prob, ens, 1)
         assert pic.grid is grid and pic.values.tobytes() == expect.tobytes()
 
 
@@ -179,7 +191,7 @@ def test_zero_problem_stays_at_start():
     prob = SdeProblem(None, None, z, 1.0, 1)
     sol = forward(prob, unit_ensemble(16, seed=3, n_replicas=12))
     assert np.all(sol.values == sol.values[:, :1])
-    assert sol.scheme == "euler"
+    assert sol.diagnostics == {}
     assert np.array_equal(sol.values[:, grid.index_of(grid.a)],
                           sol.values[:, 0])
 
@@ -245,7 +257,7 @@ def test_q_apply_resumes_past_its_stationary_prefix():
     z = prob.zeta.sample(batch)
     prev, x = None, sde._repeat_in_time(z, len(grid))
     for k in range(6):
-        full = sde._q_apply(prob, grid, dw, z, x)
+        full = sde._q_apply(prob, grid, dw, z, x, 0)
         if prev is not None:
             first = sde._stationary_prefix(x, prev, 0)
             assert k <= first <= grid.steps
@@ -274,12 +286,13 @@ def test_solver_steps_are_contiguous_and_results_c_ordered():
     z = prob.zeta.sample(batch)
     vals, _ = sde._em_values(prob, grid, dw, z)
     cf = sde._closed_form_kernel(prob, grid)(dw, z)
-    for arr in (vals, cf, sde._q_apply(prob, grid, dw, z, vals)):
+    for arr in (vals, cf, sde._q_apply(prob, grid, dw, z, vals, 0)):
         assert arr.shape == (40, len(grid), 4)
         assert all(arr[:, l].flags.c_contiguous for l in range(len(grid)))
-    for sol in (forward(prob, ens), picard_solve(prob, ens),
-                closed_form(prob, ens)):
-        assert sol.values.flags.c_contiguous, sol.scheme
+    for scheme, sol in (("euler", forward(prob, ens)),
+                        ("picard", picard_solve(prob, ens, 1)),
+                        ("closed_form", closed_form(prob, ens))):
+        assert sol.values.flags.c_contiguous, scheme
     probe = uniqueness_study(prob, ens, halvings=2)
     samples = probe.sample(batch)
     assert len(samples) == 3
@@ -325,24 +338,27 @@ def test_closed_form_step_is_conditional_mean_for_scalar_drift():
         assert np.allclose(y[:, l + 1], expect, rtol=0.0, atol=1e-13)
 
 
-def test_picard_trivial_and_nonconvergence():
+def test_picard_trivial_and_nonconvergence(monkeypatch):
     prob = SdeProblem(None, None, unit_zeta(), 1.0, 1)
-    sol = picard_solve(prob, unit_ensemble(8, seed=3, n_replicas=4))
+    sol = picard_solve(prob, unit_ensemble(8, seed=3, n_replicas=4), 1)
     assert sol.diagnostics["iterations"] == 1
     assert sol.diagnostics["distances"] == [0.0]
 
     hard = linear_test_problem()
+    monkeypatch.setattr(sde, "PICARD_M_MAX", 1)
     with pytest.raises(SdeError):
-        picard_solve(hard, unit_ensemble(16, seed=5, n_replicas=8), m_max=1)
+        picard_solve(hard, unit_ensemble(16, seed=5, n_replicas=8), 1)
 
 
-def test_picard_agrees_with_forward_scheme():
+def test_picard_agrees_with_forward_scheme(monkeypatch):
     prob = linear_test_problem()
     ens = unit_ensemble(64, seed=11, n_replicas=512)
-    pic = picard_solve(prob, ens)
+    pic = picard_solve(prob, ens, 1)
     em = forward(prob, ens)
     assert b2inf_norm(pic.values - em.values) < 1e-7
-    pic0 = picard_solve(prob, ens, tol=0.0, m_max=80)
+    monkeypatch.setattr(sde, "PICARD_TOL", 0.0)
+    monkeypatch.setattr(sde, "PICARD_M_MAX", 80)
+    pic0 = picard_solve(prob, ens, 1)
     assert np.array_equal(pic0.values, em.values)
     decay = picard_decay_check(pic.diagnostics["distances"],
                                c1=2 * prob.k_const + 2, span=1.0)
@@ -358,12 +374,14 @@ def test_picard_maps_no_stationary_batch(monkeypatch):
     starts = {}
     q_apply = sde._q_apply
 
-    def spy(problem, grid, dw, zeta, x, start=0):
+    def spy(problem, grid, dw, zeta, x, start):
         starts.setdefault(id(dw), []).append(start)
         return q_apply(problem, grid, dw, zeta, x, start)
 
     monkeypatch.setattr(sde, "_q_apply", spy)
-    pic = picard_solve(prob, ens, tol=0.0, m_max=80)
+    monkeypatch.setattr(sde, "PICARD_TOL", 0.0)
+    monkeypatch.setattr(sde, "PICARD_M_MAX", 80)
+    pic = picard_solve(prob, ens, 1)
     assert np.array_equal(pic.values, forward(prob, ens).values)
     iterations = pic.diagnostics["iterations"]
     assert len(starts) == ens.n_batches
@@ -375,7 +393,7 @@ def test_picard_maps_no_stationary_batch(monkeypatch):
 def test_picard_matches_closed_form_for_linear_problem():
     prob = linear_test_problem()
     ens = unit_ensemble(128, seed=13, n_replicas=2000)
-    pic = picard_solve(prob, ens, threads=2)
+    pic = picard_solve(prob, ens, 2)
     cf = closed_form(prob, ens, threads=2)
     gap = b2inf_norm(pic.values - cf.values)
     assert gap < 5e-2, gap
@@ -657,7 +675,7 @@ def test_driving_validation():
     with pytest.raises(LevelMismatch):
         euler_maruyama(prob, wrong_n)
     with pytest.raises(LevelMismatch):
-        picard_solve(prob, wrong_n)
+        picard_solve(prob, wrong_n, 1)
     with pytest.raises(LevelMismatch):
         uniqueness_study(prob, wrong_n, halvings=2)
     wrong_level = unit_ensemble(8, seed=3, n_replicas=4, level=2)
