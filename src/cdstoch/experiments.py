@@ -191,22 +191,14 @@ def _max_gap_row(ens: PathEnsemble, gap, name: str, anchor: str, tol: float,
 
 
 def _run_rows(rows: list[Row], threads: int) -> list[dict]:
-    """Report entries of the rows, in row order.
+    """Report entries of the rows, in row order, from one sweep.
 
-    Rows that share an ensemble object share one sweep, so each batch of
-    it is drawn and assembled once for all of their probes.  Ensembles
-    are swept in the order of their first row.
+    Every batch of every ensemble runs on one pool.  Rows that share an
+    ensemble object share its batches, so each batch is drawn and
+    assembled once for all of their probes.
     """
-    groups = {}
-    for i, row in enumerate(rows):
-        groups.setdefault(id(row.ensemble), []).append(i)
-    entries = [None] * len(rows)
-    for members in groups.values():
-        results = sweep(rows[members[0]].ensemble,
-                        [rows[i].probe for i in members], threads)
-        for i, res in zip(members, results):
-            entries[i] = rows[i].project(res)
-    return entries
+    results = sweep([(row.ensemble, row.probe) for row in rows], threads)
+    return [row.project(res) for row, res in zip(rows, results)]
 
 
 def _entry(name: str, checks: list, started: float) -> dict:

@@ -16,11 +16,12 @@ so a whole block of replicas is one vectorized draw.  The realized
 ensemble therefore depends only on the seed and the batch size constant,
 never on thread count or completion order.
 
-Every Monte Carlo pass is a ``sweep`` of probes over one ensemble.  A
-moment probe's per-batch partial sums are placed by batch index and
-collapsed in one fixed pairwise pass; a gather probe's per-batch arrays
-are joined in batch order into one C-ordered array.  Either way every
-result is bit-identical for any worker count.
+Every Monte Carlo pass is a ``sweep`` of probes over their ensembles,
+the batches of every ensemble on one worker pool.  A moment probe's
+per-batch partial sums are placed by batch index and collapsed in one
+fixed pairwise pass; a gather probe's per-batch arrays are joined in
+batch order into one C-ordered array.  Either way every result is
+bit-identical for any worker count.
 
 Multi-resolution checks run on a halving ladder: level j keeps every
 2**j-th grid point of one ensemble, so every level sees the same noise.
@@ -430,15 +431,25 @@ class PathEnsemble:
     def n_batches(self) -> int:
         return -(-self.n_replicas // self.batch_size)
 
+    def batch(self, index: int) -> BatchPaths:
+        start = index * self.batch_size
+        return BatchPaths(self, index,
+                          min(self.batch_size, self.n_replicas - start))
+
     def batches(self):
         for index in range(self.n_batches):
-            start = index * self.batch_size
-            count = min(self.batch_size, self.n_replicas - start)
-            yield BatchPaths(self, index, count)
+            yield self.batch(index)
 
-    def map_batches(self, fn, threads: int) -> list:
-        """Apply fn to every batch; results are placed by batch index."""
-        return pool_map(fn, self.batches(), threads)
+    def map_batches(self, fn, threads: int, *more: "PathEnsemble") -> list:
+        """fn over every batch of this ensemble, then of each ensemble in
+        more, on one pool; results in that (ensemble, batch index) order.
+
+        Each batch is built in the worker that runs fn on it and dropped
+        when fn returns, so no more batches are alive than workers.
+        """
+        keys = [(ens, index) for ens in (self, *more)
+                for index in range(ens.n_batches)]
+        return pool_map(lambda key: fn(key[0].batch(key[1])), keys, threads)
 
 
 def _tree_sum(parts: list) -> np.ndarray:
@@ -527,29 +538,44 @@ def _stack_rows(arrays: list) -> np.ndarray:
     return np.concatenate(arrays, axis=0, out=out)
 
 
-def sweep(ensemble: PathEnsemble, probes: list[Probe], threads: int) -> list:
-    """Each probe's result from one pass over the ensemble.
+def sweep(rows: list[tuple[PathEnsemble, Probe]], threads: int) -> list:
+    """Each (ensemble, probe) row's result, from one pass over the batches
+    of every ensemble, all on one pool.
 
-    Each batch is assembled once for every sampler.  A moment probe's
-    arrays are reduced to (sum, sum of squares) per batch, and the
-    partial sums collapse in the fixed batch order; a gather probe's
-    arrays are joined in batch order.  So every result is bit-identical
-    for any worker count, and a probe's result has the bits of that
-    probe swept alone.
+    Rows that share an ensemble object share its batches: each batch is
+    assembled once for all of their samplers.  A moment probe's arrays
+    are reduced to (sum, sum of squares) per batch, and the partial sums
+    collapse in the fixed batch order; a gather probe's arrays are
+    joined in batch order.  So every result is bit-identical for any
+    worker count, and a probe's result has the bits of that probe swept
+    alone.
     """
-    parts = ensemble.map_batches(
-        lambda batch: [probe.sample(batch) if probe.gather
-                       else [_moments(v) for v in probe.sample(batch)]
-                       for probe in probes], threads)
-    count = ensemble.n_replicas
-    # parts[batch][probe] holds one part per array: the array itself for
-    # a gather, else its (sum, sum of squares); col is one array's parts
-    return [probe.gate([
-        _stack_rows(col) if probe.gather else McReport.from_sums(
-            _tree_sum([m[0] for m in col]), _tree_sum([m[1] for m in col]),
-            count)
-        for col in zip(*(p[i] for p in parts))])
-        for i, probe in enumerate(probes)]
+    groups = {}  # id(ensemble) -> (ensemble, its row indices)
+    for i, (ens, _) in enumerate(rows):
+        groups.setdefault(id(ens), (ens, []))[1].append(i)
+    probes = [probe for _, probe in rows]
+
+    def sample(batch):
+        return [probes[i].sample(batch) if probes[i].gather
+                else [_moments(v) for v in probes[i].sample(batch)]
+                for i in groups[id(batch.ensemble)][1]]
+
+    ensembles = [ens for ens, _ in groups.values()]
+    parts = ensembles[0].map_batches(sample, threads, *ensembles[1:])
+    results = [None] * len(rows)
+    for ens, members in groups.values():
+        # own[batch][j] holds row members[j]'s part per array: the array
+        # itself for a gather, else its (sum, sum of squares); col is one
+        # array's parts
+        own, parts = parts[:ens.n_batches], parts[ens.n_batches:]
+        for j, i in enumerate(members):
+            probe = probes[i]
+            results[i] = probe.gate([
+                _stack_rows(col) if probe.gather else McReport.from_sums(
+                    _tree_sum([m[0] for m in col]),
+                    _tree_sum([m[1] for m in col]), ens.n_replicas)
+                for col in zip(*(p[j] for p in own))])
+    return results
 
 
 # -------------------------------------------------------------- moment checks

@@ -303,9 +303,10 @@ def _repeat_in_time(z: np.ndarray, k: int) -> np.ndarray:
 class _PicardBatch:
     """Picard iteration X <- QX on one batch, from the constant start.
 
-    Each step resumes Q past the prefix on which the last two iterates
-    agree bitwise.  Once they agree everywhere the iterate is a fixed
-    point of Q, and a step leaves it as it is without applying Q.
+    Each advance resumes Q past the prefix on which the last two
+    iterates agree bitwise.  Once they agree everywhere the iterate is a
+    fixed point of Q, and an advance leaves it as it is without applying
+    Q.  A step is an advance that also returns its gaps.
     """
 
     def __init__(self, problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
@@ -318,14 +319,32 @@ class _PicardBatch:
     def stationary(self) -> bool:
         return self.start == len(self.grid)
 
-    def step(self) -> np.ndarray:
-        """Map the iterate once; returns the one it replaced."""
-        old = self.x
+    def advance(self) -> None:
+        """Map the iterate once."""
         if not self.stationary:
+            old = self.x
             self.x = _q_apply(self.problem, self.grid, self.dw, self.zeta,
                               old, self.start)
             self.start = _stationary_prefix(self.x, old, self.start)
-        return old
+
+    def step(self) -> np.ndarray:
+        """Advance; returns the replica sum of vec_norm2(new - old) at
+        each grid point.
+
+        On the stationary prefix the new iterate is a bitwise copy, so
+        the sums there are +0.0 and are not taken.  The rest is summed
+        down a C-ordered (replicas, points) block, point by point, which
+        gives each point the bits of a sum over the whole iterate.  A
+        one-point block, which numpy would sum pairwise, arises only when
+        the prefix ends at the last point; Q then copies every point and
+        each gap is +0.0.
+        """
+        old, lo = self.x, self.start
+        self.advance()
+        sums = np.zeros(len(self.grid))
+        sums[lo:] = np.sum(np.ascontiguousarray(
+            vec_norm2(self.x[:, lo:] - old[:, lo:])), axis=0)
+        return sums
 
 
 def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
@@ -338,19 +357,17 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
     """
     _check_driving(problem, ensemble)
     grid = ensemble.grid
-    batches = list(ensemble.batches())
-    dws = _map(lambda b: _dw_of(b, grid), batches, threads)
-    runs = [_PicardBatch(problem, grid, dw, problem.zeta.sample(b))
-            for dw, b in zip(dws, batches)]
+
+    def begin(index):  # a batch lives only in the worker that starts it
+        batch = ensemble.batch(index)
+        return _PicardBatch(problem, grid, _dw_of(batch, grid),
+                            problem.zeta.sample(batch))
+
+    runs = _map(begin, range(ensemble.n_batches), threads)
     count = ensemble.n_replicas
     distances = []
     for _ in range(PICARD_M_MAX):
-        olds = _map(lambda run: run.step(), runs, threads)
-        per_t = _tree_sum([
-            np.sum(np.ascontiguousarray(vec_norm2(run.x - old)),
-                   axis=0)
-            for run, old in zip(runs, olds)
-        ])
+        per_t = _tree_sum(_map(lambda run: run.step(), runs, threads))
         dist = float(np.sqrt(np.max(per_t / count)))
         distances.append(dist)
         # PICARD_TOL = 0 keeps iterating until the iterate is bitwise stationary
@@ -664,7 +681,7 @@ def uniqueness_study(problem: SdeProblem, ensemble: PathEnsemble,
         em, _ = _em_values(problem, sub, dw, z)
         run = _PicardBatch(problem, sub, dw, z)
         for _ in range(2 * PICARD_M_MAX):
-            run.step()
+            run.advance()
             if run.stationary:
                 break
         else:

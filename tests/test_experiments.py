@@ -69,7 +69,7 @@ def test_runner_sweeps_each_ensemble_once_in_row_order(threads, monkeypatch):
               (a, char_functional_check(a, y, 1.0))]
     rows = [Row(ens, probe, lambda res, i=i: (i, res))
             for i, (ens, probe) in enumerate(probes)]
-    alone = [(i, sweep(ens, [probe], 1)[0])
+    alone = [(i, sweep([(ens, probe)], 1)[0])
              for i, (ens, probe) in enumerate(probes)]
 
     assembled = []

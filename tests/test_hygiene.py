@@ -206,15 +206,18 @@ def test_one_moment_reducer():
     caller of map_batches.  Batch sums are collapsed in sweep, and in
     picard_solve, whose stopping rule reduces over every batch once per
     iteration.  The solvers are probes like every check, so the battery
-    runner alone sweeps; only map_batches and picard_solve walk the
-    batches."""
+    runner alone sweeps, once per battery.  Batches are built in the
+    workers that run them, by map_batches and picard_solve; the batches
+    iterator is a library route that the package does not walk."""
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert call_sites(sources, "map_batches") == ["paths.sweep"]
     assert call_sites(sources, "_tree_sum") == ["paths.sweep",
                                                 "sde.picard_solve"]
-    assert call_sites(sources, "sweep") == ["experiments._run_rows"]
-    assert call_sites(sources, "batches") == [
-        "paths.PathEnsemble.map_batches", "sde.picard_solve"]
+    assert calls(sources, "sweep") == ["experiments._run_rows"]
+    assert call_sites(sources, "batch") == [
+        "paths.PathEnsemble.batches", "paths.PathEnsemble.map_batches",
+        "sde.picard_solve.begin"]
+    assert call_sites(sources, "batches") == []
 
 
 def test_scanners_count_every_call_use_and_raise():

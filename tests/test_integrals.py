@@ -58,7 +58,7 @@ def small_ensemble(level=1, n=1, steps=16, seed=11, replicas=8,
 
 def run(ens, probe, threads=1):
     """The result of one probe swept alone."""
-    return sweep(ens, [probe], threads)[0]
+    return sweep([(ens, probe)], threads)[0]
 
 
 def random_op(rng, level, h, n):
@@ -299,8 +299,8 @@ def test_martingale_pass_and_lookahead_power():
     ens = small_ensemble(level=1, n=1, steps=32, seed=37, replicas=30000)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
     control = lookahead_control(ens.grid, 1, 1)
-    rep, rep2 = sweep(ens, [martingale_check(s, ens, 0.5, 1.0),
-                            martingale_check(control, ens, 0.5, 1.0)],
+    rep, rep2 = sweep([(ens, martingale_check(s, ens, 0.5, 1.0)),
+                       (ens, martingale_check(control, ens, 0.5, 1.0))],
                       threads=2)
     assert rep["passed"], rep
     assert not rep2["passed"]

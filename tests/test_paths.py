@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_path_steps_are_contiguous_and_gathers_c_ordered():
     seen = []
     probe = Probe(lambda b: (b.w, b.w[:, :, 0, 0, 0], b.w[:, -1] - b.w[:, 0]),
                   seen.append, gather=True)
-    sweep(ens, [probe], 1)
+    sweep([(ens, probe)], 1)
     joined, = seen
     assert [a.shape for a in joined] == [(40, 17, 2, 2, 4), (40, 17),
                                         (40, 2, 2, 4)]
@@ -239,7 +240,7 @@ def multi_block_covariance():
 
 def run(ens, probe, threads=1):
     """The result of one probe swept alone."""
-    return sweep(ens, [probe], threads)[0]
+    return sweep([(ens, probe)], threads)[0]
 
 
 def reports(ens, sample, threads=1):
@@ -268,8 +269,8 @@ def test_increment_covariance_same_block_and_cross_block():
     u = multi_block_covariance()
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, None,
                        seed=17, n_replicas=20_000)
-    same, cross = sweep(ens, [increment_cov(ens, 0.25, 0.875, 0, 1),
-                              increment_cov(ens, 0.25, 0.875, 1, 2)], 1)
+    same, cross = sweep([(ens, increment_cov(ens, 0.25, 0.875, 0, 1)),
+                         (ens, increment_cov(ens, 0.25, 0.875, 1, 2))], 1)
     assert same["passed"], same
     assert cross["passed"], cross
     assert np.all(cross["expected"] == 0.0)
@@ -487,7 +488,7 @@ def _csv_values(kind):
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 4),
                        identity_complex_covariance(1, 1), None, seed=3,
                        n_replicas=6)
-    sol = sweep(ens, [euler_maruyama(prob, ens)], 1)[0]
+    sol = sweep([(ens, euler_maruyama(prob, ens))], 1)[0]
     return sol.grid, sol.values[:2]
 
 
@@ -586,7 +587,7 @@ def test_sweep_matches_each_probe_swept_alone(threads, monkeypatch):
         return assemble(*args)
 
     monkeypatch.setattr(paths_module, "assemble_paths", counting)
-    fused = sweep(ens, probes, threads)
+    fused = sweep([(ens, probe) for probe in probes], threads)
     assert len(assembled) == ens.n_batches == 5
     assert _bits(fused) == _bits(alone)
 
@@ -646,13 +647,93 @@ def test_sweep_mixing_gathers_and_moments(threads, monkeypatch):
         return assemble(*args)
 
     monkeypatch.setattr(paths_module, "assemble_paths", counting)
-    fused = sweep(ens, probes, threads)
+    fused = sweep([(ens, probe) for probe in probes], threads)
     assert len(assembled) == ens.n_batches == 3
     assert fused[0] == alone[0] and fused[2] == alone[2]
     assert all(c for _, c in fused[0] + fused[2])
     assert _bits(fused[1]) == _bits(alone[1])
     assert [_report_bits(r) for r in fused[3]] \
         == [_report_bits(r) for r in alone[3]]
+
+
+def _one_pool_ensembles():
+    """Ensembles of 1, 2 and 3 batches, the last one short."""
+    grid = TimeGrid.uniform(0.0, 1.0, 8)
+    u = identity_complex_covariance(2, 1)
+    return [PathEnsemble(grid, u, None, seed=seed, n_replicas=replicas,
+                         batch_size=64)
+            for seed, replicas in ((71, 64), (72, 128), (73, 150))]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_one_pool_gives_each_ensemble_the_bits_it_has_alone(threads,
+                                                            monkeypatch):
+    """Rows of several ensembles, moment and gather probes interleaved,
+    swept on one pool: each ensemble's rows get the bits of that ensemble
+    swept alone, from one assembly per batch of every ensemble."""
+    ensembles = _one_pool_ensembles()
+
+    def gathered(joined):
+        return [(a.tobytes(), a.flags.c_contiguous) for a in joined]
+
+    def rows_of(ens):
+        return [(ens, mean_increment(ens, 0.25, 0.75)),
+                (ens, Probe(_gather_samples, gathered, gather=True)),
+                (ens, disjoint_increments(ens, 0.0, 0.25, 0.5, 1.0))]
+
+    alone = [sweep(rows_of(ens), 1) for ens in ensembles]
+    # row j of every ensemble, then row j + 1: no ensemble's rows adjoin
+    rows = [row for group in zip(*map(rows_of, ensembles)) for row in group]
+    assembled = []
+    assemble = paths_module.assemble_paths
+
+    def counting(*args):
+        assembled.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(paths_module, "assemble_paths", counting)
+    pools = []
+    pool_map = paths_module.pool_map
+
+    def one_pool(fn, items, threads):
+        pools.append(len(items))
+        return pool_map(fn, items, threads)
+
+    monkeypatch.setattr(paths_module, "pool_map", one_pool)
+    fused = sweep(rows, threads)
+    assert len(assembled) == sum(e.n_batches for e in ensembles) == 6
+    assert pools == [6]
+    for k, expect in enumerate(alone):
+        got = fused[k::len(ensembles)]
+        assert _bits(got[0]) == _bits(expect[0])
+        assert got[1] == expect[1] and all(c for _, c in got[1])
+        assert _bits(got[2]) == _bits(expect[2])
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_map_batches_orders_by_ensemble_then_batch(threads):
+    first, *more = _one_pool_ensembles()
+    got = first.map_batches(lambda b: (b.ensemble.seed, b.index, b.count),
+                            threads, *more)
+    assert got == [(71, 0, 64), (72, 0, 64), (72, 1, 64), (73, 0, 64),
+                   (73, 1, 64), (73, 2, 22)]
+
+
+def test_a_batch_is_dropped_before_the_next_runs():
+    """At one thread, every earlier batch's arrays are freed before a later
+    batch runs, so a pool over many ensembles holds one assembled batch
+    at a time.  (BatchPaths has no weakref slot; its arrays are the
+    memory it holds.)"""
+    first, *more = _one_pool_ensembles()
+    refs = []
+
+    def fn(batch):
+        alive = sum(ref() is not None for ref in refs)
+        refs.extend(weakref.ref(a) for a in (batch.inc0, batch.inc1, batch.w))
+        return alive
+
+    assert first.map_batches(fn, 1, *more) == [0] * 6
+    assert len(refs) == 18 and all(ref() is None for ref in refs)
 
 
 def test_mc_report_validation():
@@ -866,9 +947,9 @@ def test_reports_and_pins_hold_under_the_budget(threads, monkeypatch):
                            identity_complex_covariance(1, 1), None, seed=17,
                            n_replicas=600, batch_size=128)
     forward = euler_maruyama(prob, sde_ens)
-    em = sweep(sde_ens, [forward], threads)[0]
+    em = sweep([(sde_ens, forward)], threads)[0]
     monkeypatch.setattr(sde_module, "PICARD_TOL", 0.0)
     monkeypatch.setattr(sde_module, "PICARD_M_MAX", 80)
     pic = picard_solve(prob, sde_ens, threads)
     assert np.array_equal(pic.values, em.values)
-    assert np.array_equal(em.values, sweep(sde_ens, [forward], 1)[0].values)
+    assert np.array_equal(em.values, sweep([(sde_ens, forward)], 1)[0].values)

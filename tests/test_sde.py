@@ -14,6 +14,7 @@ from cdstoch.linops import (
     CovarianceOperator,
     RightLinearOp,
     op_exp_left,
+    vec_norm2,
 )
 from cdstoch import paths, sde
 from cdstoch.experiments import Row, _run_rows
@@ -54,7 +55,7 @@ def unit_zeta(level=1):
 
 def run(ens, probe, threads=1):
     """The result of one probe swept alone."""
-    return sweep(ens, [probe], threads)[0]
+    return sweep([(ens, probe)], threads)[0]
 
 
 def forward(prob, ens, threads=1):
@@ -388,6 +389,50 @@ def test_picard_maps_no_stationary_batch(monkeypatch):
     assert all(s == sorted(s) and len(s) <= iterations
                for s in starts.values())
     assert min(len(s) for s in starts.values()) < iterations
+
+
+def picard_oracle(prob, ens):
+    """picard_solve run serially, each gap summed over the whole iterate."""
+    grid = ens.grid
+    runs = [sde._PicardBatch(prob, grid, sde._dw_of(b, grid),
+                             prob.zeta.sample(b)) for b in ens.batches()]
+    distances, starts = [], set()
+    for _ in range(sde.PICARD_M_MAX):
+        per_t = []
+        for run in runs:
+            old = run.x
+            starts.add(run.start)
+            run.advance()
+            per_t.append(np.sum(np.ascontiguousarray(vec_norm2(run.x - old)),
+                                axis=0))
+        distances.append(float(np.sqrt(np.max(paths._tree_sum(per_t)
+                                              / ens.n_replicas))))
+        if distances[-1] <= sde.PICARD_TOL:
+            break
+    return np.concatenate([run.x for run in runs]), distances, starts
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("to_fixed_point", [False, True])
+def test_picard_gaps_match_the_full_array_sum(threads, to_fixed_point,
+                                              monkeypatch):
+    """Gaps summed from the stationary prefix on, in the workers, give
+    distances and values with the bits of the sum over every point, at
+    each prefix length down to the last point."""
+    ident = RightLinearOp.identity(1, 1)
+    prob = linear_problem(ident.scaled(-1.0), ident,
+                          ZetaSpec.gaussian(1, 1, 0.5), 1)
+    ens = unit_ensemble(16, seed=43, n_replicas=300, batch_size=64)
+    if to_fixed_point:
+        monkeypatch.setattr(sde, "PICARD_TOL", 0.0)
+        monkeypatch.setattr(sde, "PICARD_M_MAX", 80)
+    values, distances, starts = picard_oracle(prob, ens)
+    pic = picard_solve(prob, ens, threads)
+    assert pic.diagnostics["distances"] == distances
+    assert pic.values.tobytes() == values.tobytes()
+    if to_fixed_point:
+        assert distances[-1] == 0.0
+        assert {0, len(ens.grid) - 1} <= starts
 
 
 def test_picard_matches_closed_form_for_linear_problem():
