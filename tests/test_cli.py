@@ -585,6 +585,11 @@ REPORT_PINS = [
         "b399a4ba1fa6c6c0d89124eae9af5add7634afb318d6371d98faab0c9854114c",
         id="isometry"),
     pytest.param(
+        ["martingale", "--seed", "3", "--grid", "16", "--replicas", "2100",
+         "--threads", "2"],
+        "d8eb2a4547e0e45a0acd14d9eb96a9896cf31f1d0d5857e6e890ff4384f6c386",
+        id="martingale"),
+    pytest.param(
         ["paths", "--seed", "2", "--grid", "16", "--replicas", "2100",
          "--threads", "2"],
         "142cf3b4211fff76e0dd72601e220bca7bc015eb924c7b1f01561aabadc80082",
