@@ -18,8 +18,6 @@ from .config import (
     FORMAT_CHOICES,
     ConfigError,
     RunConfig,
-    build_driving,
-    effective_threads,
     load_config,
 )
 from .experiments import run_experiments
@@ -96,10 +94,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.command == "run" \
             else RunConfig()
         cfg = _apply_overrides(cfg, args)
-        cfg = dataclasses.replace(
-            cfg, threads=effective_threads(cfg.threads))
-        # the covariance gate, also for settings that a flag overrode
-        build_driving(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

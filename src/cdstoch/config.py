@@ -86,7 +86,12 @@ def strong_order_halvings(grids: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated inputs for a verification run."""
+    """Validated inputs for a verification run.
+
+    Building one runs every gate, the driving law's covariance blocks and
+    drift included, and resolves threads=None to the CPUs this process
+    may run on.
+    """
 
     seed: int = 0
     replicas: int = 20_000
@@ -159,7 +164,9 @@ class RunConfig:
                 "config key 'experiments': each experiment may be named once")
         if self.format not in FORMAT_CHOICES:
             raise ConfigError("config key 'format': choose json or csv")
-        if self.threads is not None and self.threads < 1:
+        if self.threads is None:
+            object.__setattr__(self, "threads", available_cpus())
+        if self.threads < 1:
             raise ConfigError("config key 'threads': need at least 1")
         for key, value in self.tolerances:
             if key not in TOLERANCES:
@@ -172,12 +179,7 @@ class RunConfig:
                 raise ConfigError(
                     f"config key 'drift': need {size} coefficients for "
                     f"level {self.level}, n {self.n}")
-
-
-def effective_threads(requested: int | None) -> int:
-    """Resolve the worker count: the flag or config key (RunConfig checks
-    it), else the CPUs this process may run on."""
-    return requested if requested is not None else available_cpus()
+        build_driving(self)
 
 
 # ----------------------------------------------------------- driving builder
@@ -341,10 +343,7 @@ def parse_config_text(text: str) -> RunConfig:
     if u1_none:
         fields["u1_blocks"] = ()
 
-    cfg = RunConfig(**fields)
-    # surface covariance/drift problems at parse time with their key names
-    build_driving(cfg)
-    return cfg
+    return RunConfig(**fields)
 
 
 def load_config(path) -> RunConfig:

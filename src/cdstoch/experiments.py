@@ -10,9 +10,9 @@ statement a check exercises; it is part of the report wire format.
 Monte Carlo checks are rows (``_run_rows``), deterministic ones cases
 (``_run_cases``).  Every ensemble a Monte Carlo battery sweeps is built
 by ``Battery.paths`` on the battery's grid, its noise keyed on the run
-seed plus a fixed offset.  Experiments draw their fixtures from Philox
-streams keyed far from the path-noise streams, so adding or reordering
-checks never perturbs the simulated noise.
+seed plus a fixed offset.  Experiments draw their fixtures from
+``paths.fixture_rng`` streams, which never meet the path noise, so
+adding or reordering checks never perturbs the simulated noise.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ from .paths import (
     PathEnsemble,
     Probe,
     TimeGrid,
-    _philox,
     char_functional_check,
     char_semigroup,
     disjoint_increments,
+    fixture_rng,
     halving_depth,
     increment_cov,
     mean_increment,
@@ -106,15 +106,6 @@ from .sde import (
     strong_order_study,
     uniqueness_study,
 )
-
-# Fixture streams live at tags >= 2^62 and path noise at small batch tags
-# (batch_index * 8 + stream), so the two families never meet.
-_FIXTURE_BASE = 1 << 62
-
-
-def _case_rng(seed: int, index: int) -> np.random.Generator:
-    return _philox(seed, _FIXTURE_BASE + index)
-
 
 def _check(name: str, anchor: str, passed, **fields) -> dict:
     out = {"name": name, "anchor": anchor, "passed": bool(passed)}
@@ -242,7 +233,7 @@ def _run_cases(cases, cfg: RunConfig) -> list[dict]:
     entries = []
     for case in cases:
         rng = (None if case.fixture is None
-               else _case_rng(cfg.seed, case.fixture))
+               else fixture_rng(cfg.seed, case.fixture))
         tol = tols[case.tol]
         fields = case.run(rng, tol)
         passed = fields.pop("ok", True) and all(
@@ -665,7 +656,7 @@ def _multi_block_covariance(level: int) -> CovarianceOperator:
 def _cf_case_rows(bat: Battery) -> list[Row]:
     """Twenty pinned characteristic-functional cases."""
     cfg = bat.cfg
-    scales = _case_rng(cfg.seed, 20)
+    scales = fixture_rng(cfg.seed, 20)
     rows = []
     for index in range(20):
         level = (0, 1, 2, 3)[index % 4]
@@ -673,7 +664,7 @@ def _cf_case_rows(bat: Battery) -> list[Row]:
         complexified = index % 2 == 0
         with_drift = index % 5 == 0
         coeff_scale = float(scales.uniform(0.4, 1.4))
-        rng = _case_rng(cfg.seed, 21 + index)
+        rng = fixture_rng(cfg.seed, 21 + index)
         u0 = _random_spd_cov(rng, level, n, 1.0, 0.4)
         u = ComplexCovariance(u0, u0) if complexified else u0
         p = None
@@ -703,7 +694,7 @@ def paths_experiment(cfg: RunConfig) -> dict:
     t1 = float(grid.points[k4])
     t2 = float(grid.points[3 * k4])
     pairs = [(0, 0)] if ens.n == 1 else [(0, 0), (0, ens.n - 1)]
-    rng = _case_rng(cfg.seed, 41)
+    rng = fixture_rng(cfg.seed, 41)
     y = RealFunctional(ens.level, ens.n,
                        rng.normal(size=vec_size(ens.level, ens.n))
                        / math.sqrt(vec_size(ens.level, ens.n)))
@@ -796,7 +787,7 @@ def isometry_experiment(cfg: RunConfig) -> dict:
     # increment, and the elementary integral is additive over windows
     ens_small = bat.paths(_complexified_identity(2, 2), None, 200, 64)
     identity_s = StepIntegrand.constant(grid, RightLinearOp.identity(2, 2))
-    rng = _case_rng(cfg.seed, 50)
+    rng = fixture_rng(cfg.seed, 50)
     whole = _tiled_ops(grid, [_random_four_block(rng, 2, 2, 2)
                               for _ in range(2)])
     half = steps // 2
@@ -847,7 +838,7 @@ def isometry_experiment(cfg: RunConfig) -> dict:
             passed=res["passed"] and abs(res["rhs"] - span) <= atol,
             expected_rhs=span))
 
-    rng_iso = _case_rng(cfg.seed, 51)
+    rng_iso = fixture_rng(cfg.seed, 51)
     rows += [
         iso_row("isometry_identity_anchor", 202,
                 CovarianceOperator.identity(2, 1), StepIntegrand.constant(
@@ -892,7 +883,7 @@ def isometry_experiment(cfg: RunConfig) -> dict:
                                       and abs(res["m3"] - expect_m2) <= atol),
             expected_m2=expect_m2)))
 
-    rng_bd = _case_rng(cfg.seed, 52)
+    rng_bd = fixture_rng(cfg.seed, 52)
 
     def bound_row(name, offset, level, n, h, tiles):
         """bound_check of a random complexified covariance at (level, n)
@@ -921,7 +912,7 @@ def martingale_experiment(cfg: RunConfig) -> dict:
     t2 = float(grid.points[(3 * steps) // 4])
 
     ens = bat.paths(_complexified_identity(2, 1), None, 300, cfg.replicas)
-    rng = _case_rng(cfg.seed, 60)
+    rng = fixture_rng(cfg.seed, 60)
     piecewise = _tiled_ops(grid, [_random_four_block(rng, 2, 1, 1)
                                   for _ in range(2)])
     mart_fields = ("worst_bin_z", "max_abs_mean", "bins", "sample_count")
@@ -957,7 +948,7 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
     rows = []
 
     for index in range(10):
-        rng = _case_rng(cfg.seed, 70 + index)
+        rng = fixture_rng(cfg.seed, 70 + index)
         level = (1, 2, 3)[index % 3]
         n = 1 if index % 2 else 2
         u = _random_complex_cov(rng, level, n)
@@ -973,7 +964,7 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
                          "beta", "alpha", "empirical", "bound_quadrature",
                          "bound_split", "sample_count", level=level, n=n))
 
-    rng = _case_rng(cfg.seed, 85)
+    rng = fixture_rng(cfg.seed, 85)
     ens = bat.paths(_complexified_identity(2, 1), None, 420, cfg.replicas)
     ops = [_random_four_block(rng, 2, 1, 1) for _ in range(2)]
     mean_hs = float(np.mean([op.hs_norm2() for op in ops]))

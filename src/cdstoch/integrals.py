@@ -28,17 +28,17 @@ one scalar weight per replica, or a list of such terms to be summed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .algebra import AlgebraError, LevelMismatch, dim_of
 from .linops import (
-    ComplexCovariance,
     CovarianceOperator,
     RightLinearOp,
     compose_entries,
-    f_functional,
     f_functional_cross,
+    hs_inner,
     op_terms,
     vec_norm2,
 )
@@ -158,12 +158,6 @@ def integral_paths(integrand: StepIntegrand, w: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------ second-moment helpers
 
-def _hs_inner(op1: RightLinearOp, op2: RightLinearOp) -> float:
-    """Entrywise inner product matching hs_norm2 on the diagonal."""
-    b1, b2 = op1.blocks(), op2.blocks()
-    return float(sum(np.sum(b1[key] * b2[key]) for key in b1))
-
-
 def _lri_trace_fn(u0: CovarianceOperator):
     root = u0.sqrt_entries()
 
@@ -174,15 +168,6 @@ def _lri_trace_fn(u0: CovarianceOperator):
         g1 = compose_entries(op1.entries, root, op1.level)
         g2 = compose_entries(op2.entries, root, op2.level)
         return float(np.sum(g1 * g2))
-
-    return fn
-
-
-def _f_trace_fn(u: ComplexCovariance):
-    def fn(op1: RightLinearOp, op2: RightLinearOp) -> float:
-        if op1 is op2:
-            return f_functional(op1, u)
-        return f_functional_cross(op1, op2, u)
 
     return fn
 
@@ -296,13 +281,13 @@ def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
     _require_match(integrand, ensemble)
     if not ensemble.complexified:
         raise AlgebraError("the norm bound needs a complexified covariance")
-    f_fn = _f_trace_fn(ensemble.u)
+    f_fn = partial(f_functional_cross, u=ensemble.u)
     factor = ensemble.u.max_sqrt_hs2()
 
     def sampler(batch):
         eta = integral_paths(integrand, batch.w)
         m1 = vec_norm2(eta[:, -1].reshape(batch.count, -1))
-        fq, m3 = _second_moment_samples(integrand, batch.w, f_fn, _hs_inner)
+        fq, m3 = _second_moment_samples(integrand, batch.w, f_fn, hs_inner)
         return m1, 2.0 * fq, m3
 
     def gate(reports):
@@ -409,14 +394,14 @@ def chebyshev_check(integrand: StepIntegrand, ensemble: PathEnsemble,
         raise AlgebraError("the tail bounds need a complexified covariance")
     if beta <= 0 or alpha <= 0:
         raise AlgebraError("need positive beta and alpha")
-    f_fn = _f_trace_fn(ensemble.u)
+    f_fn = partial(f_functional_cross, u=ensemble.u)
     mstar2 = ensemble.u.max_sqrt_hs2()
     threshold2 = beta * beta * mstar2
 
     def sampler(batch):
         eta = integral_paths(integrand, batch.w)
         sup2 = np.max(vec_norm2(eta.reshape(*eta.shape[:2], -1)), axis=1)
-        fq, hq = _second_moment_samples(integrand, batch.w, f_fn, _hs_inner)
+        fq, hq = _second_moment_samples(integrand, batch.w, f_fn, hs_inner)
         # 0/1 indicators: their sums are exact integers, so the means are
         # the plain exceedance frequencies
         return sup2 > threshold2, fq, hq > alpha

@@ -191,10 +191,9 @@ class RightLinearOp:
         return cls.lri(level, e)
 
     @classmethod
-    def left_mult(cls, a: CdReal, n: int = 1) -> "RightLinearOp":
-        e = np.zeros((n, n, dim_of(a.level)))
-        e[np.arange(n), np.arange(n), :] = a.coeffs
-        return cls.lri(a.level, e)
+    def left_mult(cls, a: CdReal) -> "RightLinearOp":
+        """Left multiplication by a on A_{r,C}^1."""
+        return cls.lri(a.level, np.array(a.coeffs, dtype=float)[None, None])
 
     # -------- structure
 
@@ -259,9 +258,7 @@ class RightLinearOp:
 
     def hs_norm2(self) -> float:
         """||S||_2^2; reduces to 2Tr(AA*) + 2Tr(BB*) for S = A + i*B."""
-        return float(
-            np.sum(self.s00**2) + np.sum(self.s01**2) + np.sum(self.s10**2) + np.sum(self.s11**2)
-        )
+        return hs_inner(self, self)
 
     def scaled(self, c: float) -> "RightLinearOp":
         return RightLinearOp(
@@ -467,28 +464,33 @@ def op_phi1_left(g: np.ndarray | RightLinearOp, t: float) -> np.ndarray:
     return scipy.linalg.expm(aug)[:size, size:] / t
 
 
-def f_functional(s: RightLinearOp, u: ComplexCovariance) -> float:
-    """F(S; U_0, U_1) = sum_{l,k} Tr({S_lk U_k^{1/2}} {(U_k^{1/2})* S_lk*}).
+# ------------------------------------------------------------ trace pairings
+
+def hs_inner(s: RightLinearOp, s2: RightLinearOp) -> float:
+    """Entrywise inner product of the blocks; hs_norm2 is its diagonal."""
+    b1, b2 = s.blocks(), s2.blocks()
+    return float(sum(np.sum(b1[key] * b2[key]) for key in b1))
+
+
+def f_functional_cross(s: RightLinearOp, s2: RightLinearOp, u: ComplexCovariance) -> float:
+    """Bilinear form of F: sum_{l,k} Tr({S_lk U_k^{1/2}} {(U_k^{1/2})* S2_lk*}).
 
     Each trace is evaluated on the explicit product of the A_r-entried
-    blocks, which matches the realized-product value exactly.
+    blocks, which matches the realized-product value exactly.  When s2 is
+    s, each block is composed once.
     """
     if s.n != u.n or s.level != u.level:
         raise AlgebraError("operator and covariance mismatch")
     roots = (u.u0.sqrt_entries(), u.u1.sqrt_entries())
     total = 0.0
-    for (_, k), blk in s.blocks().items():
-        total += entries_trace(compose_entries(blk, roots[k], s.level))
-    return total
-
-
-def f_functional_cross(s: RightLinearOp, s2: RightLinearOp, u: ComplexCovariance) -> float:
-    """Bilinear extension of f_functional, for scalar-mixed integrands."""
-    roots = (u.u0.sqrt_entries(), u.u1.sqrt_entries())
-    total = 0.0
-    b1, b2 = s.blocks(), s2.blocks()
-    for (i, k) in b1:
-        g1 = compose_entries(b1[(i, k)], roots[k], s.level)
-        g2 = compose_entries(b2[(i, k)], roots[k], s.level)
+    b2 = s2.blocks()
+    for (i, k), blk in s.blocks().items():
+        g1 = compose_entries(blk, roots[k], s.level)
+        g2 = g1 if s2 is s else compose_entries(b2[(i, k)], roots[k], s.level)
         total += float(np.sum(g1 * g2))
     return total
+
+
+def f_functional(s: RightLinearOp, u: ComplexCovariance) -> float:
+    """F(S; U_0, U_1), the diagonal of f_functional_cross."""
+    return f_functional_cross(s, s, u)

@@ -138,6 +138,16 @@ def halving_factors(grid: TimeGrid, halvings: int) -> list[int]:
 
 # ---------------------------------------------------------------- noise draws
 
+# The Philox key layout, (seed, tag), is owned here whole.  Batch b of an
+# ensemble draws stream s at tag b * _STREAMS + s: streams 0 and 1 feed
+# the two injections and _INITIAL_STREAM the initial values.  Fixtures
+# draw at tags _FIXTURE_BASE + index, far above every batch tag, so the
+# two families never meet.
+_STREAMS = 8
+_INITIAL_STREAM = 2
+_FIXTURE_BASE = 1 << 62
+
+
 def _philox(seed: int, tag: int) -> np.random.Generator:
     # The key words must be handed over as uint64: a plain int list with a
     # value above 2^63 would be routed through float64 and lose low bits.
@@ -145,10 +155,21 @@ def _philox(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def fixture_rng(seed: int, index: int) -> np.random.Generator:
+    """The generator of fixture stream index, apart from all path noise."""
+    return _philox(seed, _FIXTURE_BASE + index)
+
+
 def batch_normals(seed: int, batch_index: int, count: int, shape: tuple,
                   stream: int) -> np.ndarray:
-    """Standard normals (count, *shape) for one keyed ensemble batch."""
-    g = _philox(seed, batch_index * 8 + stream)
+    """Standard normals (count, *shape) for one keyed ensemble batch.
+
+    stream must lie in 0..7: stream 8 of a batch would be stream 0 of
+    the next one.
+    """
+    if not 0 <= stream < _STREAMS:
+        raise AlgebraError(f"stream must lie in 0..{_STREAMS - 1}")
+    g = _philox(seed, batch_index * _STREAMS + stream)
     return g.standard_normal((count, *shape))
 
 
@@ -367,10 +388,11 @@ class BatchPaths:
                                      e.p, self.inc0, self.inc1)
         return self._w
 
-    def normals(self, shape: tuple, stream: int) -> np.ndarray:
-        """Extra standard normals tied to this batch's replicas."""
+    def initial_normals(self, shape: tuple) -> np.ndarray:
+        """Standard normals (count, *shape) for this batch's initial values."""
         e = self.ensemble
-        return batch_normals(e.seed, self.index, self.count, shape, stream)
+        return batch_normals(e.seed, self.index, self.count, shape,
+                             _INITIAL_STREAM)
 
 
 @dataclass(frozen=True)
@@ -435,10 +457,6 @@ class PathEnsemble:
         start = index * self.batch_size
         return BatchPaths(self, index,
                           min(self.batch_size, self.n_replicas - start))
-
-    def batches(self):
-        for index in range(self.n_batches):
-            yield self.batch(index)
 
     def map_batches(self, fn, threads: int, *more: "PathEnsemble") -> list:
         """fn over every batch of this ensemble, then of each ensemble in

@@ -56,7 +56,6 @@ class SdeError(AlgebraError):
 DIVERGENCE_LIMIT = 1e12
 PICARD_M_MAX = 40
 PICARD_TOL = 1e-8
-ZETA_STREAM = 2
 RESTART_KS_LEVEL = 0.01
 
 
@@ -103,8 +102,7 @@ class ZetaSpec:
         out = np.tile(self.value, (batch.count, 1))
         if self.scale:
             real = out.reshape(batch.count, self.h, 2, dim_of(self.level))
-            real[:, :, 0, 0] += self.scale * batch.normals((self.h,),
-                                                           ZETA_STREAM)
+            real[:, :, 0, 0] += self.scale * batch.initial_normals((self.h,))
         return out
 
 
@@ -358,12 +356,11 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
     _check_driving(problem, ensemble)
     grid = ensemble.grid
 
-    def begin(index):  # a batch lives only in the worker that starts it
-        batch = ensemble.batch(index)
+    def begin(batch):  # a batch lives only in the worker that starts it
         return _PicardBatch(problem, grid, _dw_of(batch, grid),
                             problem.zeta.sample(batch))
 
-    runs = _map(begin, range(ensemble.n_batches), threads)
+    runs = ensemble.map_batches(begin, threads)
     count = ensemble.n_replicas
     distances = []
     for _ in range(PICARD_M_MAX):

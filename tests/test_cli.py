@@ -14,7 +14,6 @@ from cdstoch.config import (
     ConfigError,
     RunConfig,
     build_driving,
-    effective_threads,
     load_config,
     parse_config_text,
 )
@@ -172,6 +171,16 @@ def test_parse_non_spd_block_named():
         parse_config_text(text)
 
 
+def test_run_config_refuses_a_non_spd_block_when_built():
+    """A driving law that cannot be built is refused by RunConfig itself,
+    so no battery of run_experiments runs on it."""
+    block = ((1.0, 0.0, 0.0, 0.0), (-2.0,))
+    with pytest.raises(ConfigError, match=r"u0\.block1\.b"):
+        RunConfig(u0_blocks=(block,))
+    with pytest.raises(ConfigError, match=r"u0\.block1\.b"):
+        dataclasses.replace(RunConfig(), u0_blocks=(block,))
+
+
 def test_parse_block_needs_both_parts():
     with pytest.raises(ConfigError, match=r"u0\.block1"):
         parse_config_text("u0.block1.a = 1 0 0 0\n")
@@ -227,23 +236,23 @@ def test_load_config_round_trip(tmp_path):
 # ------------------------------------------------------------------ threads
 
 def test_effective_threads_flag_wins():
-    assert effective_threads(3) == 3
+    assert RunConfig(threads=3).threads == 3
 
 
 def test_effective_threads_default():
-    assert effective_threads(None) >= 1
+    assert RunConfig().threads >= 1
 
 
 def test_effective_threads_default_follows_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9},
                         raising=False)
-    assert effective_threads(None) == 3
+    assert RunConfig().threads == 3
     # without an affinity call the host count is the fallback
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert effective_threads(None) == 64
+    assert RunConfig().threads == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert effective_threads(None) == 1
+    assert RunConfig().threads == 1
 
 
 def test_effective_threads_reads_no_environment_variable(monkeypatch):
@@ -252,9 +261,9 @@ def test_effective_threads_reads_no_environment_variable(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9},
                         raising=False)
     monkeypatch.setenv("CD_STOCHASTIC_THREADS", "5")
-    assert effective_threads(None) == 3
+    assert RunConfig().threads == 3
     monkeypatch.setenv("CD_STOCHASTIC_THREADS", "lots")
-    assert effective_threads(None) == 3
+    assert RunConfig().threads == 3
 
 
 # ------------------------------------------------------------------ reports
@@ -345,10 +354,10 @@ COMMON_FLAGS = (
 
 def test_config_echo_holds_every_field_but_the_run_options():
     cfg = parse_config_text(EVERY_KEY_TEXT)
-    names = [f.name for f in dataclasses.fields(RunConfig)]
-    # the text sets every field away from its default
-    assert all(getattr(cfg, name) != getattr(RunConfig(), name)
-               for name in names)
+    fields = dataclasses.fields(RunConfig)
+    names = [f.name for f in fields]
+    # the text sets every field away from its declared default
+    assert all(getattr(cfg, f.name) != f.default for f in fields)
     echo = config_echo(cfg)
     assert set(echo) == set(names) - set(RUN_OPTIONS)
     for name in echo:

@@ -19,7 +19,6 @@ from cdstoch.experiments import (
     LINOPS_CASES,
     Case,
     Row,
-    _case_rng,
     _random_complex_cov,
     _run_cases,
     _run_rows,
@@ -36,6 +35,7 @@ from cdstoch.paths import (
     PathEnsemble,
     TimeGrid,
     char_functional_check,
+    fixture_rng,
     increment_cov,
     mean_increment,
     sweep,
@@ -330,7 +330,7 @@ def test_chebyshev_covariances_clear_the_tail_bound_floor():
         for index in range(10):
             for level in (1, 2, 3):
                 for n in (1, 2):
-                    u = _random_complex_cov(_case_rng(seed, 70 + index),
+                    u = _random_complex_cov(fixture_rng(seed, 70 + index),
                                             level, n)
                     assert u.max_sqrt_hs2() >= 2.2, (seed, index, level, n)
 
@@ -385,7 +385,7 @@ def test_case_runner_hands_each_case_its_stream_and_tolerance():
     entries = _run_cases([Case("a", "x", 4, "sqrt", (), run),
                           Case("b", "y", None, "exact", ("value",), run)],
                          cfg)
-    assert seen == [(_case_rng(3, 4).random(), 0.5), (None, 0.25)]
+    assert seen == [(fixture_rng(3, 4).random(), 0.5), (None, 0.25)]
     assert entries == [
         {"name": "a", "anchor": "x", "passed": True, "value": 1.0},
         {"name": "b", "anchor": "y", "passed": False, "value": 1.0}]

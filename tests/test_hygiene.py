@@ -7,8 +7,9 @@ no setting read from the environment, one time-major allocator,
 every ConfigError raised in config, each message by one raise, one
 ensemble build route in experiments, one halving-ladder guard, one
 two-adic count, one contraction of the product tensor with coefficients,
-sde noise routes that take (problem, ensemble) and the settable options
-pinned by name."""
+sde noise routes that take (problem, ensemble), private names kept in
+their module but for two pinned uses, and the settable options pinned
+by name."""
 
 import ast
 import os
@@ -202,21 +203,20 @@ def test_scanner_finds_every_call_site():
 
 
 def test_one_moment_reducer():
-    """Every Monte Carlo pass is a probe swept by paths.sweep, the one
-    caller of map_batches.  Batch sums are collapsed in sweep, and in
-    picard_solve, whose stopping rule reduces over every batch once per
-    iteration.  The solvers are probes like every check, so the battery
-    runner alone sweeps, once per battery.  Batches are built in the
-    workers that run them, by map_batches and picard_solve; the batches
-    iterator is a library route that the package does not walk."""
+    """Every Monte Carlo pass is a probe swept by paths.sweep, which with
+    picard_solve's start is one of the two callers of map_batches.  Batch
+    sums are collapsed in sweep, and in picard_solve, whose stopping rule
+    reduces over every batch once per iteration.  The solvers are probes
+    like every check, so the battery runner alone sweeps, once per
+    battery.  Every batch is built by map_batches, in the worker that
+    runs it."""
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert call_sites(sources, "map_batches") == ["paths.sweep"]
+    assert call_sites(sources, "map_batches") == ["paths.sweep",
+                                                  "sde.picard_solve"]
     assert call_sites(sources, "_tree_sum") == ["paths.sweep",
                                                 "sde.picard_solve"]
     assert calls(sources, "sweep") == ["experiments._run_rows"]
-    assert call_sites(sources, "batch") == [
-        "paths.PathEnsemble.batches", "paths.PathEnsemble.map_batches",
-        "sde.picard_solve.begin"]
+    assert call_sites(sources, "batch") == ["paths.PathEnsemble.map_batches"]
     assert call_sites(sources, "batches") == []
 
 
@@ -302,6 +302,64 @@ def test_one_time_major_allocator():
     """Paths, running integrals and solver arrays share one layout."""
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert definitions(sources, "_time_major") == ["paths"]
+
+
+def private_imports(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Per module, each ``module._name`` it takes from a sibling module:
+    imported by name, or read as an attribute of a sibling imported by
+    ``from . import``.  Dunders such as ``__version__`` are public."""
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found = {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        siblings = set()
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings.add(alias.asname or alias.name)
+                    elif private(alias.name):
+                        names.append(f"{node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and private(node.attr) \
+                    and getattr(node.value, "id", None) in siblings:
+                names.append(f"{node.value.id}.{node.attr}")
+        if names:
+            found[module] = sorted(names)
+    return found
+
+
+def test_scanner_finds_every_private_import():
+    sources = {
+        "a": ("from .b import _hidden, public, __version__\n"
+              "from . import c\n\n"
+              "def f():\n"
+              "    from .c import _inner as inner\n"
+              "    return c._state, c.value, inner\n"),
+        "b": "from numpy import _core\nfrom .c import public\n",
+        "c": "def public():\n    return _own()\n",
+    }
+    assert private_imports(sources) == {
+        "a": ["b._hidden", "c._inner", "c._state"]}
+
+
+# Private names stay in the module that defines them.  The two exceptions
+# share paths' internals: the time-major allocator, and Picard's own
+# reduction in sde, which it still builds by hand.
+PRIVATE_IMPORTS = {
+    "integrals": ["paths._time_major"],
+    "sde": ["paths._stack_rows", "paths._time_major", "paths._tree_sum"],
+}
+
+
+def test_private_names_stay_in_their_module():
+    """paths alone keys the noise: no other module names _philox."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert private_imports(sources) == PRIVATE_IMPORTS
 
 
 def leading_parameters(sources: dict[str, str], name: str,
@@ -653,7 +711,6 @@ SETTABLE_OPTIONS = (
     "linops.from_blocks.s01",
     "linops.from_blocks.s10",
     "linops.from_blocks.s11",
-    "linops.left_mult.n",
     "paths.PathEnsemble.batch_size",
     "sde._dw_of.stride",
 )

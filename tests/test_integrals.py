@@ -1,13 +1,13 @@
 """Tests for the stochastic integral layer."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from cdstoch.algebra import AlgebraError, CdReal, LevelMismatch, dim_of
 from cdstoch.integrals import (
     StepIntegrand,
-    _f_trace_fn,
-    _hs_inner,
     _second_moment_samples,
     bound_check,
     chebyshev_check,
@@ -23,6 +23,8 @@ from cdstoch.linops import (
     ComplexCovariance,
     CovarianceOperator,
     RightLinearOp,
+    f_functional_cross,
+    hs_inner,
     vec_norm2,
 )
 from cdstoch.paths import GridError, PathEnsemble, TimeGrid, sweep
@@ -77,7 +79,7 @@ def random_op(rng, level, h, n):
 def test_identity_integrand_telescopes():
     ens = small_ensemble(level=2, n=2, replicas=6)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(2, 2))
-    for batch in ens.batches():
+    for batch in map(ens.batch, range(ens.n_batches)):
         eta = integral_paths(s, batch.w)
         assert np.array_equal(eta, batch.w - batch.w[:, :1])
 
@@ -89,7 +91,7 @@ def test_single_step_truncation():
     op = random_op(rng, 1, 3, 2)
     # the first step carries op, every later one the zero operator
     s = StepIntegrand.from_ops(grid, [op] + [op.scaled(0.0)] * (grid.steps - 1))
-    w = next(ens.batches()).w[:1]
+    w = ens.batch(0).w[:1]
     eta = integral_paths(s, w)
     inc = (w[0, 1] - w[0, 0]).reshape(-1)
     expected = inc @ op.realized.T
@@ -120,7 +122,7 @@ def test_partition_must_lie_on_grid():
             with pytest.raises(GridError):
                 check(s)
         with pytest.raises(AlgebraError):
-            integral_paths(s, next(ens.batches()).w)
+            integral_paths(s, ens.batch(0).w)
 
 
 def test_slot_count_must_match_partition():
@@ -136,7 +138,7 @@ def test_additivity_over_adjacent_windows():
     # a step function on every 4th point, written on the grid
     ops = [random_op(rng, 1, 2, 2) for _ in range(4)]
     s = StepIntegrand.from_ops(grid, [ops[l // 4] for l in range(16)])
-    w = next(ens.batches()).w[:1]
+    w = ens.batch(0).w[:1]
     c = float(grid.points[8])
     whole = integral_paths(s, w)[0, -1]
     # each half integrates on its own sub-grid
@@ -155,7 +157,7 @@ def test_linearity_in_the_integrand():
     # a slot returning a list of operators integrates their sum
     summed = StepIntegrand(grid, (lambda view: [op1, op2],) * grid.steps,
                            1, 1, 1)
-    batch = next(ens.batches())
+    batch = ens.batch(0)
     joint = integral_paths(summed, batch.w)
     split = (integral_paths(s1, batch.w)
              + integral_paths(s2, batch.w))
@@ -169,7 +171,7 @@ def test_weights_must_be_per_replica():
     s = StepIntegrand(grid, tuple(
         (lambda view: (np.ones(3), op)) for _ in range(grid.steps)
     ), 1, 1, 1)
-    batch = next(ens.batches())
+    batch = ens.batch(0)
     with pytest.raises(AlgebraError):
         integral_paths(s, batch.w)
 
@@ -178,7 +180,7 @@ def test_slot_operator_shape_is_checked():
     grid = TimeGrid.uniform(0.0, 1.0, 4)
     s = StepIntegrand(grid, (RightLinearOp.identity(1, 1),) * 4, 1, 1, 2)
     ens = small_ensemble(steps=4)
-    batch = next(ens.batches())
+    batch = ens.batch(0)
     with pytest.raises(LevelMismatch):
         integral_paths(s, batch.w)
 
@@ -190,7 +192,7 @@ def test_predictable_matches_elementary_for_constant():
     op = RightLinearOp.identity(1, 2)
     pred = StepIntegrand.predictable(ens.grid, 1, 2, 2, lambda idx, view: op)
     step = StepIntegrand.constant(ens.grid, op)
-    w = next(ens.batches()).w[:1]
+    w = ens.batch(0).w[:1]
     a = integral_paths(pred, w)
     b = integral_paths(step, w)
     assert np.array_equal(a, b)
@@ -205,7 +207,7 @@ def test_slots_see_only_the_prefix():
         return RightLinearOp.identity(1, 1)
 
     pred = StepIntegrand.predictable(ens.grid, 1, 1, 1, evaluator)
-    batch = next(ens.batches())
+    batch = ens.batch(0)
     integral_paths(pred, batch.w)
     assert seen == [(idx, idx + 1) for idx in range(8)]
 
@@ -248,7 +250,7 @@ def test_isometry_unit_direction():
     level = 3
     ens = small_ensemble(level=level, n=1, steps=16, seed=23, replicas=30000,
                          complexified=False)
-    op = RightLinearOp.left_mult(unit_real(level, 1), 1)
+    op = RightLinearOp.left_mult(unit_real(level, 1))
     s = StepIntegrand.constant(ens.grid, op)
     rep = run(ens, isometry_check(s, ens), threads=2)
     assert rep["passed"]
@@ -463,7 +465,7 @@ def test_integral_paths_matches_per_replica_reference(case):
     ens, cases = kernel_cases()
     s = cases[case]
     i0, i1 = (ens.grid.index_of(t) for t in (s.partition.a, s.partition.b))
-    w = next(ens.batches()).w[:, i0:i1 + 1]
+    w = ens.batch(0).w[:, i0:i1 + 1]
     eta = integral_paths(s, w)
     ref = reference_integral(s, w)
     np.testing.assert_allclose(eta, ref, rtol=1e-13,
@@ -484,15 +486,15 @@ def test_second_moment_evaluates_each_operator_pair_once():
 
     def counting(op1, op2):
         calls.append((op1, op2))
-        return _hs_inner(op1, op2)
+        return hs_inner(op1, op2)
 
-    w = next(ens.batches()).w
+    w = ens.batch(0).w
     got, = _second_moment_samples(s, w, counting)
     assert len(calls) <= 4
     dt = np.diff(ens.grid.points)
     expected = np.zeros(w.shape[0])
     for l in range(ens.grid.steps):
-        expected += dt[l] * _hs_inner(ops[l % 2], ops[l % 2])
+        expected += dt[l] * hs_inner(ops[l % 2], ops[l % 2])
     np.testing.assert_allclose(got, expected, rtol=1e-14)
 
 
@@ -506,8 +508,8 @@ def test_second_moment_with_fresh_operators_per_slot():
                 (np.cos(view[:, idx, 0, 0, 0]), ident.scaled(0.5 - idx))]
 
     s = StepIntegrand.predictable(ens.grid, 1, 1, 1, evaluator)
-    w = next(ens.batches()).w
-    got, = _second_moment_samples(s, w, _hs_inner)
+    w = ens.batch(0).w
+    got, = _second_moment_samples(s, w, hs_inner)
     expected = np.zeros(w.shape[0])
     for l in range(ens.grid.steps):
         dt = float(ens.grid.points[l + 1] - ens.grid.points[l])
@@ -516,7 +518,7 @@ def test_second_moment_with_fresh_operators_per_slot():
         q = np.zeros(w.shape[0])
         for wi, opi in terms:
             for wj, opj in terms:
-                q += wi * wj * _hs_inner(opi, opj)
+                q += wi * wj * hs_inner(opi, opj)
         expected += dt * q
     np.testing.assert_allclose(got, expected, rtol=1e-13)
 
@@ -534,12 +536,12 @@ def test_second_moment_forms_share_one_slot_pass():
         return [ops[idx % 2], (np.sin(view[:, idx, 0, 0, 1]), ops[0])]
 
     s = StepIntegrand.predictable(ens.grid, 2, 1, 1, evaluator)
-    w = next(ens.batches()).w
-    f_fn = _f_trace_fn(ens.u)
-    fq, hq = _second_moment_samples(s, w, f_fn, _hs_inner)
+    w = ens.batch(0).w
+    f_fn = partial(f_functional_cross, u=ens.u)
+    fq, hq = _second_moment_samples(s, w, f_fn, hs_inner)
     assert seen == list(range(8))
     alone_f, = _second_moment_samples(s, w, f_fn)
-    alone_h, = _second_moment_samples(s, w, _hs_inner)
+    alone_h, = _second_moment_samples(s, w, hs_inner)
     assert fq.tobytes() == alone_f.tobytes()
     assert hq.tobytes() == alone_h.tobytes()
 
@@ -551,7 +553,7 @@ def test_integral_steps_are_contiguous_and_gathers_c_ordered():
     ens = small_ensemble(level=level, n=n, steps=16, seed=19, replicas=20)
     s = StepIntegrand.constant(ens.grid,
                                random_op(np.random.default_rng(3), level, 3, n))
-    batch = next(ens.batches())
+    batch = ens.batch(0)
     eta = integral_paths(s, batch.w)
     assert eta.shape == (20, 17, 3, 2, dim_of(level))
     assert all(eta[:, l].flags.c_contiguous for l in range(17))
@@ -583,7 +585,7 @@ def test_integral_bits_do_not_depend_on_the_path_layout(case):
             return StepIntegrand.predictable(g, level, n, n, evaluator)
         return lookahead_control(g, level, n)
 
-    w = next(ens.batches()).w
+    w = ens.batch(0).w
     assert not w.flags.c_contiguous
     for sub, g in ((w, grid), (np.ascontiguousarray(w), grid),
                    (w[:, ::2], TimeGrid(grid.points[::2])),

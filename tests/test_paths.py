@@ -104,6 +104,18 @@ def test_batch_normals_reproducible_and_distinct():
     assert not np.array_equal(a, e)
 
 
+def test_batch_normals_refuse_a_stream_of_another_batch():
+    """Stream 8 of a batch would be stream 0 of the next batch, so a
+    stream outside 0..7 is refused; the eight streams of one batch and
+    the first of the next all differ."""
+    for stream in (-1, 8, 9):
+        with pytest.raises(AlgebraError, match="stream"):
+            batch_normals(42, 0, 4, (3,), stream)
+    draws = [batch_normals(42, 0, 4, (3,), s) for s in range(8)]
+    draws.append(batch_normals(42, 1, 4, (3,), 0))
+    assert len({d.tobytes() for d in draws}) == 9
+
+
 # -------------------------------------------------------------- path assembly
 
 def test_identity_covariance_embeds_noise():
@@ -112,7 +124,7 @@ def test_identity_covariance_embeds_noise():
     grid = TimeGrid.uniform(0.0, 1.0, 8)
     ens = PathEnsemble(grid, identity_complex_covariance(level, n), None,
                        seed=1, n_replicas=4)
-    batch = next(ens.batches())
+    batch = ens.batch(0)
     w = batch.w
     assert w.shape == (4, 9, 2, 2, 8)
     for inc, half in ((batch.inc0, 0), (batch.inc1, 1)):
@@ -129,12 +141,12 @@ def test_ensemble_start_and_drift():
     u = CovarianceOperator.simple(CdReal.from_real(level, 1.0), np.eye(1))
     rng = np.random.default_rng(12)
     p = CdVector(level, n, rng.standard_normal((n, 2, 4)))
-    w = next(PathEnsemble(grid, u, p, seed=5, n_replicas=3).batches()).w
+    w = PathEnsemble(grid, u, p, seed=5, n_replicas=3).batch(0).w
     # the path starts at zero at t_0 even though the window begins at 1
     assert np.all(w[:, 0] == 0.0)
     drift_gap = w[:, 2] - w[:, 0]
-    pure_noise = next(PathEnsemble(grid, u, None, seed=5,
-                                   n_replicas=3).batches()).w[:, 2]
+    pure_noise = PathEnsemble(grid, u, None, seed=5,
+                              n_replicas=3).batch(0).w[:, 2]
     assert np.allclose(drift_gap, pure_noise + 1.0 * p.data)
 
 
@@ -148,7 +160,7 @@ def test_ensemble_rows_match_single_path_assembly():
     rng = np.random.default_rng(4)
     p = CdVector(level, n, rng.standard_normal((n, 2, 8)))
     ens = PathEnsemble(grid, u, p, seed=21, n_replicas=64, batch_size=16)
-    batch = next(ens.batches())
+    batch = ens.batch(0)
     e0, e1 = u.u0.sqrt_entries(), u.u1.sqrt_entries()
     for j in (0, 3, 15):
         single = assemble_paths(grid, e0, e1, p, batch.inc0[j:j + 1],
@@ -164,7 +176,7 @@ def test_path_steps_are_contiguous_and_gathers_c_ordered():
     u = identity_complex_covariance(2, 2)
     p = CdVector(2, 2, np.random.default_rng(6).standard_normal((2, 2, 4)))
     ens = PathEnsemble(grid, u, p, seed=3, n_replicas=40, batch_size=16)
-    batch = next(ens.batches())
+    batch = ens.batch(0)
     w = batch.w
     assert w.shape == (16, 17, 2, 2, 4)
     assert all(w[:, l].flags.c_contiguous for l in range(len(grid)))
@@ -210,7 +222,8 @@ def test_ensemble_batch_layout_covers_all_replicas():
     grid = TimeGrid.uniform(0.0, 1.0, 4)
     u = CovarianceOperator.simple(CdReal.from_real(0, 1.0), np.eye(1))
     ens = PathEnsemble(grid, u, None, seed=1, n_replicas=2500, batch_size=1024)
-    spans = [(b.index, b.count) for b in ens.batches()]
+    spans = [(b.index, b.count)
+             for b in map(ens.batch, range(ens.n_batches))]
     assert spans == [(0, 1024), (1, 1024), (2, 452)]
     assert ens.n_batches == 3
     assert not ens.complexified
@@ -474,13 +487,13 @@ def _csv_values(kind):
         ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 4),
                            identity_complex_covariance(2, 2), None,
                            seed=73, n_replicas=50, batch_size=8)
-        return ens.grid, next(ens.batches()).w
+        return ens.grid, ens.batch(0).w
     if kind == "integral":
         ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 4),
                            identity_complex_covariance(1, 1), None,
                            seed=11, n_replicas=7)
         s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-        return ens.grid, integral_paths(s, next(ens.batches()).w[:3])
+        return ens.grid, integral_paths(s, ens.batch(0).w[:3])
     ident = RightLinearOp.identity(1, 1)
     prob = linear_problem(ident.scaled(-1.0), ident,
                           ZetaSpec.constant(CdVector.embedded_real(1, [1.0])),
@@ -609,9 +622,10 @@ def test_gather_joins_the_batches_in_order(threads):
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8),
                        identity_complex_covariance(1, 2), None, seed=61,
                        n_replicas=500, batch_size=96)
-    assert [b.count for b in ens.batches()] == [96] * 5 + [20]
+    batches = [ens.batch(i) for i in range(ens.n_batches)]
+    assert [b.count for b in batches] == [96] * 5 + [20]
     joined = run(ens, Probe(_gather_samples, list, gather=True), threads)
-    parts = [_gather_samples(b) for b in ens.batches()]
+    parts = [_gather_samples(b) for b in batches]
     assert not parts[0][1].flags.c_contiguous
     for j, got in enumerate(joined):
         expect = np.concatenate([part[j] for part in parts], axis=0)

@@ -88,7 +88,8 @@ def test_zeta_constant_and_gaussian_moments():
     g = ZetaSpec.gaussian(1, 3, scale=0.5)
     assert g.mean_norm2 == pytest.approx(2 * 3 * 0.25)
     ens = unit_ensemble(4, seed=3, n_replicas=40000, n=3)
-    samples = np.concatenate([g.sample(b) for b in ens.batches()])
+    samples = np.concatenate([g.sample(ens.batch(i))
+                              for i in range(ens.n_batches)])
     second = 2.0 * np.mean(np.sum(samples ** 2, axis=1))
     assert abs(second - g.mean_norm2) < 0.02
     with pytest.raises(AlgebraError):
@@ -168,7 +169,7 @@ def test_one_problem_solves_on_any_grid_of_its_window(monkeypatch):
     for steps in (8, 32):
         ens = unit_ensemble(steps, seed=43, n_replicas=20)
         grid = ens.grid
-        batch = next(ens.batches())
+        batch = ens.batch(0)
         dw = np.diff(batch.w.reshape(batch.count, len(grid), -1), axis=1)
         y = prob.zeta.sample(batch)
         expect = [y]
@@ -253,7 +254,7 @@ def test_q_apply_resumes_past_its_stationary_prefix():
     prob = linear_test_problem()
     ens = unit_ensemble(32, seed=29, n_replicas=64)
     grid = ens.grid
-    batch = next(ens.batches())
+    batch = ens.batch(0)
     dw = sde._dw_of(batch, grid)
     z = prob.zeta.sample(batch)
     prev, x = None, sde._repeat_in_time(z, len(grid))
@@ -276,7 +277,7 @@ def test_solver_steps_are_contiguous_and_results_c_ordered():
     prob = linear_test_problem()
     ens = unit_ensemble(16, seed=31, n_replicas=40)
     grid = ens.grid
-    batch = next(ens.batches())
+    batch = ens.batch(0)
     w = batch.w.reshape(batch.count, len(grid), -1)
     for stride in (1, 2):
         sub = TimeGrid(grid.points[::stride])
@@ -306,7 +307,7 @@ def test_closed_form_pure_noise_and_pure_drift():
     u = complexified_identity(1, 1)
     ens = PathEnsemble(grid, u, None, seed=9, n_replicas=5)
     cf = closed_form(linear_problem(None, ident, unit_zeta(), 1), ens)
-    batch = next(ens.batches())
+    batch = ens.batch(0)
     expect = (batch.w - batch.w[:, :1]).copy()
     expect[:, :, 0, 0, 0] += 1.0
     assert np.allclose(cf.values, expect, atol=1e-13)
@@ -328,7 +329,7 @@ def test_closed_form_step_is_conditional_mean_for_scalar_drift():
                        n_replicas=6)
     cf = closed_form(linear_problem(ident.scaled(-c), ident, unit_zeta(), 1),
                      ens)
-    batch = next(ens.batches())
+    batch = ens.batch(0)
     w = batch.w.reshape(batch.count, len(grid), -1)
     y = cf.values.reshape(batch.count, len(grid), -1)
     dt = 1.0 / steps
@@ -395,7 +396,8 @@ def picard_oracle(prob, ens):
     """picard_solve run serially, each gap summed over the whole iterate."""
     grid = ens.grid
     runs = [sde._PicardBatch(prob, grid, sde._dw_of(b, grid),
-                             prob.zeta.sample(b)) for b in ens.batches()]
+                             prob.zeta.sample(b))
+            for b in map(ens.batch, range(ens.n_batches))]
     distances, starts = [], set()
     for _ in range(sde.PICARD_M_MAX):
         per_t = []
@@ -698,7 +700,7 @@ def test_multiplicative_noise_shows_half_order():
     factors = [2, 4, 8, 16]
     prob = SdeProblem(None, hmul, unit_zeta(), 2.0, 1)
     sq = np.zeros(len(factors))
-    for batch in ens.batches():
+    for batch in map(ens.batch, range(ens.n_batches)):
         dw = np.diff(batch.w.reshape(batch.count, len(grid), -1), axis=1)
         z = unit_zeta().sample(batch)
         ref, _ = _em_values(prob, grid, dw, z)
