@@ -18,7 +18,7 @@ from .config import (
     FORMAT_CHOICES,
     ConfigError,
     RunConfig,
-    load_config,
+    load_config_fields,
 )
 from .experiments import run_experiments
 from .report import make_report, write_outputs
@@ -76,24 +76,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """cfg with every flag given on the command line (each flag's dest is
-    its RunConfig field) and, on a subcommand, its experiments."""
-    updates = {f.name: getattr(args, f.name)
-               for f in dataclasses.fields(RunConfig)
-               if getattr(args, f.name, None) is not None}
+def _build_config(fields: dict, args: argparse.Namespace) -> RunConfig:
+    """The command's one RunConfig: the config file's fields (none on a
+    subcommand), then every flag given on the command line (each flag's
+    dest is its RunConfig field) and, on a subcommand, its experiments.
+    Only the merged values are gated, when it is built."""
+    fields = dict(fields)
+    fields.update({f.name: getattr(args, f.name)
+                   for f in dataclasses.fields(RunConfig)
+                   if getattr(args, f.name, None) is not None})
     if args.command != "run":
-        updates["experiments"] = SUBCOMMANDS[args.command][0]
-    return dataclasses.replace(cfg, **updates)
+        fields["experiments"] = SUBCOMMANDS[args.command][0]
+    return RunConfig(**fields)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.command == "run" \
-            else RunConfig()
-        cfg = _apply_overrides(cfg, args)
+        cfg = _build_config(load_config_fields(args.config)
+                            if args.command == "run" else {}, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

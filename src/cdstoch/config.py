@@ -260,8 +260,9 @@ def _parse_floats(key: str, value: str) -> tuple[float, ...]:
         raise ConfigError(f"config key '{key}': not a number list") from exc
 
 
-def parse_config_text(text: str) -> RunConfig:
-    """Parse flat key=value text into a validated RunConfig."""
+def parse_config_fields(text: str) -> dict:
+    """The RunConfig fields that flat key=value text sets, parsed but not
+    yet gated: building the RunConfig gates them."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -342,15 +343,19 @@ def parse_config_text(text: str) -> RunConfig:
         fields[f"{prefix}_blocks"] = tuple(out)
     if u1_none:
         fields["u1_blocks"] = ()
+    return fields
 
-    return RunConfig(**fields)
 
-
-def load_config(path) -> RunConfig:
-    """Read and parse a config file."""
+def load_config_fields(path) -> dict:
+    """Read a config file and parse its fields (see parse_config_fields)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file '{path}': {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_fields(text)
+
+
+def load_config(path) -> RunConfig:
+    """Read and parse a config file into a validated RunConfig."""
+    return RunConfig(**load_config_fields(path))

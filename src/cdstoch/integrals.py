@@ -137,6 +137,7 @@ def integral_paths(integrand: StepIntegrand, w: np.ndarray) -> np.ndarray:
     w_flat = w.reshape(b, kk, -1)
     dw = np.empty((b, w_flat.shape[2]))
     eta = _time_major(b, kk, 2 * integrand.h * dim)
+    eta[:, 0] = 0.0
     for l in range(kk - 1):
         view = w if integrand.full_view else w[:, :l + 1]
         # one (b, in) @ (in, out) GEMM per term, written into the step's
@@ -144,7 +145,10 @@ def integral_paths(integrand: StepIntegrand, w: np.ndarray) -> np.ndarray:
         # sequential order of a cumulative sum
         np.subtract(w_flat[:, l + 1], w_flat[:, l], out=dw)
         step = eta[:, l + 1]
-        for t, (weights, op) in enumerate(integrand.terms(l, view)):
+        terms = integrand.terms(l, view)
+        if not terms or terms[0][0] is not None:
+            step[...] = 0.0  # the terms add into a zero start
+        for t, (weights, op) in enumerate(terms):
             if t == 0 and weights is None:
                 np.matmul(dw, op.realized.T, out=step)
                 continue

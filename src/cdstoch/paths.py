@@ -177,36 +177,45 @@ def batch_increments(grid: TimeGrid, n: int, seed: int, batch_index: int,
                      count: int, stream: int) -> np.ndarray:
     """(count, K, n) Gaussian increments with per-step variance dt_l."""
     z = batch_normals(seed, batch_index, count, (grid.steps, n), stream)
-    return z * np.sqrt(grid.deltas)[None, :, None]
+    z *= np.sqrt(grid.deltas)[None, :, None]
+    return z
 
 
 # ------------------------------------------------------------- path assembly
 
 def _time_major(b: int, k: int, *shape: int) -> np.ndarray:
-    """A zeroed (b, k, *shape) array stored step by step.
+    """An uninitialized (b, k, *shape) array stored step by step.
 
     Each step slice [:, l] is one contiguous block, so a per-step kernel
     reads and writes it without striding across the whole path array.
+    The storage is not zeroed: the caller writes every step row before
+    it reads one.
     """
-    return np.zeros((k, b, *shape)).swapaxes(0, 1)
+    return np.empty((k, b, *shape)).swapaxes(0, 1)
 
 
-def _inject(e: np.ndarray, inc: np.ndarray, acc: np.ndarray) -> None:
-    """Add sum_k e[l, k, d] xi[b, t, k] into the zeroed acc (n, dim, K+1, b).
+def _inject(e: np.ndarray, inc: np.ndarray, points, acc: np.ndarray) -> None:
+    """Add sum_k e[l, k, d] xi[b, t, k] into the zeroed acc (n, dim, P, b)
+    at the P grid indices points (every grid point when None).
 
-    xi is the running sum of inc (b, K, n) from zero at t_0, formed one
-    grid step at a time: the sequential order of np.cumsum, which strides
-    when it runs along an outer axis.  The k terms are added in k order
-    from zeros, so at n <= 2 the sum has the einsum's bits, signed zeros
-    included.  Every operand keeps the replica axis innermost, so each
-    multiply-add runs over whole time-major (K+1, b) planes.
+    xi is the running sum of inc (b, K, n) from zero at t_0, formed over
+    every grid step one step at a time: the sequential order of
+    np.cumsum, which strides when it runs along an outer axis.  Only the
+    planes at points are injected, each with the bits it has in the
+    whole path.  The k terms are added in k order from zeros, so at
+    n <= 2 the sum has the einsum's bits, signed zeros included.  Every
+    operand keeps the replica axis innermost, so each multiply-add runs
+    over whole time-major (P, b) planes.
     """
     b, k, n = inc.shape
     steps = inc.transpose(2, 1, 0)
-    xi = np.zeros((n, k + 1, b))
+    xi = np.empty((n, k + 1, b))
+    xi[:, 0] = 0.0
     xi[:, 1] = steps[:, 0]
     for t in range(1, k):
         np.add(xi[:, t], steps[:, t], out=xi[:, t + 1])
+    if points is not None:
+        xi = xi[:, points]
     term = np.empty(acc.shape)
     for j in range(n):
         np.multiply(e[:, j, :, None, None], xi[j], out=term)
@@ -215,25 +224,31 @@ def _inject(e: np.ndarray, inc: np.ndarray, acc: np.ndarray) -> None:
 
 def assemble_paths(grid: TimeGrid, e0: np.ndarray, e1: np.ndarray | None,
                    p: CdVector | None, inc0: np.ndarray,
-                   inc1: np.ndarray | None) -> np.ndarray:
-    """Coefficient array (batch, K+1, n, 2, dim) of w over the grid.
+                   inc1: np.ndarray | None, points) -> np.ndarray:
+    """Coefficient array (batch, P, n, 2, dim) of w at the P grid indices
+    points, a sequence of ints, or over the whole grid when points is
+    None (P = K+1).
 
     e0/e1 are entry arrays of the covariance square roots; the second
     injection lands in the imaginary half.  Drift advances from the
-    first grid point, so w(t_0) is exactly zero.  The array is stored
-    time-major (see _time_major): each grid point w[:, l] is one
+    first grid point, so w(t_0) is exactly zero.  Every row has the bits
+    it has in the whole path, signed zeros included.  The array is
+    stored time-major (see _time_major): each grid point w[:, l] is one
     contiguous block.
     """
     b, k, n = inc0.shape
     dim = e0.shape[-1]
-    acc = np.zeros((n, 2, dim, k + 1, b))
-    _inject(e0, inc0, acc[:, 0])
+    tau = np.asarray(grid.points) - grid.a
+    if points is not None:
+        points = list(points)
+        tau = tau[points]
+    acc = np.zeros((n, 2, dim, tau.size, b))
+    _inject(e0, inc0, points, acc[:, 0])
     if inc1 is not None:
-        _inject(e1, inc1, acc[:, 1])
-    w = _time_major(b, k + 1, n, 2, dim)
+        _inject(e1, inc1, points, acc[:, 1])
+    w = _time_major(b, tau.size, n, 2, dim)
     w[...] = acc.transpose(4, 3, 0, 1, 2)
     if p is not None:
-        tau = np.asarray(grid.points) - grid.a
         w += p.data[None, None] * tau[None, :, None, None, None]
     return w
 
@@ -349,14 +364,23 @@ def pool_map(fn, items, threads: int) -> list:
 # ------------------------------------------------------------- path ensembles
 
 class BatchPaths:
-    """Lazily materialized block of consecutive replicas."""
+    """Lazily materialized block of consecutive replicas.
 
-    __slots__ = ("ensemble", "index", "count", "_inc0", "_inc1", "_w")
+    points is the sorted tuple of grid indices that the samplers of a
+    sweep declared they read, or None (outside a sweep, or when a sampler
+    reads the whole path).  The first read assembles the path once, at
+    those points only: ``at`` serves any of them, and ``w`` the whole
+    path when no points were declared.
+    """
+
+    __slots__ = ("ensemble", "index", "count", "points", "_inc0", "_inc1",
+                 "_w")
 
     def __init__(self, ensemble: "PathEnsemble", index: int, count: int):
         self.ensemble = ensemble
         self.index = index
         self.count = count
+        self.points = None
         self._inc0 = None
         self._inc1 = None
         self._w = None
@@ -379,14 +403,33 @@ class BatchPaths:
                                           self.count, stream=1)
         return self._inc1
 
-    @property
-    def w(self) -> np.ndarray:
-        """Path coefficients (count, K+1, n, 2, dim)."""
+    def _assembled(self) -> np.ndarray:
+        """The batch's one assembly, at points (see assemble_paths)."""
         if self._w is None:
             e = self.ensemble
             self._w = assemble_paths(e.grid, e.sqrt_entries0, e.sqrt_entries1,
-                                     e.p, self.inc0, self.inc1)
+                                     e.p, self.inc0, self.inc1, self.points)
         return self._w
+
+    @property
+    def w(self) -> np.ndarray:
+        """Path coefficients (count, K+1, n, 2, dim); GridError when only
+        declared points are assembled."""
+        if self.points is not None:
+            raise GridError("only the declared points of this batch are "
+                            "assembled; read them with at")
+        return self._assembled()
+
+    def at(self, indices) -> np.ndarray:
+        """Path coefficients (count, len(indices), n, 2, dim) at the grid
+        indices, stored time-major like w; each must be a declared point
+        when points were declared."""
+        w = self._assembled()
+        if self.points is not None:
+            if not set(indices) <= set(self.points):
+                raise GridError("grid index not among the declared points")
+            indices = [self.points.index(i) for i in indices]
+        return w.swapaxes(0, 1)[list(indices)].swapaxes(0, 1)
 
     def initial_normals(self, shape: tuple) -> np.ndarray:
         """Standard normals (count, *shape) for this batch's initial values."""
@@ -531,11 +574,14 @@ class Probe(NamedTuple):
     a tuple of per-replica arrays, gate(values) turns their McReports, or
     for a gather probe the arrays joined over the batches, into the
     check's result.  A gate takes a maximum with np.max over a gather:
-    exact, and a NaN reaches the verdict."""
+    exact, and a NaN reaches the verdict.  points names the grid indices
+    (ints) that sample reads, through batch.at; None means it reads the
+    whole path, through batch.w."""
 
     sample: Callable
     gate: Callable
     gather: bool = False
+    points: tuple | None = None
 
 
 def _moments(v) -> tuple:
@@ -561,7 +607,9 @@ def sweep(rows: list[tuple[PathEnsemble, Probe]], threads: int) -> list:
     of every ensemble, all on one pool.
 
     Rows that share an ensemble object share its batches: each batch is
-    assembled once for all of their samplers.  A moment probe's arrays
+    assembled once for all of their samplers, at the union of the points
+    they declare, or over the whole grid when any of them reads the whole
+    path.  A moment probe's arrays
     are reduced to (sum, sum of squares) per batch, and the partial sums
     collapse in the fixed batch order; a gather probe's arrays are
     joined in batch order.  So every result is bit-identical for any
@@ -572,8 +620,14 @@ def sweep(rows: list[tuple[PathEnsemble, Probe]], threads: int) -> list:
     for i, (ens, _) in enumerate(rows):
         groups.setdefault(id(ens), (ens, []))[1].append(i)
     probes = [probe for _, probe in rows]
+    points = {}  # id(ensemble) -> the points its rows read, None for all
+    for key, (_, members) in groups.items():
+        declared = [probes[i].points for i in members]
+        points[key] = None if None in declared \
+            else tuple(sorted(set().union(*declared)))
 
     def sample(batch):
+        batch.points = points[id(batch.ensemble)]
         return [probes[i].sample(batch) if probes[i].gather
                 else [_moments(v) for v in probes[i].sample(batch)]
                 for i in groups[id(batch.ensemble)][1]]
@@ -616,7 +670,11 @@ def mean_increment(ensemble: PathEnsemble, t1: float, t2: float) -> Probe:
             "sample_count": rep.sample_count,
         }
 
-    return Probe(lambda b: (b.w[:, i2] - b.w[:, i1],), gate)
+    def sample(batch: BatchPaths):
+        w = batch.at((i1, i2))
+        return (w[:, 1] - w[:, 0],)
+
+    return Probe(sample, gate, points=(i1, i2))
 
 
 def increment_cov(ensemble: PathEnsemble, t1: float, t2: float,
@@ -649,12 +707,13 @@ def increment_cov(ensemble: PathEnsemble, t1: float, t2: float,
             else mul_coeffs(level, x[:, 0], y[:, 0])
 
     def sample(batch: BatchPaths):
-        w = batch.w
-        xs = w[:, i2, k] - t2 * pc[k][None]
-        ys = w[:, i1, h] - t1 * pc[h][None]
+        w = batch.at((i1, i2))
+        w1, w2 = w[:, 0], w[:, 1]
+        xs = w2[:, k] - t2 * pc[k][None]
+        ys = w1[:, h] - t1 * pc[h][None]
         stated = product(xs, ys)
-        dx = (w[:, i2, k] - w[:, i1, k]) - (t2 - t1) * pc[k][None]
-        dy = (w[:, i2, h] - w[:, i1, h]) - (t2 - t1) * pc[h][None]
+        dx = (w2[:, k] - w1[:, k]) - (t2 - t1) * pc[k][None]
+        dy = (w2[:, h] - w1[:, h]) - (t2 - t1) * pc[h][None]
         return product(dx, dy), stated
 
     def gate(reports):
@@ -670,7 +729,7 @@ def increment_cov(ensemble: PathEnsemble, t1: float, t2: float,
             "h": h,
         }
 
-    return Probe(sample, gate)
+    return Probe(sample, gate, points=(i1, i2))
 
 
 def disjoint_increments(ensemble: PathEnsemble, t1: float, t2: float,
@@ -682,10 +741,12 @@ def disjoint_increments(ensemble: PathEnsemble, t1: float, t2: float,
     if not (i1 < i2 <= i3 < i4):
         raise GridError("increment windows must be ordered and disjoint")
 
+    points = (i1, i2, i3, i4)
+
     def sample(batch: BatchPaths):
-        w = batch.w
-        x = (w[:, i2] - w[:, i1]).reshape(batch.count, -1)
-        y = (w[:, i4] - w[:, i3]).reshape(batch.count, -1)
+        w = batch.at(points)
+        x = (w[:, 1] - w[:, 0]).reshape(batch.count, -1)
+        y = (w[:, 3] - w[:, 2]).reshape(batch.count, -1)
         return x, y, x * x, y * y, x * y
 
     def gate(reports):
@@ -709,7 +770,7 @@ def disjoint_increments(ensemble: PathEnsemble, t1: float, t2: float,
             "sample_count": count,
         }
 
-    return Probe(sample, gate)
+    return Probe(sample, gate, points=points)
 
 
 # --------------------------------------------------- characteristic functional
@@ -723,10 +784,10 @@ def char_functional_estimator(ensemble: PathEnsemble, y: RealFunctional,
     idx = ensemble.grid.index_of(t)
 
     def sample(batch: BatchPaths):
-        theta = y(batch.w[:, idx].reshape(batch.count, -1))
+        theta = y(batch.at((idx,))[:, 0].reshape(batch.count, -1))
         return (np.stack([np.cos(theta), np.sin(theta)], axis=1),)
 
-    return Probe(sample, lambda reports: reports[0])
+    return Probe(sample, lambda reports: reports[0], points=(idx,))
 
 
 def char_functional_closed_form(u, p: CdVector | None, y: RealFunctional,
@@ -775,7 +836,7 @@ def char_functional_check(ensemble: PathEnsemble, y: RealFunctional,
             "sample_count": rep.sample_count,
         }
 
-    return Probe(estimator.sample, gate)
+    return Probe(estimator.sample, gate, points=estimator.points)
 
 
 def char_semigroup(ensemble: PathEnsemble, y: RealFunctional,
@@ -796,7 +857,8 @@ def char_semigroup(ensemble: PathEnsemble, y: RealFunctional,
             "sample_count": r12.sample_count,
         }
 
-    return Probe(lambda b: tuple(e.sample(b)[0] for e in estimators), gate)
+    return Probe(lambda b: tuple(e.sample(b)[0] for e in estimators), gate,
+                 points=tuple(e.points[0] for e in estimators))
 
 
 # ------------------------------------------------------- stochastic continuity

@@ -15,9 +15,9 @@ from cdstoch.config import (
     RunConfig,
     build_driving,
     load_config,
-    parse_config_text,
+    parse_config_fields,
 )
-from cdstoch.cli import SUBCOMMANDS, _apply_overrides, build_parser, main
+from cdstoch.cli import SUBCOMMANDS, _build_config, build_parser, main
 from cdstoch import cli, experiments
 from cdstoch.experiments import run_experiments
 from cdstoch.linops import ComplexCovariance, CovarianceOperator
@@ -48,6 +48,11 @@ u0.block2.b = 0.8
 u1 = none
 tol.exact = 1e-11
 """
+
+
+def parse_config_text(text: str) -> RunConfig:
+    """The validated RunConfig of flat key=value text."""
+    return RunConfig(**parse_config_fields(text))
 
 
 def tiny_cfg(**kw):
@@ -371,10 +376,11 @@ def test_config_echo_holds_every_field_but_the_run_options():
 
 @pytest.mark.parametrize("command", ["paths", "run"])
 def test_every_common_flag_lands_on_its_field(command):
-    base = parse_config_text(EVERY_KEY_TEXT)
+    fields = parse_config_fields(EVERY_KEY_TEXT)
+    base = RunConfig(**fields)
     prefix = ["run", "--config", "run.cfg"] if command == "run" else [command]
     argv = prefix + [tok for _, toks, _ in COMMON_FLAGS for tok in toks]
-    cfg = _apply_overrides(base, build_parser().parse_args(argv))
+    cfg = _build_config(fields, build_parser().parse_args(argv))
     expected = {name: value for name, _, value in COMMON_FLAGS}
     if command != "run":
         expected["experiments"] = ("paths",)
@@ -382,12 +388,68 @@ def test_every_common_flag_lands_on_its_field(command):
 
 
 def test_run_keeps_the_file_value_of_a_flag_left_out():
-    base = parse_config_text(EVERY_KEY_TEXT)
+    fields = parse_config_fields(EVERY_KEY_TEXT)
+    base = RunConfig(**fields)
     prefix = ["run", "--config", "run.cfg"]
-    assert _apply_overrides(base, build_parser().parse_args(prefix)) == base
+    assert _build_config(fields, build_parser().parse_args(prefix)) == base
     for name, toks, value in COMMON_FLAGS:
-        cfg = _apply_overrides(base, build_parser().parse_args(prefix + toks))
+        cfg = _build_config(fields, build_parser().parse_args(prefix + toks))
         assert cfg == dataclasses.replace(base, **{name: value}), name
+
+
+def test_run_gates_the_file_values_under_the_flags(tmp_path, capsys):
+    """Only the merged config is gated: a flag mends a file value the sde
+    battery refuses, and a flag the battery refuses fails a file it
+    accepts, with exit 2 before any battery runs."""
+    cfg_file = tmp_path / "sde.cfg"
+    cfg_file.write_text("experiments = sde\ngrid = 8\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="'grid'"):
+        load_config(cfg_file)
+    common = ["--replicas", "200", "--threads", "1"]
+    rc = main(["run", "--config", str(cfg_file), "--grid", "16", *common,
+               "--out", str(tmp_path / "mended")])
+    assert rc in (0, 1)  # a verdict, not a usage error
+    doc = json.loads((tmp_path / "mended" / "report.json").read_text())
+    assert doc["config"]["grids"] == [16]
+    cfg_file.write_text("experiments = sde\ngrid = 16\n", encoding="utf-8")
+    rc = main(["run", "--config", str(cfg_file), "--grid", "8", *common,
+               "--out", str(tmp_path / "refused")])
+    assert rc == 2
+    assert "config key 'grid'" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+
+
+@pytest.mark.parametrize("command", ["sde", "run"])
+def test_a_command_builds_one_config(command, tmp_path, monkeypatch):
+    """A subcommand builds its RunConfig from its flags, and run from the
+    file's values plus its flags: once, so the driving law is gated
+    once."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("experiments = sde\nreplicas = 200\n",
+                        encoding="utf-8")
+    prefix = ["run", "--config", str(cfg_file)] if command == "run" \
+        else [command, "--replicas", "200"]
+    built = []
+    post_init = RunConfig.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    class Built(Exception):
+        pass
+
+    def stop(cfg):
+        raise Built(cfg)
+
+    monkeypatch.setattr(RunConfig, "__post_init__", counted)
+    monkeypatch.setattr(cli, "run_experiments", stop)
+    with pytest.raises(Built) as caught:
+        main(prefix + ["--grid", "16", "--out", str(tmp_path)])
+    cfg, = caught.value.args
+    assert len(built) == 1
+    assert (cfg.experiments, cfg.replicas, cfg.grids) == (("sde",), 200,
+                                                         (16,))
 
 
 def test_subcommands_name_known_experiments():

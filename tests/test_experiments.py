@@ -24,6 +24,7 @@ from cdstoch.experiments import (
     _run_rows,
     isometry_experiment,
     martingale_experiment,
+    run_experiments,
     sde_experiment,
 )
 from cdstoch.linops import (
@@ -40,6 +41,7 @@ from cdstoch.paths import (
     mean_increment,
     sweep,
 )
+from cdstoch.report import make_report, render_json, strip_timing
 
 
 def _bits(value):
@@ -86,39 +88,45 @@ def test_runner_sweeps_each_ensemble_once_in_row_order(threads, monkeypatch):
 
 
 def watch_assemblies(monkeypatch, seen) -> None:
-    """Call seen(batch) on each batch as it is assembled."""
-    w = paths_module.BatchPaths.w
+    """Call seen(batch, w) on each batch as it is assembled, with what it
+    assembled: the whole path, or the points its sweep's rows declared.
+    The hook sits on the one assembly site, BatchPaths._assembled."""
+    assembled = paths_module.BatchPaths._assembled
 
     def watched(batch):
-        if batch._w is None:
-            seen(batch)
-        return w.fget(batch)
+        fresh = batch._w is None
+        w = assembled(batch)
+        if fresh:
+            seen(batch, w)
+        return w
 
-    monkeypatch.setattr(paths_module.BatchPaths, "w", property(watched))
+    monkeypatch.setattr(paths_module.BatchPaths, "_assembled", watched)
 
 
 def count_assemblies(monkeypatch, cfg) -> Counter:
     """Assemblies per (seed offset, batch index), counted as they happen."""
     assembled = Counter()
-    watch_assemblies(monkeypatch, lambda batch: assembled.update(
+    watch_assemblies(monkeypatch, lambda batch, w: assembled.update(
         [(batch.ensemble.seed - cfg.seed, batch.index)]))
     return assembled
 
 
-def ensemble_manifest(monkeypatch, cfg) -> list[tuple]:
+def ensemble_manifest(monkeypatch, cfg) -> tuple[list[tuple], dict]:
     """(seed offset, replicas, grid steps, level, n, complexified, drift)
-    of each ensemble swept, in the order of its first assembly."""
-    manifest = []
+    of each ensemble swept, in the order of its first assembly, and per
+    seed offset the set of grid point counts its batches assembled."""
+    manifest, widths = [], {}
 
-    def seen(batch):
+    def seen(batch, w):
         e = batch.ensemble
         entry = (e.seed - cfg.seed, e.n_replicas, e.grid.steps, e.level, e.n,
                  e.complexified, e.p is not None)
         if entry not in manifest:
             manifest.append(entry)
+        widths.setdefault(entry[0], set()).add(w.shape[1])
 
     watch_assemblies(monkeypatch, seen)
-    return manifest
+    return manifest, widths
 
 
 T, F = True, False
@@ -183,13 +191,25 @@ SDE_MANIFESTS = {
 }
 
 
+# Grid points each batch of a paths-battery ensemble assembles, where
+# its rows read fewer than all 17: every characteristic-functional case
+# reads one point, the fixture and directional ensembles two.
+PATHS_POINTS = {2: 2, 3: 2, **{offset: 1 for offset in range(100, 120)}}
+
+
 @pytest.mark.parametrize("name", list(MANIFESTS))
 def test_battery_sweeps_its_pinned_ensembles(name, monkeypatch):
+    """Each battery sweeps its pinned ensembles; every batch assembles
+    the whole path but where the paths battery's rows read fewer
+    points."""
     cfg = RunConfig(seed=5, replicas=2100, grids=(16,), threads=1,
                     experiments=(name,))
-    manifest = ensemble_manifest(monkeypatch, cfg)
+    manifest, widths = ensemble_manifest(monkeypatch, cfg)
     dict(EXPERIMENTS)[name](cfg)
     assert manifest == MANIFESTS[name]
+    points = PATHS_POINTS if name == "paths" else {}
+    assert widths == {entry[0]: {points.get(entry[0], entry[2] + 1)}
+                      for entry in manifest}
 
 
 @pytest.mark.parametrize(("replicas", "steps"), list(SDE_MANIFESTS))
@@ -197,9 +217,33 @@ def test_sde_battery_sweeps_its_pinned_ensembles(replicas, steps,
                                                  monkeypatch):
     cfg = RunConfig(seed=5, replicas=replicas, grids=(steps,), threads=1,
                     experiments=("sde",))
-    manifest = ensemble_manifest(monkeypatch, cfg)
+    manifest, widths = ensemble_manifest(monkeypatch, cfg)
     sde_experiment(cfg)
     assert manifest == SDE_MANIFESTS[(replicas, steps)]
+    assert widths == {entry[0]: {entry[2] + 1} for entry in manifest}
+
+
+def _nan_time_major(b: int, k: int, *shape: int) -> np.ndarray:
+    """paths._time_major's layout, every element NaN."""
+    return np.full((k, b, *shape), np.nan).swapaxes(0, 1)
+
+
+def test_time_major_storage_is_written_before_it_is_read(monkeypatch):
+    """_time_major hands out storage that is not zeroed.  With NaN in it
+    instead, the Monte Carlo batteries report the bytes they report on
+    the real allocator: no caller reads a row it has not written."""
+    cfg = RunConfig(seed=5, replicas=300, grids=(16,), threads=1,
+                    experiments=("paths", "isometry", "martingale",
+                                 "chebyshev", "sde"))
+
+    def stripped() -> str:
+        return render_json(strip_timing(make_report(cfg,
+                                                    run_experiments(cfg))))
+
+    clean = stripped()
+    for module in (paths_module, integrals_module, sde_module):
+        monkeypatch.setattr(module, "_time_major", _nan_time_major)
+    assert stripped() == clean
 
 
 def checks_of(entry) -> dict:

@@ -164,7 +164,7 @@ def test_ensemble_rows_match_single_path_assembly():
     e0, e1 = u.u0.sqrt_entries(), u.u1.sqrt_entries()
     for j in (0, 3, 15):
         single = assemble_paths(grid, e0, e1, p, batch.inc0[j:j + 1],
-                                batch.inc1[j:j + 1])[0]
+                                batch.inc1[j:j + 1], None)[0]
         assert np.array_equal(single, batch.w[j])
 
 
@@ -189,6 +189,44 @@ def test_path_steps_are_contiguous_and_gathers_c_ordered():
                                         (40, 2, 2, 4)]
     assert all(a.flags.c_contiguous for a in joined)
     assert np.array_equal(joined[0][:16], w)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_a_sweep_assembles_only_the_declared_points(threads, monkeypatch):
+    """Rows that declare points assemble their union once per batch, each
+    row with the bits of the whole path; w then raises, and so does at
+    on a point no row declared.  Outside a sweep, at reads the whole
+    path, time-major like w."""
+    grid = TimeGrid.uniform(0.0, 1.0, 16)
+    p = CdVector(2, 2, np.random.default_rng(7).standard_normal((2, 2, 4)))
+    ens = PathEnsemble(grid, identity_complex_covariance(2, 2), p, seed=9,
+                       n_replicas=150, batch_size=64)
+    whole = np.concatenate([ens.batch(i).w for i in range(ens.n_batches)])
+    lone = ens.batch(1)
+    got = lone.at((12, 0))
+    assert np.array_equal(got.view(np.uint64),
+                          lone.w[:, [12, 0]].view(np.uint64))
+    assert all(got[:, j].flags.c_contiguous for j in range(2))
+
+    def sample(batch):
+        for read in (lambda: batch.w, lambda: batch.at((5,))):
+            with pytest.raises(GridError):
+                read()
+        return (batch.at((0, 12)),)
+
+    assembled = []
+    assemble = paths_module.assemble_paths
+
+    def counting(*args):
+        assembled.append(args[-1])
+        return assemble(*args)
+
+    monkeypatch.setattr(paths_module, "assemble_paths", counting)
+    rows = sweep([(ens, Probe(sample, list, gather=True, points=(12, 0))),
+                  (ens, mean_increment(ens, 0.25, 0.75))], threads)[0][0]
+    assert assembled == [(0, 4, 12)] * ens.n_batches
+    assert np.array_equal(rows.view(np.uint64),
+                          whole[:, [0, 12]].view(np.uint64))
 
 
 def test_moment_reducer_bits_do_not_depend_on_layout():
@@ -771,8 +809,17 @@ def _einsum_assembly(grid, e0, e1, p, inc0, inc1):
     return w
 
 
-@pytest.mark.parametrize("n", [1, 2])
+# grid indices of the 12-step grid: each end alone, both ends, interior
+# points out of order, and every point
+POINT_SETS = [(0,), (12,), (0, 12), (7, 3, 12), tuple(range(13))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_assemble_paths_is_bitwise_the_einsum(n):
+    """The whole assembly has the einsum's bits at n <= 2, signed zeros
+    included; at any n, complexified or real, with or without drift, an
+    assembly at a few points gives each of those rows with the bits of
+    the whole assembly."""
     level, dim = 3, 8
     grid = TimeGrid.uniform(0.0, 1.0, 12)
     rng = np.random.default_rng(12)
@@ -782,11 +829,26 @@ def test_assemble_paths_is_bitwise_the_einsum(n):
     inc0, inc1 = rng.standard_normal((2, 9, 12, n))
     inc0[:, 4] = -0.0
     p = CdVector(level, n, rng.standard_normal((n, 2, dim)))
-    args = (grid, e0, e1, p, inc0, inc1)
-    got = assemble_paths(*args)
-    ref = _einsum_assembly(*args)
+    cases = []
+    for drift in (p, None):
+        for second in ((e1, inc1), (None, None)):
+            whole = assemble_paths(grid, e0, second[0], drift, inc0,
+                                   second[1], None)
+            cases.append((drift, second, whole))
+            for points in POINT_SETS:
+                rows = assemble_paths(grid, e0, second[0], drift, inc0,
+                                      second[1], points)
+                assert rows.shape == (9, len(points), n, 2, dim)
+                assert all(rows[:, j].flags.c_contiguous
+                           for j in range(len(points)))
+                assert np.array_equal(rows.view(np.uint64),
+                                      whole[:, list(points)].view(np.uint64))
+    if n == 3:  # k order from zeros is not the einsum's order at n = 3
+        return
+    got = cases[0][2]
+    ref = _einsum_assembly(grid, e0, e1, p, inc0, inc1)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-    bare = assemble_paths(grid, e0, e1, None, inc0, inc1)
+    bare = cases[2][2]
     zero = CdVector(level, n, np.zeros((n, 2, dim)))
     bare_ref = _einsum_assembly(grid, e0, e1, zero, inc0, inc1)
     assert np.array_equal(bare, bare_ref)
@@ -949,7 +1011,7 @@ def test_reports_and_pins_hold_under_the_budget(threads, monkeypatch):
     def rows_match(b):
         return all(np.array_equal(
             assemble_paths(grid, e0, e1, p, b.inc0[j:j + 1],
-                           b.inc1[j:j + 1])[0], b.w[j])
+                           b.inc1[j:j + 1], None)[0], b.w[j])
             for j in (0, b.count // 2, b.count - 1))
 
     assert ens.map_batches(rows_match, threads=threads) == [True] * 3
