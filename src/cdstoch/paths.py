@@ -370,38 +370,32 @@ class BatchPaths:
     sweep declared they read, or None (outside a sweep, or when a sampler
     reads the whole path).  The first read assembles the path once, at
     those points only: ``at`` serves any of them, and ``w`` the whole
-    path when no points were declared.
+    path when no points were declared.  The path is all a batch holds:
+    ``inc0`` and ``inc1`` draw its increments afresh on each read.
     """
 
-    __slots__ = ("ensemble", "index", "count", "points", "_inc0", "_inc1",
-                 "_w")
+    __slots__ = ("ensemble", "index", "count", "points", "_w")
 
     def __init__(self, ensemble: "PathEnsemble", index: int, count: int):
         self.ensemble = ensemble
         self.index = index
         self.count = count
         self.points = None
-        self._inc0 = None
-        self._inc1 = None
         self._w = None
 
     @property
     def inc0(self) -> np.ndarray:
-        if self._inc0 is None:
-            e = self.ensemble
-            self._inc0 = batch_increments(e.grid, e.n, e.seed, self.index,
-                                          self.count, stream=0)
-        return self._inc0
+        e = self.ensemble
+        return batch_increments(e.grid, e.n, e.seed, self.index, self.count,
+                                stream=0)
 
     @property
     def inc1(self) -> np.ndarray | None:
         e = self.ensemble
         if not e.complexified:
             return None
-        if self._inc1 is None:
-            self._inc1 = batch_increments(e.grid, e.n, e.seed, self.index,
-                                          self.count, stream=1)
-        return self._inc1
+        return batch_increments(e.grid, e.n, e.seed, self.index, self.count,
+                                stream=1)
 
     def _assembled(self) -> np.ndarray:
         """The batch's one assembly, at points (see assemble_paths)."""
@@ -616,6 +610,8 @@ def sweep(rows: list[tuple[PathEnsemble, Probe]], threads: int) -> list:
     worker count, and a probe's result has the bits of that probe swept
     alone.
     """
+    if not rows:
+        return []
     groups = {}  # id(ensemble) -> (ensemble, its row indices)
     for i, (ens, _) in enumerate(rows):
         groups.setdefault(id(ens), (ens, []))[1].append(i)

@@ -164,8 +164,9 @@ def linear_problem(g_op: RightLinearOp | None, h_op: RightLinearOp | None,
 
 # ------------------------------------------------------------------ solvers
 
-def _dw_of(batch, grid: TimeGrid, stride: int = 1) -> np.ndarray:
-    """Flat path increments on grid, read from every stride-th point."""
+def _dw_of(batch, grid: TimeGrid) -> np.ndarray:
+    """Flat path increments on grid, a level of the batch's halving ladder."""
+    stride = batch.ensemble.grid.steps // grid.steps
     w = batch.w[:, ::stride].reshape(batch.count, len(grid), -1)
     out = _time_major(batch.count, grid.steps, w.shape[2])
     return np.subtract(w[:, 1:], w[:, :-1], out=out)
@@ -640,8 +641,8 @@ def strong_order_study(problem: SdeProblem, ensemble: PathEnsemble,
     def sampler(batch):
         z = problem.zeta.sample(batch)
         ref = reference(_dw_of(batch, grid), z)[:, -1]
-        finals = (_em_values(problem, g, _dw_of(batch, g, f), z)[0][:, -1]
-                  for f, g in zip(factors, grids))
+        finals = (_em_values(problem, g, _dw_of(batch, g), z)[0][:, -1]
+                  for g in grids)
         return tuple(vec_norm2(final - ref) for final in finals)
 
     dts = [float(grid.points[f] - grid.points[0]) for f in factors]
@@ -672,8 +673,8 @@ def uniqueness_study(problem: SdeProblem, ensemble: PathEnsemble,
     factors = halving_factors(grid, halvings)[::-1]
     subs = [TimeGrid(grid.points[::f]) for f in factors]
 
-    def level_gap(sub, f, b):
-        dw = _dw_of(b, sub, f)
+    def level_gap(sub, b):
+        dw = _dw_of(b, sub)
         z = problem.zeta.sample(b)
         em, _ = _em_values(problem, sub, dw, z)
         run = _PicardBatch(problem, sub, dw, z)
@@ -698,6 +699,5 @@ def uniqueness_study(problem: SdeProblem, ensemble: PathEnsemble,
         }
 
     # every grid level runs on each batch of the one sweep
-    return Probe(lambda b: tuple(level_gap(sub, f, b)
-                                 for sub, f in zip(subs, factors)), gate)
+    return Probe(lambda b: tuple(level_gap(sub, b) for sub in subs), gate)
 

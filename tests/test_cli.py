@@ -10,6 +10,7 @@ import pytest
 
 from cdstoch.config import (
     EXPERIMENT_CHOICES,
+    MAX_N,
     RUN_OPTIONS,
     ConfigError,
     RunConfig,
@@ -166,7 +167,8 @@ def test_parse_bad_number_names_key():
 
 def test_parse_asymmetric_block_named():
     text = "u0.block1.a = 1 0 0 0\nu0.block1.b = 1.0 0.4 0.1 0.9\n"
-    with pytest.raises(ConfigError, match=r"u0\.block1\.b"):
+    with pytest.raises(ConfigError, match=r"^config key 'u0\.block1\.b': "
+                                          r"matrix is not symmetric$"):
         parse_config_text(text)
 
 
@@ -184,6 +186,60 @@ def test_run_config_refuses_a_non_spd_block_when_built():
         RunConfig(u0_blocks=(block,))
     with pytest.raises(ConfigError, match=r"u0\.block1\.b"):
         dataclasses.replace(RunConfig(), u0_blocks=(block,))
+
+
+# every law value and tolerance key, set to finite values (level 1, n 1)
+FINITE_LAW = {
+    "drift": "0.5 0 0 0",
+    "u0.block1.a": "1 0.2",
+    "u0.block1.b": "1.2",
+    "u1.block1.a": "0.8 0",
+    "u1.block1.b": "0.9",
+    "tol.exact": "1e-12",
+    "tol.sqrt": "1e-10",
+}
+FINITE_LAW_PREFIX = "level = 1\nn = 1\ngrid = 16\nexperiments = paths\n"
+
+
+def _law_fields(key: str, value: float) -> dict:
+    """RunConfig fields whose law sets key's first number to value."""
+    fields = dict(level=1, n=1, grids=(16,), experiments=("paths",))
+    if key == "drift":
+        fields["drift"] = (value, 0.0, 0.0, 0.0)
+    elif key.startswith("tol."):
+        fields["tolerances"] = ((key[4:], value),)
+    else:
+        prefix, _, part = key.split(".")
+        fields[f"{prefix}_blocks"] = (((value, 0.2), (1.2,)) if part == "a"
+                                      else ((1.0, 0.2), (value,)),)
+    return fields
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", list(FINITE_LAW))
+def test_non_finite_law_values_and_tolerances_are_refused(key, value):
+    """A NaN or an infinity in a covariance block, the drift or a
+    tolerance is refused, naming its key, before any battery runs: a NaN
+    law wrote NaN tokens into report.json, and an infinite tolerance
+    switched its gate off."""
+    laws = dict(FINITE_LAW)
+    laws[key] = " ".join([value] + laws[key].split()[1:])
+    text = FINITE_LAW_PREFIX + "".join(f"{k} = {v}\n"
+                                       for k, v in laws.items())
+    message = rf"^config key '{key}': need finite numbers$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(text)
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**_law_fields(key, float(value)))
+
+
+def test_a_component_count_past_the_cap_is_refused():
+    """n = 2^64 made the identity covariance raise ValueError out of
+    RunConfig; an n past MAX_N is a config error."""
+    assert RunConfig(n=MAX_N, level=0, experiments=("paths",)).n == MAX_N
+    for n in (MAX_N + 1, 2 ** 64):
+        with pytest.raises(ConfigError, match="^config key 'n': need at most"):
+            parse_config_text(f"n = {n}\n")
 
 
 def test_parse_block_needs_both_parts():
@@ -530,6 +586,21 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "u0.block1.b" in err
+
+
+def test_cli_refuses_a_nan_law_before_any_battery(tmp_path, capsys):
+    """A NaN covariance coefficient exits 2 and writes no report, where it
+    used to exit 1 with NaN tokens in report.json."""
+    cfg_file = tmp_path / "nan.cfg"
+    cfg_file.write_text("experiments = paths\nreplicas = 200\ngrid = 16\n"
+                        "u0.block1.a = nan 0 0 0\nu0.block1.b = 1\n",
+                        encoding="utf-8")
+    rc = main(["run", "--config", str(cfg_file), "--threads", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config key 'u0.block1.a': need finite numbers" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_unusable_out_exits_before_any_battery(tmp_path, capsys,

@@ -387,8 +387,8 @@ def test_restart_rows_fail_on_a_nan_in_a_later_batch(monkeypatch):
                     experiments=("sde",))
     dw_of = sde_module._dw_of
 
-    def poisoned(batch, grid, stride=1):
-        dw = dw_of(batch, grid, stride)
+    def poisoned(batch, grid):
+        dw = dw_of(batch, grid)
         if batch.ensemble.seed == cfg.seed + 504 and batch.index == 1:
             dw[0, -1] = np.nan
         return dw

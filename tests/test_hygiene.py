@@ -712,7 +712,6 @@ SETTABLE_OPTIONS = (
     "linops.from_blocks.s10",
     "linops.from_blocks.s11",
     "paths.PathEnsemble.batch_size",
-    "sde._dw_of.stride",
 )
 
 

@@ -162,9 +162,10 @@ def test_ensemble_rows_match_single_path_assembly():
     ens = PathEnsemble(grid, u, p, seed=21, n_replicas=64, batch_size=16)
     batch = ens.batch(0)
     e0, e1 = u.u0.sqrt_entries(), u.u1.sqrt_entries()
+    inc0, inc1 = batch.inc0, batch.inc1
     for j in (0, 3, 15):
-        single = assemble_paths(grid, e0, e1, p, batch.inc0[j:j + 1],
-                                batch.inc1[j:j + 1], None)[0]
+        single = assemble_paths(grid, e0, e1, p, inc0[j:j + 1],
+                                inc1[j:j + 1], None)[0]
         assert np.array_equal(single, batch.w[j])
 
 
@@ -643,6 +644,12 @@ def test_sweep_matches_each_probe_swept_alone(threads, monkeypatch):
     assert _bits(fused) == _bits(alone)
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_a_sweep_of_no_rows_returns_no_results(threads):
+    """An empty row list used to raise IndexError reading ensembles[0]."""
+    assert sweep([], threads) == []
+
+
 def _gather_samples(batch):
     """Per-replica arrays of three layouts: C-ordered, time-major (as the
     solvers store them) and 1-D boolean."""
@@ -1009,9 +1016,10 @@ def test_reports_and_pins_hold_under_the_budget(threads, monkeypatch):
     e0, e1 = u.u0.sqrt_entries(), u.u1.sqrt_entries()
 
     def rows_match(b):
+        inc0, inc1 = b.inc0, b.inc1
         return all(np.array_equal(
-            assemble_paths(grid, e0, e1, p, b.inc0[j:j + 1],
-                           b.inc1[j:j + 1], None)[0], b.w[j])
+            assemble_paths(grid, e0, e1, p, inc0[j:j + 1],
+                           inc1[j:j + 1], None)[0], b.w[j])
             for j in (0, b.count // 2, b.count - 1))
 
     assert ens.map_batches(rows_match, threads=threads) == [True] * 3

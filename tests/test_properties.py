@@ -1,0 +1,270 @@
+"""Property tests: halving-ladder increments, sweep row independence and
+the config gates under edge numbers.
+
+Every property runs derandomized and without an example database, so a
+run draws the same examples each time; a counterexample one finds becomes
+a fixed regression test beside it.
+"""
+
+import dataclasses
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cdstoch.sde as sde
+from cdstoch.algebra import CdReal
+from cdstoch.config import ConfigError, RunConfig, parse_config_fields
+from cdstoch.linops import (
+    CdVector,
+    ComplexCovariance,
+    CovarianceOperator,
+    RealFunctional,
+    RightLinearOp,
+)
+from cdstoch.paths import (
+    PathEnsemble,
+    Probe,
+    TimeGrid,
+    char_semigroup,
+    disjoint_increments,
+    increment_cov,
+    mean_increment,
+    path_continuity,
+    sweep,
+)
+from cdstoch.sde import (
+    ZetaSpec,
+    euler_maruyama,
+    linear_problem,
+    uniqueness_study,
+)
+
+
+def examples(count: int):
+    return settings(derandomize=True, database=None, deadline=None,
+                    max_examples=count)
+
+
+def _bits(value):
+    """A result with every float replaced by its bytes."""
+    if dataclasses.is_dataclass(value):
+        return _bits(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, (float, np.ndarray)):
+        return np.asarray(value).tobytes()
+    return value
+
+
+# ---------------------------------------------------- halving-ladder reads
+
+@examples(30)
+@given(level=st.integers(0, 3), n=st.integers(1, 2),
+       complexified=st.booleans(), drifted=st.booleans(),
+       m=st.integers(1, 3), h=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 62 - 1))
+def test_every_ladder_level_reads_its_increments_off_the_path(
+        level, n, complexified, drifted, m, h, seed):
+    """_dw_of on level j of a halving ladder is np.diff of every 2**j-th
+    path point, bitwise, with contiguous step slices; the increments a
+    batch draws are the same on every read."""
+    grid = TimeGrid.uniform(0.0, 1.0, m * 2 ** h)
+    u0 = CovarianceOperator.identity(level, n)
+    u = ComplexCovariance(u0, u0) if complexified else u0
+    p = CdVector(level, n, np.random.default_rng(seed).standard_normal(
+        (n, 2, 2 ** level))) if drifted else None
+    batch = PathEnsemble(grid, u, p, seed=seed, n_replicas=5).batch(0)
+    w = batch.w.reshape(batch.count, len(grid), -1)
+    for j in range(h + 1):
+        sub = TimeGrid(grid.points[::2 ** j])
+        dw = sde._dw_of(batch, sub)
+        expect = np.diff(w[:, ::2 ** j], axis=1)
+        assert dw.shape == expect.shape and dw.tobytes() == expect.tobytes()
+        assert all(dw[:, l].flags.c_contiguous for l in range(sub.steps))
+    assert batch.inc0.tobytes() == batch.inc0.tobytes()
+    if complexified:
+        assert batch.inc1.tobytes() == batch.inc1.tobytes()
+    else:
+        assert batch.inc1 is None
+
+
+# ------------------------------------------------------- sweep row order
+
+def _tail_bytes(joined):
+    return [a.tobytes() for a in joined]
+
+
+def _sweep_rows():
+    """Rows of two ensembles: moment and gather probes, point-declaring
+    and whole-path ones, and two solver probes that read a ladder."""
+    rng = np.random.default_rng(5)
+    level = 2
+    cov = CovarianceOperator(level, (
+        (CdReal(level, [1.0, 0.5, 0.0, 0.0]),
+         np.array([[2.0, 0.3], [0.3, 1.0]])),))
+    wide = PathEnsemble(
+        TimeGrid.uniform(0.0, 1.0, 16), ComplexCovariance(cov, cov),
+        CdVector(level, 2, rng.standard_normal((2, 2, 4))), seed=13,
+        n_replicas=200, batch_size=64)
+    y = RealFunctional(level, 2, rng.standard_normal(16) / 5.0)
+    plain = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8),
+                         CovarianceOperator.identity(1, 1), None, seed=17,
+                         n_replicas=150, batch_size=64)
+    ident = RightLinearOp.identity(1, 1)
+    prob = linear_problem(ident.scaled(-1.0), ident,
+                          ZetaSpec.constant(CdVector.embedded_real(1, [1.0])),
+                          1)
+    return [
+        (wide, mean_increment(wide, 0.25, 0.75)),
+        (wide, increment_cov(wide, 0.25, 0.75, 0, 1)),
+        (wide, char_semigroup(wide, y, 0.25, 0.5)),
+        (wide, path_continuity(wide, eps=3.0, halvings=3)),
+        (wide, Probe(lambda b: (b.at((4,)).reshape(b.count, -1),),
+                     _tail_bytes, gather=True, points=(4,))),
+        (plain, disjoint_increments(plain, 0.0, 0.25, 0.5, 1.0)),
+        (plain, euler_maruyama(prob, plain)),
+        (plain, uniqueness_study(prob, plain, halvings=2)),
+        (plain, Probe(lambda b: (b.w[:, -1].reshape(b.count, -1),),
+                      _tail_bytes, gather=True)),
+    ]
+
+
+SWEEP_ROWS = _sweep_rows()
+
+
+@functools.cache
+def _alone(i: int):
+    """Row i's result swept alone, at one thread."""
+    return _bits(sweep([SWEEP_ROWS[i]], 1)[0])
+
+
+@examples(20)
+@given(order=st.lists(st.integers(0, len(SWEEP_ROWS) - 1), unique=True,
+                      min_size=1),
+       threads=st.integers(1, 3))
+def test_a_probe_keeps_its_bits_beside_any_rows_in_any_order(order,
+                                                            threads):
+    got = sweep([SWEEP_ROWS[i] for i in order], threads)
+    for i, result in zip(order, got):
+        assert _bits(result) == _alone(i), i
+
+
+# -------------------------------------------------------- config edge fuzz
+
+# a config that builds, with a value for every key but u1 (which takes
+# only 'none', and conflicts with u1.block* keys)
+BASE_FIELDS = {
+    "seed": "3",
+    "replicas": "200",
+    "level": "1",
+    "n": "2",
+    "threads": "1",
+    "format": "json",
+    "out": "reports",
+    "grid": "16",
+    "window": "0 1",
+    "experiments": "paths",
+    "drift": "0.5 0 0 0 0 0 0.1 0",
+    "u0.block1.a": "1 0.2",
+    "u0.block1.b": "1.2 0.1 0.1 0.9",
+    "u1.block1.a": "0.8 0",
+    "u1.block1.b": "1 0 0 1",
+    "tol.exact": "1e-12",
+    "tol.sqrt": "1e-10",
+}
+EDGE_TOKENS = ("nan", "-nan", "inf", "-inf", "1e400", "-1e400",
+               "18446744073709551616", "-18446744073709551616")
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, float("1e400"), 2.0 ** 64,
+               -2.0 ** 64)
+EDGE_INTS = (2 ** 64, -2 ** 64)
+
+
+def _text(fields: dict) -> str:
+    return "".join(f"{k} = {v}\n" for k, v in fields.items())
+
+
+def _law_is_finite(cfg: RunConfig) -> bool:
+    values = list(cfg.window) + list(cfg.drift or ()) \
+        + [v for _, v in cfg.tolerances]
+    for blocks in (cfg.u0_blocks, cfg.u1_blocks):
+        for a, b in blocks or ():
+            values += list(a) + list(b)
+    return bool(np.isfinite(values).all())
+
+
+def _builds_finite_or_refuses(make) -> None:
+    try:
+        cfg = make()
+    except ConfigError:
+        return
+    assert _law_is_finite(cfg)
+
+
+def test_the_base_config_builds():
+    assert _law_is_finite(RunConfig(**parse_config_fields(_text(BASE_FIELDS))))
+
+
+@pytest.mark.parametrize("key", sorted(BASE_FIELDS) + ["u1"])
+@examples(30)
+@given(data=st.data())
+def test_edge_numbers_in_text_build_finite_laws_or_refuse(key, data):
+    """An edge number in place of any token of a key, in the base config
+    or alone (every other key at its default): building the parsed fields
+    raises only ConfigError, and a config that builds holds finite law
+    values and tolerances."""
+    edge = data.draw(st.sampled_from(EDGE_TOKENS))
+    fields = {key: BASE_FIELDS.get(key)} if data.draw(st.booleans()) \
+        else dict(BASE_FIELDS)
+    if key == "u1":
+        fields[key] = edge
+    else:
+        tokens = fields[key].split()
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = edge
+        fields[key] = " ".join(tokens)
+    _builds_finite_or_refuses(
+        lambda: RunConfig(**parse_config_fields(_text(fields))))
+
+
+def _numeric_leaves(value, path=()):
+    """(path, value) of every int or float inside nested tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        for j, item in enumerate(value):
+            yield from _numeric_leaves(item, path + (j,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, value
+
+
+def _replaced(value, path, leaf):
+    if not path:
+        return leaf
+    items = list(value)
+    items[path[0]] = _replaced(items[path[0]], path[1:], leaf)
+    return type(value)(items)
+
+
+BASE_NUMERIC = sorted(name for name, value in
+                      parse_config_fields(_text(BASE_FIELDS)).items()
+                      if any(_numeric_leaves(value)))
+
+
+@pytest.mark.parametrize("name", BASE_NUMERIC)
+@examples(30)
+@given(data=st.data())
+def test_edge_numbers_in_fields_build_finite_laws_or_refuse(name, data):
+    """The same through RunConfig(...) directly: an edge float in place of
+    any float of a field, or an edge int in place of any int."""
+    fields = parse_config_fields(_text(BASE_FIELDS))
+    if data.draw(st.booleans()):
+        fields = {name: fields[name]}
+    leaves = list(_numeric_leaves(fields[name]))
+    path, old = data.draw(st.sampled_from(leaves))
+    edge = data.draw(st.sampled_from(
+        EDGE_INTS if isinstance(old, int) else EDGE_FLOATS))
+    fields[name] = _replaced(fields[name], path, edge)
+    _builds_finite_or_refuses(lambda: RunConfig(**fields))

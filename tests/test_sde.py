@@ -281,7 +281,7 @@ def test_solver_steps_are_contiguous_and_results_c_ordered():
     w = batch.w.reshape(batch.count, len(grid), -1)
     for stride in (1, 2):
         sub = TimeGrid(grid.points[::stride])
-        dw = sde._dw_of(batch, sub, stride)
+        dw = sde._dw_of(batch, sub)
         assert np.array_equal(dw, np.diff(w[:, ::stride], axis=1))
         assert all(dw[:, l].flags.c_contiguous for l in range(sub.steps))
     dw = sde._dw_of(batch, grid)
