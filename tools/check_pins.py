@@ -1,10 +1,12 @@
-"""Check the guardrail hashes of ``cdstoch all``.
+"""Check the guardrail hashes of ``cdstoch all`` and the sde ladder.
 
-Runs ``cdstoch all`` at seeds 0 and 7 with ``--threads`` 1, 2 and 3, each
-in a fresh process writing to a temporary directory, and prints the exit
-code and the sha256 of the stripped report (``render_json(strip_timing(
-doc))``) of every run.  Exits 1 unless every run of a seed gives that
-seed's pinned exit code and hash.
+Runs ``cdstoch all`` at seeds 0 and 7, and the benchmark's sde grid
+ladder (``cdstoch sde --replicas 4000`` on grids 16 to 256) at seeds 3
+and 11, each with ``--threads`` 1, 2 and 3, in a fresh process writing to
+a temporary directory.  Prints the exit code and the sha256 of the
+stripped report (``render_json(strip_timing(doc))``) of every run, and
+exits 1 unless every run of a command and seed gives its pinned exit
+code and hash.
 
     python tools/check_pins.py
 """
@@ -24,23 +26,32 @@ sys.path.insert(0, str(SRC))
 
 from cdstoch.report import render_json, strip_timing  # noqa: E402
 
-# seed -> (exit code, sha256 of the stripped report); seed 0 fails on
-# char_functional_case_15, the known red
+LADDER = ["sde", "--replicas", "4000", "--grid", "16", "--grid", "32",
+          "--grid", "64", "--grid", "128", "--grid", "256"]
+# (command, seed) -> (exit code, sha256 of the stripped report); `all` at
+# seed 0 fails on char_functional_case_15, the known red.  Only the
+# ladder reaches the grid-256 strided reads and a two-batch Picard solve.
 PINS = {
-    0: (1, "9adaf612beedcfb9855334d0f8b8d35d7d57535eab1942b4b6010db50c097e10"),
-    7: (0, "0628ca75fa5863069db619c33030c8e75b4adf65e5e4d5c5e891ae15c312f574"),
+    (("all",), 0): (
+        1, "9adaf612beedcfb9855334d0f8b8d35d7d57535eab1942b4b6010db50c097e10"),
+    (("all",), 7): (
+        0, "0628ca75fa5863069db619c33030c8e75b4adf65e5e4d5c5e891ae15c312f574"),
+    (tuple(LADDER), 3): (
+        0, "427817f90fac3f1f242f594767f68239ddc2dee21b8d27031e919e53b0f95ce9"),
+    (tuple(LADDER), 11): (
+        0, "11287ec69d6c632fdca80719f3b2fca74f69583a4950d42076025a1e99ccdcb1"),
 }
 THREADS = (1, 2, 3)
 
 
-def run_all(seed: int, threads: int) -> tuple[int, str]:
-    """(exit code, sha256 of the stripped report) of one ``cdstoch all``."""
+def run(command: tuple, seed: int, threads: int) -> tuple[int, str]:
+    """(exit code, sha256 of the stripped report) of one ``cdstoch`` run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     with tempfile.TemporaryDirectory() as out:
         proc = subprocess.run(
-            [sys.executable, "-m", "cdstoch.cli", "all", "--seed", str(seed),
+            [sys.executable, "-m", "cdstoch.cli", *command, "--seed", str(seed),
              "--threads", str(threads), "--out", out],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             text=True, check=False)
@@ -54,12 +65,12 @@ def run_all(seed: int, threads: int) -> tuple[int, str]:
 
 def main() -> int:
     ok = True
-    for seed, pinned in PINS.items():
+    for (command, seed), pinned in PINS.items():
         for threads in THREADS:
-            got = run_all(seed, threads)
+            got = run(command, seed, threads)
             match = got == pinned
             ok &= match
-            print(f"seed {seed} threads {threads}: exit {got[0]} "
+            print(f"{command[0]} seed {seed} threads {threads}: exit {got[0]} "
                   f"sha256 {got[1]} {'ok' if match else 'MISMATCH'}",
                   flush=True)
     print("pins hold" if ok else "pins broken")
