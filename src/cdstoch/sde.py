@@ -164,54 +164,97 @@ def linear_problem(g_op: RightLinearOp | None, h_op: RightLinearOp | None,
 
 # ------------------------------------------------------------------ solvers
 
-def _dw_of(batch, grid: TimeGrid) -> np.ndarray:
+@dataclass(frozen=True)
+class _Steps:
+    """The increments of one level of a batch's halving ladder, read off
+    the path one step at a time.
+
+    path is the batch's flat path (replicas, points, m), stored time-major;
+    step l is path[:, j + stride] - path[:, j] at j = (offset + l) * stride,
+    the subtraction np.diff makes, so a step has the bits of the increment
+    array it stands in for.  A kernel reads every step into one reused
+    (replicas, m) buffer, so no increment array is built.
+    """
+
+    path: np.ndarray
+    stride: int
+    offset: int
+
+    def buffer(self) -> np.ndarray:
+        return np.empty((self.path.shape[0], self.path.shape[2]))
+
+    def read(self, l: int, out: np.ndarray) -> np.ndarray:
+        """Step l written into out, which is returned."""
+        j = (self.offset + l) * self.stride
+        return np.subtract(self.path[:, j + self.stride], self.path[:, j],
+                           out=out)
+
+    def tail(self, start: int) -> "_Steps":
+        """The steps from step start on."""
+        return _Steps(self.path, self.stride, self.offset + start)
+
+
+def _dw_of(batch, grid: TimeGrid) -> _Steps:
     """Flat path increments on grid, a level of the batch's halving ladder."""
-    stride = batch.ensemble.grid.steps // grid.steps
-    w = batch.w[:, ::stride].reshape(batch.count, len(grid), -1)
-    out = _time_major(batch.count, grid.steps, w.shape[2])
-    return np.subtract(w[:, 1:], w[:, :-1], out=out)
+    steps = batch.ensemble.grid.steps
+    path = batch.w.reshape(batch.count, steps + 1, -1)
+    return _Steps(path, steps // grid.steps, 0)
+
+
+def _drift_step(problem: SdeProblem, t: float, dt: float, y: np.ndarray,
+                out: np.ndarray) -> None:
+    """Write G(t, y) dt into out, zeros without a drift."""
+    if problem.g is None:
+        out[...] = 0.0
+    elif isinstance(problem.g, RightLinearOp):
+        np.matmul(y, problem.g.realized.T, out=out)
+        out *= dt
+    else:
+        np.multiply(problem.drift_at(t, y), dt, out=out)
 
 
 def _forward_step(problem: SdeProblem, t: float, dt: float, y: np.ndarray,
-                  dw_l: np.ndarray) -> np.ndarray:
-    """Increment G(t, y) dt + sum of weights (dw_l H^T) over the terms.
+                  dw_l: np.ndarray, out: np.ndarray) -> None:
+    """Write the increment G(t, y) dt + sum of weights (dw_l H^T) over the
+    terms into out.
 
     The one float order shared by the forward recursion and the Picard
-    map, which is what makes their fixed points agree bitwise.
+    map, which is what makes their fixed points agree bitwise: the
+    drift, then each term added in turn, then (by the caller) the state.
     """
-    drift = problem.drift_at(t, y)
-    step = np.zeros_like(y) if drift is None else drift * dt
+    _drift_step(problem, t, dt, y, out)
     for weights, op in problem.diffusion_terms(t, y):
         seg = dw_l @ op.realized.T
         if weights is not None:
-            seg = seg * weights[:, None]
-        step = step + seg
-    return step
+            seg *= weights[:, None]
+        out += seg
 
 
-def _em_values(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
+def _em_values(problem: SdeProblem, grid: TimeGrid, dw: _Steps,
                y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward recursion and its aborted rows (a boolean mask); replicas
-    crossing the size guard turn NaN."""
+    crossing the size guard turn NaN.  Each step is written straight
+    into its row of the result."""
     b, size = y0.shape
     out = _time_major(b, grid.steps + 1, size)
     out[:, 0] = y0
-    y = y0.copy()
+    buf = dw.buffer()
     pts, deltas = grid.points, grid.deltas
     aborted = np.zeros(b, dtype=bool)
     for l in range(grid.steps):
-        y = y + _forward_step(problem, float(pts[l]), float(deltas[l]), y,
-                              dw[:, l])
+        y, nxt = out[:, l], out[:, l + 1]
+        _forward_step(problem, float(pts[l]), float(deltas[l]), y,
+                      dw.read(l, buf), nxt)
+        nxt += y
         # one scalar test per step; NaN fails it, so aborted rows and
         # rows crossing the guard take the per-row test
-        if not np.abs(y).max() <= DIVERGENCE_LIMIT:
+        if not np.abs(nxt).max() <= DIVERGENCE_LIMIT:
             with np.errstate(invalid="ignore"):
-                bad = ~aborted & ~(np.max(np.abs(y), axis=1)
+                bad = ~aborted & ~(np.max(np.abs(nxt), axis=1)
                                    <= DIVERGENCE_LIMIT)
             if bad.any():
-                y[bad] = np.nan
+                nxt[bad] = np.nan
                 aborted |= bad
-        out[:, l + 1] = y
     return out, aborted
 
 
@@ -257,27 +300,53 @@ def euler_maruyama(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
         problem, grid, _dw_of(batch, grid), problem.zeta.sample(batch)))
 
 
-def _q_apply(problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
-             zeta: np.ndarray, x: np.ndarray, start: int) -> np.ndarray:
-    """QX = zeta + left-endpoint time quadrature + stochastic sum.
+def _q_apply(problem: SdeProblem, grid: TimeGrid, noise, x: np.ndarray,
+             start: int, out: np.ndarray) -> None:
+    """Write QX = zeta + left-endpoint time quadrature + stochastic sum
+    into out, where X(t_0) = zeta for every iterate.
 
-    Accumulated in exactly the float order of the forward recursion, so
-    the bitwise fixed point of Q coincides with the forward scheme.
-    (QX)[l+1] reads X only on [0, l]: when x = QX' and x agrees with X'
-    on [0, start), QX equals x on [0, start], so that prefix is copied
-    and the sum resumes from x[:, start].
+    noise is a batch's noise term (see _picard_noise).  Accumulated in
+    exactly the float order of the forward recursion, so the bitwise
+    fixed point of Q coincides with the forward scheme.  (QX)[l+1] reads
+    X only on [0, l]: when x = QX' and x agrees with X' on [0, start),
+    QX equals x on [0, start].  out must hold X' on [0, start) (nothing
+    when start is 0), so only the point at start (if any) is copied, and
+    each later row is written as its step and then accumulated in place.
     """
-    b, k, size = x.shape
-    out = _time_major(b, k, size)
-    out[:, :start + 1] = x[:, :start + 1]
-    out[:, 0] = zeta
-    y = out[:, start].copy()
+    out[:, start:start + 1] = x[:, start:start + 1]
+    buf = noise.buffer() if isinstance(noise, _Steps) else None
     pts, deltas = grid.points, grid.deltas
     for l in range(start, grid.steps):
-        y = y + _forward_step(problem, float(pts[l]), float(deltas[l]),
-                              x[:, l], dw[:, l])
-        out[:, l + 1] = y
-    return out
+        t, dt, row = float(pts[l]), float(deltas[l]), out[:, l + 1]
+        if buf is not None:
+            _forward_step(problem, t, dt, x[:, l], noise.read(l, buf), row)
+        else:
+            _drift_step(problem, t, dt, x[:, l], row)
+            if noise is not None:
+                row += noise[:, l]
+        row += out[:, l]
+
+
+def _picard_noise(problem: SdeProblem, grid: TimeGrid, dw: _Steps):
+    """What the Picard map reads for its noise term on one batch.
+
+    The term dw_l H^T of a constant H does not depend on the state, so
+    it is taken for every step once, as a time-major kick array, with
+    the same (replicas, m) product per step that the forward step forms:
+    one GEMM over all steps at once does not give every step those bits
+    at small replica counts.  Without noise there is none (None); a
+    callback H keeps the increments.
+    """
+    if problem.h is None:
+        return None
+    if not isinstance(problem.h, RightLinearOp):
+        return dw
+    hmat = problem.h.realized.T
+    buf = dw.buffer()
+    kicks = _time_major(buf.shape[0], grid.steps, hmat.shape[1])
+    for l in range(grid.steps):
+        np.matmul(dw.read(l, buf), hmat, out=kicks[:, l])
+    return kicks
 
 
 def _stationary_prefix(new: np.ndarray, old: np.ndarray, start: int) -> int:
@@ -305,13 +374,18 @@ class _PicardBatch:
     Each advance resumes Q past the prefix on which the last two
     iterates agree bitwise.  Once they agree everywhere the iterate is a
     fixed point of Q, and an advance leaves it as it is without applying
-    Q.  A step is an advance that also returns its gaps.
+    Q.  A step is an advance that also returns its gaps.  The batch holds
+    its noise term (see _picard_noise) and two iterate buffers, which
+    alternate: Q writes the new iterate over the one before the last,
+    which already agrees with the last on the stationary prefix.
     """
 
-    def __init__(self, problem: SdeProblem, grid: TimeGrid, dw: np.ndarray,
+    def __init__(self, problem: SdeProblem, grid: TimeGrid, dw: _Steps,
                  zeta: np.ndarray):
-        self.problem, self.grid, self.dw, self.zeta = problem, grid, dw, zeta
+        self.problem, self.grid = problem, grid
+        self.noise = _picard_noise(problem, grid, dw)
         self.x = _repeat_in_time(zeta, len(grid))
+        self._spare = _time_major(*self.x.shape)
         self.start = 0
 
     @property
@@ -321,10 +395,11 @@ class _PicardBatch:
     def advance(self) -> None:
         """Map the iterate once."""
         if not self.stationary:
-            old = self.x
-            self.x = _q_apply(self.problem, self.grid, self.dw, self.zeta,
-                              old, self.start)
-            self.start = _stationary_prefix(self.x, old, self.start)
+            old, new = self.x, self._spare
+            _q_apply(self.problem, self.grid, self.noise, old, self.start,
+                     new)
+            self.start = _stationary_prefix(new, old, self.start)
+            self.x, self._spare = new, old
 
     def step(self) -> np.ndarray:
         """Advance; returns the replica sum of vec_norm2(new - old) at
@@ -445,15 +520,16 @@ def _closed_form_kernel(problem: SdeProblem, grid: TimeGrid):
                 else hmat @ op_phi1_left(g_op, dt).T
             cache[dt] = (op_exp_left(g_op, dt).T, kick)
 
-    def values(dw: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def values(dw: _Steps | None, y: np.ndarray) -> np.ndarray:
         out = _time_major(y.shape[0], len(grid), size)
         out[:, 0] = y
+        buf = None if dw is None else dw.buffer()
         for l in range(grid.steps):
             prop, kick = cache[float(grid.deltas[l])]
-            y = y @ prop
+            row = out[:, l + 1]
+            np.matmul(out[:, l], prop, out=row)
             if kick is not None:
-                y = y + dw[:, l] @ kick
-            out[:, l + 1] = y
+                row += dw.read(l, buf) @ kick
         return out
 
     return values
@@ -543,9 +619,9 @@ def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
     def sampler(batch):
         dw = _dw_of(batch, grid)
         full, _ = _em_values(problem, grid, dw, problem.zeta.sample(batch))
-        restarted, _ = _em_values(problem, tail_grid, dw[:, mid:],
-                                  full[:, mid].copy())
-        fixed, _ = _em_values(problem, tail_grid, dw[:, mid:],
+        restarted, _ = _em_values(problem, tail_grid, dw.tail(mid),
+                                  full[:, mid])
+        fixed, _ = _em_values(problem, tail_grid, dw.tail(mid),
                               np.tile(z.vec, (batch.count, 1)))
         dev = np.max(np.abs(full[:, mid:] - restarted), axis=(1, 2))
         return dev, fixed[:, -1]
@@ -639,9 +715,11 @@ def strong_order_study(problem: SdeProblem, ensemble: PathEnsemble,
     grids = [TimeGrid(grid.points[::f]) for f in factors]
 
     def sampler(batch):
+        # each terminal row is copied, so its trajectory is freed before
+        # the next level runs
         z = problem.zeta.sample(batch)
-        ref = reference(_dw_of(batch, grid), z)[:, -1]
-        finals = (_em_values(problem, g, _dw_of(batch, g), z)[0][:, -1]
+        ref = reference(_dw_of(batch, grid), z)[:, -1].copy()
+        finals = (_em_values(problem, g, _dw_of(batch, g), z)[0][:, -1].copy()
                   for g in grids)
         return tuple(vec_norm2(final - ref) for final in finals)
 

@@ -380,18 +380,17 @@ def test_chebyshev_covariances_clear_the_tail_bound_floor():
 
 
 def test_restart_rows_fail_on_a_nan_in_a_later_batch(monkeypatch):
-    """The restart ensemble (seed + 504) has two batches here; a NaN
-    increment in the second one makes every restart row's pathwise
-    deviation NaN."""
+    """The restart ensemble (seed + 504) has two batches here; a NaN at
+    the last point of the second one's path makes every restart row's
+    pathwise deviation NaN."""
     cfg = RunConfig(seed=5, replicas=3000, grids=(16,), threads=2,
                     experiments=("sde",))
     dw_of = sde_module._dw_of
 
     def poisoned(batch, grid):
-        dw = dw_of(batch, grid)
         if batch.ensemble.seed == cfg.seed + 504 and batch.index == 1:
-            dw[0, -1] = np.nan
-        return dw
+            batch.w[0, -1] = np.nan
+        return dw_of(batch, grid)
 
     monkeypatch.setattr(sde_module, "_dw_of", poisoned)
     checks = checks_of(sde_experiment(cfg))

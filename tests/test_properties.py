@@ -1,5 +1,6 @@
-"""Property tests: halving-ladder increments, sweep row independence and
-the config gates under edge numbers.
+"""Property tests: halving-ladder increments, Picard = Euler on random
+problems, sweep row independence and the config gates under edge
+numbers.
 
 Every property runs derandomized and without an example database, so a
 run draws the same examples each time; a counterexample one finds becomes
@@ -12,12 +13,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cdstoch.sde as sde
 from cdstoch.algebra import CdReal
 from cdstoch.config import ConfigError, RunConfig, parse_config_fields
+from cdstoch.experiments import _random_complex_cov
 from cdstoch.linops import (
     CdVector,
     ComplexCovariance,
@@ -37,6 +39,7 @@ from cdstoch.paths import (
     sweep,
 )
 from cdstoch.sde import (
+    SdeProblem,
     ZetaSpec,
     euler_maruyama,
     linear_problem,
@@ -71,9 +74,10 @@ def _bits(value):
        seed=st.integers(0, 2 ** 62 - 1))
 def test_every_ladder_level_reads_its_increments_off_the_path(
         level, n, complexified, drifted, m, h, seed):
-    """_dw_of on level j of a halving ladder is np.diff of every 2**j-th
-    path point, bitwise, with contiguous step slices; the increments a
-    batch draws are the same on every read."""
+    """_dw_of on level j of a halving ladder reads, step by step, the bits
+    of np.diff of every 2**j-th path point, and each point it subtracts
+    is a contiguous block; the increments a batch draws are the same on
+    every read."""
     grid = TimeGrid.uniform(0.0, 1.0, m * 2 ** h)
     u0 = CovarianceOperator.identity(level, n)
     u = ComplexCovariance(u0, u0) if complexified else u0
@@ -85,13 +89,89 @@ def test_every_ladder_level_reads_its_increments_off_the_path(
         sub = TimeGrid(grid.points[::2 ** j])
         dw = sde._dw_of(batch, sub)
         expect = np.diff(w[:, ::2 ** j], axis=1)
-        assert dw.shape == expect.shape and dw.tobytes() == expect.tobytes()
-        assert all(dw[:, l].flags.c_contiguous for l in range(sub.steps))
+        buf = dw.buffer()
+        for l in range(sub.steps):
+            assert dw.read(l, buf).tobytes() == expect[:, l].tobytes()
+            assert dw.path[:, l * 2 ** j].flags.c_contiguous
+        assert buf.shape == expect[:, 0].shape
     assert batch.inc0.tobytes() == batch.inc0.tobytes()
     if complexified:
         assert batch.inc1.tobytes() == batch.inc1.tobytes()
     else:
         assert batch.inc1 is None
+
+
+# ------------------------------------------------------- Picard = Euler
+
+def _random_problem(rng, level, n, width, drift, diffusion):
+    """A problem of the given coefficient kinds with tame random values."""
+    dim = 2 ** level
+
+    def op(cols, scale):
+        return RightLinearOp.from_blocks(level, *(
+            scale * rng.standard_normal((width, cols, dim)) for _ in range(4)))
+
+    g = {"none": None, "constant": op(width, 0.3)}.get(drift)
+    if drift == "callback":
+        def g(t, y):
+            return -np.tanh(y) * (1.0 + t)
+    h = {"none": None, "constant": op(n, 0.5)}.get(diffusion)
+    if diffusion == "weighted":
+        h1, h2 = op(n, 0.5), op(n, 0.5)
+
+        def h(t, y):
+            return [(np.cos(y[:, 0]), h1), (np.tanh(y[:, -1]) * t, h2)]
+    zeta = ZetaSpec(level, width, rng.standard_normal(2 * width * dim), 0.5)
+    return SdeProblem(g, h, zeta, 1.0, n)
+
+
+# one and seven replicas over several steps: row counts at which one GEMM
+# over every step is not bitwise the per-step product
+@example(level=1, n=1, width=1, steps=8, replicas=1, drift="constant",
+         diffusion="constant", stride=2, seed=0)
+@example(level=2, n=1, width=1, steps=16, replicas=7, drift="constant",
+         diffusion="constant", stride=1, seed=1)
+@examples(80)
+@given(level=st.integers(0, 3), n=st.integers(1, 2), width=st.integers(1, 2),
+       steps=st.integers(1, 24), replicas=st.integers(1, 70),
+       drift=st.sampled_from(["none", "constant", "callback"]),
+       diffusion=st.sampled_from(["none", "constant", "weighted"]),
+       stride=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 62 - 1))
+def test_picard_fixed_point_is_the_forward_recursion(
+        level, n, width, steps, replicas, drift, diffusion, stride, seed):
+    """A Picard batch advanced to stationarity holds the bits of the
+    forward recursion on the same ladder level, and Q from any start up
+    to the stationary prefix of an iterate, written over its
+    predecessor, has the bits of Q from 0."""
+    rng = np.random.default_rng(seed)
+    prob = _random_problem(rng, level, n, width, drift, diffusion)
+    grid = TimeGrid.uniform(0.0, 1.0, steps * stride)
+    # a dense complexified law with drift: every increment component is
+    # nonzero, so the noise products are full sums
+    p = CdVector(level, n, rng.standard_normal((n, 2, 2 ** level)))
+    batch = PathEnsemble(grid, _random_complex_cov(rng, level, n), p,
+                         seed=seed, n_replicas=replicas).batch(0)
+    sub = TimeGrid(grid.points[::stride])
+    dw = sde._dw_of(batch, sub)
+    z = prob.zeta.sample(batch)
+    em, aborted = sde._em_values(prob, sub, dw, z)
+    assert not aborted.any()
+    run = sde._PicardBatch(prob, sub, dw, z)
+    prev = None
+    for _ in range(steps + 1):
+        x = np.copy(run.x)
+        if prev is not None:
+            full = sde._time_major(*x.shape)
+            sde._q_apply(prob, sub, run.noise, x, 0, full)
+            first = sde._stationary_prefix(x, prev, 0)
+            for start in {0, first // 2, first}:
+                resumed = np.copy(prev)
+                sde._q_apply(prob, sub, run.noise, x, start, resumed)
+                assert resumed.tobytes() == full.tobytes(), start
+        run.advance()
+        prev = x
+    assert run.stationary
+    assert run.x.tobytes() == em.tobytes()
 
 
 # ------------------------------------------------------- sweep row order

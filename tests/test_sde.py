@@ -1,5 +1,6 @@
 """Tests for the SDE solver layer."""
 
+import contextlib
 import dataclasses
 import warnings
 
@@ -71,6 +72,22 @@ def closed_form(prob, ens, threads=1):
 def linear_test_problem(level=1):
     ident = RightLinearOp.identity(level, 1)
     return linear_problem(ident.scaled(-1.0), ident, unit_zeta(level), 1)
+
+
+def steps_of(dw):
+    """The unit-stride increment reader of the path that starts at zero
+    and sums the increments dw (replicas, steps, m)."""
+    b, _, m = dw.shape
+    path = np.cumsum(np.concatenate([np.zeros((b, 1, m)), dw], axis=1),
+                     axis=1)
+    return sde._Steps(path, 1, 0)
+
+
+def apply_q(prob, grid, noise, x, start, out=None):
+    """Q applied to x from start, into out (a fresh buffer when None)."""
+    out = sde._time_major(*x.shape) if out is None else out
+    sde._q_apply(prob, grid, noise, x, start, out)
+    return out
 
 
 def unit_ensemble(steps, seed, n_replicas, level=1, n=1, **kw):
@@ -233,16 +250,16 @@ def test_divergence_guard_aborts_only_the_rows_that_cross_it():
     y0[6, 1] = np.nan
     wild = np.array([1, 4, 6])
     tame = np.setdiff1d(np.arange(b), wild)
-    vals, aborted = sde._em_values(prob, grid, dw, y0)
+    vals, aborted = sde._em_values(prob, grid, steps_of(dw), y0)
     assert np.array_equal(np.flatnonzero(aborted), wild)
     assert np.all(np.isnan(vals[wild, -1]))
     assert np.all(np.isfinite(vals[tame]))
-    alone, none = sde._em_values(prob, grid, dw[tame], y0[tame])
+    alone, none = sde._em_values(prob, grid, steps_of(dw[tame]), y0[tame])
     assert not none.any()
     assert vals[tame].tobytes() == alone.tobytes()
     # a NaN row with no row crossing the guard beside it
     rows = np.append(tame, 6)
-    vals, aborted = sde._em_values(prob, grid, dw[rows], y0[rows])
+    vals, aborted = sde._em_values(prob, grid, steps_of(dw[rows]), y0[rows])
     assert np.flatnonzero(aborted).tolist() == [rows.size - 1]
     assert np.all(np.isnan(vals[-1, 1:]))
     assert vals[:-1].tobytes() == alone.tobytes()
@@ -250,30 +267,74 @@ def test_divergence_guard_aborts_only_the_rows_that_cross_it():
 
 def test_q_apply_resumes_past_its_stationary_prefix():
     """Q from any start up to the first change between an iterate and its
-    predecessor gives the bits of Q from 0; one step later it does not."""
+    predecessor, written over that predecessor, gives the bits of Q from
+    0; one step later it does not."""
     prob = linear_test_problem()
     ens = unit_ensemble(32, seed=29, n_replicas=64)
     grid = ens.grid
     batch = ens.batch(0)
-    dw = sde._dw_of(batch, grid)
+    noise = sde._picard_noise(prob, grid, sde._dw_of(batch, grid))
     z = prob.zeta.sample(batch)
     prev, x = None, sde._repeat_in_time(z, len(grid))
     for k in range(6):
-        full = sde._q_apply(prob, grid, dw, z, x, 0)
+        full = apply_q(prob, grid, noise, x, 0)
         if prev is not None:
             first = sde._stationary_prefix(x, prev, 0)
             assert k <= first <= grid.steps
             for p in range(first + 1):
-                resumed = sde._q_apply(prob, grid, dw, z, x, start=p)
+                resumed = apply_q(prob, grid, noise, x, p, np.copy(prev))
                 assert resumed.tobytes() == full.tobytes(), (k, p)
-            late = sde._q_apply(prob, grid, dw, z, x, start=first + 1)
+            late = apply_q(prob, grid, noise, x, first + 1, np.copy(prev))
             assert not np.array_equal(late, full)
         prev, x = x, full
 
 
+@pytest.mark.parametrize("budget", [None, 2], ids=["process", "budget2"])
+@pytest.mark.parametrize("rows", [1, 7, 300, 1952, 2048])
+def test_picard_noise_and_drift_rows_keep_the_forward_step_bits(rows, budget):
+    """The kick array a Picard batch holds gives every step the bits of
+    dw[:, l] @ H^T, the product the forward step forms, and Q's drift
+    written into an iterate row the bits of (y @ G^T) * dt, at the
+    process's BLAS thread count and inside a two-worker budget.  Each is
+    one (rows, m) product per step: one GEMM over every step at once is
+    not bitwise that product on every BLAS and row count."""
+    rng = np.random.default_rng(rows)
+    ctx = contextlib.nullcontext() if budget is None \
+        else paths._blas_budget(budget)
+    with ctx:
+        for level in range(4):
+            dim = 2 ** level
+            for n in (1, 2):
+                for width in (1, 2):
+                    h_op, g_op = (RightLinearOp.from_blocks(level, *(
+                        rng.standard_normal((width, cols, dim))
+                        for _ in range(4))) for cols in (n, width))
+                    zeta = ZetaSpec.gaussian(level, width, 1.0)
+                    prob = SdeProblem(g_op, h_op, zeta, 1.0, n)
+                    for k in ((1, 3, 256) if rows <= 300 else (1, 9)):
+                        grid = TimeGrid.uniform(0.0, 1.0, k)
+                        path = sde._time_major(rows, k + 1, 2 * n * dim)
+                        path[...] = rng.standard_normal(path.shape)
+                        kicks = sde._picard_noise(prob, grid,
+                                                  sde._Steps(path, 1, 0))
+                        x = sde._time_major(rows, k, zeta.size)
+                        x[...] = rng.standard_normal(x.shape)
+                        drift = sde._time_major(rows, k, zeta.size)
+                        for l in range(k):
+                            dw_l = path[:, l + 1] - path[:, l]
+                            assert kicks[:, l].tobytes() == (
+                                dw_l @ h_op.realized.T).tobytes()
+                            dt = float(grid.deltas[l])
+                            sde._drift_step(prob, 0.0, dt, x[:, l],
+                                            drift[:, l])
+                            assert drift[:, l].tobytes() == (
+                                (x[:, l] @ g_op.realized.T) * dt).tobytes()
+
+
 def test_solver_steps_are_contiguous_and_results_c_ordered():
-    """Step slices of the solver arrays are contiguous blocks; what is
-    reduced over replicas (solution values, probe samples) is C-ordered."""
+    """Step slices of the solver arrays, and the path points the step
+    reader subtracts, are contiguous blocks; what is reduced over
+    replicas (solution values, probe samples) is C-ordered."""
     prob = linear_test_problem()
     ens = unit_ensemble(16, seed=31, n_replicas=40)
     grid = ens.grid
@@ -282,13 +343,18 @@ def test_solver_steps_are_contiguous_and_results_c_ordered():
     for stride in (1, 2):
         sub = TimeGrid(grid.points[::stride])
         dw = sde._dw_of(batch, sub)
-        assert np.array_equal(dw, np.diff(w[:, ::stride], axis=1))
-        assert all(dw[:, l].flags.c_contiguous for l in range(sub.steps))
+        expect = np.diff(w[:, ::stride], axis=1)
+        buf = dw.buffer()
+        for l in range(sub.steps):
+            assert np.array_equal(dw.read(l, buf), expect[:, l])
+        assert all(dw.path[:, j].flags.c_contiguous for j in range(len(grid)))
     dw = sde._dw_of(batch, grid)
     z = prob.zeta.sample(batch)
     vals, _ = sde._em_values(prob, grid, dw, z)
     cf = sde._closed_form_kernel(prob, grid)(dw, z)
-    for arr in (vals, cf, sde._q_apply(prob, grid, dw, z, vals, 0)):
+    noise = sde._picard_noise(prob, grid, dw)
+    assert all(noise[:, l].flags.c_contiguous for l in range(grid.steps))
+    for arr in (vals, cf, apply_q(prob, grid, noise, vals, 0)):
         assert arr.shape == (40, len(grid), 4)
         assert all(arr[:, l].flags.c_contiguous for l in range(len(grid)))
     for scheme, sol in (("euler", forward(prob, ens)),
@@ -376,9 +442,9 @@ def test_picard_maps_no_stationary_batch(monkeypatch):
     starts = {}
     q_apply = sde._q_apply
 
-    def spy(problem, grid, dw, zeta, x, start):
-        starts.setdefault(id(dw), []).append(start)
-        return q_apply(problem, grid, dw, zeta, x, start)
+    def spy(problem, grid, noise, x, start, out):
+        starts.setdefault(id(noise), []).append(start)
+        return q_apply(problem, grid, noise, x, start, out)
 
     monkeypatch.setattr(sde, "_q_apply", spy)
     monkeypatch.setattr(sde, "PICARD_TOL", 0.0)
@@ -695,20 +761,17 @@ def test_multiplicative_noise_shows_half_order():
     def hmul(t, y):
         return np.tanh(y[:, 0]), ident
 
-    from cdstoch.sde import _em_values
+    from cdstoch.sde import _dw_of, _em_values
 
     factors = [2, 4, 8, 16]
     prob = SdeProblem(None, hmul, unit_zeta(), 2.0, 1)
     sq = np.zeros(len(factors))
     for batch in map(ens.batch, range(ens.n_batches)):
-        dw = np.diff(batch.w.reshape(batch.count, len(grid), -1), axis=1)
         z = unit_zeta().sample(batch)
-        ref, _ = _em_values(prob, grid, dw, z)
+        ref, _ = _em_values(prob, grid, _dw_of(batch, grid), z)
         for i, f in enumerate(factors):
             sub = TimeGrid(grid.points[::f])
-            dws = np.diff(batch.w[:, ::f].reshape(batch.count, len(sub), -1),
-                          axis=1)
-            vals, _ = _em_values(prob, sub, dws, z)
+            vals, _ = _em_values(prob, sub, _dw_of(batch, sub), z)
             sq[i] += np.sum((vals[:, -1] - ref[:, -1]) ** 2)
     errs = np.sqrt(sq / ens.n_replicas)
     dts = [f / 256 for f in factors]
