@@ -57,6 +57,19 @@ RUN_OPTIONS = ("threads", "out", "format")
 # dense n x n: at level 5 and this n a build takes about 0.4 s on a 2-core
 # x86 VM, and an n far beyond it cannot be allocated at all.
 MAX_N = 1024
+# A sweep's batch-key list and its per-batch results grow with replicas
+# (one batch per 2048 by default): 10^8 replicas are 48,829 batches, far
+# past what one host finishes, and a larger count only grows that list.
+MAX_REPLICAS = 10 ** 8
+# A batch's path holds batch_size x (steps + 1) x 2 n dim floats, and a
+# solver keeps a trajectory of the same size beside it: at 8192 steps,
+# the default level 2 and n = 1, the path of one 2048-replica batch is
+# 1.07 GB.
+MAX_GRID = 8192
+# paths.pool_map starts min(threads, batches) OS threads, each holding a
+# live batch; no host this runs on has CPUs for more, and a mistyped
+# count (100000 at 10^7 replicas would start about 4,900) is refused.
+MAX_THREADS = 256
 
 
 # The sde battery's drift is left multiplication by a = -1 + 0.4 i_1, whose
@@ -94,7 +107,7 @@ class RunConfig:
 
     Building one runs every gate, the driving law's covariance blocks and
     drift included, and resolves threads=None to the CPUs this process
-    may run on.
+    may run on, at most MAX_THREADS.
     """
 
     seed: int = 0
@@ -126,12 +139,17 @@ class RunConfig:
             raise ConfigError("config key 'seed': need 0 <= seed < 2^62")
         if self.replicas < 1:
             raise ConfigError("config key 'replicas': need at least 1")
+        if self.replicas > MAX_REPLICAS:
+            raise ConfigError(
+                f"config key 'replicas': need at most {MAX_REPLICAS}")
         if not self.grids:
             raise ConfigError("config key 'grid': need at least one size")
         for g in self.grids:
             if g < 8 or g % 8:
                 raise ConfigError(
                     "config key 'grid': sizes must be multiples of 8")
+            if g > MAX_GRID:
+                raise ConfigError(f"config key 'grid': need at most {MAX_GRID}")
         for prev, nxt in zip(self.grids, self.grids[1:]):
             if nxt != 2 * prev:
                 raise ConfigError(
@@ -171,9 +189,13 @@ class RunConfig:
         if self.format not in FORMAT_CHOICES:
             raise ConfigError("config key 'format': choose json or csv")
         if self.threads is None:
-            object.__setattr__(self, "threads", available_cpus())
+            object.__setattr__(self, "threads",
+                               min(available_cpus(), MAX_THREADS))
         if self.threads < 1:
             raise ConfigError("config key 'threads': need at least 1")
+        if self.threads > MAX_THREADS:
+            raise ConfigError(
+                f"config key 'threads': need at most {MAX_THREADS}")
         for key, value in self.tolerances:
             if key not in TOLERANCES:
                 raise ConfigError(f"config key 'tol.{key}': unknown tolerance")

@@ -10,7 +10,10 @@ import pytest
 
 from cdstoch.config import (
     EXPERIMENT_CHOICES,
+    MAX_GRID,
     MAX_N,
+    MAX_REPLICAS,
+    MAX_THREADS,
     RUN_OPTIONS,
     ConfigError,
     RunConfig,
@@ -242,6 +245,27 @@ def test_a_component_count_past_the_cap_is_refused():
             parse_config_text(f"n = {n}\n")
 
 
+@pytest.mark.parametrize("key,field,cap", [
+    ("replicas", "replicas", MAX_REPLICAS),
+    ("grid", "grids", MAX_GRID),
+    ("threads", "threads", MAX_THREADS),
+])
+def test_a_size_past_its_cap_is_refused(key, field, cap):
+    """replicas, grid sizes and threads build a config at their cap and
+    are refused one past it, from a file and from a field.  Nothing runs
+    at the cap: a config is only built."""
+    def value(v):
+        return (v,) if field == "grids" else v
+
+    assert getattr(RunConfig(**{field: value(cap)}), field) == value(cap)
+    past = cap + 8 if field == "grids" else cap + 1
+    message = f"^config key '{key}': need at most {cap}$"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**{field: value(past)})
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(f"{key} = {past}\n")
+
+
 def test_parse_block_needs_both_parts():
     with pytest.raises(ConfigError, match=r"u0\.block1"):
         parse_config_text("u0.block1.a = 1 0 0 0\n")
@@ -314,6 +338,9 @@ def test_effective_threads_default_follows_the_affinity_mask(monkeypatch):
     assert RunConfig().threads == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert RunConfig().threads == 1
+    # a host with more CPUs than the cap runs at the cap
+    monkeypatch.setattr(os, "cpu_count", lambda: MAX_THREADS + 1)
+    assert RunConfig().threads == MAX_THREADS
 
 
 def test_effective_threads_reads_no_environment_variable(monkeypatch):
