@@ -1,9 +1,10 @@
-"""Check the guardrail hashes of ``cdstoch all`` and the sde ladder.
+"""Check the guardrail hashes of ``cdstoch all`` and the benchmark's runs.
 
-Runs ``cdstoch all`` at seeds 0 and 7, and the benchmark's sde grid
-ladder (``cdstoch sde --replicas 4000`` on grids 16 to 256) at seeds 3
-and 11, each with ``--threads`` 1, 2 and 3, in a fresh process writing to
-a temporary directory.  Prints the exit code and the sha256 of the
+Runs ``cdstoch all`` at seeds 0 and 7, and the two benchmark workloads at
+seeds 3 and 11: the sde grid ladder (``cdstoch sde --replicas 4000`` on
+grids 16 to 256) and ``ensembles`` (``cdstoch run`` on the config text
+``ENSEMBLES``), each with ``--threads`` 1, 2 and 3, in a fresh process
+writing to a temporary directory.  Prints the exit code and the sha256 of the
 stripped report (``render_json(strip_timing(doc))``) of every run, and
 exits 1 unless every run of a command and seed gives its pinned exit
 code and hash.
@@ -28,9 +29,18 @@ from cdstoch.report import render_json, strip_timing  # noqa: E402
 
 LADDER = ["sde", "--replicas", "4000", "--grid", "16", "--grid", "32",
           "--grid", "64", "--grid", "128", "--grid", "256"]
+# The config text of the benchmark's ensembles workload, run as
+# ``cdstoch run --config``: its batteries assemble n = 1 and n = 2 paths,
+# at point subsets, in 904-replica tail batches.
+ENSEMBLES = ("experiments = paths isometry martingale chebyshev\n"
+             "replicas = 5000\ngrid = 32\n")
+RUN = ("run", "--config", ENSEMBLES)
 # (command, seed) -> (exit code, sha256 of the stripped report); `all` at
-# seed 0 fails on char_functional_case_15, the known red.  Only the
-# ladder reaches the grid-256 strided reads and a two-batch Picard solve.
+# seed 0 fails on char_functional_case_15, the known red, and `run` at
+# seed 11 on char_functional_case_14 (ROADMAP item 2's family rate).
+# Only the ladder reaches the grid-256 strided reads and a two-batch
+# Picard solve.  A `run` command's --config value is the config text,
+# written to a file for the run.
 PINS = {
     (("all",), 0): (
         1, "9adaf612beedcfb9855334d0f8b8d35d7d57535eab1942b4b6010db50c097e10"),
@@ -40,6 +50,10 @@ PINS = {
         0, "427817f90fac3f1f242f594767f68239ddc2dee21b8d27031e919e53b0f95ce9"),
     (tuple(LADDER), 11): (
         0, "11287ec69d6c632fdca80719f3b2fca74f69583a4950d42076025a1e99ccdcb1"),
+    (RUN, 3): (
+        0, "2bd26b59901c5f1de4d51949311d9c8cdfc8bac9aded42c85018b24594fd0eed"),
+    (RUN, 11): (
+        1, "e889e62d4100796f76387faabb6c85d22021b097972e50e8404d8ff755d39143"),
 }
 THREADS = (1, 2, 3)
 
@@ -50,6 +64,10 @@ def run(command: tuple, seed: int, threads: int) -> tuple[int, str]:
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     with tempfile.TemporaryDirectory() as out:
+        if command[0] == "run":
+            config = Path(out) / "run.cfg"
+            config.write_text(command[2], encoding="utf-8")
+            command = (*command[:2], str(config))
         proc = subprocess.run(
             [sys.executable, "-m", "cdstoch.cli", *command, "--seed", str(seed),
              "--threads", str(threads), "--out", out],
