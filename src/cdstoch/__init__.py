@@ -54,6 +54,7 @@ from .sde import (
     SdeProblem,
     ZetaSpec,
     euler_maruyama,
+    gronwall_check,
     linear_closed_form,
     linear_problem,
     picard_solve,
@@ -100,6 +101,7 @@ __all__ = [
     "picard_solve",
     "linear_closed_form",
     "strong_order_study",
+    "gronwall_check",
     "ConfigError",
     "RunConfig",
     "load_config",

@@ -194,32 +194,15 @@ def _time_major(b: int, k: int, *shape: int) -> np.ndarray:
     return np.empty((k, b, *shape)).swapaxes(0, 1)
 
 
-def _inject(e: np.ndarray, inc: np.ndarray, points, acc: np.ndarray) -> None:
-    """Add sum_k e[l, k, d] xi[b, t, k] into the zeroed acc (n, dim, P, b)
-    at the P grid indices points (every grid point when None).
-
-    xi is the running sum of inc (b, K, n) from zero at t_0, formed over
-    every grid step one step at a time: the sequential order of
-    np.cumsum, which strides when it runs along an outer axis.  Only the
-    planes at points are injected, each with the bits it has in the
-    whole path.  The k terms are added in k order from zeros, so at
-    n <= 2 the sum has the einsum's bits, signed zeros included.  Every
-    operand keeps the replica axis innermost, so each multiply-add runs
-    over whole time-major (P, b) planes.
-    """
-    b, k, n = inc.shape
-    steps = inc.transpose(2, 1, 0)
-    xi = np.empty((n, k + 1, b))
-    xi[:, 0] = 0.0
-    xi[:, 1] = steps[:, 0]
-    for t in range(1, k):
-        np.add(xi[:, t], steps[:, t], out=xi[:, t + 1])
-    if points is not None:
-        xi = xi[:, points]
-    term = np.empty(acc.shape)
-    for j in range(n):
-        np.multiply(e[:, j, :, None, None], xi[j], out=term)
-        acc += term
+# The byte budget of one block's accumulator in assemble_paths.  A
+# whole-path accumulator (and a half-size term array) stood 33.7 + 16.8 MB
+# beside a 33.7 MB grid-256 path (2048 replicas, n = 1, level 2,
+# complexified).  Blocks of 1 MB bound that scratch by the block, and a
+# block that stays in cache is written out faster: over the 139 assembly
+# shapes of the ensembles workload the blocked route took 117 ms against
+# 150 ms for the whole-array route on two threads (174 against 220 ms on
+# one), with the same bits.
+_BLOCK_BYTES = 1 << 20
 
 
 def assemble_paths(grid: TimeGrid, e0: np.ndarray, e1: np.ndarray | None,
@@ -235,20 +218,55 @@ def assemble_paths(grid: TimeGrid, e0: np.ndarray, e1: np.ndarray | None,
     it has in the whole path, signed zeros included.  The array is
     stored time-major (see _time_major): each grid point w[:, l] is one
     contiguous block.
+
+    The points are taken in ascending grid order, in blocks.  The
+    running sums xi of inc (b, K, n) from zero at t_0 advance one grid
+    step at a time, the sequential order of np.cumsum (which strides
+    when it runs along an outer axis), and are copied out at each point;
+    where np.cumsum copies the first step, 0 + step differs only in the
+    sign of a zero, which the injection's sum from zero drops.  An
+    accumulator (n, 2, dim, points, b) of at most _BLOCK_BYTES then takes
+    sum_k e[l, k, d] xi[b, t, k] for both injections, the k terms in k
+    order from zero, each multiply-add over whole (points, b) planes, and
+    one transposing copy writes the block into w.  So at n <= 2 every
+    entry has the einsum's bits, signed zeros included, and no scratch
+    array spans the path.
     """
     b, k, n = inc0.shape
     dim = e0.shape[-1]
-    tau = np.asarray(grid.points) - grid.a
-    if points is not None:
-        points = list(points)
-        tau = tau[points]
-    acc = np.zeros((n, 2, dim, tau.size, b))
-    _inject(e0, inc0, points, acc[:, 0])
+    index = list(range(k + 1)) if points is None else list(points)
+    order = sorted(range(len(index)), key=index.__getitem__)
+    size = len(index)
+    halves = [(e0, inc0.transpose(2, 1, 0))]
     if inc1 is not None:
-        _inject(e1, inc1, points, acc[:, 1])
-    w = _time_major(b, tau.size, n, 2, dim)
-    w[...] = acc.transpose(4, 3, 0, 1, 2)
+        halves.append((e1, inc1.transpose(2, 1, 0)))
+    block = min(size, max(1, _BLOCK_BYTES // (n * 2 * dim * b * 8)))
+    # zeroed once: without a second injection the imaginary half stays +0
+    acc = np.zeros((n, 2, dim, block, b))
+    term = np.empty((n, dim, block, b))
+    xi = np.zeros((len(halves), n, b))  # the running sums at grid index t
+    sums = np.empty((len(halves), n, block, b))
+    w = _time_major(b, size, n, 2, dim)
+    t = 0
+    for lo in range(0, size, block):
+        rows = order[lo:lo + block]
+        m = len(rows)
+        for r, i in enumerate(rows):
+            while t < index[i]:
+                for h, (_, steps) in enumerate(halves):
+                    np.add(xi[h], steps[:, t], out=xi[h])
+                t += 1
+            sums[:, :, r] = xi
+        for h, (e, _) in enumerate(halves):
+            a, tm = acc[:, h, :, :m], term[:, :, :m]
+            np.multiply(e[:, 0, :, None, None], sums[h, 0, :m], out=a)
+            a += 0.0  # zero plus the first term, the einsum's signed zeros
+            for j in range(1, n):
+                np.multiply(e[:, j, :, None, None], sums[h, j, :m], out=tm)
+                a += tm
+        w.swapaxes(0, 1)[rows] = acc[..., :m, :].transpose(3, 4, 0, 1, 2)
     if p is not None:
+        tau = (np.asarray(grid.points) - grid.a)[index]
         w += p.data[None, None] * tau[None, :, None, None, None]
     return w
 

@@ -201,6 +201,12 @@ def _dw_of(batch, grid: TimeGrid) -> _Steps:
     return _Steps(path, steps // grid.steps, 0)
 
 
+def _steps_of(problem: SdeProblem, batch, grid: TimeGrid) -> _Steps | None:
+    """The increments a solve of problem reads on grid: None without a
+    diffusion, so a noise-free solve assembles no path."""
+    return None if problem.h is None else _dw_of(batch, grid)
+
+
 def _drift_step(problem: SdeProblem, t: float, dt: float, y: np.ndarray,
                 out: np.ndarray) -> None:
     """Write G(t, y) dt into out, zeros without a drift."""
@@ -230,21 +236,22 @@ def _forward_step(problem: SdeProblem, t: float, dt: float, y: np.ndarray,
         out += seg
 
 
-def _em_values(problem: SdeProblem, grid: TimeGrid, dw: _Steps,
+def _em_values(problem: SdeProblem, grid: TimeGrid, dw: _Steps | None,
                y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward recursion and its aborted rows (a boolean mask); replicas
     crossing the size guard turn NaN.  Each step is written straight
-    into its row of the result."""
+    into its row of the result.  Without noise (dw None) no step is
+    read."""
     b, size = y0.shape
     out = _time_major(b, grid.steps + 1, size)
     out[:, 0] = y0
-    buf = dw.buffer()
+    buf = None if dw is None else dw.buffer()
     pts, deltas = grid.points, grid.deltas
     aborted = np.zeros(b, dtype=bool)
     for l in range(grid.steps):
         y, nxt = out[:, l], out[:, l + 1]
         _forward_step(problem, float(pts[l]), float(deltas[l]), y,
-                      dw.read(l, buf), nxt)
+                      None if buf is None else dw.read(l, buf), nxt)
         nxt += y
         # one scalar test per step; NaN fails it, so aborted rows and
         # rows crossing the guard take the per-row test
@@ -297,7 +304,8 @@ def euler_maruyama(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
     _check_driving(problem, ensemble)
     grid = ensemble.grid
     return _solution_probe(problem.zeta, grid, lambda batch: _em_values(
-        problem, grid, _dw_of(batch, grid), problem.zeta.sample(batch)))
+        problem, grid, _steps_of(problem, batch, grid),
+        problem.zeta.sample(batch)))
 
 
 def _q_apply(problem: SdeProblem, grid: TimeGrid, noise, x: np.ndarray,
@@ -433,7 +441,7 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
     grid = ensemble.grid
 
     def begin(batch):  # a batch lives only in the worker that starts it
-        return _PicardBatch(problem, grid, _dw_of(batch, grid),
+        return _PicardBatch(problem, grid, _steps_of(problem, batch, grid),
                             problem.zeta.sample(batch))
 
     runs = ensemble.map_batches(begin, threads)
@@ -470,13 +478,53 @@ def picard_decay_check(distances: list, c1: float, span: float) -> dict:
             "distances": list(distances)}
 
 
+def _b2inf_of_norms(norms: np.ndarray) -> float:
+    """sup over grid points of the replica mean of a (replicas, points)
+    norm array, rooted.  The mean runs over a C-ordered array, whose
+    summation order over replicas is fixed (see paths._stack_rows)."""
+    per_t = np.mean(np.ascontiguousarray(norms), axis=0)
+    return float(np.sqrt(np.max(per_t)))
+
+
 def b2inf_norm(values: np.ndarray) -> float:
     """sup over grid points of the ensemble mean squared norm, rooted."""
     if values.size == 0:
         raise AlgebraError("empty ensemble has no norm")
     flat = values.reshape(values.shape[0], values.shape[1], -1)
-    per_t = np.mean(vec_norm2(flat), axis=0)
-    return float(np.sqrt(np.max(per_t)))
+    return _b2inf_of_norms(vec_norm2(flat))
+
+
+def _forward_norms(problem: SdeProblem, ensemble: PathEnsemble, norms_of,
+                   gate) -> Probe:
+    """Gather probe of a gate over the forward solution's norms:
+    norms_of(batch, values) turns a batch's forward trajectory into a
+    (replicas, points) norm array in the worker, so no trajectory
+    outlives its batch, and gate(norms) reads the joined arrays."""
+    _check_driving(problem, ensemble)
+    grid = ensemble.grid
+
+    def sample(batch):
+        values, _ = _em_values(problem, grid, _steps_of(problem, batch, grid),
+                               problem.zeta.sample(batch))
+        return (norms_of(batch, values),)
+
+    return Probe(sample, lambda joined: gate(joined[0]), gather=True)
+
+
+def picard_em_gap(problem: SdeProblem, ensemble: PathEnsemble,
+                  picard: SolutionEnsemble) -> Probe:
+    """b2inf_norm(picard.values - forward solution) on ensemble, where
+    picard is the ensemble's Picard solution: a gather probe of each
+    batch's vec_norm2 gaps against its rows of picard."""
+    if picard.values.shape[:2] != (ensemble.n_replicas, len(ensemble.grid)):
+        raise GridError("the Picard solution does not cover the ensemble")
+
+    def gaps(batch, values):
+        lo = batch.index * ensemble.batch_size
+        rows = picard.values[lo:lo + batch.count].reshape(values.shape)
+        return vec_norm2(rows - values)
+
+    return _forward_norms(problem, ensemble, gaps, _b2inf_of_norms)
 
 
 def linear_closed_form(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
@@ -497,15 +545,22 @@ def linear_closed_form(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
     values = _closed_form_kernel(problem, grid)
 
     def sample(batch):
-        # without noise the recursion reads no increments: assemble none
-        dw = None if problem.h is None else _dw_of(batch, grid)
-        return values(dw, zeta.sample(batch)), np.zeros(batch.count, bool)
+        out = _time_major(batch.count, len(grid), zeta.size)
+        values(_steps_of(problem, batch, grid), zeta.sample(batch), out)
+        return out, np.zeros(batch.count, bool)
 
     return _solution_probe(zeta, grid, sample)
 
 
 def _closed_form_kernel(problem: SdeProblem, grid: TimeGrid):
-    """values(dw, y): the recursion Y <- E_dt Y + phi1(G dt) H dw on grid."""
+    """values(dw, y, out): the recursion Y <- E_dt Y + phi1(G dt) H dw on
+    grid from y, through out (replicas, m, size), time-major.
+
+    Step l reads point l and writes point l + 1, each taken mod m: m =
+    K+1 keeps the whole trajectory, m = 2 a rolling pair of rows with
+    the same float operations.  Returns the terminal row.  Without noise
+    (dw None) no step is read.
+    """
     g_op, h_op, size = problem.g, problem.h, problem.zeta.size
     if callable(g_op) or callable(h_op):
         raise SdeError("the closed form needs constant operator coefficients")
@@ -520,17 +575,18 @@ def _closed_form_kernel(problem: SdeProblem, grid: TimeGrid):
                 else hmat @ op_phi1_left(g_op, dt).T
             cache[dt] = (op_exp_left(g_op, dt).T, kick)
 
-    def values(dw: _Steps | None, y: np.ndarray) -> np.ndarray:
-        out = _time_major(y.shape[0], len(grid), size)
+    def values(dw: _Steps | None, y: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+        m = out.shape[1]
         out[:, 0] = y
         buf = None if dw is None else dw.buffer()
         for l in range(grid.steps):
             prop, kick = cache[float(grid.deltas[l])]
-            row = out[:, l + 1]
-            np.matmul(out[:, l], prop, out=row)
+            row = out[:, (l + 1) % m]
+            np.matmul(out[:, l % m], prop, out=row)
             if kick is not None:
                 row += dw.read(l, buf) @ kick
-        return out
+        return out[:, grid.steps % m]
 
     return values
 
@@ -617,11 +673,11 @@ def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
     tail_grid = TimeGrid(grid.points[mid:])
 
     def sampler(batch):
-        dw = _dw_of(batch, grid)
+        dw = _steps_of(problem, batch, grid)
+        tail = None if dw is None else dw.tail(mid)
         full, _ = _em_values(problem, grid, dw, problem.zeta.sample(batch))
-        restarted, _ = _em_values(problem, tail_grid, dw.tail(mid),
-                                  full[:, mid])
-        fixed, _ = _em_values(problem, tail_grid, dw.tail(mid),
+        restarted, _ = _em_values(problem, tail_grid, tail, full[:, mid])
+        fixed, _ = _em_values(problem, tail_grid, tail,
                               np.tile(z.vec, (batch.count, 1)))
         dev = np.max(np.abs(full[:, mid:] - restarted), axis=(1, 2))
         return dev, fixed[:, -1]
@@ -685,10 +741,11 @@ def _ks_2samp_pvalue(x: np.ndarray, y: np.ndarray) -> float:
     return p if 0.0 <= p <= 1.0 else 1.0
 
 
-def gronwall_check(problem: SdeProblem, solution: SolutionEnsemble) -> dict:
-    """A-priori second-moment bound with the implementation's constants."""
-    span = solution.grid.b - solution.grid.a
-    sup2 = b2inf_norm(solution.values) ** 2
+def _gronwall_gate(problem: SdeProblem, grid: TimeGrid, b2inf: float) -> dict:
+    """A-priori second-moment bound with the implementation's constants,
+    for a solution on grid whose b2inf_norm is b2inf."""
+    span = grid.b - grid.a
+    sup2 = b2inf ** 2
     bound = (3.0 * problem.zeta.mean_norm2
              + 3.0 * problem.k_const ** 2 * span * (span + 1.0) * (1.0 + sup2))
     return {
@@ -696,6 +753,20 @@ def gronwall_check(problem: SdeProblem, solution: SolutionEnsemble) -> dict:
         "sup_mean_norm2": sup2,
         "bound": float(bound),
     }
+
+
+def gronwall_check(problem: SdeProblem, solution: SolutionEnsemble) -> dict:
+    """The a-priori bound (see _gronwall_gate) on a solution."""
+    return _gronwall_gate(problem, solution.grid, b2inf_norm(solution.values))
+
+
+def gronwall_bound(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
+    """gronwall_check on the forward solution of problem on ensemble: a
+    gather probe of its vec_norm2 at each replica and grid point."""
+    grid = ensemble.grid
+    return _forward_norms(
+        problem, ensemble, lambda batch, values: vec_norm2(values),
+        lambda norms: _gronwall_gate(problem, grid, _b2inf_of_norms(norms)))
 
 
 def strong_order_study(problem: SdeProblem, ensemble: PathEnsemble,
@@ -715,12 +786,14 @@ def strong_order_study(problem: SdeProblem, ensemble: PathEnsemble,
     grids = [TimeGrid(grid.points[::f]) for f in factors]
 
     def sampler(batch):
-        # each terminal row is copied, so its trajectory is freed before
-        # the next level runs
+        # the reference runs through a rolling pair of rows; each level's
+        # terminal row is copied, so its trajectory is freed before the
+        # next level runs
         z = problem.zeta.sample(batch)
-        ref = reference(_dw_of(batch, grid), z)[:, -1].copy()
-        finals = (_em_values(problem, g, _dw_of(batch, g), z)[0][:, -1].copy()
-                  for g in grids)
+        ref = reference(_steps_of(problem, batch, grid), z,
+                        _time_major(batch.count, 2, z.shape[1]))
+        finals = (_em_values(problem, g, _steps_of(problem, batch, g),
+                             z)[0][:, -1].copy() for g in grids)
         return tuple(vec_norm2(final - ref) for final in finals)
 
     dts = [float(grid.points[f] - grid.points[0]) for f in factors]
@@ -752,7 +825,7 @@ def uniqueness_study(problem: SdeProblem, ensemble: PathEnsemble,
     subs = [TimeGrid(grid.points[::f]) for f in factors]
 
     def level_gap(sub, b):
-        dw = _dw_of(b, sub)
+        dw = _steps_of(problem, b, sub)
         z = problem.zeta.sample(b)
         em, _ = _em_values(problem, sub, dw, z)
         run = _PicardBatch(problem, sub, dw, z)

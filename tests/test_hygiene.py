@@ -388,7 +388,7 @@ def test_scanner_reads_leading_parameters():
 # ensemble it is given: no route takes loose coefficients.
 NOISE_ROUTES = ("euler_maruyama", "picard_solve", "linear_closed_form",
                 "strong_order_study", "uniqueness_study",
-                "restart_markov_check")
+                "restart_markov_check", "picard_em_gap", "gronwall_bound")
 
 
 @pytest.mark.parametrize("name", NOISE_ROUTES)

@@ -1,6 +1,6 @@
-"""Property tests: halving-ladder increments, Picard = Euler on random
-problems, sweep row independence and the config gates under edge
-numbers.
+"""Property tests: blocked path assembly, halving-ladder increments,
+Picard = Euler on random problems, sweep row independence and the config
+gates under edge numbers.
 
 Every property runs derandomized and without an example database, so a
 run draws the same examples each time; a counterexample one finds becomes
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cdstoch.paths as paths
 import cdstoch.sde as sde
 from cdstoch.algebra import CdReal
 from cdstoch.config import ConfigError, RunConfig, parse_config_fields
@@ -45,6 +46,7 @@ from cdstoch.sde import (
     linear_problem,
     uniqueness_study,
 )
+from test_paths import _einsum_assembly
 
 
 def examples(count: int):
@@ -63,6 +65,59 @@ def _bits(value):
     if isinstance(value, (float, np.ndarray)):
         return np.asarray(value).tobytes()
     return value
+
+
+# ------------------------------------------------------ blocked assembly
+
+# replicas 2048 run at levels 0-2 only, to keep the property under 2 s
+@example(level=5, n=3, complexified=True, drifted=True, replicas=7, steps=5,
+         seed=0)
+@example(level=2, n=1, complexified=True, drifted=False, replicas=2048,
+         steps=8, seed=1)
+@example(level=0, n=2, complexified=False, drifted=True, replicas=1,
+         steps=1, seed=2)
+@examples(30)
+@given(level=st.integers(0, 5), n=st.integers(1, 3),
+       complexified=st.booleans(), drifted=st.booleans(),
+       replicas=st.sampled_from([1, 7, 2048]), steps=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 62 - 1))
+def test_blocked_assembly_keeps_the_bits_of_one_block(
+        level, n, complexified, drifted, replicas, steps, seed):
+    """An assembly in blocks of 1, 2 or 3 points, or of P - 1, P or P + 1
+    for P assembled points, has the bits of the whole path's rows taken
+    in one block, at every point set; at n <= 2 the whole path has the
+    einsum's bits, signed zeros included."""
+    if replicas == 2048:
+        level = min(level, 2)
+    rng = np.random.default_rng(seed)
+    dim = 2 ** level
+    grid = TimeGrid.uniform(0.0, 1.0, steps)
+    e0, e1 = rng.standard_normal((2, n, n, dim))
+    e0[0, 0, :(dim + 1) // 2] = -0.0  # signed zeros must survive
+    inc0, inc1 = rng.standard_normal((2, replicas, steps, n))
+    inc0[:, 0] = -0.0
+    if not complexified:
+        e1 = inc1 = None
+    p = CdVector(level, n, rng.standard_normal((n, 2, dim))) \
+        if drifted else None
+    per_point = n * 2 * dim * replicas * 8  # accumulator bytes per point
+
+    def assemble(points, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(paths, "_BLOCK_BYTES", block * per_point)
+            return paths.assemble_paths(grid, e0, e1, p, inc0, inc1, points)
+
+    whole = assemble(None, steps + 1)
+    if n <= 2:
+        ref = _einsum_assembly(grid, e0, e1, p, inc0, inc1)
+        assert whole.tobytes() == ref.tobytes()
+    chosen = rng.permutation(steps + 1)[:rng.integers(1, steps + 2)]
+    for points in (None, tuple(int(i) for i in chosen)):
+        rows = whole if points is None else whole[:, list(points)]
+        size = rows.shape[1]
+        for block in {1, 2, 3, max(1, size - 1), size, size + 1}:
+            got = assemble(points, block)
+            assert got.tobytes() == rows.tobytes(), (points, block)
 
 
 # ---------------------------------------------------- halving-ladder reads

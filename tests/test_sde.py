@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,9 @@ from cdstoch.linops import (
     vec_norm2,
 )
 from cdstoch import paths, sde
-from cdstoch.experiments import Row, _run_rows
+from cdstoch.config import SDE_DRIFT
+from cdstoch.experiments import (Row, _random_complex_cov, _random_four_block,
+                                 _run_rows)
 from cdstoch.paths import GridError, PathEnsemble, TimeGrid, sweep
 from cdstoch.sde import (
     SdeError,
@@ -27,11 +30,13 @@ from cdstoch.sde import (
     ZetaSpec,
     b2inf_norm,
     euler_maruyama,
+    gronwall_bound,
     gronwall_check,
     linear_closed_form,
     linear_problem,
     lipschitz_validate,
     picard_decay_check,
+    picard_em_gap,
     picard_solve,
     restart_markov_check,
     strong_order_study,
@@ -351,7 +356,8 @@ def test_solver_steps_are_contiguous_and_results_c_ordered():
     dw = sde._dw_of(batch, grid)
     z = prob.zeta.sample(batch)
     vals, _ = sde._em_values(prob, grid, dw, z)
-    cf = sde._closed_form_kernel(prob, grid)(dw, z)
+    cf = sde._time_major(40, len(grid), 4)
+    sde._closed_form_kernel(prob, grid)(dw, z, cf)
     noise = sde._picard_noise(prob, grid, dw)
     assert all(noise[:, l].flags.c_contiguous for l in range(grid.steps))
     for arr in (vals, cf, apply_q(prob, grid, noise, vals, 0)):
@@ -727,13 +733,118 @@ def test_ks_pvalue_fails_on_non_finite_samples(bad):
 
 def test_gronwall_bound_holds():
     prob = linear_test_problem()
-    sol = forward(prob, unit_ensemble(32, seed=29, n_replicas=4000))
-    rep = gronwall_check(prob, sol)
+    ens = unit_ensemble(32, seed=29, n_replicas=4000)
+    rep = run(ens, gronwall_bound(prob, ens))
     assert rep["passed"]
     assert rep["sup_mean_norm2"] <= rep["bound"]
 
 
+def random_linear_problem(rng, level, width, n):
+    """Random constant coefficients, each scaled to operator norm 1."""
+    g = _random_four_block(rng, level, width, width)
+    h = _random_four_block(rng, level, width, n)
+    return linear_problem(g.scaled(1.0 / np.linalg.norm(g.realized, 2)),
+                          h.scaled(1.0 / np.linalg.norm(h.realized, 2)),
+                          ZetaSpec.gaussian(level, width, 0.5), n)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("replicas", [15, 16, 17, 40])
+def test_norm_rows_keep_the_bits_of_the_gathered_gates(replicas, threads):
+    """picard_em_gap and gronwall_bound, which gather norms per replica
+    and point, give the bits of b2inf_norm(picard.values - em.values)
+    and of gronwall_check on the gathered forward solution, at replica
+    counts around the 16-replica batch boundary."""
+    rng = np.random.default_rng(replicas)
+    for level, width, n in ((1, 1, 1), (2, 2, 1), (0, 1, 2)):
+        prob = random_linear_problem(rng, level, width, n)
+        ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 12),
+                           _random_complex_cov(rng, level, n), None,
+                           seed=replicas + level, n_replicas=replicas,
+                           batch_size=16)
+        picard = picard_solve(prob, ens, threads)
+        em = forward(prob, ens, threads)
+        gap = run(ens, picard_em_gap(prob, ens, picard), threads)
+        expect = b2inf_norm(picard.values - em.values)
+        assert 0.0 < expect
+        assert np.float64(gap).tobytes() == np.float64(expect).tobytes()
+        got = run(ens, gronwall_bound(prob, ens), threads)
+        expect = gronwall_check(prob, em)
+        assert got["passed"] == expect["passed"]
+        for key in ("sup_mean_norm2", "bound"):
+            assert np.float64(got[key]).tobytes() == \
+                np.float64(expect[key]).tobytes(), key
+
+
+def test_norm_rows_gather_a_float_per_replica_and_point():
+    """What the agreement and Gronwall rows hand their gates is one
+    (replicas, K+1) float array per batch, not a trajectory."""
+    prob = linear_test_problem()
+    ens = unit_ensemble(16, seed=41, n_replicas=40, batch_size=32)
+    picard = picard_solve(prob, ens, 1)
+    for probe in (picard_em_gap(prob, ens, picard), gronwall_bound(prob, ens)):
+        for index in range(ens.n_batches):
+            batch = ens.batch(index)
+            (norms,) = probe.sample(batch)
+            assert norms.shape == (batch.count, len(ens.grid))
+            assert norms.dtype == np.float64
+    with pytest.raises(GridError):
+        picard_em_gap(prob, unit_ensemble(8, seed=41, n_replicas=40), picard)
+
+
+def test_a_noise_free_problem_reads_no_path(monkeypatch):
+    """Without a diffusion the forward solution, Picard, the restart rows
+    and the uniqueness ladder assemble no path, and the forward values
+    keep the bits of the recursion run over the path's increments."""
+    g = RightLinearOp.identity(1, 1).scaled(-1.0)
+    prob = linear_problem(g, None, ZetaSpec.gaussian(1, 1, 0.5), 1)
+    ens = unit_ensemble(16, seed=43, n_replicas=300, batch_size=128)
+    grid = ens.grid
+    expect = np.concatenate([
+        sde._em_values(prob, grid, sde._dw_of(b, grid), prob.zeta.sample(b))[0]
+        for b in map(ens.batch, range(ens.n_batches))])
+    assembled = []
+    assemble = paths.assemble_paths
+
+    def counting(*args):
+        assembled.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(paths, "assemble_paths", counting)
+    sol = run(ens, euler_maruyama(prob, ens), threads=2)
+    picard_solve(prob, ens, 2)
+    run(ens, restart_markov_check(prob, ens, 0.5,
+                                  CdVector.embedded_real(1, [0.7])), threads=2)
+    run(ens, uniqueness_study(prob, ens, halvings=2), threads=2)
+    assert assembled == []
+    assert sol.values.reshape(expect.shape).tobytes() == expect.tobytes()
+
+
 # -------------------------------------------------------------- convergence
+
+def test_a_strong_order_sample_holds_no_reference_trajectory():
+    """One grid-256 batch of 2048 replicas of the sde battery's problem
+    peaks within 2 MB above its finest level's forward trajectory
+    (2048 x 129 x 8 floats, 16.9 MB), beyond its path: the reference
+    runs through a pair of rows.  Its whole trajectory would be 33.7 MB."""
+    level = 2
+    ident = RightLinearOp.identity(level, 1)
+    prob = linear_problem(RightLinearOp.left_mult(CdReal(level, SDE_DRIFT)),
+                          ident, unit_zeta(level), 1)
+    ens = unit_ensemble(256, seed=47, n_replicas=2048, level=level)
+    probe = strong_order_study(prob, ens, halvings=4)
+    batch = ens.batch(0)
+    path = batch.w
+    tracemalloc.start()
+    try:
+        errors = probe.sample(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.nbytes == 2048 * 257 * 8 * 8
+    assert len(errors) == 4
+    assert peak <= 2048 * 129 * 8 * 8 + 2 * 2 ** 20
+
 
 def test_strong_order_against_closed_form_is_near_one():
     """Additive noise makes the forward scheme first order accurate, so
