@@ -197,11 +197,10 @@ def _time_major(b: int, k: int, *shape: int) -> np.ndarray:
 # The byte budget of one block's accumulator in assemble_paths.  A
 # whole-path accumulator (and a half-size term array) stood 33.7 + 16.8 MB
 # beside a 33.7 MB grid-256 path (2048 replicas, n = 1, level 2,
-# complexified).  Blocks of 1 MB bound that scratch by the block, and a
-# block that stays in cache is written out faster: over the 139 assembly
-# shapes of the ensembles workload the blocked route took 117 ms against
-# 150 ms for the whole-array route on two threads (174 against 220 ms on
-# one), with the same bits.
+# complexified); blocks of 1 MB take 2.1 MB in all.  A block that stays in
+# cache is also written out faster: traced assembly self time fell from
+# 0.351 to 0.297 s over the ensembles workload's 139 calls and from 0.214
+# to 0.148 s over the sde workload's 13 (BENCH_28.json), with the same bits.
 _BLOCK_BYTES = 1 << 20
 
 

@@ -816,8 +816,8 @@ def _einsum_assembly(grid, e0, e1, p, inc0, inc1):
             np.cumsum(inc, axis=1, out=xi[:, 1:])
             w[..., half, :] = np.einsum("lkd,btk->btld", e, xi)
     if p is not None:
-        w += p.data[None, None] * (grid.points - grid.a)[None, :, None, None,
-                                                          None]
+        tau = grid.points - grid.a
+        w += p.data[None, None] * tau[None, :, None, None, None]
     return w
 
 
