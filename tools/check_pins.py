@@ -1,13 +1,13 @@
 """Check the guardrail hashes of ``cdstoch all`` and the benchmark's runs.
 
-Runs ``cdstoch all`` at seeds 0 and 7, and the two benchmark workloads at
-seeds 3 and 11: the sde grid ladder (``cdstoch sde --replicas 4000`` on
-grids 16 to 256) and ``ensembles`` (``cdstoch run`` on the config text
-``ENSEMBLES``), each with ``--threads`` 1, 2 and 3, in a fresh process
-writing to a temporary directory.  Prints the exit code and the sha256 of the
-stripped report (``render_json(strip_timing(doc))``) of every run, and
-exits 1 unless every run of a command and seed gives its pinned exit
-code and hash.
+Runs ``cdstoch all`` at seeds 0 and 7, ``cdstoch algebra`` at seeds 0, 7
+and 16, and the two benchmark workloads at seeds 3 and 11: the sde grid
+ladder (``cdstoch sde --replicas 4000`` on grids 16 to 256) and
+``ensembles`` (``cdstoch run`` on the config text ``ENSEMBLES``), each
+with ``--threads`` 1, 2 and 3, in a fresh process writing to a temporary
+directory.  Prints the exit code and the sha256 of the stripped report
+(``render_json(strip_timing(doc))``) of every run, and exits 1 unless
+every run of a command and seed gives its pinned exit code and hash.
 
     python tools/check_pins.py
 """
@@ -46,6 +46,12 @@ PINS = {
         1, "9adaf612beedcfb9855334d0f8b8d35d7d57535eab1942b4b6010db50c097e10"),
     (("all",), 7): (
         0, "0628ca75fa5863069db619c33030c8e75b4adf65e5e4d5c5e891ae15c312f574"),
+    (("algebra",), 0): (
+        0, "196711206d3afc57cf351f88b47802495ac08dd09a6543fd4cc3f1911906d9c7"),
+    (("algebra",), 7): (
+        0, "bfe723a33a2b7ad4b15c2a4cdcdfca4580b2c20115d35249d283015261e6e69b"),
+    (("algebra",), 16): (
+        0, "23e4bf203d7cc7d8cc1a724227a1ee065b6522848fe7fc83bfd03e43b61b6c9d"),
     (tuple(LADDER), 3): (
         0, "427817f90fac3f1f242f594767f68239ddc2dee21b8d27031e919e53b0f95ce9"),
     (tuple(LADDER), 11): (
