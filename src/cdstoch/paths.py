@@ -239,7 +239,8 @@ def assemble_paths(grid: TimeGrid, e0: np.ndarray, e1: np.ndarray | None,
     halves = [(e0, inc0.transpose(2, 1, 0))]
     if inc1 is not None:
         halves.append((e1, inc1.transpose(2, 1, 0)))
-    block = min(size, max(1, _BLOCK_BYTES // (n * 2 * dim * b * 8)))
+    # one point at least, so an empty point set gives an empty path
+    block = max(1, min(size, _BLOCK_BYTES // (n * 2 * dim * b * 8)))
     # zeroed once: without a second injection the imaginary half stays +0
     acc = np.zeros((n, 2, dim, block, b))
     term = np.empty((n, dim, block, b))

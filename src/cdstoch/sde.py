@@ -164,47 +164,21 @@ def linear_problem(g_op: RightLinearOp | None, h_op: RightLinearOp | None,
 
 # ------------------------------------------------------------------ solvers
 
-@dataclass(frozen=True)
-class _Steps:
-    """The increments of one level of a batch's halving ladder, read off
-    the path one step at a time.
+def _path_on(problem: SdeProblem, batch,
+             grid: TimeGrid) -> np.ndarray | None:
+    """The batch's flat path (replicas, points, m) at the points of grid, a
+    level of its halving ladder: a strided view, no copy.  None without a
+    diffusion, so a noise-free solve assembles no path.
 
-    path is the batch's flat path (replicas, points, m), stored time-major;
-    step l is path[:, j + stride] - path[:, j] at j = (offset + l) * stride,
-    the subtraction np.diff makes, so a step has the bits of the increment
-    array it stands in for.  A kernel reads every step into one reused
-    (replicas, m) buffer, so no increment array is built.
+    A kernel reads step l as np.subtract(w[:, l + 1], w[:, l], out=buf)
+    into one reused buffer, the subtraction np.diff makes, so no
+    increment array is built; the path is time-major, so each point it
+    subtracts is a contiguous (replicas, m) block.
     """
-
-    path: np.ndarray
-    stride: int
-    offset: int
-
-    def buffer(self) -> np.ndarray:
-        return np.empty((self.path.shape[0], self.path.shape[2]))
-
-    def read(self, l: int, out: np.ndarray) -> np.ndarray:
-        """Step l written into out, which is returned."""
-        j = (self.offset + l) * self.stride
-        return np.subtract(self.path[:, j + self.stride], self.path[:, j],
-                           out=out)
-
-    def tail(self, start: int) -> "_Steps":
-        """The steps from step start on."""
-        return _Steps(self.path, self.stride, self.offset + start)
-
-
-def _dw_of(batch, grid: TimeGrid) -> _Steps:
-    """Flat path increments on grid, a level of the batch's halving ladder."""
-    steps = batch.ensemble.grid.steps
-    path = batch.w.reshape(batch.count, steps + 1, -1)
-    return _Steps(path, steps // grid.steps, 0)
-
-
-def _steps_of(problem: SdeProblem, batch, grid: TimeGrid) -> _Steps | None:
-    """The increments a solve of problem reads on grid: None without a
-    diffusion, so a noise-free solve assembles no path."""
-    return None if problem.h is None else _dw_of(batch, grid)
+    if problem.h is None:
+        return None
+    k = batch.ensemble.grid.steps
+    return batch.w.reshape(batch.count, k + 1, -1)[:, ::k // grid.steps]
 
 
 def _drift_step(problem: SdeProblem, t: float, dt: float, y: np.ndarray,
@@ -236,22 +210,22 @@ def _forward_step(problem: SdeProblem, t: float, dt: float, y: np.ndarray,
         out += seg
 
 
-def _em_values(problem: SdeProblem, grid: TimeGrid, dw: _Steps | None,
+def _em_values(problem: SdeProblem, grid: TimeGrid, w: np.ndarray | None,
                y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward recursion and its aborted rows (a boolean mask); replicas
-    crossing the size guard turn NaN.  Each step is written straight
-    into its row of the result.  Without noise (dw None) no step is
-    read."""
+    """Forward recursion on the path w (see _path_on) and its aborted
+    rows (a boolean mask); replicas crossing the size guard turn NaN.
+    Each step is written straight into its row of the result.  Without
+    noise (w None) no step is read."""
     b, size = y0.shape
     out = _time_major(b, grid.steps + 1, size)
     out[:, 0] = y0
-    buf = None if dw is None else dw.buffer()
+    buf = None if w is None else np.empty_like(w[:, 0])
     pts, deltas = grid.points, grid.deltas
     aborted = np.zeros(b, dtype=bool)
     for l in range(grid.steps):
         y, nxt = out[:, l], out[:, l + 1]
-        _forward_step(problem, float(pts[l]), float(deltas[l]), y,
-                      None if buf is None else dw.read(l, buf), nxt)
+        dw_l = buf if w is None else np.subtract(w[:, l + 1], w[:, l], buf)
+        _forward_step(problem, float(pts[l]), float(deltas[l]), y, dw_l, nxt)
         nxt += y
         # one scalar test per step; NaN fails it, so aborted rows and
         # rows crossing the guard take the per-row test
@@ -304,7 +278,7 @@ def euler_maruyama(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
     _check_driving(problem, ensemble)
     grid = ensemble.grid
     return _solution_probe(problem.zeta, grid, lambda batch: _em_values(
-        problem, grid, _steps_of(problem, batch, grid),
+        problem, grid, _path_on(problem, batch, grid),
         problem.zeta.sample(batch)))
 
 
@@ -313,7 +287,9 @@ def _q_apply(problem: SdeProblem, grid: TimeGrid, noise, x: np.ndarray,
     """Write QX = zeta + left-endpoint time quadrature + stochastic sum
     into out, where X(t_0) = zeta for every iterate.
 
-    noise is a batch's noise term (see _picard_noise).  Accumulated in
+    noise is a batch's noise term (see _picard_noise), read as the
+    problem's diffusion says: kick rows for a constant H, steps of the
+    path for a callback H, nothing without H.  Accumulated in
     exactly the float order of the forward recursion, so the bitwise
     fixed point of Q coincides with the forward scheme.  (QX)[l+1] reads
     X only on [0, l]: when x = QX' and x agrees with X' on [0, start),
@@ -322,38 +298,40 @@ def _q_apply(problem: SdeProblem, grid: TimeGrid, noise, x: np.ndarray,
     each later row is written as its step and then accumulated in place.
     """
     out[:, start:start + 1] = x[:, start:start + 1]
-    buf = noise.buffer() if isinstance(noise, _Steps) else None
+    kicks = isinstance(problem.h, RightLinearOp)
+    buf = None if kicks or problem.h is None else np.empty_like(noise[:, 0])
     pts, deltas = grid.points, grid.deltas
     for l in range(start, grid.steps):
         t, dt, row = float(pts[l]), float(deltas[l]), out[:, l + 1]
         if buf is not None:
-            _forward_step(problem, t, dt, x[:, l], noise.read(l, buf), row)
+            _forward_step(problem, t, dt, x[:, l], np.subtract(
+                noise[:, l + 1], noise[:, l], out=buf), row)
         else:
             _drift_step(problem, t, dt, x[:, l], row)
-            if noise is not None:
+            if kicks:
                 row += noise[:, l]
         row += out[:, l]
 
 
-def _picard_noise(problem: SdeProblem, grid: TimeGrid, dw: _Steps):
+def _picard_noise(problem: SdeProblem, grid: TimeGrid,
+                  w: np.ndarray | None):
     """What the Picard map reads for its noise term on one batch.
 
     The term dw_l H^T of a constant H does not depend on the state, so
     it is taken for every step once, as a time-major kick array, with
     the same (replicas, m) product per step that the forward step forms:
     one GEMM over all steps at once does not give every step those bits
-    at small replica counts.  Without noise there is none (None); a
-    callback H keeps the increments.
+    at small replica counts.  Without noise there is none (w None); a
+    callback H keeps the path w (see _path_on).
     """
-    if problem.h is None:
-        return None
     if not isinstance(problem.h, RightLinearOp):
-        return dw
+        return w
     hmat = problem.h.realized.T
-    buf = dw.buffer()
+    buf = np.empty_like(w[:, 0])
     kicks = _time_major(buf.shape[0], grid.steps, hmat.shape[1])
     for l in range(grid.steps):
-        np.matmul(dw.read(l, buf), hmat, out=kicks[:, l])
+        np.matmul(np.subtract(w[:, l + 1], w[:, l], out=buf), hmat,
+                  out=kicks[:, l])
     return kicks
 
 
@@ -388,10 +366,10 @@ class _PicardBatch:
     which already agrees with the last on the stationary prefix.
     """
 
-    def __init__(self, problem: SdeProblem, grid: TimeGrid, dw: _Steps,
-                 zeta: np.ndarray):
+    def __init__(self, problem: SdeProblem, grid: TimeGrid,
+                 w: np.ndarray | None, zeta: np.ndarray):
         self.problem, self.grid = problem, grid
-        self.noise = _picard_noise(problem, grid, dw)
+        self.noise = _picard_noise(problem, grid, w)
         self.x = _repeat_in_time(zeta, len(grid))
         self._spare = _time_major(*self.x.shape)
         self.start = 0
@@ -441,7 +419,7 @@ def picard_solve(problem: SdeProblem, ensemble: PathEnsemble,
     grid = ensemble.grid
 
     def begin(batch):  # a batch lives only in the worker that starts it
-        return _PicardBatch(problem, grid, _steps_of(problem, batch, grid),
+        return _PicardBatch(problem, grid, _path_on(problem, batch, grid),
                             problem.zeta.sample(batch))
 
     runs = ensemble.map_batches(begin, threads)
@@ -504,7 +482,7 @@ def _forward_norms(problem: SdeProblem, ensemble: PathEnsemble, norms_of,
     grid = ensemble.grid
 
     def sample(batch):
-        values, _ = _em_values(problem, grid, _steps_of(problem, batch, grid),
+        values, _ = _em_values(problem, grid, _path_on(problem, batch, grid),
                                problem.zeta.sample(batch))
         return (norms_of(batch, values),)
 
@@ -546,20 +524,21 @@ def linear_closed_form(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
 
     def sample(batch):
         out = _time_major(batch.count, len(grid), zeta.size)
-        values(_steps_of(problem, batch, grid), zeta.sample(batch), out)
+        values(_path_on(problem, batch, grid), zeta.sample(batch), out)
         return out, np.zeros(batch.count, bool)
 
     return _solution_probe(zeta, grid, sample)
 
 
 def _closed_form_kernel(problem: SdeProblem, grid: TimeGrid):
-    """values(dw, y, out): the recursion Y <- E_dt Y + phi1(G dt) H dw on
-    grid from y, through out (replicas, m, size), time-major.
+    """values(w, y, out): the recursion Y <- E_dt Y + phi1(G dt) H dw on
+    grid from y over the path w (see _path_on), through out (replicas, m,
+    size), time-major.
 
     Step l reads point l and writes point l + 1, each taken mod m: m =
     K+1 keeps the whole trajectory, m = 2 a rolling pair of rows with
     the same float operations.  Returns the terminal row.  Without noise
-    (dw None) no step is read.
+    (w None) no step is read.
     """
     g_op, h_op, size = problem.g, problem.h, problem.zeta.size
     if callable(g_op) or callable(h_op):
@@ -575,17 +554,17 @@ def _closed_form_kernel(problem: SdeProblem, grid: TimeGrid):
                 else hmat @ op_phi1_left(g_op, dt).T
             cache[dt] = (op_exp_left(g_op, dt).T, kick)
 
-    def values(dw: _Steps | None, y: np.ndarray,
+    def values(w: np.ndarray | None, y: np.ndarray,
                out: np.ndarray) -> np.ndarray:
         m = out.shape[1]
         out[:, 0] = y
-        buf = None if dw is None else dw.buffer()
+        buf = None if w is None else np.empty_like(w[:, 0])
         for l in range(grid.steps):
             prop, kick = cache[float(grid.deltas[l])]
             row = out[:, (l + 1) % m]
             np.matmul(out[:, l % m], prop, out=row)
             if kick is not None:
-                row += dw.read(l, buf) @ kick
+                row += np.subtract(w[:, l + 1], w[:, l], out=buf) @ kick
         return out[:, grid.steps % m]
 
     return values
@@ -673,9 +652,9 @@ def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
     tail_grid = TimeGrid(grid.points[mid:])
 
     def sampler(batch):
-        dw = _steps_of(problem, batch, grid)
-        tail = None if dw is None else dw.tail(mid)
-        full, _ = _em_values(problem, grid, dw, problem.zeta.sample(batch))
+        w = _path_on(problem, batch, grid)
+        tail = None if w is None else w[:, mid:]
+        full, _ = _em_values(problem, grid, w, problem.zeta.sample(batch))
         restarted, _ = _em_values(problem, tail_grid, tail, full[:, mid])
         fixed, _ = _em_values(problem, tail_grid, tail,
                               np.tile(z.vec, (batch.count, 1)))
@@ -790,9 +769,9 @@ def strong_order_study(problem: SdeProblem, ensemble: PathEnsemble,
         # terminal row is copied, so its trajectory is freed before the
         # next level runs
         z = problem.zeta.sample(batch)
-        ref = reference(_steps_of(problem, batch, grid), z,
+        ref = reference(_path_on(problem, batch, grid), z,
                         _time_major(batch.count, 2, z.shape[1]))
-        finals = (_em_values(problem, g, _steps_of(problem, batch, g),
+        finals = (_em_values(problem, g, _path_on(problem, batch, g),
                              z)[0][:, -1].copy() for g in grids)
         return tuple(vec_norm2(final - ref) for final in finals)
 
@@ -825,10 +804,10 @@ def uniqueness_study(problem: SdeProblem, ensemble: PathEnsemble,
     subs = [TimeGrid(grid.points[::f]) for f in factors]
 
     def level_gap(sub, b):
-        dw = _steps_of(problem, b, sub)
+        w = _path_on(problem, b, sub)
         z = problem.zeta.sample(b)
-        em, _ = _em_values(problem, sub, dw, z)
-        run = _PicardBatch(problem, sub, dw, z)
+        em, _ = _em_values(problem, sub, w, z)
+        run = _PicardBatch(problem, sub, w, z)
         for _ in range(2 * PICARD_M_MAX):
             run.advance()
             if run.stationary:

@@ -385,14 +385,14 @@ def test_restart_rows_fail_on_a_nan_in_a_later_batch(monkeypatch):
     pathwise deviation NaN."""
     cfg = RunConfig(seed=5, replicas=3000, grids=(16,), threads=2,
                     experiments=("sde",))
-    dw_of = sde_module._dw_of
+    path_on = sde_module._path_on
 
-    def poisoned(batch, grid):
+    def poisoned(problem, batch, grid):
         if batch.ensemble.seed == cfg.seed + 504 and batch.index == 1:
             batch.w[0, -1] = np.nan
-        return dw_of(batch, grid)
+        return path_on(problem, batch, grid)
 
-    monkeypatch.setattr(sde_module, "_dw_of", poisoned)
+    monkeypatch.setattr(sde_module, "_path_on", poisoned)
     checks = checks_of(sde_experiment(cfg))
     for name in ("restart_linear", "restart_pure_noise", "restart_nonlinear"):
         assert np.isnan(checks[name]["max_pathwise_deviation"]), name

@@ -231,6 +231,30 @@ def test_a_sweep_assembles_only_the_declared_points(threads, monkeypatch):
                           whole[:, [0, 12]].view(np.uint64))
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_a_sweep_whose_rows_declare_no_points(threads, monkeypatch):
+    """Rows that declare no points read the empty time-major path that at
+    gives outside a sweep; an empty point set made the blocked assembly
+    step through its points by a block of zero."""
+    grid = TimeGrid.uniform(0.0, 1.0, 8)
+    p = CdVector(1, 2, np.random.default_rng(11).standard_normal((2, 2, 2)))
+    ens = PathEnsemble(grid, identity_complex_covariance(1, 2), p, seed=13,
+                       n_replicas=150, batch_size=64)
+    assert ens.batch(0).at(()).shape == (64, 0, 2, 2, 2)
+    assembled = []
+    assemble = paths_module.assemble_paths
+
+    def counting(*args):
+        assembled.append(args[-1])
+        return assemble(*args)
+
+    monkeypatch.setattr(paths_module, "assemble_paths", counting)
+    empty, = sweep([(ens, Probe(lambda batch: (batch.at(()),), list,
+                                gather=True, points=()))], threads)[0]
+    assert assembled == [()] * ens.n_batches
+    assert empty.shape == (150, 0, 2, 2, 2)
+
+
 def test_moment_reducer_bits_do_not_depend_on_layout():
     """A time-major float array reaching the moment reducer gives the
     bits of its C-ordered copy: the sum over replicas has one order."""

@@ -1,6 +1,7 @@
 """Property tests: blocked path assembly, halving-ladder increments,
-Picard = Euler on random problems, sweep row independence and the config
-gates under edge numbers.
+Picard = Euler on random problems, sweep row independence, replica
+counts at a batch boundary, the algebra laws at levels 0-5 and the
+config gates under edge numbers.
 
 Every property runs derandomized and without an example database, so a
 run draws the same examples each time; a counterexample one finds becomes
@@ -13,12 +14,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cdstoch.paths as paths
 import cdstoch.sde as sde
-from cdstoch.algebra import CdReal
+from cdstoch.algebra import CdReal, mul_coeffs
 from cdstoch.config import ConfigError, RunConfig, parse_config_fields
 from cdstoch.experiments import _random_complex_cov
 from cdstoch.linops import (
@@ -27,8 +28,10 @@ from cdstoch.linops import (
     CovarianceOperator,
     RealFunctional,
     RightLinearOp,
+    vec_norm2,
 )
 from cdstoch.paths import (
+    McReport,
     PathEnsemble,
     Probe,
     TimeGrid,
@@ -129,25 +132,31 @@ def test_blocked_assembly_keeps_the_bits_of_one_block(
        seed=st.integers(0, 2 ** 62 - 1))
 def test_every_ladder_level_reads_its_increments_off_the_path(
         level, n, complexified, drifted, m, h, seed):
-    """_dw_of on level j of a halving ladder reads, step by step, the bits
-    of np.diff of every 2**j-th path point, and each point it subtracts
-    is a contiguous block; the increments a batch draws are the same on
-    every read."""
+    """_path_on at level j of a halving ladder is a view of every 2**j-th
+    path point, whose steps, read as the kernels read them, have the bits
+    of np.diff of those points, and each point they subtract is a
+    contiguous block; the increments a batch draws are the same on every
+    read."""
     grid = TimeGrid.uniform(0.0, 1.0, m * 2 ** h)
     u0 = CovarianceOperator.identity(level, n)
     u = ComplexCovariance(u0, u0) if complexified else u0
     p = CdVector(level, n, np.random.default_rng(seed).standard_normal(
         (n, 2, 2 ** level))) if drifted else None
     batch = PathEnsemble(grid, u, p, seed=seed, n_replicas=5).batch(0)
+    prob = linear_problem(None, RightLinearOp.identity(level, n),
+                          ZetaSpec.gaussian(level, n, 1.0), n)
     w = batch.w.reshape(batch.count, len(grid), -1)
     for j in range(h + 1):
         sub = TimeGrid(grid.points[::2 ** j])
-        dw = sde._dw_of(batch, sub)
+        view = sde._path_on(prob, batch, sub)
+        assert np.shares_memory(view, batch.w)
+        assert view.tobytes() == w[:, ::2 ** j].tobytes()
         expect = np.diff(w[:, ::2 ** j], axis=1)
-        buf = dw.buffer()
+        buf = np.empty_like(view[:, 0])
         for l in range(sub.steps):
-            assert dw.read(l, buf).tobytes() == expect[:, l].tobytes()
-            assert dw.path[:, l * 2 ** j].flags.c_contiguous
+            step = np.subtract(view[:, l + 1], view[:, l], out=buf)
+            assert step.tobytes() == expect[:, l].tobytes()
+            assert view[:, l].flags.c_contiguous
         assert buf.shape == expect[:, 0].shape
     assert batch.inc0.tobytes() == batch.inc0.tobytes()
     if complexified:
@@ -207,11 +216,11 @@ def test_picard_fixed_point_is_the_forward_recursion(
     batch = PathEnsemble(grid, _random_complex_cov(rng, level, n), p,
                          seed=seed, n_replicas=replicas).batch(0)
     sub = TimeGrid(grid.points[::stride])
-    dw = sde._dw_of(batch, sub)
+    w = sde._path_on(prob, batch, sub)
     z = prob.zeta.sample(batch)
-    em, aborted = sde._em_values(prob, sub, dw, z)
+    em, aborted = sde._em_values(prob, sub, w, z)
     assert not aborted.any()
-    run = sde._PicardBatch(prob, sub, dw, z)
+    run = sde._PicardBatch(prob, sub, w, z)
     prev = None
     for _ in range(steps + 1):
         x = np.copy(run.x)
@@ -288,6 +297,117 @@ def test_a_probe_keeps_its_bits_beside_any_rows_in_any_order(order,
     got = sweep([SWEEP_ROWS[i] for i in order], threads)
     for i, result in zip(order, got):
         assert _bits(result) == _alone(i), i
+
+
+# ------------------------------------------------ batch-boundary counts
+
+def _end_rows(batch):
+    """Each replica's flat path at the last grid point, and its norm."""
+    end = batch.at((batch.ensemble.grid.steps,))[:, 0]
+    flat = end.reshape(batch.count, -1)
+    return flat, vec_norm2(flat)
+
+
+@examples(40)
+@given(batch_size=st.integers(1, 64), k=st.integers(1, 3),
+       offset=st.sampled_from([-1, 0, 1]), level=st.integers(0, 2),
+       n=st.integers(1, 2), steps=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 62 - 1))
+def test_replica_counts_at_a_batch_boundary_keep_the_batch_order(
+        batch_size, k, offset, level, n, steps, seed):
+    """At k B - 1, k B and k B + 1 replicas in batches of B, a moment
+    probe swept at 1-3 threads gives the per-batch (sum, sum of squares)
+    summed over the batches pairwise in batch order, and a gather probe
+    the per-batch arrays joined in batch order; every batch but the last
+    holds B replicas, and the last holds the rest."""
+    replicas = k * batch_size + offset
+    assume(replicas >= 1)
+    rng = np.random.default_rng(seed)
+    ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, steps),
+                       _random_complex_cov(rng, level, n),
+                       CdVector(level, n, rng.standard_normal(
+                           (n, 2, 2 ** level))),
+                       seed=seed, n_replicas=replicas, batch_size=batch_size)
+    batches = [ens.batch(i) for i in range(ens.n_batches)]
+    assert ens.n_batches == -(-replicas // batch_size)
+    assert [b.count for b in batches[:-1]] == [batch_size] * (
+        ens.n_batches - 1)
+    assert batches[-1].count == replicas - (ens.n_batches - 1) * batch_size
+    parts = [_end_rows(b) for b in batches]
+    moments = []
+    for j in range(2):
+        s1 = np.sum(np.stack([np.sum(part[j], axis=0) for part in parts]),
+                    axis=0)
+        s2 = np.sum(np.stack([np.sum(part[j] * part[j], axis=0)
+                              for part in parts]), axis=0)
+        moments.append(McReport.from_sums(s1, s2, replicas))
+    point = (steps,)
+
+    def gather(batch):
+        return (*_end_rows(batch), np.full(batch.count, batch.index))
+
+    for threads in (1, 2, 3):
+        reports, joined = sweep(
+            [(ens, Probe(_end_rows, list, points=point)),
+             (ens, Probe(gather, list, gather=True, points=point))], threads)
+        assert _bits(reports) == _bits(moments)
+        for j in range(2):
+            expect = np.concatenate([part[j] for part in parts])
+            assert joined[j].tobytes() == expect.tobytes()
+        assert np.bincount(joined[2]).tolist() == [b.count for b in batches]
+
+
+# ---------------------------------------------------- algebra-law survey
+
+def _law_gaps(level: int, rng, count: int = 300) -> dict:
+    """Each law's largest relative gap over count random triples a, b, c
+    of A_level, at scales 1e-3 to 1e3: the norm of lhs - rhs over the
+    product of the factors' norms (for norm multiplicativity, the gap
+    between |ab| and |a||b| over |a||b|)."""
+    a, b, c = rng.standard_normal((3, count, 2 ** level)) \
+        * 10.0 ** rng.uniform(-3.0, 3.0, (3, count, 1))
+    na, nb, nc = (np.linalg.norm(v, axis=1) for v in (a, b, c))
+
+    def mul(x, y):
+        return mul_coeffs(level, x, y)
+
+    def gap(lhs, rhs, scale):
+        return float(np.max(np.linalg.norm(lhs - rhs, axis=1) / scale))
+
+    a2, ab = mul(a, a), mul(a, b)
+    return {
+        "left alternativity": gap(mul(a2, b), mul(a, ab), na ** 2 * nb),
+        "right alternativity": gap(mul(ab, b), mul(a, mul(b, b)),
+                                   na * nb ** 2),
+        "Moufang": gap(mul(ab, mul(c, a)), mul(a, mul(mul(b, c), a)),
+                       na ** 2 * nb * nc),
+        "norm multiplicativity": float(np.max(
+            np.abs(np.linalg.norm(ab, axis=1) - na * nb) / (na * nb))),
+        "flexibility": gap(mul(ab, a), mul(a, mul(b, a)), na ** 2 * nb),
+        "power associativity": max(
+            gap(mul(a2, a), mul(a, a2), na ** 3),
+            gap(mul(a2, a2), mul(mul(a2, a), a), na ** 4)),
+    }
+
+
+# the last level at which each law holds; None: at every level
+LAST_LEVEL_HOLDING = {"left alternativity": 3, "right alternativity": 3,
+                      "Moufang": 3, "norm multiplicativity": 3,
+                      "flexibility": None, "power associativity": None}
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_the_algebra_laws_hold_up_to_their_level_and_fail_past_it(level):
+    """Alternativity, Moufang and norm multiplicativity hold through the
+    octonions (r <= 3) and fail in the sedenions and above; flexibility
+    and power associativity hold at every level.  A law holds when its
+    relative gap is at most 1e-12 and fails when it is at least 1e-3."""
+    gaps = _law_gaps(level, np.random.default_rng(level))
+    for law, last in LAST_LEVEL_HOLDING.items():
+        if last is None or level <= last:
+            assert gaps[law] <= 1e-12, (law, gaps[law])
+        else:
+            assert gaps[law] >= 1e-3, (law, gaps[law])
 
 
 # -------------------------------------------------------- config edge fuzz

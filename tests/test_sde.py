@@ -79,13 +79,12 @@ def linear_test_problem(level=1):
     return linear_problem(ident.scaled(-1.0), ident, unit_zeta(level), 1)
 
 
-def steps_of(dw):
-    """The unit-stride increment reader of the path that starts at zero
-    and sums the increments dw (replicas, steps, m)."""
+def path_of(dw):
+    """The path (replicas, points, m) that starts at zero and sums the
+    increments dw (replicas, steps, m)."""
     b, _, m = dw.shape
-    path = np.cumsum(np.concatenate([np.zeros((b, 1, m)), dw], axis=1),
+    return np.cumsum(np.concatenate([np.zeros((b, 1, m)), dw], axis=1),
                      axis=1)
-    return sde._Steps(path, 1, 0)
 
 
 def apply_q(prob, grid, noise, x, start, out=None):
@@ -255,16 +254,16 @@ def test_divergence_guard_aborts_only_the_rows_that_cross_it():
     y0[6, 1] = np.nan
     wild = np.array([1, 4, 6])
     tame = np.setdiff1d(np.arange(b), wild)
-    vals, aborted = sde._em_values(prob, grid, steps_of(dw), y0)
+    vals, aborted = sde._em_values(prob, grid, path_of(dw), y0)
     assert np.array_equal(np.flatnonzero(aborted), wild)
     assert np.all(np.isnan(vals[wild, -1]))
     assert np.all(np.isfinite(vals[tame]))
-    alone, none = sde._em_values(prob, grid, steps_of(dw[tame]), y0[tame])
+    alone, none = sde._em_values(prob, grid, path_of(dw[tame]), y0[tame])
     assert not none.any()
     assert vals[tame].tobytes() == alone.tobytes()
     # a NaN row with no row crossing the guard beside it
     rows = np.append(tame, 6)
-    vals, aborted = sde._em_values(prob, grid, steps_of(dw[rows]), y0[rows])
+    vals, aborted = sde._em_values(prob, grid, path_of(dw[rows]), y0[rows])
     assert np.flatnonzero(aborted).tolist() == [rows.size - 1]
     assert np.all(np.isnan(vals[-1, 1:]))
     assert vals[:-1].tobytes() == alone.tobytes()
@@ -278,7 +277,7 @@ def test_q_apply_resumes_past_its_stationary_prefix():
     ens = unit_ensemble(32, seed=29, n_replicas=64)
     grid = ens.grid
     batch = ens.batch(0)
-    noise = sde._picard_noise(prob, grid, sde._dw_of(batch, grid))
+    noise = sde._picard_noise(prob, grid, sde._path_on(prob, batch, grid))
     z = prob.zeta.sample(batch)
     prev, x = None, sde._repeat_in_time(z, len(grid))
     for k in range(6):
@@ -320,8 +319,7 @@ def test_picard_noise_and_drift_rows_keep_the_forward_step_bits(rows, budget):
                         grid = TimeGrid.uniform(0.0, 1.0, k)
                         path = sde._time_major(rows, k + 1, 2 * n * dim)
                         path[...] = rng.standard_normal(path.shape)
-                        kicks = sde._picard_noise(prob, grid,
-                                                  sde._Steps(path, 1, 0))
+                        kicks = sde._picard_noise(prob, grid, path)
                         x = sde._time_major(rows, k, zeta.size)
                         x[...] = rng.standard_normal(x.shape)
                         drift = sde._time_major(rows, k, zeta.size)
@@ -337,9 +335,9 @@ def test_picard_noise_and_drift_rows_keep_the_forward_step_bits(rows, budget):
 
 
 def test_solver_steps_are_contiguous_and_results_c_ordered():
-    """Step slices of the solver arrays, and the path points the step
-    reader subtracts, are contiguous blocks; what is reduced over
-    replicas (solution values, probe samples) is C-ordered."""
+    """Step slices of the solver arrays, and the path points the kernels
+    subtract, are contiguous blocks; what is reduced over replicas
+    (solution values, probe samples) is C-ordered."""
     prob = linear_test_problem()
     ens = unit_ensemble(16, seed=31, n_replicas=40)
     grid = ens.grid
@@ -347,18 +345,19 @@ def test_solver_steps_are_contiguous_and_results_c_ordered():
     w = batch.w.reshape(batch.count, len(grid), -1)
     for stride in (1, 2):
         sub = TimeGrid(grid.points[::stride])
-        dw = sde._dw_of(batch, sub)
+        view = sde._path_on(prob, batch, sub)
         expect = np.diff(w[:, ::stride], axis=1)
-        buf = dw.buffer()
+        buf = np.empty_like(view[:, 0])
         for l in range(sub.steps):
-            assert np.array_equal(dw.read(l, buf), expect[:, l])
-        assert all(dw.path[:, j].flags.c_contiguous for j in range(len(grid)))
-    dw = sde._dw_of(batch, grid)
+            assert np.array_equal(
+                np.subtract(view[:, l + 1], view[:, l], out=buf), expect[:, l])
+        assert all(view[:, j].flags.c_contiguous for j in range(len(sub)))
+    path = sde._path_on(prob, batch, grid)
     z = prob.zeta.sample(batch)
-    vals, _ = sde._em_values(prob, grid, dw, z)
+    vals, _ = sde._em_values(prob, grid, path, z)
     cf = sde._time_major(40, len(grid), 4)
-    sde._closed_form_kernel(prob, grid)(dw, z, cf)
-    noise = sde._picard_noise(prob, grid, dw)
+    sde._closed_form_kernel(prob, grid)(path, z, cf)
+    noise = sde._picard_noise(prob, grid, path)
     assert all(noise[:, l].flags.c_contiguous for l in range(grid.steps))
     for arr in (vals, cf, apply_q(prob, grid, noise, vals, 0)):
         assert arr.shape == (40, len(grid), 4)
@@ -467,7 +466,7 @@ def test_picard_maps_no_stationary_batch(monkeypatch):
 def picard_oracle(prob, ens):
     """picard_solve run serially, each gap summed over the whole iterate."""
     grid = ens.grid
-    runs = [sde._PicardBatch(prob, grid, sde._dw_of(b, grid),
+    runs = [sde._PicardBatch(prob, grid, sde._path_on(prob, b, grid),
                              prob.zeta.sample(b))
             for b in map(ens.batch, range(ens.n_batches))]
     distances, starts = [], set()
@@ -801,7 +800,8 @@ def test_a_noise_free_problem_reads_no_path(monkeypatch):
     ens = unit_ensemble(16, seed=43, n_replicas=300, batch_size=128)
     grid = ens.grid
     expect = np.concatenate([
-        sde._em_values(prob, grid, sde._dw_of(b, grid), prob.zeta.sample(b))[0]
+        sde._em_values(prob, grid, b.w.reshape(b.count, len(grid), -1),
+                       prob.zeta.sample(b))[0]
         for b in map(ens.batch, range(ens.n_batches))])
     assembled = []
     assemble = paths.assemble_paths
@@ -872,17 +872,17 @@ def test_multiplicative_noise_shows_half_order():
     def hmul(t, y):
         return np.tanh(y[:, 0]), ident
 
-    from cdstoch.sde import _dw_of, _em_values
+    from cdstoch.sde import _em_values, _path_on
 
     factors = [2, 4, 8, 16]
     prob = SdeProblem(None, hmul, unit_zeta(), 2.0, 1)
     sq = np.zeros(len(factors))
     for batch in map(ens.batch, range(ens.n_batches)):
         z = unit_zeta().sample(batch)
-        ref, _ = _em_values(prob, grid, _dw_of(batch, grid), z)
+        ref, _ = _em_values(prob, grid, _path_on(prob, batch, grid), z)
         for i, f in enumerate(factors):
             sub = TimeGrid(grid.points[::f])
-            vals, _ = _em_values(prob, sub, _dw_of(batch, sub), z)
+            vals, _ = _em_values(prob, sub, _path_on(prob, batch, sub), z)
             sq[i] += np.sum((vals[:, -1] - ref[:, -1]) ** 2)
     errs = np.sqrt(sq / ens.n_replicas)
     dts = [f / 256 for f in factors]
