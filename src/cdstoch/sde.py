@@ -224,7 +224,8 @@ def _em_values(problem: SdeProblem, grid: TimeGrid, w: np.ndarray | None,
     aborted = np.zeros(b, dtype=bool)
     for l in range(grid.steps):
         y, nxt = out[:, l], out[:, l + 1]
-        dw_l = buf if w is None else np.subtract(w[:, l + 1], w[:, l], buf)
+        dw_l = None if w is None else np.subtract(w[:, l + 1], w[:, l],
+                                                  out=buf)
         _forward_step(problem, float(pts[l]), float(deltas[l]), y, dw_l, nxt)
         nxt += y
         # one scalar test per step; NaN fails it, so aborted rows and
