@@ -37,6 +37,7 @@ from .linops import (
     ComplexCovariance,
     CovarianceOperator,
     NotSPD,
+    load_expm,
     spd_sqrt,
     vec_size,
 )
@@ -49,6 +50,9 @@ class ConfigError(ValueError):
 
 EXPERIMENT_CHOICES = ("algebra", "linops", "paths", "isometry",
                       "martingale", "chebyshev", "sde")
+# The batteries that take a matrix exponential (the semigroup e^{G t} and
+# its phi1 kernel); only a run of one of them loads scipy (linops.load_expm).
+EXPM_EXPERIMENTS = ("linops", "sde")
 TOLERANCES = {"exact": 1e-12, "sqrt": 1e-10}
 FORMAT_CHOICES = ("json", "csv")
 # RunConfig fields that cannot change a result, so no report echoes them
@@ -107,7 +111,9 @@ class RunConfig:
 
     Building one runs every gate, the driving law's covariance blocks and
     drift included, and resolves threads=None to the CPUs this process
-    may run on, at most MAX_THREADS.
+    may run on, at most MAX_THREADS.  A run of an EXPM_EXPERIMENTS battery
+    loads scipy's expm here, at set-up, so every OpenBLAS a worker can
+    call is loaded before the first pool opens (paths._blas_budget).
     """
 
     seed: int = 0
@@ -147,7 +153,7 @@ class RunConfig:
         for g in self.grids:
             if g < 8 or g % 8:
                 raise ConfigError(
-                    "config key 'grid': sizes must be multiples of 8")
+                    "config key 'grid': sizes must be positive multiples of 8")
             if g > MAX_GRID:
                 raise ConfigError(f"config key 'grid': need at most {MAX_GRID}")
         for prev, nxt in zip(self.grids, self.grids[1:]):
@@ -210,6 +216,8 @@ class RunConfig:
                     f"level {self.level}, n {self.n}")
             _need_finite("drift", self.drift)
         build_driving(self)
+        if set(self.experiments or EXPERIMENT_CHOICES) & set(EXPM_EXPERIMENTS):
+            load_expm()
 
 
 # ----------------------------------------------------------- driving builder

@@ -22,10 +22,9 @@ product stays explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     AlgebraError,
@@ -444,24 +443,41 @@ class ComplexCovariance:
         return max(self.u0.sqrt_op().hs_norm2(), self.u1.sqrt_op().hs_norm2())
 
 
+@cache
+def load_expm():
+    """scipy.linalg.expm, imported on the first call.
+
+    This is the package's one use of scipy, and importing scipy.linalg
+    costs about 0.2 s and 28 MB, so a run pays it only when it takes a
+    matrix exponential: config calls this while it builds a run whose
+    batteries do (config.EXPM_EXPERIMENTS), before any pool opens, so the
+    pools' BLAS budget finds scipy's OpenBLAS loaded.
+    """
+    from scipy.linalg import expm
+    return expm
+
+
 def op_exp_left(g: np.ndarray | RightLinearOp, t: float) -> np.ndarray:
     """exp_l(G t) on the realization, by scaling-and-squaring."""
     m = g.realized if isinstance(g, RightLinearOp) else np.asarray(g)
-    return scipy.linalg.expm(m * t)
+    return load_expm()(m * t)
 
 
 def op_phi1_left(g: np.ndarray | RightLinearOp, t: float) -> np.ndarray:
-    """phi1(G t) = (e^{G t} - I) / (G t) on the realization, for t > 0.
+    """phi1(G t) = (e^{G t} - I) / (G t) on the realization.
 
     Read off the top-right block of exp([[G t, I t], [0, 0]]), which is
     the integral of e^{G s} over [0, t]; a singular G needs no inverse.
+    At t = 0 it is the identity, phi1(0) and the limit as t -> 0.
     """
     m = g.realized if isinstance(g, RightLinearOp) else np.asarray(g)
     size = m.shape[0]
+    if t == 0:
+        return np.eye(size)
     aug = np.zeros((2 * size, 2 * size))
     aug[:size, :size] = m * t
     aug[:size, size:] = np.eye(size) * t
-    return scipy.linalg.expm(aug)[:size, size:] / t
+    return load_expm()(aug)[:size, size:] / t
 
 
 # ------------------------------------------------------------ trace pairings

@@ -33,8 +33,8 @@ a size halves evenly.
 from __future__ import annotations
 
 import ctypes
-import importlib
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -292,7 +292,7 @@ _BLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
 
 _budget_lock = threading.Lock()
 _pool_workers = 0           # workers of every pool open right now
-_blas_saved: list = []      # (setter, count) found by the first pool to open
+_blas_saved: list = []      # (get, set, count) of each library a pool capped
 
 
 def available_cpus() -> int:
@@ -304,34 +304,44 @@ def available_cpus() -> int:
 
 
 @cache
-def _blas_controls() -> tuple:
-    """(get, set) thread-count functions of each loaded OpenBLAS.
+def _blas_control(module: str) -> tuple | None:
+    """(get, set) thread-count functions of the OpenBLAS that a loaded
+    extension module links, or None when it exports neither symbol pair.
 
-    Looked up once, on the first pool call.  A module or symbol that is
-    missing is skipped, so with none found the budget leaves BLAS alone.
-    A library reached through both modules appears twice, which is
-    harmless: capping and restoring are idempotent.
+    Looked up once per module, on the first pool call that finds it
+    loaded.
     """
-    found = []
-    for module in _BLAS_MODULES:
-        try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
-        except (ImportError, OSError):
-            continue
-        for symbol in _BLAS_SYMBOLS:
-            get = getattr(lib, symbol.format("get"), None)
-            set_ = getattr(lib, symbol.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
-    return tuple(found)
+    try:
+        lib = ctypes.CDLL(sys.modules[module].__file__)
+    except OSError:
+        return None
+    for symbol in _BLAS_SYMBOLS:
+        get = getattr(lib, symbol.format("get"), None)
+        set_ = getattr(lib, symbol.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
-def _cap_blas(controls, workers: int) -> None:
+def _blas_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS loaded now.
+
+    Reads only the _BLAS_MODULES already imported and never imports one,
+    so a module loaded later (scipy's, say) joins at the next pool.  With
+    none found the budget leaves BLAS alone.  A library reached through
+    both modules appears twice, which is harmless: capping is idempotent,
+    and restoring runs last-saved first (see _blas_budget).
+    """
+    found = (_blas_control(m) for m in _BLAS_MODULES
+             if getattr(sys.modules.get(m), "__file__", None))
+    return tuple(c for c in found if c is not None)
+
+
+def _cap_blas(workers: int) -> None:
     count = max(1, available_cpus() // workers)
-    for get, set_ in controls:
+    for get, set_, _ in _blas_saved:
         if get() != count:
             set_(count)
 
@@ -341,26 +351,29 @@ def _blas_budget(workers: int):
     """Cap every loaded OpenBLAS while a pool of workers runs.
 
     OpenBLAS's thread count is process-global, so the cap is too: it is
-    cpus // (workers of every open pool), at least one, and the count the
-    first pool found is restored when the last one closes.
+    cpus // (workers of every open pool), at least one.  Each library's
+    count is saved the first time an open pool finds it loaded, and every
+    saved count is restored when the last pool closes, in reverse order,
+    so a library saved twice ends at the count it was first saved with.
     """
-    global _pool_workers, _blas_saved
-    controls = _blas_controls()
+    global _pool_workers
     with _budget_lock:
-        if _pool_workers == 0:
-            _blas_saved = [(set_, get()) for get, set_ in controls]
+        for get, set_ in _blas_controls():
+            if all(saved is not set_ for _, saved, _ in _blas_saved):
+                _blas_saved.append((get, set_, get()))
         _pool_workers += workers
-        _cap_blas(controls, _pool_workers)
+        _cap_blas(_pool_workers)
     try:
         yield
     finally:
         with _budget_lock:
             _pool_workers -= workers
             if _pool_workers:
-                _cap_blas(controls, _pool_workers)
+                _cap_blas(_pool_workers)
             else:
-                for set_, count in _blas_saved:
+                for _, set_, count in reversed(_blas_saved):
                     set_(count)
+                _blas_saved.clear()
 
 
 def pool_map(fn, items, threads: int) -> list:

@@ -101,6 +101,18 @@ def test_grid_rules():
     assert cfg.grids == (16, 32, 64)
 
 
+@pytest.mark.parametrize("size", [0, -8])
+def test_a_grid_size_below_8_is_refused_as_no_positive_multiple(
+        size, tmp_path, capsys):
+    """0 and -8 are multiples of 8: the refusal names what they lack."""
+    with pytest.raises(ConfigError, match="positive multiples of 8"):
+        RunConfig(grids=(size,))
+    rc = main(["paths", "--grid", str(size), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "sizes must be positive multiples of 8" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_window_must_be_increasing():
     with pytest.raises(ConfigError):
         RunConfig(window=(1.0, 1.0))

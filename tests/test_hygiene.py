@@ -1,7 +1,9 @@
 """Source hygiene: no unused imports, no top-level definition in the
 package that nothing in the package uses or exports, one function that
-opens a thread pool, one sweep route for every batch pass, no import
-of scipy.stats (a test oracle only), no running maximum or minimum
+opens a thread pool, one sweep route for every batch pass, scipy
+imported by linops.load_expm alone and loaded only by a run that takes a
+matrix exponential, no scipy.stats (a test oracle only), no running
+maximum or minimum
 kept with the builtin, which drops a NaN, one module that writes CSV,
 no setting read from the environment, one time-major allocator,
 every ConfigError raised in config, each message by one raise, one
@@ -12,12 +14,15 @@ their module but for two pinned uses, and the settable options pinned
 by name."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from cdstoch.config import EXPERIMENT_CHOICES, EXPM_EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cdstoch"
@@ -425,21 +430,138 @@ def test_scanner_finds_every_scipy_stats_import():
                                             "d.<module>"]
 
 
-def test_package_does_not_import_scipy_stats():
-    """scipy.stats costs more than half of a bare import of the package."""
-    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert scipy_stats_imports(sources) == []
+def _package_env() -> dict:
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                          os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_package_does_not_import_scipy_stats():
+    """scipy.stats costs more than half of a bare import of the package,
+    and scipy.linalg most of the rest: importing it loads no scipy."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert scipy_stats_imports(sources) == []
     code = ("import sys, cdstoch, cdstoch.cli\n"
             "print(cdstoch.__file__)\n"
-            "print('scipy.stats' in sys.modules)\n")
+            "print('scipy.stats' in sys.modules)\n"
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=path))
-    origin, loaded = out.stdout.split()
+                         env=_package_env())
+    origin, stats_loaded, scipy_loaded = out.stdout.split()
     assert Path(origin).parent == PACKAGE
-    assert loaded == "False"
+    assert (stats_loaded, scipy_loaded) == ("False", "False")
+
+
+def scipy_imports(sources: dict[str, str]) -> list[str]:
+    """Where scipy (or a submodule) is imported, in any form, and where
+    a module is imported by a name computed at run time, which the
+    scanner cannot read."""
+
+    def hit(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "scipy"
+                       for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return node.level == 0 \
+                and (node.module or "").split(".")[0] == "scipy"
+        return _calls_name("import_module")(node) \
+            or _calls_name("__import__")(node)
+
+    return _sites(sources, hit)
+
+
+def test_scanner_finds_every_scipy_import():
+    sources = {
+        "a": "import numpy\nimport scipy.linalg\n",
+        "b": "def f():\n    from scipy.linalg import expm\n    return expm\n",
+        "c": ("import importlib\n\n"
+              "def g(name):\n    return importlib.import_module(name)\n\n"
+              "def h():\n    return __import__('scipy')\n"),
+        "d": ("from . import scipy\nfrom .linops import load_expm\n"
+              "NAMES = ('scipy.linalg._fblas',)\n"),
+    }
+    assert scipy_imports(sources) == ["a.<module>", "b.f", "c.g", "c.h"]
+
+
+def test_only_linops_imports_scipy():
+    """scipy serves only linops.load_expm, which imports it on first use."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert scipy_imports(sources) == ["linops.load_expm"]
+
+
+# Each battery, run alone through the CLI at a small size on two threads,
+# recording whether scipy's OpenBLAS is loaded when the batteries start,
+# at every pool that opens, and at the end.
+_BATTERY_RUN = """
+import json, sys
+from cdstoch import cli, paths
+
+def loaded():
+    return "scipy.linalg._fblas" in sys.modules
+
+seen = {"pools": []}
+run, budget = cli.run_experiments, paths._blas_budget
+
+def run_experiments(cfg):
+    seen["start"] = loaded()
+    return run(cfg)
+
+def blas_budget(workers):
+    seen["pools"].append(loaded())
+    return budget(workers)
+
+cli.run_experiments, paths._blas_budget = run_experiments, blas_budget
+seen["status"] = cli.main(sys.argv[1:])
+seen["end"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(seen))
+"""
+
+
+def _battery_run(name: str, tmp_path) -> dict:
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"experiments = {name}\n", encoding="utf-8")
+    argv = ["run", "--config", str(cfg), "--replicas", "64", "--grid", "16",
+            "--threads", "2", "--out", str(tmp_path / "out")]
+    out = subprocess.run([sys.executable, "-c", _BATTERY_RUN, *argv],
+                         capture_output=True, text=True, check=True,
+                         timeout=300, env=_package_env())
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen["status"] in (0, 1)  # a verdict, not a usage error
+    return seen
+
+
+@pytest.mark.parametrize("name", [n for n in EXPERIMENT_CHOICES
+                                  if n not in EXPM_EXPERIMENTS])
+def test_a_battery_without_expm_runs_without_scipy(name, tmp_path):
+    """A battery that starts to take a matrix exponential without being
+    named in config.EXPM_EXPERIMENTS fails here."""
+    seen = _battery_run(name, tmp_path)
+    assert seen["start"] is False
+    assert not any(seen["pools"])
+    assert seen["end"] == []
+
+
+@pytest.mark.parametrize("name", EXPM_EXPERIMENTS)
+def test_a_battery_with_expm_loads_scipy_at_config_build(name, tmp_path):
+    """scipy is loaded before the batteries start, so every pool's BLAS
+    budget finds its OpenBLAS."""
+    seen = _battery_run(name, tmp_path)
+    assert seen["start"] is True
+    assert all(seen["pools"])
+    assert seen["pools"] or name == "linops"  # a deterministic battery
+
+
+def test_a_default_config_loads_scipy_when_built():
+    code = ("import sys\n"
+            "from cdstoch.config import RunConfig\n"
+            "print('scipy.linalg._fblas' in sys.modules)\n"
+            "RunConfig()\n"
+            "print('scipy.linalg._fblas' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=_package_env())
+    assert out.stdout.split() == ["False", "True"]
 
 
 def builtin_accumulators(sources: dict[str, str]) -> list[str]:

@@ -1,6 +1,9 @@
 """Operator realization, adjoints, traces, covariance roots, exp."""
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import cdstoch.linops as linops_module
 from cdstoch.algebra import CdReal, cd_conj, cd_sqrt, dim_of
@@ -18,6 +21,7 @@ from cdstoch.linops import (
     f_functional,
     op_exp_left,
     op_norm,
+    op_phi1_left,
     re_inner,
     spd_sqrt,
     trace_aa_star_via_units,
@@ -329,6 +333,31 @@ def test_op_exp_left_semigroup_growth_and_euler_oracle():
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     )
     assert np.allclose(op_exp_left(rot, 1.0), expected, atol=1e-12)
+
+
+def test_op_phi1_left_is_the_identity_at_zero():
+    """phi1(0) = I, the limit as t -> 0, with no 0/0; every t != 0, a
+    negative one included, keeps the bits of the augmented exponential."""
+    rng = np.random.default_rng(46)
+    op = rand_op(rng, 2, 3, 3)
+    g = op.realized
+    size = g.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_zero = op_phi1_left(op, 0.0)
+        assert np.array_equal(op_phi1_left(g, 0), at_zero)
+    assert np.array_equal(at_zero, np.eye(size))
+    assert np.allclose(op_phi1_left(op, 1e-9), at_zero, rtol=0.0, atol=1e-8)
+    assert linops_module.load_expm() is scipy.linalg.expm
+    for t in (0.3, -0.3, 1e-9):
+        aug = np.zeros((2 * size, 2 * size))
+        aug[:size, :size] = g * t
+        aug[:size, size:] = np.eye(size) * t
+        want = scipy.linalg.expm(aug)[:size, size:] / t
+        assert op_phi1_left(op, t).tobytes() == want.tobytes()
+        # G t phi1(G t) = e^{G t} - I
+        assert np.allclose((g * t) @ want, op_exp_left(op, t) - np.eye(size),
+                           atol=1e-12)
 
 
 def test_f_functional_identity_case():

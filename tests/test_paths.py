@@ -1,6 +1,7 @@
 """Tests for grid-aligned Gaussian path simulation and its estimators."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -1038,11 +1039,80 @@ def test_sweep_without_blas_controls_is_a_no_op(blas, monkeypatch):
 
 def test_blas_lookup_waits_for_the_first_pool():
     code = ("import cdstoch.paths as p; "
-            "print(p._blas_controls.cache_info().currsize)")
+            "print(p._blas_control.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "0"
+
+
+class _FakeBlas:
+    """A process-global thread count, as OpenBLAS keeps one."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def control(self):
+        """A (get, set) pair, as each module's handle gives its own."""
+        return (lambda: self.count), (lambda c: setattr(self, "count", c))
+
+
+def test_a_library_loaded_under_an_open_pool_joins_the_next(monkeypatch):
+    """A library that loads while a pool runs is capped from the next
+    pool on, and every saved count is restored when the last one closes;
+    one library reached through two handles ends at its first count."""
+    monkeypatch.setattr(paths_module, "available_cpus", lambda: 8)
+    numpy_blas, scipy_blas = _FakeBlas(7), _FakeBlas(5)
+    loaded = [numpy_blas.control()]
+    monkeypatch.setattr(paths_module, "_blas_controls", lambda: tuple(loaded))
+    with paths_module._blas_budget(2):
+        assert (numpy_blas.count, scipy_blas.count) == (4, 5)
+        loaded += [scipy_blas.control(), numpy_blas.control()]
+        assert (numpy_blas.count, scipy_blas.count) == (4, 5)
+        with paths_module._blas_budget(2):
+            assert (numpy_blas.count, scipy_blas.count) == (2, 2)
+        assert (numpy_blas.count, scipy_blas.count) == (4, 4)
+    assert (numpy_blas.count, scipy_blas.count) == (7, 5)
+    assert paths_module._blas_saved == []
+    with paths_module._blas_budget(4):  # a fresh save after the restore
+        assert (numpy_blas.count, scipy_blas.count) == (2, 2)
+    assert (numpy_blas.count, scipy_blas.count) == (7, 5)
+
+
+def test_scipy_loaded_between_sweeps_joins_the_budget():
+    """A 2-thread sweep, then scipy.linalg, then another: the second
+    sweep's workers run on cpus // 2 threads in both OpenBLAS libraries,
+    and both counts are restored after it."""
+    code = """
+import json, sys
+import numpy as np
+import cdstoch.paths as p
+from cdstoch.algebra import CdReal
+from cdstoch.linops import ComplexCovariance, CovarianceOperator
+
+def counts():
+    return [get() for get, _ in p._blas_controls()]
+
+u = CovarianceOperator.simple(CdReal.from_real(1, 1.0), np.eye(1))
+ens = p.PathEnsemble(p.TimeGrid.uniform(0.0, 1.0, 4),
+                     ComplexCovariance(u, u), None, seed=29,
+                     n_replicas=64, batch_size=16)
+first = ens.map_batches(lambda b: counts(), threads=2)
+import scipy.linalg
+before = counts()
+second = ens.map_batches(lambda b: counts(), threads=2)
+print(json.dumps([first, before, second, counts(),
+                  max(1, p.available_cpus() // 2)]))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, timeout=120)
+    first, before, second, after, cap = json.loads(out.stdout)
+    if len(before) < 2:
+        pytest.skip("numpy and scipy do not both expose an OpenBLAS count")
+    assert first == [[cap]] * 4
+    assert second == [[cap, cap]] * 4
+    assert after == before
 
 
 @pytest.mark.parametrize("threads", [2, 3])
