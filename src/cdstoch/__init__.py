@@ -11,6 +11,11 @@ command).
 
 __version__ = "0.1.0"
 
+# numpy imports numpy.ma on the first np.quantile or np.unique call (the
+# martingale bins, the sde step sizes).  Importing it with the package
+# keeps that cost in a run's set-up, out of the first battery's time.
+import numpy.ma  # noqa: F401
+
 from .algebra import (
     AlgebraError,
     CdComplex,

@@ -43,6 +43,7 @@ from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .algebra import (AlgebraError, LevelMismatch, cdc_mul_coeffs, dim_of,
                       mul_coeffs)
@@ -148,14 +149,14 @@ _INITIAL_STREAM = 2
 _FIXTURE_BASE = 1 << 62
 
 
-def _philox(seed: int, tag: int) -> np.random.Generator:
+def _philox(seed: int, tag: int) -> Generator:
     # The key words must be handed over as uint64: a plain int list with a
     # value above 2^63 would be routed through float64 and lose low bits.
     key = np.array([seed, tag], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
-def fixture_rng(seed: int, index: int) -> np.random.Generator:
+def fixture_rng(seed: int, index: int) -> Generator:
     """The generator of fixture stream index, apart from all path noise."""
     return _philox(seed, _FIXTURE_BASE + index)
 
