@@ -3,15 +3,14 @@ package that nothing in the package uses or exports, one function that
 opens a thread pool, one sweep route for every batch pass, scipy
 imported by linops.load_expm alone and loaded only by a run that takes a
 matrix exponential, no scipy.stats (a test oracle only), no running
-maximum or minimum
-kept with the builtin, which drops a NaN, one module that writes CSV,
-no setting read from the environment, one time-major allocator,
-every ConfigError raised in config, each message by one raise, one
-ensemble build route in experiments, one halving-ladder guard, one
-two-adic count, one contraction of the product tensor with coefficients,
-sde noise routes that take (problem, ensemble), private names kept in
-their module but for two pinned uses, and the settable options pinned
-by name."""
+maximum or minimum kept with the builtin, which drops a NaN, one module
+that writes CSV, no setting read from the environment, one time-major
+allocator, every ConfigError raised in config, each message by one
+raise, one ensemble build route in experiments, one halving-ladder
+guard, one two-adic count, one contraction of the product tensor with
+coefficients, sde noise routes that take (problem, ensemble), private
+names kept in their module but for two pinned uses, and the settable
+options pinned by name."""
 
 import ast
 import json
