@@ -26,6 +26,7 @@ raises ConfigError naming the offending key.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -111,7 +112,8 @@ class RunConfig:
 
     Building one runs every gate, the driving law's covariance blocks and
     drift included, and resolves threads=None to the CPUs this process
-    may run on, at most MAX_THREADS.  A run of an EXPM_EXPERIMENTS battery
+    may run on, at most MAX_THREADS.  An integer field given anything but
+    an integer is refused, never rounded.  A run of an EXPM_EXPERIMENTS battery
     loads scipy's expm here, at set-up, so every OpenBLAS a worker can
     call is loaded before the first pool opens (paths._blas_budget).
     """
@@ -132,7 +134,14 @@ class RunConfig:
     tolerances: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "grids", tuple(int(g) for g in self.grids))
+        for key in ("seed", "replicas", "level", "n", "threads"):
+            value = getattr(self, key)
+            if not (key == "threads" and value is None):
+                object.__setattr__(self, key, _need_int(key, value))
+        object.__setattr__(self, "grids",
+                           tuple(_need_int("grid", g) for g in self.grids))
+        if len(self.window) != 2:
+            raise ConfigError("config key 'window': need exactly 'a b'")
         object.__setattr__(self, "window",
                            (float(self.window[0]), float(self.window[1])))
         object.__setattr__(self, "experiments", tuple(self.experiments))
@@ -141,7 +150,7 @@ class RunConfig:
                                tuple(float(v) for v in self.drift))
         object.__setattr__(self, "tolerances",
                            tuple((k, float(v)) for k, v in self.tolerances))
-        if not (0 <= int(self.seed) < 2 ** 62):
+        if not (0 <= self.seed < 2 ** 62):
             raise ConfigError("config key 'seed': need 0 <= seed < 2^62")
         if self.replicas < 1:
             raise ConfigError("config key 'replicas': need at least 1")
@@ -202,9 +211,12 @@ class RunConfig:
         if self.threads > MAX_THREADS:
             raise ConfigError(
                 f"config key 'threads': need at most {MAX_THREADS}")
+        named = [key for key, _ in self.tolerances]
         for key, value in self.tolerances:
             if key not in TOLERANCES:
                 raise ConfigError(f"config key 'tol.{key}': unknown tolerance")
+            if named.count(key) > 1:
+                raise ConfigError(f"config key 'tol.{key}': named twice")
             _need_finite(f"tol.{key}", value)
             if not (value > 0):
                 raise ConfigError(f"config key 'tol.{key}': need a positive value")
@@ -221,6 +233,14 @@ class RunConfig:
 
 
 # ----------------------------------------------------------- driving builder
+
+def _need_int(key: str, value) -> int:
+    """value as an int; anything but an integer (a numpy one too, but not
+    a bool) is refused, not rounded or left to fail inside a battery."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"config key '{key}': need an integer")
+    return int(value)
+
 
 def _need_finite(key: str, values) -> None:
     """Refuse a NaN or an infinity among a law's values or a tolerance."""
@@ -344,10 +364,7 @@ def parse_config_fields(text: str) -> dict:
             fields["grids"] = tuple(_parse_int(key, tok)
                                     for tok in value.split())
         elif key == "window":
-            parts = _parse_floats(key, value)
-            if len(parts) != 2:
-                raise ConfigError("config key 'window': need exactly 'a b'")
-            fields["window"] = parts
+            fields["window"] = _parse_floats(key, value)
         elif key == "experiments":
             fields["experiments"] = tuple(value.split())
         elif key == "drift":

@@ -1,13 +1,17 @@
 """Verification batteries wiring every layer into auditable report entries.
 
-Each experiment function takes a RunConfig and returns a report entry::
+Each battery function takes a RunConfig and returns its checks, each
+``{"name", "anchor", "passed", ...}``.  The runner, ``run_experiments``,
+builds each battery's report entry::
 
-    {"name": ..., "checks": [{"name", "anchor", "passed", ...}, ...],
-     "passed": bool, "wall_time_s": float}
+    {"name": ..., "checks": [...], "passed": bool, "wall_time_s": float}
 
-The ``anchor`` field is the audit key a reader can use to locate the
-statement a check exercises; it is part of the report wire format.
-Monte Carlo checks are rows (``_run_rows``), deterministic ones cases
+with the name from ``EXPERIMENTS``, the time of the battery call, and a
+verdict that holds when every check passes.  The ``anchor`` field is the
+audit key a reader can use to locate the statement a check exercises;
+it is part of the report wire format.  Monte Carlo checks are rows,
+probes whose gate projects the result into a check (``_row``), and a
+battery sweeps all of its rows at once; deterministic checks are cases
 (``_run_cases``).  Every ensemble a Monte Carlo battery sweeps is built
 by ``Battery.paths`` on the battery's grid, its noise keyed on the run
 seed plus a fixed offset.  Experiments draw their fixtures from
@@ -150,25 +154,24 @@ class Battery(NamedTuple):
                             n_replicas=replicas)
 
 
-class Row(NamedTuple):
-    """One Monte Carlo check of a battery: a probe on an ensemble, and the
-    projection of the probe's result into a report entry."""
-
-    ensemble: PathEnsemble
-    probe: Probe
-    project: Callable
+def _project(probe: Probe, project: Callable) -> Probe:
+    """The probe with project composed onto its gate: its result is
+    project(the probe's own result), a report entry."""
+    gate = probe.gate
+    return probe._replace(gate=lambda values: project(gate(values)))
 
 
-def _row(ensemble: PathEnsemble, probe: Probe, name: str, anchor: str,
-         *fields: str, **extra) -> Row:
-    """Row whose entry is the probe's verdict plus the named fields."""
-    return Row(ensemble, probe,
-               lambda res: _report(name, anchor, res, *fields, **extra))
+def _row(probe: Probe, name: str, anchor: str, *fields: str,
+         **extra) -> Probe:
+    """The probe whose result is its entry: its verdict plus the named
+    fields."""
+    return _project(probe,
+                    lambda res: _report(name, anchor, res, *fields, **extra))
 
 
 def _max_gap_row(ens: PathEnsemble, gap, name: str, anchor: str, tol: float,
-                 *fields: str) -> Row:
-    """Row of the largest |gap(batch)| over every replica against tol, as
+                 *fields: str) -> Probe:
+    """Row on ens of the largest |gap(batch)| over all replicas vs tol, as
     ``max_gap``; a gather, so a NaN gap reaches np.max and fails."""
 
     def sample(batch):
@@ -178,27 +181,7 @@ def _max_gap_row(ens: PathEnsemble, gap, name: str, anchor: str, tol: float,
         worst = float(np.max(joined[0]))
         return {"passed": worst <= tol, "max_gap": worst}
 
-    return _row(ens, Probe(sample, gate, gather=True), name, anchor, *fields)
-
-
-def _run_rows(rows: list[Row], threads: int) -> list[dict]:
-    """Report entries of the rows, in row order, from one sweep.
-
-    Every batch of every ensemble runs on one pool.  Rows that share an
-    ensemble object share its batches, so each batch is drawn and
-    assembled once for all of their probes.
-    """
-    results = sweep([(row.ensemble, row.probe) for row in rows], threads)
-    return [row.project(res) for row, res in zip(rows, results)]
-
-
-def _entry(name: str, checks: list, started: float) -> dict:
-    return {
-        "name": name,
-        "checks": checks,
-        "passed": bool(all(c["passed"] for c in checks)),
-        "wall_time_s": time.perf_counter() - started,
-    }
+    return _row(Probe(ens, sample, gate, gather=True), name, anchor, *fields)
 
 
 def _tolerances(cfg: RunConfig) -> dict[str, float]:
@@ -470,10 +453,9 @@ ALGEBRA_CASES = (
 )
 
 
-def algebra_experiment(cfg: RunConfig) -> dict:
+def algebra_experiment(cfg: RunConfig) -> list[dict]:
     """Multiplication tables, identity laws, square roots."""
-    started = time.perf_counter()
-    return _entry("algebra", _run_cases(ALGEBRA_CASES, cfg), started)
+    return _run_cases(ALGEBRA_CASES, cfg)
 
 
 # -------------------------------------------------------------------- linops
@@ -634,10 +616,9 @@ LINOPS_CASES = (
 )
 
 
-def linops_experiment(cfg: RunConfig) -> dict:
+def linops_experiment(cfg: RunConfig) -> list[dict]:
     """Operator layer: realizations, adjoints, traces, square roots."""
-    started = time.perf_counter()
-    return _entry("linops", _run_cases(LINOPS_CASES, cfg), started)
+    return _run_cases(LINOPS_CASES, cfg)
 
 
 # --------------------------------------------------------------------- paths
@@ -653,7 +634,7 @@ def _multi_block_covariance(level: int) -> CovarianceOperator:
                 (CdReal(level, a2), np.array([[1.5]]))))
 
 
-def _cf_case_rows(bat: Battery) -> list[Row]:
+def _cf_case_rows(bat: Battery) -> list[Probe]:
     """Twenty pinned characteristic-functional cases."""
     cfg = bat.cfg
     scales = fixture_rng(cfg.seed, 20)
@@ -676,16 +657,15 @@ def _cf_case_rows(bat: Battery) -> list[Row]:
                            coeff_scale * rng.normal(size=vec_size(level, n))
                            / math.sqrt(vec_size(level, n)))
         t = bat.grid.a + (0.5, 1.0)[index % 2] * bat.span
-        rows.append(_row(ens, char_functional_check(ens, y, t),
+        rows.append(_row(char_functional_check(ens, y, t),
                          f"char_functional_case_{index:02d}", "Eq. 2.4(4)",
                          "gap", "radius", "sample_count", level=level, n=n,
                          complexified=complexified, with_drift=with_drift))
     return rows
 
 
-def paths_experiment(cfg: RunConfig) -> dict:
+def paths_experiment(cfg: RunConfig) -> list[dict]:
     """Moments, characteristic functionals, and continuity of the paths."""
-    started = time.perf_counter()
     bat = Battery.on(cfg, cfg.grids[-1])
     grid, span = bat.grid, bat.span
     ens = bat.paths(*build_driving(cfg), 1, cfg.replicas)
@@ -706,30 +686,29 @@ def paths_experiment(cfg: RunConfig) -> dict:
     fixture = bat.paths(_multi_block_covariance(2), None, 2, cfg.replicas)
     directional = bat.paths(CovarianceOperator.simple(
         CdReal.unit(2, 1), np.eye(1)), None, 3, cfg.replicas)
-    rows = [
-        _row(ens, mean_increment(ens, t1, t2), "mean_increment",
-             "Cor. 2.9(1)", "max_gap", "max_standard_error", "sample_count"),
-        *(_row(ens, increment_cov(ens, t1, t2, k, h),
+    return sweep([
+        _row(mean_increment(ens, t1, t2), "mean_increment", "Cor. 2.9(1)",
+             "max_gap", "max_standard_error", "sample_count"),
+        *(_row(increment_cov(ens, t1, t2, k, h),
                f"increment_covariance_{k}{h}", "Cor. 2.9(2)", "k", "h",
                "max_gap", "as_stated_gap", "sample_count")
           for k, h in pairs),
-        _row(fixture, increment_cov(fixture, t1, t2, 0, 2),
+        _row(increment_cov(fixture, t1, t2, 0, 2),
              "increment_covariance_cross_block", "Cor. 2.9(2)", "max_gap",
              "sample_count"),
-        _row(directional, increment_cov(directional, t1, t2, 0, 0),
+        _row(increment_cov(directional, t1, t2, 0, 0),
              "increment_covariance_directional", "Cor. 2.9(2)", "max_gap",
              "sample_count"),
-        _row(ens, disjoint_increments(ens, grid.a, t1, t2, grid.b),
+        _row(disjoint_increments(ens, grid.a, t1, t2, grid.b),
              "disjoint_increment_independence", "Def. 2.6",
              "max_abs_correlation", "bound"),
         *_cf_case_rows(bat),
-        _row(ens, char_semigroup(ens, y, span * k4 / grid.steps,
-                                 span * 2 * k4 / grid.steps),
+        _row(char_semigroup(ens, y, span * k4 / grid.steps,
+                            span * 2 * k4 / grid.steps),
              "char_semigroup", "Eq. 2.4(6)", "gap", "tolerance"),
-        _row(ens, path_continuity(ens, eps, halvings), "path_continuity",
+        _row(path_continuity(ens, eps, halvings), "path_continuity",
              "Thm. 2.27", "eps", "tails", "deltas"),
-    ]
-    return _entry("paths", _run_rows(rows, cfg.threads), started)
+    ], cfg.threads)
 
 
 # ------------------------------------------------------------------ isometry
@@ -776,9 +755,8 @@ def _tiled_ops(grid: TimeGrid, ops: list[RightLinearOp]) -> StepIntegrand:
         grid, [ops[i % len(ops)] for i in range(grid.steps)])
 
 
-def isometry_experiment(cfg: RunConfig) -> dict:
+def isometry_experiment(cfg: RunConfig) -> list[dict]:
     """Second-moment identity and norm bound for the stochastic integral."""
-    started = time.perf_counter()
     bat = Battery.on(cfg, cfg.grids[-1])
     grid, span, steps = bat.grid, bat.span, bat.grid.steps
     atol = _tolerances(cfg)["exact"]
@@ -811,14 +789,14 @@ def isometry_experiment(cfg: RunConfig) -> dict:
         _max_gap_row(ens_small, lambda b: integral_paths(identity_s, b.w)
                      - (b.w - b.w[:, :1]), "elementary_telescoping",
                      "Eq. 2.11(2)", 0.0),
-        _row(ens_small, Probe(additivity, additive_gate, gather=True),
+        _row(Probe(ens_small, additivity, additive_gate, gather=True),
              "window_additivity", "Prop. 2.20(1)", "max_rel_gap"),
     ]
 
     # zero mean of the integral at the window end
     ens_cplx = bat.paths(_complexified_identity(2, 1), None, 201,
                          cfg.replicas)
-    rows.append(_row(ens_cplx, zero_mean_check(_tiled_ops(
+    rows.append(_row(zero_mean_check(_tiled_ops(
         grid, [_random_four_block(rng, 2, 1, 1) for _ in range(3)]),
         ens_cplx), "integral_zero_mean", "Lemma 2.12", "max_abs_mean",
         "max_standard_error", "sample_count"))
@@ -829,11 +807,11 @@ def isometry_experiment(cfg: RunConfig) -> dict:
                   "sample_count")
 
     def iso_row(name, offset, u, integrand, anchored):
-        ens = bat.paths(u, None, offset, cfg.replicas)
+        probe = isometry_check(integrand, bat.paths(u, None, offset,
+                                                    cfg.replicas))
         if not anchored:
-            return _row(ens, isometry_check(integrand, ens), name,
-                        "Thm. 2.14(1)", *iso_fields)
-        return Row(ens, isometry_check(integrand, ens), lambda res: _report(
+            return _row(probe, name, "Thm. 2.14(1)", *iso_fields)
+        return _project(probe, lambda res: _report(
             name, "Thm. 2.14(1)", res, *iso_fields,
             passed=res["passed"] and abs(res["rhs"] - span) <= atol,
             expected_rhs=span))
@@ -875,7 +853,7 @@ def isometry_experiment(cfg: RunConfig) -> dict:
     bound_fields = ("m1", "m2", "m3", "combined_standard_error",
                     "sample_count")
     expect_m2 = 4.0 * span
-    rows.append(Row(ens_cplx, bound_check(
+    rows.append(_project(bound_check(
         StepIntegrand.constant(grid, RightLinearOp.identity(2, 1)), ens_cplx),
         lambda res: _report(
             "bound_identity_anchor", "Prop. 2.22(2)", res, *bound_fields,
@@ -892,20 +870,19 @@ def isometry_experiment(cfg: RunConfig) -> dict:
         ens = bat.paths(_random_complex_cov(rng_bd, level, n), None, offset,
                         cfg.replicas)
         ops = [_random_four_block(rng_bd, level, h, n) for _ in range(tiles)]
-        return _row(ens, bound_check(_tiled_ops(grid, ops), ens), name,
+        return _row(bound_check(_tiled_ops(grid, ops), ens), name,
                     "Thm. 2.15(1)", *bound_fields)
 
     rows += [bound_row("bound_random_pair", 208, 2, 2, 2, 2),
              bound_row("bound_octonion", 209, 3, 1, 1, 1),
              bound_row("bound_rectangular", 210, 1, 1, 2, 3)]
-    return _entry("isometry", _run_rows(rows, cfg.threads), started)
+    return sweep(rows, cfg.threads)
 
 
 # ---------------------------------------------------------------- martingale
 
-def martingale_experiment(cfg: RunConfig) -> dict:
+def martingale_experiment(cfg: RunConfig) -> list[dict]:
     """Conditional-mean tests plus the look-ahead power control."""
-    started = time.perf_counter()
     bat = Battery.on(cfg, cfg.grids[-1])
     grid, steps = bat.grid, bat.grid.steps
     t1 = float(grid.points[steps // 4])
@@ -924,25 +901,24 @@ def martingale_experiment(cfg: RunConfig) -> dict:
         return [(weights, base_op)]
 
     adapted = StepIntegrand.predictable(grid, 2, 1, 1, adapted_evaluator)
-    rows = [
-        _row(ens, martingale_check(piecewise, ens, t1, t2),
+    return sweep([
+        _row(martingale_check(piecewise, ens, t1, t2),
              "martingale_piecewise", "Lemma 2.25", *mart_fields),
-        _row(ens, martingale_check(adapted, ens, t1, t2),
+        _row(martingale_check(adapted, ens, t1, t2),
              "martingale_adapted", "Lemma 2.25", *mart_fields),
-        Row(ens, martingale_check(lookahead_control(grid, 2, 1), ens, t1, t2),
-            lambda res: _report("lookahead_control_rejected", "Lemma 2.25",
-                                res, "worst_bin_z", "sample_count",
-                                passed=(not res["passed"])
-                                and res["worst_bin_z"] > 4.0)),
-    ]
-    return _entry("martingale", _run_rows(rows, cfg.threads), started)
+        _project(martingale_check(lookahead_control(grid, 2, 1), ens, t1, t2),
+                 lambda res: _report("lookahead_control_rejected",
+                                     "Lemma 2.25", res, "worst_bin_z",
+                                     "sample_count",
+                                     passed=(not res["passed"])
+                                     and res["worst_bin_z"] > 4.0)),
+    ], cfg.threads)
 
 
 # ----------------------------------------------------------------- chebyshev
 
-def chebyshev_experiment(cfg: RunConfig) -> dict:
+def chebyshev_experiment(cfg: RunConfig) -> list[dict]:
     """Tail bounds for the running supremum, plus integral continuity."""
-    started = time.perf_counter()
     bat = Battery.on(cfg, cfg.grids[-1])
     grid, span, steps = bat.grid, bat.span, bat.grid.steps
     rows = []
@@ -959,7 +935,7 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
         beta = float(rng.uniform(0.9, 2.5))
         alpha = float(rng.uniform(0.4, 1.5)) * span * mean_hs
         ens = bat.paths(u, None, 400 + index, cfg.replicas)
-        rows.append(_row(ens, chebyshev_check(integrand, ens, beta, alpha),
+        rows.append(_row(chebyshev_check(integrand, ens, beta, alpha),
                          f"chebyshev_case_{index:02d}", "Lemma 2.26(3)",
                          "beta", "alpha", "empirical", "bound_quadrature",
                          "bound_split", "sample_count", level=level, n=n))
@@ -970,11 +946,11 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
     mean_hs = float(np.mean([op.hs_norm2() for op in ops]))
     halvings = min(5, halving_depth(steps))
     eps = 2.0 * math.sqrt(mean_hs * span)
-    rows.append(Row(ens, continuity_check(_tiled_ops(grid, ops), ens, eps,
+    rows.append(_project(continuity_check(_tiled_ops(grid, ops), ens, eps,
                                           halvings),
-                    lambda res: _report("integral_continuity", "Thm. 2.27",
-                                        res, "eps", "tails",
-                                        finest_tail=res["tails"][-1])))
+                         lambda res: _report("integral_continuity",
+                                             "Thm. 2.27", res, "eps", "tails",
+                                             finest_tail=res["tails"][-1])))
 
     # refinement stability: step integrands built from the running path
     # norm converge as the binding grid refines
@@ -990,18 +966,17 @@ def chebyshev_experiment(cfg: RunConfig) -> dict:
 
     ens_ref = bat.paths(_complexified_identity(level, n), None, 421,
                         min(cfg.replicas, 20_000))
-    rows.append(_row(ens_ref, refinement_study(
+    rows.append(_row(refinement_study(
         factory, ens_ref, min(3, halving_depth(steps) - 1)),
                      "refinement_stability", "Def. 2.19(1)",
                      "mean_square_gaps", "grid_steps"))
-    return _entry("chebyshev", _run_rows(rows, cfg.threads), started)
+    return sweep(rows, cfg.threads)
 
 
 # ----------------------------------------------------------------------- sde
 
-def sde_experiment(cfg: RunConfig) -> dict:
+def sde_experiment(cfg: RunConfig) -> list[dict]:
     """Picard iteration, scheme agreement, closed form, Markov restart."""
-    started = time.perf_counter()
     threads = cfg.threads
     level = 2
     checks = []
@@ -1041,15 +1016,12 @@ def sde_experiment(cfg: RunConfig) -> dict:
                                              2.0 * linear.k_const + 2.0, span),
                           "distances", iterations=len(distances)))
 
-    def agreement(gap):
-        return _check("picard_em_agreement", "Thm. 2.29 proof", gap <= 1e-6,
-                      b2inf_gap=gap)
-
     ens_uni = bat.paths(u, None, 501, min(cfg.replicas, 2048))
     rows = [
-        Row(ens_picard, picard_em_gap(linear, ens_picard, picard), agreement),
-        _row(ens_uni, uniqueness_study(linear, ens_uni,
-                                       uniqueness_halvings(cfg.grids)),
+        _project(picard_em_gap(linear, ens_picard, picard),
+                 lambda gap: _check("picard_em_agreement", "Thm. 2.29 proof",
+                                    gap <= 1e-6, b2inf_gap=gap)),
+        _row(uniqueness_study(linear, ens_uni, uniqueness_halvings(cfg.grids)),
              "uniqueness_gap_vanishes", "Thm. 2.29 proof", "b2inf_gaps",
              "grid_steps"),
     ]
@@ -1079,9 +1051,9 @@ def sde_experiment(cfg: RunConfig) -> dict:
     # has strong order 1 (Kloeden & Platen 1992, 10.2-10.3)
     expected_order = 1.0
     window = [expected_order - 0.15, expected_order + 0.15]
-    rows.append(Row(
-        ens_order, strong_order_study(linear, ens_order,
-                                      strong_order_halvings(cfg.grids)),
+    rows.append(_project(
+        strong_order_study(linear, ens_order,
+                           strong_order_halvings(cfg.grids)),
         lambda res: _report("strong_order_window", "Cor. 2.30(2)", res,
                             "slope", "table",
                             passed=window[0] <= res["slope"] <= window[1],
@@ -1105,12 +1077,11 @@ def sde_experiment(cfg: RunConfig) -> dict:
             ("restart_nonlinear",
              SdeProblem(g_contract, h_gain, ZetaSpec.gaussian(level, 1, 0.5),
                         4.0, 1))):
-        rows.append(_row(ens, restart_markov_check(problem, ens, t_mid, z),
+        rows.append(_row(restart_markov_check(problem, ens, t_mid, z),
                          name, "Thm. 2.31 proof", "max_pathwise_deviation",
                          "ks_min_pvalue", "ks_threshold"))
 
-    ens_gronwall = bat.paths(u, None, 505, n_long)
-    rows.append(_row(ens_gronwall, gronwall_bound(linear, ens_gronwall),
+    rows.append(_row(gronwall_bound(linear, bat.paths(u, None, 505, n_long)),
                      "gronwall_bound", "Thm. 2.29 proof", "sup_mean_norm2",
                      "bound"))
 
@@ -1126,10 +1097,9 @@ def sde_experiment(cfg: RunConfig) -> dict:
                       aborted == 8 and final_nan, aborted_replicas=aborted)
 
     blowup = SdeProblem(g_blowup, h_op, unit, 1.0, 1)
-    ens_blowup = bat.paths(u, None, 506, 8)
-    rows.append(Row(ens_blowup, euler_maruyama(blowup, ens_blowup), guard))
-    checks += _run_rows(rows, threads)
-    return _entry("sde", checks, started)
+    rows.append(_project(euler_maruyama(blowup, bat.paths(u, None, 506, 8)),
+                         guard))
+    return checks + sweep(rows, threads)
 
 
 # ------------------------------------------------------------------ registry
@@ -1146,10 +1116,16 @@ EXPERIMENTS = (
 
 
 def run_experiments(cfg: RunConfig) -> list[dict]:
-    """Run the selected experiments in dependency order."""
+    """The report entry of each selected battery, in registry order: its
+    name from EXPERIMENTS, its checks, their conjunction as its verdict,
+    and the wall time of the battery call."""
     selected = cfg.experiments or EXPERIMENT_CHOICES
     out = []
-    for name, fn in EXPERIMENTS:
+    for name, battery in EXPERIMENTS:
         if name in selected:
-            out.append(fn(cfg))
+            started = time.perf_counter()
+            checks = battery(cfg)
+            out.append({"name": name, "checks": checks,
+                        "passed": bool(all(c["passed"] for c in checks)),
+                        "wall_time_s": time.perf_counter() - started})
     return out

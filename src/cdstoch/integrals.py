@@ -237,7 +237,7 @@ def zero_mean_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
             "sample_count": rep.sample_count,
         }
 
-    return Probe(sampler, gate)
+    return Probe(ensemble, sampler, gate)
 
 
 def isometry_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
@@ -271,7 +271,7 @@ def isometry_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
             "sample_count": lhs.sample_count,
         }
 
-    return Probe(sampler, gate)
+    return Probe(ensemble, sampler, gate)
 
 
 def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
@@ -314,7 +314,7 @@ def bound_check(integrand: StepIntegrand, ensemble: PathEnsemble) -> Probe:
             "sample_count": m1.sample_count,
         }
 
-    return Probe(sampler, gate)
+    return Probe(ensemble, sampler, gate)
 
 
 def martingale_check(integrand: StepIntegrand, ensemble: PathEnsemble,
@@ -368,7 +368,7 @@ def martingale_check(integrand: StepIntegrand, ensemble: PathEnsemble,
             "sample_count": count,
         }
 
-    return Probe(sampler, gate, gather=True)
+    return Probe(ensemble, sampler, gate, gather=True)
 
 
 def lookahead_control(grid: TimeGrid, level: int, n: int) -> StepIntegrand:
@@ -433,7 +433,7 @@ def chebyshev_check(integrand: StepIntegrand, ensemble: PathEnsemble,
             "sample_count": count,
         }
 
-    return Probe(sampler, gate)
+    return Probe(ensemble, sampler, gate)
 
 
 def continuity_check(integrand: StepIntegrand, ensemble: PathEnsemble,
@@ -473,7 +473,7 @@ def continuity_check(integrand: StepIntegrand, ensemble: PathEnsemble,
             "sample_count": reports[0].sample_count,
         }
 
-    return Probe(sampler, gate)
+    return Probe(ensemble, sampler, gate)
 
 
 def refinement_study(integrand_factory, ensemble: PathEnsemble,
@@ -511,5 +511,5 @@ def refinement_study(integrand_factory, ensemble: PathEnsemble,
             "sample_count": reports[0].sample_count,
         }
 
-    return Probe(sampler, gate)
+    return Probe(ensemble, sampler, gate)
 

@@ -596,14 +596,16 @@ def modulus_se(report: McReport) -> float:
 
 
 class Probe(NamedTuple):
-    """A Monte Carlo check split for a shared sweep: sample(batch) returns
-    a tuple of per-replica arrays, gate(values) turns their McReports, or
-    for a gather probe the arrays joined over the batches, into the
-    check's result.  A gate takes a maximum with np.max over a gather:
-    exact, and a NaN reaches the verdict.  points names the grid indices
-    (ints) that sample reads, through batch.at; None means it reads the
-    whole path, through batch.w."""
+    """A Monte Carlo check on ensemble, whose law and grid its factory's
+    oracle reads, split for a shared sweep: sample(batch) returns a tuple
+    of per-replica arrays, gate(values) turns their McReports, or for a
+    gather probe the arrays joined over the batches, into the check's
+    result.  A gate takes a maximum with np.max over a gather: exact,
+    and a NaN reaches the verdict.  points names the grid indices (ints)
+    that sample reads, through batch.at; None means it reads the whole
+    path, through batch.w."""
 
+    ensemble: PathEnsemble
     sample: Callable
     gate: Callable
     gather: bool = False
@@ -628,27 +630,25 @@ def _stack_rows(arrays: list) -> np.ndarray:
     return np.concatenate(arrays, axis=0, out=out)
 
 
-def sweep(rows: list[tuple[PathEnsemble, Probe]], threads: int) -> list:
-    """Each (ensemble, probe) row's result, from one pass over the batches
-    of every ensemble, all on one pool.
+def sweep(probes: list[Probe], threads: int) -> list:
+    """Each probe's result, in probe order, from one pass over the
+    batches of every probe's ensemble, all on one pool.
 
-    Rows that share an ensemble object share its batches: each batch is
-    assembled once for all of their samplers, at the union of the points
-    they declare, or over the whole grid when any of them reads the whole
-    path.  A moment probe's arrays
-    are reduced to (sum, sum of squares) per batch, and the partial sums
-    collapse in the fixed batch order; a gather probe's arrays are
-    joined in batch order.  So every result is bit-identical for any
-    worker count, and a probe's result has the bits of that probe swept
-    alone.
+    Probes that share an ensemble object share its batches: each batch
+    is assembled once for all of their samplers, at the union of the
+    points they declare, or over the whole grid when any of them reads
+    the whole path.  A moment probe's arrays are reduced to (sum, sum of
+    squares) per batch, and the partial sums collapse in the fixed batch
+    order; a gather probe's arrays are joined in batch order.  So every
+    result is bit-identical for any worker count, and a probe's result
+    has the bits of that probe swept alone.
     """
-    if not rows:
+    if not probes:
         return []
-    groups = {}  # id(ensemble) -> (ensemble, its row indices)
-    for i, (ens, _) in enumerate(rows):
+    groups = {}  # id(ensemble) -> (ensemble, its probe indices)
+    for i, (ens, *_) in enumerate(probes):
         groups.setdefault(id(ens), (ens, []))[1].append(i)
-    probes = [probe for _, probe in rows]
-    points = {}  # id(ensemble) -> the points its rows read, None for all
+    points = {}  # id(ensemble) -> the points its probes read, None for all
     for key, (_, members) in groups.items():
         declared = [probes[i].points for i in members]
         points[key] = None if None in declared \
@@ -662,9 +662,9 @@ def sweep(rows: list[tuple[PathEnsemble, Probe]], threads: int) -> list:
 
     ensembles = [ens for ens, _ in groups.values()]
     parts = ensembles[0].map_batches(sample, threads, *ensembles[1:])
-    results = [None] * len(rows)
+    results = [None] * len(probes)
     for ens, members in groups.values():
-        # own[batch][j] holds row members[j]'s part per array: the array
+        # own[batch][j] holds probe members[j]'s part per array: the array
         # itself for a gather, else its (sum, sum of squares); col is one
         # array's parts
         own, parts = parts[:ens.n_batches], parts[ens.n_batches:]
@@ -702,7 +702,7 @@ def mean_increment(ensemble: PathEnsemble, t1: float, t2: float) -> Probe:
         w = batch.at((i1, i2))
         return (w[:, 1] - w[:, 0],)
 
-    return Probe(sample, gate, points=(i1, i2))
+    return Probe(ensemble, sample, gate, points=(i1, i2))
 
 
 def increment_cov(ensemble: PathEnsemble, t1: float, t2: float,
@@ -710,7 +710,8 @@ def increment_cov(ensemble: PathEnsemble, t1: float, t2: float,
     """Second-moment structure of the centered path at components k, h.
 
     Samples the asserted increment form (dw_k)(dw_h) over [t1, t2] and,
-    alongside it, the two-time product taken verbatim at (t2, t1); both
+    alongside it, the two-time product taken verbatim at (t2, t1), each
+    value centred by the drift it gathered from the window start; both
     are compared to the same (t2 - t1)-scaled block value (``expected``),
     and only the increment form is asserted to match it.
     """
@@ -737,8 +738,8 @@ def increment_cov(ensemble: PathEnsemble, t1: float, t2: float,
     def sample(batch: BatchPaths):
         w = batch.at((i1, i2))
         w1, w2 = w[:, 0], w[:, 1]
-        xs = w2[:, k] - t2 * pc[k][None]
-        ys = w1[:, h] - t1 * pc[h][None]
+        xs = w2[:, k] - (t2 - grid.a) * pc[k][None]
+        ys = w1[:, h] - (t1 - grid.a) * pc[h][None]
         stated = product(xs, ys)
         dx = (w2[:, k] - w1[:, k]) - (t2 - t1) * pc[k][None]
         dy = (w2[:, h] - w1[:, h]) - (t2 - t1) * pc[h][None]
@@ -757,7 +758,7 @@ def increment_cov(ensemble: PathEnsemble, t1: float, t2: float,
             "h": h,
         }
 
-    return Probe(sample, gate, points=(i1, i2))
+    return Probe(ensemble, sample, gate, points=(i1, i2))
 
 
 def disjoint_increments(ensemble: PathEnsemble, t1: float, t2: float,
@@ -798,7 +799,7 @@ def disjoint_increments(ensemble: PathEnsemble, t1: float, t2: float,
             "sample_count": count,
         }
 
-    return Probe(sample, gate, points=points)
+    return Probe(ensemble, sample, gate, points=points)
 
 
 # --------------------------------------------------- characteristic functional
@@ -815,7 +816,7 @@ def char_functional_estimator(ensemble: PathEnsemble, y: RealFunctional,
         theta = y(batch.at((idx,))[:, 0].reshape(batch.count, -1))
         return (np.stack([np.cos(theta), np.sin(theta)], axis=1),)
 
-    return Probe(sample, lambda reports: reports[0], points=(idx,))
+    return Probe(ensemble, sample, lambda reports: reports[0], points=(idx,))
 
 
 def char_functional_closed_form(u, p: CdVector | None, y: RealFunctional,
@@ -864,12 +865,13 @@ def char_functional_check(ensemble: PathEnsemble, y: RealFunctional,
             "sample_count": rep.sample_count,
         }
 
-    return Probe(estimator.sample, gate, points=estimator.points)
+    return estimator._replace(gate=gate)
 
 
 def char_semigroup(ensemble: PathEnsemble, y: RealFunctional,
                    d1: float, d2: float) -> Probe:
-    """Composition of durations against the product of functionals."""
+    """Composition of durations against the product of functionals, with
+    char_functional_check's 1e-12 slack (a zero-variance case passes)."""
     a = ensemble.grid.a
     estimators = [char_functional_estimator(ensemble, y, a + d)
                   for d in (d1, d2, d1 + d2)]
@@ -879,13 +881,14 @@ def char_semigroup(ensemble: PathEnsemble, y: RealFunctional,
         gap = abs(complex_of(r12) - complex_of(r1) * complex_of(r2))
         tol = 5.0 * (modulus_se(r1) + modulus_se(r2))
         return {
-            "passed": bool(gap < tol),
+            "passed": bool(gap <= tol + 1e-12),
             "gap": float(gap),
             "tolerance": float(tol),
             "sample_count": r12.sample_count,
         }
 
-    return Probe(lambda b: tuple(e.sample(b)[0] for e in estimators), gate,
+    return Probe(ensemble,
+                 lambda b: tuple(e.sample(b)[0] for e in estimators), gate,
                  points=tuple(e.points[0] for e in estimators))
 
 
@@ -933,4 +936,4 @@ def path_continuity(ensemble: PathEnsemble, eps: float,
             "sample_count": count,
         }
 
-    return Probe(sample, gate)
+    return Probe(ensemble, sample, gate)

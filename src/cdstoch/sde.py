@@ -260,17 +260,17 @@ def _to_solution(zeta: ZetaSpec, grid: TimeGrid, values: np.ndarray,
     return SolutionEnsemble(grid, values.reshape(shape), diagnostics)
 
 
-def _solution_probe(zeta: ZetaSpec, grid: TimeGrid, sample) -> Probe:
-    """Gather probe of a solver: sample(batch) returns the batch's values
-    and its aborted rows, and the gate builds the SolutionEnsemble."""
+def _solution_probe(ensemble: PathEnsemble, zeta: ZetaSpec, sample) -> Probe:
+    """Gather probe of a solver on ensemble: sample(batch) returns the
+    batch's values and its aborted rows; the gate builds the solution."""
 
     def gate(joined):
         values, aborted = joined
         count = int(aborted.sum())
-        return _to_solution(zeta, grid, values,
+        return _to_solution(zeta, ensemble.grid, values,
                             {"aborted_replicas": count} if count else {})
 
-    return Probe(sample, gate, gather=True)
+    return Probe(ensemble, sample, gate, gather=True)
 
 
 def euler_maruyama(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
@@ -278,9 +278,8 @@ def euler_maruyama(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
     probe whose result is the SolutionEnsemble."""
     _check_driving(problem, ensemble)
     grid = ensemble.grid
-    return _solution_probe(problem.zeta, grid, lambda batch: _em_values(
-        problem, grid, _path_on(problem, batch, grid),
-        problem.zeta.sample(batch)))
+    return _solution_probe(ensemble, problem.zeta, lambda b: _em_values(
+        problem, grid, _path_on(problem, b, grid), problem.zeta.sample(b)))
 
 
 def _q_apply(problem: SdeProblem, grid: TimeGrid, noise, x: np.ndarray,
@@ -487,7 +486,7 @@ def _forward_norms(problem: SdeProblem, ensemble: PathEnsemble, norms_of,
                                problem.zeta.sample(batch))
         return (norms_of(batch, values),)
 
-    return Probe(sample, lambda joined: gate(joined[0]), gather=True)
+    return Probe(ensemble, sample, lambda j: gate(j[0]), gather=True)
 
 
 def picard_em_gap(problem: SdeProblem, ensemble: PathEnsemble,
@@ -528,7 +527,7 @@ def linear_closed_form(problem: SdeProblem, ensemble: PathEnsemble) -> Probe:
         values(_path_on(problem, batch, grid), zeta.sample(batch), out)
         return out, np.zeros(batch.count, bool)
 
-    return _solution_probe(zeta, grid, sample)
+    return _solution_probe(ensemble, zeta, sample)
 
 
 def _closed_form_kernel(problem: SdeProblem, grid: TimeGrid):
@@ -680,7 +679,7 @@ def restart_markov_check(problem: SdeProblem, ensemble: PathEnsemble,
             "sample_count": finals.shape[0],
         }
 
-    return Probe(sampler, gate, gather=True)
+    return Probe(ensemble, sampler, gate, gather=True)
 
 
 def _ks_2samp_pvalue(x: np.ndarray, y: np.ndarray) -> float:
@@ -787,7 +786,7 @@ def strong_order_study(problem: SdeProblem, ensemble: PathEnsemble,
             "sample_count": reports[0].sample_count,
         }
 
-    return Probe(sampler, gate)
+    return Probe(ensemble, sampler, gate)
 
 
 def uniqueness_study(problem: SdeProblem, ensemble: PathEnsemble,
@@ -830,5 +829,6 @@ def uniqueness_study(problem: SdeProblem, ensemble: PathEnsemble,
         }
 
     # every grid level runs on each batch of the one sweep
-    return Probe(lambda b: tuple(level_gap(sub, b) for sub in subs), gate)
+    return Probe(ensemble,
+                 lambda b: tuple(level_gap(sub, b) for sub in subs), gate)
 

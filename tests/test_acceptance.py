@@ -25,13 +25,14 @@ from cdstoch.report import make_report, render_json, strip_timing
 _CACHE = {}
 
 
-def battery(fn, **cfg_kw):
-    """Run one battery once per configuration; return (entry, seconds)."""
-    key = (fn.__name__,) + tuple(sorted(cfg_kw.items()))
+def battery(name, **cfg_kw):
+    """Run one battery through the runner once per configuration; return
+    (its report entry, seconds)."""
+    key = (name,) + tuple(sorted(cfg_kw.items()))
     if key not in _CACHE:
-        cfg = RunConfig(seed=0, threads=1, **cfg_kw)
+        cfg = RunConfig(seed=0, threads=1, experiments=(name,), **cfg_kw)
         started = time.perf_counter()
-        entry = fn(cfg)
+        entry, = ex.run_experiments(cfg)
         _CACHE[key] = (entry, time.perf_counter() - started)
     return _CACHE[key]
 
@@ -59,7 +60,7 @@ def subset_ok(entry, names):
 # --------------------------------------------------------------- criteria
 
 def test_criterion_01_algebra_invariants():
-    entry, elapsed = battery(ex.algebra_experiment, replicas=2000)
+    entry, elapsed = battery("algebra", replicas=2000)
     names = ("quaternion_table", "octonion_fano_lines", "basis_xor_grading",
              "norm_multiplicativity", "sedenion_zero_divisor",
              "moufang_and_alternativity", "power_associativity",
@@ -71,7 +72,7 @@ def test_criterion_01_algebra_invariants():
 
 
 def test_criterion_02_square_roots():
-    entry, elapsed = battery(ex.algebra_experiment, replicas=2000)
+    entry, elapsed = battery("algebra", replicas=2000)
     names = ("sqrt_round_trip", "sqrt_positive_branch",
              "nilpotent_root_rejected", "exp_inverse_identity")
     ok, bad = subset_ok(entry, names)
@@ -82,7 +83,7 @@ def test_criterion_02_square_roots():
 
 
 def test_criterion_03_operator_layer():
-    entry, elapsed = battery(ex.linops_experiment, replicas=2000)
+    entry, elapsed = battery("linops", replicas=2000)
     budget = 30.0
     failed = [c["name"] for c in entry["checks"] if not c["passed"]]
     report(3, f"operator layer identities{' ' + str(failed) if failed else ''}",
@@ -90,7 +91,7 @@ def test_criterion_03_operator_layer():
 
 
 def test_criterion_04_path_moments():
-    entry, elapsed = battery(ex.paths_experiment, replicas=100_000)
+    entry, elapsed = battery("paths", replicas=100_000)
     names = ("mean_increment", "increment_covariance_00",
              "increment_covariance_cross_block",
              "increment_covariance_directional",
@@ -103,7 +104,7 @@ def test_criterion_04_path_moments():
 
 
 def test_criterion_05_characteristic_functionals():
-    entry, elapsed = battery(ex.paths_experiment, replicas=100_000)
+    entry, elapsed = battery("paths", replicas=100_000)
     names = tuple(f"char_functional_case_{i:02d}" for i in range(20))
     names += ("char_semigroup",)
     ok, bad = subset_ok(entry, names)
@@ -114,7 +115,7 @@ def test_criterion_05_characteristic_functionals():
 
 
 def test_criterion_06_isometry_and_bounds():
-    entry, elapsed = battery(ex.isometry_experiment, replicas=100_000)
+    entry, elapsed = battery("isometry", replicas=100_000)
     checks = by_name(entry)
     anchor = checks["isometry_identity_anchor"]
     anchored = anchor["expected_rhs"] == pytest.approx(1.0)
@@ -128,8 +129,8 @@ def test_criterion_06_isometry_and_bounds():
 
 
 def test_criterion_07_martingale_and_tails():
-    m_entry, m_elapsed = battery(ex.martingale_experiment, replicas=100_000)
-    c_entry, c_elapsed = battery(ex.chebyshev_experiment, replicas=100_000)
+    m_entry, m_elapsed = battery("martingale", replicas=100_000)
+    c_entry, c_elapsed = battery("chebyshev", replicas=100_000)
     lookahead = by_name(m_entry)["lookahead_control_rejected"]
     failed = [c["name"] for c in m_entry["checks"] + c_entry["checks"]
               if not c["passed"]]
@@ -142,7 +143,7 @@ def test_criterion_07_martingale_and_tails():
 
 
 def test_criterion_08_solver_convergence():
-    entry, elapsed = battery(ex.sde_experiment, replicas=10_000,
+    entry, elapsed = battery("sde", replicas=10_000,
                              grids=(16, 32, 64, 128, 256))
     names = ("picard_factorial_decay", "picard_em_agreement",
              "uniqueness_gap_vanishes")
@@ -155,7 +156,7 @@ def test_criterion_08_solver_convergence():
 
 
 def test_criterion_08_strong_order_window():
-    entry, elapsed = battery(ex.sde_experiment, replicas=10_000,
+    entry, elapsed = battery("sde", replicas=10_000,
                              grids=(16, 32, 64, 128, 256))
     check = by_name(entry)["strong_order_window"]
     budget = 300.0
@@ -165,7 +166,7 @@ def test_criterion_08_strong_order_window():
 
 
 def test_criterion_09_markov_restart():
-    entry, elapsed = battery(ex.sde_experiment, replicas=10_000,
+    entry, elapsed = battery("sde", replicas=10_000,
                              grids=(16, 32, 64, 128, 256))
     checks = by_name(entry)
     ok = True

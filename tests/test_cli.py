@@ -257,6 +257,37 @@ def test_a_component_count_past_the_cap_is_refused():
             parse_config_text(f"n = {n}\n")
 
 
+@pytest.mark.parametrize("key,fields", [
+    ("replicas", {"replicas": 2500.5}),
+    ("grid", {"grids": (16.5,)}),
+    ("seed", {"seed": 1.5}),
+    ("threads", {"threads": True}),
+    ("n", {"n": 1.0}),
+    ("level", {"level": 2.0}),
+    ("window", {"window": (0, 1, 5)}),
+    ("tol.exact", {"tolerances": (("exact", 1e-9), ("exact", 1e-6))}),
+], ids=["replicas", "grid", "seed", "threads", "n", "level", "window",
+        "tolerance"])
+def test_malformed_library_input_is_refused_naming_its_key(key, fields):
+    """A library caller's malformed value is refused when the config is
+    built: a float replica count failed inside a battery, a float grid
+    size or seed was cast down, True ran one thread, a float n raised
+    TypeError from the driving law, a third window value was dropped and
+    a tolerance named twice kept its last value."""
+    with pytest.raises(ConfigError, match=rf"^config key '{key}': "):
+        RunConfig(**fields)
+
+
+def test_numpy_integers_are_accepted_as_plain_ints():
+    cfg = RunConfig(seed=np.int64(3), replicas=np.int32(100),
+                    grids=(np.uint16(16),), level=np.int8(1), n=np.int64(1),
+                    threads=np.int64(2))
+    values = (cfg.seed, cfg.replicas, *cfg.grids, cfg.level, cfg.n,
+              cfg.threads)
+    assert values == (3, 100, 16, 1, 1, 2)
+    assert all(type(v) is int for v in values)
+
+
 @pytest.mark.parametrize("key,field,cap", [
     ("replicas", "replicas", MAX_REPLICAS),
     ("grid", "grids", MAX_GRID),

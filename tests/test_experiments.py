@@ -1,5 +1,6 @@
 """Tests for the battery runners: rows on one ensemble share one sweep,
-and deterministic cases fail on a NaN in any gated field."""
+the runner builds each battery's entry, and deterministic cases fail on
+a NaN in any gated field."""
 
 import math
 from collections import Counter
@@ -18,10 +19,9 @@ from cdstoch.experiments import (
     EXPERIMENTS,
     LINOPS_CASES,
     Case,
-    Row,
+    _project,
     _random_complex_cov,
     _run_cases,
-    _run_rows,
     isometry_experiment,
     martingale_experiment,
     run_experiments,
@@ -66,13 +66,12 @@ def test_runner_sweeps_each_ensemble_once_in_row_order(threads, monkeypatch):
                      n_replicas=300, batch_size=64)
     b = PathEnsemble(grid, cov, None, seed=6, n_replicas=200, batch_size=64)
     y = RealFunctional(2, 2, np.random.default_rng(3).standard_normal(16) / 4)
-    probes = [(a, mean_increment(a, 0.25, 0.75)),
-              (b, increment_cov(b, 0.25, 0.75, 0, 1)),
-              (a, char_functional_check(a, y, 1.0))]
-    rows = [Row(ens, probe, lambda res, i=i: (i, res))
-            for i, (ens, probe) in enumerate(probes)]
-    alone = [(i, sweep([(ens, probe)], 1)[0])
-             for i, (ens, probe) in enumerate(probes)]
+    probes = [mean_increment(a, 0.25, 0.75),
+              increment_cov(b, 0.25, 0.75, 0, 1),
+              char_functional_check(a, y, 1.0)]
+    rows = [_project(probe, lambda res, i=i: (i, res))
+            for i, probe in enumerate(probes)]
+    alone = [(i, sweep([probe], 1)[0]) for i, probe in enumerate(probes)]
 
     assembled = []
     assemble = paths_module.assemble_paths
@@ -82,9 +81,42 @@ def test_runner_sweeps_each_ensemble_once_in_row_order(threads, monkeypatch):
         return assemble(*args)
 
     monkeypatch.setattr(paths_module, "assemble_paths", counting)
-    entries = _run_rows(rows, threads)
+    entries = sweep(rows, threads)
     assert len(assembled) == a.n_batches + b.n_batches == 9
     assert _bits(entries) == _bits(alone)
+
+
+def test_the_runner_builds_each_entry_in_registry_order(monkeypatch):
+    """run_experiments names each selected battery's entry from
+    EXPERIMENTS, in registry order whatever order the config gives,
+    holds the checks the battery returns, passes it when every check
+    passes, and times the battery call."""
+    cfg = RunConfig(seed=5, replicas=300, grids=(8,), threads=1,
+                    experiments=("martingale", "algebra"))
+    own = {name: battery(cfg) for name, battery in EXPERIMENTS
+           if name in cfg.experiments}
+    entries = run_experiments(cfg)
+    assert [entry["name"] for entry in entries] == ["algebra", "martingale"]
+    for entry in entries:
+        assert list(entry) == ["name", "checks", "passed", "wall_time_s"]
+        assert _bits(entry["checks"]) == _bits(own[entry["name"]])
+        assert entry["passed"] is all(c["passed"] for c in entry["checks"])
+        assert entry["wall_time_s"] >= 0.0
+    assert entries[0]["passed"]
+
+    def one_failed(battery):
+        def run(c):
+            checks = battery(c)
+            checks[-1]["passed"] = False
+            return checks
+        return run
+
+    monkeypatch.setattr(experiments_module, "EXPERIMENTS", tuple(
+        (name, one_failed(battery) if name == "algebra" else battery)
+        for name, battery in EXPERIMENTS))
+    failed = run_experiments(cfg)
+    assert [entry["passed"] for entry in failed] \
+        == [False, entries[1]["passed"]]
 
 
 def watch_assemblies(monkeypatch, seen) -> None:
@@ -246,8 +278,8 @@ def test_time_major_storage_is_written_before_it_is_read(monkeypatch):
     assert stripped() == clean
 
 
-def checks_of(entry) -> dict:
-    return {c["name"]: c for c in entry["checks"]}
+def checks_of(checks) -> dict:
+    return {c["name"]: c for c in checks}
 
 
 def test_isometry_battery_assembles_each_batch_once(monkeypatch):

@@ -211,15 +211,17 @@ def test_one_moment_reducer():
     picard_solve's start is one of the two callers of map_batches.  Batch
     sums are collapsed in sweep, and in picard_solve, whose stopping rule
     reduces over every batch once per iteration.  The solvers are probes
-    like every check, so the battery runner alone sweeps, once per
-    battery.  Every batch is built by map_batches, in the worker that
-    runs it."""
+    like every check, so each Monte Carlo battery sweeps all of its rows
+    in one call, and nothing else sweeps.  Every batch is built by
+    map_batches, in the worker that runs it."""
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert call_sites(sources, "map_batches") == ["paths.sweep",
                                                   "sde.picard_solve"]
     assert call_sites(sources, "_tree_sum") == ["paths.sweep",
                                                 "sde.picard_solve"]
-    assert calls(sources, "sweep") == ["experiments._run_rows"]
+    assert sorted(calls(sources, "sweep")) == [
+        f"experiments.{name}_experiment"
+        for name in ("chebyshev", "isometry", "martingale", "paths", "sde")]
     assert call_sites(sources, "batch") == ["paths.PathEnsemble.map_batches"]
     assert call_sites(sources, "batches") == []
 

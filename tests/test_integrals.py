@@ -58,9 +58,9 @@ def small_ensemble(level=1, n=1, steps=16, seed=11, replicas=8,
     return PathEnsemble(grid, u, None, seed=seed, n_replicas=replicas)
 
 
-def run(ens, probe, threads=1):
+def run(probe, threads=1):
     """The result of one probe swept alone."""
-    return sweep([(ens, probe)], threads)[0]
+    return sweep([probe], threads)[0]
 
 
 def random_op(rng, level, h, n):
@@ -217,10 +217,10 @@ def test_slots_see_only_the_prefix():
 def test_zero_mean_identity_and_zero():
     ens = small_ensemble(level=1, n=1, steps=16, seed=13, replicas=20000)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-    rep = run(ens, zero_mean_check(s, ens), threads=2)
+    rep = run(zero_mean_check(s, ens), threads=2)
     assert rep["passed"]
     zero = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1).scaled(0.0))
-    rep0 = run(ens, zero_mean_check(zero, ens))
+    rep0 = run(zero_mean_check(zero, ens))
     assert rep0["passed"] and rep0["max_abs_mean"] == 0.0
 
 
@@ -233,7 +233,7 @@ def test_zero_mean_path_dependent_adapted():
 
     slots = tuple(bind(l) for l in range(ens.grid.steps))
     s = StepIntegrand(ens.grid, slots, 1, 1, 1)
-    rep = run(ens, zero_mean_check(s, ens), threads=2)
+    rep = run(zero_mean_check(s, ens), threads=2)
     assert rep["passed"], rep
 
 
@@ -241,7 +241,7 @@ def test_isometry_identity_anchor():
     ens = small_ensemble(level=1, n=1, steps=16, seed=17, replicas=30000,
                          complexified=False)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-    rep = run(ens, isometry_check(s, ens), threads=2)
+    rep = run(isometry_check(s, ens), threads=2)
     assert rep["passed"]
     assert abs(rep["rhs"] - 1.0) < 1e-12
 
@@ -252,7 +252,7 @@ def test_isometry_unit_direction():
                          complexified=False)
     op = RightLinearOp.left_mult(unit_real(level, 1))
     s = StepIntegrand.constant(ens.grid, op)
-    rep = run(ens, isometry_check(s, ens), threads=2)
+    rep = run(isometry_check(s, ens), threads=2)
     assert rep["passed"]
     assert abs(rep["rhs"] - 1.0) < 1e-12
 
@@ -262,20 +262,20 @@ def test_isometry_zero_and_errors():
                          complexified=False)
     zero = StepIntegrand.constant(ens.grid,
                                   RightLinearOp.identity(1, 1).scaled(0.0))
-    rep = run(ens, isometry_check(zero, ens))
+    rep = run(isometry_check(zero, ens))
     assert rep["passed"] and rep["lhs"] == 0.0 and rep["rhs"] == 0.0
     with pytest.raises(AlgebraError):
         isometry_check(zero, small_ensemble(steps=8, replicas=64))
     rng = np.random.default_rng(3)
     bad = StepIntegrand.constant(ens.grid, random_op(rng, 1, 1, 1))
     with pytest.raises(AlgebraError):  # slot operators are read per batch
-        run(ens, isometry_check(bad, ens))
+        run(isometry_check(bad, ens))
 
 
 def test_bound_identity_anchor():
     ens = small_ensemble(level=1, n=1, steps=16, seed=29, replicas=30000)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-    rep = run(ens, bound_check(s, ens), threads=2)
+    rep = run(bound_check(s, ens), threads=2)
     assert rep["passed"]
     assert abs(rep["m2"] - 4.0) < 1e-12
     assert abs(rep["m3"] - 4.0) < 1e-12
@@ -285,12 +285,12 @@ def test_bound_zero_and_random_battery():
     ens = small_ensemble(level=2, n=2, steps=8, seed=31, replicas=20000)
     zero = StepIntegrand.constant(ens.grid,
                                   RightLinearOp.identity(2, 2).scaled(0.0))
-    rep0 = run(ens, bound_check(zero, ens))
+    rep0 = run(bound_check(zero, ens))
     assert rep0["passed"] and rep0["m1"] == 0.0 and rep0["m3"] == 0.0
     rng = np.random.default_rng(4)
     for _ in range(3):
         s = StepIntegrand.constant(ens.grid, random_op(rng, 2, 2, 2))
-        rep = run(ens, bound_check(s, ens), threads=2)
+        rep = run(bound_check(s, ens), threads=2)
         assert rep["passed"], rep
     with pytest.raises(AlgebraError):
         bound_check(zero, small_ensemble(level=2, n=2, steps=8,
@@ -301,22 +301,21 @@ def test_martingale_pass_and_lookahead_power():
     ens = small_ensemble(level=1, n=1, steps=32, seed=37, replicas=30000)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
     control = lookahead_control(ens.grid, 1, 1)
-    rep, rep2 = sweep([(ens, martingale_check(s, ens, 0.5, 1.0)),
-                       (ens, martingale_check(control, ens, 0.5, 1.0))],
-                      threads=2)
+    rep, rep2 = sweep([martingale_check(s, ens, 0.5, 1.0),
+                       martingale_check(control, ens, 0.5, 1.0)], threads=2)
     assert rep["passed"], rep
     assert not rep2["passed"]
     assert rep2["worst_bin_z"] > 10.0
     # one sweep gives each probe the bits it has when swept alone
-    assert rep == run(ens, martingale_check(s, ens, 0.5, 1.0))
-    assert rep2 == run(ens, martingale_check(control, ens, 0.5, 1.0))
+    assert rep == run(martingale_check(s, ens, 0.5, 1.0))
+    assert rep2 == run(martingale_check(control, ens, 0.5, 1.0))
 
 
 def test_martingale_zero_integrand_is_exact():
     ens = small_ensemble(level=1, n=1, steps=8, replicas=256)
     zero = StepIntegrand.constant(ens.grid,
                                   RightLinearOp.identity(1, 1).scaled(0.0))
-    rep = run(ens, martingale_check(zero, ens, 0.5, 1.0))
+    rep = run(martingale_check(zero, ens, 0.5, 1.0))
     assert rep["passed"] and rep["max_abs_mean"] == 0.0
     with pytest.raises(GridError):
         martingale_check(zero, ens, 1.0, 0.5)
@@ -338,7 +337,7 @@ def test_martingale_bin_with_a_nan_fails():
     # steps from t = 0.5 on carry the NaN, so eta(0.5) stays finite
     s = StepIntegrand(ens.grid, (ident,) * 4 + (slot,) * 4, 1, 1, 1)
     for threads in (1, 3):
-        rep = run(ens, martingale_check(s, ens, 0.5, 1.0), threads)
+        rep = run(martingale_check(s, ens, 0.5, 1.0), threads)
         assert np.isnan(rep["worst_bin_z"])
         assert not rep["bins_passed"] and not rep["passed"]
 
@@ -346,17 +345,17 @@ def test_martingale_bin_with_a_nan_fails():
 def test_chebyshev_bounds():
     ens = small_ensemble(level=1, n=1, steps=16, seed=41, replicas=20000)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-    rep = run(ens, chebyshev_check(s, ens, beta=1.0, alpha=1.5),
+    rep = run(chebyshev_check(s, ens, beta=1.0, alpha=1.5),
               threads=2)
     assert rep["passed"]
-    huge = run(ens, chebyshev_check(s, ens, beta=50.0, alpha=1.5))
+    huge = run(chebyshev_check(s, ens, beta=50.0, alpha=1.5))
     assert huge["passed"] and huge["empirical"] == 0.0
     rng = np.random.default_rng(6)
     for _ in range(2):
         sr = StepIntegrand.constant(ens.grid, random_op(rng, 1, 1, 1))
         beta = float(rng.uniform(0.5, 3.0))
         alpha = float(rng.uniform(0.5, 5.0))
-        rep = run(ens, chebyshev_check(sr, ens, beta, alpha), threads=2)
+        rep = run(chebyshev_check(sr, ens, beta, alpha), threads=2)
         assert rep["passed"]
     with pytest.raises(AlgebraError):
         chebyshev_check(s, ens, beta=-1.0, alpha=1.0)
@@ -367,7 +366,7 @@ def test_chebyshev_bounds():
 def test_continuity_ladder():
     ens = small_ensemble(level=1, n=1, steps=64, seed=43, replicas=4000)
     s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(1, 1))
-    rep = run(ens, continuity_check(s, ens, eps=1.2, halvings=5),
+    rep = run(continuity_check(s, ens, eps=1.2, halvings=5),
               threads=2)
     assert rep["passed"]
     tails = rep["tails"]
@@ -375,7 +374,7 @@ def test_continuity_ladder():
     assert tails[-1] < 0.01
     zero = StepIntegrand.constant(ens.grid,
                                   RightLinearOp.identity(1, 1).scaled(0.0))
-    rep0 = run(ens, continuity_check(zero, ens, eps=0.1, halvings=5))
+    rep0 = run(continuity_check(zero, ens, eps=0.1, halvings=5))
     assert rep0["passed"] and max(rep0["tails"]) == 0.0
     with pytest.raises(GridError):
         continuity_check(s, ens, eps=1.0, halvings=9)
@@ -396,12 +395,12 @@ def test_refinement_of_path_dependent_integrand():
         slots = tuple(bind(l) for l in range(grid.steps))
         return StepIntegrand(grid, slots, 1, 1, 1)
 
-    rep = run(ens, refinement_study(factory, ens, halvings=3), threads=2)
+    rep = run(refinement_study(factory, ens, halvings=3), threads=2)
     assert rep["passed"], rep
     gaps = rep["mean_square_gaps"]
     assert gaps[-1] < gaps[0]
 
-    const = run(ens, refinement_study(
+    const = run(refinement_study(
         lambda g: StepIntegrand.constant(g, ident), ens, halvings=2))
     assert max(const["mean_square_gaps"]) < 1e-20
 
@@ -559,7 +558,7 @@ def test_integral_steps_are_contiguous_and_gathers_c_ordered():
     assert all(eta[:, l].flags.c_contiguous for l in range(17))
     seen = []
     probe = martingale_check(s, ens, 0.25, 0.75)
-    run(ens, probe._replace(gate=seen.append))
+    run(probe._replace(gate=seen.append))
     joined, = seen
     assert [a.shape for a in joined] == [(20, 3 * 2 * dim_of(level)), (20,)]
     assert all(a.flags.c_contiguous for a in joined)

@@ -184,9 +184,10 @@ def test_path_steps_are_contiguous_and_gathers_c_ordered():
     assert w.shape == (16, 17, 2, 2, 4)
     assert all(w[:, l].flags.c_contiguous for l in range(len(grid)))
     seen = []
-    probe = Probe(lambda b: (b.w, b.w[:, :, 0, 0, 0], b.w[:, -1] - b.w[:, 0]),
+    probe = Probe(ens,
+                  lambda b: (b.w, b.w[:, :, 0, 0, 0], b.w[:, -1] - b.w[:, 0]),
                   seen.append, gather=True)
-    sweep([(ens, probe)], 1)
+    sweep([probe], 1)
     joined, = seen
     assert [a.shape for a in joined] == [(40, 17, 2, 2, 4), (40, 17),
                                         (40, 2, 2, 4)]
@@ -225,8 +226,8 @@ def test_a_sweep_assembles_only_the_declared_points(threads, monkeypatch):
         return assemble(*args)
 
     monkeypatch.setattr(paths_module, "assemble_paths", counting)
-    rows = sweep([(ens, Probe(sample, list, gather=True, points=(12, 0))),
-                  (ens, mean_increment(ens, 0.25, 0.75))], threads)[0][0]
+    rows = sweep([Probe(ens, sample, list, gather=True, points=(12, 0)),
+                  mean_increment(ens, 0.25, 0.75)], threads)[0][0]
     assert assembled == [(0, 4, 12)] * ens.n_batches
     assert np.array_equal(rows.view(np.uint64),
                           whole[:, [0, 12]].view(np.uint64))
@@ -250,8 +251,8 @@ def test_a_sweep_whose_rows_declare_no_points(threads, monkeypatch):
         return assemble(*args)
 
     monkeypatch.setattr(paths_module, "assemble_paths", counting)
-    empty, = sweep([(ens, Probe(lambda batch: (batch.at(()),), list,
-                                gather=True, points=()))], threads)[0]
+    empty, = sweep([Probe(ens, lambda batch: (batch.at(()),), list,
+                          gather=True, points=())], threads)[0]
     assert assembled == [()] * ens.n_batches
     assert empty.shape == (150, 0, 2, 2, 2)
 
@@ -316,14 +317,14 @@ def multi_block_covariance():
     return CovarianceOperator(level, ((a1, b1), (a2, np.array([[1.5]]))))
 
 
-def run(ens, probe, threads=1):
+def run(probe, threads=1):
     """The result of one probe swept alone."""
-    return sweep([(ens, probe)], threads)[0]
+    return sweep([probe], threads)[0]
 
 
 def reports(ens, sample, threads=1):
     """The McReports of one sampler swept alone."""
-    return run(ens, Probe(sample, list), threads)
+    return run(Probe(ens, sample, list), threads)
 
 
 def test_mean_increment_matches_drift():
@@ -332,7 +333,7 @@ def test_mean_increment_matches_drift():
     p = CdVector(2, 3, rng.standard_normal((3, 2, 4)))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, p,
                        seed=11, n_replicas=20_000)
-    out = run(ens, mean_increment(ens, 0.25, 0.875))
+    out = run(mean_increment(ens, 0.25, 0.875))
     assert out["passed"], out
     rep, = reports(ens, mean_increment(ens, 0.25, 0.875).sample)
     assert rep.estimate.shape == (3, 2, 4)
@@ -343,12 +344,31 @@ def test_mean_increment_matches_drift():
     assert np.all(rep0.estimate[:, 1, :] == 0.0)
 
 
+def test_as_stated_product_is_centred_from_the_window_start():
+    """The two-time product centres each value by the drift the path
+    gathered from the window start.  On windows shifted to start at 1
+    and 5, the same noise reads the as_stated_gap it reads at start 0;
+    centred from t = 0 it grew to 8.8 and 225 (seed 4, 20k replicas, a
+    drift of 3 on i_0)."""
+    p = np.zeros((1, 2, 4))
+    p[0, 0, 0] = 3.0
+    gaps = []
+    for a in (0.0, 1.0, 5.0):
+        ens = PathEnsemble(TimeGrid.uniform(a, a + 1.0, 16),
+                           identity_complex_covariance(2, 1),
+                           CdVector(2, 1, p), seed=4, n_replicas=2000)
+        gaps.append(run(increment_cov(ens, a + 0.25, a + 0.75, 0, 0))
+                    ["as_stated_gap"])
+    assert gaps[0] < 1.0
+    assert gaps[1:] == pytest.approx([gaps[0]] * 2, rel=1e-6)
+
+
 def test_increment_covariance_same_block_and_cross_block():
     u = multi_block_covariance()
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, None,
                        seed=17, n_replicas=20_000)
-    same, cross = sweep([(ens, increment_cov(ens, 0.25, 0.875, 0, 1)),
-                         (ens, increment_cov(ens, 0.25, 0.875, 1, 2))], 1)
+    same, cross = sweep([increment_cov(ens, 0.25, 0.875, 0, 1),
+                         increment_cov(ens, 0.25, 0.875, 1, 2)], 1)
     assert same["passed"], same
     assert cross["passed"], cross
     assert np.all(cross["expected"] == 0.0)
@@ -361,7 +381,7 @@ def test_increment_covariance_unit_block_value():
     u = CovarianceOperator.simple(CdReal.from_real(level, 1.0), np.eye(1))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8), u, None,
                        seed=29, n_replicas=20_000)
-    res = run(ens, increment_cov(ens, 0.25, 0.75, 0, 0))
+    res = run(increment_cov(ens, 0.25, 0.75, 0, 0))
     assert np.array_equal(res["expected"], [0.5, 0.0, 0.0, 0.0])
     assert res["passed"], res
 
@@ -373,7 +393,7 @@ def test_increment_covariance_directional_coefficient():
     u = CovarianceOperator.simple(a, np.eye(1))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8), u, None,
                        seed=31, n_replicas=20_000)
-    res = run(ens, increment_cov(ens, 0.0, 1.0, 0, 0))
+    res = run(increment_cov(ens, 0.0, 1.0, 0, 0))
     assert np.array_equal(res["expected"], [0.0, 1.0, 0.0, 0.0])
     assert res["passed"], res
 
@@ -384,7 +404,7 @@ def test_increment_covariance_scaled_block_doubles_deviation():
     u = CovarianceOperator.simple(CdReal.from_real(level, 4.0), np.eye(2))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 4), u, None,
                        seed=37, n_replicas=20_000)
-    res = run(ens, increment_cov(ens, 0.0, 1.0, 1, 1))
+    res = run(increment_cov(ens, 0.0, 1.0, 1, 1))
     assert np.array_equal(res["expected"], [4.0, 0.0])
     assert res["passed"], res
 
@@ -396,7 +416,7 @@ def test_increment_covariance_reports_as_stated_residual():
     u = CovarianceOperator.simple(CdReal.from_real(level, 1.0), np.eye(1))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8), u, None,
                        seed=41, n_replicas=20_000)
-    res = run(ens, increment_cov(ens, 0.5, 0.75, 0, 0))
+    res = run(increment_cov(ens, 0.5, 0.75, 0, 0))
     assert res["passed"], res
     # the verbatim product concentrates near min(t1, t2) = 0.5, far from 0.25
     assert res["as_stated_gap"] > 0.15
@@ -408,7 +428,7 @@ def test_increment_covariance_complexified_combines_both_halves():
     u1 = CovarianceOperator.simple(CdReal.from_real(level, 1.0), np.eye(n))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8), ComplexCovariance(u0, u1),
                        None, seed=43, n_replicas=20_000)
-    res = run(ens, increment_cov(ens, 0.0, 1.0, 0, 0))
+    res = run(increment_cov(ens, 0.0, 1.0, 0, 0))
     # re part carries U0 - U1, im part is centered
     assert np.array_equal(res["expected"][0], [2.0, 0.0, 0.0, 0.0])
     assert np.all(res["expected"][1] == 0.0)
@@ -431,7 +451,7 @@ def test_disjoint_increments_uncorrelated():
     p = CdVector(2, 3, rng.standard_normal((3, 2, 4)))
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, p,
                        seed=47, n_replicas=20_000)
-    out = run(ens, disjoint_increments(ens, 0.0, 0.25, 0.5, 1.0))
+    out = run(disjoint_increments(ens, 0.0, 0.25, 0.5, 1.0))
     assert out["passed"], out
     with pytest.raises(GridError):
         disjoint_increments(ens, 0.0, 0.5, 0.25, 1.0)
@@ -445,7 +465,7 @@ def test_char_functional_zero_functional_is_one():
                        identity_complex_covariance(level, n), None,
                        seed=53, n_replicas=1000)
     y = RealFunctional(level, n, np.zeros(2 * n * 4))
-    rep = run(ens, char_functional_estimator(ens, y, 1.0))
+    rep = run(char_functional_estimator(ens, y, 1.0))
     assert complex_of(rep) == 1.0 + 0.0j
     assert modulus_se(rep) == 0.0
 
@@ -482,7 +502,7 @@ def test_char_estimator_matches_closed_form():
     y = RealFunctional(level, n, coeffs)
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, None,
                        seed=5, n_replicas=30_000)
-    out = run(ens, char_functional_check(ens, y, 1.0))
+    out = run(char_functional_check(ens, y, 1.0))
     assert out["passed"], out
 
 
@@ -499,7 +519,7 @@ def test_char_estimator_battery_with_drift():
     for case in range(4):
         coeffs = 0.7 * rng.standard_normal(2 * n * 4)
         y = RealFunctional(level, n, coeffs)
-        out = run(ens, char_functional_check(ens, y, 1.0))
+        out = run(char_functional_check(ens, y, 1.0))
         assert out["passed"], (case, out)
 
 
@@ -512,10 +532,24 @@ def test_char_semigroup_identity():
     y = RealFunctional(level, n, coeffs)
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16), u, None,
                        seed=71, n_replicas=30_000)
-    out = run(ens, char_semigroup(ens, y, 0.25, 0.5))
+    out = run(char_semigroup(ens, y, 0.25, 0.5))
     assert out["passed"], out
     with pytest.raises(LevelMismatch):
         char_semigroup(ens, RealFunctional(1, n, np.zeros(4)), 0.25, 0.5)
+
+
+def test_char_semigroup_passes_a_zero_variance_case():
+    """A zero functional reads exp(0) = 1 on every replica, so the gap
+    and the tolerance are both 0.  A strict gap < tol failed it, while
+    char_functional_check passed on the same ensemble."""
+    ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 8),
+                       identity_complex_covariance(2, 1), None, seed=3,
+                       n_replicas=200)
+    y = RealFunctional(2, 1, np.zeros(8))
+    out = run(char_semigroup(ens, y, 0.25, 0.5))
+    assert (out["gap"], out["tolerance"]) == (0.0, 0.0)
+    assert out["passed"], out
+    assert run(char_functional_check(ens, y, 1.0))["passed"]
 
 
 # ------------------------------------------------------- stochastic continuity
@@ -525,7 +559,7 @@ def test_path_continuity_ladder_and_wiener_oracle():
     u = identity_complex_covariance(level, n)
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 256), u, None,
                        seed=9, n_replicas=20_000)
-    out = run(ens, path_continuity(ens, eps=1.5, halvings=8))
+    out = run(path_continuity(ens, eps=1.5, halvings=8))
     assert out["passed"], out
     assert out["tails"][-1] < 0.01
     # both embedded coordinates are independent N(0, delta), so the exact
@@ -566,7 +600,7 @@ def _csv_values(kind):
     ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 4),
                        identity_complex_covariance(1, 1), None, seed=3,
                        n_replicas=6)
-    sol = sweep([(ens, euler_maruyama(prob, ens))], 1)[0]
+    sol = sweep([euler_maruyama(prob, ens)], 1)[0]
     return sol.grid, sol.values[:2]
 
 
@@ -655,7 +689,7 @@ def test_sweep_matches_each_probe_swept_alone(threads, monkeypatch):
         char_semigroup(ens, y, 0.25, 0.5),
         path_continuity(ens, eps=3.0, halvings=3),
     ]
-    alone = [run(ens, probe) for probe in probes]
+    alone = [run(probe) for probe in probes]
 
     assembled = []
     assemble = paths_module.assemble_paths
@@ -665,7 +699,7 @@ def test_sweep_matches_each_probe_swept_alone(threads, monkeypatch):
         return assemble(*args)
 
     monkeypatch.setattr(paths_module, "assemble_paths", counting)
-    fused = sweep([(ens, probe) for probe in probes], threads)
+    fused = sweep(probes, threads)
     assert len(assembled) == ens.n_batches == 5
     assert _bits(fused) == _bits(alone)
 
@@ -695,7 +729,7 @@ def test_gather_joins_the_batches_in_order(threads):
                        n_replicas=500, batch_size=96)
     batches = [ens.batch(i) for i in range(ens.n_batches)]
     assert [b.count for b in batches] == [96] * 5 + [20]
-    joined = run(ens, Probe(_gather_samples, list, gather=True), threads)
+    joined = run(Probe(ens, _gather_samples, list, gather=True), threads)
     parts = [_gather_samples(b) for b in batches]
     assert not parts[0][1].flags.c_contiguous
     for j, got in enumerate(joined):
@@ -719,11 +753,12 @@ def test_sweep_mixing_gathers_and_moments(threads, monkeypatch):
     def gathered(joined):
         return [(a.tobytes(), a.flags.c_contiguous) for a in joined]
 
-    probes = [Probe(_gather_samples, gathered, gather=True),
+    probes = [Probe(ens, _gather_samples, gathered, gather=True),
               mean_increment(ens, 0.25, 0.75),
-              Probe(lambda b: _gather_samples(b)[1:], gathered, gather=True),
-              Probe(lambda b: _gather_samples(b)[:2], list)]
-    alone = [run(ens, probe) for probe in probes]
+              Probe(ens, lambda b: _gather_samples(b)[1:], gathered,
+                    gather=True),
+              Probe(ens, lambda b: _gather_samples(b)[:2], list)]
+    alone = [run(probe) for probe in probes]
     assembled = []
     assemble = paths_module.assemble_paths
 
@@ -732,7 +767,7 @@ def test_sweep_mixing_gathers_and_moments(threads, monkeypatch):
         return assemble(*args)
 
     monkeypatch.setattr(paths_module, "assemble_paths", counting)
-    fused = sweep([(ens, probe) for probe in probes], threads)
+    fused = sweep(probes, threads)
     assert len(assembled) == ens.n_batches == 3
     assert fused[0] == alone[0] and fused[2] == alone[2]
     assert all(c for _, c in fused[0] + fused[2])
@@ -762,9 +797,9 @@ def test_one_pool_gives_each_ensemble_the_bits_it_has_alone(threads,
         return [(a.tobytes(), a.flags.c_contiguous) for a in joined]
 
     def rows_of(ens):
-        return [(ens, mean_increment(ens, 0.25, 0.75)),
-                (ens, Probe(_gather_samples, gathered, gather=True)),
-                (ens, disjoint_increments(ens, 0.0, 0.25, 0.5, 1.0))]
+        return [mean_increment(ens, 0.25, 0.75),
+                Probe(ens, _gather_samples, gathered, gather=True),
+                disjoint_increments(ens, 0.0, 0.25, 0.5, 1.0)]
 
     alone = [sweep(rows_of(ens), 1) for ens in ensembles]
     # row j of every ensemble, then row j + 1: no ensemble's rows adjoin
@@ -1152,9 +1187,9 @@ def test_reports_and_pins_hold_under_the_budget(threads, monkeypatch):
                            identity_complex_covariance(1, 1), None, seed=17,
                            n_replicas=600, batch_size=128)
     forward = euler_maruyama(prob, sde_ens)
-    em = sweep([(sde_ens, forward)], threads)[0]
+    em = sweep([forward], threads)[0]
     monkeypatch.setattr(sde_module, "PICARD_TOL", 0.0)
     monkeypatch.setattr(sde_module, "PICARD_M_MAX", 80)
     pic = picard_solve(prob, sde_ens, threads)
     assert np.array_equal(pic.values, em.values)
-    assert np.array_equal(em.values, sweep([(sde_ens, forward)], 1)[0].values)
+    assert np.array_equal(em.values, sweep([forward], 1)[0].values)

@@ -265,17 +265,17 @@ def _sweep_rows():
                           ZetaSpec.constant(CdVector.embedded_real(1, [1.0])),
                           1)
     return [
-        (wide, mean_increment(wide, 0.25, 0.75)),
-        (wide, increment_cov(wide, 0.25, 0.75, 0, 1)),
-        (wide, char_semigroup(wide, y, 0.25, 0.5)),
-        (wide, path_continuity(wide, eps=3.0, halvings=3)),
-        (wide, Probe(lambda b: (b.at((4,)).reshape(b.count, -1),),
-                     _tail_bytes, gather=True, points=(4,))),
-        (plain, disjoint_increments(plain, 0.0, 0.25, 0.5, 1.0)),
-        (plain, euler_maruyama(prob, plain)),
-        (plain, uniqueness_study(prob, plain, halvings=2)),
-        (plain, Probe(lambda b: (b.w[:, -1].reshape(b.count, -1),),
-                      _tail_bytes, gather=True)),
+        mean_increment(wide, 0.25, 0.75),
+        increment_cov(wide, 0.25, 0.75, 0, 1),
+        char_semigroup(wide, y, 0.25, 0.5),
+        path_continuity(wide, eps=3.0, halvings=3),
+        Probe(wide, lambda b: (b.at((4,)).reshape(b.count, -1),),
+              _tail_bytes, gather=True, points=(4,)),
+        disjoint_increments(plain, 0.0, 0.25, 0.5, 1.0),
+        euler_maruyama(prob, plain),
+        uniqueness_study(prob, plain, halvings=2),
+        Probe(plain, lambda b: (b.w[:, -1].reshape(b.count, -1),),
+              _tail_bytes, gather=True),
     ]
 
 
@@ -348,8 +348,8 @@ def test_replica_counts_at_a_batch_boundary_keep_the_batch_order(
 
     for threads in (1, 2, 3):
         reports, joined = sweep(
-            [(ens, Probe(_end_rows, list, points=point)),
-             (ens, Probe(gather, list, gather=True, points=point))], threads)
+            [Probe(ens, _end_rows, list, points=point),
+             Probe(ens, gather, list, gather=True, points=point)], threads)
         assert _bits(reports) == _bits(moments)
         for j in range(2):
             expect = np.concatenate([part[j] for part in parts])

@@ -20,8 +20,8 @@ from cdstoch.linops import (
 )
 from cdstoch import paths, sde
 from cdstoch.config import SDE_DRIFT
-from cdstoch.experiments import (Row, _random_complex_cov, _random_four_block,
-                                 _run_rows)
+from cdstoch.experiments import (_project, _random_complex_cov,
+                                 _random_four_block)
 from cdstoch.paths import GridError, PathEnsemble, TimeGrid, sweep
 from cdstoch.sde import (
     SdeError,
@@ -59,19 +59,19 @@ def unit_zeta(level=1):
     return ZetaSpec.constant(CdVector.embedded_real(level, [1.0]))
 
 
-def run(ens, probe, threads=1):
+def run(probe, threads=1):
     """The result of one probe swept alone."""
-    return sweep([(ens, probe)], threads)[0]
+    return sweep([probe], threads)[0]
 
 
 def forward(prob, ens, threads=1):
     """The forward scheme's solution of prob on ens."""
-    return run(ens, euler_maruyama(prob, ens), threads)
+    return run(euler_maruyama(prob, ens), threads)
 
 
 def closed_form(prob, ens, threads=1):
     """The linear closed form's solution of prob on ens."""
-    return run(ens, linear_closed_form(prob, ens), threads)
+    return run(linear_closed_form(prob, ens), threads)
 
 
 def linear_test_problem(level=1):
@@ -522,7 +522,7 @@ def test_uniqueness_study_gaps_vanish():
     ident = RightLinearOp.identity(1, 1)
     ens = PathEnsemble(grid, complexified_identity(1, 1), None, seed=33,
                        n_replicas=1000)
-    rep = run(ens, uniqueness_study(
+    rep = run(uniqueness_study(
         linear_problem(ident.scaled(-1.0), ident, unit_zeta(), 1), ens,
         halvings=3))
     assert rep["passed"]
@@ -551,8 +551,8 @@ def test_uniqueness_study_runs_its_batches_on_the_pool(monkeypatch):
     # every sweep, through map_batches or sde._map, reaches pool_map
     monkeypatch.setattr(paths, "pool_map", spy)
     monkeypatch.setattr(sde, "pool_map", spy)
-    one = run(ens, uniqueness_study(problem, ens, halvings=2), threads=1)
-    three = run(ens, uniqueness_study(problem, ens, halvings=2), threads=3)
+    one = run(uniqueness_study(problem, ens, halvings=2), threads=1)
+    three = run(uniqueness_study(problem, ens, halvings=2), threads=3)
     assert pools == [1, 3]  # one sweep for the whole study
     assert one == three
     assert [np.float64(g).tobytes() for g in one["b2inf_gaps"]] == \
@@ -617,11 +617,11 @@ def test_restart_markov_exact_and_edge():
     prob = linear_test_problem()
     ens = unit_ensemble(32, seed=19, n_replicas=4000)
     start = CdVector.embedded_real(1, [1.0])
-    rep = run(ens, restart_markov_check(prob, ens, 0.5, start), threads=2)
+    rep = run(restart_markov_check(prob, ens, 0.5, start), threads=2)
     assert rep["passed"], rep
     assert rep["max_pathwise_deviation"] == 0.0
     edge_ens = unit_ensemble(32, seed=23, n_replicas=512)
-    edge = run(edge_ens, restart_markov_check(prob, edge_ens,
+    edge = run(restart_markov_check(prob, edge_ens,
                                               edge_ens.grid.a, start))
     assert edge["max_pathwise_deviation"] == 0.0
 
@@ -630,7 +630,7 @@ def test_restart_flow_property_without_noise():
     prob = linear_problem(RightLinearOp.identity(1, 1).scaled(-0.5), None,
                           unit_zeta(), 1)
     ens = unit_ensemble(16, seed=3, n_replicas=256)
-    rep = run(ens, restart_markov_check(
+    rep = run(restart_markov_check(
         prob, ens, 0.5, CdVector.embedded_real(1, [1.0])))
     assert rep["passed"]
     assert rep["max_pathwise_deviation"] == 0.0
@@ -644,7 +644,7 @@ def test_restart_check_runs_its_problems_on_one_sweep(monkeypatch):
                                 ZetaSpec.gaussian(1, 1, 0.5), 1)
     ens = unit_ensemble(16, seed=37, n_replicas=300, batch_size=128)
     z = CdVector.embedded_real(1, [0.7])
-    alone = [run(ens, restart_markov_check(pb, ens, 0.5, z), threads=2)
+    alone = [run(restart_markov_check(pb, ens, 0.5, z), threads=2)
              for pb in (prob, noise_only)]
     assembled = []
     assemble = paths.assemble_paths
@@ -654,9 +654,9 @@ def test_restart_check_runs_its_problems_on_one_sweep(monkeypatch):
         return assemble(*args)
 
     monkeypatch.setattr(paths, "assemble_paths", counting)
-    rows = [Row(ens, restart_markov_check(pb, ens, 0.5, z), lambda res: res)
+    rows = [_project(restart_markov_check(pb, ens, 0.5, z), lambda res: res)
             for pb in (prob, noise_only)]
-    both = _run_rows(rows, threads=2)
+    both = sweep(rows, threads=2)
     assert len(assembled) == ens.n_batches == 3
     assert both == alone
 
@@ -733,7 +733,7 @@ def test_ks_pvalue_fails_on_non_finite_samples(bad):
 def test_gronwall_bound_holds():
     prob = linear_test_problem()
     ens = unit_ensemble(32, seed=29, n_replicas=4000)
-    rep = run(ens, gronwall_bound(prob, ens))
+    rep = run(gronwall_bound(prob, ens))
     assert rep["passed"]
     assert rep["sup_mean_norm2"] <= rep["bound"]
 
@@ -763,11 +763,11 @@ def test_norm_rows_keep_the_bits_of_the_gathered_gates(replicas, threads):
                            batch_size=16)
         picard = picard_solve(prob, ens, threads)
         em = forward(prob, ens, threads)
-        gap = run(ens, picard_em_gap(prob, ens, picard), threads)
+        gap = run(picard_em_gap(prob, ens, picard), threads)
         expect = b2inf_norm(picard.values - em.values)
         assert 0.0 < expect
         assert np.float64(gap).tobytes() == np.float64(expect).tobytes()
-        got = run(ens, gronwall_bound(prob, ens), threads)
+        got = run(gronwall_bound(prob, ens), threads)
         expect = gronwall_check(prob, em)
         assert got["passed"] == expect["passed"]
         for key in ("sup_mean_norm2", "bound"):
@@ -811,11 +811,11 @@ def test_a_noise_free_problem_reads_no_path(monkeypatch):
         return assemble(*args)
 
     monkeypatch.setattr(paths, "assemble_paths", counting)
-    sol = run(ens, euler_maruyama(prob, ens), threads=2)
+    sol = run(euler_maruyama(prob, ens), threads=2)
     picard_solve(prob, ens, 2)
-    run(ens, restart_markov_check(prob, ens, 0.5,
+    run(restart_markov_check(prob, ens, 0.5,
                                   CdVector.embedded_real(1, [0.7])), threads=2)
-    run(ens, uniqueness_study(prob, ens, halvings=2), threads=2)
+    run(uniqueness_study(prob, ens, halvings=2), threads=2)
     assert assembled == []
     assert sol.values.reshape(expect.shape).tobytes() == expect.tobytes()
 
@@ -853,7 +853,7 @@ def test_strong_order_against_closed_form_is_near_one():
     ens = PathEnsemble(grid, complexified_identity(1, 1), None, seed=17,
                        n_replicas=2000)
     prob = linear_test_problem()
-    rep = run(ens, strong_order_study(prob, ens, halvings=4), threads=2)
+    rep = run(strong_order_study(prob, ens, halvings=4), threads=2)
     errs = [row["error"] for row in rep["table"]]
     assert all(errs[i] < errs[i + 1] for i in range(len(errs) - 1))
     assert 0.7 < rep["slope"] < 1.2, rep
