@@ -113,9 +113,9 @@ class RunConfig:
     Building one runs every gate, the driving law's covariance blocks and
     drift included, and resolves threads=None to the CPUs this process
     may run on, at most MAX_THREADS.  An integer field given anything but
-    an integer is refused, never rounded.  A run of an EXPM_EXPERIMENTS battery
-    loads scipy's expm here, at set-up, so every OpenBLAS a worker can
-    call is loaded before the first pool opens (paths._blas_budget).
+    an integer is refused, never rounded.  A run of an EXPM_EXPERIMENTS
+    battery loads scipy's expm here, at set-up, so every OpenBLAS a worker
+    can call is loaded before the first pool opens (paths._blas_budget).
     """
 
     seed: int = 0
@@ -134,10 +134,11 @@ class RunConfig:
     tolerances: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
+        if self.threads is None:
+            object.__setattr__(self, "threads",
+                               min(available_cpus(), MAX_THREADS))
         for key in ("seed", "replicas", "level", "n", "threads"):
-            value = getattr(self, key)
-            if not (key == "threads" and value is None):
-                object.__setattr__(self, key, _need_int(key, value))
+            object.__setattr__(self, key, _need_int(key, getattr(self, key)))
         object.__setattr__(self, "grids",
                            tuple(_need_int("grid", g) for g in self.grids))
         if len(self.window) != 2:
@@ -203,9 +204,6 @@ class RunConfig:
                 "config key 'experiments': each experiment may be named once")
         if self.format not in FORMAT_CHOICES:
             raise ConfigError("config key 'format': choose json or csv")
-        if self.threads is None:
-            object.__setattr__(self, "threads",
-                               min(available_cpus(), MAX_THREADS))
         if self.threads < 1:
             raise ConfigError("config key 'threads': need at least 1")
         if self.threads > MAX_THREADS:
