@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import re
 from dataclasses import dataclass
 
@@ -113,7 +114,10 @@ class RunConfig:
     Building one runs every gate, the driving law's covariance blocks and
     drift included, and resolves threads=None to the CPUs this process
     may run on, at most MAX_THREADS.  An integer field given anything but
-    an integer is refused, never rounded.  A run of an EXPM_EXPERIMENTS
+    an integer is refused, never rounded; a real one given anything but a
+    real number (a string among them) is refused, never parsed; a
+    sequence field given a string or a scalar is refused, never split or
+    wrapped; and out must be a path or None.  A run of an EXPM_EXPERIMENTS
     battery loads scipy's expm here, at set-up, so every OpenBLAS a worker
     can call is loaded before the first pool opens (paths._blas_budget).
     """
@@ -139,18 +143,24 @@ class RunConfig:
                                min(available_cpus(), MAX_THREADS))
         for key in ("seed", "replicas", "level", "n", "threads"):
             object.__setattr__(self, key, _need_int(key, getattr(self, key)))
-        object.__setattr__(self, "grids",
-                           tuple(_need_int("grid", g) for g in self.grids))
-        if len(self.window) != 2:
+        object.__setattr__(self, "grids", tuple(
+            _need_int("grid", g) for g in _need_sequence("grid", self.grids)))
+        window = _need_sequence("window", self.window)
+        if len(window) != 2:
             raise ConfigError("config key 'window': need exactly 'a b'")
         object.__setattr__(self, "window",
-                           (float(self.window[0]), float(self.window[1])))
-        object.__setattr__(self, "experiments", tuple(self.experiments))
+                           tuple(_need_real("window", v) for v in window))
+        object.__setattr__(self, "experiments",
+                           _need_sequence("experiments", self.experiments))
         if self.drift is not None:
-            object.__setattr__(self, "drift",
-                               tuple(float(v) for v in self.drift))
-        object.__setattr__(self, "tolerances",
-                           tuple((k, float(v)) for k, v in self.tolerances))
+            object.__setattr__(self, "drift", tuple(
+                _need_real("drift", v)
+                for v in _need_sequence("drift", self.drift)))
+        object.__setattr__(self, "tolerances", tuple(
+            (k, _need_real(f"tol.{k}", v))
+            for k, v in _need_sequence("tol", self.tolerances)))
+        if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
+            raise ConfigError("config key 'out': need a directory path")
         if not (0 <= self.seed < 2 ** 62):
             raise ConfigError("config key 'seed': need 0 <= seed < 2^62")
         if self.replicas < 1:
@@ -238,6 +248,25 @@ def _need_int(key: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"config key '{key}': need an integer")
     return int(value)
+
+
+def _need_real(key: str, value) -> float:
+    """value as a float; anything but a real number (a numpy one too, but
+    not a bool or a string) is refused, not parsed or cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"config key '{key}': need a real number")
+    return float(value)
+
+
+def _need_sequence(key: str, value) -> tuple:
+    """value as a tuple; a string or a scalar is refused, not split into
+    characters or left to fail as a TypeError."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"config key '{key}': need a sequence of values")
 
 
 def _need_finite(key: str, values) -> None:

@@ -49,7 +49,10 @@ from .paths import (
     Probe,
     TimeGrid,
     _time_major,
+    check_thresholds,
     halving_factors,
+    lag_exceedances,
+    sup_norm2,
 )
 
 MARTINGALE_BINS = 8
@@ -392,19 +395,18 @@ def lookahead_control(grid: TimeGrid, level: int, n: int) -> StepIntegrand:
 
 def chebyshev_check(integrand: StepIntegrand, ensemble: PathEnsemble,
                     beta: float, alpha: float) -> Probe:
-    """Tail of the running supremum against both quadrature bounds."""
+    """Tail of the running supremum against both quadrature bounds; beta
+    and alpha must be finite and > 0."""
     _require_match(integrand, ensemble)
     if not ensemble.complexified:
         raise AlgebraError("the tail bounds need a complexified covariance")
-    if beta <= 0 or alpha <= 0:
-        raise AlgebraError("need positive beta and alpha")
+    check_thresholds(beta=beta, alpha=alpha)
     f_fn = partial(f_functional_cross, u=ensemble.u)
     mstar2 = ensemble.u.max_sqrt_hs2()
     threshold2 = beta * beta * mstar2
 
     def sampler(batch):
-        eta = integral_paths(integrand, batch.w)
-        sup2 = np.max(vec_norm2(eta.reshape(*eta.shape[:2], -1)), axis=1)
+        sup2 = sup_norm2(integral_paths(integrand, batch.w))
         fq, hq = _second_moment_samples(integrand, batch.w, f_fn, hs_inner)
         # 0/1 indicators: their sums are exact integers, so the means are
         # the plain exceedance frequencies
@@ -442,19 +444,19 @@ def continuity_check(integrand: StepIntegrand, ensemble: PathEnsemble,
 
     tail(delta_j) takes the worst grid pair within lag delta_j; the pair
     sets are nested, so the ladder is non-increasing by construction and
-    the assertion is about the finest level staying under 0.01.
+    the assertion is about the finest level staying under 0.01.  eps
+    must be finite and > 0.
     """
     _require_match(integrand, ensemble)
+    check_thresholds(eps=eps)
     grid = ensemble.grid
     k = grid.steps
     lags = [k // f for f in halving_factors(grid, halvings)[1:]]
 
     def sampler(batch):
-        eta = integral_paths(integrand, batch.w)
-        flat = eta.reshape(batch.count, k + 1, -1)
         # 0/1 indicators: their sums are exact integers
-        return tuple(vec_norm2(flat[:, lag:] - flat[:, :-lag]) > eps * eps
-                     for lag in range(1, lags[0] + 1))
+        return tuple(lag_exceedances(integral_paths(integrand, batch.w),
+                                     range(1, lags[0] + 1), eps * eps))
 
     def gate(reports):
         per_lag_max = np.array([np.max(rep.estimate) for rep in reports])

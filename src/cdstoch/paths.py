@@ -892,7 +892,74 @@ def char_semigroup(ensemble: PathEnsemble, y: RealFunctional,
                  points=tuple(e.points[0] for e in estimators))
 
 
-# ------------------------------------------------------- stochastic continuity
+# ------------------------------------------- tails and stochastic continuity
+
+def check_thresholds(**thresholds: float) -> None:
+    """AlgebraError unless every named tail threshold is finite and > 0.
+
+    A NaN fails every comparison, so its tail reads zero and passes; an
+    infinite or non-positive threshold measures nothing either."""
+    for name, value in thresholds.items():
+        if not (np.isfinite(value) and value > 0):
+            raise AlgebraError(f"{name} must be finite and positive, "
+                               f"got {value!r}")
+
+
+def lag_exceedances(x: np.ndarray, lags, eps2: float) -> list[np.ndarray]:
+    """Indicators 2 sum_coords (x[:, l + lag] - x[:, l])**2 > eps2, one
+    (b, K+1-lag) bool array per lag, for x of shape (b, K+1, *coords).
+
+    Each block of lag differences is taken, squared and summed in place
+    in one scratch block of at most _BLOCK_BYTES, so no array spans the
+    path.  Each norm is the pairwise sum over one contiguous row of
+    coords, the order of vec_norm2 on the whole difference array, so
+    every indicator has the bits of vec_norm2(x[:, lag:] - x[:, :-lag])
+    > eps2, for any layout of x.
+    """
+    b, kk = x.shape[:2]
+    rows = x.reshape(b, kk, -1).swapaxes(0, 1)  # (K+1, b, coords)
+    c = rows.shape[2]
+    block = max(1, min(kk, _BLOCK_BYTES // (b * c * 8)))
+    # (block, b, c) and (block, b), C-ordered: each row one (b, c) block
+    scratch = _time_major(b, block, c).swapaxes(0, 1)
+    norms = _time_major(b, block).swapaxes(0, 1)
+    outs = []
+    for lag in lags:
+        size = kk - lag
+        out = np.empty((b, size), dtype=bool)
+        for lo in range(0, size, block):
+            m = min(block, size - lo)
+            d, s = scratch[:m], norms[:m]
+            np.subtract(rows[lo + lag:lo + lag + m], rows[lo:lo + m], out=d)
+            np.multiply(d, d, out=d)
+            np.sum(d, axis=2, out=s)
+            s *= 2.0
+            np.greater(s.T, eps2, out=out[:, lo:lo + m])
+        outs.append(out)
+    return outs
+
+
+def sup_norm2(x: np.ndarray) -> np.ndarray:
+    """max over grid points of vec_norm2(x[:, l]), per replica, for x of
+    shape (b, K+1, *coords).
+
+    Each row is squared into one (b, coords) buffer and summed, and the
+    maximum runs with np.maximum, so a NaN reaches it; doubling once at
+    the end gives the bits of np.max(vec_norm2(x.reshape(b, K+1, -1)),
+    axis=1) without a path-sized square.
+    """
+    b, kk = x.shape[:2]
+    rows = x.reshape(b, kk, -1)
+    sq = np.empty_like(rows[:, 0])
+    norms = np.empty(b)
+    sup = np.full(b, -np.inf)
+    for l in range(kk):
+        np.multiply(rows[:, l], rows[:, l], out=sq)
+        np.sum(sq, axis=1, out=norms)
+        np.maximum(sup, norms, out=sup)
+    sup *= 2.0
+    return sup
+
 
 def path_continuity(ensemble: PathEnsemble, eps: float,
                     halvings: int) -> Probe:
@@ -902,20 +969,17 @@ def path_continuity(ensemble: PathEnsemble, eps: float,
     the ladder must be non-increasing within binomial slack as delta
     shrinks.  Per-lag tails at the window start are returned as well,
     since they are plain binomial proportions suitable for oracles.
+    eps must be finite and > 0.
     """
+    check_thresholds(eps=eps)
     k = ensemble.grid.steps
     lags = [k // f for f in halving_factors(ensemble.grid, halvings)[1:]]
     pts = ensemble.grid.points
     deltas = [float(np.max(pts[lag:] - pts[:-lag])) for lag in lags]
 
     def sample(batch: BatchPaths):
-        w = batch.w
-        outs = []
-        for lag in lags:
-            d = w[:, lag:] - w[:, :-lag]
-            # 0/1 indicators: their sums, and so the tails, are exact
-            outs.append(2.0 * np.sum(d * d, axis=(2, 3, 4)) > eps * eps)
-        return outs
+        # 0/1 indicators: their sums, and so the tails, are exact
+        return lag_exceedances(batch.w, lags, eps * eps)
 
     def gate(reports):
         count = reports[0].sample_count

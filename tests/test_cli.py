@@ -278,6 +278,45 @@ def test_malformed_library_input_is_refused_naming_its_key(key, fields):
         RunConfig(**fields)
 
 
+@pytest.mark.parametrize("key,fields", [
+    ("grid", {"grids": 16}),
+    ("window", {"window": 5}),
+    ("window", {"window": ("0", "1")}),
+    ("window", {"window": (False, True)}),
+    ("experiments", {"experiments": "paths"}),
+    ("drift", {"drift": 0.5}),
+    ("drift", {"level": 1, "drift": ("abc", 0.0, 0.0, 0.0)}),
+    ("tol", {"tolerances": 1e-9}),
+    ("tol.exact", {"tolerances": (("exact", "abc"),)}),
+    ("out", {"out": 5}),
+], ids=["grid-scalar", "window-scalar", "window-strings", "window-bools",
+        "experiments-string", "drift-scalar", "drift-string",
+        "tolerances-scalar", "tolerance-string", "out-number"])
+def test_a_malformed_sequence_or_string_field_is_refused_naming_its_key(
+        key, fields):
+    """A scalar where a sequence belongs raised TypeError, a string of
+    names was split into letters ('unknown experiment 'p''), numeric
+    strings were cast (window ("0", "1") ran as (0.0, 1.0)), "abc" raised
+    ValueError from float(), and out=5 was accepted; each is now one
+    ConfigError naming its key."""
+    with pytest.raises(ConfigError, match=rf"^config key '{key}': "):
+        RunConfig(**fields)
+
+
+def test_real_fields_accept_ints_and_numpy_reals(tmp_path):
+    """The real-number rule refuses strings and bools, not the numbers a
+    library caller passes."""
+    cfg = RunConfig(window=(np.float32(0.0), 2), level=1,
+                    drift=np.array([0.5, 0.0, 0.0, 0.0]),
+                    tolerances=(("exact", np.float64(1e-11)),),
+                    experiments=["paths"], grids=[np.int64(16)],
+                    out=tmp_path)
+    assert cfg.window == (0.0, 2.0) and cfg.drift == (0.5, 0.0, 0.0, 0.0)
+    assert cfg.tolerances == (("exact", 1e-11),)
+    assert cfg.experiments == ("paths",) and cfg.grids == (16,)
+    assert all(type(v) is float for v in cfg.window + cfg.drift)
+
+
 def test_numpy_integers_are_accepted_as_plain_ints():
     cfg = RunConfig(seed=np.int64(3), replicas=np.int32(100),
                     grids=(np.uint16(16),), level=np.int8(1), n=np.int64(1),

@@ -1,5 +1,6 @@
 """Tests for the stochastic integral layer."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -378,6 +379,51 @@ def test_continuity_ladder():
     assert rep0["passed"] and max(rep0["tails"]) == 0.0
     with pytest.raises(GridError):
         continuity_check(s, ens, eps=1.0, halvings=9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_tail_probes_refuse_a_threshold_that_measures_nothing(bad):
+    """A NaN threshold fails every comparison, so a tail would read 0
+    and pass; an infinite, zero or negative one measures nothing either
+    (a negative eps was read as |eps|, a NaN beta or alpha let through)."""
+    ens = small_ensemble(level=2, n=1, steps=16, replicas=500)
+    s = StepIntegrand.constant(ens.grid, RightLinearOp.identity(2, 1))
+    with pytest.raises(AlgebraError, match="eps must be finite"):
+        continuity_check(s, ens, bad, 4)
+    with pytest.raises(AlgebraError, match="beta must be finite"):
+        chebyshev_check(s, ens, bad, 1.0)
+    with pytest.raises(AlgebraError, match="alpha must be finite"):
+        chebyshev_check(s, ens, 1.0, bad)
+
+
+def _sample_peak(probe, batch):
+    """The traced peak of one sample call, the path assembled before."""
+    batch.w
+    tracemalloc.start()
+    try:
+        probe.sample(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_tail_samplers_hold_no_second_path():
+    """One batch of 2048 replicas on 32 steps (level 3, n = 2, its path
+    assembled first): the Chebyshev and the integral continuity samples
+    each peak within 2 MiB above the 16.5 MiB running integral, a row
+    buffer and one lag block of _BLOCK_BYTES.  Squaring the whole
+    integral, and a lag difference with its square, took 33.5 and
+    49.0 MiB."""
+    level, n = 3, 2
+    ens = small_ensemble(level=level, n=n, steps=32, seed=53, replicas=2048)
+    s = StepIntegrand.constant(ens.grid, random_op(np.random.default_rng(8),
+                                                   level, n, n))
+    integral = 2048 * 33 * n * 2 * dim_of(level) * 8
+    assert integral_paths(s, ens.batch(0).w).nbytes == integral
+    for probe in (chebyshev_check(s, ens, 1.5, 1.0),
+                  continuity_check(s, ens, 1.0, 5)):
+        assert _sample_peak(probe, ens.batch(0)) <= integral + 2 * 2 ** 20
 
 
 def test_refinement_of_path_dependent_integrand():

@@ -21,6 +21,7 @@ from cdstoch.linops import (
     CovarianceOperator,
     RealFunctional,
     RightLinearOp,
+    vec_norm2,
 )
 from cdstoch.integrals import StepIntegrand, integral_paths
 from cdstoch.paths import (
@@ -38,10 +39,12 @@ from cdstoch.paths import (
     complex_of,
     disjoint_increments,
     increment_cov,
+    lag_exceedances,
     Probe,
     mean_increment,
     modulus_se,
     path_continuity,
+    sup_norm2,
     sweep,
 )
 from cdstoch.report import CSV_HEADER, write_paths_csv
@@ -576,6 +579,107 @@ def test_path_continuity_rejects_bad_ladder():
                        seed=1, n_replicas=100)
     with pytest.raises(GridError):
         path_continuity(ens, eps=1.0, halvings=8)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_path_continuity_refuses_a_threshold_that_measures_nothing(eps):
+    """A NaN threshold fails every comparison, so its tails would read 0
+    and pass; an infinite, zero or negative one measures nothing either
+    (a negative eps was read as |eps|)."""
+    ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 16),
+                       identity_complex_covariance(2, 1), None, seed=1,
+                       n_replicas=500)
+    with pytest.raises(AlgebraError, match="eps must be finite and positive"):
+        path_continuity(ens, eps, 4)
+
+
+def tail_rows(b, layout):
+    """(b, 33, 2, 2, 8) heavy-tailed values, stored time-major or
+    C-ordered, with NaN and inf in a few rows and coordinates."""
+    rng = np.random.default_rng(b)
+    shape = (b, 33, 2, 2, 8)
+    x = rng.standard_normal(shape) * rng.exponential(size=shape[:2]
+                                                     + (1, 1, 1)) ** 3
+    x[3, 5] = np.nan
+    x[7, 9, 1, 0, 4] = np.nan
+    x[11, 2] = np.inf
+    x[11, 3] = np.inf  # inf - inf: a NaN difference
+    x[13, 20, 0, 1, 2] = -np.inf
+    x[17, 4, 0, 0, 0] = np.nan
+    x[17, 6, 1, 1, 1] = np.inf  # a NaN before an inf in one replica
+    if layout == "time_major":
+        x = np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
+    return x
+
+
+@pytest.mark.parametrize("b", [2048, 904])
+@pytest.mark.parametrize("layout", ["time_major", "c_ordered"])
+def test_lag_exceedances_keep_the_bits_of_the_whole_difference(layout, b):
+    """The in-place lag kernel gives the indicators of both expressions
+    it replaces, vec_norm2 on the flattened difference and the sum over
+    the three coordinate axes, whose norms agree bit for bit.  Each
+    threshold is a reference norm, and the next float below it, so a
+    norm one ulp off flips its own indicator."""
+    x = tail_rows(b, layout)
+    flat = x.reshape(b, 33, -1)
+    rng = np.random.default_rng(5)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for lag in (1, 2, 5, 16):
+            d = x[:, lag:] - x[:, :-lag]
+            ref = vec_norm2(flat[:, lag:] - flat[:, :-lag])
+            ref_axes = 2.0 * np.sum(d * d, axis=(2, 3, 4))
+            assert ref.view(np.uint64).tolist() == \
+                ref_axes.view(np.uint64).tolist()
+            finite = np.flatnonzero(np.isfinite(ref))
+            for at in rng.choice(finite, 3, replace=False):
+                at = np.unravel_index(at, ref.shape)
+                for eps2 in (ref[at], np.nextafter(ref[at], -np.inf)):
+                    got, = lag_exceedances(x, [lag], eps2)
+                    assert got.shape == ref.shape and got.dtype == bool
+                    assert np.array_equal(got, ref > eps2)
+                    assert np.array_equal(got, ref_axes > eps2)
+                assert got[at]
+        eps2 = float(np.median(ref))
+        lags = list(range(1, 17))
+        for lag, got in zip(lags, lag_exceedances(x, lags, eps2)):
+            assert np.array_equal(
+                got, vec_norm2(flat[:, lag:] - flat[:, :-lag]) > eps2)
+
+
+@pytest.mark.parametrize("b", [2048, 904])
+@pytest.mark.parametrize("layout", ["time_major", "c_ordered"])
+def test_sup_norm2_keeps_the_bits_of_the_whole_square(layout, b):
+    """The running supremum has the bits of np.max over vec_norm2 of
+    every row, NaN and inf included, on either layout."""
+    x = tail_rows(b, layout)
+    ref = np.max(vec_norm2(x.reshape(b, 33, -1)), axis=1)
+    got = sup_norm2(x)
+    assert got.shape == (b,)
+    assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+    assert np.isnan(got[[3, 7, 17]]).all() and np.isinf(got[[11, 13]]).all()
+
+
+def test_path_continuity_holds_no_lag_difference():
+    """One batch of 2048 replicas on 32 steps (level 3, n = 2, 16.5 MiB
+    of path, assembled first) samples its ladder within 2 MiB: one
+    scratch block of _BLOCK_BYTES and the indicators.  Each lag's
+    difference and its square were two path-sized arrays (31.6 MiB)."""
+    ens = PathEnsemble(TimeGrid.uniform(0.0, 1.0, 32),
+                       identity_complex_covariance(3, 2), None, seed=21,
+                       n_replicas=2048)
+    probe = path_continuity(ens, 1.0, 5)
+    batch = ens.batch(0)
+    path = batch.w
+    tracemalloc.start()
+    try:
+        tails = probe.sample(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.nbytes == 2048 * 33 * 2 * 2 * 8 * 8
+    assert [t.shape for t in tails] == [(2048, 33 - lag)
+                                        for lag in (16, 8, 4, 2, 1)]
+    assert peak <= 2 * 2 ** 20
 
 
 # ----------------------------------------------------------------- CSV export
