@@ -156,9 +156,12 @@ class RunConfig:
             object.__setattr__(self, "drift", tuple(
                 _need_real("drift", v)
                 for v in _need_sequence("drift", self.drift)))
+        pairs = [_need_sequence("tol", item)
+                 for item in _need_sequence("tol", self.tolerances)]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ConfigError("config key 'tol': need (name, value) pairs")
         object.__setattr__(self, "tolerances", tuple(
-            (k, _need_real(f"tol.{k}", v))
-            for k, v in _need_sequence("tol", self.tolerances)))
+            (k, _need_real(f"tol.{k}", v)) for k, v in pairs))
         if not (self.out is None or isinstance(self.out, (str, os.PathLike))):
             raise ConfigError("config key 'out': need a directory path")
         if not (0 <= self.seed < 2 ** 62):

@@ -278,28 +278,35 @@ def test_malformed_library_input_is_refused_naming_its_key(key, fields):
         RunConfig(**fields)
 
 
-@pytest.mark.parametrize("key,fields", [
-    ("grid", {"grids": 16}),
-    ("window", {"window": 5}),
-    ("window", {"window": ("0", "1")}),
-    ("window", {"window": (False, True)}),
-    ("experiments", {"experiments": "paths"}),
-    ("drift", {"drift": 0.5}),
-    ("drift", {"level": 1, "drift": ("abc", 0.0, 0.0, 0.0)}),
-    ("tol", {"tolerances": 1e-9}),
-    ("tol.exact", {"tolerances": (("exact", "abc"),)}),
-    ("out", {"out": 5}),
+SEQUENCE, REAL = "need a sequence of values", "need a real number"
+
+
+@pytest.mark.parametrize("key,reason,fields", [
+    ("grid", SEQUENCE, {"grids": 16}),
+    ("window", SEQUENCE, {"window": 5}),
+    ("window", REAL, {"window": ("0", "1")}),
+    ("window", REAL, {"window": (False, True)}),
+    ("experiments", SEQUENCE, {"experiments": "paths"}),
+    ("drift", SEQUENCE, {"drift": 0.5}),
+    ("drift", REAL, {"level": 1, "drift": ("abc", 0.0, 0.0, 0.0)}),
+    ("tol", SEQUENCE, {"tolerances": 1e-9}),
+    ("tol", SEQUENCE, {"tolerances": ("exact",)}),
+    ("tol", "need \\(name, value\\) pairs", {"tolerances": (("exact",),)}),
+    ("tol.exact", REAL, {"tolerances": (("exact", "abc"),)}),
+    ("out", "need a directory path", {"out": 5}),
 ], ids=["grid-scalar", "window-scalar", "window-strings", "window-bools",
         "experiments-string", "drift-scalar", "drift-string",
-        "tolerances-scalar", "tolerance-string", "out-number"])
+        "tolerances-scalar", "tolerance-name-only", "tolerance-short-pair",
+        "tolerance-string", "out-number"])
 def test_a_malformed_sequence_or_string_field_is_refused_naming_its_key(
-        key, fields):
+        key, reason, fields):
     """A scalar where a sequence belongs raised TypeError, a string of
     names was split into letters ('unknown experiment 'p''), numeric
     strings were cast (window ("0", "1") ran as (0.0, 1.0)), "abc" raised
-    ValueError from float(), and out=5 was accepted; each is now one
-    ConfigError naming its key."""
-    with pytest.raises(ConfigError, match=rf"^config key '{key}': "):
+    ValueError from float(), a tolerance that is not a (name, value)
+    pair raised ValueError on unpacking, and out=5 was accepted; each is
+    now one ConfigError naming its key."""
+    with pytest.raises(ConfigError, match=rf"^config key '{key}': {reason}$"):
         RunConfig(**fields)
 
 
